@@ -1,83 +1,47 @@
-"""Benchmark the GF(p) kernel backends: numba @njit vs pure numpy.
+"""Time the GF(p) kernels behind FieldSpec.matmul and FieldSpec.rref.
 
-The backend is fixed at import time by HOPFMONAD_PURE_NUMPY, so this
-script re-executes itself once per backend and prints a comparison
-table.  Timed kernels: dense mod-p matrix product, mod-p reduced row
-echelon form, and one end-to-end verification of the 4-dim double.
+Prints one table: dense mod-p matrix product and mod-p reduced row
+echelon form of random n x n matrices at p = 7919, plus one end-to-end
+verification of the 4-dim Drinfeld double of Z2 over GF(3).
 
 Usage:  python benchmarks/bench_kernels.py [--sizes 128 256 512]
 """
 
 import argparse
-import json
-import os
-import subprocess
-import sys
 import time
 
+import numpy as np
 
-def _bench_current(sizes):
-    import numpy as np
+from hopfmonad import presentation, zoo
+from hopfmonad.exactla import FieldSpec
+from hopfmonad.verify import verify_model
 
-    from hopfmonad import presentation, zoo
-    from hopfmonad._kernels import backend_name, matmul_mod, rref_mod
-    from hopfmonad.exactla import FieldSpec
-    from hopfmonad.verify import verify_model
 
-    p = 7919
-    rng = np.random.default_rng(0)
-    rows = {"backend": backend_name(), "matmul": {}, "rref": {}}
-    # warm the jit before timing
-    warm = rng.integers(0, p, size=(64, 64), dtype=np.int64)
-    matmul_mod(warm, warm, p)
-    rref_mod(warm.copy(), p)
-
-    for n in sizes:
-        a = rng.integers(0, p, size=(n, n), dtype=np.int64)
-        b = rng.integers(0, p, size=(n, n), dtype=np.int64)
-        t0 = time.perf_counter()
-        matmul_mod(a, b, p)
-        rows["matmul"][n] = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        rref_mod(a.copy(), p)
-        rows["rref"][n] = time.perf_counter() - t0
-
-    model = presentation.load(zoo.build_drinfeld_double_group(
-        zoo.cyclic_group_table(2), FieldSpec.prime(3), "bench_double"))
+def _timed(fn, *args) -> float:
     t0 = time.perf_counter()
-    assert verify_model(model, samples=1).passed
-    rows["verify_double_z2_f3"] = time.perf_counter() - t0
-    return rows
+    fn(*args)
+    return time.perf_counter() - t0
 
 
 def main():
     parser = argparse.ArgumentParser()
     parser.add_argument("--sizes", type=int, nargs="+", default=[128, 256, 512])
-    parser.add_argument("--emit-json", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args()
 
-    if args.emit_json:
-        print(json.dumps(_bench_current(args.sizes)))
-        return
+    f = FieldSpec.prime(7919)
+    rng = np.random.default_rng(0)
+    print(f"{'kernel':<24}{'size':>6}{'time':>12}")
+    for n in args.sizes:
+        a = rng.integers(0, f.p, size=(n, n), dtype=np.int64)
+        b = rng.integers(0, f.p, size=(n, n), dtype=np.int64)
+        print(f"{'mod-p matmul':<24}{n:>6}{_timed(f.matmul, a, b):>11.4f}s")
+        print(f"{'mod-p rref':<24}{n:>6}{_timed(f.rref, a):>11.4f}s")
 
-    results = []
-    for flag in ("0", "1"):
-        env = dict(os.environ, HOPFMONAD_PURE_NUMPY=flag)
-        out = subprocess.run(
-            [sys.executable, __file__, "--emit-json",
-             "--sizes", *map(str, args.sizes)],
-            env=env, capture_output=True, text=True, check=True)
-        results.append(json.loads(out.stdout.splitlines()[-1]))
-
-    print(f"{'kernel':<24}{'size':>6}" +
-          "".join(f"{r['backend']:>12}" for r in results))
-    for kernel in ("matmul", "rref"):
-        for n in args.sizes:
-            cells = "".join(f"{r[kernel][str(n)] if str(n) in r[kernel] else r[kernel][n]:>11.4f}s"
-                            for r in results)
-            print(f"{'mod-p ' + kernel:<24}{n:>6}" + cells)
-    cells = "".join(f"{r['verify_double_z2_f3']:>11.4f}s" for r in results)
-    print(f"{'verify double (GF(3))':<24}{'':>6}" + cells)
+    model = presentation.load(zoo.build_drinfeld_double_group(
+        zoo.cyclic_group_table(2), FieldSpec.prime(3), "bench_double"))
+    t0 = time.perf_counter()
+    assert verify_model(model, samples=1).passed
+    print(f"{'verify double (GF(3))':<24}{'':>6}{time.perf_counter() - t0:>11.4f}s")
 
 
 if __name__ == "__main__":

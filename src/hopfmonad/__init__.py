@@ -10,7 +10,7 @@ Layers, bottom up:
   format and the command line front end.
 """
 
-from .exactla import FieldSpec, Mat
+from .exactla import FieldSpec
 
-__all__ = ["FieldSpec", "Mat"]
+__all__ = ["FieldSpec"]
 __version__ = "0.1.0"

@@ -158,9 +158,6 @@ class GradedObj:
         """Per-atom dimensions on a one-label base (the tensor axes)."""
         return [a.dims[0][0] for a in self.atoms]
 
-    def same_dims(self, other: "GradedObj") -> bool:
-        return self.base == other.base and _grade_counts(self) == _grade_counts(other)
-
     def __repr__(self):
         return "Obj[" + " ".join(a.name for a in self.atoms) + "]" if self.atoms else "Obj[1]"
 
@@ -272,10 +269,6 @@ class GradedMor:
     @staticmethod
     def zero(src: GradedObj, dst: GradedObj) -> "GradedMor":
         return GradedMor(src, dst, {})
-
-    @staticmethod
-    def from_block(src: GradedObj, dst: GradedObj, grade, matrix) -> "GradedMor":
-        return GradedMor(src, dst, {tuple(grade): matrix})
 
     def block(self, i: int, l: int) -> np.ndarray:
         """Dense block at a grade (zeros when absent)."""
@@ -444,82 +437,56 @@ def identity(obj: GradedObj) -> GradedMor:
 # ---------------------------------------------------------------------------
 
 
-def ev_mor(x: GradedObj) -> GradedMor:
-    """Evaluation  dual(x) ⊗ x -> 1  for the standard dual bases."""
+def _pairing(x: GradedObj, dual_first: bool) -> tuple:
+    """The word dual(x) ⊗ x (dual_first) or x ⊗ dual(x), with its pairing
+    row of the standard dual bases at every diagonal grade (i, i)."""
     f = x.base.field
-    unit = GradedObj.unit(x.base)
-    src = x.dual().tensor(x)
-    blocks = {}
-    for (i, l) in src.grades():
+    word = x.dual().tensor(x) if dual_first else x.tensor(x.dual())
+    rows = {}
+    for (i, l) in word.grades():
         if i != l:
             continue
-        m = f.zeros((1, src.count(i, i)))
-        cidx = path_index(src, i, i)
-        L = x.base.nlabels
-        for j in range(L):
-            for p in paths(x, j, i):
-                dp = _reversed_path(p, j)
-                m[0, cidx[dp + p]] = f.one
-        blocks[(i, i)] = m
-    return GradedMor(src, unit, blocks)
+        m = f.zeros((1, word.count(i, i)))
+        idx = path_index(word, i, i)
+        for j in range(x.base.nlabels):
+            # p runs through x, its reversal through dual(x), from label a
+            a, b = (j, i) if dual_first else (i, j)
+            for p in paths(x, a, b):
+                dp = _reversed_path(p, a)
+                m[0, idx[dp + p if dual_first else p + dp]] = f.one
+        rows[(i, i)] = m
+    return word, rows
+
+
+def _ev(x: GradedObj, dual_first: bool) -> GradedMor:
+    word, rows = _pairing(x, dual_first)
+    return GradedMor(word, GradedObj.unit(x.base), rows)
+
+
+def _coev(x: GradedObj, dual_first: bool) -> GradedMor:
+    word, rows = _pairing(x, dual_first)
+    return GradedMor(GradedObj.unit(x.base), word,
+                     {g: m.T.copy() for g, m in rows.items()})
+
+
+def ev_mor(x: GradedObj) -> GradedMor:
+    """Evaluation  dual(x) ⊗ x -> 1  for the standard dual bases."""
+    return _ev(x, True)
 
 
 def coev_mor(x: GradedObj) -> GradedMor:
     """Coevaluation  1 -> x ⊗ dual(x)."""
-    f = x.base.field
-    unit = GradedObj.unit(x.base)
-    dst = x.tensor(x.dual())
-    blocks = {}
-    for (i, l) in dst.grades():
-        if i != l:
-            continue
-        m = f.zeros((dst.count(i, i), 1))
-        ridx = path_index(dst, i, i)
-        L = x.base.nlabels
-        for j in range(L):
-            for p in paths(x, i, j):
-                dp = _reversed_path(p, i)
-                m[ridx[p + dp], 0] = f.one
-        blocks[(i, i)] = m
-    return GradedMor(unit, dst, blocks)
+    return _coev(x, False)
 
 
 def ev_right_mor(x: GradedObj) -> GradedMor:
     """Right evaluation  x ⊗ dual(x) -> 1."""
-    f = x.base.field
-    unit = GradedObj.unit(x.base)
-    src = x.tensor(x.dual())
-    blocks = {}
-    for (i, l) in src.grades():
-        if i != l:
-            continue
-        m = f.zeros((1, src.count(i, i)))
-        cidx = path_index(src, i, i)
-        for j in range(x.base.nlabels):
-            for p in paths(x, i, j):
-                dp = _reversed_path(p, i)
-                m[0, cidx[p + dp]] = f.one
-        blocks[(i, i)] = m
-    return GradedMor(src, unit, blocks)
+    return _ev(x, False)
 
 
 def coev_right_mor(x: GradedObj) -> GradedMor:
     """Right coevaluation  1 -> dual(x) ⊗ x."""
-    f = x.base.field
-    unit = GradedObj.unit(x.base)
-    dst = x.dual().tensor(x)
-    blocks = {}
-    for (i, l) in dst.grades():
-        if i != l:
-            continue
-        m = f.zeros((dst.count(i, i), 1))
-        ridx = path_index(dst, i, i)
-        for j in range(x.base.nlabels):
-            for p in paths(x, j, i):
-                dp = _reversed_path(p, j)
-                m[ridx[dp + p], 0] = f.one
-        blocks[(i, i)] = m
-    return GradedMor(unit, dst, blocks)
+    return _coev(x, True)
 
 
 def left_dual(x: GradedObj) -> dict:

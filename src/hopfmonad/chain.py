@@ -250,17 +250,6 @@ class Evaluated:
         return self.mor
 
 
-def chains_equal(lhs: Chain, rhs: Chain) -> tuple[bool, GradedMor | None]:
-    """Evaluate two chains and compare; returns (equal, difference)."""
-    if lhs.src != rhs.src or lhs.dst != rhs.dst:
-        raise DimensionMismatch(
-            f"cannot compare {lhs.src!r}->{lhs.dst!r} with {rhs.src!r}->{rhs.dst!r}")
-    a = lhs.eval()
-    b = rhs.eval()
-    diff = a - b
-    return diff.is_zero(), diff
-
-
 # ---------------------------------------------------------------------------
 # Extension by linearity
 # ---------------------------------------------------------------------------

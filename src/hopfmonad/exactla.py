@@ -5,10 +5,16 @@ int residues in [0, p) over a prime field.  There is no floating point
 anywhere; every operation is exact and deterministic (identical inputs
 give bit-identical outputs).
 
-Rational matrices are numpy object arrays of Fractions (kept in canonical
-reduced form with positive denominator by Fraction itself, so equality is
-structural).  GF(p) matrices are int64 arrays; their hot kernels live in
-hopfmonad._kernels and carry a numba fast path.
+Matrices are plain numpy arrays paired with the FieldSpec that gives them
+meaning: object arrays of Fractions over Q (kept in canonical reduced form
+with positive denominator by Fraction itself, so equality is structural),
+int64 arrays with entries in [0, p) over GF(p).  The solvers `rank`,
+`kernel`, `solve_affine` and `inverse` take `(spec, array)` and all go
+through one deterministic reduced row echelon form, `FieldSpec.rref`.
+
+Overflow safety over GF(p): p is capped at 2**20, so a dot product of
+length up to MAX_ACCUM = 2**22 stays below 2**62 and never wraps int64;
+longer products are reduced chunk by chunk.
 """
 
 from __future__ import annotations
@@ -18,17 +24,14 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import _kernels
-
 MAX_PRIME = 1 << 20
+
+# Longest safe dot product: sum of k terms < p**2 each must fit in int64.
+MAX_ACCUM = 1 << 22
 
 
 class ExactError(Exception):
     """Base error for the exact-linalg layer."""
-
-
-class FieldMismatch(ExactError):
-    pass
 
 
 class DimensionMismatch(ExactError):
@@ -153,9 +156,10 @@ class FieldSpec:
         return a if self.is_rationals else a % self.p
 
     def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        if a.shape[1] != b.shape[0]:
+            raise DimensionMismatch(f"{a.shape} @ {b.shape}")
         if not self.is_rationals:
-            return _kernels.matmul_mod(np.ascontiguousarray(a),
-                                       np.ascontiguousarray(b), self.p)
+            return _matmul_mod(a, b, self.p)
         # structure-constant matrices are mostly zero: accumulate only the
         # nonzero entries of the smaller factor instead of dense np.dot
         rows, inner = a.shape
@@ -196,7 +200,7 @@ class FieldSpec:
     def rref(self, a: np.ndarray) -> tuple[np.ndarray, list[int]]:
         """Reduced row echelon form; deterministic first-nonzero pivoting."""
         if not self.is_rationals:
-            return _kernels.rref_mod(a.copy(), self.p)
+            return _rref_mod(a, self.p)
         m = a.copy()
         rows, cols = m.shape
         pivots: list[int] = []
@@ -228,186 +232,112 @@ class FieldSpec:
 
 
 # ---------------------------------------------------------------------------
-# Matrices
+# GF(p) kernels
 # ---------------------------------------------------------------------------
 
 
-class Mat:
-    """Dense exact matrix over a FieldSpec.
-
-    Immutable by convention: operations return new matrices and never
-    mutate `data` in place.
-    """
-
-    __slots__ = ("spec", "data")
-
-    def __init__(self, spec: FieldSpec, data: np.ndarray):
-        if data.ndim != 2:
-            raise DimensionMismatch(f"matrix data must be 2-d, got shape {data.shape}")
-        self.spec = spec
-        self.data = data
-
-    # -- constructors ----------------------------------------------------
-
-    @staticmethod
-    def from_rows(spec: FieldSpec, rows) -> "Mat":
-        if rows and any(len(r) != len(rows[0]) for r in rows):
-            raise DimensionMismatch("ragged rows")
-        return Mat(spec, spec.asarray(rows))
-
-    @staticmethod
-    def zeros(spec: FieldSpec, rows: int, cols: int) -> "Mat":
-        return Mat(spec, spec.zeros((rows, cols)))
-
-    @staticmethod
-    def identity(spec: FieldSpec, n: int) -> "Mat":
-        return Mat(spec, spec.eye(n))
-
-    # -- basic queries -----------------------------------------------------
-
-    @property
-    def rows(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.data.shape[1]
-
-    def is_zero(self) -> bool:
-        if self.data.size == 0:
-            return True
-        if self.spec.is_rationals:
-            return bool(np.all(self.data == Fraction(0)))
-        return bool(np.all(self.data == 0))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Mat):
-            return NotImplemented
-        return (self.spec == other.spec
-                and self.data.shape == other.data.shape
-                and bool(np.all(self.data == other.data)))
-
-    def __hash__(self):
-        raise TypeError("Mat is unhashable")
-
-    def __repr__(self):
-        return f"Mat({self.spec.describe()}, {self.data.tolist()!r})"
-
-    # -- arithmetic --------------------------------------------------------
-
-    def _check_same_field(self, other: "Mat"):
-        if self.spec != other.spec:
-            raise FieldMismatch(f"{self.spec.describe()} vs {other.spec.describe()}")
-
-    def __add__(self, other: "Mat") -> "Mat":
-        self._check_same_field(other)
-        if self.data.shape != other.data.shape:
-            raise DimensionMismatch(f"{self.data.shape} + {other.data.shape}")
-        return Mat(self.spec, self.spec.reduce(self.data + other.data))
-
-    def __sub__(self, other: "Mat") -> "Mat":
-        self._check_same_field(other)
-        if self.data.shape != other.data.shape:
-            raise DimensionMismatch(f"{self.data.shape} - {other.data.shape}")
-        return Mat(self.spec, self.spec.reduce(self.data - other.data))
-
-    def __neg__(self) -> "Mat":
-        return Mat(self.spec, self.spec.reduce(-self.data))
-
-    def scale(self, c) -> "Mat":
-        c = self.spec.coerce(c)
-        return Mat(self.spec, self.spec.reduce(self.data * c))
-
-    def __matmul__(self, other: "Mat") -> "Mat":
-        return mat_mul(self, other)
-
-    def transpose(self) -> "Mat":
-        return Mat(self.spec, self.data.T.copy())
-
-    def col(self, j: int) -> "Mat":
-        return Mat(self.spec, self.data[:, j:j + 1].copy())
-
-    def hstack(self, other: "Mat") -> "Mat":
-        self._check_same_field(other)
-        return Mat(self.spec, np.hstack([self.data, other.data]))
-
-    def entry(self, i: int, j: int):
-        return self.data[i, j]
-
-    def to_strings(self) -> list[list[str]]:
-        return [[self.spec.show(v) for v in row] for row in self.data.tolist()]
+def _matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """Exact product of two int64 matrices with entries in [0, p), mod p."""
+    k = a.shape[1]
+    if k <= MAX_ACCUM:
+        return (a @ b) % p
+    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
+    for lo in range(0, k, MAX_ACCUM):
+        out = (out + a[:, lo:lo + MAX_ACCUM] @ b[lo:lo + MAX_ACCUM, :]) % p
+    return out
 
 
-# ---------------------------------------------------------------------------
-# Operations
-# ---------------------------------------------------------------------------
-
-
-def mat_mul(a: Mat, b: Mat) -> Mat:
-    """Exact matrix product."""
-    a._check_same_field(b)
-    if a.cols != b.rows:
-        raise DimensionMismatch(f"({a.rows}x{a.cols}) @ ({b.rows}x{b.cols})")
-    return Mat(a.spec, a.spec.matmul(a.data, b.data))
-
-
-def kron(a: Mat, b: Mat) -> Mat:
-    """Kronecker product, row-major index convention (i_a * rows_b + i_b)."""
-    a._check_same_field(b)
-    return Mat(a.spec, a.spec.kron(a.data, b.data))
-
-
-def rref(a: Mat) -> tuple[Mat, list[int]]:
-    r, piv = a.spec.rref(a.data)
-    return Mat(a.spec, r), piv
-
-
-def rank(a: Mat) -> int:
-    return len(rref(a)[1])
-
-
-def kernel(a: Mat) -> list[Mat]:
-    """Exact basis of the null space, as n x 1 column vectors.
-
-    Deterministic: computed from the reduced echelon form, one vector per
-    free column, ordered by free-column index.
-    """
-    r, pivots = a.spec.rref(a.data)
-    cols = a.cols
-    pivset = set(pivots)
-    free = [c for c in range(cols) if c not in pivset]
-    basis = []
-    for f in free:
-        v = a.spec.zeros((cols, 1))
-        v[f, 0] = a.spec.one
-        for i, pc in enumerate(pivots):
-            v[pc, 0] = a.spec.reduce(np.asarray(-r[i, f])).item() \
-                if not a.spec.is_rationals else -r[i, f]
-        basis.append(Mat(a.spec, v))
-    return basis
-
-
-def solve_affine(a: Mat, b: Mat) -> tuple[Mat, list[Mat]] | None:
-    """Solve a @ x = b exactly.
-
-    Returns (particular solution, nullspace basis) or None when the system
-    is inconsistent.  b may have several columns; the particular solution
-    then has the same number of columns.
-    """
-    a._check_same_field(b)
-    if a.rows != b.rows:
-        raise DimensionMismatch(f"lhs has {a.rows} rows, rhs has {b.rows}")
-    aug = np.hstack([a.data, b.data])
-    r, pivots = a.spec.rref(aug)
-    if any(p >= a.cols for p in pivots):
-        return None
-    x = a.spec.zeros((a.cols, b.cols))
-    for i, pc in enumerate(pivots):
-        x[pc, :] = r[i, a.cols:]
-    return Mat(a.spec, x), kernel(a)
-
+def _rref_mod(m: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
+    """Reduced row echelon form mod p, first-nonzero pivoting; `m` is not
+    modified."""
+    m = m % p
+    rows, cols = m.shape
+    pivots: list[int] = []
+    r = 0
+    for c in range(cols):
+        if r >= rows:
+            break
+        nz = np.nonzero(m[r:, c])[0]
+        if nz.size == 0:
+            continue
+        i = r + int(nz[0])
+        if i != r:
+            m[[r, i]] = m[[i, r]]
+        inv = pow(int(m[r, c]), p - 2, p)
+        m[r] = (m[r] * inv) % p
+        factors = m[:, c].copy()
+        factors[r] = 0
+        m = (m - np.outer(factors, m[r])) % p
+        pivots.append(c)
+        r += 1
+    return m, pivots
 
 
 def kernel_backend() -> str:
-    """Active GF(p) kernel backend ("numba" or "numpy")."""
-    return _kernels.backend_name()
+    """The GF(p) kernel backend: always numpy int64 arithmetic."""
+    return "numpy"
+
+
+# ---------------------------------------------------------------------------
+# Solvers
+# ---------------------------------------------------------------------------
+
+
+def rank(spec: FieldSpec, a: np.ndarray) -> int:
+    return len(spec.rref(a)[1])
+
+
+def _null_basis(spec: FieldSpec, r: np.ndarray, pivots: list[int],
+                cols: int) -> np.ndarray:
+    """Null-space basis read off a reduced echelon form with `cols` columns:
+    one column per free column, ordered by free-column index."""
+    pivset = set(pivots)
+    free = [c for c in range(cols) if c not in pivset]
+    basis = spec.zeros((cols, len(free)))
+    basis[free, range(len(free))] = spec.one
+    basis[pivots, :] = spec.reduce(-r[:len(pivots), free])
+    return basis
+
+
+def kernel(spec: FieldSpec, a: np.ndarray) -> np.ndarray:
+    """Exact null-space basis of `a`, as the columns of an n x k matrix.
+
+    Deterministic: one column per free column of the reduced echelon form,
+    ordered by free-column index.
+    """
+    r, pivots = spec.rref(a)
+    return _null_basis(spec, r, pivots, a.shape[1])
+
+
+def solve_affine(spec: FieldSpec, a: np.ndarray,
+                 b: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """Solve a @ x = b exactly.
+
+    Returns (particular solution, null-space basis of `a` as columns) or
+    None when the system is inconsistent.  b may have several columns; the
+    particular solution then has the same number of columns.  One row
+    reduction of [a | b] serves both: when the system is consistent its
+    left block is the reduced echelon form of `a`.
+    """
+    if a.shape[0] != b.shape[0]:
+        raise DimensionMismatch(f"lhs has {a.shape[0]} rows, rhs has {b.shape[0]}")
+    n = a.shape[1]
+    r, pivots = spec.rref(np.hstack([a, b]))
+    if any(p >= n for p in pivots):
+        return None
+    x = spec.zeros((n, b.shape[1]))
+    for i, pc in enumerate(pivots):
+        x[pc, :] = r[i, n:]
+    return x, _null_basis(spec, r, pivots, n)
+
+
+def inverse(spec: FieldSpec, a: np.ndarray) -> np.ndarray | None:
+    """Two-sided inverse of a square matrix, or None when it is singular
+    or not square; one row reduction of [a | I]."""
+    n = a.shape[0]
+    if a.shape[1] != n:
+        return None
+    r, pivots = spec.rref(np.hstack([a, spec.eye(n)]))
+    if pivots != list(range(n)):
+        return None
+    return r[:, n:].copy()

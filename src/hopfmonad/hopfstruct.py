@@ -20,7 +20,7 @@ from .cat import (
     tensor_mor,
 )
 from .chain import Chain, CoreStep, MorStep, extend_unary
-from .exactla import ExactError, Mat, kernel, rank, solve_affine
+from .exactla import ExactError, kernel, rank, solve_affine
 from .modcat import (
     TModule,
     check_module,
@@ -314,10 +314,10 @@ def coinvariants(t: TensoringBimonad, carrier: GradedObj,
         cols = carrier.count(*grade)
         rows = diff.dst.count(*grade)
         blk = diff.block(*grade) if rows else f.zeros((0, cols))
-        ker = kernel(Mat(f, blk))
-        grid[grade[0]][grade[1]] = len(ker)
-        if ker:
-            basis_by_grade[grade] = np.concatenate([v.data for v in ker], axis=1)
+        ker = kernel(f, blk)
+        grid[grade[0]][grade[1]] = ker.shape[1]
+        if ker.shape[1]:
+            basis_by_grade[grade] = ker
     n_obj = GradedObj.from_grid(t.base, grid, "coinv")
     blocks = {g: b for g, b in basis_by_grade.items()}
     inc = GradedMor(n_obj, carrier, blocks)
@@ -362,11 +362,11 @@ def fundamental_iso(t: TensoringBimonad, a: AntipodeData,
         rows = a_blk.shape[0]
         if b_blk is None:
             b_blk = t.base.field.zeros((rows, m_obj.count(*grade)))
-        sol = solve_affine(Mat(t.base.field, a_blk), Mat(t.base.field, b_blk))
+        sol = solve_affine(t.base.field, a_blk, b_blk)
         if sol is None:
             ok = False
             break
-        phi_blocks[grade] = sol[0].data
+        phi_blocks[grade] = sol[0]
     rep.record("decomp.factorization", ok)
     if not ok:
         return rep
@@ -390,12 +390,11 @@ def fundamental_iso(t: TensoringBimonad, a: AntipodeData,
     if t.base.is_vector and tm_dim * tm_dim * t.carrier_dim <= 1 << 24:
         diff = Chain(t.on_obj(m_obj)).then(rho, at=1).eval() - \
             Chain(t.on_obj(m_obj)).then(t.eta_step(t.unit_obj()), at=1 + n).eval()
-        ker = kernel(Mat(t.base.field, diff.block(0, 0)))
+        ker = kernel(t.base.field, diff.block(0, 0))
         span = ti.block(0, 0)
-        okk = len(ker) == span.shape[1]
-        if okk and ker:
-            stacked = np.concatenate([v.data for v in ker], axis=1)
-            okk = rank(Mat(t.base.field, np.concatenate([stacked, span], axis=1))) \
+        okk = ker.shape[1] == span.shape[1]
+        if okk and ker.shape[1]:
+            okk = rank(t.base.field, np.concatenate([ker, span], axis=1)) \
                 == span.shape[1]
         rep.record("decomp.kernel_match", okk)
     elif t.base.is_vector:
@@ -450,9 +449,8 @@ def solve_integrals(t: TensoringBimonad, direction: str) -> IntegralSolution:
                     row[k] = f.coerce(row[k] + d3[k, p, a_i])
             row[a_i] = f.coerce(row[a_i] - u[p])
             rows.append(row)
-    basis = kernel(Mat.from_rows(f, rows))
-    return IntegralSolution(t, direction,
-                            [[v.entry(i, 0) for i in range(n)] for v in basis])
+    basis = kernel(f, f.asarray(rows))
+    return IntegralSolution(t, direction, [list(v) for v in basis.T])
 
 
 def integral_check(t: TensoringBimonad, direction: str, chi) -> bool:
@@ -528,17 +526,17 @@ def maschke_verdict(t: TensoringBimonad, a: AntipodeData | None = None) -> dict:
            "counit_values": [c for c in cols]}
     if not basis:
         return out
-    a_mat = Mat(f, np.array([[cols[j][i] for j in range(len(cols))]
-                             for i in range(len(rhs))],
-                            dtype=object if f.is_rationals else np.int64))
-    b_mat = Mat(f, np.array([[v] for v in rhs],
-                            dtype=object if f.is_rationals else np.int64))
-    sol = solve_affine(a_mat, b_mat)
+    a_mat = np.array([[cols[j][i] for j in range(len(cols))]
+                      for i in range(len(rhs))],
+                     dtype=object if f.is_rationals else np.int64)
+    b_mat = np.array([[v] for v in rhs],
+                     dtype=object if f.is_rationals else np.int64)
+    sol = solve_affine(f, a_mat, b_mat)
     if sol is None:
         return out
     lam = GradedMor.zero(t.unit_obj(), t.carrier)
     for j, b in enumerate(basis):
-        c = sol[0].entry(j, 0)
+        c = sol[0][j, 0]
         if c != f.zero:
             lam = lam + b.scale(c)
     out["semisimple"] = True

@@ -17,7 +17,7 @@ from .cat import (
     identity,
 )
 from .chain import Chain, CoreStep
-from .exactla import ExactError, Mat, kernel, solve_affine
+from .exactla import ExactError, inverse, kernel, rank, solve_affine
 from .monad import TensoringBimonad, TransTT
 from .report import Report
 
@@ -100,13 +100,13 @@ def _mor_coords(f: GradedMor, grades) -> list:
     return out
 
 
-def _columns_to_mat(f, cols: list) -> Mat:
+def _columns_to_mat(f, cols: list):
     rows = len(cols[0]) if cols else 0
     a = f.zeros((rows, len(cols)))
     for j, col in enumerate(cols):
         for i, v in enumerate(col):
             a[i, j] = v
-    return Mat(f, a)
+    return a
 
 
 def module_hom_space(m: TModule, n: TModule) -> list[GradedMor]:
@@ -121,12 +121,11 @@ def module_hom_space(m: TModule, n: TModule) -> list[GradedMor]:
     for b in basis:
         diff = (b @ m.action) - (n.action @ t.on_mor(b))
         cols.append(_mor_coords(diff, grades))
-    a = _columns_to_mat(f, cols)
     out = []
-    for v in kernel(a):
+    for v in kernel(f, _columns_to_mat(f, cols)).T:
         total = GradedMor.zero(m.carrier, n.carrier)
         for k, b in enumerate(basis):
-            c = v.entry(k, 0)
+            c = v[k]
             if c != f.zero:
                 total = total + b.scale(c)
         out.append(total)
@@ -154,15 +153,16 @@ def module_section_space(m: TModule) -> list[GradedMor]:
     rhs_vec.extend(_mor_coords(ident, grades_sec))
     a = _columns_to_mat(f, cols)
     b_mat = _columns_to_mat(f, [rhs_vec])
-    sol = solve_affine(a, b_mat)
+    sol = solve_affine(f, a, b_mat)
     if sol is None:
         return []
     x0, null = sol
+    x0 = x0[:, 0]
     out = []
-    for vec in [x0] + [x0 + v for v in null]:
+    for vec in [x0] + [f.reduce(x0 + v) for v in null.T]:
         total = GradedMor.zero(m.carrier, fm.carrier)
         for k, b in enumerate(basis):
-            c = vec.entry(k, 0)
+            c = vec[k]
             if c != f.zero:
                 total = total + b.scale(c)
         out.append(total)
@@ -238,9 +238,7 @@ def conservativity_probe(t: TensoringBimonad) -> dict:
         for grade in s.grades():
             blk = eta.block(*grade)
             cols = blk.shape[1]
-            m = Mat(t.base.field, blk)
-            from .exactla import rank
-            if rank(m) < cols:
+            if rank(t.base.field, blk) < cols:
                 return {"verdict": "unknown",
                         "evidence": f"unit not split at simple {g}"}
     return {"verdict": "yes",
@@ -301,8 +299,7 @@ def _random_iso(x: GradedObj, rng) -> GradedMor:
         while True:
             blk = f.asarray([[rng.randrange(-2, 3) for _ in range(n)]
                              for _ in range(n)])
-            from .exactla import rank
-            if rank(Mat(f, blk)) == n:
+            if rank(f, blk) == n:
                 blocks[g] = blk
                 break
     return GradedMor(x, x, blocks)
@@ -312,10 +309,10 @@ def _invert_mor(f_mor: GradedMor) -> GradedMor:
     f = f_mor.field
     blocks = {}
     for g, blk in f_mor.blocks.items():
-        sol = solve_affine(Mat(f, blk), Mat.identity(f, blk.shape[0]))
-        if sol is None:
+        inv = inverse(f, blk)
+        if inv is None:
             raise ExactError("morphism is not invertible")
-        blocks[g] = sol[0].data
+        blocks[g] = inv
     return GradedMor(f_mor.dst, f_mor.src, blocks)
 
 

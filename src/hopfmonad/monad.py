@@ -294,11 +294,6 @@ class PairFamily:
         step = self.at_step(x, y)
         return step.to_mor() if isinstance(step, CoreStep) else step.mor
 
-    def swapped(self) -> "PairFamily":
-        """The family with arguments exchanged: components (X,Y) -> R_{Y,X}."""
-        comps = {(g2, g1): c for (g1, g2), c in self.comps.items()}
-        return PairFamily(self.t, comps, self.label + "_21")
-
 
 # ---------------------------------------------------------------------------
 # Check plumbing

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field as dc_field
 
 from .antipode import AntipodeData
 from .cat import BaseSpec, GradedMor, GradedObj
-from .exactla import ExactError, FieldSpec, Mat, solve_affine
+from .exactla import ExactError, FieldSpec, inverse
 from .monad import Element, PairFamily, TensoringBimonad
 from .zoo import AlgebraTable
 
@@ -175,10 +175,10 @@ def _load_vector(pres: dict, name: str, base: BaseSpec) -> Model:
         if "element_inverse" in spec:
             s_inv = _coerce_mat(f, spec["element_inverse"], n, n, "antipode inverse")
         else:
-            sol = solve_affine(Mat.from_rows(f, s), Mat.identity(f, n))
-            if sol is None:
+            inv = inverse(f, f.asarray(s))
+            if inv is None:
                 raise SchemaError("antipode matrix is singular")
-            s_inv = [[sol[0].entry(i, j) for j in range(n)] for i in range(n)]
+            s_inv = [list(row) for row in inv]
         model.s_matrix, model.s_inv_matrix = s, s_inv
         model.antipode = AntipodeData(
             t,

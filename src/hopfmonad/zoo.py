@@ -8,7 +8,7 @@ describes a groupoid algebra.
 
 from __future__ import annotations
 
-from .exactla import ExactError, FieldSpec, Mat, solve_affine
+from .exactla import ExactError, FieldSpec, inverse, solve_affine
 
 
 def _field_tag(field: FieldSpec):
@@ -92,12 +92,10 @@ class AlgebraTable:
                     acc = f.coerce(acc + x[a] * self.mul[a][b][c])
                 row.append(acc)
             rows.append(row)
-        lmx = Mat.from_rows(f, rows)
-        rhs = Mat.from_rows(f, [[u] for u in self.unit])
-        sol = solve_affine(lmx, rhs)
+        sol = solve_affine(f, f.asarray(rows), f.asarray([[u] for u in self.unit]))
         if sol is None:
             return None
-        inv = [sol[0].entry(i, 0) for i in range(self.n)]
+        inv = list(sol[0][:, 0])
         if self.product(inv, x) != [f.coerce(u) for u in self.unit]:
             return None
         return inv
@@ -141,12 +139,10 @@ def _hopf_presentation(name, field, names, mul, unit, delta, counit,
 
 
 def _matrix_inverse(field, m):
-    n = len(m)
-    a = Mat.from_rows(field, m)
-    sol = solve_affine(a, Mat.identity(field, n))
-    if sol is None:
+    inv = inverse(field, field.asarray(m))
+    if inv is None:
         raise ExactError("matrix is singular")
-    return [[sol[0].entry(i, j) for j in range(n)] for i in range(n)]
+    return [list(row) for row in inv]
 
 
 # ---------------------------------------------------------------------------

@@ -3,25 +3,27 @@
 Independent oracles used here:
 - schoolbook triple-loop multiplication (pure python, no numpy),
 - plain (non-reduced) gaussian elimination for ranks,
+- full Gauss-Jordan elimination over Python ints for reduced echelon forms,
 - substitution for linear-system solutions.
 """
 
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hopfmonad.exactla import (
+    MAX_ACCUM,
+    MAX_PRIME,
     DimensionMismatch,
-    FieldMismatch,
     FieldSpec,
-    Mat,
+    inverse,
     kernel,
     kernel_backend,
-    kron,
-    mat_mul,
     rank,
-    rref,
     solve_affine,
 )
 
@@ -29,42 +31,75 @@ Q = FieldSpec.rationals()
 F2 = FieldSpec.prime(2)
 F3 = FieldSpec.prime(3)
 F7 = FieldSpec.prime(7)
+# the largest prime the int64 kernels accept
+P_MAX = 1048573
+F_MAX = FieldSpec.prime(P_MAX)
 
 
 def rand_mat(spec, rows, cols, rng, span=9):
-    return Mat.from_rows(
-        spec, [[rng.randrange(-span, span + 1) for _ in range(cols)] for _ in range(rows)]
-    )
+    return spec.asarray(
+        [[rng.randrange(-span, span + 1) for _ in range(cols)] for _ in range(rows)]
+    ).reshape(rows, cols)
 
 
-def schoolbook(a: Mat, b: Mat) -> Mat:
-    out = [[0] * b.cols for _ in range(a.rows)]
-    for i in range(a.rows):
-        for j in range(b.cols):
-            s = a.spec.zero
-            for k in range(a.cols):
-                s = s + a.entry(i, k) * b.entry(k, j)
-            out[i][j] = s
-    return Mat.from_rows(a.spec, out) if a.rows and b.cols else Mat.zeros(a.spec, a.rows, b.cols)
+def same(a, b) -> bool:
+    return a.shape == b.shape and bool(np.all(a == b))
 
 
-def gauss_rank(a: Mat) -> int:
+def is_zero(spec, a) -> bool:
+    return bool(np.all(a == spec.zero))
+
+
+def schoolbook(spec, a, b):
+    rows, inner, cols = a.shape[0], a.shape[1], b.shape[1]
+    out = spec.zeros((rows, cols))
+    for i in range(rows):
+        for j in range(cols):
+            s = spec.zero
+            for k in range(inner):
+                s = s + a[i, k] * b[k, j]
+            out[i, j] = spec.coerce(s)
+    return out
+
+
+def gauss_rank(spec, a) -> int:
     """Row reduction without normalization: an independent rank oracle."""
-    m = [list(row) for row in a.data.tolist()]
-    rows, cols = a.rows, a.cols
+    m = [list(row) for row in a.tolist()]
+    rows, cols = a.shape
     rk = 0
     for c in range(cols):
-        piv = next((i for i in range(rk, rows) if m[i][c] != a.spec.zero), None)
+        piv = next((i for i in range(rk, rows) if m[i][c] != spec.zero), None)
         if piv is None:
             continue
         m[rk], m[piv] = m[piv], m[rk]
         for i in range(rk + 1, rows):
-            if m[i][c] != a.spec.zero:
-                f = a.spec.coerce(m[i][c]) * a.spec.inv(m[rk][c])
+            if m[i][c] != spec.zero:
+                f = spec.coerce(m[i][c]) * spec.inv(m[rk][c])
                 for j in range(cols):
-                    m[i][j] = a.spec.coerce(m[i][j] - f * m[rk][j])
+                    m[i][j] = spec.coerce(m[i][j] - f * m[rk][j])
         rk += 1
     return rk
+
+
+def gauss_jordan_mod(rows: list, p: int) -> tuple[list, list]:
+    """Reduced echelon form over GF(p) with Python ints, first-nonzero pivots."""
+    m = [[x % p for x in row] for row in rows]
+    pivots = []
+    r = 0
+    for c in range(len(m[0]) if m else 0):
+        piv = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        inv = pow(m[r][c], p - 2, p)
+        m[r] = [x * inv % p for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [(x - f * y) % p for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+    return m, pivots
 
 
 class TestFieldSpec:
@@ -94,13 +129,13 @@ class TestFieldSpec:
 
 class TestMatMul:
     def test_identity(self):
-        i2 = Mat.identity(Q, 2)
-        assert mat_mul(i2, i2) == i2
+        i2 = Q.eye(2)
+        assert same(Q.matmul(i2, i2), i2)
 
     def test_gf2_ones(self):
-        a = Mat.from_rows(F2, [[1, 1], [1, 1]])
-        v = Mat.from_rows(F2, [[1], [1]])
-        assert mat_mul(a, v) == Mat.zeros(F2, 2, 1)
+        a = F2.asarray([[1, 1], [1, 1]])
+        v = F2.asarray([[1], [1]])
+        assert same(F2.matmul(a, v), F2.zeros((2, 1)))
 
     @pytest.mark.parametrize("spec", [Q, F3, F7])
     def test_matches_schoolbook(self, spec):
@@ -108,39 +143,84 @@ class TestMatMul:
         for _ in range(25):
             a = rand_mat(spec, 3, 4, rng)
             b = rand_mat(spec, 4, 2, rng)
-            assert mat_mul(a, b) == schoolbook(a, b)
+            assert same(spec.matmul(a, b), schoolbook(spec, a, b))
 
     def test_unit_laws(self):
         rng = random.Random(5)
         for spec in (Q, F7):
             a = rand_mat(spec, 3, 5, rng)
-            assert mat_mul(a, Mat.identity(spec, 5)) == a
-            assert mat_mul(Mat.identity(spec, 3), a) == a
+            assert same(spec.matmul(a, spec.eye(5)), a)
+            assert same(spec.matmul(spec.eye(3), a), a)
 
     def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            mat_mul(Mat.identity(Q, 2), Mat.identity(Q, 3))
-
-    def test_field_mismatch(self):
-        with pytest.raises(FieldMismatch):
-            mat_mul(Mat.identity(Q, 2), Mat.identity(F2, 2))
+        for spec in (Q, F7):
+            with pytest.raises(DimensionMismatch):
+                spec.matmul(spec.eye(2), spec.eye(3))
 
     def test_empty_shapes(self):
-        a = Mat.zeros(Q, 0, 3)
-        b = Mat.zeros(Q, 3, 2)
-        assert mat_mul(a, b).data.shape == (0, 2)
-        assert mat_mul(Mat.zeros(F7, 2, 0), Mat.zeros(F7, 0, 4)).is_zero()
+        a = Q.zeros((0, 3))
+        b = Q.zeros((3, 2))
+        assert Q.matmul(a, b).shape == (0, 2)
+        out = F7.matmul(F7.zeros((2, 0)), F7.zeros((0, 4)))
+        assert out.shape == (2, 4) and is_zero(F7, out)
+
+
+class TestExactnessBound:
+    """The int64 GF(p) kernels at the largest admissible prime."""
+
+    near_top = st.integers(min_value=P_MAX - 8, max_value=P_MAX - 1)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.data())
+    def test_matmul_matches_schoolbook(self, data):
+        rows, inner, cols = (data.draw(st.integers(1, 6)) for _ in range(3))
+        a = np.array(data.draw(st.lists(self.near_top, min_size=rows * inner,
+                                        max_size=rows * inner)),
+                     dtype=np.int64).reshape(rows, inner)
+        b = np.array(data.draw(st.lists(self.near_top, min_size=inner * cols,
+                                        max_size=inner * cols)),
+                     dtype=np.int64).reshape(inner, cols)
+        expected = [[sum(int(a[i, k]) * int(b[k, j]) for k in range(inner)) % P_MAX
+                     for j in range(cols)] for i in range(rows)]
+        assert F_MAX.matmul(a, b).tolist() == expected
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.data())
+    def test_rref_matches_gauss_jordan(self, data):
+        rows, cols = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 6))
+        # entries near p - 1, with zeros mixed in so that ranks vary
+        entry = st.one_of(self.near_top, st.just(0))
+        a = np.array(data.draw(st.lists(entry, min_size=rows * cols,
+                                        max_size=rows * cols)),
+                     dtype=np.int64).reshape(rows, cols)
+        r, piv = F_MAX.rref(a)
+        ref, ref_piv = gauss_jordan_mod(a.tolist(), P_MAX)
+        assert piv == ref_piv
+        assert r.tolist() == ref
+
+    def test_chunked_accumulation(self):
+        # an inner dimension past MAX_ACCUM takes the chunked reduction branch
+        k = MAX_ACCUM + 1
+        assert P_MAX < MAX_PRIME
+        rng = np.random.default_rng(0)
+        da = rng.integers(0, 8, size=k, dtype=np.int64)
+        db = rng.integers(0, 8, size=k, dtype=np.int64)
+        a = (P_MAX - 1 - da).reshape(1, k)
+        b = (P_MAX - 1 - db).reshape(k, 1)
+        # (p-1-x)(p-1-y) = (1+x)(1+y) mod p, a sum small enough to take exactly
+        expected = int(np.sum((1 + da) * (1 + db))) % P_MAX
+        assert F_MAX.matmul(a, b).tolist() == [[expected]]
 
 
 class TestKernel:
     def test_identity_injective(self):
-        assert kernel(Mat.identity(Q, 2)) == []
+        assert kernel(Q, Q.eye(2)).shape == (2, 0)
 
     def test_gf2_forced(self):
-        a = Mat.from_rows(F2, [[1, 1], [1, 1]])
-        ker = kernel(a)
-        assert len(ker) == 1
-        assert ker[0] == Mat.from_rows(F2, [[1], [1]])
+        a = F2.asarray([[1, 1], [1, 1]])
+        ker = kernel(F2, a)
+        assert ker.shape[1] == 1
+        assert same(ker, F2.asarray([[1], [1]]))
 
     @pytest.mark.parametrize("spec", [Q, F3, F7])
     def test_rank_two_5x3(self, spec):
@@ -150,39 +230,38 @@ class TestKernel:
             c1 = [rng.randrange(-4, 5) for _ in range(5)]
             c2 = [rng.randrange(-4, 5) for _ in range(5)]
             rows = [[c1[i], c2[i], c1[i] + c2[i]] for i in range(5)]
-            a = Mat.from_rows(spec, rows)
-            if gauss_rank(a) != 2:
+            a = spec.asarray(rows)
+            if gauss_rank(spec, a) != 2:
                 continue
-            ker = kernel(a)
-            assert len(ker) == 1
-            for v in ker:
-                assert mat_mul(a, v).is_zero()
+            ker = kernel(spec, a)
+            assert ker.shape[1] == 1
+            assert is_zero(spec, spec.matmul(a, ker))
 
     @pytest.mark.parametrize("spec", [Q, F7])
     def test_soundness_and_completeness(self, spec):
         rng = random.Random(7)
         for _ in range(30):
             a = rand_mat(spec, rng.randrange(1, 6), rng.randrange(1, 6), rng, span=3)
-            ker = kernel(a)
-            for v in ker:
-                assert mat_mul(a, v).is_zero()
-            assert len(ker) + gauss_rank(a) == a.cols
+            ker = kernel(spec, a)
+            assert is_zero(spec, spec.matmul(a, ker))
+            assert ker.shape[1] + gauss_rank(spec, a) == a.shape[1]
+            assert rank(spec, ker) == ker.shape[1]
 
     def test_zero_rows(self):
-        a = Mat.zeros(Q, 0, 3)
-        assert len(kernel(a)) == 3
+        a = Q.zeros((0, 3))
+        assert kernel(Q, a).shape == (3, 3)
 
 
 class TestSolveAffine:
     def test_identity(self):
-        v = Mat.from_rows(Q, [[2], [3]])
-        sol = solve_affine(Mat.identity(Q, 2), v)
+        v = Q.asarray([[2], [3]])
+        sol = solve_affine(Q, Q.eye(2), v)
         assert sol is not None
         x, null = sol
-        assert x == v and null == []
+        assert same(x, v) and null.shape == (2, 0)
 
     def test_no_solution(self):
-        assert solve_affine(Mat.from_rows(Q, [[0]]), Mat.from_rows(Q, [[1]])) is None
+        assert solve_affine(Q, Q.asarray([[0]]), Q.asarray([[1]])) is None
 
     @pytest.mark.parametrize("spec", [Q, F3, F7])
     def test_substitution_oracle(self, spec):
@@ -190,32 +269,61 @@ class TestSolveAffine:
         hits = 0
         for _ in range(40):
             a = rand_mat(spec, rng.randrange(1, 5), rng.randrange(1, 5), rng, span=3)
-            b = rand_mat(spec, a.rows, 1, rng, span=3)
-            sol = solve_affine(a, b)
+            b = rand_mat(spec, a.shape[0], 1, rng, span=3)
+            sol = solve_affine(spec, a, b)
             if sol is None:
                 # verify infeasibility: rank of [a|b] exceeds rank of a
-                assert gauss_rank(a.hstack(b)) == gauss_rank(a) + 1
+                assert gauss_rank(spec, np.hstack([a, b])) == gauss_rank(spec, a) + 1
                 continue
             hits += 1
             x, null = sol
-            assert mat_mul(a, x) == b
-            for v in null:
-                assert mat_mul(a, v).is_zero()
-                assert mat_mul(a, x + v) == b
+            assert same(spec.matmul(a, x), b)
+            assert same(null, kernel(spec, a))
+            for v in null.T:
+                v = v.reshape(-1, 1)
+                assert is_zero(spec, spec.matmul(a, v))
+                assert same(spec.matmul(a, spec.reduce(x + v)), b)
         assert hits > 5
 
     def test_row_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            solve_affine(Mat.identity(Q, 2), Mat.zeros(Q, 3, 1))
+            solve_affine(Q, Q.eye(2), Q.zeros((3, 1)))
+
+
+class TestInverse:
+    @pytest.mark.parametrize("spec", [Q, F3, F7])
+    def test_two_sided_and_agrees_with_solve(self, spec):
+        rng = random.Random(23)
+        seen = {True: 0, False: 0}
+        for _ in range(40):
+            n = rng.randrange(1, 5)
+            a = rand_mat(spec, n, n, rng, span=2)
+            inv = inverse(spec, a)
+            seen[inv is not None] += 1
+            assert (inv is not None) == (gauss_rank(spec, a) == n)
+            if inv is None:
+                assert solve_affine(spec, a, spec.eye(n)) is None
+                continue
+            assert same(spec.matmul(a, inv), spec.eye(n))
+            assert same(spec.matmul(inv, a), spec.eye(n))
+            assert same(inv, solve_affine(spec, a, spec.eye(n))[0])
+        assert seen[True] and seen[False]
+
+    def test_not_square(self):
+        # a full-row-rank 1x2 matrix has right inverses but no inverse
+        assert inverse(Q, Q.asarray([[1, 0]])) is None
+
+    def test_empty(self):
+        assert inverse(F7, F7.zeros((0, 0))).shape == (0, 0)
 
 
 class TestKron:
     def test_identity(self):
-        assert kron(Mat.identity(Q, 2), Mat.identity(Q, 3)) == Mat.identity(Q, 6)
+        assert same(Q.kron(Q.eye(2), Q.eye(3)), Q.eye(6))
 
     def test_scalar_case(self):
-        b = Mat.from_rows(Q, [[1, 2], [3, 4]])
-        assert kron(Mat.from_rows(Q, [[2]]), b) == b.scale(2)
+        b = Q.asarray([[1, 2], [3, 4]])
+        assert same(Q.kron(Q.asarray([[2]]), b), b * 2)
 
     @pytest.mark.parametrize("spec", [Q, F3, F7])
     def test_mixed_product(self, spec):
@@ -225,16 +333,16 @@ class TestKron:
             c = rand_mat(spec, 3, 2, rng, span=3)
             b = rand_mat(spec, 2, 2, rng, span=3)
             d = rand_mat(spec, 2, 3, rng, span=3)
-            lhs = mat_mul(kron(a, b), kron(c, d))
-            rhs = kron(mat_mul(a, c), mat_mul(b, d))
-            assert lhs == rhs
+            lhs = spec.matmul(spec.kron(a, b), spec.kron(c, d))
+            rhs = spec.kron(spec.matmul(a, c), spec.matmul(b, d))
+            assert same(lhs, rhs)
 
     def test_row_major_convention(self):
-        a = Mat.from_rows(Q, [[0, 1]])
-        b = Mat.from_rows(Q, [[2], [3]])
-        k = kron(a, b)
-        assert k.data.shape == (2, 2)
-        assert k.to_strings() == [["0", "2"], ["0", "3"]]
+        a = Q.asarray([[0, 1]])
+        b = Q.asarray([[2], [3]])
+        k = Q.kron(a, b)
+        assert k.shape == (2, 2)
+        assert [[Q.show(v) for v in row] for row in k.tolist()] == [["0", "2"], ["0", "3"]]
 
 
 class TestDeterminism:
@@ -242,11 +350,11 @@ class TestDeterminism:
         rng1, rng2 = random.Random(99), random.Random(99)
         for spec in (Q, F7):
             a1, a2 = rand_mat(spec, 4, 6, rng1), rand_mat(spec, 4, 6, rng2)
-            assert rref(a1)[0] == rref(a2)[0]
-            assert [v.to_strings() for v in kernel(a1)] == [v.to_strings() for v in kernel(a2)]
+            assert same(spec.rref(a1)[0], spec.rref(a2)[0])
+            assert kernel(spec, a1).tolist() == kernel(spec, a2).tolist()
 
     def test_backend_reported(self):
-        assert kernel_backend() in ("numba", "numpy")
+        assert kernel_backend() == "numpy"
 
 
 class TestRref:
@@ -255,9 +363,15 @@ class TestRref:
         rng = random.Random(3)
         for _ in range(20):
             a = rand_mat(spec, 4, 5, rng, span=2)
-            r, piv = rref(a)
+            r, piv = spec.rref(a)
             for i, c in enumerate(piv):
-                col = [r.entry(k, c) for k in range(r.rows)]
+                col = [r[k, c] for k in range(r.shape[0])]
                 assert col[i] == spec.one
-                assert all(col[k] == spec.zero for k in range(r.rows) if k != i)
-            assert rank(a) == gauss_rank(a)
+                assert all(col[k] == spec.zero for k in range(r.shape[0]) if k != i)
+            assert rank(spec, a) == gauss_rank(spec, a)
+
+    def test_input_untouched(self):
+        a = F7.asarray([[0, 3], [5, 1]])
+        before = a.copy()
+        F7.rref(a)
+        assert same(a, before)

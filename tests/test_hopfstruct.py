@@ -127,13 +127,13 @@ class TestCoinvariants:
         n, inc = coinvariants(t, h.carrier, h.coaction)
         assert n.total_dim() == 2
         # image of the inclusion equals the image of the unit map
-        from hopfmonad.exactla import Mat, rank
+        from hopfmonad.exactla import rank
         import numpy as np
         f = t.base.field
         eta = t.eta_mor(x).block(0, 0)
         span = inc.block(0, 0)
         both = np.concatenate([eta, span], axis=1)
-        assert rank(Mat(f, both)) == 2
+        assert rank(f, both) == 2
 
     def test_zero_module(self, sweedler):
         t = sweedler.t
