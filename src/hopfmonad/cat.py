@@ -443,6 +443,17 @@ def _pairing(x: GradedObj, dual_first: bool) -> tuple:
     f = x.base.field
     word = x.dual().tensor(x) if dual_first else x.tensor(x.dual())
     rows = {}
+    if x.base.is_vector:
+        # the identity matrix read as a row: index k of x meets its reversal
+        # perm[k] in dual(x), row-major over the two factors of the word
+        n = x.count(0, 0)
+        if n:
+            k = np.arange(n)
+            perm = np.array(_perm_to_dual(x, 0, 0), dtype=np.int64)
+            m = f.zeros((1, n * n))
+            m[0, perm * n + k if dual_first else k * n + perm] = f.one
+            rows[(0, 0)] = m
+        return word, rows
     for (i, l) in word.grades():
         if i != l:
             continue

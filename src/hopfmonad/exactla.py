@@ -1,9 +1,8 @@
 """Exact scalars and dense linear algebra over Q and GF(p).
 
 Scalars are plain Python values: `fractions.Fraction` over the rationals,
-int residues in [0, p) over a prime field.  There is no floating point
-anywhere; every operation is exact and deterministic (identical inputs
-give bit-identical outputs).
+int residues in [0, p) over a prime field.  Every operation is exact and
+deterministic (identical inputs give bit-identical outputs).
 
 Matrices are plain numpy arrays paired with the FieldSpec that gives them
 meaning: object arrays of Fractions over Q (kept in canonical reduced form
@@ -12,9 +11,14 @@ int64 arrays with entries in [0, p) over GF(p).  The solvers `rank`,
 `kernel`, `solve_affine` and `inverse` take `(spec, array)` and all go
 through one deterministic reduced row echelon form, `FieldSpec.rref`.
 
-Overflow safety over GF(p): p is capped at 2**20, so a dot product of
-length up to MAX_ACCUM = 2**22 stays below 2**62 and never wraps int64;
-longer products are reduced chunk by chunk.
+The mod-p product runs on float64 BLAS and is still exact.  Its factors
+must have entries in [0, p): a product of two entries is then at most
+(p-1)**2, and the inner dimension is cut into chunks of k terms with
+k*(p-1)**2 + (p-1) < 2**53, so every partial sum, plus the residue
+carried from the previous chunk, is an integer that float64 holds
+exactly.  Those integers are cast back to int64 and reduced mod p
+there.  With p capped below 2**20 a chunk has at least 8191 terms.
+The mod-p row reduction stays on int64, where (p-1)**2 < 2**40.
 """
 
 from __future__ import annotations
@@ -26,8 +30,13 @@ import numpy as np
 
 MAX_PRIME = 1 << 20
 
-# Longest safe dot product: sum of k terms < p**2 each must fit in int64.
-MAX_ACCUM = 1 << 22
+# float64 holds every integer below 2**53 exactly
+EXACT_FLOAT = 1 << 53
+
+# Entries of one float64 temporary in _matmul_mod: a tile of either factor
+# or of the product.  Bounds the memory a large product takes beyond its
+# int64 factors and result.
+TILE_ENTRIES = 1 << 20
 
 
 class ExactError(Exception):
@@ -237,19 +246,42 @@ class FieldSpec:
 
 
 def _matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """Exact product of two int64 matrices with entries in [0, p), mod p."""
-    k = a.shape[1]
-    if k <= MAX_ACCUM:
-        return (a @ b) % p
-    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
-    for lo in range(0, k, MAX_ACCUM):
-        out = (out + a[:, lo:lo + MAX_ACCUM] @ b[lo:lo + MAX_ACCUM, :]) % p
+    """Exact product mod p of two int64 matrices, on float64 BLAS.
+
+    Precondition: every entry of `a` and `b` lies in [0, p).  The result
+    is int64 with entries in [0, p).
+    """
+    rows, inner = a.shape
+    cols = b.shape[1]
+    out = np.zeros((rows, cols), dtype=np.int64)
+    if out.size == 0 or inner == 0:
+        return out
+    chunk = min(inner, TILE_ENTRIES, (EXACT_FLOAT - p) // (p - 1) ** 2)
+    row_tile = min(rows, TILE_ENTRIES // chunk)
+    col_tile = min(cols, TILE_ENTRIES // max(chunk, row_tile))
+    for j in range(0, cols, col_tile):
+        for i in range(0, rows, row_tile):
+            tile = out[i:i + row_tile, j:j + col_tile]
+            for k in range(0, inner, chunk):
+                part = (a[i:i + row_tile, k:k + chunk].astype(np.float64)
+                        @ b[k:k + chunk, j:j + col_tile].astype(np.float64))
+                if k:
+                    part += tile
+                # the sums are exact integers: reduce them in int64, which
+                # is many times faster than np.fmod on float64
+                np.remainder(part.astype(np.int64), p, out=tile)
     return out
 
 
 def _rref_mod(m: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form mod p, first-nonzero pivoting; `m` is not
-    modified."""
+    modified.
+
+    Each pivot touches only the rows with a nonzero entry in its column,
+    and only the columns from the pivot column on: left of it the pivot
+    row is already zero.  The reduced form is unique, so skipping the
+    zeros cannot change it.
+    """
     m = m % p
     rows, cols = m.shape
     pivots: list[int] = []
@@ -264,17 +296,19 @@ def _rref_mod(m: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
         if i != r:
             m[[r, i]] = m[[i, r]]
         inv = pow(int(m[r, c]), p - 2, p)
-        m[r] = (m[r] * inv) % p
-        factors = m[:, c].copy()
-        factors[r] = 0
-        m = (m - np.outer(factors, m[r])) % p
+        m[r, c:] = m[r, c:] * inv % p
+        others = np.flatnonzero(m[:, c])
+        others = others[others != r]
+        if others.size:
+            m[others, c:] = (m[others, c:]
+                             - np.outer(m[others, c], m[r, c:])) % p
         pivots.append(c)
         r += 1
     return m, pivots
 
 
 def kernel_backend() -> str:
-    """The GF(p) kernel backend: always numpy int64 arithmetic."""
+    """The GF(p) kernel backend: numpy, with the product on float64 BLAS."""
     return "numpy"
 
 

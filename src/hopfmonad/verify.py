@@ -58,6 +58,10 @@ from .report import CheckResult, Report
 SUITES = ("axioms", "derived", "modules", "hopfmodules", "integrals",
           "maschke", "quasitriangular")
 
+# the note of the one skip that replaces a suite assuming the axioms when
+# the axioms suite ran in the same call and failed
+AXIOMS_FAILED = "the axioms failed; this suite assumes them"
+
 # randomized free-module probes are used up to this carrier dimension;
 # beyond it the presented stock modules (or the unit module) stand in
 LARGE_CARRIER = 16
@@ -110,7 +114,7 @@ def verify_model(model: Model, checks: tuple = SUITES, seed: int = 0,
 
     if "derived" in checks and a is not None:
         if axioms_failed:
-            rep.skip("derived", "the axioms failed; the derived identities assume them")
+            rep.skip("derived", AXIOMS_FAILED)
         else:
             rep.merge(derived_identity_suite(t, a))
             rep.merge(check_antipode_inverse(t, a))
@@ -141,19 +145,22 @@ def verify_model(model: Model, checks: tuple = SUITES, seed: int = 0,
                 check_dual_module_duality(t, a, mod, rep)
 
     if "hopfmodules" in checks and a is not None and a.has_right:
-        rep.merge(check_gamma_suite(t, a, _probe_modules(model, rng, 1)))
-        if t.carrier_dim > LARGE_CARRIER:
-            rep.skip("hopf_module.decomposition",
-                     "carrier too large for the standard run; "
-                     "the identities scale as the fourth power of its dimension")
+        if axioms_failed:
+            rep.skip("hopfmodules", AXIOMS_FAILED)
         else:
-            h = canonical_hopf_module(t, t.simple(t.simples()[0]))
-            rep.merge(fundamental_iso(t, a, h))
-            for k in range(samples):
-                car, rho = random_comodule(t, model.grouplikes, rng, 2)
-                sub = fundamental_iso(t, a, induced_hopf_module(t, car, rho))
-                rep.record(f"hopf_module.decomposition_{k}", sub.passed,
-                           note="randomized induced module")
+            rep.merge(check_gamma_suite(t, a, _probe_modules(model, rng, 1)))
+            if t.carrier_dim > LARGE_CARRIER:
+                rep.skip("hopf_module.decomposition",
+                         "carrier too large for the standard run; "
+                         "the identities scale as the fourth power of its dimension")
+            else:
+                h = canonical_hopf_module(t, t.simple(t.simples()[0]))
+                rep.merge(fundamental_iso(t, a, h))
+                for k in range(samples):
+                    car, rho = random_comodule(t, model.grouplikes, rng, 2)
+                    sub = fundamental_iso(t, a, induced_hopf_module(t, car, rho))
+                    rep.record(f"hopf_module.decomposition_{k}", sub.passed,
+                               note="randomized induced module")
 
     if "integrals" in checks and t.base.is_vector:
         li = solve_integrals(t, "left")
@@ -174,41 +181,47 @@ def verify_model(model: Model, checks: tuple = SUITES, seed: int = 0,
             rep.record("integrals.transport_roundtrip", ok)
 
     if "maschke" in checks:
-        verdict = maschke_verdict(t)
-        rep.info["semisimple"] = verdict["semisimple"]
-        rep.info["cointegral_dim"] = verdict["cointegral_dim"]
-        f = t.base.field
-        rep.info["cointegral_basis"] = [
-            {f"{i},{l}": [[f.show(v) for v in row] for row in lam.block(i, l).tolist()]
-             for (i, l) in sorted(lam.blocks)}
-            for lam in solve_cointegrals(t)]
-        if verdict["semisimple"] and a is not None and a.has_right:
-            gam = separability_element(t, a, verdict["witness"])
-            rep.merge(check_separability(t, gam))
-            ok = True
-            for mod in _probe_modules(model, rng, samples):
-                sigma = split_module_action(t, gam, mod)
-                from .cat import identity
-                if not (is_t_linear(mod, free_module(t, mod.carrier), sigma)
-                        and (mod.action @ sigma) == identity(mod.carrier)):
-                    ok = False
-            rep.record("maschke.sections", ok)
+        if axioms_failed:
+            rep.skip("maschke", AXIOMS_FAILED)
+        else:
+            verdict = maschke_verdict(t)
+            rep.info["semisimple"] = verdict["semisimple"]
+            rep.info["cointegral_dim"] = verdict["cointegral_dim"]
+            f = t.base.field
+            rep.info["cointegral_basis"] = [
+                {f"{i},{l}": [[f.show(v) for v in row] for row in lam.block(i, l).tolist()]
+                 for (i, l) in sorted(lam.blocks)}
+                for lam in solve_cointegrals(t)]
+            if verdict["semisimple"] and a is not None and a.has_right:
+                gam = separability_element(t, a, verdict["witness"])
+                rep.merge(check_separability(t, gam))
+                ok = True
+                for mod in _probe_modules(model, rng, samples):
+                    sigma = split_module_action(t, gam, mod)
+                    from .cat import identity
+                    if not (is_t_linear(mod, free_module(t, mod.carrier), sigma)
+                            and (mod.action @ sigma) == identity(mod.carrier)):
+                        ok = False
+                rep.record("maschke.sections", ok)
 
     if "quasitriangular" in checks and model.rmatrix is not None:
-        rep.merge(check_rmatrix(t, a, model.rmatrix))
-        if a is not None:
-            rep.merge(check_r_dual_laws(t, a, model.rmatrix))
-            classical = model.meta.get("classical_drinfeld")
-            u, dr = check_drinfeld(t, a, model.rmatrix, classical=classical)
-            rep.merge(dr)
-            mods = _probe_modules(model, rng, 3)
-            rep.merge(check_braiding(t, a, model.rmatrix, mods))
-            if model.twist is not None:
-                th, thi = model.twist
-                rep.merge(check_twist(t, a, model.rmatrix, th, thi))
-                g_elt, sv = sovereign_from_twist(t, a, model.rmatrix, th, thi)
-                rep.merge(sv)
-            rep.merge(check_inverse_drinfeld_twist(t, a, model.rmatrix))
+        if axioms_failed:
+            rep.skip("quasitriangular", AXIOMS_FAILED)
+        else:
+            rep.merge(check_rmatrix(t, a, model.rmatrix))
+            if a is not None:
+                rep.merge(check_r_dual_laws(t, a, model.rmatrix))
+                classical = model.meta.get("classical_drinfeld")
+                u, dr = check_drinfeld(t, a, model.rmatrix, classical=classical)
+                rep.merge(dr)
+                mods = _probe_modules(model, rng, 3)
+                rep.merge(check_braiding(t, a, model.rmatrix, mods))
+                if model.twist is not None:
+                    th, thi = model.twist
+                    rep.merge(check_twist(t, a, model.rmatrix, th, thi))
+                    g_elt, sv = sovereign_from_twist(t, a, model.rmatrix, th, thi)
+                    rep.merge(sv)
+                rep.merge(check_inverse_drinfeld_twist(t, a, model.rmatrix))
     return rep
 
 

@@ -10,12 +10,15 @@ from hopfmonad.cat import (
     BaseSpec,
     GradedMor,
     GradedObj,
+    _reversed_path,
     coev_mor,
     coev_right_mor,
     ev_mor,
     ev_right_mor,
     identity,
     left_dual,
+    path_index,
+    paths,
     right_dual,
     sovereign_phi,
     summand_inclusions,
@@ -227,6 +230,33 @@ class TestDuality:
         assert left_dual(x)["obj"] == right_dual(x)["obj"]
         # canonical maps X -> ldual(rdual X) etc. are identities
         assert x.dual().dual() == x
+
+
+def enumerated_pairing_row(x: GradedObj, dual_first: bool) -> list:
+    """Pairing row of the standard dual bases of a one-label word, built by
+    enumerating the paths of x and their reversals in dual(x)."""
+    word = x.dual().tensor(x) if dual_first else x.tensor(x.dual())
+    row = [0] * word.count(0, 0)
+    idx = path_index(word, 0, 0)
+    for p in paths(x, 0, 0):
+        dp = _reversed_path(p, 0)
+        row[idx[dp + p if dual_first else p + dp]] = 1
+    return row
+
+
+class TestOneLabelPairing:
+    @pytest.mark.parametrize("base", [VEC, BaseSpec.vector(FieldSpec.prime(3))])
+    @pytest.mark.parametrize("dims", [(2, 3), (1, 4, 2), (1,), ()])
+    def test_matches_path_enumeration(self, base, dims):
+        x = GradedObj(base, tuple(Atom(f"X{k}", ((d,),)) for k, d in enumerate(dims)))
+        for dual_first, ev, coev in ((True, ev_mor, coev_right_mor),
+                                     (False, ev_right_mor, coev_mor)):
+            row = enumerated_pairing_row(x, dual_first)
+            e, c = ev(x), coev(x)
+            assert e.dst == c.src == GradedObj.unit(base)
+            assert e.src == c.dst
+            assert e.block(0, 0).tolist() == [row]
+            assert c.block(0, 0).tolist() == [[v] for v in row]
 
 
 class TestCompleteness:

@@ -80,13 +80,16 @@ class TestOutputs:
 
     def test_failed_axioms_skip_derived_suite(self, capsys):
         # the pair groupoid's counit is not comonoidal: the axioms fail, and
-        # the derived identities, which assume them, are skipped, not raised
+        # the suites that assume them are skipped, not raised
         assert main(["verify", "pair_groupoid", "--json"]) == 1
         payload = json.loads(capsys.readouterr().out)
         status = {c["check"]: c["status"] for c in payload["checks"]}
         assert status["comonoidal.counit_left"] == "fail"
         assert status["bimonad.counit_mult"] == "fail"
-        assert status["derived"] == "skip"
+        for suite in ("derived", "hopfmodules", "maschke"):
+            assert status[suite] == "skip"
+        assert not any(c.startswith(("gamma.", "hopf_module.", "separable.", "maschke."))
+                       for c in status)
 
     def test_drinfeld_reports_element(self, capsys):
         assert main(["drinfeld", "double_z2", "--json"]) == 0

@@ -16,8 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hopfmonad.exactla import (
-    MAX_ACCUM,
     MAX_PRIME,
+    TILE_ENTRIES,
     DimensionMismatch,
     FieldSpec,
     inverse,
@@ -31,9 +31,12 @@ Q = FieldSpec.rationals()
 F2 = FieldSpec.prime(2)
 F3 = FieldSpec.prime(3)
 F7 = FieldSpec.prime(7)
-# the largest prime the int64 kernels accept
+# the largest prime the GF(p) kernels accept
 P_MAX = 1048573
 F_MAX = FieldSpec.prime(P_MAX)
+# longest float64 dot product at P_MAX that stays exact with a carried
+# residue: CHUNK * (p-1)**2 + (p-1) < 2**53
+CHUNK = (2**53 - P_MAX) // (P_MAX - 1) ** 2
 
 
 def rand_mat(spec, rows, cols, rng, span=9):
@@ -165,42 +168,91 @@ class TestMatMul:
         assert out.shape == (2, 4) and is_zero(F7, out)
 
 
-class TestExactnessBound:
-    """The int64 GF(p) kernels at the largest admissible prime."""
+NEAR_TOP = st.integers(min_value=P_MAX - 8, max_value=P_MAX - 1)
 
-    near_top = st.integers(min_value=P_MAX - 8, max_value=P_MAX - 1)
+
+@st.composite
+def dense_matrices(draw):
+    """Entries near p - 1, with zeros mixed in so that ranks vary."""
+    rows, cols = draw(st.integers(1, 5)), draw(st.integers(1, 6))
+    entry = st.one_of(NEAR_TOP, st.just(0))
+    return np.array(draw(st.lists(entry, min_size=rows * cols, max_size=rows * cols)),
+                    dtype=np.int64).reshape(rows, cols)
+
+
+@st.composite
+def sparse_matrices(draw):
+    """A scaled permutation matrix with a few entries set (zeros among them,
+    so ranks drop) and possibly one row copied onto another, optionally
+    followed by an identity block as in [A | I]."""
+    n = draw(st.integers(1, 8))
+    a = np.zeros((n, n), dtype=np.int64)
+    a[range(n), draw(st.permutations(range(n)))] = draw(
+        st.lists(NEAR_TOP, min_size=n, max_size=n))
+    index = st.integers(0, n - 1)
+    for i, j, v in draw(st.lists(st.tuples(index, index, st.one_of(NEAR_TOP, st.just(0))),
+                                 max_size=3)):
+        a[i, j] = v
+    if draw(st.booleans()):
+        a[draw(index)] = a[draw(index)]
+    if draw(st.booleans()):
+        a = np.hstack([a, np.eye(n, dtype=np.int64)])
+    return a
+
+
+def python_matmul_mod(a, b, p):
+    """Schoolbook product over Python ints."""
+    a, b = a.tolist(), b.tolist()
+    return [[sum(x * y for x, y in zip(row, col)) % p for col in zip(*b)] for row in a]
+
+
+class TestExactnessBound:
+    """The GF(p) kernels at the largest admissible prime."""
 
     @settings(max_examples=25, deadline=None)
     @given(st.data())
     def test_matmul_matches_schoolbook(self, data):
         rows, inner, cols = (data.draw(st.integers(1, 6)) for _ in range(3))
-        a = np.array(data.draw(st.lists(self.near_top, min_size=rows * inner,
+        a = np.array(data.draw(st.lists(NEAR_TOP, min_size=rows * inner,
                                         max_size=rows * inner)),
                      dtype=np.int64).reshape(rows, inner)
-        b = np.array(data.draw(st.lists(self.near_top, min_size=inner * cols,
+        b = np.array(data.draw(st.lists(NEAR_TOP, min_size=inner * cols,
                                         max_size=inner * cols)),
                      dtype=np.int64).reshape(inner, cols)
-        expected = [[sum(int(a[i, k]) * int(b[k, j]) for k in range(inner)) % P_MAX
-                     for j in range(cols)] for i in range(rows)]
-        assert F_MAX.matmul(a, b).tolist() == expected
+        assert F_MAX.matmul(a, b).tolist() == python_matmul_mod(a, b, P_MAX)
 
-    @settings(max_examples=25, deadline=None)
-    @given(st.data())
-    def test_rref_matches_gauss_jordan(self, data):
-        rows, cols = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 6))
-        # entries near p - 1, with zeros mixed in so that ranks vary
-        entry = st.one_of(self.near_top, st.just(0))
-        a = np.array(data.draw(st.lists(entry, min_size=rows * cols,
-                                        max_size=rows * cols)),
-                     dtype=np.int64).reshape(rows, cols)
+    # p - 1 is the largest entry; p - 2 is odd, so its partial sums are odd
+    # and float64 would round them once they passed 2**53
+    @pytest.mark.parametrize("entry", [P_MAX - 1, P_MAX - 2])
+    @pytest.mark.parametrize("inner", [CHUNK - 1, CHUNK, CHUNK + 1])
+    def test_matmul_at_the_chunk_bound(self, entry, inner):
+        a = np.full((2, inner), entry, dtype=np.int64)
+        b = np.full((inner, 3), entry, dtype=np.int64)
+        assert F_MAX.matmul(a, b).tolist() == python_matmul_mod(a, b, P_MAX)
+
+    def test_matmul_across_tiles(self):
+        # a float64 tile spans a whole chunk of the inner dimension, so it
+        # has at most TILE_ENTRIES // CHUNK rows and columns; this product
+        # is wider than that on both sides and takes two chunks
+        rows, inner, cols = 130, CHUNK + 1, 140
+        assert min(rows, cols) > TILE_ENTRIES // CHUNK
+        rng = np.random.default_rng(1)
+        a = rng.integers(P_MAX - 64, P_MAX, size=(rows, inner), dtype=np.int64)
+        b = rng.integers(P_MAX - 64, P_MAX, size=(inner, cols), dtype=np.int64)
+        # an independent reference: int64 cannot overflow, inner * (p-1)**2 < 2**63
+        assert F_MAX.matmul(a, b).tolist() == ((a @ b) % P_MAX).tolist()
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(dense_matrices(), sparse_matrices()))
+    def test_rref_matches_gauss_jordan(self, a):
         r, piv = F_MAX.rref(a)
         ref, ref_piv = gauss_jordan_mod(a.tolist(), P_MAX)
         assert piv == ref_piv
         assert r.tolist() == ref
 
     def test_chunked_accumulation(self):
-        # an inner dimension past MAX_ACCUM takes the chunked reduction branch
-        k = MAX_ACCUM + 1
+        # an inner dimension of 2**22 + 1 is reduced chunk by chunk
+        k = (1 << 22) + 1
         assert P_MAX < MAX_PRIME
         rng = np.random.default_rng(0)
         da = rng.integers(0, 8, size=k, dtype=np.int64)
