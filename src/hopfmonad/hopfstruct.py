@@ -62,8 +62,7 @@ class GammaFamily:
         return MorStep(comp)
 
     def at(self, x: GradedObj) -> GradedMor:
-        step = self.step(x)
-        return step.to_mor() if isinstance(step, CoreStep) else step.mor
+        return self.step(x).to_mor()
 
 
 def gamma_defining_chain(t: TensoringBimonad, a: AntipodeData,
@@ -87,19 +86,10 @@ def gamma_family(t: TensoringBimonad, a: AntipodeData) -> GammaFamily:
     return GammaFamily(t, comps)
 
 
-def gamma(t: TensoringBimonad, a: AntipodeData, x: GradedObj) -> GradedMor:
-    """The comparison map at an arbitrary object (linearity extension)."""
-    return gamma_family(t, a).at(x)
-
-
-def check_gamma_suite(t: TensoringBimonad, a: AntipodeData,
+def check_gamma_suite(t: TensoringBimonad, a: AntipodeData, fam: GammaFamily,
                       stock_modules: list | None = None) -> Report:
     """The four identities of the comparison map, plus module linearity."""
     rep = Report(f"{t.name}: gamma identities")
-    if not a.has_right:
-        rep.skip("gamma.suite", "needs a right antipode")
-        return rep
-    fam = gamma_family(t, a)
     unit = t.unit_obj()
 
     def absorb_items():  # mu ∘ gamma = eta ⊗ counit
@@ -324,7 +314,7 @@ def coinvariants(t: TensoringBimonad, carrier: GradedObj,
     return n_obj, inc
 
 
-def fundamental_iso(t: TensoringBimonad, a: AntipodeData,
+def fundamental_iso(t: TensoringBimonad, fam: GammaFamily,
                     h: HopfModule) -> Report:
     """Coinvariants generate freely: the canonical map is an isomorphism."""
     rep = Report(f"{t.name}: Hopf module decomposition")
@@ -332,7 +322,6 @@ def fundamental_iso(t: TensoringBimonad, a: AntipodeData,
     if not hm.passed:
         rep.merge(hm)
         return rep
-    fam = gamma_family(t, a)
     m_obj, r, rho = h.carrier, h.action, h.coaction
     n = len(m_obj.atoms)
 
@@ -511,7 +500,7 @@ def solve_cointegrals(t: TensoringBimonad) -> list[GradedMor]:
     return module_hom_space(unit_module(t), free_module(t, t.unit_obj()))
 
 
-def maschke_verdict(t: TensoringBimonad, a: AntipodeData | None = None) -> dict:
+def maschke_verdict(t: TensoringBimonad) -> dict:
     """Search for a normalized cointegral; build the splitting data if any."""
     f = t.base.field
     basis = solve_cointegrals(t)
@@ -523,7 +512,7 @@ def maschke_verdict(t: TensoringBimonad, a: AntipodeData | None = None) -> dict:
         cols.append([x for g in grades for x in comp.block(*g).ravel().tolist()])
     rhs = [x for g in grades for x in target.block(*g).ravel().tolist()]
     out = {"semisimple": False, "cointegral_dim": len(basis), "witness": None,
-           "counit_values": [c for c in cols]}
+           "counit_values": [c for c in cols], "cointegral_basis": basis}
     if not basis:
         return out
     a_mat = np.array([[cols[j][i] for j in range(len(cols))]
@@ -544,10 +533,9 @@ def maschke_verdict(t: TensoringBimonad, a: AntipodeData | None = None) -> dict:
     return out
 
 
-def separability_element(t: TensoringBimonad, a: AntipodeData,
+def separability_element(t: TensoringBimonad, fam: GammaFamily,
                          lam: GradedMor) -> "SeparabilityFamily":
     """gamma-with-cointegral: the natural splitting 1 -> T² of the product."""
-    fam = gamma_family(t, a)
     comps = {}
     for g in t.simples():
         s = t.simple(g)

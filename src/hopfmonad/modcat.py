@@ -16,7 +16,7 @@ from .cat import (
     ev_right_mor,
     identity,
 )
-from .chain import Chain, CoreStep
+from .chain import Chain
 from .exactla import ExactError, inverse, kernel, rank, solve_affine
 from .monad import TensoringBimonad, TransTT
 from .report import Report
@@ -225,9 +225,7 @@ def pullback_module(f: TransTT, m: TModule) -> TModule:
     """Restriction along a bimonad morphism: (M, r ∘ f_M)."""
     if m.t is not f.t_dst and m.t.carrier != f.t_dst.carrier:
         raise ExactError("module lives over the wrong target monad")
-    step = f.at_step(m.carrier)
-    comp = step.to_mor() if isinstance(step, CoreStep) else step.mor
-    return TModule(f.t, m.carrier, m.action @ comp, check=False)
+    return TModule(f.t, m.carrier, m.action @ f.at(m.carrier), check=False)
 
 
 def conservativity_probe(t: TensoringBimonad) -> dict:

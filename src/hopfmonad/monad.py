@@ -17,8 +17,6 @@ difference matrix.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from .cat import (
     BaseSpec,
     GradedMor,
@@ -57,6 +55,7 @@ class TensoringBimonad:
             raise StructureError("unit must map 1 -> A")
         if t0.src != carrier or t0.dst != GradedObj.unit(base):
             raise StructureError("counit must map T(1) -> 1")
+        self._simples = {g: GradedObj.simple(base, *g) for g in self.simples()}
         self.t2 = {}
         for (g1, g2), comp in t2.items():
             s1, s2 = self.simple(g1), self.simple(g2)
@@ -70,9 +69,8 @@ class TensoringBimonad:
 
     # -- objects and simples ---------------------------------------------
 
-    @lru_cache(maxsize=None)
     def simple(self, g) -> GradedObj:
-        return GradedObj.simple(self.base, *g)
+        return self._simples[g]
 
     def simples(self) -> list:
         L = self.base.nlabels
@@ -152,8 +150,7 @@ class TensoringBimonad:
         return tensor_mor(self.u, identity(x))
 
     def t2_mor(self, x: GradedObj, y: GradedObj) -> GradedMor:
-        return self.t2_step(x, y).to_mor() if self.base.is_vector \
-            else self.t2_step(x, y).mor
+        return self.t2_step(x, y).to_mor()
 
     def __repr__(self):
         return f"TensoringBimonad({self.name}, dim {self.carrier_dim}, " \
@@ -191,8 +188,7 @@ class Element:
         return MorStep(comp)
 
     def at(self, x: GradedObj) -> GradedMor:
-        step = self.at_step(x)
-        return step.to_mor() if isinstance(step, CoreStep) else step.mor
+        return self.at_step(x).to_mor()
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Element):
@@ -232,8 +228,7 @@ class TransTT:
         return MorStep(comp)
 
     def at(self, x: GradedObj) -> GradedMor:
-        step = self.at_step(x)
-        return step.to_mor() if isinstance(step, CoreStep) else step.mor
+        return self.at_step(x).to_mor()
 
     def compose(self, other: "TransTT") -> "TransTT":
         if other.t_dst is not self.t and other.t_dst.carrier != self.t.carrier:
@@ -291,8 +286,7 @@ class PairFamily:
         return MorStep(comp)
 
     def at(self, x: GradedObj, y: GradedObj) -> GradedMor:
-        step = self.at_step(x, y)
-        return step.to_mor() if isinstance(step, CoreStep) else step.mor
+        return self.at_step(x, y).to_mor()
 
 
 # ---------------------------------------------------------------------------

@@ -8,22 +8,25 @@ at most carrier-dim^5 even for the 36-dimensional double.
 
 from __future__ import annotations
 
-from .antipode import AntipodeData, s_map, square_of_antipode
+from .antipode import AntipodeData, s_map
 from .cat import GradedMor, coev_mor, ev_mor, identity
 from .chain import Chain, Evaluated
 from .exactla import ExactError
-from .modcat import TModule, invert_module_map, is_t_linear, tensor_modules
+from .modcat import (TModule, _invert_mor, dual_module_left, free_module,
+                     invert_module_map, is_t_linear, tensor_modules)
 from .monad import (
     Element,
     StructureError,
     PairFamily,
     TensoringBimonad,
+    TransTT,
     adjoint_action,
     check_grouplike,
     compare_at,
     convolve,
     eta_element,
     is_central,
+    star_inverse_check,
 )
 from .report import Report
 
@@ -49,9 +52,11 @@ def star_inverse_of_r(t: TensoringBimonad, a: AntipodeData,
     return PairFamily(t, comps, r.label + "^-1")
 
 
-def check_rmatrix(t: TensoringBimonad, a: AntipodeData | None,
-                  r: PairFamily) -> Report:
-    """The three exchange axioms, unit laws, inverse and Yang-Baxter."""
+def check_rmatrix(t: TensoringBimonad, r: PairFamily,
+                  r_inv: PairFamily | None) -> Report:
+    """The three exchange axioms, unit laws, inverse and Yang-Baxter.
+
+    `r_inv` is `star_inverse_of_r`, or None without a left antipode."""
     rep = Report(f"{t.name}: R-matrix axioms")
     unit = t.unit_obj()
 
@@ -123,8 +128,7 @@ def check_rmatrix(t: TensoringBimonad, a: AntipodeData | None,
     compare_at(rep, "rmatrix.unit_left", unit_left_items())
     compare_at(rep, "rmatrix.unit_right", unit_right_items())
 
-    if a is not None and a.has_left:
-        r_inv = star_inverse_of_r(t, a, r)
+    if r_inv is not None:
         compare_at(rep, "rmatrix.star_inverse_left",
                    _star_inverse_left_items(t, r, r_inv))
         compare_at(rep, "rmatrix.star_inverse_right",
@@ -268,9 +272,10 @@ def braiding_on_modules(t: TensoringBimonad, r: PairFamily,
     return tau
 
 
-def check_braiding(t: TensoringBimonad, a: AntipodeData, r: PairFamily,
+def check_braiding(t: TensoringBimonad, r: PairFamily, r_inv: PairFamily | None,
                    mods: list, rep: Report | None = None) -> Report:
-    """Linearity, invertibility, hexagons, braid relation, naturality."""
+    """Linearity, invertibility, hexagons, braid relation, naturality;
+    the mirror check is left out when `r_inv` is None."""
     rep = rep or Report(f"{t.name}: braiding on modules")
     if len(mods) < 3:
         raise ExactError("need three stock modules")
@@ -282,55 +287,34 @@ def check_braiding(t: TensoringBimonad, a: AntipodeData, r: PairFamily,
     inv = invert_module_map(tensor_modules(m1, m2), tensor_modules(m2, m1), tau12)
     rep.record("braiding.invertible", inv is not None)
 
-    if a is not None and a.has_left:
-        r_inv = star_inverse_of_r(t, a, r)
+    if r_inv is not None:
         mirror = Chain(m2.carrier.tensor(m1.carrier)) \
             .then(r_inv.at_step(m2.carrier, m1.carrier), at=0) \
             .then(m1.action, at=0) \
             .then(m2.action, at=len(m1.carrier.atoms)).eval()
         rep.record("braiding.mirror_is_inverse", inv is not None and mirror == inv)
 
-    def hexagon_a():  # exchange with a tensor pair, second leg first
-        lhs = braiding_on_modules(t, r, m1, tensor_modules(m2, m3))
-        t12 = braiding_on_modules(t, r, m1, m2)
-        t13 = braiding_on_modules(t, r, m1, m3)
-        n2, n3 = len(m2.carrier.atoms), len(m3.carrier.atoms)
-        src = m1.carrier.tensor(m2.carrier).tensor(m3.carrier)
-        rhs = Chain(src).then(t12, at=0).then(t13, at=n2).eval()
-        return lhs == rhs
+    tau13 = braiding_on_modules(t, r, m1, m3)
+    tau23 = braiding_on_modules(t, r, m2, m3)
+    n1, n2, n3 = (len(m.carrier.atoms) for m in (m1, m2, m3))
+    src = m1.carrier.tensor(m2.carrier).tensor(m3.carrier)
+    # exchange with a tensor pair, second leg first
+    lhs = braiding_on_modules(t, r, m1, tensor_modules(m2, m3))
+    rhs = Chain(src).then(tau12, at=0).then(tau13, at=n2).eval()
+    rep.record("braiding.hexagon_a", lhs == rhs)
+    lhs = braiding_on_modules(t, r, tensor_modules(m1, m2), m3)
+    rhs = Chain(src).then(tau23, at=n1).then(tau13, at=0).eval()
+    rep.record("braiding.hexagon_b", lhs == rhs)
 
-    def hexagon_b():
-        lhs = braiding_on_modules(t, r, tensor_modules(m1, m2), m3)
-        t13 = braiding_on_modules(t, r, m1, m3)
-        t23 = braiding_on_modules(t, r, m2, m3)
-        n1 = len(m1.carrier.atoms)
-        src = m1.carrier.tensor(m2.carrier).tensor(m3.carrier)
-        rhs = Chain(src).then(t23, at=n1).then(t13, at=0).eval()
-        return lhs == rhs
-
-    rep.record("braiding.hexagon_a", hexagon_a())
-    rep.record("braiding.hexagon_b", hexagon_b())
-
-    def braid_relation():
-        n1, n2, n3 = (len(m.carrier.atoms) for m in (m1, m2, m3))
-        src = m1.carrier.tensor(m2.carrier).tensor(m3.carrier)
-        t12 = braiding_on_modules(t, r, m1, m2)
-        t13 = braiding_on_modules(t, r, m1, m3)
-        t23 = braiding_on_modules(t, r, m2, m3)
-        lhs = Chain(src).then(t12, at=0).then(t13, at=n2) \
-                        .then(t23, at=0).eval()
-        rhs = Chain(src).then(t23, at=n1).then(t13, at=0) \
-                        .then(t12, at=n3).eval()
-        return lhs == rhs
-
-    rep.record("braiding.braid_relation", braid_relation())
+    lhs = Chain(src).then(tau12, at=0).then(tau13, at=n2) \
+                    .then(tau23, at=0).eval()
+    rhs = Chain(src).then(tau23, at=n1).then(tau13, at=0) \
+                    .then(tau12, at=n3).eval()
+    rep.record("braiding.braid_relation", lhs == rhs)
 
     # naturality against the action of the first module (a module map)
-    fm = tensor_modules(TModule(t, t.on_obj(m1.carrier), t.mu_mor(m1.carrier),
-                                check=False), m2)
-    tau_free = braiding_on_modules(
-        t, r, TModule(t, t.on_obj(m1.carrier), t.mu_mor(m1.carrier), check=False), m2)
-    n_at = len(t.on_obj(m1.carrier).atoms)
+    free1 = TModule(t, t.on_obj(m1.carrier), t.mu_mor(m1.carrier), check=False)
+    tau_free = braiding_on_modules(t, r, free1, m2)
     src = t.on_obj(m1.carrier).tensor(m2.carrier)
     lhs = Chain(src).then(tau_free, at=0).then(m1.action, at=len(m2.carrier.atoms)).eval()
     rhs = Chain(src).then(m1.action, at=0).then(tau12, at=0).eval()
@@ -372,7 +356,6 @@ def drinfeld_inverse(t: TensoringBimonad, a: AntipodeData,
     along the unit.  The comparison inverse pairs the free module against
     its preferred dual through the inverse braiding.
     """
-    from .modcat import _invert_mor, dual_module_left, free_module
     comps = {}
     for g in t.simples():
         s = t.simple(g)
@@ -391,12 +374,13 @@ def drinfeld_inverse(t: TensoringBimonad, a: AntipodeData,
     return Element(t, comps, "u^-1")
 
 
-def check_drinfeld(t: TensoringBimonad, a: AntipodeData, r: PairFamily,
-                   classical: list | None = None) -> tuple[Element, Report]:
-    """The four identities of the Drinfeld element (plus classical check)."""
+def check_drinfeld(t: TensoringBimonad, u: Element, r_inv: PairFamily,
+                   u_inv: Element | None, s2: TransTT,
+                   classical: list | None = None) -> Report:
+    """The four identities of the Drinfeld element (plus classical check).
+
+    `u_inv` is None when the comparison map is not invertible."""
     rep = Report(f"{t.name}: Drinfeld element")
-    u = drinfeld_element(t, a, r)
-    r_inv = star_inverse_of_r(t, a, r)
     unit = t.unit_obj()
 
     def comul_items():
@@ -425,17 +409,15 @@ def check_drinfeld(t: TensoringBimonad, a: AntipodeData, r: PairFamily,
     compare_at(rep, "drinfeld.comultiplicativity", comul_items())
     compare_at(rep, "drinfeld.counit", counit_items())
 
-    try:
-        u_inv = drinfeld_inverse(t, a, r)
-    except ExactError:
+    if u_inv is None:
         rep.record("drinfeld.inverse", False, note="comparison map not invertible")
-        return u, rep
+        return rep
     eta = eta_element(t)
     two_sided = convolve(t, u, u_inv) == eta and convolve(t, u_inv, u) == eta
     rep.record("drinfeld.inverse", two_sided)
     if two_sided:
         ad = adjoint_action(t, u, u_inv)
-        rep.record("drinfeld.square_of_antipode", square_of_antipode(t, a) == ad)
+        rep.record("drinfeld.square_of_antipode", s2 == ad)
 
     if classical is not None:
         f = t.base.field
@@ -445,7 +427,7 @@ def check_drinfeld(t: TensoringBimonad, a: AntipodeData, r: PairFamily,
             raise StructureError(
                 "canonical element disagrees with the classical formula")
         rep.record("drinfeld.classical_match", True)
-    return u, rep
+    return rep
 
 
 def classical_drinfeld_vector(t: TensoringBimonad, alg, r_elem,
@@ -506,21 +488,19 @@ def check_twist(t: TensoringBimonad, a: AntipodeData, r: PairFamily,
     return rep
 
 
-def sovereign_from_twist(t: TensoringBimonad, a: AntipodeData, r: PairFamily,
-                         theta: Element, theta_inv: Element) -> tuple:
+def sovereign_from_twist(t: TensoringBimonad, a: AntipodeData, u: Element,
+                         s2: TransTT, theta: Element, theta_inv: Element) -> tuple:
     """The grouplike element matching the twist, with its identity suite."""
     rep = Report(f"{t.name}: sovereign element from twist")
-    u = drinfeld_element(t, a, r)
     g_elt = convolve(t, u, theta)
     rep.record("sovereign.grouplike", check_grouplike(t, g_elt))
     g_inv = s_map(t, a, g_elt)
-    from .monad import star_inverse_check
     if not star_inverse_check(t, g_elt, g_inv):
         rep.record("sovereign.conjugation", False,
                    note="candidate is not invertible")
         return g_elt, rep
     ad = adjoint_action(t, g_elt, g_inv)
-    rep.record("sovereign.conjugation", square_of_antipode(t, a) == ad)
+    rep.record("sovereign.conjugation", s2 == ad)
 
     self_dual = s_map(t, a, theta) == theta
     su = s_map(t, a, u)
@@ -535,17 +515,14 @@ def sovereign_from_twist(t: TensoringBimonad, a: AntipodeData, r: PairFamily,
 
 
 def check_inverse_drinfeld_twist(t: TensoringBimonad, a: AntipodeData,
-                                 r: PairFamily) -> Report:
+                                 r: PairFamily, involutory: bool, u: Element,
+                                 u_inv: Element | None) -> Report:
     """On involutory structures the inverse canonical element is a twist."""
-    from .antipode import is_involutory
     rep = Report(f"{t.name}: inverse canonical element as twist")
-    if not is_involutory(t, a):
+    if not involutory:
         rep.skip("twist.from_inverse", "structure is not involutory")
         return rep
-    u = drinfeld_element(t, a, r)
-    try:
-        u_inv = drinfeld_inverse(t, a, r)
-    except ExactError:
+    if u_inv is None:
         rep.record("twist.from_inverse", False,
                    note="comparison map not invertible")
         return rep

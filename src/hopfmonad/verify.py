@@ -2,7 +2,7 @@
 
 This is the engine behind the command line: given a loaded Model it runs
 every applicable check in a fixed order and assembles one deterministic
-report.
+report.  It builds each canonical structure the checks share once.
 """
 
 from __future__ import annotations
@@ -18,23 +18,29 @@ from .antipode import (
     derived_identity_suite,
     is_involutory,
     s_map,
+    square_of_antipode,
 )
+from .cat import GradedMor, identity
+from .exactla import ExactError
 from .hopfstruct import (
     canonical_hopf_module,
     check_gamma_suite,
     check_separability,
     fundamental_iso,
+    gamma_family,
     induced_hopf_module,
     maschke_verdict,
     random_comodule,
     separability_element,
-    solve_cointegrals,
     solve_integrals,
     split_module_action,
     transport_integral,
     integral_check,
 )
 from .modcat import (
+    TModule,
+    _invert_mor,
+    _random_iso,
     check_dual_module_duality,
     conservativity_probe,
     free_module,
@@ -42,7 +48,7 @@ from .modcat import (
     random_module,
     unit_module,
 )
-from .monad import check_bimonad, check_grouplike, convolve, eta_element
+from .monad import Element, check_bimonad, check_grouplike, convolve, eta_element
 from .presentation import Model
 from .qtrib import (
     check_braiding,
@@ -51,7 +57,10 @@ from .qtrib import (
     check_r_dual_laws,
     check_rmatrix,
     check_twist,
+    drinfeld_element,
+    drinfeld_inverse,
     sovereign_from_twist,
+    star_inverse_of_r,
 )
 from .report import CheckResult, Report
 
@@ -77,11 +86,9 @@ def _probe_modules(model: Model, rng, count: int = 3) -> list:
             out.append(random_module(t, rng, 1))
     else:
         conjugated = list(out)
-        from .modcat import _invert_mor, _random_iso
         while out and len(out) < count:
             base_mod = conjugated[len(out) % len(conjugated)]
             phi = _random_iso(base_mod.carrier, rng)
-            from .modcat import TModule
             out.append(TModule(t, base_mod.carrier,
                                phi @ base_mod.action @ t.on_mor(_invert_mor(phi)),
                                check=False))
@@ -92,9 +99,15 @@ def _probe_modules(model: Model, rng, count: int = 3) -> list:
 
 def verify_model(model: Model, checks: tuple = SUITES, seed: int = 0,
                  samples: int = 3) -> Report:
-    """Run the applicable verification suites on a loaded model."""
+    """Run the applicable verification suites on a loaded model.
+
+    The canonical structures (S², the involutivity verdict, gamma, R⁻¹, u,
+    u⁻¹ and the cointegrals) are each built at most once per call, only by
+    a suite that runs, and handed to the checks that read them.
+    """
     t = model.t
     a = model.antipode
+    s2 = involutory = fam = None
     rng = random.Random(seed)
     rep = Report(model.name)
     rep.info["field"] = t.base.field.describe()
@@ -118,10 +131,11 @@ def verify_model(model: Model, checks: tuple = SUITES, seed: int = 0,
         else:
             rep.merge(derived_identity_suite(t, a))
             rep.merge(check_antipode_inverse(t, a))
-            rep.merge(check_square_automorphism(t, a))
+            s2 = square_of_antipode(t, a)
+            rep.merge(check_square_automorphism(t, a, s2))
             samples_elts = [_random_element(t, rng) for _ in range(3)]
-            rep.merge(check_s_map_laws(t, a, samples_elts))
-            rep.info["involutory"] = is_involutory(t, a)
+            rep.merge(check_s_map_laws(t, a, s2, samples_elts))
+            rep.info["involutory"] = involutory = is_involutory(t, a, s2)
             eta = eta_element(t)
             for k, g in enumerate(model.grouplikes):
                 ok = check_grouplike(t, g)
@@ -148,17 +162,18 @@ def verify_model(model: Model, checks: tuple = SUITES, seed: int = 0,
         if axioms_failed:
             rep.skip("hopfmodules", AXIOMS_FAILED)
         else:
-            rep.merge(check_gamma_suite(t, a, _probe_modules(model, rng, 1)))
+            fam = gamma_family(t, a)
+            rep.merge(check_gamma_suite(t, a, fam, _probe_modules(model, rng, 1)))
             if t.carrier_dim > LARGE_CARRIER:
                 rep.skip("hopf_module.decomposition",
                          "carrier too large for the standard run; "
                          "the identities scale as the fourth power of its dimension")
             else:
                 h = canonical_hopf_module(t, t.simple(t.simples()[0]))
-                rep.merge(fundamental_iso(t, a, h))
+                rep.merge(fundamental_iso(t, fam, h))
                 for k in range(samples):
                     car, rho = random_comodule(t, model.grouplikes, rng, 2)
-                    sub = fundamental_iso(t, a, induced_hopf_module(t, car, rho))
+                    sub = fundamental_iso(t, fam, induced_hopf_module(t, car, rho))
                     rep.record(f"hopf_module.decomposition_{k}", sub.passed,
                                note="randomized induced module")
 
@@ -191,14 +206,15 @@ def verify_model(model: Model, checks: tuple = SUITES, seed: int = 0,
             rep.info["cointegral_basis"] = [
                 {f"{i},{l}": [[f.show(v) for v in row] for row in lam.block(i, l).tolist()]
                  for (i, l) in sorted(lam.blocks)}
-                for lam in solve_cointegrals(t)]
+                for lam in verdict["cointegral_basis"]]
             if verdict["semisimple"] and a is not None and a.has_right:
-                gam = separability_element(t, a, verdict["witness"])
+                if fam is None:
+                    fam = gamma_family(t, a)
+                gam = separability_element(t, fam, verdict["witness"])
                 rep.merge(check_separability(t, gam))
                 ok = True
                 for mod in _probe_modules(model, rng, samples):
                     sigma = split_module_action(t, gam, mod)
-                    from .cat import identity
                     if not (is_t_linear(mod, free_module(t, mod.carrier), sigma)
                             and (mod.action @ sigma) == identity(mod.carrier)):
                         ok = False
@@ -208,27 +224,35 @@ def verify_model(model: Model, checks: tuple = SUITES, seed: int = 0,
         if axioms_failed:
             rep.skip("quasitriangular", AXIOMS_FAILED)
         else:
-            rep.merge(check_rmatrix(t, a, model.rmatrix))
+            r = model.rmatrix
+            r_inv = star_inverse_of_r(t, a, r) if a is not None and a.has_left else None
+            rep.merge(check_rmatrix(t, r, r_inv))
             if a is not None:
-                rep.merge(check_r_dual_laws(t, a, model.rmatrix))
+                rep.merge(check_r_dual_laws(t, a, r))
+                u = drinfeld_element(t, a, r)
+                try:
+                    u_inv = drinfeld_inverse(t, a, r)
+                except ExactError:  # the comparison map is not invertible
+                    u_inv = None
+                if s2 is None:
+                    s2 = square_of_antipode(t, a)
                 classical = model.meta.get("classical_drinfeld")
-                u, dr = check_drinfeld(t, a, model.rmatrix, classical=classical)
-                rep.merge(dr)
+                rep.merge(check_drinfeld(t, u, r_inv, u_inv, s2, classical=classical))
                 mods = _probe_modules(model, rng, 3)
-                rep.merge(check_braiding(t, a, model.rmatrix, mods))
+                rep.merge(check_braiding(t, r, r_inv, mods))
                 if model.twist is not None:
                     th, thi = model.twist
-                    rep.merge(check_twist(t, a, model.rmatrix, th, thi))
-                    g_elt, sv = sovereign_from_twist(t, a, model.rmatrix, th, thi)
-                    rep.merge(sv)
-                rep.merge(check_inverse_drinfeld_twist(t, a, model.rmatrix))
+                    rep.merge(check_twist(t, a, r, th, thi))
+                    rep.merge(sovereign_from_twist(t, a, u, s2, th, thi)[1])
+                if involutory is None:
+                    involutory = is_involutory(t, a, s2)
+                rep.merge(check_inverse_drinfeld_twist(t, a, r, involutory, u, u_inv))
     return rep
 
 
 def _random_element(t, rng):
     f = t.base.field
     comps = {}
-    from .cat import GradedMor
     for g in t.simples():
         s = t.simple(g)
         ts = t.on_obj(s)
@@ -238,5 +262,4 @@ def _random_element(t, rng):
             blocks[grade] = f.asarray(
                 [[rng.randrange(-3, 4) for _ in range(cols)] for _ in range(rows)])
         comps[g] = GradedMor(s, ts, blocks)
-    from .monad import Element
     return Element(t, comps, "rand")

@@ -27,6 +27,7 @@ from hopfmonad.cat import GradedMor, GradedObj, identity
 from hopfmonad.exactla import FieldSpec, kernel
 from hopfmonad.hopfstruct import (
     fundamental_iso,
+    gamma_family,
     induced_hopf_module,
     integral_check,
     maschke_verdict,
@@ -45,7 +46,13 @@ from hopfmonad.modcat import (
     random_module,
 )
 from hopfmonad.monad import adjoint_action
-from hopfmonad.qtrib import check_braiding, check_drinfeld, drinfeld_inverse
+from hopfmonad.qtrib import (
+    check_braiding,
+    check_drinfeld,
+    drinfeld_element,
+    drinfeld_inverse,
+    star_inverse_of_r,
+)
 from hopfmonad.verify import verify_model
 
 Q = FieldSpec.rationals()
@@ -150,11 +157,12 @@ class TestCriterion2DerivedIdentities:
 class TestCriterion3FundamentalTheorem:
     def _run(self, model, count, rng):
         adim = model.t.carrier_dim
+        fam = gamma_family(model.t, model.antipode)
         for _ in range(count):
             car, rho = random_comodule(model.t, model.grouplikes, rng,
                                        dim_factor=2)
             h = induced_hopf_module(model.t, car, rho)
-            rep = fundamental_iso(model.t, model.antipode, h)
+            rep = fundamental_iso(model.t, fam, h)
             if not rep.passed:
                 return False
             if model.t.base.is_vector:
@@ -227,7 +235,8 @@ class TestCriterion5Maschke:
         v = maschke_verdict(ks3.t)
         ok &= v["semisimple"]
         ok &= v["witness"].block(0, 0).ravel().tolist() == [Fraction(1, 6)] * 6
-        gam = separability_element(ks3.t, ks3.antipode, v["witness"])
+        gam = separability_element(ks3.t, gamma_family(ks3.t, ks3.antipode),
+                                   v["witness"])
         ok &= check_separability(ks3.t, gam).passed
         rng = random.Random(104)
         for _ in range(10):
@@ -251,12 +260,15 @@ class TestCriterion5Maschke:
 class TestCriterion6Quasitriangular:
     def _suite(self, model, mods):
         t, a, r = model.t, model.antipode, model.rmatrix
-        u, rep = check_drinfeld(t, a, r,
-                                classical=model.meta["classical_drinfeld"])
-        ok = rep.passed
+        u = drinfeld_element(t, a, r)
         ui = drinfeld_inverse(t, a, r)
-        ok &= square_of_antipode(t, a) == adjoint_action(t, u, ui)
-        braid = check_braiding(t, a, r, mods)
+        r_inv = star_inverse_of_r(t, a, r)
+        s2 = square_of_antipode(t, a)
+        rep = check_drinfeld(t, u, r_inv, ui, s2,
+                             classical=model.meta["classical_drinfeld"])
+        ok = rep.passed
+        ok &= s2 == adjoint_action(t, u, ui)
+        braid = check_braiding(t, r, r_inv, mods)
         ok &= braid.passed
         return ok
 

@@ -47,7 +47,8 @@ class TestGamma:
         m = request.getfixturevalue(fixture)
         rng = random.Random(31)
         mods = [random_module(m.t, rng, 1)]
-        rep = check_gamma_suite(m.t, m.antipode, mods)
+        fam = gamma_family(m.t, m.antipode)
+        rep = check_gamma_suite(m.t, m.antipode, fam, mods)
         assert rep.passed, [r.line() for r in rep.failures()]
 
     def test_trivial_gamma_is_identity(self, trivial):
@@ -149,10 +150,11 @@ class TestFundamentalTheorem:
         m = request.getfixturevalue(fixture)
         rng = random.Random(11)
         adim = m.t.carrier_dim
+        fam = gamma_family(m.t, m.antipode)
         for _ in range(4):
             car, rho = random_comodule(m.t, m.grouplikes, rng, 2)
             h = induced_hopf_module(m.t, car, rho)
-            rep = fundamental_iso(m.t, m.antipode, h)
+            rep = fundamental_iso(m.t, fam, h)
             assert rep.passed, [r.line() for r in rep.failures()]
             if m.t.base.is_vector:
                 mdim = h.carrier.total_dim()
@@ -162,7 +164,7 @@ class TestFundamentalTheorem:
     def test_canonical_case(self, sweedler):
         t = sweedler.t
         h = canonical_hopf_module(t, GradedObj.space(t.base, 2, "X"))
-        rep = fundamental_iso(t, sweedler.antipode, h)
+        rep = fundamental_iso(t, gamma_family(t, sweedler.antipode), h)
         assert rep.passed
         assert rep.info["coinvariant_dims"] == [[2]]
 
@@ -265,7 +267,7 @@ class TestMaschke:
     def test_separability_and_sections(self, ks3):
         t = ks3.t
         v = maschke_verdict(t)
-        gam = separability_element(t, ks3.antipode, v["witness"])
+        gam = separability_element(t, gamma_family(t, ks3.antipode), v["witness"])
         assert check_separability(t, gam).passed
         rng = random.Random(17)
         for _ in range(3):
@@ -276,7 +278,8 @@ class TestMaschke:
 
     def test_section_functoriality(self, ks3):
         t = ks3.t
-        gam = separability_element(t, ks3.antipode, maschke_verdict(t)["witness"])
+        gam = separability_element(t, gamma_family(t, ks3.antipode),
+                                   maschke_verdict(t)["witness"])
         rng = random.Random(19)
         mod = random_module(t, rng, 1)
         fm = free_module(t, mod.carrier)
@@ -289,7 +292,7 @@ class TestMaschke:
 
     def test_trivial_monad_sigma_identity(self, trivial):
         t = trivial.t
-        gam = separability_element(t, trivial.antipode,
+        gam = separability_element(t, gamma_family(t, trivial.antipode),
                                    maschke_verdict(t)["witness"])
         mod = free_module(t, GradedObj.space(t.base, 3, "M"))
         sigma = split_module_action(t, gam, mod)

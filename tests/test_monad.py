@@ -1,6 +1,8 @@
 """Bimonad axioms, convolution algebra, grouplikes, morphisms."""
 
+import gc
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -284,3 +286,14 @@ class TestMonadMorphism:
         rep = check_monad_morphism(tr)
         assert not rep.passed
         assert all(r.check.startswith("morphism.") for r in rep.failures())
+
+
+def test_bimonad_is_freed_after_use():
+    # no cache keeps a bimonad (and its matrices) alive once it is dropped
+    model = presentation.load(
+        zoo.build_group_algebra(zoo.symmetric3_table(), Q, "kS3"))
+    model.t.simple((0, 0))
+    ref = weakref.ref(model.t)
+    del model
+    gc.collect()
+    assert ref() is None

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from hopfmonad import presentation, zoo
-from hopfmonad.antipode import square_of_antipode
+from hopfmonad.antipode import is_involutory, square_of_antipode
 from hopfmonad.cat import GradedMor, GradedObj
 from hopfmonad.exactla import FieldSpec
 from hopfmonad.modcat import TModule, random_module
@@ -24,6 +24,7 @@ from hopfmonad.qtrib import (
     drinfeld_element,
     drinfeld_inverse,
     sovereign_from_twist,
+    star_inverse_of_r,
 )
 from hopfmonad.report import Report
 
@@ -41,11 +42,20 @@ def ks3_r():
 QT_FIXTURES = ["kz2", "dz2", "dz2_f3"]
 
 
+def r_inverse(m):
+    return star_inverse_of_r(m.t, m.antipode, m.rmatrix)
+
+
+def drinfeld_pair(m):
+    return (drinfeld_element(m.t, m.antipode, m.rmatrix),
+            drinfeld_inverse(m.t, m.antipode, m.rmatrix))
+
+
 @pytest.mark.parametrize("fixture", QT_FIXTURES)
 class TestRMatrix:
     def test_axioms(self, fixture, request):
         m = request.getfixturevalue(fixture)
-        rep = check_rmatrix(m.t, m.antipode, m.rmatrix)
+        rep = check_rmatrix(m.t, m.rmatrix, r_inverse(m))
         assert rep.passed, [x.line() for x in rep.failures()]
 
     def test_dual_laws(self, fixture, request):
@@ -59,7 +69,7 @@ class TestRMatrixMutations:
         pres = zoo.build_drinfeld_double_group(zoo.cyclic_group_table(2), Q, "bad")
         pres["rmatrix"]["element"][1][1] = "1"  # extra term
         bad = presentation.load(pres)
-        rep = check_rmatrix(bad.t, bad.antipode, bad.rmatrix)
+        rep = check_rmatrix(bad.t, bad.rmatrix, r_inverse(bad))
         assert not rep.passed
         assert any(x.check.startswith("rmatrix.") and x.witness is not None
                    for x in rep.failures())
@@ -76,7 +86,8 @@ class TestRMatrixMutations:
                          sweedler.t.on_obj(s).tensor(sweedler.t.on_obj(s)),
                          {(0, 0): block})
         fam = PairFamily(sweedler.t, {((0, 0), (0, 0)): comp}, "R")
-        rep = check_rmatrix(sweedler.t, sweedler.antipode, fam)
+        rep = check_rmatrix(sweedler.t, fam,
+                            star_inverse_of_r(sweedler.t, sweedler.antipode, fam))
         assert not rep.passed
 
 
@@ -84,8 +95,10 @@ class TestDrinfeld:
     @pytest.mark.parametrize("fixture", QT_FIXTURES)
     def test_identity_suite(self, fixture, request):
         m = request.getfixturevalue(fixture)
-        u, rep = check_drinfeld(m.t, m.antipode, m.rmatrix,
-                                classical=m.meta.get("classical_drinfeld"))
+        u, u_inv = drinfeld_pair(m)
+        rep = check_drinfeld(m.t, u, r_inverse(m), u_inv,
+                             square_of_antipode(m.t, m.antipode),
+                             classical=m.meta.get("classical_drinfeld"))
         assert rep.passed, [x.line() for x in rep.failures()]
 
     def test_trivial_r_gives_unit(self, kz2):
@@ -111,7 +124,7 @@ class TestBraiding:
         m = request.getfixturevalue(fixture)
         rng = random.Random(23)
         mods = [random_module(m.t, rng, 1) for _ in range(3)]
-        rep = check_braiding(m.t, m.antipode, m.rmatrix, mods)
+        rep = check_braiding(m.t, m.rmatrix, r_inverse(m), mods)
         assert rep.passed, [x.line() for x in rep.failures()]
 
     def test_unit_module_braids_trivially(self, dz2):
@@ -178,14 +191,19 @@ class TestTwist:
     def test_sovereign_element(self, fixture, request):
         m = request.getfixturevalue(fixture)
         th, thi = m.twist
-        g, rep = sovereign_from_twist(m.t, m.antipode, m.rmatrix, th, thi)
+        u = drinfeld_element(m.t, m.antipode, m.rmatrix)
+        s2 = square_of_antipode(m.t, m.antipode)
+        g, rep = sovereign_from_twist(m.t, m.antipode, u, s2, th, thi)
         assert rep.passed, [x.line() for x in rep.failures()]
         assert check_grouplike(m.t, g)
 
     @pytest.mark.parametrize("fixture", QT_FIXTURES)
     def test_inverse_canonical_element_as_twist(self, fixture, request):
         m = request.getfixturevalue(fixture)
-        rep = check_inverse_drinfeld_twist(m.t, m.antipode, m.rmatrix)
+        involutory = is_involutory(m.t, m.antipode,
+                                   square_of_antipode(m.t, m.antipode))
+        rep = check_inverse_drinfeld_twist(m.t, m.antipode, m.rmatrix, involutory,
+                                           *drinfeld_pair(m))
         assert rep.passed
 
 
@@ -194,10 +212,38 @@ class TestYangBaxterEquivalence:
     def test_monad_level_iff_module_level(self, fixture, request):
         # both routes must give the same verdict
         m = request.getfixturevalue(fixture)
-        rep = check_rmatrix(m.t, m.antipode, m.rmatrix)
+        rep = check_rmatrix(m.t, m.rmatrix, r_inverse(m))
         yb = rep.find("rmatrix.yang_baxter").status == "pass"
         rng = random.Random(31)
         mods = [random_module(m.t, rng, 1) for _ in range(3)]
         braid = Report("braid")
-        check_braiding(m.t, m.antipode, m.rmatrix, mods, braid)
+        check_braiding(m.t, m.rmatrix, r_inverse(m), mods, braid)
         assert yb == (braid.find("braiding.braid_relation").status == "pass")
+
+
+class TestMissingInverses:
+    """The checks take the inverses as arguments; None stands for absent."""
+
+    def test_drinfeld_without_inverse(self, dz2):
+        t, a, r = dz2.t, dz2.antipode, dz2.rmatrix
+        u = drinfeld_element(t, a, r)
+        rep = check_drinfeld(t, u, r_inverse(dz2), None, square_of_antipode(t, a))
+        res = rep.find("drinfeld.inverse")
+        assert res.status == "fail" and res.note == "comparison map not invertible"
+        assert rep.find("drinfeld.square_of_antipode") is None
+        rep = check_inverse_drinfeld_twist(t, a, r, True, u, None)
+        assert rep.find("twist.from_inverse").status == "fail"
+        rep = check_inverse_drinfeld_twist(t, a, r, False, u, None)
+        assert rep.find("twist.from_inverse").status == "skip"
+
+    def test_rmatrix_without_convolution_inverse(self, dz2):
+        rep = check_rmatrix(dz2.t, dz2.rmatrix, None)
+        assert rep.passed
+        assert rep.find("rmatrix.star_inverse_left").status == "skip"
+        assert rep.find("rmatrix.star_inverse_right") is None
+        rng = random.Random(23)
+        mods = [random_module(dz2.t, rng, 1) for _ in range(3)]
+        rep = check_braiding(dz2.t, dz2.rmatrix, None, mods)
+        assert rep.passed
+        assert rep.find("braiding.mirror_is_inverse") is None
+        assert rep.find("braiding.braid_relation").status == "pass"
