@@ -8,19 +8,12 @@ equalities of words here.
 
 from __future__ import annotations
 
-from .cat import (
-    GradedMor,
-    GradedObj,
-    coev_mor,
-    coev_right_mor,
-    ev_mor,
-    ev_right_mor,
-    identity,
-)
-from .chain import Chain, CoreStep, MorStep, extend_unary
+from .cat import coev_mor, coev_right_mor, ev_mor, ev_right_mor
+from .chain import Chain
 from .exactla import ExactError
 from .monad import (
     Element,
+    Family,
     TensoringBimonad,
     TransTT,
     adjoint_action,
@@ -35,57 +28,16 @@ from .report import Report
 
 
 class AntipodeData:
-    """Stored antipode components at simples (either side may be absent)."""
+    """Stored antipode components at simples (either side may be absent).
+
+    Each side is a family T(T(X)∨) = A ⊗ X∨ ⊗ A∨ -> X∨."""
 
     def __init__(self, t: TensoringBimonad, sl: dict | None = None,
                  sr: dict | None = None):
         self.t = t
-        self.sl = dict(sl) if sl is not None else None
-        self.sr = dict(sr) if sr is not None else None
-        for comps in (self.sl, self.sr):
-            if comps is None:
-                continue
-            for g in t.simples():
-                s = t.simple(g)
-                want_src = t.on_obj(t.on_obj(s).dual())
-                if g not in comps:
-                    comps[g] = GradedMor.zero(want_src, s.dual())
-                if comps[g].src != want_src or comps[g].dst != s.dual():
-                    raise ExactError(f"antipode component at {g} has wrong ends")
-
-    # -- extensions ---------------------------------------------------------
-
-    def _side_step(self, comps: dict, x: GradedObj):
-        t = self.t
-        if t.base.is_vector:
-            core = comps[(0, 0)].block(0, 0)
-            src = t.on_obj(t.on_obj(x).dual())
-            return CoreStep(src, x.dual(), core,
-                            in_axes=(0, 1 + len(x.atoms)), out_axes=())
-        comp = extend_unary(
-            x, lambda g: comps.get(g),
-            lambda a: t.on_obj(t.on_obj(a).dual()),
-            lambda f: t.on_mor(t.on_mor(f).ldual()),
-            lambda a: a.dual(),
-            lambda f: f.ldual(),
-            contravariant=True)
-        return MorStep(comp)
-
-    def sl_step(self, x: GradedObj):
-        if self.sl is None:
-            raise ExactError("no left antipode data")
-        return self._side_step(self.sl, x)
-
-    def sr_step(self, x: GradedObj):
-        if self.sr is None:
-            raise ExactError("no right antipode data")
-        return self._side_step(self.sr, x)
-
-    def sl_at(self, x: GradedObj) -> GradedMor:
-        return self.sl_step(x).to_mor()
-
-    def sr_at(self, x: GradedObj) -> GradedMor:
-        return self.sr_step(x).to_mor()
+        layout = ((t.carrier, ~0, t.carrier.dual()), (~0,))
+        self.sl = None if sl is None else Family(t, sl, *layout, "left antipode")
+        self.sr = None if sr is None else Family(t, sr, *layout, "right antipode")
 
     @property
     def has_left(self) -> bool:
@@ -115,10 +67,10 @@ def check_left_antipode(t: TensoringBimonad, a: AntipodeData) -> Report:
             src = t.on_obj(ts.dual().tensor(s))
             lhs = Chain(src).then(t.eta_mor(s).ldual(), at=1) \
                             .then(ev_mor(s), at=1) \
-                            .then(t.t0_step(), at=0)
-            rhs = Chain(src).then(t.t2_step(ts.dual(), s), at=0) \
+                            .then(t.t0, at=0)
+            rhs = Chain(src).then(t.t2.at_step(ts.dual(), s), at=0) \
                             .then(t.mu_mor(s).ldual(), at=1) \
-                            .then(a.sl_step(ts), at=0) \
+                            .then(a.sl.at_step(ts), at=0) \
                             .then(ev_mor(ts), at=0)
             yield (g,), lhs, rhs
 
@@ -127,13 +79,13 @@ def check_left_antipode(t: TensoringBimonad, a: AntipodeData) -> Report:
             s = t.simple(g)
             ts = t.on_obj(s)
             src = t.carrier
-            lhs = Chain(src).then(t.t0_step(), at=0) \
+            lhs = Chain(src).then(t.t0, at=0) \
                             .then(coev_mor(s), at=0) \
-                            .then(t.eta_step(s), at=0)
+                            .then(t.u, at=0)
             rhs = Chain(src).then(coev_mor(ts), at=1) \
-                            .then(t.t2_step(ts, ts.dual()), at=0) \
-                            .then(t.mu_step(s), at=0) \
-                            .then(a.sl_step(s), at=2)
+                            .then(t.t2.at_step(ts, ts.dual()), at=0) \
+                            .then(t.m, at=0) \
+                            .then(a.sl.at_step(s), at=2)
             yield (g,), lhs, rhs
 
     compare_at(rep, "antipode.left_ev", ev_items())
@@ -155,10 +107,10 @@ def check_right_antipode(t: TensoringBimonad, a: AntipodeData) -> Report:
             src = t.on_obj(s.tensor(ts.dual()))
             lhs = Chain(src).then(t.eta_mor(s).rdual(), at=2) \
                             .then(ev_right_mor(s), at=1) \
-                            .then(t.t0_step(), at=0)
-            rhs = Chain(src).then(t.t2_step(s, ts.dual()), at=0) \
+                            .then(t.t0, at=0)
+            rhs = Chain(src).then(t.t2.at_step(s, ts.dual()), at=0) \
                             .then(t.mu_mor(s).rdual(), at=3) \
-                            .then(a.sr_step(ts), at=2) \
+                            .then(a.sr.at_step(ts), at=2) \
                             .then(ev_right_mor(ts), at=0)
             yield (g,), lhs, rhs
 
@@ -167,13 +119,13 @@ def check_right_antipode(t: TensoringBimonad, a: AntipodeData) -> Report:
             s = t.simple(g)
             ts = t.on_obj(s)
             src = t.carrier
-            lhs = Chain(src).then(t.t0_step(), at=0) \
+            lhs = Chain(src).then(t.t0, at=0) \
                             .then(coev_right_mor(s), at=0) \
-                            .then(t.eta_step(s), at=1)
+                            .then(t.u, at=1)
             rhs = Chain(src).then(coev_right_mor(ts), at=1) \
-                            .then(t.t2_step(ts.dual(), ts), at=0) \
-                            .then(a.sr_step(s), at=0) \
-                            .then(t.mu_step(s), at=1)
+                            .then(t.t2.at_step(ts.dual(), ts), at=0) \
+                            .then(a.sr.at_step(s), at=0) \
+                            .then(t.m, at=1)
             yield (g,), lhs, rhs
 
     compare_at(rep, "antipode.right_ev", ev_items())
@@ -188,53 +140,50 @@ def check_right_antipode(t: TensoringBimonad, a: AntipodeData) -> Report:
 
 def derived_identity_suite(t: TensoringBimonad, a: AntipodeData) -> Report:
     rep = Report(f"{t.name}: antipode derived identities")
-    sides = []
-    if a.has_left:
-        sides.append(("left", a.sl_step, a.sl_at))
-    if a.has_right:
-        sides.append(("right", a.sr_step, a.sr_at))
+    sides = [(label, side) for label, side in (("left", a.sl), ("right", a.sr))
+             if side is not None]
     if not sides:
         rep.skip("antipode.derived", "no antipode data")
         return rep
 
-    for label, s_step, s_at in sides:
-        def anti_mult_items(s_step=s_step):
+    for label, side in sides:
+        def anti_mult_items(side=side):
             for g in t.simples():
                 s = t.simple(g)
                 ts = t.on_obj(s)
                 src = t.on_obj(t.on_obj(ts.dual()))
-                lhs = Chain(src).then(t.mu_step(ts.dual()), at=0) \
-                                .then(s_step(s), at=0)
+                lhs = Chain(src).then(t.m, at=0) \
+                                .then(side.at_step(s), at=0)
                 rhs = Chain(src).then(t.mu_mor(s).ldual(), at=2) \
-                                .then(s_step(ts), at=1) \
-                                .then(s_step(s), at=0)
+                                .then(side.at_step(ts), at=1) \
+                                .then(side.at_step(s), at=0)
                 yield (g,), lhs, rhs
 
-        def anti_unit_items(s_step=s_step):
+        def anti_unit_items(side=side):
             for g in t.simples():
                 s = t.simple(g)
                 ts = t.on_obj(s)
                 src = ts.dual()
-                lhs = Chain(src).then(t.eta_step(src), at=0).then(s_step(s), at=0)
+                lhs = Chain(src).then(t.u, at=0).then(side.at_step(s), at=0)
                 rhs = Chain(src).then(t.eta_mor(s).ldual(), at=0)
                 yield (g,), lhs, rhs
 
-        def anti_comult_items(s_step=s_step):
+        def anti_comult_items(side=side):
             for g1, g2 in t.composable_pairs():
                 s1, s2 = t.simple(g1), t.simple(g2)
                 t1, t2obj = t.on_obj(s1), t.on_obj(s2)
                 src = t.on_obj(t1.tensor(t2obj).dual())
-                lhs = Chain(src).then(t.t2_mor(s1, s2).ldual(), at=1) \
-                                .then(s_step(s1.tensor(s2)), at=0)
-                rhs = Chain(src).then(t.t2_step(t2obj.dual(), t1.dual()), at=0) \
-                                .then(s_step(s2), at=0) \
-                                .then(s_step(s1), at=len(s2.atoms))
+                lhs = Chain(src).then(t.t2.at(s1, s2).ldual(), at=1) \
+                                .then(side.at_step(s1.tensor(s2)), at=0)
+                rhs = Chain(src).then(t.t2.at_step(t2obj.dual(), t1.dual()), at=0) \
+                                .then(side.at_step(s2), at=0) \
+                                .then(side.at_step(s1), at=len(s2.atoms))
                 yield (g1, g2), lhs, rhs
 
-        def anti_counit_items(s_step=s_step):
+        def anti_counit_items(side=side):
             src = t.carrier
-            lhs = Chain(src).then(t.t0.ldual(), at=1).then(s_step(t.unit_obj()), at=0)
-            rhs = Chain(src).then(t.t0_step(), at=0)
+            lhs = Chain(src).then(t.t0.ldual(), at=1).then(side.at_step(t.unit_obj()), at=0)
+            rhs = Chain(src).then(t.t0, at=0)
             yield (), lhs, rhs
 
         compare_at(rep, f"derived.{label}_anti_mult", anti_mult_items())
@@ -257,8 +206,8 @@ def check_antipode_inverse(t: TensoringBimonad, a: AntipodeData) -> Report:
             s = t.simple(g)
             ts = t.on_obj(s)
             src = ts
-            lhs = Chain(src).then(a.sl_at(s).rdual(), at=1) \
-                            .then(a.sr_step(ts.dual()), at=0)
+            lhs = Chain(src).then(a.sl.at(s).rdual(), at=1) \
+                            .then(a.sr.at_step(ts.dual()), at=0)
             yield (g,), lhs, Chain(src)
 
     def lr_items():
@@ -266,8 +215,8 @@ def check_antipode_inverse(t: TensoringBimonad, a: AntipodeData) -> Report:
             s = t.simple(g)
             ts = t.on_obj(s)
             src = ts
-            lhs = Chain(src).then(a.sr_at(s).ldual(), at=1) \
-                            .then(a.sl_step(ts.dual()), at=0)
+            lhs = Chain(src).then(a.sr.at(s).ldual(), at=1) \
+                            .then(a.sl.at_step(ts.dual()), at=0)
             yield (g,), lhs, Chain(src)
 
     compare_at(rep, "antipode.inverse_rl", rl_items())
@@ -287,7 +236,7 @@ def s_map(t: TensoringBimonad, a: AntipodeData, f: Element) -> Element:
         s = t.simple(g)
         ts = t.on_obj(s)
         ch = Chain(ts.dual()).then(f.at_step(ts.dual()), at=0) \
-                             .then(a.sl_step(s), at=0)
+                             .then(a.sl.at_step(s), at=0)
         comps[g] = ch.eval().rdual()
     return Element(t, comps, f"S({f.label})")
 
@@ -299,7 +248,7 @@ def s_inv_map(t: TensoringBimonad, a: AntipodeData, f: Element) -> Element:
         s = t.simple(g)
         ts = t.on_obj(s)
         ch = Chain(ts.dual()).then(f.at_step(ts.dual()), at=0) \
-                             .then(a.sr_step(s), at=0)
+                             .then(a.sr.at_step(s), at=0)
         comps[g] = ch.eval().ldual()
     return Element(t, comps, f"S^-1({f.label})")
 
@@ -310,8 +259,8 @@ def square_of_antipode(t: TensoringBimonad, a: AntipodeData) -> TransTT:
     for g in t.simples():
         s = t.simple(g)
         ts = t.on_obj(s)
-        ch = Chain(ts).then(a.sl_at(s).ldual(), at=1) \
-                      .then(a.sl_step(ts.dual()), at=0)
+        ch = Chain(ts).then(a.sl.at(s).ldual(), at=1) \
+                      .then(a.sl.at_step(ts.dual()), at=0)
         comps[g] = ch.eval()
     return TransTT(t, t, comps, "S2")
 
@@ -321,8 +270,8 @@ def inverse_square_of_antipode(t: TensoringBimonad, a: AntipodeData) -> TransTT:
     for g in t.simples():
         s = t.simple(g)
         ts = t.on_obj(s)
-        ch = Chain(ts).then(a.sr_at(s).rdual(), at=1) \
-                      .then(a.sr_step(ts.dual()), at=0)
+        ch = Chain(ts).then(a.sr.at(s).rdual(), at=1) \
+                      .then(a.sr.at_step(ts.dual()), at=0)
         comps[g] = ch.eval()
     return TransTT(t, t, comps, "S-2")
 

@@ -12,13 +12,16 @@ small core against the axes it touches.  The chain is evaluated from
 whichever end is narrower.  On multi-label bases all stock examples are
 tiny, so steps are materialized directly with tensor_mor.
 
-extend_unary / extend_pair build the forced direct-sum extension of a
-transformation stored at simples (or simple pairs) to an arbitrary
-object, one summand at a time.
+A natural family is stored by its components at simples; its source
+and target functors are slot layouts, each slot a fixed word (the
+carrier or its dual), an argument k, or the dual ~k of argument k.
+extend builds the forced direct-sum extension of such a family to
+arbitrary arguments, one choice of simple summands at a time.
 """
 
 from __future__ import annotations
 
+from itertools import product
 from math import prod
 
 import numpy as np
@@ -251,43 +254,48 @@ class Evaluated:
 
 
 # ---------------------------------------------------------------------------
-# Extension by linearity
+# Slot layouts and extension by linearity
 # ---------------------------------------------------------------------------
 
 
-def extend_unary(x: GradedObj, components, f_obj, f_mor, g_obj, g_mor,
-                 contravariant: bool = False) -> GradedMor:
-    """Extension of a transformation F -> G from simples to the object x.
+def slot_word(slot, xs: tuple) -> GradedObj:
+    """A fixed word, argument k (an int k) or the dual of argument k (~k)."""
+    if isinstance(slot, GradedObj):
+        return slot
+    return xs[slot] if slot >= 0 else xs[~slot].dual()
 
-    `components` maps a grade (i, j) to the component at the simple
-    S(i, j); `f_obj`/`f_mor` and `g_obj`/`g_mor` implement the two
-    functors on objects and morphisms.  For contravariant functors the
-    roles of inclusion and projection swap.
+
+def layout_word(layout: tuple, xs: tuple) -> GradedObj:
+    """The word of a slot layout at the arguments xs: its slots in order."""
+    atoms = tuple(a for slot in layout for a in slot_word(slot, xs).atoms)
+    return GradedObj(xs[0].base, atoms)
+
+
+def _layout_mor(layout: tuple, cov: list, contra: list) -> GradedMor:
+    """Identity on fixed words, cov[k] on argument k, contra[k] transposed
+    on its dual."""
+    return tensor_many(*(identity(s) if isinstance(s, GradedObj)
+                         else cov[s] if s >= 0 else contra[~s].ldual()
+                         for s in layout))
+
+
+def extend(src: tuple, dst: tuple, xs: tuple, comps: dict) -> GradedMor:
+    """Direct-sum extension to xs of a family stored at simples.
+
+    `src` and `dst` are the slot layouts of its source and target
+    functors, and `comps` is keyed by the grade of a simple (one
+    argument) or a pair of grades (two).  Each choice of one simple
+    summand per argument adds dst(inclusions) ∘ component ∘
+    src(projections); a dual slot takes the transpose of the opposite map.
     """
-    src = f_obj(x)
-    dst = g_obj(x)
-    total = GradedMor.zero(src, dst)
-    for grade, inc, proj in summand_inclusions(x):
-        comp = components(grade)
+    total = GradedMor.zero(layout_word(src, xs), layout_word(dst, xs))
+    for choice in product(*(tuple(summand_inclusions(x)) for x in xs)):
+        grades = tuple(g for g, _, _ in choice)
+        comp = comps.get(grades if len(xs) > 1 else grades[0])
         if comp is None:
             continue
-        if contravariant:
-            total = total + g_mor(proj) @ comp @ f_mor(inc)
-        else:
-            total = total + g_mor(inc) @ comp @ f_mor(proj)
-    return total
-
-
-def extend_pair(x: GradedObj, y: GradedObj, components, f_obj, f_mor, g_obj,
-                g_mor) -> GradedMor:
-    """Extension of a two-argument covariant transformation to (x, y)."""
-    src = f_obj(x, y)
-    dst = g_obj(x, y)
-    total = GradedMor.zero(src, dst)
-    for g1, inc1, proj1 in summand_inclusions(x):
-        for g2, inc2, proj2 in summand_inclusions(y):
-            comp = components(g1, g2)
-            if comp is None:
-                continue
-            total = total + g_mor(inc1, inc2) @ comp @ f_mor(proj1, proj2)
+        incs = [inc for _, inc, _ in choice]
+        projs = [proj for _, _, proj in choice]
+        total = total + _layout_mor(dst, incs, projs) @ comp @ \
+            _layout_mor(src, projs, incs)
     return total

@@ -8,7 +8,9 @@
     hopfmonad example <name> [-o out.json]
 
 Exit codes: 0 all requested checks pass, 1 axiom failure (report still
-emitted), 2 malformed input.
+emitted), 2 malformed input, 3 internal error (an exact-arithmetic
+failure during verification, such as a chain overflow or a fast route
+that disagrees with its cross-check; no report).
 """
 
 from __future__ import annotations
@@ -112,27 +114,26 @@ def main(argv=None) -> int:
 
     model = _load_model(args.file)
 
-    if args.command == "verify":
-        rep = verify_model(model, checks=tuple(args.checks), seed=args.seed,
-                           samples=args.samples)
-    elif args.command == "report":
-        rep = verify_model(model, seed=args.seed)
-    elif args.command == "integrals":
-        rep = verify_model(model, checks=("integrals",), seed=args.seed)
-    elif args.command == "maschke":
-        rep = verify_model(model, checks=("maschke",), seed=args.seed)
-    elif args.command == "drinfeld":
-        rep = verify_model(model, checks=("quasitriangular",), seed=args.seed)
-        if model.rmatrix is not None and model.antipode is not None:
-            from .qtrib import drinfeld_element
-            u = drinfeld_element(model.t, model.antipode, model.rmatrix)
-            f = model.t.base.field
-            rep.info["drinfeld_element"] = [
-                f.show(x) for x in
-                u.comps[(0, 0)].block(0, 0).ravel().tolist()] \
-                if model.t.base.is_vector else "componentwise"
-    else:  # pragma: no cover
-        parser.error(f"unknown command {args.command}")
+    try:
+        if args.command == "verify":
+            rep = verify_model(model, checks=tuple(args.checks), seed=args.seed,
+                               samples=args.samples)
+        elif args.command == "report":
+            rep = verify_model(model, seed=args.seed)
+        elif args.command == "integrals":
+            rep = verify_model(model, checks=("integrals",), seed=args.seed)
+        elif args.command == "maschke":
+            rep = verify_model(model, checks=("maschke",), seed=args.seed)
+        else:  # drinfeld
+            rep = verify_model(model, checks=("quasitriangular",), seed=args.seed)
+    except ExactError as e:
+        print(f"internal error: {e}", file=sys.stderr)
+        return 3
+    if args.command == "drinfeld" and "u" in rep.built:
+        f = model.t.base.field
+        rep.info["drinfeld_element"] = [
+            f.show(x) for x in rep.built["u"][(0, 0)].block(0, 0).ravel().tolist()] \
+            if model.t.base.is_vector else "componentwise"
 
     _emit(rep, args.json)
     return 0 if rep.passed else 1

@@ -17,52 +17,29 @@ from .cat import (
     coev_right_mor,
     ev_right_mor,
     identity,
+    summand_inclusions,
     tensor_mor,
 )
-from .chain import Chain, CoreStep, MorStep, extend_unary
+from .chain import Chain
 from .exactla import ExactError, kernel, rank, solve_affine
 from .modcat import (
     TModule,
+    _invert_mor,
+    _random_iso,
     check_module,
     free_module,
     is_t_linear,
+    module_hom_space,
     tensor_modules,
     unit_module,
 )
-from .monad import Element, TensoringBimonad, compare_at
+from .monad import CROSSCHECK_DIM, Element, Family, TensoringBimonad, compare_at
 from .report import Report
 
 
 # ---------------------------------------------------------------------------
 # The antipode comparison map gamma
 # ---------------------------------------------------------------------------
-
-
-class GammaFamily:
-    """Components of X ⊗ T(1) -> T²(X), stored at simples."""
-
-    def __init__(self, t: TensoringBimonad, comps: dict):
-        self.t = t
-        self.comps = comps
-
-    def step(self, x: GradedObj):
-        t = self.t
-        src = x.tensor(t.carrier)
-        dst = t.on_obj(t.on_obj(x))
-        if t.base.is_vector:
-            core = self.comps[(0, 0)].block(0, 0)
-            return CoreStep(src, dst, core,
-                            in_axes=(len(x.atoms),), out_axes=(0, 1))
-        comp = extend_unary(
-            x, lambda g: self.comps.get(g),
-            lambda o: o.tensor(t.carrier),
-            lambda f: tensor_mor(f, identity(t.carrier)),
-            lambda o: t.on_obj(t.on_obj(o)),
-            lambda f: t.on_mor(t.on_mor(f)))
-        return MorStep(comp)
-
-    def at(self, x: GradedObj) -> GradedMor:
-        return self.step(x).to_mor()
 
 
 def gamma_defining_chain(t: TensoringBimonad, a: AntipodeData,
@@ -73,20 +50,19 @@ def gamma_defining_chain(t: TensoringBimonad, a: AntipodeData,
     n = len(x.atoms)
     ch = Chain(src)
     ch.then(coev_right_mor(ts), at=n + 1)
-    ch.then(t.t2_step(ts.dual(), ts), at=n)
-    ch.then(a.sr_step(x), at=n)
+    ch.then(t.t2.at_step(ts.dual(), ts), at=n)
+    ch.then(a.sr.at_step(x), at=n)
     ch.then(ev_right_mor(x), at=0)
     return ch
 
 
-def gamma_family(t: TensoringBimonad, a: AntipodeData) -> GammaFamily:
-    comps = {}
-    for g in t.simples():
-        comps[g] = gamma_defining_chain(t, a, t.simple(g)).eval()
-    return GammaFamily(t, comps)
+def gamma_family(t: TensoringBimonad, a: AntipodeData) -> Family:
+    """gamma as the family X ⊗ T(1) -> T²(X), stored at simples."""
+    comps = {g: gamma_defining_chain(t, a, t.simple(g)).eval() for g in t.simples()}
+    return Family(t, comps, (0, t.carrier), (t.carrier, t.carrier, 0), "gamma")
 
 
-def check_gamma_suite(t: TensoringBimonad, a: AntipodeData, fam: GammaFamily,
+def check_gamma_suite(t: TensoringBimonad, a: AntipodeData, fam: Family,
                       stock_modules: list | None = None) -> Report:
     """The four identities of the comparison map, plus module linearity."""
     rep = Report(f"{t.name}: gamma identities")
@@ -96,8 +72,8 @@ def check_gamma_suite(t: TensoringBimonad, a: AntipodeData, fam: GammaFamily,
         for g in t.simples():
             s = t.simple(g)
             src = s.tensor(t.carrier)
-            lhs = Chain(src).then(fam.step(s), at=0).then(t.mu_step(s), at=0)
-            rhs = Chain(src).then(t.t0_step(), at=1).then(t.eta_step(s), at=0)
+            lhs = Chain(src).then(fam.at_step(s), at=0).then(t.m, at=0)
+            rhs = Chain(src).then(t.t0, at=1).then(t.u, at=0)
             yield (g,), lhs, rhs
 
     def free_items():  # T(mu) ∘ gamma_{T} ∘ coproduct-with-unit = T(eta)
@@ -105,10 +81,10 @@ def check_gamma_suite(t: TensoringBimonad, a: AntipodeData, fam: GammaFamily,
             s = t.simple(g)
             ts = t.on_obj(s)
             src = ts
-            lhs = Chain(src).then(t.t2_step(s, unit), at=0) \
-                            .then(fam.step(ts), at=0) \
-                            .then(t.mu_step(s), at=1)
-            rhs = Chain(src).then(t.eta_step(s), at=1)
+            lhs = Chain(src).then(t.t2.at_step(s, unit), at=0) \
+                            .then(fam.at_step(ts), at=0) \
+                            .then(t.m, at=1)
+            rhs = Chain(src).then(t.u, at=1)
             yield (g,), lhs, rhs
 
     def coaction_items():
@@ -117,23 +93,23 @@ def check_gamma_suite(t: TensoringBimonad, a: AntipodeData, fam: GammaFamily,
             ts = t.on_obj(s)
             src = s.tensor(t.carrier)
             inner = Chain(t.on_obj(s.tensor(t.carrier))) \
-                .then(t.t2_step(s, t.carrier), at=0) \
-                .then(t.mu_step(unit), at=1 + len(s.atoms)).eval()
-            lhs = Chain(src).then(t.t2_step(unit, unit), at=len(s.atoms)) \
-                            .then(fam.step(s.tensor(t.carrier)), at=0) \
+                .then(t.t2.at_step(s, t.carrier), at=0) \
+                .then(t.m, at=1 + len(s.atoms)).eval()
+            lhs = Chain(src).then(t.t2.at_step(unit, unit), at=len(s.atoms)) \
+                            .then(fam.at_step(s.tensor(t.carrier)), at=0) \
                             .then(inner, at=1)
-            rhs = Chain(src).then(fam.step(s), at=0) \
-                            .then(t.eta_step(unit), at=2 + len(s.atoms))
+            rhs = Chain(src).then(fam.at_step(s), at=0) \
+                            .then(t.u, at=2 + len(s.atoms))
             yield (g,), lhs, rhs
 
     def unit_items():
         for g in t.simples():
             s = t.simple(g)
             src = s
-            lhs = Chain(src).then(t.eta_step(unit), at=len(s.atoms)) \
-                            .then(fam.step(s), at=0)
-            rhs = Chain(src).then(t.eta_step(s), at=0) \
-                            .then(t.eta_step(t.on_obj(s)), at=0)
+            lhs = Chain(src).then(t.u, at=len(s.atoms)) \
+                            .then(fam.at_step(s), at=0)
+            rhs = Chain(src).then(t.u, at=0) \
+                            .then(t.u, at=0)
             yield (g,), lhs, rhs
 
     compare_at(rep, "gamma.absorb", absorb_items())
@@ -142,7 +118,7 @@ def check_gamma_suite(t: TensoringBimonad, a: AntipodeData, fam: GammaFamily,
     compare_at(rep, "gamma.unit", unit_items())
 
     # the defining formula and the linearity extension agree off simples
-    if t.base.is_vector and t.carrier_dim > 16:
+    if t.base.is_vector and t.carrier_dim > CROSSCHECK_DIM:
         rep.skip("gamma.extension_consistent",
                  "redundant cross-route probe skipped for large carriers")
     else:
@@ -157,7 +133,7 @@ def check_gamma_suite(t: TensoringBimonad, a: AntipodeData, fam: GammaFamily,
     for k, mod in enumerate(stock_modules or []):
         lhs_mod = tensor_modules(mod, free_module(t, unit))
         f = Chain(mod.carrier.tensor(t.carrier)) \
-            .then(fam.step(mod.carrier), at=0) \
+            .then(fam.at_step(mod.carrier), at=0) \
             .then(mod.action, at=1).eval()
         ok = is_t_linear(lhs_mod, free_module(t, mod.carrier), f)
         rep.record(f"gamma.module_linear_{k}", ok)
@@ -192,11 +168,11 @@ def check_comodule(t: TensoringBimonad, carrier: GradedObj,
     """Coassociativity and counit law over the coalgebra T(1)."""
     n = len(carrier.atoms)
     lhs = Chain(carrier).then(rho, at=0).then(rho, at=0).eval()
-    rhs = Chain(carrier).then(rho, at=0).then(t.t2_step(t.unit_obj(), t.unit_obj()),
+    rhs = Chain(carrier).then(rho, at=0).then(t.t2.at_step(t.unit_obj(), t.unit_obj()),
                                               at=n).eval()
     if lhs != rhs:
         return False
-    counit = Chain(carrier).then(rho, at=0).then(t.t0_step(), at=n).eval()
+    counit = Chain(carrier).then(rho, at=0).then(t.t0, at=n).eval()
     return counit == identity(carrier)
 
 
@@ -208,9 +184,9 @@ def check_hopf_module(t: TensoringBimonad, h: HopfModule) -> Report:
     src = t.on_obj(h.carrier)
     lhs = Chain(src).then(h.action, at=0).then(h.coaction, at=0).eval()
     rhs = Chain(src).then(h.coaction, at=1) \
-                    .then(t.t2_step(h.carrier, t.carrier), at=0) \
+                    .then(t.t2.at_step(h.carrier, t.carrier), at=0) \
                     .then(h.action, at=0) \
-                    .then(t.mu_step(t.unit_obj()), at=n).eval()
+                    .then(t.m, at=n).eval()
     diff = lhs - rhs
     rep.record("hopf_module.compatibility", diff.is_zero(),
                witness=None if diff.is_zero() else diff)
@@ -222,26 +198,25 @@ def induced_hopf_module(t: TensoringBimonad, carrier: GradedObj,
     """The free Hopf module on a comodule."""
     n = len(carrier.atoms)
     coact = Chain(t.on_obj(carrier)).then(rho, at=1) \
-        .then(t.t2_step(carrier, t.carrier), at=0) \
-        .then(t.mu_step(t.unit_obj()), at=1 + n).eval()
+        .then(t.t2.at_step(carrier, t.carrier), at=0) \
+        .then(t.m, at=1 + n).eval()
     return HopfModule(t, t.on_obj(carrier), t.mu_mor(carrier), coact)
 
 
 def canonical_hopf_module(t: TensoringBimonad, x: GradedObj) -> HopfModule:
     """(T(X), mu_X, coproduct against the unit)."""
-    coact = Chain(t.on_obj(x)).then(t.t2_step(x, t.unit_obj()), at=0).eval()
+    coact = Chain(t.on_obj(x)).then(t.t2.at_step(x, t.unit_obj()), at=0).eval()
     return HopfModule(t, t.on_obj(x), t.mu_mor(x), coact)
 
 
 def trivial_coaction(t: TensoringBimonad, carrier: GradedObj) -> GradedMor:
-    return Chain(carrier).then(t.eta_step(t.unit_obj()),
+    return Chain(carrier).then(t.u,
                                at=len(carrier.atoms)).eval()
 
 
 def random_comodule(t: TensoringBimonad, grouplikes: list, rng,
                     dim_factor: int = 2) -> tuple:
     """A valid comodule: grouplike coaction lines mixed by an isomorphism."""
-    from .modcat import _invert_mor, _random_iso
     f = t.base.field
     if t.base.is_vector:
         d = max(1, dim_factor)
@@ -255,11 +230,11 @@ def random_comodule(t: TensoringBimonad, grouplikes: list, rng,
         carrier = GradedObj.from_grid(t.base, grid, "N")
     choices = list(grouplikes) if t.base.is_vector else []
     rho = GradedMor.zero(carrier, carrier.tensor(t.carrier))
-    for grade, inc, proj in _summands(carrier):
+    for grade, inc, proj in summand_inclusions(carrier):
         g = choices[rng.randrange(len(choices))] if choices else None
         s = t.simple(grade)
         if g is None:
-            line = Chain(s).then(t.eta_step(t.unit_obj()), at=len(s.atoms)).eval()
+            line = Chain(s).then(t.u, at=len(s.atoms)).eval()
         else:
             line = _grouplike_coaction_line(t, g, s)
         rho = rho + tensor_mor(inc, identity(t.carrier)) @ line @ proj
@@ -267,11 +242,6 @@ def random_comodule(t: TensoringBimonad, grouplikes: list, rng,
     phi_inv = _invert_mor(phi)
     rho = tensor_mor(phi, identity(t.carrier)) @ rho @ phi_inv
     return carrier, rho
-
-
-def _summands(x: GradedObj):
-    from .cat import summand_inclusions
-    yield from summand_inclusions(x)
 
 
 def _grouplike_coaction_line(t: TensoringBimonad, g: Element,
@@ -314,7 +284,7 @@ def coinvariants(t: TensoringBimonad, carrier: GradedObj,
     return n_obj, inc
 
 
-def fundamental_iso(t: TensoringBimonad, fam: GammaFamily,
+def fundamental_iso(t: TensoringBimonad, fam: Family,
                     h: HopfModule) -> Report:
     """Coinvariants generate freely: the canonical map is an isomorphism."""
     rep = Report(f"{t.name}: Hopf module decomposition")
@@ -325,20 +295,20 @@ def fundamental_iso(t: TensoringBimonad, fam: GammaFamily,
     m_obj, r, rho = h.carrier, h.action, h.coaction
     n = len(m_obj.atoms)
 
-    psi = Chain(m_obj).then(rho, at=0).then(fam.step(m_obj), at=0) \
+    psi = Chain(m_obj).then(rho, at=0).then(fam.at_step(m_obj), at=0) \
                       .then(r, at=1).eval()
     rep.record("decomp.retraction", (r @ psi) == identity(m_obj))
     lhs = Chain(t.on_obj(m_obj)).then(r, at=0).then(psi, at=0).eval()
-    rhs = Chain(t.on_obj(m_obj)).then(psi, at=1).then(t.mu_step(m_obj), at=0).eval()
+    rhs = Chain(t.on_obj(m_obj)).then(psi, at=1).then(t.m, at=0).eval()
     rep.record("decomp.linearity", lhs == rhs)
     lhs = Chain(m_obj).then(psi, at=0).then(rho, at=1).eval()
     rhs = Chain(m_obj).then(psi, at=0) \
-        .then(t.eta_step(t.unit_obj()), at=1 + n).eval()
+        .then(t.u, at=1 + n).eval()
     rep.record("decomp.coinvariance", lhs == rhs)
 
     n_obj, inc = coinvariants(t, m_obj, rho)
     lhs = Chain(n_obj).then(inc, at=0).then(psi, at=0).eval()
-    rhs = Chain(n_obj).then(inc, at=0).then(t.eta_step(m_obj), at=0).eval()
+    rhs = Chain(n_obj).then(inc, at=0).then(t.u, at=0).eval()
     rep.record("decomp.unit_on_coinvariants", lhs == rhs)
 
     ti = t.on_mor(inc)
@@ -378,7 +348,7 @@ def fundamental_iso(t: TensoringBimonad, fam: GammaFamily,
     tm_dim = t.on_obj(m_obj).total_dim()
     if t.base.is_vector and tm_dim * tm_dim * t.carrier_dim <= 1 << 24:
         diff = Chain(t.on_obj(m_obj)).then(rho, at=1).eval() - \
-            Chain(t.on_obj(m_obj)).then(t.eta_step(t.unit_obj()), at=1 + n).eval()
+            Chain(t.on_obj(m_obj)).then(t.u, at=1 + n).eval()
         ker = kernel(t.base.field, diff.block(0, 0))
         span = ti.block(0, 0)
         okk = ker.shape[1] == span.shape[1]
@@ -472,10 +442,10 @@ def transport_integral(t: TensoringBimonad, a: AntipodeData, chi,
     if direction == "left":
         # left integral -> right integral through the right antipode
         ch = Chain(t.on_obj(s)).then(c_mor.rdual(), at=1) \
-                               .then(a.sr_step(ds), at=0)
+                               .then(a.sr.at_step(ds), at=0)
     else:
         ch = Chain(t.on_obj(s)).then(c_mor.ldual(), at=1) \
-                               .then(a.sl_step(ds), at=0)
+                               .then(a.sl.at_step(ds), at=0)
     out = ch.eval().block(0, 0)
     return [out[0, k] for k in range(n)]
 
@@ -496,7 +466,6 @@ def _chi_block(t: TensoringBimonad, chi) -> np.ndarray:
 
 def solve_cointegrals(t: TensoringBimonad) -> list[GradedMor]:
     """Basis of maps 1 -> T(1) absorbed by the product (module maps)."""
-    from .modcat import module_hom_space
     return module_hom_space(unit_module(t), free_module(t, t.unit_obj()))
 
 
@@ -533,38 +502,17 @@ def maschke_verdict(t: TensoringBimonad) -> dict:
     return out
 
 
-def separability_element(t: TensoringBimonad, fam: GammaFamily,
-                         lam: GradedMor) -> "SeparabilityFamily":
+def separability_element(t: TensoringBimonad, fam: Family,
+                         lam: GradedMor) -> Family:
     """gamma-with-cointegral: the natural splitting 1 -> T² of the product."""
     comps = {}
     for g in t.simples():
         s = t.simple(g)
-        comps[g] = Chain(s).then(lam, at=len(s.atoms)).then(fam.step(s), at=0).eval()
-    return SeparabilityFamily(t, comps)
+        comps[g] = Chain(s).then(lam, at=len(s.atoms)).then(fam.at_step(s), at=0).eval()
+    return Family(t, comps, (0,), (t.carrier, t.carrier, 0), "separability")
 
 
-class SeparabilityFamily:
-    """Components of a natural map 1 -> T², stored at simples."""
-
-    def __init__(self, t: TensoringBimonad, comps: dict):
-        self.t = t
-        self.comps = comps
-
-    def step(self, x: GradedObj):
-        t = self.t
-        dst = t.on_obj(t.on_obj(x))
-        if t.base.is_vector:
-            core = self.comps[(0, 0)].block(0, 0)
-            return CoreStep(x, dst, core, in_axes=(), out_axes=(0, 1))
-        comp = extend_unary(
-            x, lambda g: self.comps.get(g),
-            lambda o: o, lambda f: f,
-            lambda o: t.on_obj(t.on_obj(o)),
-            lambda f: t.on_mor(t.on_mor(f)))
-        return MorStep(comp)
-
-
-def check_separability(t: TensoringBimonad, gam: SeparabilityFamily) -> Report:
+def check_separability(t: TensoringBimonad, gam: Family) -> Report:
     """The two equations making the splitting natural and unital."""
     rep = Report(f"{t.name}: separability")
 
@@ -572,15 +520,15 @@ def check_separability(t: TensoringBimonad, gam: SeparabilityFamily) -> Report:
         for g in t.simples():
             s = t.simple(g)
             ts = t.on_obj(s)
-            lhs = Chain(ts).then(gam.step(ts), at=0).then(t.mu_step(s), at=1)
-            rhs = Chain(ts).then(gam.step(s), at=1).then(t.mu_step(t.on_obj(s)), at=0)
+            lhs = Chain(ts).then(gam.at_step(ts), at=0).then(t.m, at=1)
+            rhs = Chain(ts).then(gam.at_step(s), at=1).then(t.m, at=0)
             yield (g,), lhs, rhs
 
     def splitting_items():
         for g in t.simples():
             s = t.simple(g)
-            lhs = Chain(s).then(gam.step(s), at=0).then(t.mu_step(s), at=0)
-            rhs = Chain(s).then(t.eta_step(s), at=0)
+            lhs = Chain(s).then(gam.at_step(s), at=0).then(t.m, at=0)
+            rhs = Chain(s).then(t.u, at=0)
             yield (g,), lhs, rhs
 
     compare_at(rep, "separable.bimodule", bimodule_items())
@@ -588,8 +536,8 @@ def check_separability(t: TensoringBimonad, gam: SeparabilityFamily) -> Report:
     return rep
 
 
-def split_module_action(t: TensoringBimonad, gam: SeparabilityFamily,
+def split_module_action(t: TensoringBimonad, gam: Family,
                         m: TModule) -> GradedMor:
     """The natural module-map section of the action."""
-    return Chain(m.carrier).then(gam.step(m.carrier), at=0) \
+    return Chain(m.carrier).then(gam.at_step(m.carrier), at=0) \
                            .then(m.action, at=1).eval()

@@ -5,10 +5,14 @@ equipped with product and unit (held as morphisms m: A⊗A -> A and
 u: 1 -> A, so the monad structure is of A-side form by construction)
 together with free coproduct components at simple pairs and a counit.
 
-Natural transformations are stored by their components at simples (or
-simple pairs); components anywhere else are the forced direct-sum
-extensions, realized either as structured axis steps (vector backend)
-or by the summand formula (graded backend).
+Every natural transformation (coproduct, antipodes, convolution
+elements, T -> T' maps, R-matrices, gamma) is a Family: its components
+at simples (or composable simple pairs) plus the slot layouts of its
+source and target functors.  Family.at_step is the one place that gives
+a component anywhere else, the forced direct-sum extension: an axis step
+on one label, the summand formula of chain.extend on several.  The
+product, unit and counit are plain morphisms that Chain.then whiskers at
+an atom index.
 
 Every axiom is evaluated at all simple tuples, which is complete on
 these backends; reports carry the first failing tuple and the exact
@@ -24,7 +28,7 @@ from .cat import (
     identity,
     tensor_mor,
 )
-from .chain import Chain, CoreStep, Evaluated, MorStep, extend_pair, extend_unary
+from .chain import Chain, CoreStep, Evaluated, MorStep, extend, layout_word, slot_word
 from .exactla import DimensionMismatch, ExactError
 from .report import CheckResult, Report
 
@@ -56,16 +60,12 @@ class TensoringBimonad:
         if t0.src != carrier or t0.dst != GradedObj.unit(base):
             raise StructureError("counit must map T(1) -> 1")
         self._simples = {g: GradedObj.simple(base, *g) for g in self.simples()}
-        self.t2 = {}
-        for (g1, g2), comp in t2.items():
-            s1, s2 = self.simple(g1), self.simple(g2)
-            if comp.src != self.on_obj(s1.tensor(s2)) or \
-                    comp.dst != self.on_obj(s1).tensor(self.on_obj(s2)):
-                raise StructureError(f"coproduct component at {(g1, g2)} has wrong ends")
-            self.t2[(g1, g2)] = comp
-        for g1, g2 in self.composable_pairs():
-            if (g1, g2) not in self.t2:
-                raise StructureError(f"missing coproduct component at {(g1, g2)}")
+        missing = set(self.composable_pairs()) - set(t2)
+        if missing:
+            raise StructureError(f"missing coproduct component at {min(missing)}")
+        # the coproduct T(X⊗Y) -> T(X)⊗T(Y)
+        self.t2 = Family(self, t2, (carrier, 0, 1), (carrier, 0, carrier, 1),
+                         "coproduct")
 
     # -- objects and simples ---------------------------------------------
 
@@ -105,52 +105,12 @@ class TensoringBimonad:
     def unit_obj(self) -> GradedObj:
         return GradedObj.unit(self.base)
 
-    # -- structure morphisms as chain steps --------------------------------
-
-    def mu_step(self, x: GradedObj):
-        """mu at x: T²(x) -> T(x), always of the form m ⊗ id."""
-        if self.base.is_vector:
-            src = self.carrier.tensor(self.carrier).tensor(x)
-            return CoreStep(src, self.on_obj(x), self.m.block(0, 0),
-                            in_axes=(0, 1), out_axes=(0,))
-        return MorStep(tensor_mor(self.m, identity(x)))
-
-    def eta_step(self, x: GradedObj):
-        if self.base.is_vector:
-            return CoreStep(x, self.on_obj(x), self.u.block(0, 0),
-                            in_axes=(), out_axes=(0,))
-        return MorStep(tensor_mor(self.u, identity(x)))
-
-    def t0_step(self):
-        return MorStep(self.t0)
-
-    def t2_step(self, x: GradedObj, y: GradedObj):
-        """Coproduct at (x, y): T(x⊗y) -> T(x)⊗T(y), extended from simples."""
-        if self.base.is_vector:
-            core = self.t2[((0, 0), (0, 0))].block(0, 0)
-            src = self.on_obj(x.tensor(y))
-            dst = self.on_obj(x).tensor(self.on_obj(y))
-            return CoreStep(src, dst, core,
-                            in_axes=(0,), out_axes=(0, 1 + len(x.atoms)))
-        comp = extend_pair(
-            x, y,
-            lambda g1, g2: self.t2.get((g1, g2)),
-            lambda a, b: self.on_obj(a.tensor(b)),
-            lambda f, g: self.on_mor(tensor_mor(f, g)),
-            lambda a, b: self.on_obj(a).tensor(self.on_obj(b)),
-            lambda f, g: tensor_mor(self.on_mor(f), self.on_mor(g)),
-        )
-        return MorStep(comp)
-
     # materialized variants, for solver-facing code on small objects
     def mu_mor(self, x: GradedObj) -> GradedMor:
         return tensor_mor(self.m, identity(x))
 
     def eta_mor(self, x: GradedObj) -> GradedMor:
         return tensor_mor(self.u, identity(x))
-
-    def t2_mor(self, x: GradedObj, y: GradedObj) -> GradedMor:
-        return self.t2_step(x, y).to_mor()
 
     def __repr__(self):
         return f"TensoringBimonad({self.name}, dim {self.carrier_dim}, " \
@@ -162,73 +122,92 @@ class TensoringBimonad:
 # ---------------------------------------------------------------------------
 
 
-class Element:
+class Family:
+    """A natural family, stored by its components at simples.
+
+    `src` and `dst` are the slot layouts of the source and target
+    functors (see chain.py): an element 1 -> T is (0,) -> (A, 0), an
+    R-matrix is (0, 1) -> (A, 1, A, 0), an antipode (A, ~0, A*) -> (~0,).
+    One-argument families are keyed by a simple, two-argument ones by a
+    composable pair of simples; absent components are zero.
+    """
+
+    def __init__(self, t: TensoringBimonad, comps: dict, src: tuple,
+                 dst: tuple, label: str = "f"):
+        self.t = t
+        self.src = src
+        self.dst = dst
+        self.label = label
+        pairs = any(isinstance(s, int) and s in (1, ~1) for s in src + dst)
+        self.keys = t.composable_pairs() if pairs else t.simples()
+        self.comps = {}
+        for key in self.keys:
+            xs = tuple(t.simple(g) for g in key) if pairs else (t.simple(key),)
+            s, d = layout_word(src, xs), layout_word(dst, xs)
+            comp = comps.get(key)
+            if comp is None:
+                comp = GradedMor.zero(s, d)
+            elif comp.src != s or comp.dst != d:
+                raise StructureError(f"{label} component at {key} has wrong ends")
+            self.comps[key] = comp
+
+    def __getitem__(self, key) -> GradedMor:
+        return self.comps[key]
+
+    def at_step(self, *xs: GradedObj):
+        """The component at the objects xs as a chain step.
+
+        On one label the component is its core on the fixed slots, tensored
+        with the identity of the arguments; otherwise it is the direct-sum
+        extension from the simples.
+        """
+        if not self.t.base.is_vector:
+            return MorStep(extend(self.src, self.dst, xs, self.comps))
+        in_axes, src_pass = _slot_axes(self.src, xs)
+        out_axes, dst_pass = _slot_axes(self.dst, xs)
+        return CoreStep(layout_word(self.src, xs), layout_word(self.dst, xs),
+                        self.comps[self.keys[0]].block(0, 0), in_axes, out_axes,
+                        pass_perm=[src_pass.index(p) for p in dst_pass])
+
+    def at(self, *xs: GradedObj) -> GradedMor:
+        return self.at_step(*xs).to_mor()
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Family):
+            return NotImplemented
+        return all(self.comps[k] == other.comps[k] for k in self.keys)
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self.label})"
+
+
+def _slot_axes(layout: tuple, xs: tuple) -> tuple:
+    """Atom positions of the fixed slots, and (slot, atom) tags of the rest."""
+    fixed, passing, pos = [], [], 0
+    for slot in layout:
+        n = len(slot_word(slot, xs).atoms)
+        if isinstance(slot, GradedObj):
+            fixed.extend(range(pos, pos + n))
+        else:
+            passing.extend((slot, i) for i in range(n))
+        pos += n
+    return tuple(fixed), passing
+
+
+class Element(Family):
     """A natural family 1_C -> T: one morphism S -> T(S) per simple."""
 
     def __init__(self, t: TensoringBimonad, comps: dict, label: str = "f"):
-        self.t = t
-        self.label = label
-        self.comps = {}
-        for g in t.simples():
-            c = comps.get(g)
-            if c is None:
-                s = t.simple(g)
-                c = GradedMor.zero(s, t.on_obj(s))
-            self.comps[g] = c
-
-    def at_step(self, x: GradedObj):
-        t = self.t
-        if t.base.is_vector:
-            core = self.comps[(0, 0)].block(0, 0)
-            return CoreStep(x, t.on_obj(x), core, in_axes=(), out_axes=(0,))
-        comp = extend_unary(
-            x, lambda g: self.comps.get(g),
-            lambda a: a, lambda f: f,
-            lambda a: t.on_obj(a), lambda f: t.on_mor(f))
-        return MorStep(comp)
-
-    def at(self, x: GradedObj) -> GradedMor:
-        return self.at_step(x).to_mor()
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Element):
-            return NotImplemented
-        return all(self.comps[g] == other.comps[g] for g in self.t.simples())
-
-    def __hash__(self):
-        raise TypeError("Element is unhashable")
-
-    def __repr__(self):
-        return f"Element({self.label})"
+        super().__init__(t, comps, (0,), (t.carrier, 0), label)
 
 
-class TransTT:
+class TransTT(Family):
     """A natural family T -> T': one morphism T(S) -> T'(S) per simple."""
 
     def __init__(self, t: TensoringBimonad, t_dst: TensoringBimonad,
                  comps: dict, label: str = "f"):
-        self.t = t
         self.t_dst = t_dst
-        self.label = label
-        self.comps = dict(comps)
-        for g in t.simples():
-            if g not in self.comps:
-                s = t.simple(g)
-                self.comps[g] = GradedMor.zero(t.on_obj(s), t_dst.on_obj(s))
-
-    def at_step(self, x: GradedObj):
-        if self.t.base.is_vector:
-            core = self.comps[(0, 0)].block(0, 0)
-            return CoreStep(self.t.on_obj(x), self.t_dst.on_obj(x), core,
-                            in_axes=(0,), out_axes=(0,))
-        comp = extend_unary(
-            x, lambda g: self.comps.get(g),
-            lambda a: self.t.on_obj(a), lambda f: self.t.on_mor(f),
-            lambda a: self.t_dst.on_obj(a), lambda f: self.t_dst.on_mor(f))
-        return MorStep(comp)
-
-    def at(self, x: GradedObj) -> GradedMor:
-        return self.at_step(x).to_mor()
+        super().__init__(t, comps, (t.carrier, 0), (t_dst.carrier, 0), label)
 
     def compose(self, other: "TransTT") -> "TransTT":
         if other.t_dst is not self.t and other.t_dst.carrier != self.t.carrier:
@@ -236,57 +215,17 @@ class TransTT:
         comps = {g: self.comps[g] @ other.comps[g] for g in self.t.simples()}
         return TransTT(other.t, self.t_dst, comps, f"{self.label}∘{other.label}")
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TransTT):
-            return NotImplemented
-        return all(self.comps[g] == other.comps[g] for g in self.t.simples())
-
-    def __hash__(self):
-        raise TypeError("TransTT is unhashable")
-
     def is_identity(self) -> bool:
         return all(self.comps[g] == identity(self.t.on_obj(self.t.simple(g)))
                    for g in self.t.simples())
 
 
-class PairFamily:
+class PairFamily(Family):
     """A natural family X⊗Y -> T(Y)⊗T(X): components at simple pairs."""
 
     def __init__(self, t: TensoringBimonad, comps: dict, label: str = "R"):
-        self.t = t
-        self.label = label
-        self.star_inverse = None  # optionally supplied; always recomputed
-        self.comps = dict(comps)
-        for pair in t.composable_pairs():
-            if pair not in self.comps:
-                g1, g2 = pair
-                s1, s2 = t.simple(g1), t.simple(g2)
-                self.comps[pair] = GradedMor.zero(
-                    s1.tensor(s2), t.on_obj(s2).tensor(t.on_obj(s1)))
-
-    def at_step(self, x: GradedObj, y: GradedObj):
-        t = self.t
-        if t.base.is_vector:
-            core = self.comps[((0, 0), (0, 0))].block(0, 0)
-            src = x.tensor(y)
-            dst = t.on_obj(y).tensor(t.on_obj(x))
-            nx, ny = len(x.atoms), len(y.atoms)
-            # pass-through: dst carries y's atoms first, then x's
-            perm = tuple(list(range(nx, nx + ny)) + list(range(nx)))
-            return CoreStep(src, dst, core, in_axes=(), out_axes=(0, 1 + ny),
-                            pass_perm=perm)
-        comp = extend_pair(
-            x, y,
-            lambda g1, g2: self.comps.get((g1, g2)),
-            lambda a, b: a.tensor(b),
-            lambda f, g: tensor_mor(f, g),
-            lambda a, b: t.on_obj(b).tensor(t.on_obj(a)),
-            lambda f, g: tensor_mor(t.on_mor(g), t.on_mor(f)),
-        )
-        return MorStep(comp)
-
-    def at(self, x: GradedObj, y: GradedObj) -> GradedMor:
-        return self.at_step(x, y).to_mor()
+        a = t.carrier
+        super().__init__(t, comps, (0, 1), (a, 1, a, 0), label)
 
 
 # ---------------------------------------------------------------------------
@@ -318,8 +257,8 @@ def check_monad(t: TensoringBimonad) -> Report:
         for g in t.simples():
             s = t.simple(g)
             t2s = t.on_obj(t.on_obj(t.on_obj(s)))
-            lhs = Chain(t2s).then(t.mu_step(s), at=1).then(t.mu_step(s), at=0)
-            rhs = Chain(t2s).then(t.mu_step(t.on_obj(s)), at=0).then(t.mu_step(s), at=0)
+            lhs = Chain(t2s).then(t.m, at=1).then(t.m, at=0)
+            rhs = Chain(t2s).then(t.m, at=0).then(t.m, at=0)
             yield (g,), lhs, rhs
 
     def unit_items(side):
@@ -327,9 +266,9 @@ def check_monad(t: TensoringBimonad) -> Report:
             s = t.simple(g)
             ts = t.on_obj(s)
             if side == "left":
-                lhs = Chain(ts).then(t.eta_step(ts), at=0).then(t.mu_step(s), at=0)
+                lhs = Chain(ts).then(t.u, at=0).then(t.m, at=0)
             else:
-                lhs = Chain(ts).then(t.eta_step(s), at=1).then(t.mu_step(s), at=0)
+                lhs = Chain(ts).then(t.u, at=1).then(t.m, at=0)
             yield (g,), lhs, Chain(ts)
 
     compare_at(rep, "monad.assoc", assoc_items())
@@ -347,10 +286,10 @@ def check_comonoidal(t: TensoringBimonad) -> Report:
             s1, s2, s3 = t.simple(g1), t.simple(g2), t.simple(g3)
             src = t.on_obj(s1.tensor(s2).tensor(s3))
             n1 = len(s1.atoms)
-            lhs = Chain(src).then(t.t2_step(s1, s2.tensor(s3)), at=0) \
-                            .then(t.t2_step(s2, s3), at=1 + n1)
-            rhs = Chain(src).then(t.t2_step(s1.tensor(s2), s3), at=0) \
-                            .then(t.t2_step(s1, s2), at=0)
+            lhs = Chain(src).then(t.t2.at_step(s1, s2.tensor(s3)), at=0) \
+                            .then(t.t2.at_step(s2, s3), at=1 + n1)
+            rhs = Chain(src).then(t.t2.at_step(s1.tensor(s2), s3), at=0) \
+                            .then(t.t2.at_step(s1, s2), at=0)
             yield (g1, g2, g3), lhs, rhs
 
     def counit_items(side):
@@ -359,11 +298,11 @@ def check_comonoidal(t: TensoringBimonad) -> Report:
             s = t.simple(g)
             ts = t.on_obj(s)
             if side == "right":
-                lhs = Chain(ts).then(t.t2_step(s, unit), at=0) \
-                               .then(t.t0_step(), at=1 + len(s.atoms))
+                lhs = Chain(ts).then(t.t2.at_step(s, unit), at=0) \
+                               .then(t.t0, at=1 + len(s.atoms))
             else:
-                lhs = Chain(ts).then(t.t2_step(unit, s), at=0) \
-                               .then(t.t0_step(), at=0)
+                lhs = Chain(ts).then(t.t2.at_step(unit, s), at=0) \
+                               .then(t.t0, at=0)
             yield (g,), lhs, Chain(ts)
 
     compare_at(rep, "comonoidal.coassoc", coassoc_items())
@@ -400,12 +339,12 @@ def check_bimonad(t: TensoringBimonad) -> Report:
     def mult_compat_chains(s1, s2):
         src = t.on_obj(t.on_obj(s1.tensor(s2)))
         n1 = len(s1.atoms)
-        lhs = Chain(src).then(t.mu_step(s1.tensor(s2)), at=0) \
-                        .then(t.t2_step(s1, s2), at=0)
-        rhs = Chain(src).then(t.t2_step(s1, s2), at=1) \
-                        .then(t.t2_step(t.on_obj(s1), t.on_obj(s2)), at=0) \
-                        .then(t.mu_step(s1), at=0) \
-                        .then(t.mu_step(s2), at=1 + n1)
+        lhs = Chain(src).then(t.m, at=0) \
+                        .then(t.t2.at_step(s1, s2), at=0)
+        rhs = Chain(src).then(t.t2.at_step(s1, s2), at=1) \
+                        .then(t.t2.at_step(t.on_obj(s1), t.on_obj(s2)), at=0) \
+                        .then(t.m, at=0) \
+                        .then(t.m, at=1 + n1)
         return lhs, rhs
 
     def mult_compat_items():
@@ -429,21 +368,21 @@ def check_bimonad(t: TensoringBimonad) -> Report:
 
     def counit_mult_items():
         src = t.carrier.tensor(t.carrier)
-        lhs = Chain(src).then(t.mu_step(unit), at=0).then(t.t0_step(), at=0)
-        rhs = Chain(src).then(t.t0_step(), at=1).then(t.t0_step(), at=0)
+        lhs = Chain(src).then(t.m, at=0).then(t.t0, at=0)
+        rhs = Chain(src).then(t.t0, at=1).then(t.t0, at=0)
         yield (), lhs, rhs
 
     def coprod_unit_items():
         for g1, g2 in t.composable_pairs():
             s1, s2 = t.simple(g1), t.simple(g2)
             src = s1.tensor(s2)
-            lhs = Chain(src).then(t.eta_step(src), at=0).then(t.t2_step(s1, s2), at=0)
-            rhs = Chain(src).then(t.eta_step(s1), at=0) \
-                            .then(t.eta_step(s2), at=1 + len(s1.atoms))
+            lhs = Chain(src).then(t.u, at=0).then(t.t2.at_step(s1, s2), at=0)
+            rhs = Chain(src).then(t.u, at=0) \
+                            .then(t.u, at=1 + len(s1.atoms))
             yield (g1, g2), lhs, rhs
 
     def counit_unit_items():
-        lhs = Chain(unit).then(t.eta_step(unit), at=0).then(t.t0_step(), at=0)
+        lhs = Chain(unit).then(t.u, at=0).then(t.t0, at=0)
         yield (), lhs, Chain(unit)
 
     compare_at(rep, "bimonad.mult_compat", mult_compat_items())
@@ -469,7 +408,7 @@ def convolve(t: TensoringBimonad, f: Element, g: Element) -> Element:
         s = t.simple(gr)
         ch = Chain(s).then(g.at_step(s), at=0) \
                      .then(f.at_step(t.on_obj(s)), at=0) \
-                     .then(t.mu_step(s), at=0)
+                     .then(t.m, at=0)
         comps[gr] = ch.eval()
     return Element(t, comps, f"{f.label}*{g.label}")
 
@@ -481,7 +420,7 @@ def convolve_alt(t: TensoringBimonad, f: Element, g: Element) -> Element:
         s = t.simple(gr)
         ch = Chain(s).then(f.at_step(s), at=0) \
                      .then(g.at_step(s), at=1) \
-                     .then(t.mu_step(s), at=0)
+                     .then(t.m, at=0)
         comps[gr] = ch.eval()
     return Element(t, comps, f"{f.label}*{g.label}")
 
@@ -492,7 +431,7 @@ def left_mult(t: TensoringBimonad, a: Element) -> TransTT:
     for gr in t.simples():
         s = t.simple(gr)
         ts = t.on_obj(s)
-        comps[gr] = Chain(ts).then(a.at_step(ts), at=0).then(t.mu_step(s), at=0).eval()
+        comps[gr] = Chain(ts).then(a.at_step(ts), at=0).then(t.m, at=0).eval()
     return TransTT(t, t, comps, f"L[{a.label}]")
 
 
@@ -502,7 +441,7 @@ def right_mult(t: TensoringBimonad, a: Element) -> TransTT:
     for gr in t.simples():
         s = t.simple(gr)
         ts = t.on_obj(s)
-        comps[gr] = Chain(ts).then(a.at_step(s), at=1).then(t.mu_step(s), at=0).eval()
+        comps[gr] = Chain(ts).then(a.at_step(s), at=1).then(t.m, at=0).eval()
     return TransTT(t, t, comps, f"R[{a.label}]")
 
 
@@ -534,13 +473,13 @@ def check_grouplike(t: TensoringBimonad, g: Element) -> bool:
     for g1, g2 in t.composable_pairs():
         s1, s2 = t.simple(g1), t.simple(g2)
         src = s1.tensor(s2)
-        lhs = Chain(src).then(g.at_step(src), at=0).then(t.t2_step(s1, s2), at=0)
+        lhs = Chain(src).then(g.at_step(src), at=0).then(t.t2.at_step(s1, s2), at=0)
         rhs = Chain(src).then(g.at_step(s1), at=0) \
                         .then(g.at_step(s2), at=1 + len(s1.atoms))
         if not (lhs.eval() - rhs.eval()).is_zero():
             return False
     unit = t.unit_obj()
-    lhs = Chain(unit).then(g.at_step(unit), at=0).then(t.t0_step(), at=0)
+    lhs = Chain(unit).then(g.at_step(unit), at=0).then(t.t0, at=0)
     return lhs.eval() == identity(unit)
 
 
@@ -558,17 +497,17 @@ def check_monad_morphism(f: TransTT) -> Report:
         for g in t.simples():
             s = t.simple(g)
             src = t.on_obj(t.on_obj(s))
-            lhs = Chain(src).then(t.mu_step(s), at=0).then(f.at_step(s), at=0)
+            lhs = Chain(src).then(t.m, at=0).then(f.at_step(s), at=0)
             rhs = Chain(src).then(f.at_step(s), at=1) \
                             .then(f.at_step(tp.on_obj(s)), at=0) \
-                            .then(tp.mu_step(s), at=0)
+                            .then(tp.m, at=0)
             yield (g,), lhs, rhs
 
     def unit_items():
         for g in t.simples():
             s = t.simple(g)
-            lhs = Chain(s).then(t.eta_step(s), at=0).then(f.at_step(s), at=0)
-            rhs = Chain(s).then(tp.eta_step(s), at=0)
+            lhs = Chain(s).then(t.u, at=0).then(f.at_step(s), at=0)
+            rhs = Chain(s).then(tp.u, at=0)
             yield (g,), lhs, rhs
 
     def coproduct_items():
@@ -576,16 +515,16 @@ def check_monad_morphism(f: TransTT) -> Report:
             s1, s2 = t.simple(g1), t.simple(g2)
             src = t.on_obj(s1.tensor(s2))
             lhs = Chain(src).then(f.at_step(s1.tensor(s2)), at=0) \
-                            .then(tp.t2_step(s1, s2), at=0)
-            rhs = Chain(src).then(t.t2_step(s1, s2), at=0) \
+                            .then(tp.t2.at_step(s1, s2), at=0)
+            rhs = Chain(src).then(t.t2.at_step(s1, s2), at=0) \
                             .then(f.at_step(s1), at=0) \
                             .then(f.at_step(s2), at=1 + len(s1.atoms))
             yield (g1, g2), lhs, rhs
 
     def counit_items():
         src = t.carrier
-        lhs = Chain(src).then(f.at_step(t.unit_obj()), at=0).then(tp.t0_step(), at=0)
-        rhs = Chain(src).then(t.t0_step(), at=0)
+        lhs = Chain(src).then(f.at_step(t.unit_obj()), at=0).then(tp.t0, at=0)
+        rhs = Chain(src).then(t.t0, at=0)
         yield (), lhs, rhs
 
     compare_at(rep, "morphism.product", product_items())

@@ -32,6 +32,7 @@ from dataclasses import dataclass, field as dc_field
 from .antipode import AntipodeData
 from .cat import BaseSpec, GradedMor, GradedObj
 from .exactla import ExactError, FieldSpec, inverse
+from .modcat import TModule
 from .monad import Element, PairFamily, TensoringBimonad
 from .zoo import AlgebraTable
 
@@ -217,7 +218,6 @@ def _load_vector(pres: dict, name: str, base: BaseSpec) -> Model:
         model.grouplikes.append(element_from_vector(t, g, f"g{k}"))
 
     for k, spec in enumerate(pres.get("stock_modules", [])):
-        from .modcat import TModule
         d = int(spec["dim"])
         act = _coerce_mat(f, spec["action"], d, n * d, f"stock_modules[{k}]")
         carrier = GradedObj.space(base, d, f"V{k}")

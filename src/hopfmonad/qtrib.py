@@ -9,7 +9,7 @@ at most carrier-dim^5 even for the 36-dimensional double.
 from __future__ import annotations
 
 from .antipode import AntipodeData, s_map
-from .cat import GradedMor, coev_mor, ev_mor, identity
+from .cat import GradedMor, coev_mor, ev_mor
 from .chain import Chain, Evaluated
 from .exactla import ExactError
 from .modcat import (TModule, _invert_mor, dual_module_left, free_module,
@@ -46,7 +46,7 @@ def star_inverse_of_r(t: TensoringBimonad, a: AntipodeData,
         ch = Chain(src) \
             .then(coev_mor(ts1), at=0) \
             .then(r.at_step(ts1.dual(), s2), at=2) \
-            .then(a.sl_step(s1), at=4) \
+            .then(a.sl.at_step(s1), at=4) \
             .then(ev_mor(s1), at=4)
         comps[(g2, g1)] = ch.eval()
     return PairFamily(t, comps, r.label + "^-1")
@@ -66,14 +66,14 @@ def check_rmatrix(t: TensoringBimonad, r: PairFamily,
             ts1, ts2 = t.on_obj(s1), t.on_obj(s2)
             src = t.on_obj(s1.tensor(s2))
             n1, n2 = len(s1.atoms), len(s2.atoms)
-            lhs = Chain(src).then(t.t2_step(s1, s2), at=0) \
+            lhs = Chain(src).then(t.t2.at_step(s1, s2), at=0) \
                             .then(r.at_step(ts1, ts2), at=0) \
-                            .then(t.mu_step(s2), at=0) \
-                            .then(t.mu_step(s1), at=1 + n2)
+                            .then(t.m, at=0) \
+                            .then(t.m, at=1 + n2)
             rhs = Chain(src).then(r.at_step(s1, s2), at=1) \
-                            .then(t.t2_step(ts2, ts1), at=0) \
-                            .then(t.mu_step(s2), at=0) \
-                            .then(t.mu_step(s1), at=1 + n2)
+                            .then(t.t2.at_step(ts2, ts1), at=0) \
+                            .then(t.m, at=0) \
+                            .then(t.m, at=1 + n2)
             yield (g1, g2), lhs, rhs
 
     def left_product_items():
@@ -85,10 +85,10 @@ def check_rmatrix(t: TensoringBimonad, r: PairFamily,
                 src = s1.tensor(s2).tensor(s3)
                 n1, n2, n3 = (len(s.atoms) for s in (s1, s2, s3))
                 lhs = Chain(src).then(r.at_step(s1.tensor(s2), s3), at=0) \
-                                .then(t.t2_step(s1, s2), at=1 + n3)
+                                .then(t.t2.at_step(s1, s2), at=1 + n3)
                 rhs = Chain(src).then(r.at_step(s2, s3), at=n1) \
                                 .then(r.at_step(s1, t.on_obj(s3)), at=0) \
-                                .then(t.mu_step(s3), at=0)
+                                .then(t.m, at=0)
                 yield (g1, g2, g3), lhs, rhs
 
     def right_product_items():
@@ -100,26 +100,26 @@ def check_rmatrix(t: TensoringBimonad, r: PairFamily,
                 src = s1.tensor(s2).tensor(s3)
                 n1, n2, n3 = (len(s.atoms) for s in (s1, s2, s3))
                 lhs = Chain(src).then(r.at_step(s1, s2.tensor(s3)), at=0) \
-                                .then(t.t2_step(s2, s3), at=0)
+                                .then(t.t2.at_step(s2, s3), at=0)
                 rhs = Chain(src).then(r.at_step(s1, s2), at=0) \
                                 .then(r.at_step(t.on_obj(s1), s3), at=1 + n2) \
-                                .then(t.mu_step(s1), at=2 + n2 + n3)
+                                .then(t.m, at=2 + n2 + n3)
                 yield (g1, g2, g3), lhs, rhs
 
     def unit_left_items():
         for g in t.simples():
             s = t.simple(g)
             lhs = Chain(s).then(r.at_step(unit, s), at=0) \
-                          .then(t.t0_step(), at=1 + len(s.atoms))
-            rhs = Chain(s).then(t.eta_step(s), at=0)
+                          .then(t.t0, at=1 + len(s.atoms))
+            rhs = Chain(s).then(t.u, at=0)
             yield (g,), lhs, rhs
 
     def unit_right_items():
         for g in t.simples():
             s = t.simple(g)
             lhs = Chain(s).then(r.at_step(s, unit), at=0) \
-                          .then(t.t0_step(), at=0)
-            rhs = Chain(s).then(t.eta_step(s), at=0)
+                          .then(t.t0, at=0)
+            rhs = Chain(s).then(t.u, at=0)
             yield (g,), lhs, rhs
 
     compare_at(rep, "rmatrix.linearity", linearity_items())
@@ -133,10 +133,6 @@ def check_rmatrix(t: TensoringBimonad, r: PairFamily,
                    _star_inverse_left_items(t, r, r_inv))
         compare_at(rep, "rmatrix.star_inverse_right",
                    _star_inverse_right_items(t, r, r_inv))
-        if r.star_inverse is not None:
-            ok = all(r_inv.comps[k] == r.star_inverse.comps[k]
-                     for k in r_inv.comps)
-            rep.record("rmatrix.supplied_inverse_agrees", ok)
     else:
         rep.skip("rmatrix.star_inverse_left", "needs a left antipode")
 
@@ -153,10 +149,10 @@ def _star_inverse_left_items(t, r, r_inv):
         n1, n2 = len(s1.atoms), len(s2.atoms)
         lhs = Chain(src).then(r.at_step(s1, s2), at=0) \
                         .then(r_inv.at_step(ts2, ts1), at=0) \
-                        .then(t.mu_step(s1), at=0) \
-                        .then(t.mu_step(s2), at=1 + n1)
-        rhs = Chain(src).then(t.eta_step(s1), at=0) \
-                        .then(t.eta_step(s2), at=1 + n1)
+                        .then(t.m, at=0) \
+                        .then(t.m, at=1 + n1)
+        rhs = Chain(src).then(t.u, at=0) \
+                        .then(t.u, at=1 + n1)
         yield (g1, g2), lhs, rhs
 
 
@@ -168,10 +164,10 @@ def _star_inverse_right_items(t, r, r_inv):
         n1, n2 = len(s1.atoms), len(s2.atoms)
         lhs = Chain(src).then(r_inv.at_step(s2, s1), at=0) \
                         .then(r.at_step(ts1, ts2), at=0) \
-                        .then(t.mu_step(s2), at=0) \
-                        .then(t.mu_step(s1), at=1 + n2)
-        rhs = Chain(src).then(t.eta_step(s2), at=0) \
-                        .then(t.eta_step(s1), at=1 + n2)
+                        .then(t.m, at=0) \
+                        .then(t.m, at=1 + n2)
+        rhs = Chain(src).then(t.u, at=0) \
+                        .then(t.u, at=1 + n2)
         yield (g2, g1), lhs, rhs
 
 
@@ -185,17 +181,17 @@ def _yang_baxter_items(t, r):
         lhs = Chain(src) \
             .then(r.at_step(s1, s2), at=0) \
             .then(r.at_step(ts1, s3), at=1 + n2) \
-            .then(t.mu_step(s1), at=2 + n2 + n3) \
+            .then(t.m, at=2 + n2 + n3) \
             .then(r.at_step(ts2, ts3), at=0) \
-            .then(t.mu_step(s3), at=0) \
-            .then(t.mu_step(s2), at=1 + n3)
+            .then(t.m, at=0) \
+            .then(t.m, at=1 + n3)
         rhs = Chain(src) \
             .then(r.at_step(s2, s3), at=n1) \
             .then(r.at_step(s1, ts3), at=0) \
-            .then(t.mu_step(s3), at=0) \
+            .then(t.m, at=0) \
             .then(r.at_step(ts1, ts2), at=1 + n3) \
-            .then(t.mu_step(s2), at=1 + n3) \
-            .then(t.mu_step(s1), at=2 + n2 + n3)
+            .then(t.m, at=1 + n3) \
+            .then(t.m, at=2 + n2 + n3)
         yield (g1, g2, g3), lhs, rhs
 
 
@@ -210,8 +206,8 @@ def check_r_dual_laws(t: TensoringBimonad, a: AntipodeData,
             ts1, ts2 = t.on_obj(s1), t.on_obj(s2)
             src = ts1.dual().tensor(ts2.dual())
             rhs = Chain(src).then(r.at_step(ts1.dual(), ts2.dual()), at=0) \
-                            .then(a.sl_step(s2), at=0) \
-                            .then(a.sl_step(s1), at=len(s2.atoms))
+                            .then(a.sl.at_step(s2), at=0) \
+                            .then(a.sl.at_step(s1), at=len(s2.atoms))
             yield (g1, g2), Evaluated(r.at(s1, s2).ldual()), rhs
 
     def right_items():
@@ -220,8 +216,8 @@ def check_r_dual_laws(t: TensoringBimonad, a: AntipodeData,
             ts1, ts2 = t.on_obj(s1), t.on_obj(s2)
             src = ts1.dual().tensor(ts2.dual())
             rhs = Chain(src).then(r.at_step(ts1.dual(), ts2.dual()), at=0) \
-                            .then(a.sr_step(s2), at=0) \
-                            .then(a.sr_step(s1), at=len(s2.atoms))
+                            .then(a.sr.at_step(s2), at=0) \
+                            .then(a.sr.at_step(s1), at=len(s2.atoms))
             yield (g1, g2), Evaluated(r.at(s1, s2).rdual()), rhs
 
     compare_at(rep, "rmatrix.left_dual_law", left_items())
@@ -267,8 +263,8 @@ def braiding_on_modules(t: TensoringBimonad, r: PairFamily,
     out4 = f.tensordot(a1, r3, axes=([0], [1]))    # [n', n, m', m]
     blk = out4.transpose(0, 2, 3, 1).reshape(dn * dm, dm * dn)
     tau = GradedMor(src, dst, {(0, 0): blk})
-    if ad * max(dm, dn) <= 64:
-        assert tau == _braiding_chain(t, r, m, n)
+    if ad * max(dm, dn) <= 64 and tau != _braiding_chain(t, r, m, n):
+        raise StructureError("fast and generic braiding routes disagree")
     return tau
 
 
@@ -339,9 +335,9 @@ def drinfeld_element(t: TensoringBimonad, a: AntipodeData,
         nd = len(w_dual.atoms)
         ch = Chain(s) \
             .then(coev_mor(w_dual), at=n) \
-            .then(t.mu_step(s), at=n + nd) \
+            .then(t.m, at=n + nd) \
             .then(r.at_step(s, w_dual), at=0) \
-            .then(a.sl_step(ts), at=0) \
+            .then(a.sl.at_step(ts), at=0) \
             .then(ev_mor(ts), at=0)
         comps[g] = ch.eval()
     return Element(t, comps, "u")
@@ -366,7 +362,7 @@ def drinfeld_inverse(t: TensoringBimonad, a: AntipodeData,
         m_word = fm.carrier
         n = len(m_word.atoms)
         ch = Chain(s) \
-            .then(t.eta_step(s), at=0) \
+            .then(t.u, at=0) \
             .then(coev_mor(m_word), at=n) \
             .then(tau_inv, at=n) \
             .then(ev_mor(m_word.dual()), at=0)
@@ -390,20 +386,20 @@ def check_drinfeld(t: TensoringBimonad, u: Element, r_inv: PairFamily,
             n1, n2 = len(s1.atoms), len(s2.atoms)
             src = s1.tensor(s2)
             lhs = Chain(src).then(u.at_step(src), at=0) \
-                            .then(t.t2_step(s1, s2), at=0)
+                            .then(t.t2.at_step(s1, s2), at=0)
             rhs = Chain(src) \
                 .then(r_inv.at_step(s1, s2), at=0) \
                 .then(r_inv.at_step(ts2, ts1), at=0) \
-                .then(t.mu_step(s1), at=0) \
-                .then(t.mu_step(s2), at=1 + n1) \
+                .then(t.m, at=0) \
+                .then(t.m, at=1 + n1) \
                 .then(u.at_step(ts1), at=0) \
-                .then(t.mu_step(s1), at=0) \
+                .then(t.m, at=0) \
                 .then(u.at_step(ts2), at=1 + n1) \
-                .then(t.mu_step(s2), at=1 + n1)
+                .then(t.m, at=1 + n1)
             yield (g1, g2), lhs, rhs
 
     def counit_items():
-        lhs = Chain(unit).then(u.at_step(unit), at=0).then(t.t0_step(), at=0)
+        lhs = Chain(unit).then(u.at_step(unit), at=0).then(t.t0, at=0)
         yield (), lhs, Chain(unit)
 
     compare_at(rep, "drinfeld.comultiplicativity", comul_items())
@@ -470,16 +466,16 @@ def check_twist(t: TensoringBimonad, a: AntipodeData, r: PairFamily,
             n1, n2 = len(s1.atoms), len(s2.atoms)
             src = s1.tensor(s2)
             lhs = Chain(src).then(theta.at_step(src), at=0) \
-                            .then(t.t2_step(s1, s2), at=0)
+                            .then(t.t2.at_step(s1, s2), at=0)
             rhs = Chain(src) \
                 .then(r.at_step(s1, s2), at=0) \
                 .then(r.at_step(ts2, ts1), at=0) \
-                .then(t.mu_step(s1), at=0) \
+                .then(t.m, at=0) \
                 .then(theta.at_step(ts1), at=0) \
-                .then(t.mu_step(s1), at=0) \
-                .then(t.mu_step(s2), at=1 + n1) \
+                .then(t.m, at=0) \
+                .then(t.m, at=1 + n1) \
                 .then(theta.at_step(ts2), at=1 + n1) \
-                .then(t.mu_step(s2), at=1 + n1)
+                .then(t.m, at=1 + n1)
             yield (g1, g2), lhs, rhs
 
     compare_at(rep, "twist.compatibility", compat_items())

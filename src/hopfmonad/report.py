@@ -56,6 +56,8 @@ class Report:
     name: str
     results: list = field(default_factory=list)
     info: dict = field(default_factory=dict)
+    # structures the run built, for callers; never serialized
+    built: dict = field(default_factory=dict, repr=False, compare=False)
 
     def add(self, result: CheckResult) -> "Report":
         self.results.append(result)

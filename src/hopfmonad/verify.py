@@ -229,7 +229,7 @@ def verify_model(model: Model, checks: tuple = SUITES, seed: int = 0,
             rep.merge(check_rmatrix(t, r, r_inv))
             if a is not None:
                 rep.merge(check_r_dual_laws(t, a, r))
-                u = drinfeld_element(t, a, r)
+                u = rep.built["u"] = drinfeld_element(t, a, r)
                 try:
                     u_inv = drinfeld_inverse(t, a, r)
                 except ExactError:  # the comparison map is not invertible

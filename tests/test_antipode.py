@@ -123,8 +123,8 @@ class TestMutations:
     def test_mismatched_sides_fail_inversion(self, sweedler):
         from hopfmonad.antipode import AntipodeData
         # use S on both sides: valid left antipode, wrong right inverse
-        a = AntipodeData(sweedler.t, sl=sweedler.antipode.sl,
-                         sr=sweedler.antipode.sl)
+        a = AntipodeData(sweedler.t, sl=sweedler.antipode.sl.comps,
+                         sr=sweedler.antipode.sl.comps)
         assert check_left_antipode(sweedler.t, a).passed
         assert not check_antipode_inverse(sweedler.t, a).passed
 

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from hopfmonad import zoo
+from hopfmonad import chain, zoo
 from hopfmonad.cli import main
 from hopfmonad.exactla import FieldSpec
 
@@ -47,6 +47,14 @@ class TestExitCodes:
 
     def test_unreadable_file_is_two(self):
         assert run_cli(["verify", "/nonexistent.json"]).returncode == 2
+
+    def test_internal_error_is_three(self, monkeypatch, capsys):
+        # an exact-arithmetic failure (here ChainOverflow) ends in a message
+        monkeypatch.setattr(chain, "MAX_STATE_ENTRIES", 10)
+        assert main(["verify", "sweedler", "--checks", "axioms"]) == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith("internal error: ")
+        assert captured.out == ""
 
 
 class TestOutputs:

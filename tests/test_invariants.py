@@ -92,8 +92,7 @@ class TestDoubleAntipodeLifting:
 
     def _lifts(self, t, a_data, a, mod):
         s2 = square_of_antipode(t, a_data)
-        step = s2.at_step(mod.carrier)
-        comp = step.to_mor() if hasattr(step, "to_mor") else step.mor
+        comp = s2.at(mod.carrier)
         twisted = TModule(t, mod.carrier, mod.action @ comp, check=False)
         return is_t_linear(mod, twisted, sharp(t, a, mod))
 

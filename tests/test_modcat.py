@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from hopfmonad import modcat
 from hopfmonad.antipode import square_of_antipode
 from hopfmonad.cat import GradedMor, GradedObj, identity
 from hopfmonad.exactla import FieldSpec
@@ -22,7 +23,7 @@ from hopfmonad.modcat import (
     tensor_modules,
     unit_module,
 )
-from hopfmonad.monad import TransTT, identity_trans
+from hopfmonad.monad import StructureError, TransTT, identity_trans
 from hopfmonad.report import Report
 
 Q = FieldSpec.rationals()
@@ -138,6 +139,15 @@ class TestTensor:
         both = tensor_modules(eps, sgn)
         assert both.action.block(0, 0).tolist() == sgn.action.block(0, 0).tolist()
 
+    def test_disagreeing_routes_raise(self, sweedler, monkeypatch):
+        # the contracted action is cross-checked against the chain route
+        chain_route = modcat._tensor_modules_chain
+        monkeypatch.setattr(modcat, "_tensor_modules_chain",
+                            lambda m, n: chain_route(m, n).scale(2))
+        mod = random_module(sweedler.t, random.Random(9), 1)
+        with pytest.raises(StructureError):
+            tensor_modules(mod, mod)
+
 
 class TestDuals:
     @pytest.mark.parametrize("fixture", ["sweedler", "taft3", "dz2",
@@ -161,8 +171,7 @@ class TestDuals:
             dd = dual_module_left(m.t, m.antipode,
                                   dual_module_left(m.t, m.antipode, mod))
             s2 = square_of_antipode(m.t, m.antipode)
-            step = s2.at_step(mod.carrier)
-            comp = step.to_mor() if hasattr(step, "to_mor") else step.mor
+            comp = s2.at(mod.carrier)
             assert dd.action == mod.action @ comp
 
 

@@ -10,6 +10,9 @@ import pytest
 from hopfmonad import presentation, zoo
 from hopfmonad.exactla import FieldSpec
 from hopfmonad.monad import (
+    Element,
+    PairFamily,
+    StructureError,
     TransTT,
     adjoint_action,
     check_bimonad,
@@ -27,7 +30,7 @@ from hopfmonad.monad import (
     star_inverse_check,
 )
 from hopfmonad.presentation import element_from_vector
-from hopfmonad.cat import GradedMor
+from hopfmonad.cat import GradedMor, identity
 
 Q = FieldSpec.rationals()
 
@@ -97,6 +100,19 @@ class TestMalformedStructures:
         t = sweedler.t
         with pytest.raises(StructureError):
             TensoringBimonad(t.base, t.carrier, t.m, t.u, {}, t.t0)
+
+    @pytest.mark.parametrize("fixture", ["sweedler", "disconnected_groupoid"])
+    def test_component_with_wrong_ends(self, fixture, request):
+        # S -> S has the ends of none of these families
+        t = request.getfixturevalue(fixture).t
+        g = t.simples()[0]
+        wrong = identity(t.simple(g))
+        with pytest.raises(StructureError):
+            Element(t, {g: wrong})
+        with pytest.raises(StructureError):
+            TransTT(t, t, {g: wrong})
+        with pytest.raises(StructureError):
+            PairFamily(t, {(g, g): wrong})
 
     def test_wrong_component_ends(self, sweedler):
         from hopfmonad.monad import StructureError, TensoringBimonad

@@ -1,0 +1,34 @@
+"""The full report of every small builtin is pinned byte for byte.
+
+Each entry is the exit code and the sha256 of the stdout of
+`hopfmonad report <example> --json --seed 0`.  A refactor that changes
+one byte of a report fails here; a change that is meant to alter a
+report must say so and re-pin the hash.
+"""
+
+import hashlib
+
+import pytest
+
+from hopfmonad.cli import main
+
+PINNED = {
+    "trivial": (0, "c76b33786bc62e4192095e5c2bece29979c1d4064e4df838e38d5d5591d7f1ed"),
+    "kz2": (0, "3534494da3233c06db1585649f0f20eb437265aa229d88f0815acf65764d5d37"),
+    "ks3": (0, "4154d8fdb8732770d9937e9518ee3a64ec87c00f056972c2b5e40b4a035b585b"),
+    "ks3_f3": (0, "c609bbc859bfd2d2524e96743732aa8e23224b3f4e0ba04d03659f08376677ee"),
+    "sweedler": (0, "72d6c66589fb33c46ab5a96dd5991a6525ac361a0532ee9a62f0e62fbe354032"),
+    "taft3": (0, "34993b059b648b1d877c6c2bc0606aa05cf37fc9e1c057f325da9273cf38a3bb"),
+    "double_z2": (0, "61e6dbebcf95bf335656eee1f239168489010fa59c68621d7e0ad2ec37552bfb"),
+    "double_z2_f3": (0, "129338f3b1aeb52472fbdd7501070a87835a01da8dda8058fe86296addda39f6"),
+    "disconnected_groupoid":
+        (0, "a56bfcc49dfee71e68ed89674ac2bb5f7a45229a31570a4c123edd3984e78fca"),
+    "pair_groupoid": (1, "608b3e11489ee33bbd1bd807ed9ebec249c025351a3de9c28063438e4fb15fdc"),
+}
+
+
+@pytest.mark.parametrize("example", sorted(PINNED))
+def test_report_is_pinned(example, capsys):
+    code = main(["report", example, "--json", "--seed", "0"])
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert (code, digest) == PINNED[example]

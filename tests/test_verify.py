@@ -1,10 +1,12 @@
 """The verification pipeline builds each shared structure once per call."""
 
+import json
 import sys
 
 import pytest
 
 from hopfmonad import antipode, hopfstruct, qtrib
+from hopfmonad.cli import main
 from hopfmonad.verify import SUITES, verify_model
 
 BUILDERS = [
@@ -43,3 +45,12 @@ def test_each_structure_built_once(fixture, request, monkeypatch):
     # each structure was needed by some suite, so the counters did see calls
     assert counts["square_of_antipode"] == counts["gamma_family"] == 1
     assert counts["drinfeld_element"] == (m.rmatrix is not None)
+
+
+def test_drinfeld_command_builds_u_once(monkeypatch, capsys):
+    # the command prints the u that verify_model built for its checks
+    counts = {"drinfeld_element": 0}
+    count_calls(monkeypatch, qtrib.drinfeld_element, counts)
+    assert main(["drinfeld", "double_z2", "--json"]) == 0
+    assert counts["drinfeld_element"] == 1
+    assert len(json.loads(capsys.readouterr().out)["info"]["drinfeld_element"]) == 4
