@@ -1,4 +1,4 @@
-"""Time the GF(p) kernels behind FieldSpec.matmul and FieldSpec.rref.
+"""Time the kernels behind FieldSpec.matmul and FieldSpec.rref.
 
 Prints one table:
 - dense mod-p matrix product and mod-p reduced row echelon form of random
@@ -9,13 +9,29 @@ Prints one table:
   the right factor's), and the 625x1250 [A | I] row reduction that
   inverts a 625-dim braiding, with A a scaled permutation matrix plus a
   few extra entries;
-- one end-to-end verification of the 4-dim Drinfeld double of Z2 over GF(3).
+- the three costliest rational product shapes of the ks3 report, at the
+  densities measured there (left/right factor), with small rationals over
+  the denominators seen there;
+- end-to-end verifications: the 4-dim Drinfeld double of Z2 over GF(3),
+  and ks3 and the 4-dim double of Z2 over Q against GF(3), the rational
+  lane's ratios.
+
+Each time is the best of three runs.  With --json PATH the rows are
+also written to PATH, with the machine, the numpy version and the seed,
+under the column --column; a column already in PATH is replaced and the
+other columns are kept, so two runs (say, of two commits, by pointing
+PYTHONPATH at each one's src/) fill one file side by side.
 
 Usage:  python benchmarks/bench_kernels.py [--sizes 128 256 512]
+            [--json BENCH_kernels.json --column change]
 """
 
 import argparse
+import json
+import os
+import platform
 import time
+from fractions import Fraction
 
 import numpy as np
 
@@ -23,11 +39,21 @@ from hopfmonad import presentation, zoo
 from hopfmonad.exactla import FieldSpec
 from hopfmonad.verify import verify_model
 
+# (rows, inner, cols, density of a, density of b) of the ks3 report
+KS3_Q_SHAPES = [(36, 6, 1296, 0.84, 0.14), (216, 36, 36, 0.14, 0.14),
+                (12, 72, 2592, 0.083, 0.0015)]
+KS3_DENOMINATORS = [1, 7, 21, 31, 63, 217]
+REPEAT = 3
+SEED = 0
 
-def _timed(fn, *args) -> float:
-    t0 = time.perf_counter()
-    fn(*args)
-    return time.perf_counter() - t0
+
+def _best(fn, *args) -> float:
+    best = float("inf")
+    for _ in range(REPEAT):
+        t0 = time.perf_counter()
+        fn(*args)
+        best = min(best, time.perf_counter() - t0)
+    return best
 
 
 def _sparse(rng, shape, density, p) -> np.ndarray:
@@ -37,44 +63,98 @@ def _sparse(rng, shape, density, p) -> np.ndarray:
     return m
 
 
-def _row(kernel, shape, seconds, density=None):
-    shown = "" if density is None else f"{density:.4f}"
-    print(f"{kernel:<24}{shape:>18}{shown:>10}{seconds:>11.4f}s")
+def _sparse_q(rng, shape, density) -> np.ndarray:
+    m = FieldSpec.rationals().zeros(shape)
+    n = max(1, round(density * m.size))
+    nums = rng.integers(1, 100, n) * rng.choice([-1, 1], n)
+    dens = rng.choice(KS3_DENOMINATORS, n)
+    for k, x, d in zip(rng.choice(m.size, n, replace=False), nums, dens):
+        m.flat[k] = Fraction(int(x), int(d))
+    return m
+
+
+def _verify(name, field):
+    tables = {"ks3": (zoo.build_group_algebra, zoo.symmetric3_table()),
+              "double_z2": (zoo.build_drinfeld_double_group, zoo.cyclic_group_table(2))}
+    build, table = tables[name]
+    model = presentation.load(build(table, field, name))
+    return lambda: verify_model(model, samples=1).passed
 
 
 def main():
     parser = argparse.ArgumentParser()
     parser.add_argument("--sizes", type=int, nargs="+", default=[128, 256, 512])
+    parser.add_argument("--json", metavar="PATH")
+    parser.add_argument("--column", default="s")
     args = parser.parse_args()
 
+    rows = []
+
+    def row(kernel, shape, seconds, density=""):
+        shown = density if isinstance(density, str) else f"{density:.4f}"
+        print(f"{kernel:<26}{shape:>18}{shown:>14}{seconds:>11.4f}s")
+        rows.append({"kernel": kernel, "shape": shape, "density": shown,
+                     args.column: round(seconds, 6)})
+
     f = FieldSpec.prime(7919)
-    rng = np.random.default_rng(0)
-    print(f"{'kernel':<24}{'shape':>18}{'density':>10}{'time':>12}")
+    rng = np.random.default_rng(SEED)
+    print(f"{'kernel':<26}{'shape':>18}{'density':>14}{'time':>12}")
     for n in args.sizes:
         a = rng.integers(0, f.p, size=(n, n), dtype=np.int64)
         b = rng.integers(0, f.p, size=(n, n), dtype=np.int64)
-        _row("mod-p matmul", f"{n}x{n}x{n}", _timed(f.matmul, a, b), 1.0)
-        _row("mod-p rref", f"{n}x{n}", _timed(f.rref, a), 1.0)
+        row("mod-p matmul", f"{n}x{n}x{n}", _best(f.matmul, a, b), 1.0)
+        row("mod-p rref", f"{n}x{n}", _best(f.rref, a), 1.0)
 
     f11 = FieldSpec.prime(11)
     a = _sparse(rng, (25, 625), 0.008, f11.p)
     b = _sparse(rng, (625, 15625), 0.0003, f11.p)
-    _row("sparse mod-p matmul", "25x625x15625", _timed(f11.matmul, a, b),
-         np.count_nonzero(b) / b.size)
+    row("sparse mod-p matmul", "25x625x15625", _best(f11.matmul, a, b),
+        np.count_nonzero(b) / b.size)
     n = 625
     a = np.zeros((n, n), dtype=np.int64)
     a[np.arange(n), rng.permutation(n)] = rng.integers(1, f11.p, n)
     extra = rng.integers(0, n, size=(2, n // 8))
     a[extra[0], extra[1]] = rng.integers(1, f11.p, n // 8)
     ai = np.hstack([a, f11.eye(n)])
-    _row("sparse mod-p rref [A|I]", f"{n}x{2 * n}", _timed(f11.rref, ai),
-         np.count_nonzero(ai) / ai.size)
+    row("sparse mod-p rref [A|I]", f"{n}x{2 * n}", _best(f11.rref, ai),
+        np.count_nonzero(ai) / ai.size)
 
-    model = presentation.load(zoo.build_drinfeld_double_group(
-        zoo.cyclic_group_table(2), FieldSpec.prime(3), "bench_double"))
-    t0 = time.perf_counter()
-    assert verify_model(model, samples=1).passed
-    _row("verify double (GF(3))", "", time.perf_counter() - t0)
+    q = FieldSpec.rationals()
+    for m, k, c, da, db in KS3_Q_SHAPES:
+        a = _sparse_q(rng, (m, k), da)
+        b = _sparse_q(rng, (k, c), db)
+        row("sparse Q matmul", f"{m}x{k}x{c}", _best(q.matmul, a, b),
+            f"{da}/{db}")
+
+    f3 = FieldSpec.prime(3)
+    row("verify double_z2 (GF(3))", "", _best(_verify("double_z2", f3)))
+    row("verify double_z2 (Q)", "", _best(_verify("double_z2", q)))
+    row("verify ks3 (GF(3))", "", _best(_verify("ks3", f3)))
+    row("verify ks3 (Q)", "", _best(_verify("ks3", q)))
+
+    if args.json:
+        _write_json(args.json, rows, args)
+
+
+def _write_json(path, rows, args):
+    doc = {"rows": []}
+    if os.path.exists(path):
+        with open(path) as fh:
+            doc = json.load(fh)
+    doc["machine"] = {"platform": platform.platform(), "processor": platform.machine(),
+                      "cpus": os.cpu_count(), "python": platform.python_version()}
+    doc["numpy"] = np.__version__
+    doc["seed"] = SEED
+    doc["repeat"] = f"best of {REPEAT}"
+    doc["sizes"] = args.sizes
+    old = {(r["kernel"], r["shape"]): r for r in doc["rows"]}
+    for r in rows:
+        key = (r["kernel"], r["shape"])
+        old.setdefault(key, {}).update(r)
+    doc["rows"] = list(old.values())
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=2)
+        fh.write("\n")
 
 
 if __name__ == "__main__":

@@ -293,16 +293,20 @@ class GradedMor:
     def __matmul__(self, other: "GradedMor") -> "GradedMor":
         return self.compose(other)
 
-    def __add__(self, other: "GradedMor") -> "GradedMor":
+    def _blockwise(self, op, other: "GradedMor") -> "GradedMor":
+        """`op` (np.add or np.subtract) of the blocks, absent ones read as zero."""
         if self.src != other.src or self.dst != other.dst:
-            raise DimensionMismatch("sum of morphisms with different ends")
+            raise DimensionMismatch(f"{op.__name__} of morphisms with different ends")
         f = self.field
         return GradedMor(self.src, self.dst,
-                         {g: f.reduce(self.block(*g) + other.block(*g))
+                         {g: f.reduce(op(self.block(*g), other.block(*g)))
                           for g in set(self.blocks) | set(other.blocks)})
 
+    def __add__(self, other: "GradedMor") -> "GradedMor":
+        return self._blockwise(np.add, other)
+
     def __sub__(self, other: "GradedMor") -> "GradedMor":
-        return self + (-other)
+        return self._blockwise(np.subtract, other)
 
     def __neg__(self) -> "GradedMor":
         f = self.field
@@ -324,7 +328,11 @@ class GradedMor:
             return NotImplemented
         if self.src != other.src or self.dst != other.dst:
             return False
-        return (self - other).is_zero()
+        # exact on both fields: Fractions are canonical, and reduce puts
+        # GF(p) entries in [0, p)
+        f = self.field
+        return all(np.array_equal(f.reduce(self.block(*g)), f.reduce(other.block(*g)))
+                   for g in set(self.blocks) | set(other.blocks))
 
     def __hash__(self):
         raise TypeError("GradedMor is unhashable")

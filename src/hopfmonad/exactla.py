@@ -11,6 +11,15 @@ int64 arrays with entries in [0, p) over GF(p).  The solvers `rank`,
 `kernel`, `solve_affine` and `inverse` take `(spec, array)` and all go
 through one deterministic reduced row echelon form, `FieldSpec.rref`.
 
+The rational product touches only nonzeros.  Each factor's nonzero
+values are put over one common denominator (math.lcm), the integer
+numerators of the pairs (a[i,k], b[k,j]) with both entries nonzero are
+multiplied and summed per output entry, and Fraction(sum, da*db) is
+written only where that sum is nonzero.  The numerators run on int64
+when max|na| * max|nb| * inner < 2**63, which bounds every partial sum,
+and stay Python ints in an object array otherwise; both are exact.  At
+most TILE_ENTRIES pairs are expanded at a time.
+
 The mod-p product runs on float64 BLAS and is still exact.  Its factors
 must have entries in [0, p): a product of two entries is then at most
 (p-1)**2, and the inner dimension is cut into chunks of k terms with
@@ -23,6 +32,7 @@ The mod-p row reduction stays on int64, where (p-1)**2 < 2**40.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -33,9 +43,9 @@ MAX_PRIME = 1 << 20
 # float64 holds every integer below 2**53 exactly
 EXACT_FLOAT = 1 << 53
 
-# Entries of one float64 temporary in _matmul_mod: a tile of either factor
-# or of the product.  Bounds the memory a large product takes beyond its
-# int64 factors and result.
+# Entries of one float64 temporary in _matmul_mod (a tile of either factor
+# or of the product) and of one pair buffer in _matmul_q.  Bounds the
+# memory a large product takes beyond its factors and result.
 TILE_ENTRIES = 1 << 20
 
 
@@ -169,23 +179,7 @@ class FieldSpec:
             raise DimensionMismatch(f"{a.shape} @ {b.shape}")
         if not self.is_rationals:
             return _matmul_mod(a, b, self.p)
-        # structure-constant matrices are mostly zero: accumulate only the
-        # nonzero entries of the smaller factor instead of dense np.dot
-        rows, inner = a.shape
-        cols = b.shape[1]
-        if a.size == 0 or b.size == 0:
-            return self.zeros((rows, cols))
-        nz_a = np.nonzero(a)
-        nz_b = np.nonzero(b)
-        if len(nz_a[0]) * max(cols, 1) <= len(nz_b[0]) * max(rows, 1):
-            out = self.zeros((rows, cols))
-            for i, k in zip(*nz_a):
-                out[i] = out[i] + a[i, k] * b[k]
-            return out
-        out = self.zeros((rows, cols))
-        for k, j in zip(*nz_b):
-            out[:, j] = out[:, j] + a[:, k] * b[k, j]
-        return out
+        return _matmul_q(a, b)
 
     def kron(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         if a.size == 0 or b.size == 0:
@@ -238,6 +232,77 @@ class FieldSpec:
             pivots.append(c)
             r += 1
         return m, pivots
+
+
+# ---------------------------------------------------------------------------
+# Q kernel
+# ---------------------------------------------------------------------------
+
+
+def _numerators(vals: np.ndarray) -> tuple[list, int]:
+    """Integer numerators of rationals over their least common denominator."""
+    den = math.lcm(*(x.denominator for x in vals))
+    return [x.numerator * (den // x.denominator) for x in vals], den
+
+
+def _matmul_q(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Exact product of two rational matrices, on integer numerators (see
+    the module docstring).
+
+    The pair sums are taken with np.add.reduceat over the sorted linear
+    output index.  Pairs are expanded TILE_ENTRIES at a time, in row-major
+    order of `a`, so only the row shared by two consecutive blocks needs
+    adding up across blocks.  An inner dimension of one has no sums: its
+    nonzero pairs are multiplied as Fractions directly.
+    """
+    rows, inner = a.shape
+    cols = b.shape[1]
+    out = np.full((rows, cols), Fraction(0), dtype=object)
+    if inner == 1:
+        # nothing to sum: the outer product of the nonzeros
+        i, j = np.flatnonzero(a), np.flatnonzero(b)
+        out[i[:, None], j] = np.multiply.outer(a[i, 0], b[0, j])
+        return out
+    ia, ka = np.nonzero(a)
+    kb, jb = np.nonzero(b)
+    if ia.size == 0 or kb.size == 0:
+        return out
+    na, da = _numerators(a[ia, ka])
+    nb, db = _numerators(b[kb, jb])
+    wide = max(map(abs, na)) * max(map(abs, nb)) * inner >= 1 << 63
+    dtype = object if wide else np.int64
+    na = np.array(na, dtype=dtype)
+    nb = np.array(nb, dtype=dtype)
+    den = da * db
+    # the nonzeros of row k of b are start[k]:start[k + 1]; pair number q
+    # joins nonzero e of a, the first with ends[e] > q, and nonzero
+    # q + shift[e] of b
+    start = np.searchsorted(kb, np.arange(inner + 1))
+    cnt = start[ka + 1] - start[ka]
+    ends = np.cumsum(cnt)
+    shift = start[ka] - ends + cnt
+    total = int(ends[-1])
+    seam = -1  # last output row of the previous block
+    for lo in range(0, total, TILE_ENTRIES):
+        pair = np.arange(lo, min(lo + TILE_ENTRIES, total))
+        e = np.searchsorted(ends, pair, side="right")
+        f = pair + shift[e]
+        lin = ia[e] * cols + jb[f]
+        order = np.argsort(lin)
+        lin, e, f = lin[order], e[order], f[order]
+        first = np.flatnonzero(np.concatenate(([True], lin[1:] != lin[:-1])))
+        sums = np.add.reduceat(na[e] * nb[f], first)
+        keep = sums != 0
+        lin, sums = lin[first][keep], sums[keep].tolist()
+        # few distinct sums: build one Fraction per value and share it
+        made = {s: Fraction(s, den) for s in set(sums)}
+        vals = np.array([made[s] for s in sums], dtype=object)
+        if seam >= 0:
+            joint = lin < (seam + 1) * cols
+            vals[joint] += out.flat[lin[joint]]
+        out.flat[lin] = vals
+        seam = int(ia[e[-1]])
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -236,9 +236,9 @@ class PairFamily(Family):
 def compare_at(report: Report, check: str, items) -> bool:
     """Evaluate (label, lhs_chain, rhs_chain) items; record first failure."""
     for label, lhs, rhs in items:
-        diff = lhs.eval() - rhs.eval()
-        if not diff.is_zero():
-            report.add(CheckResult(check, "fail", simple=label, witness=diff))
+        lhs, rhs = lhs.eval(), rhs.eval()
+        if lhs != rhs:
+            report.add(CheckResult(check, "fail", simple=label, witness=lhs - rhs))
             return False
     report.add(CheckResult(check, "pass"))
     return True

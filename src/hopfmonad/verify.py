@@ -51,6 +51,9 @@ from .modcat import (
 from .monad import Element, check_bimonad, check_grouplike, convolve, eta_element
 from .presentation import Model
 from .qtrib import (
+    DRINFELD_CHECKS,
+    FROM_INVERSE_CHECKS,
+    TWIST_CHECKS,
     check_braiding,
     check_drinfeld,
     check_inverse_drinfeld_twist,
@@ -70,6 +73,10 @@ SUITES = ("axioms", "derived", "modules", "hopfmodules", "integrals",
 # the note of the one skip that replaces a suite assuming the axioms when
 # the axioms suite ran in the same call and failed
 AXIOMS_FAILED = "the axioms failed; this suite assumes them"
+
+# the notes of the quasitriangular checks skipped for a one-sided antipode
+NO_LEFT = "needs the left antipode"
+NO_BOTH = "needs both antipode sides"
 
 # randomized free-module probes are used up to this carrier dimension;
 # beyond it the presented stock modules (or the unit module) stand in
@@ -229,25 +236,43 @@ def verify_model(model: Model, checks: tuple = SUITES, seed: int = 0,
             rep.merge(check_rmatrix(t, r, r_inv))
             if a is not None:
                 rep.merge(check_r_dual_laws(t, a, r))
-                u = rep.built["u"] = drinfeld_element(t, a, r)
-                try:
-                    u_inv = drinfeld_inverse(t, a, r)
-                except ExactError:  # the comparison map is not invertible
-                    u_inv = None
-                if s2 is None:
-                    s2 = square_of_antipode(t, a)
                 classical = model.meta.get("classical_drinfeld")
-                rep.merge(check_drinfeld(t, u, r_inv, u_inv, s2, classical=classical))
+                # u, S² and the antipode on elements read the left side; a
+                # part that cannot run is skipped under each of its checks
+                if a.has_left:
+                    u = rep.built["u"] = drinfeld_element(t, a, r)
+                    try:
+                        u_inv = drinfeld_inverse(t, a, r)
+                    except ExactError:  # the comparison map is not invertible
+                        u_inv = None
+                    if s2 is None:
+                        s2 = square_of_antipode(t, a)
+                    rep.merge(check_drinfeld(t, u, r_inv, u_inv, s2, classical=classical))
+                else:
+                    _skip_each(rep, DRINFELD_CHECKS
+                               + ("drinfeld.classical_match",) * (classical is not None),
+                               NO_LEFT)
                 mods = _probe_modules(model, rng, 3)
                 rep.merge(check_braiding(t, r, r_inv, mods))
                 if model.twist is not None:
-                    th, thi = model.twist
-                    rep.merge(check_twist(t, a, r, th, thi))
-                    rep.merge(sovereign_from_twist(t, a, u, s2, th, thi)[1])
-                if involutory is None:
-                    involutory = is_involutory(t, a, s2)
-                rep.merge(check_inverse_drinfeld_twist(t, a, r, involutory, u, u_inv))
+                    if a.has_left:
+                        th, thi = model.twist
+                        rep.merge(check_twist(t, a, r, th, thi))
+                        rep.merge(sovereign_from_twist(t, a, u, s2, th, thi)[1])
+                    else:
+                        _skip_each(rep, TWIST_CHECKS, NO_LEFT)
+                if a.has_left and a.has_right:
+                    if involutory is None:
+                        involutory = is_involutory(t, a, s2)
+                    rep.merge(check_inverse_drinfeld_twist(t, a, r, involutory, u, u_inv))
+                else:
+                    _skip_each(rep, FROM_INVERSE_CHECKS, NO_BOTH)
     return rep
+
+
+def _skip_each(rep: Report, checks, note: str):
+    for check in checks:
+        rep.skip(check, note)
 
 
 def _random_element(t, rng):

@@ -13,7 +13,6 @@ disconnected groupoid plays the graded-backend witness instead.
 """
 
 import json
-import os
 import random
 import subprocess
 import sys
@@ -279,8 +278,6 @@ class TestCriterion6Quasitriangular:
                self._suite(dz2, mods))
 
     @pytest.mark.long
-    @pytest.mark.skipif(os.environ.get("HOPFMONAD_LONG", "") != "1",
-                        reason="long-running: set HOPFMONAD_LONG=1")
     def test_double_s3_long(self):
         import time
         start = time.time()

@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from hopfmonad.cat import (
@@ -30,6 +31,7 @@ Q = FieldSpec.rationals()
 VEC = BaseSpec.vector(Q)
 GR2 = BaseSpec(Q, ("a", "b"))
 GR2_F3 = BaseSpec(FieldSpec.prime(3), ("a", "b"))
+VEC_F3 = BaseSpec.vector(FieldSpec.prime(3))
 
 
 def rand_mor(src: GradedObj, dst: GradedObj, rng, span=4) -> GradedMor:
@@ -290,3 +292,46 @@ class TestEvCoevGraded:
         assert ev.block(1, 1)[0, 0] == Fraction(1)
         cv = coev_mor(s)
         assert cv.block(0, 0).shape == (1, 1)
+
+
+class TestEquality:
+    """`==` compares blocks structurally; it must agree with the difference
+    being zero, on both fields and both backends."""
+
+    @pytest.mark.parametrize("base", [VEC, GR2, VEC_F3, GR2_F3])
+    def test_agrees_with_zero_difference(self, base):
+        rng = random.Random(61)
+        equal = 0
+        for _ in range(60):
+            src, dst = rand_obj(base, rng, 1), rand_obj(base, rng, 1)
+            x = rand_mor(src, dst, rng, span=1)
+            # an equal copy with one entry perturbed half of the time
+            blocks = {g: m.copy() for g, m in x.blocks.items()}
+            if blocks and rng.random() < 0.5:
+                m = blocks[rng.choice(sorted(blocks))]
+                m.flat[rng.randrange(m.size)] += base.field.one
+                m[...] = base.field.reduce(m)
+            y = GradedMor(src, dst, blocks)
+            assert (x == y) == (x - y).is_zero() == (x + (-y)).is_zero()
+            assert (y == x) == (x == y)
+            equal += x == y
+        assert 0 < equal < 60
+
+    @pytest.mark.parametrize("base", [VEC, GR2, GR2_F3])
+    def test_absent_block_reads_as_zero(self, base):
+        x = GradedObj.from_grid(base, [[1] * base.nlabels] * base.nlabels)
+        zero = GradedMor.zero(x, x)
+        explicit = GradedMor(x, x, {g: base.field.zeros((x.count(*g),) * 2)
+                                    for g in x.grades()})
+        one = identity(x)
+        absent = identity(x)
+        g = x.grades()[0]
+        del absent.blocks[g]
+        assert zero == explicit and explicit == zero
+        assert absent != one and one != absent
+        diff = one - absent
+        assert diff.block(*g).tolist() == base.field.eye(1).tolist()
+        assert not diff.is_zero() and (absent - absent).is_zero()
+        del zero.blocks[g]
+        assert zero == explicit and explicit == zero
+        assert (explicit - zero).is_zero() and (zero - explicit).is_zero()

@@ -2,6 +2,7 @@
 
 Independent oracles used here:
 - schoolbook triple-loop multiplication (pure python, no numpy),
+- Python-int/Fraction schoolbook products for the sparse rational product,
 - plain (non-reduced) gaussian elimination for ranks,
 - full Gauss-Jordan elimination over Python ints for reduced echelon forms,
 - substitution for linear-system solutions.
@@ -15,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hopfmonad import exactla
 from hopfmonad.exactla import (
     MAX_PRIME,
     TILE_ENTRIES,
@@ -262,6 +264,115 @@ class TestExactnessBound:
         # (p-1-x)(p-1-y) = (1+x)(1+y) mod p, a sum small enough to take exactly
         expected = int(np.sum((1 + da) * (1 + db))) % P_MAX
         assert F_MAX.matmul(a, b).tolist() == [[expected]]
+
+
+def python_matmul_q(a, b, cols):
+    """Schoolbook product over Python Fractions, on nested lists."""
+    return [[sum((x * row[j] for x, row in zip(arow, b)), Fraction(0))
+             for j in range(cols)] for arow in a]
+
+
+def assert_q_product(a, b):
+    got = Q.matmul(a, b)
+    assert all(type(x) is Fraction for x in got.flat)
+    assert got.tolist() == python_matmul_q(a.tolist(), b.tolist(), b.shape[1])
+    assert got.shape == (a.shape[0], b.shape[1])
+
+
+SMALL_Q = st.one_of(st.just(Fraction(0)), st.builds(
+    Fraction, st.integers(-9, 9), st.integers(1, 12)))
+
+
+@st.composite
+def q_factors(draw, entry=SMALL_Q, top=6):
+    """Two composable rational matrices, empty shapes allowed, with a zero
+    row of the left factor or a zero column of the right one at times."""
+    rows, inner, cols = (draw(st.integers(0, top)) for _ in range(3))
+    zero = Fraction(0)
+    dense = draw(st.booleans())
+    pick = entry if dense else st.one_of(st.just(zero), st.just(zero), entry)
+
+    def mat(r, c):
+        m = Q.zeros((r, c))
+        for k, v in enumerate(draw(st.lists(pick, min_size=r * c, max_size=r * c))):
+            m.flat[k] = v
+        return m
+
+    a, b = mat(rows, inner), mat(inner, cols)
+    if rows and draw(st.booleans()):
+        a[draw(st.integers(0, rows - 1))] = zero
+    if cols and draw(st.booleans()):
+        b[:, draw(st.integers(0, cols - 1))] = zero
+    return a, b
+
+
+class TestRationalProduct:
+    """The sparse integer-numerator product over Q against a schoolbook
+    product over Python Fractions."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(q_factors())
+    def test_matches_schoolbook(self, ab):
+        assert_q_product(*ab)
+
+    @settings(max_examples=40, deadline=None)
+    @given(q_factors())
+    def test_blocks_meet_inside_a_row(self, ab):
+        # blocks of three pairs split rows, so partial sums of one output
+        # entry come from two blocks
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(exactla, "TILE_ENTRIES", 3)
+            assert_q_product(*ab)
+
+    def test_all_zero_factors(self):
+        for a, b in ((Q.zeros((3, 4)), Q.eye(4)), (Q.eye(3), Q.zeros((3, 2)))):
+            out = Q.matmul(a, b)
+            assert is_zero(Q, out) and out.shape == (a.shape[0], b.shape[1])
+
+    def test_empty_inner_dimension(self):
+        out = Q.matmul(Q.zeros((2, 0)), Q.zeros((0, 3)))
+        assert out.shape == (2, 3) and is_zero(Q, out)
+
+    def test_cancellation_leaves_zero(self):
+        a = Q.asarray([[1, 1]])
+        b = Q.asarray([["1/3", 2], ["-1/3", 5]])
+        assert Q.matmul(a, b).tolist() == [[0, 7]]
+
+    @pytest.mark.parametrize("inner", [2, 1 << 13])
+    def test_numerators_near_two_to_the_forty(self, inner):
+        # max|na| * max|nb| * inner passes 2**63 at the deep inner
+        # dimension, so the numerators stay Python ints; the shallow one
+        # stays below and runs on int64, with sums near 2**53
+        rng = random.Random(inner)
+        a = Q.asarray([[(1 << 40) - rng.randrange(64) for _ in range(inner)]])
+        b = Q.asarray([[-(1 << 12) + rng.randrange(8)] for _ in range(inner)])
+        wide = (1 << 40) * (1 << 12) * inner >= 1 << 63
+        assert wide == (inner > 2)
+        assert_q_product(a, b)
+
+    def test_denominators_past_two_to_the_sixty_three(self):
+        primes = [1000003, 1000033, 1000037, 1000039]
+        a = Q.asarray([[Fraction(1, p) for p in primes]] * 2)
+        b = Q.asarray([[Fraction(-1, p), Fraction(p, 7)] for p in reversed(primes)])
+        lcm = 1
+        for p in primes:
+            lcm *= p
+        assert lcm >= 1 << 63
+        assert_q_product(a, b)
+
+    def test_more_than_one_block(self):
+        # 64 * 64 * 300 nonzero pairs is above TILE_ENTRIES, and a block
+        # boundary falls inside a row of a
+        rng = np.random.default_rng(3)
+        ia = rng.integers(-5, 6, size=(64, 64))
+        ib = rng.integers(-5, 6, size=(64, 300))
+        assert np.count_nonzero(ia) * 300 > TILE_ENTRIES
+        a = Q.asarray((ia * 2).tolist())
+        b = Q.asarray([[Fraction(int(x), 3) for x in row] for row in ib])
+        # an independent reference: object matmul over Python ints
+        want = (ia.astype(object) @ ib.astype(object)) * 2
+        got = Q.matmul(a, b)
+        assert got.tolist() == [[Fraction(int(x), 3) for x in row] for row in want]
 
 
 class TestKernel:

@@ -5,9 +5,11 @@ import random
 import weakref
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from hopfmonad import presentation, zoo
+from hopfmonad.chain import Chain
 from hopfmonad.exactla import FieldSpec
 from hopfmonad.monad import (
     Element,
@@ -20,6 +22,7 @@ from hopfmonad.monad import (
     check_grouplike,
     check_monad,
     check_monad_morphism,
+    compare_at,
     convolve,
     convolve_alt,
     eta_element,
@@ -30,6 +33,7 @@ from hopfmonad.monad import (
     star_inverse_check,
 )
 from hopfmonad.presentation import element_from_vector
+from hopfmonad.report import Report
 from hopfmonad.cat import GradedMor, identity
 
 Q = FieldSpec.rationals()
@@ -61,6 +65,27 @@ class TestAxioms:
         fail = rep.failures()[0]
         assert fail.check == "monad.assoc"
         assert fail.witness is not None and not fail.witness.is_zero()
+
+    def test_failing_compare_records_the_difference(self):
+        pres = zoo.build_group_algebra(zoo.symmetric3_table(), Q, "kS3_bad")
+        pres["mul"][1][1][0] = "1"
+        t = presentation.load(pres).t
+
+        def items():
+            for g in t.simples():
+                t3s = t.on_obj(t.on_obj(t.on_obj(t.simple(g))))
+                yield ((g,), Chain(t3s).then(t.m, at=1).then(t.m, at=0),
+                       Chain(t3s).then(t.m, at=0).then(t.m, at=0))
+
+        rep = Report("witness")
+        assert not compare_at(rep, "monad.assoc", items())
+        fail = rep.failures()[0]
+        label, lhs, rhs = next((x for x in items() if x[0] == fail.simple))
+        want = lhs.eval() - rhs.eval()
+        assert (fail.witness.src, fail.witness.dst) == (want.src, want.dst)
+        assert fail.witness.blocks.keys() == want.blocks.keys()
+        assert all(np.array_equal(fail.witness.blocks[g], m) for g, m in want.blocks.items())
+        assert not want.is_zero()
 
     def test_primitive_but_nonmultiplicative_coproduct(self, sweedler):
         # replacing the coproduct of x by x⊗1 + 1⊗x keeps coassociativity

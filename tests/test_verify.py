@@ -1,11 +1,13 @@
 """The verification pipeline builds each shared structure once per call."""
 
+import dataclasses
 import json
 import sys
 
 import pytest
 
 from hopfmonad import antipode, hopfstruct, qtrib
+from hopfmonad.antipode import AntipodeData
 from hopfmonad.cli import main
 from hopfmonad.verify import SUITES, verify_model
 
@@ -54,3 +56,36 @@ def test_drinfeld_command_builds_u_once(monkeypatch, capsys):
     assert main(["drinfeld", "double_z2", "--json"]) == 0
     assert counts["drinfeld_element"] == 1
     assert len(json.loads(capsys.readouterr().out)["info"]["drinfeld_element"]) == 4
+
+
+# the checks a one-sided kz2 cannot run, by the side it keeps
+ONE_SIDED_SKIPS = {
+    "sl": ["rmatrix.right_dual_law", "twist.from_inverse",
+           "twist.from_inverse_self_dual_iff"],
+    "sr": ["rmatrix.star_inverse_left", "rmatrix.left_dual_law",
+           "drinfeld.comultiplicativity", "drinfeld.counit", "drinfeld.inverse",
+           "drinfeld.square_of_antipode", "drinfeld.classical_match", "twist.central", "twist.inverse",
+           "twist.compatibility", "twist.self_dual", "sovereign.grouplike",
+           "sovereign.conjugation", "sovereign.self_duality_equiv",
+           "twist.square_law", "twist.from_inverse",
+           "twist.from_inverse_self_dual_iff"],
+}
+# without a left antipode there is no inverse of R, and check_rmatrix and
+# check_braiding leave out these checks that read it
+LEFT_OUT = {"sl": [], "sr": ["rmatrix.star_inverse_right", "braiding.mirror_is_inverse"]}
+
+
+@pytest.mark.parametrize("side", ["sl", "sr"])
+def test_one_sided_antipode_ends_in_report(kz2, side):
+    # only the Python API builds a one-sided antipode; the checks that need
+    # the missing side are skipped with a note under their own names, in
+    # the order of the two-sided report, and the others still run and pass
+    full = verify_model(kz2, checks=("quasitriangular",))
+    one_sided = AntipodeData(kz2.t, **{side: getattr(kz2.antipode, side).comps})
+    m = dataclasses.replace(kz2, antipode=one_sided)
+    rep = verify_model(m, checks=("quasitriangular",))
+    assert [x.check for x in rep.results] == [x.check for x in full.results
+                                              if x.check not in LEFT_OUT[side]]
+    assert [x.check for x in rep.results if x.status == "skip"] == ONE_SIDED_SKIPS[side]
+    assert all(x.status == "pass" for x in rep.results
+               if x.check not in ONE_SIDED_SKIPS[side])
