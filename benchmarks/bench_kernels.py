@@ -14,13 +14,16 @@ Prints one table:
   the denominators seen there;
 - end-to-end verifications: the 4-dim Drinfeld double of Z2 over GF(3),
   and ks3 and the 4-dim double of Z2 over Q against GF(3), the rational
-  lane's ratios.
+  lane's ratios; then the two groupoid algebras on the two-label graded
+  backend (all suites each).
 
-Each time is the best of three runs.  With --json PATH the rows are
-also written to PATH, with the machine, the numpy version and the seed,
-under the column --column; a column already in PATH is replaced and the
-other columns are kept, so two runs (say, of two commits, by pointing
-PYTHONPATH at each one's src/) fill one file side by side.
+Each time is the best of three runs.  The header line gives the CPU count
+and the OpenBLAS/OpenMP thread settings, which move the GF(p) rows.  With
+--json PATH the rows are also written to PATH, with the machine (those
+settings included), the numpy version and the seed, under the column
+--column; a column already in PATH is replaced and the other columns are
+kept, so two runs (say, of two commits, by pointing PYTHONPATH at each
+one's src/) fill one file side by side.
 
 Usage:  python benchmarks/bench_kernels.py [--sizes 128 256 512]
             [--json BENCH_kernels.json --column change]
@@ -45,6 +48,7 @@ KS3_Q_SHAPES = [(36, 6, 1296, 0.84, 0.14), (216, 36, 36, 0.14, 0.14),
 KS3_DENOMINATORS = [1, 7, 21, 31, 63, 217]
 REPEAT = 3
 SEED = 0
+THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
 
 
 def _best(fn, *args) -> float:
@@ -74,11 +78,22 @@ def _sparse_q(rng, shape, density) -> np.ndarray:
 
 
 def _verify(name, field):
-    tables = {"ks3": (zoo.build_group_algebra, zoo.symmetric3_table()),
-              "double_z2": (zoo.build_drinfeld_double_group, zoo.cyclic_group_table(2))}
-    build, table = tables[name]
-    model = presentation.load(build(table, field, name))
+    builders = {
+        "ks3": lambda: zoo.build_group_algebra(zoo.symmetric3_table(), field, name),
+        "double_z2": lambda: zoo.build_drinfeld_double_group(
+            zoo.cyclic_group_table(2), field, name),
+        "disconnected_groupoid": lambda: zoo.build_disconnected_groupoid(field, name),
+        "pair_groupoid": lambda: zoo.build_pair_groupoid(field, name),
+    }
+    model = presentation.load(builders[name]())
     return lambda: verify_model(model, samples=1).passed
+
+
+def _machine() -> dict:
+    machine = {"platform": platform.platform(), "processor": platform.machine(),
+               "cpus": os.cpu_count(), "python": platform.python_version()}
+    machine.update({var.lower(): os.environ.get(var) for var in THREAD_VARIABLES})
+    return machine
 
 
 def main():
@@ -92,13 +107,15 @@ def main():
 
     def row(kernel, shape, seconds, density=""):
         shown = density if isinstance(density, str) else f"{density:.4f}"
-        print(f"{kernel:<26}{shape:>18}{shown:>14}{seconds:>11.4f}s")
+        print(f"{kernel:<30}{shape:>18}{shown:>14}{seconds:>11.4f}s")
         rows.append({"kernel": kernel, "shape": shape, "density": shown,
                      args.column: round(seconds, 6)})
 
     f = FieldSpec.prime(7919)
     rng = np.random.default_rng(SEED)
-    print(f"{'kernel':<26}{'shape':>18}{'density':>14}{'time':>12}")
+    print(", ".join(f"{k}={v}" for k, v in _machine().items()
+                    if k == "cpus" or k.endswith("threads")))
+    print(f"{'kernel':<30}{'shape':>18}{'density':>14}{'time':>12}")
     for n in args.sizes:
         a = rng.integers(0, f.p, size=(n, n), dtype=np.int64)
         b = rng.integers(0, f.p, size=(n, n), dtype=np.int64)
@@ -131,6 +148,8 @@ def main():
     row("verify double_z2 (Q)", "", _best(_verify("double_z2", q)))
     row("verify ks3 (GF(3))", "", _best(_verify("ks3", f3)))
     row("verify ks3 (Q)", "", _best(_verify("ks3", q)))
+    for name in ("disconnected_groupoid", "pair_groupoid"):
+        row(f"verify {name}", "", _best(_verify(name, q)))
 
     if args.json:
         _write_json(args.json, rows, args)
@@ -141,8 +160,7 @@ def _write_json(path, rows, args):
     if os.path.exists(path):
         with open(path) as fh:
             doc = json.load(fh)
-    doc["machine"] = {"platform": platform.platform(), "processor": platform.machine(),
-                      "cpus": os.cpu_count(), "python": platform.python_version()}
+    doc["machine"] = _machine()
     doc["numpy"] = np.__version__
     doc["seed"] = SEED
     doc["repeat"] = f"best of {REPEAT}"

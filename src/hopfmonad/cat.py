@@ -389,7 +389,9 @@ def _perm_to_dual(obj: GradedObj, i: int, l: int) -> tuple:
 @lru_cache(maxsize=None)
 def _tensor_positions(x: GradedObj, y: GradedObj, i: int, l: int) -> dict:
     """For each middle label j: (row positions of x-paths ⊗ y-paths) inside
-    the combined word's (i,l) path order, in row-major (p, q) order."""
+    the combined word's (i,l) path order, in row-major (p, q) order.
+
+    The arrays are cached and shared, so they are read-only."""
     combined = x.tensor(y)
     cidx = path_index(combined, i, l)
     out = {}
@@ -400,8 +402,9 @@ def _tensor_positions(x: GradedObj, y: GradedObj, i: int, l: int) -> dict:
         py = paths(y, j, l)
         if not px or not py:
             continue
-        pos = [cidx[p + q] for p in px for q in py]
-        out[j] = np.array(pos, dtype=np.int64)
+        pos = np.array([cidx[p + q] for p in px for q in py], dtype=np.int64)
+        pos.flags.writeable = False
+        out[j] = pos
     return out
 
 
@@ -427,13 +430,6 @@ def tensor_mor(f: GradedMor, g: GradedMor) -> GradedMor:
             out[np.ix_(row_pos[j], col_pos[j])] = k
         blocks[(i, l)] = out
     return GradedMor(src, dst, blocks)
-
-
-def tensor_many(*ms: GradedMor) -> GradedMor:
-    out = ms[0]
-    for m in ms[1:]:
-        out = tensor_mor(out, m)
-    return out
 
 
 def identity(obj: GradedObj) -> GradedMor:

@@ -5,34 +5,37 @@ id_L ⊗ g ⊗ id_R where g is either a small stored morphism or the
 extension of a stored transformation component.  A Chain records the
 steps; eval() turns the composite into an honest GradedMor.
 
-On a one-label base the evaluation never materializes a whiskered
-Kronecker factor: the running composite is a dense (current x width)
+Neither backend materializes a whiskered Kronecker factor.  On a
+one-label base the running composite is a dense (current x width)
 matrix, reshaped along the word's atom axes, and each step contracts a
 small core against the axes it touches.  The chain is evaluated from
-whichever end is narrower.  On multi-label bases all stock examples are
-tiny, so steps are materialized directly with tensor_mor.
+whichever end is narrower.  On a multi-label base the running composite
+is one block per grade (i, l), its rows the current word's (i, l)-paths.
+A step id_L ⊗ g ⊗ id_R is applied per grade and per block (j, k) of g:
+the rows at the paths i -> j -> k -> l through (L, source of g, R) are
+gathered, contracted with g's (j, k) block and scattered to the paths
+through (L, target of g, R).  The path positions come from
+cat._tensor_positions.
 
 A natural family is stored by its components at simples; its source
 and target functors are slot layouts, each slot a fixed word (the
 carrier or its dual), an argument k, or the dual ~k of argument k.
 extend builds the forced direct-sum extension of such a family to
-arbitrary arguments, one choice of simple summands at a time.
+arbitrary arguments, one choice of simple summands at a time: the
+inclusions and projections of the chosen summands are coordinate maps,
+so each component block is added straight into the rows and columns of
+the chosen paths.
 """
 
 from __future__ import annotations
 
+from functools import reduce
 from itertools import product
 from math import prod
 
 import numpy as np
 
-from .cat import (
-    GradedMor,
-    GradedObj,
-    identity,
-    summand_inclusions,
-    tensor_many,
-)
+from .cat import GradedMor, GradedObj, _perm_to_dual, _tensor_positions
 from .exactla import DimensionMismatch, ExactError
 
 # Cap on entries of any intermediate state (per evaluation).
@@ -198,19 +201,24 @@ class Chain:
             return self._eval_vector()
         return self._eval_graded()
 
-    # -- graded backend: materialize every whisker --------------------------
+    # -- graded backend: gather, contract, scatter ----------------------------
 
     def _eval_graded(self) -> GradedMor:
-        total = identity(self.src)
+        field = self.src.base.field
+        # one block per grade (i, l) of the source: rows are the current
+        # word's (i, l)-paths, columns the source's
+        state = {g: field.eye(self.src.count(*g)) for g in self.src.grades()}
         cur = self.src
         for at, step in self.steps:
             n = len(step.src.atoms)
             left = GradedObj(cur.base, cur.atoms[:at])
             right = GradedObj(cur.base, cur.atoms[at + n:])
-            whisk = tensor_many(identity(left), step.to_mor(), identity(right))
-            total = whisk @ total
-            cur = GradedObj(cur.base, cur.atoms[:at] + step.dst.atoms + cur.atoms[at + n:])
-        return total
+            nxt = GradedObj(cur.base, left.atoms + step.dst.atoms + right.atoms)
+            mor = step.to_mor()
+            state = {g: _apply_graded(mor, left, right, *g, block, nxt.count(*g), field)
+                     for g, block in state.items()}
+            cur = nxt
+        return GradedMor(self.src, cur, state)
 
     # -- vector backend: narrow-end propagation ------------------------------
 
@@ -239,6 +247,43 @@ class Chain:
             state = step.apply_vec(state, dl, dr, field)
             cur = GradedObj(cur.base, cur.atoms[:at] + step.dst.atoms + cur.atoms[at + n:])
         return GradedMor(self.src, cur, {(0, 0): state})
+
+
+def _split_positions(left: GradedObj, mid: GradedObj, right: GradedObj,
+                     i: int, l: int) -> dict:
+    """For each pair of labels (j, k): the positions of the paths
+    i -> j -> k -> l through left, mid and right inside the (i, l) path
+    order of left ⊗ mid ⊗ right, as an (nL, nM, nR) array."""
+    out = {}
+    for k, outer in _tensor_positions(left.tensor(mid), right, i, l).items():
+        outer = outer.reshape(-1, right.count(k, l))
+        for j, inner in _tensor_positions(left, mid, i, k).items():
+            out[j, k] = outer[inner].reshape(left.count(i, j), mid.count(j, k), -1)
+    return out
+
+
+def _apply_graded(mor: GradedMor, left: GradedObj, right: GradedObj,
+                  i: int, l: int, block: np.ndarray, rows: int, field) -> np.ndarray:
+    """Grade (i, l) of (id_left ⊗ mor ⊗ id_right) @ block, without the whisker.
+
+    Per block (j, k) of mor: gather the rows of block at the (left, source,
+    right) paths, contract mor's block against the source axis and scatter
+    the result to the (left, target, right) paths.  A target path whose
+    (j, k) has no source paths stays zero.
+    """
+    out = field.zeros((rows, block.shape[1]))
+    if not rows or not block.shape[0]:
+        return out
+    dst_pos = _split_positions(left, mor.dst, right, i, l)
+    for jk, src_pos in _split_positions(left, mor.src, right, i, l).items():
+        core = mor.blocks.get(jk)
+        if core is None:
+            continue
+        # source axis first: (nS, nL * nR * width)
+        gathered = block[src_pos.transpose(1, 0, 2).ravel()]
+        contracted = field.matmul(core, gathered.reshape(core.shape[1], -1))
+        out[dst_pos[jk].transpose(1, 0, 2).ravel()] = contracted.reshape(-1, block.shape[1])
+    return out
 
 
 class Evaluated:
@@ -271,12 +316,49 @@ def layout_word(layout: tuple, xs: tuple) -> GradedObj:
     return GradedObj(xs[0].base, atoms)
 
 
-def _layout_mor(layout: tuple, cov: list, contra: list) -> GradedMor:
-    """Identity on fixed words, cov[k] on argument k, contra[k] transposed
-    on its dual."""
-    return tensor_many(*(identity(s) if isinstance(s, GradedObj)
-                         else cov[s] if s >= 0 else contra[~s].ldual()
-                         for s in layout))
+def _slot_index(slot, xs: tuple, choice: tuple) -> tuple:
+    """One slot at the chosen simple summands: (its word at the simples,
+    its word at xs, per grade the position in the latter of each path of
+    the former).
+
+    A fixed word maps onto itself; argument k has the one path of the
+    chosen summand (g, p), the p-th g-path of xs[k]; its dual ~k has the
+    reversal of that path in the dual word.
+    """
+    if isinstance(slot, GradedObj):
+        return slot, slot, {g: np.arange(slot.count(*g)) for g in slot.grades()}
+    k = slot if slot >= 0 else ~slot
+    (i, l), p = choice[k]
+    simple = GradedObj.simple(xs[k].base, i, l)
+    if slot >= 0:
+        return simple, xs[k], {(i, l): np.array([p])}
+    return simple.dual(), xs[k].dual(), {(l, i): np.array([_perm_to_dual(xs[k], i, l)[p]])}
+
+
+def _tensor_index(a: tuple, b: tuple) -> tuple:
+    """The tensor product of two slot indices (see _slot_index)."""
+    (sa, wa, ia), (sb, wb, ib) = a, b
+    small = sa.tensor(sb)
+    idx = {}
+    for (i, l) in small.grades():
+        out = np.empty(small.count(i, l), dtype=np.int64)
+        big = _tensor_positions(wa, wb, i, l)
+        for j, pos in _tensor_positions(sa, sb, i, l).items():
+            grid = big[j].reshape(wa.count(i, j), wb.count(j, l))
+            out[pos] = grid[np.ix_(ia[i, j], ib[j, l])].ravel()
+        idx[i, l] = out
+    return small, wa.tensor(wb), idx
+
+
+def _layout_index(layout: tuple, xs: tuple, choice: tuple) -> dict:
+    """Per grade, the positions in layout_word(layout, xs) of the paths of
+    the layout's word at the chosen simple summands."""
+    return reduce(_tensor_index, (_slot_index(s, xs, choice) for s in layout))[2]
+
+
+def _summands(x: GradedObj) -> list:
+    """(grade, path position) of each simple summand of x."""
+    return [(g, p) for g in x.grades() for p in range(x.count(*g))]
 
 
 def extend(src: tuple, dst: tuple, xs: tuple, comps: dict) -> GradedMor:
@@ -286,16 +368,21 @@ def extend(src: tuple, dst: tuple, xs: tuple, comps: dict) -> GradedMor:
     functors, and `comps` is keyed by the grade of a simple (one
     argument) or a pair of grades (two).  Each choice of one simple
     summand per argument adds dst(inclusions) ∘ component ∘
-    src(projections); a dual slot takes the transpose of the opposite map.
+    src(projections).  Those two maps are coordinate maps, so the
+    component's blocks are added straight into the positions of the
+    chosen paths (the reversed path on a dual slot).
     """
-    total = GradedMor.zero(layout_word(src, xs), layout_word(dst, xs))
-    for choice in product(*(tuple(summand_inclusions(x)) for x in xs)):
-        grades = tuple(g for g, _, _ in choice)
+    field = xs[0].base.field
+    sw, dw = layout_word(src, xs), layout_word(dst, xs)
+    blocks = {g: field.zeros((dw.count(*g), sw.count(*g)))
+              for g in set(sw.grades()) & set(dw.grades())}
+    for choice in product(*(_summands(x) for x in xs)):
+        grades = tuple(g for g, _ in choice)
         comp = comps.get(grades if len(xs) > 1 else grades[0])
         if comp is None:
             continue
-        incs = [inc for _, inc, _ in choice]
-        projs = [proj for _, _, proj in choice]
-        total = total + _layout_mor(dst, incs, projs) @ comp @ \
-            _layout_mor(src, projs, incs)
-    return total
+        rows = _layout_index(dst, xs, choice)
+        cols = _layout_index(src, xs, choice)
+        for g, b in comp.blocks.items():
+            blocks[g][np.ix_(rows[g], cols[g])] += b
+    return GradedMor(sw, dw, {g: field.reduce(b) for g, b in blocks.items()})

@@ -250,24 +250,37 @@ def conservativity_probe(t: TensoringBimonad) -> dict:
 
 def check_dual_module_duality(t: TensoringBimonad, a: AntipodeData,
                               m: TModule, rep: Report) -> Report:
-    """Evaluation and coevaluation are module maps for the preferred duals."""
-    lm = dual_module_left(t, a, m)
-    rep.record("dual.left_valid", check_module(t, lm))
-    both = tensor_modules(lm, m)
-    rep.record("dual.left_ev_linear",
-               is_t_linear(both, unit_module(t), ev_mor(m.carrier)))
-    both2 = tensor_modules(m, lm)
-    rep.record("dual.left_coev_linear",
-               is_t_linear(unit_module(t), both2, coev_mor(m.carrier)))
-    rm = dual_module_right(t, a, m)
-    rep.record("dual.right_valid", check_module(t, rm))
-    rep.record("dual.right_ev_linear",
-               is_t_linear(tensor_modules(m, rm), unit_module(t),
-                           ev_right_mor(m.carrier)))
-    rep.record("dual.right_coev_linear",
-               is_t_linear(unit_module(t), tensor_modules(rm, m),
-                           coev_right_mor(m.carrier)))
+    """Evaluation and coevaluation are module maps for the preferred duals.
+
+    The three checks of a side with no antipode data are skipped."""
+    if a.has_left:
+        lm = dual_module_left(t, a, m)
+        rep.record("dual.left_valid", check_module(t, lm))
+        both = tensor_modules(lm, m)
+        rep.record("dual.left_ev_linear",
+                   is_t_linear(both, unit_module(t), ev_mor(m.carrier)))
+        both2 = tensor_modules(m, lm)
+        rep.record("dual.left_coev_linear",
+                   is_t_linear(unit_module(t), both2, coev_mor(m.carrier)))
+    else:
+        _skip_dual_checks(rep, "left")
+    if a.has_right:
+        rm = dual_module_right(t, a, m)
+        rep.record("dual.right_valid", check_module(t, rm))
+        rep.record("dual.right_ev_linear",
+                   is_t_linear(tensor_modules(m, rm), unit_module(t),
+                               ev_right_mor(m.carrier)))
+        rep.record("dual.right_coev_linear",
+                   is_t_linear(unit_module(t), tensor_modules(rm, m),
+                               coev_right_mor(m.carrier)))
+    else:
+        _skip_dual_checks(rep, "right")
     return rep
+
+
+def _skip_dual_checks(rep: Report, label: str):
+    for check in ("valid", "ev_linear", "coev_linear"):
+        rep.skip(f"dual.{label}_{check}", f"no {label} antipode data")
 
 
 def random_module(t: TensoringBimonad, rng, dim_factor: int = 1) -> TModule:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import random
 
 from .antipode import (
+    BOTH_SIDES_CHECKS,
     check_antipode_inverse,
     check_left_antipode,
     check_right_antipode,
@@ -74,7 +75,7 @@ SUITES = ("axioms", "derived", "modules", "hopfmodules", "integrals",
 # the axioms suite ran in the same call and failed
 AXIOMS_FAILED = "the axioms failed; this suite assumes them"
 
-# the notes of the quasitriangular checks skipped for a one-sided antipode
+# the notes of the checks skipped for a one-sided antipode
 NO_LEFT = "needs the left antipode"
 NO_BOTH = "needs both antipode sides"
 
@@ -138,16 +139,21 @@ def verify_model(model: Model, checks: tuple = SUITES, seed: int = 0,
         else:
             rep.merge(derived_identity_suite(t, a))
             rep.merge(check_antipode_inverse(t, a))
-            s2 = square_of_antipode(t, a)
-            rep.merge(check_square_automorphism(t, a, s2))
             samples_elts = [_random_element(t, rng) for _ in range(3)]
-            rep.merge(check_s_map_laws(t, a, s2, samples_elts))
-            rep.info["involutory"] = involutory = is_involutory(t, a, s2)
+            if a.has_left and a.has_right:
+                s2 = square_of_antipode(t, a)
+                rep.merge(check_square_automorphism(t, a, s2))
+                rep.merge(check_s_map_laws(t, a, s2, samples_elts))
+                rep.info["involutory"] = involutory = is_involutory(t, a, s2)
+            else:
+                _skip_each(rep, BOTH_SIDES_CHECKS, NO_BOTH)
             eta = eta_element(t)
             for k, g in enumerate(model.grouplikes):
                 ok = check_grouplike(t, g)
                 rep.record(f"grouplike.candidate_{k}", ok, note="supplied candidate")
-                if ok:
+                if ok and not a.has_left:
+                    rep.skip(f"grouplike.inverse_{k}", NO_LEFT)
+                elif ok:
                     # the antipode image is the convolution inverse of a grouplike
                     g_inv = s_map(t, a, g)
                     rep.record(f"grouplike.inverse_{k}",
@@ -192,7 +198,9 @@ def verify_model(model: Model, checks: tuple = SUITES, seed: int = 0,
         rep.info["left_integrals"] = [[t.base.field.show(x) for x in v]
                                       for v in li.basis]
         ok = True
-        if a is not None and li.dimension:
+        if a is not None and li.dimension and not (a.has_left and a.has_right):
+            rep.skip("integrals.transport_roundtrip", NO_BOTH)
+        elif a is not None and li.dimension:
             for chi in li.basis:
                 d = transport_integral(t, a, chi, "left")
                 if not integral_check(t, "right", d):

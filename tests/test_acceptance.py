@@ -21,7 +21,7 @@ from fractions import Fraction
 import pytest
 
 from hopfmonad import presentation, zoo
-from hopfmonad.antipode import square_of_antipode
+from hopfmonad.antipode import AntipodeData, square_of_antipode
 from hopfmonad.cat import GradedMor, GradedObj, identity
 from hopfmonad.exactla import FieldSpec, kernel
 from hopfmonad.hopfstruct import (
@@ -44,7 +44,7 @@ from hopfmonad.modcat import (
     module_section_space,
     random_module,
 )
-from hopfmonad.monad import adjoint_action
+from hopfmonad.monad import TensoringBimonad, adjoint_action
 from hopfmonad.qtrib import (
     check_braiding,
     check_drinfeld,
@@ -393,6 +393,43 @@ def _build_mutations():
         return p, ("axioms",)
     _mut("inverse law broken", "monad.assoc", m14)
 
+    # graded backend: the presentation format has only groupoid tables, so
+    # each fixture is disconnected_groupoid rebuilt with one block doubled
+    def m15():
+        return _graded_mutant("m15", m=(1, 1)), ("axioms",)
+    _mut("graded product block doubled", "monad.unit_left", m15)
+
+    def m16():
+        return _graded_mutant("m16", t2=(((0, 1), (1, 0)), (0, 0))), ("axioms",)
+    _mut("graded coproduct component doubled", "comonoidal.coassoc", m16)
+
+    def m17():
+        return _graded_mutant("m17", sl=((0, 1), (1, 0))), ("axioms",)
+    _mut("graded left antipode component doubled", "antipode.left_ev", m17)
+
+
+def _doubled(mor, grade):
+    blocks = dict(mor.blocks)
+    blocks[grade] = mor.blocks[grade] * 2
+    return GradedMor(mor.src, mor.dst, blocks)
+
+
+def _graded_mutant(name, m=None, t2=None, sl=None):
+    """disconnected_groupoid with the block at grade m of the product, the
+    block (key, grade) = t2 of the coproduct or sl of the left antipode doubled."""
+    model = presentation.load(zoo.build_disconnected_groupoid(Q, name))
+    t = model.t
+    coproduct = dict(t.t2.comps)
+    if t2 is not None:
+        coproduct[t2[0]] = _doubled(coproduct[t2[0]], t2[1])
+    product = t.m if m is None else _doubled(t.m, m)
+    model.t = TensoringBimonad(t.base, t.carrier, product, t.u, coproduct, t.t0, name)
+    left = dict(model.antipode.sl.comps)
+    if sl is not None:
+        left[sl[0]] = _doubled(left[sl[0]], sl[1])
+    model.antipode = AntipodeData(model.t, sl=left, sr=dict(model.antipode.sr.comps))
+    return model
+
 
 _build_mutations()
 
@@ -403,7 +440,7 @@ class TestCriterion7Mutations:
         ok = True
         for name, expect, build in MUTATIONS:
             pres, checks = build()
-            model = presentation.load(pres)
+            model = presentation.load(pres) if isinstance(pres, dict) else pres
             rep = verify_model(model, checks=checks, samples=1)
             failures = {r.check: r for r in rep.failures()}
             if expect not in failures:

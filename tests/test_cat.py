@@ -12,6 +12,7 @@ from hopfmonad.cat import (
     GradedMor,
     GradedObj,
     _reversed_path,
+    _tensor_positions,
     coev_mor,
     coev_right_mor,
     ev_mor,
@@ -121,6 +122,19 @@ class TestMorphisms:
             g = rand_mor(rand_obj(base, rng, 1), rand_obj(base, rng, 1), rng)
             h = rand_mor(rand_obj(base, rng, 1), rand_obj(base, rng, 1), rng)
             assert tensor_mor(tensor_mor(f, g), h) == tensor_mor(f, tensor_mor(g, h))
+
+    def test_tensor_positions_are_read_only(self):
+        # the arrays are cached and shared by every later tensor and chain
+        x = GradedObj.from_grid(GR2, [[1, 1], [0, 1]], "x")
+        y = GradedObj.from_grid(GR2, [[1, 0], [1, 1]], "y")
+        pos = _tensor_positions(x, y, 0, 0)
+        assert pos
+        for arr in pos.values():
+            with pytest.raises(ValueError):
+                arr[0] = 5
+            with pytest.raises(ValueError):
+                arr += 1
+        assert _tensor_positions(x, y, 0, 0) is pos
 
     def test_compose_mismatch(self):
         x = GradedObj.space(VEC, 2)

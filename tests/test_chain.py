@@ -1,17 +1,30 @@
-"""Chain evaluation: structured axis application vs direct materialization."""
+"""Chain evaluation and family extension against direct materialization."""
 
 import random
+from itertools import product
 from math import prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hopfmonad.cat import Atom, BaseSpec, GradedMor, GradedObj, identity, tensor_many
-from hopfmonad.chain import Chain, ChainOverflow, CoreStep, mor_flip
+from hopfmonad.cat import (
+    _perm_to_dual,
+    Atom,
+    BaseSpec,
+    GradedMor,
+    GradedObj,
+    identity,
+    summand_inclusions,
+    tensor_mor,
+)
+from hopfmonad.chain import Chain, ChainOverflow, CoreStep, extend, layout_word, mor_flip
 from hopfmonad.exactla import FieldSpec
 
 Q = FieldSpec.rationals()
+F7 = FieldSpec.prime(7)
 VEC = BaseSpec.vector(Q)
-VEC7 = BaseSpec.vector(FieldSpec.prime(7))
+VEC7 = BaseSpec.vector(F7)
 GR2 = BaseSpec(Q, ("a", "b"))
 
 
@@ -27,6 +40,13 @@ def rand_mor(src, dst, rng, span=3):
         blocks[g] = f.asarray(
             [[rng.randrange(-span, span + 1) for _ in range(cols)] for _ in range(rows)])
     return GradedMor(src, dst, blocks)
+
+
+def tensor_many(*ms):
+    out = ms[0]
+    for m in ms[1:]:
+        out = tensor_mor(out, m)
+    return out
 
 
 def brute_whisker(left, m, right):
@@ -140,3 +160,195 @@ class TestGradedChain:
         direct = (brute_whisker(GradedObj.unit(GR2), g, b)
                   @ brute_whisker(a, f, GradedObj.unit(GR2)))
         assert ch.eval() == direct
+
+
+# ---------------------------------------------------------------------------
+# Graded backend on random grids: path-index placement against Kronecker
+# products of whiskers
+# ---------------------------------------------------------------------------
+
+MAX_PATHS = 100
+
+
+@st.composite
+def graded_bases(draw):
+    nlabels = draw(st.sampled_from([2, 3]))
+    field = draw(st.sampled_from([Q, F7]))
+    return BaseSpec(field, tuple("abc"[:nlabels]))
+
+
+@st.composite
+def atoms(draw, base, name, diagonal=0):
+    """An atom with at least `diagonal` paths at each grade (i, i)."""
+    n = base.nlabels
+    top = 2 if n == 2 else 1
+    grid = [[draw(st.integers(diagonal if i == j else 0, max(top, diagonal)))
+             for j in range(n)] for i in range(n)]
+    return GradedObj.from_grid(base, grid, name)
+
+
+@st.composite
+def graded_mors(draw, src, dst):
+    f = src.base.field
+    blocks = {}
+    for g in sorted(set(src.grades()) & set(dst.grades())):
+        rows, cols = dst.count(*g), src.count(*g)
+        vals = draw(st.lists(st.integers(-3, 3), min_size=rows * cols,
+                             max_size=rows * cols))
+        blocks[g] = f.asarray([vals[r * cols:(r + 1) * cols] for r in range(rows)])
+    return GradedMor(src, dst, blocks)
+
+
+def words(pool, n_max, n_min=0):
+    return st.lists(st.sampled_from(pool), min_size=n_min, max_size=n_max).map(
+        lambda ws: GradedObj(pool[0].base, tuple(a for w in ws for a in w.atoms)))
+
+
+def brute_chain(src, steps):
+    total, cur = identity(src), src
+    for at, mor in steps:
+        n = len(mor.src.atoms)
+        left = GradedObj(cur.base, cur.atoms[:at])
+        right = GradedObj(cur.base, cur.atoms[at + n:])
+        total = brute_whisker(left, mor, right) @ total
+        cur = GradedObj(cur.base, left.atoms + mor.dst.atoms + right.atoms)
+    return total
+
+
+class TestGradedPlacement:
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_random_chain_matches_whiskers(self, data):
+        base = data.draw(graded_bases())
+        # z may have grades with no paths at all, x and y are never zero
+        pool = [data.draw(atoms(base, "x", 1)), data.draw(atoms(base, "y", 1)),
+                data.draw(atoms(base, "z"))]
+        src = data.draw(words(pool, 3, 1))
+        cur, steps = src, []
+        for _ in range(data.draw(st.integers(1, 4))):
+            at = data.draw(st.integers(0, len(cur.atoms)))
+            # mostly steps that consume atoms; n = 0 inserts
+            n = min(data.draw(st.sampled_from([0, 1, 1, 2, 2])), len(cur.atoms) - at)
+            step_src = GradedObj(base, cur.atoms[at:at + n])
+            step_dst = data.draw(words(pool, 2, 0 if n else 1))
+            nxt = GradedObj(base, cur.atoms[:at] + step_dst.atoms + cur.atoms[at + n:])
+            if nxt.total_dim() > MAX_PATHS:
+                continue
+            steps.append((at, data.draw(graded_mors(step_src, step_dst))))
+            cur = nxt
+        ch = Chain(src)
+        for at, mor in steps:
+            ch.then(mor, at=at)
+        assert ch.eval() == brute_chain(src, steps)
+
+    @pytest.mark.parametrize("field", [Q, F7])
+    def test_empty_source_block_under_nonempty_target(self, field):
+        # x lives only at grade (0, 0) and y everywhere: grades (0, 1),
+        # (1, 0) and (1, 1) of the step have target paths and no source
+        # ones, and grade (1, 1) of the word has no paths at all
+        base = BaseSpec(field, ("a", "b"))
+        x = GradedObj.from_grid(base, [[1, 0], [0, 0]], "x")
+        y = GradedObj.from_grid(base, [[1, 1], [1, 2]], "y")
+        rng = random.Random(8)
+        f = rand_mor(x, y, rng)
+        src = x.tensor(x).tensor(x)
+        for at in range(3):
+            ch = Chain(src).then(f, at=at)
+            got = ch.eval()
+            assert got == brute_chain(src, [(at, f)])
+            assert not got.is_zero()
+
+    @pytest.mark.parametrize("field", [Q, F7])
+    def test_empty_left_and_right_words(self, field):
+        # the step covers the whole word, then inserts at both ends
+        base = BaseSpec(field, ("a", "b", "c"))
+        x = GradedObj.from_grid(base, [[1, 1, 0], [0, 1, 1], [1, 0, 1]], "x")
+        unit = GradedObj.unit(base)
+        rng = random.Random(9)
+        f = rand_mor(x.tensor(x), x, rng)
+        e = rand_mor(unit, x, rng)
+        steps = [(0, f), (0, e), (2, e)]
+        ch = Chain(x.tensor(x))
+        for at, mor in steps:
+            ch.then(mor, at=at)
+        assert ch.eval() == brute_chain(x.tensor(x), steps)
+
+
+def reference_extend(src, dst, xs, comps):
+    """The inclusion-sum formula: dst(inclusions) ∘ component ∘ src(projections)
+    summed over every choice of simple summands, with whole morphisms."""
+    def layout_mor(layout, cov, contra):
+        return tensor_many(*(identity(s) if isinstance(s, GradedObj)
+                             else cov[s] if s >= 0 else contra[~s].ldual()
+                             for s in layout))
+
+    total = GradedMor.zero(layout_word(src, xs), layout_word(dst, xs))
+    for choice in product(*(tuple(summand_inclusions(x)) for x in xs)):
+        grades = tuple(g for g, _, _ in choice)
+        comp = comps.get(grades if len(xs) > 1 else grades[0])
+        if comp is None:
+            continue
+        incs = [inc for _, inc, _ in choice]
+        projs = [proj for _, _, proj in choice]
+        total = total + layout_mor(dst, incs, projs) @ comp @ layout_mor(src, projs, incs)
+    return total
+
+
+# element, R-matrix and antipode side, over a carrier A; the antipode has
+# its dual slot on both sides, so only a pairing X ⊗ X∨ -> A, with the
+# argument both plainly and dually, tells a path from its reversal
+LAYOUTS = {
+    "element": lambda a: ((0,), (a, 0)),
+    "rmatrix": lambda a: ((0, 1), (a, 1, a, 0)),
+    "antipode": lambda a: ((a, ~0, a.dual()), (~0,)),
+    "pairing": lambda a: ((0, ~0), (a,)),
+}
+
+
+class TestExtend:
+    @pytest.mark.parametrize("kind", sorted(LAYOUTS))
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_matches_inclusion_sum(self, kind, data):
+        base = data.draw(graded_bases())
+        carrier = data.draw(atoms(base, "A"))
+        src, dst = LAYOUTS[kind](carrier)
+        nargs = 2 if kind == "rmatrix" else 1
+        simples = [(i, j) for i in range(base.nlabels) for j in range(base.nlabels)]
+        keys = [(g1, g2) for g1 in simples for g2 in simples if g1[1] == g2[0]] \
+            if nargs == 2 else simples
+        comps = {}
+        for key in keys:
+            ss = tuple(GradedObj.simple(base, *g) for g in (key if nargs == 2 else (key,)))
+            comps[key] = data.draw(graded_mors(layout_word(src, ss), layout_word(dst, ss)))
+        pool = [data.draw(atoms(base, "x", 1)), data.draw(atoms(base, "y"))]
+        xs = tuple(data.draw(words(pool, 2, 1)) for _ in range(nargs))
+        if max(layout_word(src, xs).total_dim(), layout_word(dst, xs).total_dim()) > 4 * MAX_PATHS:
+            return
+        assert extend(src, dst, xs, comps) == reference_extend(src, dst, xs, comps)
+
+    @pytest.mark.parametrize("kind", sorted(LAYOUTS))
+    @pytest.mark.parametrize("field", [Q, F7])
+    def test_two_atom_arguments(self, kind, field):
+        # in x ⊗ x the reversal of a path is at another position of the
+        # dual word, so a dual slot must place by the reversed path
+        base = BaseSpec(field, ("a", "b"))
+        carrier = GradedObj.from_grid(base, [[1, 1], [0, 1]], "A")
+        x = GradedObj.from_grid(base, [[2, 1], [1, 2]], "x")
+        xx = x.tensor(x)
+        assert _perm_to_dual(xx, 0, 0) != tuple(range(xx.count(0, 0)))
+        src, dst = LAYOUTS[kind](carrier)
+        rng = random.Random(10)
+        simples = [(i, j) for i in range(2) for j in range(2)]
+        if kind == "rmatrix":
+            keys = [(g1, g2) for g1 in simples for g2 in simples if g1[1] == g2[0]]
+            xs = (xx, x)
+        else:
+            keys, xs = simples, (xx,)
+        comps = {}
+        for key in keys:
+            ss = tuple(GradedObj.simple(base, *g) for g in (key if kind == "rmatrix" else (key,)))
+            comps[key] = rand_mor(layout_word(src, ss), layout_word(dst, ss), rng)
+        got = extend(src, dst, xs, comps)
+        assert not got.is_zero()
+        assert got == reference_extend(src, dst, xs, comps)

@@ -89,3 +89,35 @@ def test_one_sided_antipode_ends_in_report(kz2, side):
     assert [x.check for x in rep.results if x.status == "skip"] == ONE_SIDED_SKIPS[side]
     assert all(x.status == "pass" for x in rep.results
                if x.check not in ONE_SIDED_SKIPS[side])
+
+
+# the derived and modules checks a one-sided kz2 cannot run, by the side it keeps
+BOTH_SIDES = ["antipode.inverse_rl", "antipode.inverse_lr", "morphism.product",
+              "morphism.unit", "morphism.coproduct", "morphism.counit", "square.inverse",
+              "elements.antipode_unit", "elements.antipode_inverse_map",
+              "elements.antipode_anti_hom", "elements.square_consistency"]
+ONE_SIDED_DERIVED_SKIPS = {
+    "sl": ["derived.right_anti_mult", "derived.right_anti_unit",
+           "derived.right_anti_comult", "derived.right_anti_counit", *BOTH_SIDES,
+           "dual.right_valid", "dual.right_ev_linear", "dual.right_coev_linear"],
+    "sr": ["derived.left_anti_mult", "derived.left_anti_unit",
+           "derived.left_anti_comult", "derived.left_anti_counit", *BOTH_SIDES,
+           "grouplike.inverse_0", "grouplike.inverse_1",
+           "dual.left_valid", "dual.left_ev_linear", "dual.left_coev_linear"],
+}
+
+
+@pytest.mark.parametrize("side", ["sl", "sr"])
+def test_one_sided_antipode_derived_and_modules(kz2, side):
+    # same contract as the quasitriangular suite: every check of the
+    # two-sided report, in its order, skipped when it reads the missing side
+    checks = ("derived", "modules")
+    full = verify_model(kz2, checks=checks)
+    one_sided = AntipodeData(kz2.t, **{side: getattr(kz2.antipode, side).comps})
+    rep = verify_model(dataclasses.replace(kz2, antipode=one_sided), checks=checks)
+    assert [x.check for x in rep.results] == [x.check for x in full.results]
+    assert [x.check for x in rep.results if x.status == "skip"] == \
+        ONE_SIDED_DERIVED_SKIPS[side]
+    assert all(x.status == "pass" for x in rep.results
+               if x.check not in ONE_SIDED_DERIVED_SKIPS[side])
+    assert "involutory" not in rep.info
