@@ -15,7 +15,9 @@ Prints one table:
 - end-to-end verifications: the 4-dim Drinfeld double of Z2 over GF(3),
   and ks3 and the 4-dim double of Z2 over Q against GF(3), the rational
   lane's ratios; then the two groupoid algebras on the two-label graded
-  backend (all suites each).
+  backend (all suites each); then the long chains of the contraction
+  plan: the quasitriangular suite of the 25-dim double of Z5 over GF(11)
+  and every suite of the 36-dim double of S3 over GF(7).
 
 Each time is the best of three runs.  The header line gives the CPU count
 and the OpenBLAS/OpenMP thread settings, which move the GF(p) rows.  With
@@ -40,7 +42,7 @@ import numpy as np
 
 from hopfmonad import presentation, zoo
 from hopfmonad.exactla import FieldSpec
-from hopfmonad.verify import verify_model
+from hopfmonad.verify import SUITES, verify_model
 
 # (rows, inner, cols, density of a, density of b) of the ks3 report
 KS3_Q_SHAPES = [(36, 6, 1296, 0.84, 0.14), (216, 36, 36, 0.14, 0.14),
@@ -77,8 +79,12 @@ def _sparse_q(rng, shape, density) -> np.ndarray:
     return m
 
 
-def _verify(name, field):
+def _verify(name, field, checks=SUITES):
     builders = {
+        "double_z5_f11": lambda: zoo.build_drinfeld_double_group(
+            zoo.cyclic_group_table(5), field, name),
+        "double_s3_f7": lambda: zoo.build_drinfeld_double_group(
+            zoo.symmetric3_table(), field, name),
         "ks3": lambda: zoo.build_group_algebra(zoo.symmetric3_table(), field, name),
         "double_z2": lambda: zoo.build_drinfeld_double_group(
             zoo.cyclic_group_table(2), field, name),
@@ -86,7 +92,7 @@ def _verify(name, field):
         "pair_groupoid": lambda: zoo.build_pair_groupoid(field, name),
     }
     model = presentation.load(builders[name]())
-    return lambda: verify_model(model, samples=1).passed
+    return lambda: verify_model(model, checks=checks, samples=1).passed
 
 
 def _machine() -> dict:
@@ -107,7 +113,7 @@ def main():
 
     def row(kernel, shape, seconds, density=""):
         shown = density if isinstance(density, str) else f"{density:.4f}"
-        print(f"{kernel:<30}{shape:>18}{shown:>14}{seconds:>11.4f}s")
+        print(f"{kernel:<40}{shape:>18}{shown:>14}{seconds:>11.4f}s")
         rows.append({"kernel": kernel, "shape": shape, "density": shown,
                      args.column: round(seconds, 6)})
 
@@ -115,7 +121,7 @@ def main():
     rng = np.random.default_rng(SEED)
     print(", ".join(f"{k}={v}" for k, v in _machine().items()
                     if k == "cpus" or k.endswith("threads")))
-    print(f"{'kernel':<30}{'shape':>18}{'density':>14}{'time':>12}")
+    print(f"{'kernel':<40}{'shape':>18}{'density':>14}{'time':>12}")
     for n in args.sizes:
         a = rng.integers(0, f.p, size=(n, n), dtype=np.int64)
         b = rng.integers(0, f.p, size=(n, n), dtype=np.int64)
@@ -150,6 +156,9 @@ def main():
     row("verify ks3 (Q)", "", _best(_verify("ks3", q)))
     for name in ("disconnected_groupoid", "pair_groupoid"):
         row(f"verify {name}", "", _best(_verify(name, q)))
+    row("verify double_z5_f11 (quasitriangular)", "",
+        _best(_verify("double_z5_f11", f11, ("quasitriangular",))))
+    row("verify double_s3_f7", "", _best(_verify("double_s3_f7", FieldSpec.prime(7))))
 
     if args.json:
         _write_json(args.json, rows, args)

@@ -23,7 +23,7 @@ matrix per grade.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 from functools import lru_cache
 
 import numpy as np
@@ -71,10 +71,15 @@ class Atom:
 
     name: str
     dims: tuple  # tuple of tuples of ints
+    _hash: int = dataclass_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if any(d < 0 for row in self.dims for d in row):
             raise ExactError("negative dimension")
+        object.__setattr__(self, "_hash", hash((self.name, self.dims)))
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def nlabels(self) -> int:
@@ -95,11 +100,17 @@ class GradedObj:
 
     base: BaseSpec
     atoms: tuple
+    # words key the caches below: hash each once, not on every lookup
+    _hash: int = dataclass_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for a in self.atoms:
             if a.nlabels != self.base.nlabels:
                 raise BaseMismatch("atom grid does not match the label set")
+        object.__setattr__(self, "_hash", hash((self.base, self.atoms)))
+
+    def __hash__(self):
+        return self._hash
 
     # -- constructors ------------------------------------------------------
 

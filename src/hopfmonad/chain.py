@@ -9,10 +9,23 @@ Neither backend materializes a whiskered Kronecker factor.  On a
 one-label base the running composite is a dense (current x width)
 matrix, reshaped along the word's atom axes, and each step contracts a
 small core against the axes it touches.  The chain is evaluated from
-whichever end is narrower.  On a multi-label base the running composite
-is one block per grade (i, l), its rows the current word's (i, l)-paths.
-A step id_L ⊗ g ⊗ id_R is applied per grade and per block (j, k) of g:
-the rows at the paths i -> j -> k -> l through (L, source of g, R) are
+whichever end is narrower, and then by a contraction plan (_plan): the
+steps are walked in order and each is read as a core on atom axes (a
+CoreStep through its in_axes, out_axes and pass_perm, a MorStep on
+consecutive axes).  The next step is fused into the running group when
+the two cores contracted over their shared axes give a core strictly
+smaller than the state between them, which is then never made.  So an
+inserted element (an R-matrix, a coevaluation) is contracted with the
+products after it before it meets the state; on the 25- and
+36-dimensional doubles no state or fused core exceeds carrier-dim^4,
+where the steps one at a time reach carrier-dim^5.  A group of one step
+is the step itself.  Re-associating exact products cannot change a
+result; the tests compare the plan against one group per step.
+
+On a multi-label base the running composite is one block per grade
+(i, l), its rows the current word's (i, l)-paths.  A step
+id_L ⊗ g ⊗ id_R is applied per grade and per block (j, k) of g: the
+rows at the paths i -> j -> k -> l through (L, source of g, R) are
 gathered, contracted with g's (j, k) block and scattered to the paths
 through (L, target of g, R).  The path positions come from
 cat._tensor_positions.
@@ -38,7 +51,7 @@ import numpy as np
 from .cat import GradedMor, GradedObj, _perm_to_dual, _tensor_positions
 from .exactla import DimensionMismatch, ExactError
 
-# Cap on entries of any intermediate state (per evaluation).
+# Cap on entries of any intermediate state and any fused core (per evaluation).
 MAX_STATE_ENTRIES = 3 * 10**8
 
 
@@ -235,7 +248,7 @@ class Chain:
         state = field.eye(ns) if ns else field.zeros((0, 0))
         w = ns
         cur = self.src
-        for at, step in self.steps:
+        for at, step in _plan(self.src, self.steps, w):
             n = len(step.src.atoms)
             dl = prod(cur.axis_dims()[:at]) if at else 1
             dr = prod(cur.axis_dims()[at + n:]) if cur.atoms[at + n:] else 1
@@ -247,6 +260,106 @@ class Chain:
             state = step.apply_vec(state, dl, dr, field)
             cur = GradedObj(cur.base, cur.atoms[:at] + step.dst.atoms + cur.atoms[at + n:])
         return GradedMor(self.src, cur, {(0, 0): state})
+
+
+# -- vector backend: the contraction plan ------------------------------------
+
+
+def _as_core(step: Step) -> tuple:
+    """A vector step as (core, consumed axes, produced axes); a MorStep is
+    a core on all of its source and target atoms."""
+    if isinstance(step, CoreStep):
+        return step.core, step.in_axes, step.out_axes
+    return (step.mor.block(0, 0), tuple(range(len(step.src.atoms))),
+            tuple(range(len(step.dst.atoms))))
+
+
+def _plan(src: GradedObj, steps: list, w: int) -> list:
+    """The groups of a vector chain of width w, as (at, step) pairs.
+
+    The steps are walked in order.  The next step joins the running group
+    when their fused core is strictly smaller than the state the group
+    leaves for the step: that state is then never made.  A group of one
+    step is the step itself; a longer one is a CoreStep on whole words
+    (see _fuse).
+    """
+    plan = []
+    atoms, dims = src.atoms, src.axis_dims()
+    for at, step in steps:
+        n = len(step.src.atoms)
+        nxt = atoms[:at] + step.dst.atoms + atoms[at + n:]
+        nxt_dims = dims[:at] + step.dst.axis_dims() + dims[at + n:]
+        if plan:
+            gat, group = plan[-1]
+            g_core, _, g_out = _as_core(group)
+            s_core, s_in, _ = _as_core(step)
+            outs = {gat + a for a in g_out}
+            ins = {at + a for a in s_in}
+            shared = outs & ins
+            rows = s_core.shape[0] * prod(dims[a] for a in outs - shared)
+            cols = g_core.shape[1] * prod(dims[a] for a in ins - shared)
+            if rows * cols < prod(dims) * w:
+                if rows * cols > MAX_STATE_ENTRIES:
+                    raise ChainOverflow(f"fused core of {rows} x {cols} entries")
+                plan[-1] = (0, _fuse(GradedObj(src.base, start), dims, plan[-1],
+                                     (at, step), GradedObj(src.base, nxt)))
+                atoms, dims = nxt, nxt_dims
+                continue
+        plan.append((at, step))
+        start, atoms, dims = atoms, nxt, nxt_dims
+    return plan
+
+
+def _whole_word(at: int, step: Step, natoms: int) -> tuple:
+    """id ⊗ step ⊗ id on a word of natoms atoms as a core on whole words:
+    (core, consumed axes, produced axes, {target axis: source axis} of the
+    axes passing through)."""
+    core, ins, outs = _as_core(step)
+    n, m = len(step.src.atoms), len(step.dst.atoms)
+    feed = {j: j for j in range(at)}
+    feed.update((j - n + m, j) for j in range(at + n, natoms))
+    if isinstance(step, CoreStep):
+        feed.update((at + d, at + step._pass_src[p])
+                    for d, p in zip(step._pass_dst, step.pass_perm))
+    return core, [at + a for a in ins], [at + a for a in outs], feed
+
+
+def _fuse(start: GradedObj, mid_dims: list, first: tuple, second: tuple,
+          end: GradedObj) -> CoreStep:
+    """The two (at, step) pairs, first then second, as one CoreStep from
+    start to end.
+
+    The fused core is the two cores contracted over the axes the first
+    produces and the second consumes.  An axis the second consumes and the
+    first passes through becomes an input of the fused core, and an axis
+    the first produces and the second passes through an output; no
+    identity is tensored in.
+    """
+    core1, in1, out1, feed1 = _whole_word(*first, len(start.atoms))
+    core2, in2, out2, feed2 = _whole_word(*second, len(mid_dims))
+    sd, ed = start.axis_dims(), end.axis_dims()
+    t1 = core1.reshape([mid_dims[a] for a in out1] + [sd[a] for a in in1])
+    t2 = core2.reshape([ed[a] for a in out2] + [mid_dims[a] for a in in2])
+    shared = [a for a in in2 if a in out1]
+    t = start.base.field.tensordot(
+        t2, t1, axes=([len(out2) + in2.index(a) for a in shared],
+                      [out1.index(a) for a in shared]))
+    # t's axes are out2, in2 less shared, out1 less shared, in1: swap the
+    # middle two so the outputs come first
+    in2_rest = [a for a in in2 if a not in shared]
+    out1_rest = [a for a in out1 if a not in shared]
+    i, j = len(out2), len(out2) + len(in2_rest)
+    k = j + len(out1_rest)
+    t = t.transpose([*range(i), *range(j, k), *range(i, j), *range(k, t.ndim)])
+    forward = {s: e for e, s in feed2.items()}
+    out_axes = out2 + [forward[a] for a in out1_rest]
+    in_axes = [feed1[a] for a in in2_rest] + in1
+    feed = {e: feed1[s] for e, s in feed2.items() if s in feed1}
+    pass_src = [a for a in range(len(sd)) if a not in in_axes]
+    pass_dst = [a for a in range(len(ed)) if a not in out_axes]
+    core = t.reshape(prod(ed[a] for a in out_axes), prod(sd[a] for a in in_axes))
+    return CoreStep(start, end, core, in_axes, out_axes,
+                    pass_perm=[pass_src.index(feed[a]) for a in pass_dst])
 
 
 def _split_positions(left: GradedObj, mid: GradedObj, right: GradedObj,

@@ -512,6 +512,10 @@ def separability_element(t: TensoringBimonad, fam: Family,
     return Family(t, comps, (0,), (t.carrier, t.carrier, 0), "separability")
 
 
+# the checks check_separability records, in report order
+SEPARABILITY_CHECKS = ("separable.bimodule", "separable.splitting")
+
+
 def check_separability(t: TensoringBimonad, gam: Family) -> Report:
     """The two equations making the splitting natural and unital."""
     rep = Report(f"{t.name}: separability")
@@ -531,8 +535,8 @@ def check_separability(t: TensoringBimonad, gam: Family) -> Report:
             rhs = Chain(s).then(t.u, at=0)
             yield (g,), lhs, rhs
 
-    compare_at(rep, "separable.bimodule", bimodule_items())
-    compare_at(rep, "separable.splitting", splitting_items())
+    for check, items in zip(SEPARABILITY_CHECKS, (bimodule_items, splitting_items)):
+        compare_at(rep, check, items())
     return rep
 
 

@@ -315,8 +315,9 @@ def _mult_compat_fast(t: TensoringBimonad):
     """Vector-backend route for the product/coproduct compatibility.
 
     Contracts the structure tensors directly so the check stays feasible
-    for large carriers, where the step-by-step route would materialize an
-    intermediate of carrier-dim^5 entries.
+    for large carriers.  The chain route stays at carrier-dim^5 whatever
+    the contraction plan: its states have width carrier-dim^2, and the
+    first coproduct of the right side alone makes carrier-dim^3 rows.
     """
     f = t.base.field
     n = t.carrier_dim

@@ -2,8 +2,11 @@
 twists and the sovereign element they induce.
 
 Long composites interleave the product contractions with the R-steps
-(whiskers on disjoint positions commute), which keeps every intermediate
-at most carrier-dim^5 even for the 36-dimensional double.
+(whiskers on disjoint positions commute): each product follows the step
+that makes its factor, so the contraction plan of chain.py, which only
+fuses neighbouring steps, folds an inserted R into the products right
+after it.  With that, the R-matrix and Drinfeld-element chains stay at
+carrier-dim^4 (tests/test_chain.py records the peak on the doubles).
 """
 
 from __future__ import annotations
@@ -172,7 +175,8 @@ def _star_inverse_right_items(t, r, r_inv):
 
 
 def _yang_baxter_items(t, r):
-    # product contractions are interleaved to cap the intermediates
+    # each product comes right after the R that makes its factor, so the
+    # plan fuses the two and no state exceeds carrier-dim^4
     for g1, g2, g3 in t.composable_triples():
         s1, s2, s3 = t.simple(g1), t.simple(g2), t.simple(g3)
         ts1, ts2, ts3 = (t.on_obj(s) for s in (s1, s2, s3))

@@ -24,6 +24,7 @@ from .antipode import (
 from .cat import GradedMor, identity
 from .exactla import ExactError
 from .hopfstruct import (
+    SEPARABILITY_CHECKS,
     canonical_hopf_module,
     check_gamma_suite,
     check_separability,
@@ -77,6 +78,7 @@ AXIOMS_FAILED = "the axioms failed; this suite assumes them"
 
 # the notes of the checks skipped for a one-sided antipode
 NO_LEFT = "needs the left antipode"
+NO_RIGHT = "needs the right antipode"
 NO_BOTH = "needs both antipode sides"
 
 # randomized free-module probes are used up to this carrier dimension;
@@ -171,9 +173,11 @@ def verify_model(model: Model, checks: tuple = SUITES, seed: int = 0,
             for mod in mods:
                 check_dual_module_duality(t, a, mod, rep)
 
-    if "hopfmodules" in checks and a is not None and a.has_right:
+    if "hopfmodules" in checks and a is not None:
         if axioms_failed:
             rep.skip("hopfmodules", AXIOMS_FAILED)
+        elif not a.has_right:
+            rep.skip("hopfmodules", NO_RIGHT)
         else:
             fam = gamma_family(t, a)
             rep.merge(check_gamma_suite(t, a, fam, _probe_modules(model, rng, 1)))
@@ -222,7 +226,9 @@ def verify_model(model: Model, checks: tuple = SUITES, seed: int = 0,
                 {f"{i},{l}": [[f.show(v) for v in row] for row in lam.block(i, l).tolist()]
                  for (i, l) in sorted(lam.blocks)}
                 for lam in verdict["cointegral_basis"]]
-            if verdict["semisimple"] and a is not None and a.has_right:
+            if verdict["semisimple"] and a is not None and not a.has_right:
+                _skip_each(rep, SEPARABILITY_CHECKS + ("maschke.sections",), NO_RIGHT)
+            elif verdict["semisimple"] and a is not None:
                 if fam is None:
                     fam = gamma_family(t, a)
                 gam = separability_element(t, fam, verdict["witness"])

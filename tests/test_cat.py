@@ -88,6 +88,28 @@ class TestObjects:
         assert x.tensor(y).dims_grid() == [[4, 3], [0, 3]]
 
 
+    def test_equal_words_hash_equal(self):
+        # each word stores its hash; words built apart still compare and
+        # hash alike, and differing ones compare unequal
+        a = GradedObj.from_grid(GR2, [[1, 2], [0, 1]], "A")
+        x = GradedObj(GR2, a.atoms + a.dual().atoms)
+        y = a.tensor(GradedObj.from_grid(GR2, [[1, 2], [0, 1]], "A").dual())
+        assert x == y and hash(x) == hash(y)
+        assert hash(x.atoms[1]) == hash(Atom("A*", ((1, 0), (2, 1))))
+        assert len({x, y, a}) == 2
+        assert x != a.tensor(a)
+        assert repr(Atom("A", ((1,),))) == "Atom(name='A', dims=((1,),))"
+
+    def test_atoms_and_words_are_frozen(self):
+        a = GradedObj.from_grid(GR2, [[1, 2], [0, 1]], "A")
+        with pytest.raises(AttributeError):
+            a.atoms = ()
+        with pytest.raises(AttributeError):
+            a.atoms[0].dims = ((0, 0), (0, 0))
+        with pytest.raises(AttributeError):
+            a._hash = 0
+
+
 class TestMorphisms:
     def test_identity_tensor(self):
         rng = random.Random(3)

@@ -18,8 +18,19 @@ from hopfmonad.cat import (
     summand_inclusions,
     tensor_mor,
 )
-from hopfmonad.chain import Chain, ChainOverflow, CoreStep, extend, layout_word, mor_flip
+from hopfmonad import chain as chainmod
+from hopfmonad import presentation, zoo
+from hopfmonad.chain import (
+    Chain,
+    ChainOverflow,
+    CoreStep,
+    MorStep,
+    extend,
+    layout_word,
+    mor_flip,
+)
 from hopfmonad.exactla import FieldSpec
+from hopfmonad.verify import verify_model
 
 Q = FieldSpec.rationals()
 F7 = FieldSpec.prime(7)
@@ -145,6 +156,184 @@ class TestVectorChain:
                 Chain(a.tensor(a)).then(f, at=0).eval()
         finally:
             chainmod.MAX_STATE_ENTRIES = old
+
+
+# ---------------------------------------------------------------------------
+# Vector backend: the contraction plan against one step per group
+# ---------------------------------------------------------------------------
+
+
+def eval_unplanned(ch):
+    """The chain through the same executor, each step its own group."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(chainmod, "_plan", lambda src, steps, w: list(steps))
+        return ch.eval()
+
+
+# steps produce atoms of dims 1, 2 and 3; a source word may also hold a
+# zero-dimensional atom, which makes every state of width 0
+VECTOR_ATOMS = [Atom(name, ((n,),)) for name, n in [("a", 1), ("b", 2), ("c", 3)]]
+ZERO_ATOM = Atom("z", ((0,),))
+MAX_VECTOR_DIM = 60
+
+
+@st.composite
+def core_steps(draw, src):
+    """A CoreStep from src: a random subset of its atoms consumed in random
+    order, the rest permuted, new atoms produced at random target positions."""
+    n = len(src.atoms)
+    order = draw(st.permutations(range(n)))
+    in_axes = tuple(order[:draw(st.integers(0, n))])
+    pass_src = [a for a in range(n) if a not in in_axes]
+    pass_perm = draw(st.permutations(range(len(pass_src))))
+    made = draw(st.lists(st.sampled_from(VECTOR_ATOMS), max_size=2))
+    slots = draw(st.permutations(range(len(pass_src) + len(made))))
+    out_axes = tuple(slots[:len(made)])
+    dst = [None] * len(slots)
+    for a, atom in zip(out_axes, made):
+        dst[a] = atom
+    passing = iter(pass_perm)
+    dst = [atom if atom is not None else src.atoms[pass_src[next(passing)]] for atom in dst]
+    rows = prod(atom.dims[0][0] for atom in made)
+    cols = prod(src.atoms[a].dims[0][0] for a in in_axes)
+    vals = draw(st.lists(st.integers(-3, 3), min_size=rows * cols, max_size=rows * cols))
+    f = src.base.field
+    core = f.zeros((rows, cols))
+    for k, v in enumerate(vals):
+        core.flat[k] = f.coerce(v)
+    return CoreStep(src, GradedObj(src.base, tuple(dst)), core, in_axes, out_axes,
+                    pass_perm=pass_perm)
+
+
+@st.composite
+def mor_steps(draw, src):
+    dst = GradedObj(src.base, tuple(draw(st.lists(st.sampled_from(VECTOR_ATOMS), max_size=2))))
+    return MorStep(draw(graded_mors(src, dst)))
+
+
+class TestPlan:
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_random_chain_matches_unplanned(self, data):
+        # inserting and consuming cores, permuted pass-through axes and
+        # MorSteps; the unit word, zero-width states and chains that are
+        # evaluated from the target end all come up
+        base = data.draw(st.sampled_from([VEC, VEC7]))
+        src = GradedObj(base, tuple(data.draw(st.lists(
+            st.sampled_from(VECTOR_ATOMS * 2 + [ZERO_ATOM]), max_size=4))))
+        ch, cur = Chain(src), src
+        for _ in range(data.draw(st.integers(1, 6))):
+            at = data.draw(st.integers(0, len(cur.atoms)))
+            n = data.draw(st.integers(0, len(cur.atoms) - at))
+            step_src = GradedObj(base, cur.atoms[at:at + n])
+            kind = data.draw(st.sampled_from([core_steps, mor_steps]))
+            step = data.draw(kind(step_src))
+            atoms = cur.atoms[:at] + step.dst.atoms + cur.atoms[at + n:]
+            if len(atoms) > 5 or GradedObj(base, atoms).total_dim() > MAX_VECTOR_DIM:
+                continue
+            ch.then(step, at=at)
+            cur = ch.dst
+        got, want = ch.eval(), eval_unplanned(ch)
+        assert got == want
+        assert got.block(0, 0).dtype == want.block(0, 0).dtype
+
+    @pytest.mark.parametrize("base", [VEC, VEC7])
+    def test_product_after_insertion_is_fused(self, base):
+        # R-matrix shape: insert a d x d element, contract each leg with a
+        # product; the two products fold into the insertion, and no state
+        # exceeds d^2 x width
+        rng = random.Random(11)
+        d = 3
+        a = vspace(base, d, "a")
+        r = rand_mor(GradedObj.unit(base), a.tensor(a), rng)
+        m = rand_mor(a.tensor(a), a, rng)
+        src = a.tensor(a)
+        ch = Chain(src).then(r, at=0).then(m, at=0).then(m, at=1)
+        plan = chainmod._plan(src, ch.steps, src.total_dim())
+        assert len(plan) == 1 and isinstance(plan[0][1], CoreStep)
+        assert plan[0][1].core.shape == (d * d, d * d)
+        assert ch.eval() == eval_unplanned(ch)
+
+    @pytest.mark.parametrize("base", [VEC, VEC7])
+    def test_fused_group_keeps_permuted_axes(self, base):
+        # insert x while swapping a and b, then consume x: the fused group
+        # only permutes its pass-through axes
+        rng = random.Random(13)
+        a, b, c, x = (vspace(base, n, nm) for n, nm in [(2, "a"), (2, "b"), (3, "c"), (2, "x")])
+        core = base.field.asarray([[1], [2]])
+        swap = CoreStep(a.tensor(b), x.tensor(b).tensor(a), core, in_axes=(),
+                        out_axes=(0,), pass_perm=(1, 0))
+        src = a.tensor(b).tensor(c)
+        ch = Chain(src).then(swap, at=0).then(rand_mor(x, GradedObj.unit(base), rng), at=0)
+        plan = chainmod._plan(src, ch.steps, src.total_dim())
+        assert len(plan) == 1 and plan[0][1].pass_perm == (1, 0, 2)
+        assert ch.eval() == eval_unplanned(ch)
+
+    @pytest.mark.parametrize("base", [VEC, VEC7])
+    def test_fused_core_overflow(self, base):
+        # a -> x, then an inserted b and b ⊗ x -> c fuse into a 3 x 16
+        # core; the states the plan applies have 32 and 6 entries, so only
+        # the fused core is above a cap of 40
+        rng = random.Random(12)
+        a, x, b, c = (vspace(base, n, nm) for n, nm in [(2, "a"), (16, "x"), (8, "b"), (3, "c")])
+        ch = Chain(a).then(rand_mor(a, x, rng), at=0) \
+                     .then(rand_mor(GradedObj.unit(base), b, rng), at=0) \
+                     .then(rand_mor(b.tensor(x), c, rng), at=0)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(chainmod, "MAX_STATE_ENTRIES", 40)
+            with pytest.raises(ChainOverflow, match="fused core of 3 x 16"):
+                ch.eval()
+            mp.setattr(chainmod, "MAX_STATE_ENTRIES", 48)
+            got = ch.eval()
+        assert got == eval_unplanned(ch)
+
+
+def record_peaks(monkeypatch) -> dict:
+    """Track the largest state any step makes and the largest fused core."""
+    peak = {"state": 0, "core": 0}
+    for cls in (CoreStep, MorStep):
+        def apply_vec(self, state, dl, dr, field, _apply=cls.apply_vec):
+            out = _apply(self, state, dl, dr, field)
+            peak["state"] = max(peak["state"], out.size)
+            return out
+        monkeypatch.setattr(cls, "apply_vec", apply_vec)
+
+    def fuse(*args, _fuse=chainmod._fuse):
+        step = _fuse(*args)
+        peak["core"] = max(peak["core"], step.core.size)
+        return step
+    monkeypatch.setattr(chainmod, "_fuse", fuse)
+    return peak
+
+
+def drinfeld_double(n: int, p: int, name: str):
+    return presentation.load(zoo.build_drinfeld_double_group(
+        zoo.cyclic_group_table(n), FieldSpec.prime(p), name))
+
+
+def test_peak_state_double_z5_f11(monkeypatch):
+    peak = record_peaks(monkeypatch)
+    rep = verify_model(drinfeld_double(5, 11, "double_z5_f11"), checks=("quasitriangular",))
+    assert rep.passed
+    assert 0 < peak["core"] <= 25 ** 4 and peak["state"] <= 25 ** 4
+
+
+@pytest.mark.long
+def test_peak_state_double_s3_f7(monkeypatch):
+    peak = record_peaks(monkeypatch)
+    model = presentation.load(zoo.build_drinfeld_double_group(
+        zoo.symmetric3_table(), FieldSpec.prime(7), "double_s3_f7"))
+    assert verify_model(model).passed
+    assert 0 < peak["core"] <= 36 ** 4 and peak["state"] <= 36 ** 4
+
+
+@pytest.mark.long
+def test_double_z8_f17_passes_every_suite(monkeypatch):
+    # 64-dimensional: a carrier^5 state, 1.07e9 entries, is above MAX_STATE_ENTRIES
+    peak = record_peaks(monkeypatch)
+    rep = verify_model(drinfeld_double(8, 17, "double_z8_f17"))
+    assert rep.passed, [x.line() for x in rep.failures()]
+    assert peak["state"] <= 64 ** 4 and peak["core"] <= 64 ** 4
 
 
 class TestGradedChain:

@@ -121,3 +121,23 @@ def test_one_sided_antipode_derived_and_modules(kz2, side):
     assert all(x.status == "pass" for x in rep.results
                if x.check not in ONE_SIDED_DERIVED_SKIPS[side])
     assert "involutory" not in rep.info
+
+
+@pytest.mark.parametrize("side", ["sl", "sr"])
+def test_one_sided_antipode_hopfmodules_and_maschke(kz2, side):
+    # the hopfmodules suite and the Maschke sections read the right
+    # antipode: without it the suite is one skip and each section check is
+    # skipped by name; with only the right side both run as usual
+    checks = ("hopfmodules", "maschke")
+    full = verify_model(kz2, checks=checks)
+    one_sided = AntipodeData(kz2.t, **{side: getattr(kz2.antipode, side).comps})
+    rep = verify_model(dataclasses.replace(kz2, antipode=one_sided), checks=checks)
+    if side == "sr":
+        assert [(x.check, x.status) for x in rep.results] == \
+            [(x.check, x.status) for x in full.results]
+        return
+    sections = ["separable.bimodule", "separable.splitting", "maschke.sections"]
+    assert [x.check for x in full.results][-3:] == sections
+    assert [(x.check, x.status, x.note) for x in rep.results] == \
+        [(check, "skip", "needs the right antipode") for check in ["hopfmodules", *sections]]
+    assert rep.info["semisimple"] == full.info["semisimple"]
