@@ -11,21 +11,27 @@ Prints one table:
   few extra entries;
 - the three costliest rational product shapes of the ks3 report, at the
   densities measured there (left/right factor), with small rationals over
-  the denominators seen there;
+  the denominators seen there, and the rational row reduction of ks3's
+  `decomp.kernel_match` probe (the 432x72 matrix whose kernel
+  fundamental_iso compares with the unit's image, for a randomized
+  induced Hopf module);
 - end-to-end verifications: the 4-dim Drinfeld double of Z2 over GF(3),
-  and ks3 and the 4-dim double of Z2 over Q against GF(3), the rational
-  lane's ratios; then the two groupoid algebras on the two-label graded
-  backend (all suites each); then the long chains of the contraction
-  plan: the quasitriangular suite of the 25-dim double of Z5 over GF(11)
-  and every suite of the 36-dim double of S3 over GF(7).
+  and ks3, the 4-dim double of Z2 and the 4-dim Sweedler algebra over Q
+  against GF(3) and GF(1048573), the rational lane's ratios; then the two
+  groupoid algebras on the two-label graded backend (all suites each);
+  then the long chains of the contraction plan: the quasitriangular suite
+  of the 25-dim double of Z5 over GF(11) and every suite of the 36-dim
+  double of S3 over GF(7).
 
-Each time is the best of three runs.  The header line gives the CPU count
-and the OpenBLAS/OpenMP thread settings, which move the GF(p) rows.  With
---json PATH the rows are also written to PATH, with the machine (those
-settings included), the numpy version and the seed, under the column
---column; a column already in PATH is replaced and the other columns are
-kept, so two runs (say, of two commits, by pointing PYTHONPATH at each
-one's src/) fill one file side by side.
+Each time is the best of three runs.  The header line gives the CPU count,
+the OpenBLAS/OpenMP thread settings, which move the GF(p) rows, and the
+best of three timings of a fixed pure-Python loop (`calibration_s`), by
+which runs on differently loaded hosts can be compared.  With --json PATH
+the rows are also written to PATH, with the machine (those settings
+included, and the calibration per column), the numpy version and the
+seed, under the column --column; a column already in PATH is replaced and
+the other columns are kept, so two runs (say, of two commits, by pointing
+PYTHONPATH at each one's src/) fill one file side by side.
 
 Usage:  python benchmarks/bench_kernels.py [--sizes 128 256 512]
             [--json BENCH_kernels.json --column change]
@@ -35,12 +41,13 @@ import argparse
 import json
 import os
 import platform
+import random
 import time
 from fractions import Fraction
 
 import numpy as np
 
-from hopfmonad import presentation, zoo
+from hopfmonad import hopfstruct, presentation, zoo
 from hopfmonad.exactla import FieldSpec
 from hopfmonad.verify import SUITES, verify_model
 
@@ -69,18 +76,45 @@ def _sparse(rng, shape, density, p) -> np.ndarray:
     return m
 
 
-def _sparse_q(rng, shape, density) -> np.ndarray:
-    m = FieldSpec.rationals().zeros(shape)
-    n = max(1, round(density * m.size))
+def _sparse_q(rng, shape, density):
+    size = shape[0] * shape[1]
+    n = max(1, round(density * size))
     nums = rng.integers(1, 100, n) * rng.choice([-1, 1], n)
     dens = rng.choice(KS3_DENOMINATORS, n)
-    for k, x, d in zip(rng.choice(m.size, n, replace=False), nums, dens):
-        m.flat[k] = Fraction(int(x), int(d))
-    return m
+    flat = [Fraction(0)] * size
+    for k, x, d in zip(rng.choice(size, n, replace=False), nums, dens):
+        flat[k] = Fraction(int(x), int(d))
+    return FieldSpec.rationals().asarray(
+        [flat[i * shape[1]:(i + 1) * shape[1]] for i in range(shape[0])])
+
+
+def _ks3_probe():
+    """The matrix of ks3's decomp.kernel_match probe: the largest one
+    fundamental_iso hands to `kernel`, for an induced Hopf module built from
+    a randomized comodule (seed SEED)."""
+    model = presentation.load(zoo.build_group_algebra(
+        zoo.symmetric3_table(), FieldSpec.rationals(), "ks3"))
+    t = model.t
+    car, rho = hopfstruct.random_comodule(t, model.grouplikes, random.Random(SEED), 2)
+    h = hopfstruct.induced_hopf_module(t, car, rho)
+    seen = []
+    kernel = hopfstruct.kernel
+
+    def recording(spec, a):
+        seen.append(a)
+        return kernel(spec, a)
+
+    hopfstruct.kernel = recording
+    try:
+        hopfstruct.fundamental_iso(t, hopfstruct.gamma_family(t, model.antipode), h)
+    finally:
+        hopfstruct.kernel = kernel
+    return max(seen, key=lambda a: a.size)
 
 
 def _verify(name, field, checks=SUITES):
     builders = {
+        "sweedler": lambda: zoo.build_sweedler(field, name),
         "double_z5_f11": lambda: zoo.build_drinfeld_double_group(
             zoo.cyclic_group_table(5), field, name),
         "double_s3_f7": lambda: zoo.build_drinfeld_double_group(
@@ -95,10 +129,19 @@ def _verify(name, field, checks=SUITES):
     return lambda: verify_model(model, checks=checks, samples=1).passed
 
 
+def _calibrate() -> None:
+    """A fixed dict-and-tuple loop, the kind of work the plumbing does."""
+    acc: dict = {}
+    for i in range(40000):
+        key = (i % 97, i % 13)
+        acc[key] = acc.get(key, 0) + i
+
+
 def _machine() -> dict:
     machine = {"platform": platform.platform(), "processor": platform.machine(),
                "cpus": os.cpu_count(), "python": platform.python_version()}
     machine.update({var.lower(): os.environ.get(var) for var in THREAD_VARIABLES})
+    machine["calibration_s"] = round(_best(_calibrate), 6)
     return machine
 
 
@@ -119,8 +162,9 @@ def main():
 
     f = FieldSpec.prime(7919)
     rng = np.random.default_rng(SEED)
-    print(", ".join(f"{k}={v}" for k, v in _machine().items()
-                    if k == "cpus" or k.endswith("threads")))
+    machine = _machine()
+    print(", ".join(f"{k}={v}" for k, v in machine.items()
+                    if k in ("cpus", "calibration_s") or k.endswith("threads")))
     print(f"{'kernel':<40}{'shape':>18}{'density':>14}{'time':>12}")
     for n in args.sizes:
         a = rng.integers(0, f.p, size=(n, n), dtype=np.int64)
@@ -148,12 +192,16 @@ def main():
         b = _sparse_q(rng, (k, c), db)
         row("sparse Q matmul", f"{m}x{k}x{c}", _best(q.matmul, a, b),
             f"{da}/{db}")
+    probe = _ks3_probe()
+    row("Q rref (ks3 kernel_match probe)", "x".join(map(str, probe.shape)),
+        _best(q.rref, probe))
 
     f3 = FieldSpec.prime(3)
-    row("verify double_z2 (GF(3))", "", _best(_verify("double_z2", f3)))
-    row("verify double_z2 (Q)", "", _best(_verify("double_z2", q)))
-    row("verify ks3 (GF(3))", "", _best(_verify("ks3", f3)))
-    row("verify ks3 (Q)", "", _best(_verify("ks3", q)))
+    big = FieldSpec.prime(1048573)
+    for name in ("double_z2", "ks3", "sweedler"):
+        row(f"verify {name} (GF(3))", "", _best(_verify(name, f3)))
+        row(f"verify {name} (GF(1048573))", "", _best(_verify(name, big)))
+        row(f"verify {name} (Q)", "", _best(_verify(name, q)))
     for name in ("disconnected_groupoid", "pair_groupoid"):
         row(f"verify {name}", "", _best(_verify(name, q)))
     row("verify double_z5_f11 (quasitriangular)", "",
@@ -161,15 +209,18 @@ def main():
     row("verify double_s3_f7", "", _best(_verify("double_s3_f7", FieldSpec.prime(7))))
 
     if args.json:
-        _write_json(args.json, rows, args)
+        _write_json(args.json, rows, args, machine)
 
 
-def _write_json(path, rows, args):
+def _write_json(path, rows, args, machine):
     doc = {"rows": []}
     if os.path.exists(path):
         with open(path) as fh:
             doc = json.load(fh)
-    doc["machine"] = _machine()
+    # the calibration is kept per column, beside the rows it scales
+    calibration = doc.get("machine", {}).get("calibration_s", {})
+    doc["machine"] = dict(machine, calibration_s=dict(
+        calibration, **{args.column: machine["calibration_s"]}))
     doc["numpy"] = np.__version__
     doc["seed"] = SEED
     doc["repeat"] = f"best of {REPEAT}"

@@ -23,6 +23,7 @@ matrix per grade.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field as dataclass_field
 from functools import lru_cache
 
@@ -281,7 +282,7 @@ class GradedMor:
     def zero(src: GradedObj, dst: GradedObj) -> "GradedMor":
         return GradedMor(src, dst, {})
 
-    def block(self, i: int, l: int) -> np.ndarray:
+    def block(self, i: int, l: int):
         """Dense block at a grade (zeros when absent)."""
         g = (i, l)
         if g in self.blocks:
@@ -305,7 +306,8 @@ class GradedMor:
         return self.compose(other)
 
     def _blockwise(self, op, other: "GradedMor") -> "GradedMor":
-        """`op` (np.add or np.subtract) of the blocks, absent ones read as zero."""
+        """`op` (operator.add or operator.sub) of the blocks, absent ones read
+        as zero."""
         if self.src != other.src or self.dst != other.dst:
             raise DimensionMismatch(f"{op.__name__} of morphisms with different ends")
         f = self.field
@@ -314,10 +316,10 @@ class GradedMor:
                           for g in set(self.blocks) | set(other.blocks)})
 
     def __add__(self, other: "GradedMor") -> "GradedMor":
-        return self._blockwise(np.add, other)
+        return self._blockwise(operator.add, other)
 
     def __sub__(self, other: "GradedMor") -> "GradedMor":
-        return self._blockwise(np.subtract, other)
+        return self._blockwise(operator.sub, other)
 
     def __neg__(self) -> "GradedMor":
         f = self.field
@@ -339,10 +341,8 @@ class GradedMor:
             return NotImplemented
         if self.src != other.src or self.dst != other.dst:
             return False
-        # exact on both fields: Fractions are canonical, and reduce puts
-        # GF(p) entries in [0, p)
         f = self.field
-        return all(np.array_equal(f.reduce(self.block(*g)), f.reduce(other.block(*g)))
+        return all(f.equal(self.block(*g), other.block(*g))
                    for g in set(self.blocks) | set(other.blocks))
 
     def __hash__(self):

@@ -76,7 +76,7 @@ class Step:
     def transposed(self) -> "Step":
         raise NotImplementedError
 
-    def apply_vec(self, state: np.ndarray, dl: int, dr: int, field) -> np.ndarray:
+    def apply_vec(self, state, dl: int, dr: int, field):
         """Apply id_{dl} ⊗ self ⊗ id_{dr} to state of shape (dl*src*dr, w)."""
         raise NotImplementedError
 
@@ -102,7 +102,7 @@ class MorStep(Step):
         core = self.mor.block(0, 0)
         st = state.reshape(dl, ds, dr * w)
         # contract over the middle axis: out[a, :, c] = core @ st[a, :, c]
-        st = np.swapaxes(st, 0, 1).reshape(ds, dl * dr * w)
+        st = st.swapaxes(0, 1).reshape(ds, dl * dr * w)
         out = field.matmul(core, st)
         out = out.reshape(dd, dl, dr * w).swapaxes(0, 1)
         return out.reshape(dl * dd * dr, w)
@@ -116,7 +116,7 @@ class CoreStep(Step):
     atoms the core produces.  Remaining atoms pass through in order.
     """
 
-    def __init__(self, src: GradedObj, dst: GradedObj, core: np.ndarray,
+    def __init__(self, src: GradedObj, dst: GradedObj, core,
                  in_axes: tuple, out_axes: tuple, pass_perm: tuple | None = None):
         if not src.base.is_vector:
             raise ExactError("CoreStep is vector-backend only")
@@ -165,7 +165,7 @@ class CoreStep(Step):
         # bring consumed axes to the front, flatten, contract the core
         order = [1 + a for a in self.in_axes] + [0] + \
                 [1 + a for a in self._pass_src] + [len(sd) + 1]
-        st = np.transpose(st, order)
+        st = st.transpose(order)
         cin = self.core.shape[1]
         rest = dl * prod(sd[a] for a in self._pass_src) * dr * w
         st = st.reshape(cin, rest)
@@ -180,7 +180,7 @@ class CoreStep(Step):
         for k, a in enumerate(self._pass_dst):
             pos_of[a] = nout + 1 + self.pass_perm[k]
         order = [nout] + [pos_of[a] for a in range(len(dd))] + [nout + 1 + len(self._pass_src)]
-        out = np.transpose(out, order)
+        out = out.transpose(order)
         return out.reshape(dl * (prod(dd) if dd else 1) * dr, w)
 
 
@@ -376,7 +376,7 @@ def _split_positions(left: GradedObj, mid: GradedObj, right: GradedObj,
 
 
 def _apply_graded(mor: GradedMor, left: GradedObj, right: GradedObj,
-                  i: int, l: int, block: np.ndarray, rows: int, field) -> np.ndarray:
+                  i: int, l: int, block, rows: int, field):
     """Grade (i, l) of (id_left ⊗ mor ⊗ id_right) @ block, without the whisker.
 
     Per block (j, k) of mor: gather the rows of block at the (left, source,

@@ -4,30 +4,50 @@ Scalars are plain Python values: `fractions.Fraction` over the rationals,
 int residues in [0, p) over a prime field.  Every operation is exact and
 deterministic (identical inputs give bit-identical outputs).
 
-Matrices are plain numpy arrays paired with the FieldSpec that gives them
-meaning: object arrays of Fractions over Q (kept in canonical reduced form
-with positive denominator by Fraction itself, so equality is structural),
-int64 arrays with entries in [0, p) over GF(p).  The solvers `rank`,
-`kernel`, `solve_affine` and `inverse` take `(spec, array)` and all go
-through one deterministic reduced row echelon form, `FieldSpec.rref`.
+A GF(p) matrix is an int64 numpy array with entries in [0, p).  A rational
+matrix is a QArray: an integer numerator array `num` over one positive
+integer denominator `den`, always in canonical form: gcd(den, numerators)
+= 1, a zero matrix has den 1, and the numerators are int64 when every
+|numerator| < 2**63 and Python ints in an object array otherwise.  Equal
+rational matrices therefore have equal denominators and numerators, and
+equality is structural.  Only this module reads the numerators; elsewhere
+a QArray stands in for the numpy array of its values: shape, reshape,
+transpose, indexing (a scalar index gives a Fraction), index assignment,
++, -, scaling by a scalar, and tolist() (Fractions).  Reshapes and
+transposes share numerators, like numpy views; a write through one is seen
+by the other only when it keeps the denominator and dtype, so the package
+never writes through a view.  The solvers `rank`, `kernel`, `solve_affine`
+and `inverse` take `(spec, array)` and all go through one deterministic
+reduced row echelon form, `FieldSpec.rref`.
 
-The rational product touches only nonzeros.  Each factor's nonzero
-values are put over one common denominator (math.lcm), the integer
-numerators of the pairs (a[i,k], b[k,j]) with both entries nonzero are
-multiplied and summed per output entry, and Fraction(sum, da*db) is
-written only where that sum is nonzero.  The numerators run on int64
-when max|na| * max|nb| * inner < 2**63, which bounds every partial sum,
-and stay Python ints in an object array otherwise; both are exact.  At
-most TILE_ENTRIES pairs are expanded at a time.
+Both fields share one exact integer product on float64 BLAS
+(_int_matmul).  With integer factors bounded by |a| * |b| <= top, the
+inner dimension is cut into chunks of k terms with k * top + carry <
+2**53, so every partial sum of a chunk, plus a carried value below
+`carry`, is an integer that float64 holds exactly; it is cast back to
+int64 and combined there.  Over GF(p) the factors are residues, top =
+(p-1)**2, and each chunk's sums plus the residues carried from the
+previous chunk (carry = p-1) are reduced mod p; with p capped below 2**20
+a chunk has at least 8191 terms.  Over Q the factors are the numerator
+arrays, the product's denominator is the product of the denominators,
+and the chunk sums accumulate in int64 when inner * top < 2**63 and in
+Python ints beyond.  When top >= 2**53 not one term fits a float64, and
+the product is taken over Python ints.
 
-The mod-p product runs on float64 BLAS and is still exact.  Its factors
-must have entries in [0, p): a product of two entries is then at most
-(p-1)**2, and the inner dimension is cut into chunks of k terms with
-k*(p-1)**2 + (p-1) < 2**53, so every partial sum, plus the residue
-carried from the previous chunk, is an integer that float64 holds
-exactly.  Those integers are cast back to int64 and reduced mod p
-there.  With p capped below 2**20 a chunk has at least 8191 terms.
-The mod-p row reduction stays on int64, where (p-1)**2 < 2**40.
+The GF(p) row reduction runs on int64, where (p-1)**2 < 2**40.  The Q row
+reduction is fraction-free Gauss-Jordan elimination on the numerator
+matrix, whose scale does not change the reduced form.  With pivot p in
+row r, each row x with x[c] != 0 becomes p * x - x[c] * (row r), divided
+by the gcd of its entries: rows stay primitive, so entries stay near the
+size of the reduced form's own numerators.  At the end each pivot row is
+its reduced row times its pivot entry, and the rows are put over the lcm
+of the pivot entries.  A step runs on int64 while 2 * max|entry|**2 <
+2**63 and on Python ints beyond.  Bareiss's variant (Math. Comp. 22,
+1968), which divides every row by the previous pivot instead, keeps each
+entry a minor of the input, so entries carry the determinant of the
+leading block: on the 1116 x 217 section-space system of a random
+six-dimensional kS3 module (tests/test_modcat.py) one Bareiss reduction
+took 9 s against 0.25 s for this one, on a 2-core x86-64 host.
 """
 
 from __future__ import annotations
@@ -43,9 +63,12 @@ MAX_PRIME = 1 << 20
 # float64 holds every integer below 2**53 exactly
 EXACT_FLOAT = 1 << 53
 
-# Entries of one float64 temporary in _matmul_mod (a tile of either factor
-# or of the product) and of one pair buffer in _matmul_q.  Bounds the
-# memory a large product takes beyond its factors and result.
+# an int64 numerator has |x| < INT64_BOUND
+INT64_BOUND = 1 << 63
+
+# Entries of one float64 temporary in _int_matmul (a tile of either factor
+# or of the product).  Bounds the memory a large product takes beyond its
+# factors and result.
 TILE_ENTRIES = 1 << 20
 
 
@@ -149,44 +172,63 @@ class FieldSpec:
 
     # -- array helpers ---------------------------------------------------
 
-    def zeros(self, shape) -> np.ndarray:
-        if self.is_rationals:
-            return np.full(shape, Fraction(0), dtype=object)
-        return np.zeros(shape, dtype=np.int64)
+    def zeros(self, shape):
+        out = np.zeros(shape, dtype=np.int64)
+        return _raw(out, 1) if self.is_rationals else out
 
-    def eye(self, n: int) -> np.ndarray:
-        a = self.zeros((n, n))
-        one = self.one
-        for i in range(n):
-            a[i, i] = one
-        return a
+    def eye(self, n: int):
+        out = np.eye(n, dtype=np.int64)
+        return _raw(out, 1) if self.is_rationals else out
 
-    def asarray(self, rows) -> np.ndarray:
-        if self.is_rationals:
-            arr = np.empty((len(rows), len(rows[0]) if rows else 0), dtype=object)
-            for i, row in enumerate(rows):
-                for j, v in enumerate(row):
-                    arr[i, j] = self.coerce(v)
-            return arr
-        return np.array([[self.coerce(v) for v in row] for row in rows],
-                        dtype=np.int64).reshape(len(rows), len(rows[0]) if rows else 0)
+    def asarray(self, rows):
+        """A matrix from a list of rows of coercible scalars."""
+        shape = (len(rows), len(rows[0]) if rows else 0)
+        if not self.is_rationals:
+            # residues pass as they are: presentations hand over coerced tables
+            p = self.p
+            vals = [v if type(v) is int and 0 <= v < p else self.coerce(v)
+                    for row in rows for v in row]
+            return np.array(vals, dtype=np.int64).reshape(shape)
+        vals = [v if type(v) is Fraction else self.coerce(v) for row in rows for v in row]
+        den = math.lcm(*{x.denominator for x in vals})
+        nums = [x.numerator * (den // x.denominator) for x in vals]
+        wide = max(map(abs, nums), default=0) >= INT64_BOUND
+        return _qarray(np.array(nums, dtype=object if wide else np.int64)
+                       .reshape(shape), den)
 
-    def reduce(self, a: np.ndarray) -> np.ndarray:
+    def reduce(self, a):
         return a if self.is_rationals else a % self.p
 
-    def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    def equal(self, a, b) -> bool:
+        """Whether two matrices hold the same field elements."""
+        if self.is_rationals:
+            return a.den == b.den and np.array_equal(a.num, b.num)
+        return np.array_equal(a % self.p, b % self.p)
+
+    def concatenate(self, arrays, axis: int = 0):
+        """np.concatenate of matrices over this field."""
+        if not self.is_rationals:
+            return np.concatenate(arrays, axis=axis)
+        den = math.lcm(*(x.den for x in arrays))
+        return _qarray(np.concatenate([_scaled(x.num, den // x.den) for x in arrays],
+                                      axis=axis), den)
+
+    def matmul(self, a, b):
         if a.shape[1] != b.shape[0]:
             raise DimensionMismatch(f"{a.shape} @ {b.shape}")
         if not self.is_rationals:
-            return _matmul_mod(a, b, self.p)
-        return _matmul_q(a, b)
+            return _int_matmul(a, b, self.p)
+        return _qarray(_int_matmul(a.num, b.num), a.den * b.den)
 
-    def kron(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    def kron(self, a, b):
         if a.size == 0 or b.size == 0:
             return self.zeros((a.shape[0] * b.shape[0], a.shape[1] * b.shape[1]))
-        return self.reduce(np.kron(a, b))
+        if not self.is_rationals:
+            return np.kron(a, b) % self.p
+        return _qarray(_exact(np.kron, a.num, b.num, _bound(a.num) * _bound(b.num)),
+                       a.den * b.den)
 
-    def tensordot(self, a: np.ndarray, b: np.ndarray, axes) -> np.ndarray:
+    def tensordot(self, a, b, axes):
         ax_a, ax_b = axes
         ax_a = [ax_a] if isinstance(ax_a, int) else list(ax_a)
         ax_b = [ax_b] if isinstance(ax_b, int) else list(ax_b)
@@ -200,128 +242,286 @@ class FieldSpec:
         out = self.matmul(at, bt)
         return out.reshape([a.shape[i] for i in free_a] + [b.shape[i] for i in free_b])
 
-    def rref(self, a: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    def rref(self, a) -> tuple:
         """Reduced row echelon form; deterministic first-nonzero pivoting."""
         if not self.is_rationals:
             return _rref_mod(a, self.p)
-        m = a.copy()
-        rows, cols = m.shape
-        pivots: list[int] = []
-        zero = Fraction(0)
-        r = 0
-        for c in range(cols):
-            if r >= rows:
-                break
-            sel = -1
-            for i in range(r, rows):
-                if m[i, c] != 0:
-                    sel = i
-                    break
-            if sel < 0:
-                continue
-            if sel != r:
-                m[[r, sel]] = m[[sel, r]]
-            nz_cols = np.nonzero(m[r])[0]
-            inv = Fraction(1) / m[r, c]
-            m[r, nz_cols] = m[r, nz_cols] * inv
-            piv_row = m[r, nz_cols]
-            factors = m[:, c]
-            for i in range(rows):
-                if i != r and factors[i] != zero:
-                    m[i, nz_cols] = m[i, nz_cols] - factors[i] * piv_row
-            pivots.append(c)
-            r += 1
-        return m, pivots
+        return _rref_int(a.num)
 
 
 # ---------------------------------------------------------------------------
-# Q kernel
+# Rational arrays
 # ---------------------------------------------------------------------------
 
 
-def _numerators(vals: np.ndarray) -> tuple[list, int]:
-    """Integer numerators of rationals over their least common denominator."""
-    den = math.lcm(*(x.denominator for x in vals))
-    return [x.numerator * (den // x.denominator) for x in vals], den
+def _bound(num: np.ndarray) -> int:
+    """max |x| over an integer array, as a Python int (0 when empty).  An
+    int64 array here never holds -2**63, whose absolute value wraps."""
+    if num.size == 0:
+        return 0
+    if num.dtype == object:
+        return max(map(abs, num.flat))
+    return int(np.abs(num).max())
 
 
-def _matmul_q(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Exact product of two rational matrices, on integer numerators (see
-    the module docstring).
+def _exact(op, x: np.ndarray, y, top: int):
+    """op(x, y) over the integers, on int64 when `top` bounds every |result|
+    below 2**63 and both operands are int64, on Python ints otherwise."""
+    y_wide = y.dtype == object if isinstance(y, np.ndarray) else abs(y) >= INT64_BOUND
+    if top < INT64_BOUND and x.dtype != object and not y_wide:
+        return op(x, y)
+    y = y.astype(object) if isinstance(y, np.ndarray) else y
+    return op(x.astype(object), y)
 
-    The pair sums are taken with np.add.reduceat over the sorted linear
-    output index.  Pairs are expanded TILE_ENTRIES at a time, in row-major
-    order of `a`, so only the row shared by two consecutive blocks needs
-    adding up across blocks.  An inner dimension of one has no sums: its
-    nonzero pairs are multiplied as Fractions directly.
+
+def _scaled(num: np.ndarray, factor: int) -> np.ndarray:
+    """num * factor over the integers."""
+    if factor == 1:
+        return num
+    return _exact(np.multiply, num, factor, _bound(num) * abs(factor))
+
+
+def _raw(num: np.ndarray, den: int) -> "QArray":
+    """A QArray from numerators and a denominator already canonical."""
+    q = object.__new__(QArray)
+    q.num, q.den = num, den
+    return q
+
+
+def _qarray(num: np.ndarray, den: int) -> "QArray":
+    """The canonical QArray of num / den, for integer numerators and a
+    nonzero integer den."""
+    if den < 0:
+        num, den = -num, -den
+    if den != 1:
+        g = math.gcd(den, int(np.gcd.reduce(num, axis=None)) if num.size else 0)
+        if g != 1:
+            # g divides every numerator: past int64 it leaves only zeros
+            wide = num.dtype != object and g >= INT64_BOUND
+            num, den = np.zeros_like(num) if wide else num // g, den // g
+    if num.dtype == object and _bound(num) < INT64_BOUND:
+        num = num.astype(np.int64)
+    return _raw(num, den)
+
+
+def _fraction(x) -> Fraction:
+    return x if isinstance(x, Fraction) else Fraction(int(x))
+
+
+class QArray:
+    """A rational array: integer numerators over one positive denominator,
+    in the canonical form of the module docstring.  Build one with the
+    FieldSpec.rationals() methods zeros, eye and asarray."""
+
+    __slots__ = ("num", "den")
+    # numpy ufuncs must not run on a QArray as if it were an array
+    __array_ufunc__ = None
+
+    def __array__(self, *args, **kwargs):
+        raise TypeError("a QArray has no plain ndarray form; use tolist()")
+
+    # -- shape ---------------------------------------------------------------
+
+    @property
+    def shape(self) -> tuple:
+        return self.num.shape
+
+    @property
+    def ndim(self) -> int:
+        return self.num.ndim
+
+    @property
+    def size(self) -> int:
+        return self.num.size
+
+    @property
+    def dtype(self):
+        return self.num.dtype
+
+    @property
+    def itemsize(self) -> int:
+        return self.num.itemsize
+
+    def __len__(self) -> int:
+        return len(self.num)
+
+    def __bool__(self):
+        raise TypeError("the truth value of a QArray is ambiguous")
+
+    @property
+    def T(self) -> "QArray":
+        return _raw(self.num.T, self.den)
+
+    def transpose(self, *axes) -> "QArray":
+        return _raw(self.num.transpose(*axes), self.den)
+
+    def swapaxes(self, a: int, b: int) -> "QArray":
+        return _raw(self.num.swapaxes(a, b), self.den)
+
+    def reshape(self, *shape) -> "QArray":
+        return _raw(self.num.reshape(*shape), self.den)
+
+    def ravel(self) -> "QArray":
+        return _raw(self.num.ravel(), self.den)
+
+    def copy(self) -> "QArray":
+        return _raw(self.num.copy(), self.den)
+
+    # -- entries -------------------------------------------------------------
+
+    def __getitem__(self, idx):
+        x = self.num[idx]
+        if isinstance(x, np.ndarray):
+            return _qarray(x, self.den)
+        return Fraction(int(x), self.den)
+
+    def __setitem__(self, idx, value):
+        if not isinstance(value, QArray):
+            value = _fraction(value)
+            value = _qarray(np.array(value.numerator, dtype=object), value.denominator)
+        den = math.lcm(self.den, value.den)
+        num = _scaled(self.num, den // self.den)
+        vnum = _scaled(value.num, den // value.den)
+        if vnum.dtype == object and num.dtype != object:
+            num = num.astype(object)
+        num[idx] = vnum
+        q = _qarray(num, den)
+        self.num, self.den = q.num, q.den
+
+    def __iter__(self):
+        for i in range(len(self)):
+            yield self[i]
+
+    def tolist(self):
+        """The entries as (nested) lists of Fractions."""
+        flat = self.num.ravel().tolist()
+        made = {x: Fraction(x, self.den) for x in set(flat)}
+        return np.array([made[x] for x in flat], dtype=object).reshape(self.shape).tolist()
+
+    def __repr__(self):
+        return f"QArray({self.tolist()!r})"
+
+    # -- arithmetic ----------------------------------------------------------
+
+    def _combine(self, other, op):
+        if not isinstance(other, QArray):
+            return NotImplemented
+        den = math.lcm(self.den, other.den)
+        a = _scaled(self.num, den // self.den)
+        b = _scaled(other.num, den // other.den)
+        return _qarray(_exact(op, a, b, _bound(a) + _bound(b)), den)
+
+    def __add__(self, other):
+        return self._combine(other, np.add)
+
+    def __sub__(self, other):
+        return self._combine(other, np.subtract)
+
+    def __neg__(self) -> "QArray":
+        return _raw(-self.num, self.den)
+
+    def __mul__(self, c):
+        """Scaling by a rational scalar."""
+        if isinstance(c, (QArray, np.ndarray)):
+            return NotImplemented
+        c = _fraction(c)
+        return _qarray(_scaled(self.num, c.numerator), self.den * c.denominator)
+
+    __rmul__ = __mul__
+
+    def __eq__(self, other):
+        """Entrywise comparison, as for numpy arrays."""
+        if isinstance(other, QArray):
+            return _scaled(self.num, other.den) == _scaled(other.num, self.den)
+        if isinstance(other, (Fraction, int, np.integer)):
+            c = _fraction(other)
+            return _scaled(self.num, c.denominator) == c.numerator * self.den
+        return NotImplemented
+
+
+def _primitive(rows: np.ndarray) -> np.ndarray:
+    """Each row divided by the gcd of its entries (zero rows kept)."""
+    g = np.gcd.reduce(rows, axis=1)
+    g[g == 0] = 1
+    return rows // g[:, None]
+
+
+def _rref_int(num: np.ndarray) -> tuple:
+    """Reduced row echelon form of the rational matrix with numerators
+    `num` (over any denominator), by fraction-free Gauss-Jordan elimination
+    with primitive rows (see the module docstring); `num` is not modified.
+
+    Zero rows change neither the row space nor the reduced form, so they
+    are dropped before the elimination and whenever a step makes one.
     """
-    rows, inner = a.shape
-    cols = b.shape[1]
-    out = np.full((rows, cols), Fraction(0), dtype=object)
-    if inner == 1:
-        # nothing to sum: the outer product of the nonzeros
-        i, j = np.flatnonzero(a), np.flatnonzero(b)
-        out[i[:, None], j] = np.multiply.outer(a[i, 0], b[0, j])
-        return out
-    ia, ka = np.nonzero(a)
-    kb, jb = np.nonzero(b)
-    if ia.size == 0 or kb.size == 0:
-        return out
-    na, da = _numerators(a[ia, ka])
-    nb, db = _numerators(b[kb, jb])
-    wide = max(map(abs, na)) * max(map(abs, nb)) * inner >= 1 << 63
-    dtype = object if wide else np.int64
-    na = np.array(na, dtype=dtype)
-    nb = np.array(nb, dtype=dtype)
-    den = da * db
-    # the nonzeros of row k of b are start[k]:start[k + 1]; pair number q
-    # joins nonzero e of a, the first with ends[e] > q, and nonzero
-    # q + shift[e] of b
-    start = np.searchsorted(kb, np.arange(inner + 1))
-    cnt = start[ka + 1] - start[ka]
-    ends = np.cumsum(cnt)
-    shift = start[ka] - ends + cnt
-    total = int(ends[-1])
-    seam = -1  # last output row of the previous block
-    for lo in range(0, total, TILE_ENTRIES):
-        pair = np.arange(lo, min(lo + TILE_ENTRIES, total))
-        e = np.searchsorted(ends, pair, side="right")
-        f = pair + shift[e]
-        lin = ia[e] * cols + jb[f]
-        order = np.argsort(lin)
-        lin, e, f = lin[order], e[order], f[order]
-        first = np.flatnonzero(np.concatenate(([True], lin[1:] != lin[:-1])))
-        sums = np.add.reduceat(na[e] * nb[f], first)
-        keep = sums != 0
-        lin, sums = lin[first][keep], sums[keep].tolist()
-        # few distinct sums: build one Fraction per value and share it
-        made = {s: Fraction(s, den) for s in set(sums)}
-        vals = np.array([made[s] for s in sums], dtype=object)
-        if seam >= 0:
-            joint = lin < (seam + 1) * cols
-            vals[joint] += out.flat[lin[joint]]
-        out.flat[lin] = vals
-        seam = int(ia[e[-1]])
-    return out
-
-
-# ---------------------------------------------------------------------------
-# GF(p) kernels
-# ---------------------------------------------------------------------------
-
-
-def _matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """Exact product mod p of two int64 matrices, on float64 BLAS.
-
-    Precondition: every entry of `a` and `b` lies in [0, p).  The result
-    is int64 with entries in [0, p).
-    """
-    rows, inner = a.shape
-    cols = b.shape[1]
+    rows, cols = num.shape
+    m = _primitive(num[num.any(axis=1)])
+    pivots: list[int] = []
+    r = 0
+    for c in range(cols):
+        if r >= len(m):
+            break
+        nz = np.flatnonzero(m[r:, c])
+        if nz.size == 0:
+            continue
+        i = r + int(nz[0])
+        if i != r:
+            m[[r, i]] = m[[i, r]]
+        hit = np.flatnonzero(m[:, c])
+        hit = hit[hit != r]
+        if hit.size:
+            if m.dtype != object and 2 * _bound(m) ** 2 >= INT64_BOUND:
+                m = m.astype(object)
+            m[hit] = _primitive(m[r, c] * m[hit] - np.outer(m[hit, c], m[r]))
+        pivots.append(c)
+        r += 1
+        below = m[r:]
+        dead = ~below.any(axis=1)
+        if dead.any():
+            m = np.concatenate([m[:r], below[~dead]])
+    # row i is its reduced row times its pivot entry: put the rows over the
+    # lcm of the pivot entries
+    m = m[:len(pivots)]
+    piv = [int(m[i, c]) for i, c in enumerate(pivots)]
+    den = math.lcm(*piv)
+    scale = np.array([den // x for x in piv],
+                     dtype=np.int64 if den < INT64_BOUND else object)[:, None]
     out = np.zeros((rows, cols), dtype=np.int64)
-    if out.size == 0 or inner == 0:
+    if pivots:
+        reduced = _exact(np.multiply, m, scale, _bound(m) * _bound(scale))
+        out = out.astype(reduced.dtype)
+        out[:len(pivots)] = reduced
+    return _qarray(out, den), pivots
+
+
+# ---------------------------------------------------------------------------
+# The integer product and the GF(p) row reduction
+# ---------------------------------------------------------------------------
+
+
+def _int_matmul(a: np.ndarray, b: np.ndarray, p: int | None = None) -> np.ndarray:
+    """Exact product of two integer matrices, on float64 BLAS (see the module
+    docstring); reduced mod p when p is given.
+
+    Precondition for p: every entry of `a` and `b` lies in [0, p); the
+    result is then int64 with entries in [0, p).  Without p the result is
+    int64 when every partial sum stays below 2**63, and Python ints in an
+    object array otherwise.
+    """
+    rows, inner = a.shape
+    cols = b.shape[1]
+    if p is None:
+        top = _bound(a) * _bound(b)
+        if top >= EXACT_FLOAT or a.dtype == object or b.dtype == object:
+            return a.astype(object) @ b.astype(object)
+        carry = 0
+        out = np.zeros((rows, cols), dtype=np.int64 if inner * top < INT64_BOUND else object)
+    else:
+        top, carry = (p - 1) ** 2, p - 1
+        out = np.zeros((rows, cols), dtype=np.int64)
+    if out.size == 0 or inner == 0 or top == 0:
         return out
-    chunk = min(inner, TILE_ENTRIES, (EXACT_FLOAT - p) // (p - 1) ** 2)
+    chunk = min(inner, TILE_ENTRIES, (EXACT_FLOAT - 1 - carry) // top)
     row_tile = min(rows, TILE_ENTRIES // chunk)
     col_tile = min(cols, TILE_ENTRIES // max(chunk, row_tile))
     for j in range(0, cols, col_tile):
@@ -330,6 +530,9 @@ def _matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
             for k in range(0, inner, chunk):
                 part = (a[i:i + row_tile, k:k + chunk].astype(np.float64)
                         @ b[k:k + chunk, j:j + col_tile].astype(np.float64))
+                if p is None:
+                    tile += part.astype(np.int64)
+                    continue
                 if k:
                     part += tile
                 # the sums are exact integers: reduce them in int64, which
@@ -373,7 +576,7 @@ def _rref_mod(m: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
 
 
 def kernel_backend() -> str:
-    """The GF(p) kernel backend: numpy, with the product on float64 BLAS."""
+    """The kernel backend: numpy, with the product on float64 BLAS."""
     return "numpy"
 
 
@@ -382,12 +585,11 @@ def kernel_backend() -> str:
 # ---------------------------------------------------------------------------
 
 
-def rank(spec: FieldSpec, a: np.ndarray) -> int:
+def rank(spec: FieldSpec, a) -> int:
     return len(spec.rref(a)[1])
 
 
-def _null_basis(spec: FieldSpec, r: np.ndarray, pivots: list[int],
-                cols: int) -> np.ndarray:
+def _null_basis(spec: FieldSpec, r, pivots: list[int], cols: int):
     """Null-space basis read off a reduced echelon form with `cols` columns:
     one column per free column, ordered by free-column index."""
     pivset = set(pivots)
@@ -398,7 +600,7 @@ def _null_basis(spec: FieldSpec, r: np.ndarray, pivots: list[int],
     return basis
 
 
-def kernel(spec: FieldSpec, a: np.ndarray) -> np.ndarray:
+def kernel(spec: FieldSpec, a):
     """Exact null-space basis of `a`, as the columns of an n x k matrix.
 
     Deterministic: one column per free column of the reduced echelon form,
@@ -408,8 +610,7 @@ def kernel(spec: FieldSpec, a: np.ndarray) -> np.ndarray:
     return _null_basis(spec, r, pivots, a.shape[1])
 
 
-def solve_affine(spec: FieldSpec, a: np.ndarray,
-                 b: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+def solve_affine(spec: FieldSpec, a, b) -> tuple | None:
     """Solve a @ x = b exactly.
 
     Returns (particular solution, null-space basis of `a` as columns) or
@@ -421,22 +622,21 @@ def solve_affine(spec: FieldSpec, a: np.ndarray,
     if a.shape[0] != b.shape[0]:
         raise DimensionMismatch(f"lhs has {a.shape[0]} rows, rhs has {b.shape[0]}")
     n = a.shape[1]
-    r, pivots = spec.rref(np.hstack([a, b]))
+    r, pivots = spec.rref(spec.concatenate([a, b], axis=1))
     if any(p >= n for p in pivots):
         return None
     x = spec.zeros((n, b.shape[1]))
-    for i, pc in enumerate(pivots):
-        x[pc, :] = r[i, n:]
+    x[pivots, :] = r[:len(pivots), n:]
     return x, _null_basis(spec, r, pivots, n)
 
 
-def inverse(spec: FieldSpec, a: np.ndarray) -> np.ndarray | None:
+def inverse(spec: FieldSpec, a):
     """Two-sided inverse of a square matrix, or None when it is singular
     or not square; one row reduction of [a | I]."""
     n = a.shape[0]
     if a.shape[1] != n:
         return None
-    r, pivots = spec.rref(np.hstack([a, spec.eye(n)]))
+    r, pivots = spec.rref(spec.concatenate([a, spec.eye(n)], axis=1))
     if pivots != list(range(n)):
         return None
     return r[:, n:].copy()

@@ -8,8 +8,6 @@ agreement of the two routes on small objects is part of the test suite.
 
 from __future__ import annotations
 
-import numpy as np
-
 from .antipode import AntipodeData
 from .cat import (
     GradedMor,
@@ -353,7 +351,7 @@ def fundamental_iso(t: TensoringBimonad, fam: Family,
         span = ti.block(0, 0)
         okk = ker.shape[1] == span.shape[1]
         if okk and ker.shape[1]:
-            okk = rank(t.base.field, np.concatenate([ker, span], axis=1)) \
+            okk = rank(t.base.field, t.base.field.concatenate([ker, span], axis=1)) \
                 == span.shape[1]
         rep.record("decomp.kernel_match", okk)
     elif t.base.is_vector:
@@ -384,6 +382,20 @@ def _t2_tensor(t: TensoringBimonad):
     return t.t2[((0, 0), (0, 0))].block(0, 0).reshape(n, n, n)
 
 
+def _integral_system(t: TensoringBimonad, direction: str):
+    """The matrix whose kernel is the space of one-sided integrals.
+
+    Row (p, a), column k holds d3[p, k, a] (left) or d3[k, p, a] (right),
+    less u[p] where k = a: the condition sum_k d3 chi[k] = u[p] chi[a].
+    """
+    f = t.base.field
+    n = t.carrier_dim
+    d3 = _t2_tensor(t)                 # [p, q, a]
+    order = (0, 2, 1) if direction == "left" else (1, 2, 0)
+    u = t.u.block(0, 0)                # [p, 0]
+    return f.reduce(d3.transpose(order).reshape(n * n, n) - f.kron(u, f.eye(n)))
+
+
 def solve_integrals(t: TensoringBimonad, direction: str) -> IntegralSolution:
     """Exact basis of functional-valued one-sided integrals.
 
@@ -393,40 +405,15 @@ def solve_integrals(t: TensoringBimonad, direction: str) -> IntegralSolution:
     """
     if not t.base.is_vector:
         raise ExactError("integral solver supports the one-label backend only")
-    f = t.base.field
-    n = t.carrier_dim
-    d3 = _t2_tensor(t)                 # [p, q, a]
-    u = t.u.block(0, 0)[:, 0]
-    rows = []
-    for p in range(n):
-        for a_i in range(n):
-            row = [f.zero] * n
-            for k in range(n):
-                if direction == "left":
-                    row[k] = f.coerce(row[k] + d3[p, k, a_i])
-                else:
-                    row[k] = f.coerce(row[k] + d3[k, p, a_i])
-            row[a_i] = f.coerce(row[a_i] - u[p])
-            rows.append(row)
-    basis = kernel(f, f.asarray(rows))
+    basis = kernel(t.base.field, _integral_system(t, direction))
     return IntegralSolution(t, direction, [list(v) for v in basis.T])
 
 
 def integral_check(t: TensoringBimonad, direction: str, chi) -> bool:
     """Whether a functional satisfies the one-sided integral condition."""
     f = t.base.field
-    n = t.carrier_dim
-    d3 = _t2_tensor(t)
-    u = t.u.block(0, 0)[:, 0]
-    for p in range(n):
-        for a_i in range(n):
-            acc = f.zero
-            for k in range(n):
-                acc = f.coerce(acc + (d3[p, k, a_i] if direction == "left"
-                                      else d3[k, p, a_i]) * chi[k])
-            if f.coerce(acc - u[p] * chi[a_i]) != f.zero:
-                return False
-    return True
+    out = f.matmul(_integral_system(t, direction), f.asarray([[x] for x in chi]))
+    return f.equal(out, f.zeros(out.shape))
 
 
 def transport_integral(t: TensoringBimonad, a: AntipodeData, chi,
@@ -450,13 +437,8 @@ def transport_integral(t: TensoringBimonad, a: AntipodeData, chi,
     return [out[0, k] for k in range(n)]
 
 
-def _chi_block(t: TensoringBimonad, chi) -> np.ndarray:
-    f = t.base.field
-    n = t.carrier_dim
-    blk = f.zeros((1, n))
-    for k in range(n):
-        blk[0, k] = f.coerce(chi[k])
-    return blk
+def _chi_block(t: TensoringBimonad, chi):
+    return t.base.field.asarray([[chi[k] for k in range(t.carrier_dim)]])
 
 
 # ---------------------------------------------------------------------------
@@ -484,11 +466,8 @@ def maschke_verdict(t: TensoringBimonad) -> dict:
            "counit_values": [c for c in cols], "cointegral_basis": basis}
     if not basis:
         return out
-    a_mat = np.array([[cols[j][i] for j in range(len(cols))]
-                      for i in range(len(rhs))],
-                     dtype=object if f.is_rationals else np.int64)
-    b_mat = np.array([[v] for v in rhs],
-                     dtype=object if f.is_rationals else np.int64)
+    a_mat = f.asarray([list(row) for row in zip(*cols)])
+    b_mat = f.asarray([[v] for v in rhs])
     sol = solve_affine(f, a_mat, b_mat)
     if sol is None:
         return out

@@ -93,20 +93,21 @@ def _hom_basis_c(base, m_obj: GradedObj, n_obj: GradedObj):
     return out
 
 
-def _mor_coords(f: GradedMor, grades) -> list:
-    out = []
-    for g in grades:
-        out.extend(f.block(*g).ravel().tolist())
-    return out
+def _mor_coords(f: GradedMor, grades):
+    """The blocks of f at the grades, raveled in order, as one column."""
+    fld = f.field
+    return fld.concatenate([fld.zeros((0, 1))]
+                           + [f.block(*g).reshape(-1, 1) for g in grades])
 
 
-def _columns_to_mat(f, cols: list):
-    rows = len(cols[0]) if cols else 0
-    a = f.zeros((rows, len(cols)))
-    for j, col in enumerate(cols):
-        for i, v in enumerate(col):
-            a[i, j] = v
-    return a
+def _mor_from_coords(m_obj: GradedObj, n_obj: GradedObj, vec) -> GradedMor:
+    """The map M -> N with coordinates `vec` on the basis of _hom_basis_c."""
+    blocks, at = {}, 0
+    for g in sorted(set(m_obj.grades()) & set(n_obj.grades())):
+        rows, cols = n_obj.count(*g), m_obj.count(*g)
+        blocks[g] = vec[at:at + rows * cols].reshape(rows, cols)
+        at += rows * cols
+    return GradedMor(m_obj, n_obj, blocks)
 
 
 def module_hom_space(m: TModule, n: TModule) -> list[GradedMor]:
@@ -121,15 +122,8 @@ def module_hom_space(m: TModule, n: TModule) -> list[GradedMor]:
     for b in basis:
         diff = (b @ m.action) - (n.action @ t.on_mor(b))
         cols.append(_mor_coords(diff, grades))
-    out = []
-    for v in kernel(f, _columns_to_mat(f, cols)).T:
-        total = GradedMor.zero(m.carrier, n.carrier)
-        for k, b in enumerate(basis):
-            c = v[k]
-            if c != f.zero:
-                total = total + b.scale(c)
-        out.append(total)
-    return out
+    return [_mor_from_coords(m.carrier, n.carrier, v)
+            for v in kernel(f, f.concatenate(cols, axis=1)).T]
 
 
 def module_section_space(m: TModule) -> list[GradedMor]:
@@ -146,27 +140,18 @@ def module_section_space(m: TModule) -> list[GradedMor]:
     ident = identity(m.carrier)
     for b in basis:
         diff = (b @ m.action) - (fm.action @ t.on_mor(b))
-        col = _mor_coords(diff, grades_lin)
-        col.extend(_mor_coords(m.action @ b, grades_sec))
-        cols.append(col)
-    rhs_vec = [f.zero] * (len(cols[0]) - len(_mor_coords(ident, grades_sec)))
-    rhs_vec.extend(_mor_coords(ident, grades_sec))
-    a = _columns_to_mat(f, cols)
-    b_mat = _columns_to_mat(f, [rhs_vec])
-    sol = solve_affine(f, a, b_mat)
+        cols.append(f.concatenate([_mor_coords(diff, grades_lin),
+                                   _mor_coords(m.action @ b, grades_sec)]))
+    ident_coords = _mor_coords(ident, grades_sec)
+    b_mat = f.concatenate([f.zeros((cols[0].shape[0] - ident_coords.shape[0], 1)),
+                           ident_coords])
+    sol = solve_affine(f, f.concatenate(cols, axis=1), b_mat)
     if sol is None:
         return []
     x0, null = sol
     x0 = x0[:, 0]
-    out = []
-    for vec in [x0] + [f.reduce(x0 + v) for v in null.T]:
-        total = GradedMor.zero(m.carrier, fm.carrier)
-        for k, b in enumerate(basis):
-            c = vec[k]
-            if c != f.zero:
-                total = total + b.scale(c)
-        out.append(total)
-    return out
+    return [_mor_from_coords(m.carrier, fm.carrier, vec)
+            for vec in [x0] + [f.reduce(x0 + v) for v in null.T]]
 
 
 def _tensor_modules_chain(m: TModule, n: TModule) -> GradedMor:

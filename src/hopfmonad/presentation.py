@@ -131,15 +131,10 @@ def _load_vector(pres: dict, name: str, base: BaseSpec) -> Model:
     unit = _coerce_vec(f, _need(pres, "unit"), n, "unit")
     alg = AlgebraTable(f, mul, unit)
 
-    m_block = f.zeros((n, n * n))
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                m_block[c, a * n + b] = mul[a][b][c]
+    m_block = f.asarray([[mul[a][b][c] for a in range(n) for b in range(n)]
+                         for c in range(n)])
     m = GradedMor(a_obj.tensor(a_obj), a_obj, {(0, 0): m_block})
-    u_block = f.zeros((n, 1))
-    for a in range(n):
-        u_block[a, 0] = unit[a]
+    u_block = f.asarray([[x] for x in unit])
     u = GradedMor(GradedObj.unit(base), a_obj, {(0, 0): u_block})
 
     t2_spec = _need(pres, "t2")
@@ -148,19 +143,14 @@ def _load_vector(pres: dict, name: str, base: BaseSpec) -> Model:
     deltas = t2_spec["element_coproduct"]
     if len(deltas) != n:
         raise SchemaError("element_coproduct needs one matrix per basis element")
-    t2_block = f.zeros((n * n, n))
-    for a in range(n):
-        d = _coerce_mat(f, deltas[a], n, n, f"coproduct[{a}]")
-        for p in range(n):
-            for q in range(n):
-                t2_block[p * n + q, a] = d[p][q]
+    ds = [_coerce_mat(f, deltas[a], n, n, f"coproduct[{a}]") for a in range(n)]
+    t2_block = f.asarray([[ds[a][p][q] for a in range(n)]
+                          for p in range(n) for q in range(n)])
     t2_comp = GradedMor(a_obj.tensor(s_obj).tensor(s_obj),
                         a_obj.tensor(s_obj).tensor(a_obj).tensor(s_obj),
                         {(0, 0): t2_block})
     t0_vec = _coerce_vec(f, _need(pres, "t0"), n, "t0")
-    t0_block = f.zeros((1, n))
-    for a in range(n):
-        t0_block[0, a] = t0_vec[a]
+    t0_block = f.asarray([t0_vec])
     t0 = GradedMor(a_obj, GradedObj.unit(base), {(0, 0): t0_block})
 
     t = TensoringBimonad(base, a_obj, m, u, {((0, 0), (0, 0)): t2_comp}, t0,
@@ -192,10 +182,7 @@ def _load_vector(pres: dict, name: str, base: BaseSpec) -> Model:
             raise SchemaError("vector-backend rmatrix needs an element matrix")
         r = _coerce_mat(f, spec["element"], n, n, "rmatrix")
         model.r_elem = r
-        block = f.zeros((n * n, 1))
-        for p in range(n):
-            for q in range(n):
-                block[p * n + q, 0] = r[q][p]
+        block = f.asarray([[r[q][p]] for p in range(n) for q in range(n)])
         comp = GradedMor(s_obj.tensor(s_obj),
                          t.on_obj(s_obj).tensor(t.on_obj(s_obj)),
                          {(0, 0): block})
@@ -221,10 +208,7 @@ def _load_vector(pres: dict, name: str, base: BaseSpec) -> Model:
         d = int(spec["dim"])
         act = _coerce_mat(f, spec["action"], d, n * d, f"stock_modules[{k}]")
         carrier = GradedObj.space(base, d, f"V{k}")
-        blk = f.zeros((d, n * d))
-        for i in range(d):
-            for j in range(n * d):
-                blk[i, j] = act[i][j]
+        blk = f.asarray(act)
         mod = TModule(t, carrier, GradedMor(t.on_obj(carrier), carrier,
                                             {(0, 0): blk}), check=True)
         model.stock_modules.append(mod)
@@ -236,9 +220,7 @@ def element_from_vector(t: TensoringBimonad, v, label="f") -> Element:
     f = t.base.field
     n = t.carrier_dim
     s = t.simple((0, 0))
-    block = f.zeros((n, 1))
-    for a in range(n):
-        block[a, 0] = f.coerce(v[a])
+    block = f.asarray([[v[a]] for a in range(n)])
     return Element(t, {(0, 0): GradedMor(s, t.on_obj(s), {(0, 0): block})}, label)
 
 
@@ -252,10 +234,7 @@ def _antipode_component(t: TensoringBimonad, s_matrix) -> GradedMor:
     n = t.carrier_dim
     s = t.simple((0, 0))
     src = t.on_obj(t.on_obj(s).dual())
-    block = f.zeros((1, n * n))
-    for h in range(n):
-        for j in range(n):
-            block[0, h * n + j] = f.coerce(s_matrix[j][h])
+    block = f.asarray([[s_matrix[j][h] for h in range(n) for j in range(n)]])
     return GradedMor(src, s.dual(), {(0, 0): block})
 
 

@@ -286,7 +286,7 @@ def build_taft(n: int, p: int, name: str | None = None) -> dict:
 
 def build_sweedler(field: FieldSpec, name: str = "sweedler") -> dict:
     """The four-dimensional algebra with g² = 1, x² = 0, xg = -gx."""
-    if not field.is_rationals and field.p == 2:
+    if field.p == 2:
         raise ExactError("characteristic 2 is excluded")
     f = field
     names = ["1", "g", "x", "gx"]

@@ -198,9 +198,7 @@ def core_steps(draw, src):
     cols = prod(src.atoms[a].dims[0][0] for a in in_axes)
     vals = draw(st.lists(st.integers(-3, 3), min_size=rows * cols, max_size=rows * cols))
     f = src.base.field
-    core = f.zeros((rows, cols))
-    for k, v in enumerate(vals):
-        core.flat[k] = f.coerce(v)
+    core = f.asarray([vals]).reshape(rows, cols)
     return CoreStep(src, GradedObj(src.base, tuple(dst)), core, in_axes, out_axes,
                     pass_perm=pass_perm)
 

@@ -2,12 +2,15 @@
 
 Independent oracles used here:
 - schoolbook triple-loop multiplication (pure python, no numpy),
-- Python-int/Fraction schoolbook products for the sparse rational product,
+- Python-int/Fraction schoolbook products for the rational product,
+- sympy's DomainMatrix over QQ for rational products, reduced forms,
+  kernels, solutions and inverses, with numerators past the int64 guards,
 - plain (non-reduced) gaussian elimination for ranks,
 - full Gauss-Jordan elimination over Python ints for reduced echelon forms,
 - substitution for linear-system solutions.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -15,6 +18,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy import QQ
+from sympy.polys.matrices import DomainMatrix
 
 from hopfmonad import exactla
 from hopfmonad.exactla import (
@@ -274,7 +279,7 @@ def python_matmul_q(a, b, cols):
 
 def assert_q_product(a, b):
     got = Q.matmul(a, b)
-    assert all(type(x) is Fraction for x in got.flat)
+    assert all(type(x) is Fraction for row in got.tolist() for x in row)
     assert got.tolist() == python_matmul_q(a.tolist(), b.tolist(), b.shape[1])
     assert got.shape == (a.shape[0], b.shape[1])
 
@@ -293,10 +298,7 @@ def q_factors(draw, entry=SMALL_Q, top=6):
     pick = entry if dense else st.one_of(st.just(zero), st.just(zero), entry)
 
     def mat(r, c):
-        m = Q.zeros((r, c))
-        for k, v in enumerate(draw(st.lists(pick, min_size=r * c, max_size=r * c))):
-            m.flat[k] = v
-        return m
+        return Q.asarray([draw(st.lists(pick, min_size=r * c, max_size=r * c))]).reshape(r, c)
 
     a, b = mat(rows, inner), mat(inner, cols)
     if rows and draw(st.booleans()):
@@ -307,8 +309,8 @@ def q_factors(draw, entry=SMALL_Q, top=6):
 
 
 class TestRationalProduct:
-    """The sparse integer-numerator product over Q against a schoolbook
-    product over Python Fractions."""
+    """The integer-numerator product over Q against a schoolbook product
+    over Python Fractions."""
 
     @settings(max_examples=80, deadline=None)
     @given(q_factors())
@@ -318,8 +320,8 @@ class TestRationalProduct:
     @settings(max_examples=40, deadline=None)
     @given(q_factors())
     def test_blocks_meet_inside_a_row(self, ab):
-        # blocks of three pairs split rows, so partial sums of one output
-        # entry come from two blocks
+        # tiles of three entries split the inner dimension into chunks, so
+        # the partial sums of one output entry come from several chunks
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(exactla, "TILE_ENTRIES", 3)
             assert_q_product(*ab)
@@ -361,8 +363,7 @@ class TestRationalProduct:
         assert_q_product(a, b)
 
     def test_more_than_one_block(self):
-        # 64 * 64 * 300 nonzero pairs is above TILE_ENTRIES, and a block
-        # boundary falls inside a row of a
+        # 64 * 64 * 300 nonzero products, more than TILE_ENTRIES
         rng = np.random.default_rng(3)
         ia = rng.integers(-5, 6, size=(64, 64))
         ib = rng.integers(-5, 6, size=(64, 300))
@@ -436,7 +437,8 @@ class TestSolveAffine:
             sol = solve_affine(spec, a, b)
             if sol is None:
                 # verify infeasibility: rank of [a|b] exceeds rank of a
-                assert gauss_rank(spec, np.hstack([a, b])) == gauss_rank(spec, a) + 1
+                assert gauss_rank(spec, spec.concatenate([a, b], axis=1)) \
+                    == gauss_rank(spec, a) + 1
                 continue
             hits += 1
             x, null = sol
@@ -538,3 +540,153 @@ class TestRref:
         before = a.copy()
         F7.rref(a)
         assert same(a, before)
+
+
+# ---------------------------------------------------------------------------
+# Differential tests against sympy's DomainMatrix over QQ
+# ---------------------------------------------------------------------------
+
+# numerators near 2**31 push the elimination steps past the int64 guard,
+# those near 2**62 the sums and products; the denominators are primes of up to
+# 61 bits, so the common denominator of a matrix runs far past 2**63
+BIG_NUMERATOR = st.one_of(
+    st.integers(-3, 3),
+    st.integers((1 << 31) - 8, (1 << 31) + 8),
+    st.integers(-(1 << 62) - 8, -(1 << 62) + 8))
+BIG_DENOMINATOR = st.sampled_from([1, 1, 2, 3, 7, 1000003, (1 << 31) - 1, (1 << 61) - 1])
+BIG_Q = st.builds(Fraction, BIG_NUMERATOR, BIG_DENOMINATOR)
+
+
+@st.composite
+def big_q_matrices(draw, rows=None, cols=None):
+    """A rational matrix with zeros mixed in, and at times a row that is a
+    multiple of another, so that ranks drop."""
+    rows = draw(st.integers(1, 5)) if rows is None else rows
+    cols = draw(st.integers(1, 5)) if cols is None else cols
+    entry = st.one_of(st.just(Fraction(0)), BIG_Q)
+    vals = draw(st.lists(entry, min_size=rows * cols, max_size=rows * cols))
+    m = [vals[i * cols:(i + 1) * cols] for i in range(rows)]
+    if rows > 1 and draw(st.booleans()):
+        i, j = draw(st.integers(0, rows - 1)), draw(st.integers(0, rows - 1))
+        k = draw(BIG_Q)
+        m[i] = [k * x for x in m[j]]
+    return m
+
+
+def to_dm(rows: list, cols: int) -> DomainMatrix:
+    return DomainMatrix([[QQ(x.numerator, x.denominator) for x in row] for row in rows],
+                        (len(rows), cols), QQ)
+
+
+def from_dm(dm: DomainMatrix) -> list:
+    return [[Fraction(int(x.numerator), int(x.denominator)) for x in row]
+            for row in dm.to_list()]
+
+
+class TestAgainstSympy:
+    """The rational lane against DomainMatrix over QQ, past the int64
+    guards."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_matmul(self, data):
+        rows, inner, cols = (data.draw(st.integers(1, 5)) for _ in range(3))
+        a = data.draw(big_q_matrices(rows, inner))
+        b = data.draw(big_q_matrices(inner, cols))
+        got = Q.matmul(Q.asarray(a), Q.asarray(b))
+        assert got.tolist() == from_dm(to_dm(a, inner).matmul(to_dm(b, cols)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(big_q_matrices())
+    def test_rref(self, a):
+        r, piv = Q.rref(Q.asarray(a))
+        ref, ref_piv = to_dm(a, len(a[0])).rref()
+        assert piv == list(ref_piv)
+        assert r.tolist() == from_dm(ref)
+
+    @settings(max_examples=40, deadline=None)
+    @given(big_q_matrices())
+    def test_kernel(self, a):
+        ker = kernel(Q, Q.asarray(a))
+        ref = from_dm(to_dm(a, len(a[0])).nullspace(divide_last=True))
+        assert ker.T.tolist() == ref
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_solve_affine(self, data):
+        a = data.draw(big_q_matrices())
+        b = data.draw(big_q_matrices(len(a), 1))
+        sol = solve_affine(Q, Q.asarray(a), Q.asarray(b))
+        n = len(a[0])
+        dm_a = to_dm(a, n)
+        consistent = dm_a.rank() == dm_a.hstack(to_dm(b, 1)).rank()
+        assert (sol is not None) == consistent
+        if sol is not None:
+            x, null = sol
+            assert from_dm(dm_a.matmul(to_dm(x.tolist(), 1))) == b
+            assert null.T.tolist() == from_dm(dm_a.nullspace(divide_last=True))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_inverse(self, data):
+        n = data.draw(st.integers(1, 4))
+        a = data.draw(big_q_matrices(n, n))
+        inv = inverse(Q, Q.asarray(a))
+        dm = to_dm(a, n)
+        assert (inv is not None) == (dm.det() != 0)
+        if inv is not None:
+            assert inv.tolist() == from_dm(dm.inv())
+
+
+class TestCanonicalForm:
+    """A rational matrix is stored as integer numerators over one positive
+    denominator with gcd(den, numerators) = 1, int64 while they fit."""
+
+    def test_two_routes_give_the_same_storage(self):
+        a = Q.asarray([["1/2", "1/3"], ["1/6", 0]])
+        b = Q.asarray([[6, 0], [0, 6]])
+        via_product = Q.matmul(a, b)
+        via_scaling = a * 6
+        direct = Q.asarray([[3, 2], [1, 0]])
+        for x in (via_product, via_scaling):
+            assert x.den == direct.den == 1
+            assert x.num.dtype == direct.num.dtype == np.int64
+            assert np.array_equal(x.num, direct.num)
+            assert x.tolist() == direct.tolist()
+
+    def test_zero_has_denominator_one(self):
+        a = Q.asarray([["1/3", "-2/7"]])
+        assert a.den == 21
+        for z in (a - a, a * 0, Q.zeros((2, 2)), Q.matmul(Q.zeros((2, 1)), a)):
+            assert z.den == 1 and not z.num.any()
+
+    def test_denominator_positive_and_reduced(self):
+        # the elimination meets a negative pivot here
+        r, piv = Q.rref(Q.asarray([[0, 1], [-2, 0]]))
+        assert piv == [0, 1] and r.den == 1 and r.tolist() == [[1, 0], [0, 1]]
+        a = Q.asarray([["2/4", "-3/9"]]) * Fraction(-4, 6)
+        assert a.den > 0
+        assert math.gcd(a.den, *map(int, a.num.flat)) == 1
+        assert a.tolist() == [[Fraction(-1, 3), Fraction(2, 9)]]
+
+    def test_wide_numerators_come_back_to_int64(self):
+        big = Q.asarray([[(1 << 62) + 1, 1]])
+        twice = big + big
+        assert twice.num.dtype == object
+        assert twice.tolist() == [[Fraction((1 << 63) + 2), Fraction(2)]]
+        back = twice - big
+        assert back.num.dtype == np.int64 and Q.equal(back, big)
+        assert (big * -3).tolist() == [[-3 * ((1 << 62) + 1), -3]]
+
+    def test_a_slice_is_reduced(self):
+        a = Q.asarray([["1/2", 1], [2, 4]])
+        row = a[1]
+        assert row.den == 1 and row.tolist() == [2, 4]
+        assert a[0, 0] == Fraction(1, 2) and type(a[0, 0]) is Fraction
+
+    def test_assignment_rescales(self):
+        a = Q.zeros((2, 2))
+        a[0, 1] = Fraction(1, 3)
+        assert a.den == 3 and a.tolist() == [[0, Fraction(1, 3)], [0, 0]]
+        a[0, 1] = 0
+        assert a.den == 1 and not a.num.any()

@@ -9,6 +9,7 @@ from hopfmonad.cat import GradedMor, GradedObj, identity
 from hopfmonad.exactla import FieldSpec
 from hopfmonad.hopfstruct import (
     HopfModule,
+    _integral_system,
     canonical_hopf_module,
     check_gamma_suite,
     check_hopf_module,
@@ -129,11 +130,10 @@ class TestCoinvariants:
         assert n.total_dim() == 2
         # image of the inclusion equals the image of the unit map
         from hopfmonad.exactla import rank
-        import numpy as np
         f = t.base.field
         eta = t.eta_mor(x).block(0, 0)
         span = inc.block(0, 0)
-        both = np.concatenate([eta, span], axis=1)
+        both = f.concatenate([eta, span], axis=1)
         assert rank(f, both) == 2
 
     def test_zero_module(self, sweedler):
@@ -202,6 +202,34 @@ class TestIntegrals:
             if ok and any(c != f.zero for c in chi):
                 sols.append(list(chi))
         assert sols == [[Fraction(0), Fraction(0), Fraction(0), Fraction(1)]]
+
+    @pytest.mark.parametrize("fixture", ["kz2", "sweedler", "ks3", "ks3_f3",
+                                         "taft3", "dz2"])
+    @pytest.mark.parametrize("direction", ["left", "right"])
+    def test_system_matches_the_element_loop(self, fixture, direction, request):
+        # the integral system built by array operations, against the loop
+        # over (p, a, k) that it replaced: the same rows in the same order
+        t = request.getfixturevalue(fixture).t
+        f = t.base.field
+        n = t.carrier_dim
+        d3 = t.t2[((0, 0), (0, 0))].block(0, 0).reshape(n, n, n)
+        u = t.u.block(0, 0)[:, 0]
+        rows = []
+        for p in range(n):
+            for a in range(n):
+                row = [f.coerce(d3[p, k, a] if direction == "left" else d3[k, p, a])
+                       for k in range(n)]
+                row[a] = f.coerce(row[a] - u[p])
+                rows.append(row)
+        assert _integral_system(t, direction).tolist() == rows
+        rng = random.Random(5)
+        chis = [solve_integrals(t, direction).basis[0]]
+        chis += [[f.coerce(rng.randrange(-2, 3)) for _ in range(n)] for _ in range(4)]
+        for chi in chis:
+            want = all(f.coerce(sum(row[k] * chi[k] for k in range(n))) == f.zero
+                       for row in rows)
+            assert integral_check(t, direction, chi) == want
+        assert integral_check(t, direction, chis[0])
 
     def test_group_algebra_integral(self, ks3):
         li = solve_integrals(ks3.t, "left")
