@@ -12,6 +12,16 @@ monoidal structure strictly associative and unital on the nose: the unit
 is the empty word, and duality reverses words, so no coherence
 isomorphisms ever appear in formulas.
 
+Atoms and words are interned (hash-consed): building one looks it up in
+a weak table, so there is one live object per (name, grid) and per
+(base, atoms), and equality is identity.  A word computes its grade
+counts once, when it is first built, and keeps its dual; the path
+orders, path indices, dual permutations and tensor positions derived
+from it are kept in a memo the word owns (keyed by the further words
+for the tensor positions, on the first word).  Everything derived from
+a word is therefore dropped together with it, and the tables hold only
+live words.
+
 Concretely, the graded piece of a word at (i, l) has one basis vector
 per *path* i -> ... -> l through the atoms, ordered lexicographically by
 (label, position) read left to right.  For a one-label base a path is
@@ -24,8 +34,9 @@ matrix per grade.
 from __future__ import annotations
 
 import operator
+import weakref
 from dataclasses import dataclass, field as dataclass_field
-from functools import lru_cache
+from functools import wraps
 
 import numpy as np
 
@@ -42,12 +53,18 @@ class BaseSpec:
 
     field: FieldSpec
     labels: tuple
+    # every word key holds its base: hash it once, not on every lookup
+    _hash: int = dataclass_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.labels) < 1:
             raise ExactError("need at least one label")
         if len(set(self.labels)) != len(self.labels):
             raise ExactError("labels must be distinct")
+        object.__setattr__(self, "_hash", hash((self.field, self.labels)))
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def nlabels(self) -> int:
@@ -66,52 +83,94 @@ def _dual_name(name: str) -> str:
     return name[:-1] if name.endswith("*") else name + "*"
 
 
-@dataclass(frozen=True)
-class Atom:
-    """Generating graded object: a name plus an L x L dimension grid."""
+class _Interned:
+    """One live object per key, equal only to itself and hashed as its key;
+    frozen after construction, and copies and pickles are the object."""
 
-    name: str
-    dims: tuple  # tuple of tuples of ints
-    _hash: int = dataclass_field(init=False, repr=False, compare=False)
+    __slots__ = ("_hash", "_dual", "__weakref__")
 
-    def __post_init__(self):
-        if any(d < 0 for row in self.dims for d in row):
-            raise ExactError("negative dimension")
-        object.__setattr__(self, "_hash", hash((self.name, self.dims)))
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     def __hash__(self):
         return self._hash
+
+    def __reduce__(self):
+        return type(self), self._key()
+
+    @classmethod
+    def _make(cls, table, key: tuple, **slots):
+        obj = object.__new__(cls)
+        for slot, value in dict(slots, _hash=hash(key), _dual=None).items():
+            object.__setattr__(obj, slot, value)
+        table[key] = obj
+        return obj
+
+
+# the live atoms by (name, dims) and the live words by (base, atoms)
+_ATOMS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+_WORDS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
+class Atom(_Interned):
+    """Generating graded object: a name plus an L x L dimension grid."""
+
+    __slots__ = ("name", "dims")
+
+    def __new__(cls, name: str, dims: tuple):
+        atom = _ATOMS.get((name, dims))
+        if atom is None:
+            if any(d < 0 for row in dims for d in row):
+                raise ExactError("negative dimension")
+            atom = cls._make(_ATOMS, (name, dims), name=name, dims=dims)
+        return atom
+
+    def _key(self) -> tuple:
+        return self.name, self.dims
+
+    def __repr__(self):
+        return f"Atom(name={self.name!r}, dims={self.dims!r})"
 
     @property
     def nlabels(self) -> int:
         return len(self.dims)
 
     def dual(self) -> "Atom":
-        grid = tuple(tuple(self.dims[j][i] for j in range(self.nlabels))
-                     for i in range(self.nlabels))
-        return Atom(_dual_name(self.name), grid)
+        if self._dual is None:
+            grid = tuple(zip(*self.dims))
+            object.__setattr__(self, "_dual", Atom(_dual_name(self.name), grid))
+        return self._dual
 
     def dim(self, i: int, j: int) -> int:
         return self.dims[i][j]
 
 
-@dataclass(frozen=True)
-class GradedObj:
+class GradedObj(_Interned):
     """A word of atoms over a base; the empty word is the unit object."""
 
-    base: BaseSpec
-    atoms: tuple
-    # words key the caches below: hash each once, not on every lookup
-    _hash: int = dataclass_field(init=False, repr=False, compare=False)
+    __slots__ = ("base", "atoms", "_counts", "_grades", "_memo")
 
-    def __post_init__(self):
-        for a in self.atoms:
-            if a.nlabels != self.base.nlabels:
-                raise BaseMismatch("atom grid does not match the label set")
-        object.__setattr__(self, "_hash", hash((self.base, self.atoms)))
+    def __new__(cls, base: BaseSpec, atoms: tuple):
+        word = _WORDS.get((base, atoms))
+        if word is None:
+            L = base.nlabels
+            # counts[i][l] = number of paths i -> l; product of the atom grids
+            counts = tuple(tuple(int(i == l) for l in range(L)) for i in range(L))
+            for a in atoms:
+                if a.nlabels != L:
+                    raise BaseMismatch("atom grid does not match the label set")
+                counts = tuple(tuple(sum(row[j] * a.dims[j][l] for j in range(L))
+                                     for l in range(L)) for row in counts)
+            grades = tuple((i, l) for i in range(L) for l in range(L) if counts[i][l])
+            word = cls._make(_WORDS, (base, atoms), base=base, atoms=atoms,
+                             _counts=counts, _grades=grades, _memo={})
+        return word
 
-    def __hash__(self):
-        return self._hash
+    def _key(self) -> tuple:
+        return self.base, self.atoms
 
     # -- constructors ------------------------------------------------------
 
@@ -146,25 +205,26 @@ class GradedObj:
         return GradedObj(self.base, self.atoms + other.atoms)
 
     def dual(self) -> "GradedObj":
-        return GradedObj(self.base, tuple(a.dual() for a in reversed(self.atoms)))
+        if self._dual is None:
+            object.__setattr__(self, "_dual", GradedObj(
+                self.base, tuple(a.dual() for a in reversed(self.atoms))))
+        return self._dual
 
     def count(self, i: int, l: int) -> int:
-        return _grade_counts(self)[i][l]
+        return self._counts[i][l]
 
     def dims_grid(self) -> list[list[int]]:
-        return [list(row) for row in _grade_counts(self)]
+        return [list(row) for row in self._counts]
 
     def total_dim(self) -> int:
-        return sum(sum(row) for row in _grade_counts(self))
+        return sum(map(sum, self._counts))
 
     def is_zero(self) -> bool:
         return self.total_dim() == 0
 
-    def grades(self) -> list[tuple[int, int]]:
+    def grades(self) -> tuple[tuple[int, int], ...]:
         """Grades with at least one basis path, in lexicographic order."""
-        L = self.base.nlabels
-        c = _grade_counts(self)
-        return [(i, l) for i in range(L) for l in range(L) if c[i][l] > 0]
+        return self._grades
 
     def axis_dims(self) -> list[int]:
         """Per-atom dimensions on a one-label base (the tensor axes)."""
@@ -174,19 +234,21 @@ class GradedObj:
         return "Obj[" + " ".join(a.name for a in self.atoms) + "]" if self.atoms else "Obj[1]"
 
 
-@lru_cache(maxsize=None)
-def _grade_counts(obj: GradedObj) -> tuple:
-    L = obj.base.nlabels
-    # counts[i][l] = number of paths i -> l; matrix product over atom grids
-    cur = [[1 if i == l else 0 for l in range(L)] for i in range(L)]
-    for a in obj.atoms:
-        nxt = [[sum(cur[i][j] * a.dims[j][l] for j in range(L)) for l in range(L)]
-               for i in range(L)]
-        cur = nxt
-    return tuple(tuple(row) for row in cur)
+def _owned_memo(fn):
+    """Memoize fn(word, *args) in the word's own memo, so that each value
+    lives exactly as long as the word it was derived from."""
+    @wraps(fn)
+    def memoized(obj: GradedObj, *args):
+        key = (fn, *args)
+        try:
+            return obj._memo[key]
+        except KeyError:
+            out = obj._memo[key] = fn(obj, *args)
+            return out
+    return memoized
 
 
-@lru_cache(maxsize=None)
+@_owned_memo
 def paths(obj: GradedObj, i: int, l: int) -> tuple:
     """All basis paths of a word at grade (i, l), in canonical order.
 
@@ -196,6 +258,8 @@ def paths(obj: GradedObj, i: int, l: int) -> tuple:
     """
     L = obj.base.nlabels
     out: list[tuple] = []
+    # rest[at] = the word of the atoms after position at
+    rest = [GradedObj(obj.base, obj.atoms[at + 1:]) for at in range(len(obj.atoms))]
 
     def rec(at: int, cur_label: int, acc: tuple):
         if at == len(obj.atoms):
@@ -203,11 +267,10 @@ def paths(obj: GradedObj, i: int, l: int) -> tuple:
                 out.append(acc)
             return
         a = obj.atoms[at]
-        # prune: no continuation can reach l
-        rest = GradedObj(obj.base, obj.atoms[at + 1:])
         for j in range(L):
             d = a.dims[cur_label][j]
-            if d == 0 or _grade_counts(rest)[j][l] == 0:
+            # prune: no continuation can reach l
+            if d == 0 or rest[at].count(j, l) == 0:
                 continue
             for b in range(d):
                 rec(at + 1, j, acc + ((j, b),))
@@ -216,7 +279,7 @@ def paths(obj: GradedObj, i: int, l: int) -> tuple:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
+@_owned_memo
 def path_index(obj: GradedObj, i: int, l: int) -> dict:
     return {p: k for k, p in enumerate(paths(obj, i, l))}
 
@@ -375,7 +438,7 @@ class GradedMor:
         return self.ldual()
 
 
-@lru_cache(maxsize=None)
+@_owned_memo
 def _perm_to_dual(obj: GradedObj, i: int, l: int) -> tuple:
     """perm[k] = index of the reversal of the k-th (i,l)-path in dual(obj)."""
     if obj.base.is_vector:
@@ -397,12 +460,12 @@ def _perm_to_dual(obj: GradedObj, i: int, l: int) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+@_owned_memo
 def _tensor_positions(x: GradedObj, y: GradedObj, i: int, l: int) -> dict:
     """For each middle label j: (row positions of x-paths ⊗ y-paths) inside
     the combined word's (i,l) path order, in row-major (p, q) order.
 
-    The arrays are cached and shared, so they are read-only."""
+    The arrays are kept in x's memo and shared, so they are read-only."""
     combined = x.tensor(y)
     cidx = path_index(combined, i, l)
     out = {}
@@ -531,7 +594,8 @@ def sovereign_phi(x: GradedObj) -> GradedMor:
     Words dualize by reversing and dualizing atoms, and atom duals are
     involutive, so the double dual is literally x and phi is the identity.
     """
-    assert x.dual().dual() == x
+    if x.dual().dual() is not x:
+        raise ExactError(f"the double dual of {x!r} is not the word itself")
     return GradedMor.identity(x)
 
 

@@ -28,7 +28,8 @@ id_L ⊗ g ⊗ id_R is applied per grade and per block (j, k) of g: the
 rows at the paths i -> j -> k -> l through (L, source of g, R) are
 gathered, contracted with g's (j, k) block and scattered to the paths
 through (L, target of g, R).  The path positions come from
-cat._tensor_positions.
+cat._tensor_positions and, like them, are kept in the memo of the left
+word (_split_positions).
 
 A natural family is stored by its components at simples; its source
 and target functors are slot layouts, each slot a fixed word (the
@@ -48,7 +49,7 @@ from math import prod
 
 import numpy as np
 
-from .cat import GradedMor, GradedObj, _perm_to_dual, _tensor_positions
+from .cat import GradedMor, GradedObj, _owned_memo, _perm_to_dual, _tensor_positions
 from .exactla import DimensionMismatch, ExactError
 
 # Cap on entries of any intermediate state and any fused core (per evaluation).
@@ -362,16 +363,21 @@ def _fuse(start: GradedObj, mid_dims: list, first: tuple, second: tuple,
                     pass_perm=[pass_src.index(feed[a]) for a in pass_dst])
 
 
+@_owned_memo
 def _split_positions(left: GradedObj, mid: GradedObj, right: GradedObj,
                      i: int, l: int) -> dict:
     """For each pair of labels (j, k): the positions of the paths
     i -> j -> k -> l through left, mid and right inside the (i, l) path
-    order of left ⊗ mid ⊗ right, as an (nL, nM, nR) array."""
+    order of left ⊗ mid ⊗ right, mid-major: the flattened (nM, nL, nR)
+    array.  Kept in left's memo and shared, so the arrays are read-only."""
     out = {}
     for k, outer in _tensor_positions(left.tensor(mid), right, i, l).items():
         outer = outer.reshape(-1, right.count(k, l))
         for j, inner in _tensor_positions(left, mid, i, k).items():
-            out[j, k] = outer[inner].reshape(left.count(i, j), mid.count(j, k), -1)
+            pos = outer[inner].reshape(left.count(i, j), mid.count(j, k), -1)
+            pos = pos.transpose(1, 0, 2).ravel()
+            pos.flags.writeable = False
+            out[j, k] = pos
     return out
 
 
@@ -393,9 +399,9 @@ def _apply_graded(mor: GradedMor, left: GradedObj, right: GradedObj,
         if core is None:
             continue
         # source axis first: (nS, nL * nR * width)
-        gathered = block[src_pos.transpose(1, 0, 2).ravel()]
+        gathered = block[src_pos]
         contracted = field.matmul(core, gathered.reshape(core.shape[1], -1))
-        out[dst_pos[jk].transpose(1, 0, 2).ravel()] = contracted.reshape(-1, block.shape[1])
+        out[dst_pos[jk]] = contracted.reshape(-1, block.shape[1])
     return out
 
 

@@ -150,17 +150,25 @@ class Family:
             elif comp.src != s or comp.dst != d:
                 raise StructureError(f"{label} component at {key} has wrong ends")
             self.comps[key] = comp
+        self._steps: dict = {}  # argument words -> step (see at_step)
 
     def __getitem__(self, key) -> GradedMor:
         return self.comps[key]
 
     def at_step(self, *xs: GradedObj):
-        """The component at the objects xs as a chain step.
+        """The component at the objects xs as a chain step, built once per
+        argument tuple and shared.
 
         On one label the component is its core on the fixed slots, tensored
         with the identity of the arguments; otherwise it is the direct-sum
         extension from the simples.
         """
+        step = self._steps.get(xs)
+        if step is None:
+            step = self._steps[xs] = self._step(xs)
+        return step
+
+    def _step(self, xs: tuple):
         if not self.t.base.is_vector:
             return MorStep(extend(self.src, self.dst, xs, self.comps))
         in_axes, src_pass = _slot_axes(self.src, xs)

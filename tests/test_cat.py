@@ -1,11 +1,16 @@
 """Backend categories: strictness, duality and grading tests."""
 
+import copy
+import gc
+import pickle
 import random
+import weakref
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from hopfmonad import cat, presentation, zoo
 from hopfmonad.cat import (
     Atom,
     BaseSpec,
@@ -26,7 +31,8 @@ from hopfmonad.cat import (
     summand_inclusions,
     tensor_mor,
 )
-from hopfmonad.exactla import FieldSpec
+from hopfmonad.exactla import ExactError, FieldSpec
+from hopfmonad.verify import verify_model
 
 Q = FieldSpec.rationals()
 VEC = BaseSpec.vector(Q)
@@ -108,6 +114,82 @@ class TestObjects:
             a.atoms[0].dims = ((0, 0), (0, 0))
         with pytest.raises(AttributeError):
             a._hash = 0
+
+
+class TestInterning:
+    """One live atom per (name, grid) and one live word per (base, atoms)."""
+
+    def test_built_apart_are_the_same_object(self):
+        a = Atom("A", ((1, 2), (0, 1)))
+        assert Atom("A", ((1, 2), (0, 1))) is a
+        x = GradedObj.from_grid(GR2, [[1, 2], [0, 1]], "A")
+        assert x.atoms[0] is a
+        # an equal base built apart finds the same word
+        assert GradedObj(BaseSpec(Q, ("a", "b")), (a,)) is x
+        assert x.tensor(x) is GradedObj(GR2, (a, a))
+        assert GradedObj.simple(GR2, 0, 1) is GradedObj.simple(GR2, 0, 1)
+        assert GradedObj.unit(VEC) is GradedObj.unit(BaseSpec.vector(Q))
+        assert GradedObj(GR2, (a,)) is not GradedObj(GR2_F3, (a,))
+
+    def test_hashes_are_pinned(self):
+        # the same values as plain tuples of the fields, so set orders and
+        # with them the reports cannot drift
+        rng = random.Random(3)
+        for base in (VEC, GR2, GR2_F3):
+            assert hash(base) == hash((base.field, base.labels))
+            for _ in range(10):
+                w = rand_obj(base, rng)
+                assert hash(w) == hash((w.base, w.atoms))
+                for a in w.atoms:
+                    assert hash(a) == hash((a.name, a.dims))
+
+    def test_double_dual_is_the_word(self):
+        rng = random.Random(5)
+        for base in (VEC, GR2):
+            for _ in range(10):
+                x = rand_obj(base, rng)
+                assert x.dual().dual() is x
+                assert x.dual() is x.dual()
+                for a in x.atoms:
+                    assert a.dual().dual() is a
+
+    def test_sovereign_phi_raises_on_a_non_involutive_name(self):
+        # "A**" dualizes to "A*", whose dual is "A": not the word itself
+        x = GradedObj(VEC, (Atom("A**", ((1,),)),))
+        with pytest.raises(ExactError):
+            sovereign_phi(x)
+
+    def test_frozen_slots(self):
+        x = GradedObj.from_grid(GR2, [[1, 2], [0, 1]], "A")
+        for obj in (x, x.atoms[0], x.dual()):
+            for name in ("_hash", "_dual", *type(obj).__slots__):
+                with pytest.raises(AttributeError):
+                    setattr(obj, name, None)
+                with pytest.raises(AttributeError):
+                    delattr(obj, name)
+            with pytest.raises(AttributeError):
+                obj.other = 1
+
+    def test_copies_are_the_interned_object(self):
+        x = GradedObj.from_grid(GR2, [[1, 2], [0, 1]], "A").tensor(
+            GradedObj.simple(GR2, 1, 0))
+        assert copy.copy(x) is x and copy.deepcopy(x) is x
+        assert pickle.loads(pickle.dumps(x)) is x
+        assert copy.deepcopy(x.atoms[0]) is x.atoms[0]
+
+    def test_table_holds_only_live_words(self):
+        # a field no other test uses, so no other live word shares the base
+        f = FieldSpec.prime(10007)
+        model = presentation.load(zoo.build_disconnected_groupoid(f))
+        assert verify_model(model, checks=("axioms",)).passed
+        t = model.t
+        word = t.on_obj(t.on_obj(t.simple((0, 1))))
+        ref = weakref.ref(word)
+        assert any(w.base.field == f for w in cat._WORDS.values())
+        del model, t, word
+        gc.collect()
+        assert ref() is None
+        assert not any(w.base.field == f for w in cat._WORDS.values())
 
 
 class TestMorphisms:

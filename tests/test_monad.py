@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from hopfmonad import presentation, zoo
+from hopfmonad import monad, presentation, zoo
 from hopfmonad.chain import Chain
 from hopfmonad.exactla import FieldSpec
 from hopfmonad.monad import (
@@ -33,7 +33,8 @@ from hopfmonad.monad import (
 )
 from hopfmonad.presentation import element_from_vector
 from hopfmonad.report import Report
-from hopfmonad.cat import GradedMor, identity
+from hopfmonad.verify import SUITES, verify_model
+from hopfmonad.cat import GradedMor, GradedObj, identity
 
 Q = FieldSpec.rationals()
 
@@ -338,3 +339,46 @@ def test_bimonad_is_freed_after_use():
     del model
     gc.collect()
     assert ref() is None
+
+
+class TestStepMemo:
+    """Family.at_step builds each component once per argument tuple."""
+
+    @pytest.mark.parametrize("fixture", ["sweedler", "disconnected_groupoid"])
+    def test_equal_arguments_share_the_step(self, fixture, request):
+        t = request.getfixturevalue(fixture).t
+        for g in t.simples():
+            s = t.simple(g)
+            # the same word built apart is the same key
+            again = GradedObj.simple(t.base, *g)
+            assert t.t2.at_step(s, s) is t.t2.at_step(again, again)
+            ts = t.on_obj(s)
+            assert t.t2.at_step(ts, s) is t.t2.at_step(t.carrier.tensor(again), again)
+
+    @pytest.mark.parametrize("fixture", ["sweedler", "disconnected_groupoid"])
+    def test_families_keep_their_own_steps(self, fixture, request):
+        t = request.getfixturevalue(fixture).t
+        eta = eta_element(t)
+        twice = Element(t, {g: eta[g].scale(2) for g in t.simples()}, "2eta")
+        for g in t.simples():
+            s = t.simple(g)
+            ts = t.on_obj(s)
+            a, b = eta.at_step(ts), twice.at_step(ts)
+            assert a is not b
+            assert b.to_mor() == a.to_mor().scale(2) != a.to_mor()
+
+    def test_extend_runs_once_per_family_and_arguments(self, monkeypatch):
+        # a model of its own, so no earlier test has filled the memos
+        model = presentation.load(zoo.build_disconnected_groupoid(Q))
+        seen, keep = {}, []
+        extend = monad.extend
+
+        def counted(src, dst, xs, comps):
+            keep.append(comps)  # holds each id while the counter runs
+            key = (id(comps), src, dst, xs)
+            seen[key] = seen.get(key, 0) + 1
+            return extend(src, dst, xs, comps)
+
+        monkeypatch.setattr(monad, "extend", counted)
+        assert verify_model(model, checks=SUITES, samples=1).passed
+        assert seen and max(seen.values()) == 1
