@@ -19,9 +19,10 @@ Prints one table:
   Sweedler algebra over Q against GF(3) and GF(1048573), the rational
   lane's ratios; then every suite of each of the ten small builtins of
   the perfbench `gallery` workload (the two groupoid algebras among them
-  run on the two-label graded backend); then the long chains of the
-  contraction plan: the quasitriangular suite of the 25-dim double of Z5
-  over GF(11) and every suite of the 36-dim double of S3 over GF(7).
+  run on the two-label graded backend); then the long one-label chains:
+  the quasitriangular suite of the 25-dim double of Z5 over GF(11), and
+  every suite of the 36-dim double of S3 over GF(7) and of the 49-dim
+  double of Z7 over GF(29).
 
 Each time is the best of three runs.  A verification loads a fresh model
 for each run, outside the timer, and collects the previous one first: the
@@ -128,6 +129,8 @@ def _builder(name, field):
             zoo.cyclic_group_table(5), field, name),
         "double_s3_f7": lambda: zoo.build_drinfeld_double_group(
             zoo.symmetric3_table(), field, name),
+        "double_z7_f29": lambda: zoo.build_drinfeld_double_group(
+            zoo.cyclic_group_table(7), field, name),
         "ks3": lambda: zoo.build_group_algebra(zoo.symmetric3_table(), field, name),
         "double_z2": lambda: zoo.build_drinfeld_double_group(
             zoo.cyclic_group_table(2), field, name),
@@ -226,6 +229,7 @@ def main():
     row("verify double_z5_f11 (quasitriangular)", "",
         _verify(_builder("double_z5_f11", f11), ("quasitriangular",)))
     row("verify double_s3_f7", "", _verify(_builder("double_s3_f7", FieldSpec.prime(7))))
+    row("verify double_z7_f29", "", _verify(_builder("double_z7_f29", FieldSpec.prime(29))))
 
     if args.json:
         _write_json(args.json, rows, args, machine)

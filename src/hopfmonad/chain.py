@@ -6,21 +6,23 @@ extension of a stored transformation component.  A Chain records the
 steps; eval() turns the composite into an honest GradedMor.
 
 Neither backend materializes a whiskered Kronecker factor.  On a
-one-label base the running composite is a dense (current x width)
-matrix, reshaped along the word's atom axes, and each step contracts a
-small core against the axes it touches.  The chain is evaluated from
-whichever end is narrower, and then by a contraction plan (_plan): the
-steps are walked in order and each is read as a core on atom axes (a
-CoreStep through its in_axes, out_axes and pass_perm, a MorStep on
-consecutive axes).  The next step is fused into the running group when
-the two cores contracted over their shared axes give a core strictly
-smaller than the state between them, which is then never made.  So an
-inserted element (an R-matrix, a coevaluation) is contracted with the
-products after it before it meets the state; on the 25- and
-36-dimensional doubles no state or fused core exceeds carrier-dim^4,
-where the steps one at a time reach carrier-dim^5.  A group of one step
-is the step itself.  Re-associating exact products cannot change a
-result; the tests compare the plan against one group per step.
+one-label base a chain is a tensor network applied to an identity.
+Each atom of the running word carries a wire, and each step is a core
+tensor whose legs are the wires it produces and the wires it consumes
+(a CoreStep through its in_axes, out_axes and pass_perm, a MorStep on
+all of its atoms); the wires a step passes through keep their labels.
+The network is contracted one pair at a time: of the pairs of tensors
+that share a wire, the one whose result is smallest, the first by
+position among equals (_next_pair).  A disconnected remainder is joined
+by outer products, the wires that go from source to target untouched
+are tensored in once at the end as an identity, and the result's axes
+are put in the order (target wires, source wires).  So steps on
+disjoint wires commute, and an inserted element (an R-matrix, a
+coevaluation) meets the products on its legs before any identity
+width: on the 25-, 36- and 64-dimensional doubles no intermediate
+exceeds carrier-dim^4.
+Re-associating exact products cannot change a result; the tests compare
+the evaluator against dense whiskered matrices and another pair order.
 
 On a multi-label base the running composite is one block per grade
 (i, l), its rows the current word's (i, l)-paths.  A step
@@ -52,7 +54,7 @@ import numpy as np
 from .cat import GradedMor, GradedObj, _owned_memo, _perm_to_dual, _tensor_positions
 from .exactla import DimensionMismatch, ExactError
 
-# Cap on entries of any intermediate state and any fused core (per evaluation).
+# Cap on entries of any pairwise intermediate and of the result (per evaluation).
 MAX_STATE_ENTRIES = 3 * 10**8
 
 
@@ -60,25 +62,13 @@ class ChainOverflow(ExactError):
     pass
 
 
-def mor_flip(m: GradedMor) -> GradedMor:
-    """Blockwise transpose (against the same bases); swaps source and target."""
-    return GradedMor(m.dst, m.src, {g: b.T.copy() for g, b in m.blocks.items()})
-
-
 class Step:
-    """One rewriting step src -> dst, appliable along tensor axes."""
+    """One rewriting step src -> dst."""
 
     src: GradedObj
     dst: GradedObj
 
     def to_mor(self) -> GradedMor:
-        raise NotImplementedError
-
-    def transposed(self) -> "Step":
-        raise NotImplementedError
-
-    def apply_vec(self, state, dl: int, dr: int, field):
-        """Apply id_{dl} ⊗ self ⊗ id_{dr} to state of shape (dl*src*dr, w)."""
         raise NotImplementedError
 
 
@@ -92,21 +82,6 @@ class MorStep(Step):
 
     def to_mor(self) -> GradedMor:
         return self.mor
-
-    def transposed(self) -> "MorStep":
-        return MorStep(mor_flip(self.mor))
-
-    def apply_vec(self, state, dl, dr, field):
-        w = state.shape[1]
-        ds = self.src.total_dim()
-        dd = self.dst.total_dim()
-        core = self.mor.block(0, 0)
-        st = state.reshape(dl, ds, dr * w)
-        # contract over the middle axis: out[a, :, c] = core @ st[a, :, c]
-        st = st.swapaxes(0, 1).reshape(ds, dl * dr * w)
-        out = field.matmul(core, st)
-        out = out.reshape(dd, dl, dr * w).swapaxes(0, 1)
-        return out.reshape(dl * dd * dr, w)
 
 
 class CoreStep(Step):
@@ -144,45 +119,8 @@ class CoreStep(Step):
         self._pass_src = pass_src
         self._pass_dst = pass_dst
 
-    def transposed(self) -> "CoreStep":
-        inv = [0] * len(self.pass_perm)
-        for k, a in enumerate(self.pass_perm):
-            inv[a] = k
-        return CoreStep(self.dst, self.src, self.core.T.copy(),
-                        self.out_axes, self.in_axes, pass_perm=tuple(inv))
-
     def to_mor(self) -> GradedMor:
-        n = self.src.total_dim()
-        f = self.src.base.field
-        state = f.eye(n)
-        out = self.apply_vec(state, 1, 1, f)
-        return GradedMor(self.src, self.dst, {(0, 0): out})
-
-    def apply_vec(self, state, dl, dr, field):
-        w = state.shape[1]
-        sd = self.src.axis_dims()
-        dd = self.dst.axis_dims()
-        st = state.reshape([dl] + sd + [dr * w])
-        # bring consumed axes to the front, flatten, contract the core
-        order = [1 + a for a in self.in_axes] + [0] + \
-                [1 + a for a in self._pass_src] + [len(sd) + 1]
-        st = st.transpose(order)
-        cin = self.core.shape[1]
-        rest = dl * prod(sd[a] for a in self._pass_src) * dr * w
-        st = st.reshape(cin, rest)
-        out = field.matmul(self.core, st)
-        out_dims = [dd[a] for a in self.out_axes]
-        out = out.reshape(out_dims + [dl] + [sd[a] for a in self._pass_src] + [dr * w])
-        # route produced and pass-through axes into target order
-        nout = len(self.out_axes)
-        pos_of = {}
-        for k, a in enumerate(self.out_axes):
-            pos_of[a] = k
-        for k, a in enumerate(self._pass_dst):
-            pos_of[a] = nout + 1 + self.pass_perm[k]
-        order = [nout] + [pos_of[a] for a in range(len(dd))] + [nout + 1 + len(self._pass_src)]
-        out = out.transpose(order)
-        return out.reshape(dl * (prod(dd) if dd else 1) * dr, w)
+        return Chain(self.src).then(self).eval()
 
 
 class Chain:
@@ -234,133 +172,95 @@ class Chain:
             cur = nxt
         return GradedMor(self.src, cur, state)
 
-    # -- vector backend: narrow-end propagation ------------------------------
+    # -- vector backend: one tensor network ----------------------------------
 
     def _eval_vector(self) -> GradedMor:
-        ns, nd = self.src.total_dim(), self.cur.total_dim()
-        if nd < ns:
-            rev = Chain(self.cur)
-            for (at, step) in reversed(self.steps):
-                rev.then(step.transposed(), at=at)
-            out = rev._eval_vector()
-            return GradedMor(self.src, self.cur,
-                             {(0, 0): out.block(0, 0).T.copy()})
         field = self.src.base.field
-        state = field.eye(ns) if ns else field.zeros((0, 0))
-        w = ns
-        cur = self.src
-        for at, step in _plan(self.src, self.steps, w):
-            n = len(step.src.atoms)
-            dl = prod(cur.axis_dims()[:at]) if at else 1
-            dr = prod(cur.axis_dims()[at + n:]) if cur.atoms[at + n:] else 1
-            new_total = dl * step.dst.total_dim() * dr
-            if new_total * max(w, 1) > MAX_STATE_ENTRIES:
-                raise ChainOverflow(
-                    f"intermediate of {new_total} x {w} entries; "
-                    "restructure the formula (nest sub-composites)")
-            state = step.apply_vec(state, dl, dr, field)
-            cur = GradedObj(cur.base, cur.atoms[:at] + step.dst.atoms + cur.atoms[at + n:])
-        return GradedMor(self.src, cur, {(0, 0): state})
+        ns, nd = self.src.total_dim(), self.cur.total_dim()
+        _check_size(nd * ns)
+        # wires[k] is the wire on atom k of the running word; the source's
+        # wires are 0 .. len(src) - 1, and each produced wire gets the next
+        # label.  A step's tensor has the wires it produces, then the wires
+        # it consumes.
+        dims = self.src.axis_dims()
+        nsrc = len(dims)
+        wires = list(range(nsrc))
+        tensors = []
+        for at, step in self.steps:
+            here = wires[at:at + len(step.src.atoms)]
+            made = step.dst.axis_dims()
+            mid = [None] * len(made)
+            if isinstance(step, CoreStep):
+                core, ins, outs = step.core, step.in_axes, step.out_axes
+                for d, p in zip(step._pass_dst, step.pass_perm):
+                    mid[d] = here[step._pass_src[p]]
+            else:
+                core, ins, outs = step.mor.block(0, 0), range(len(here)), range(len(made))
+            for a in outs:
+                mid[a] = len(dims)
+                dims.append(made[a])
+            legs = tuple(mid[a] for a in outs) + tuple(here[a] for a in ins)
+            tensors.append((core.reshape([dims[w] for w in legs]), legs))
+            wires[at:at + len(here)] = mid
+        # a wire of dimension 0 makes the composite zero (and an empty
+        # operand cannot be reshaped for tensordot)
+        if 0 in dims:
+            return GradedMor(self.src, self.cur, {(0, 0): field.zeros((nd, ns))})
+        while len(tensors) > 1:
+            pick = _next_pair([legs for _, legs in tensors], dims)
+            if pick is None:
+                pick = (tensors[0][0].size * tensors[1][0].size, 0, 1)
+            size, i, j = pick
+            _check_size(size)
+            tensors[i] = _contract(field, tensors[i], tensors[j])
+            del tensors[j]
+        # the source wires still in the target passed untouched: the
+        # identity on them, its target legs under new labels
+        ident = [w for w in wires if w < nsrc]
+        relabel = {w: len(dims) + k for k, w in enumerate(ident)}
+        if ident:
+            shape = [dims[w] for w in ident]
+            eye = (field.eye(prod(shape)).reshape(shape * 2),
+                   tuple(relabel[w] for w in ident) + tuple(ident))
+            tensors = [_contract(field, tensors[0], eye)] if tensors else [eye]
+        if not tensors:
+            return GradedMor(self.src, self.cur, {(0, 0): field.eye(1)})
+        out, legs = tensors[0]
+        order = [relabel.get(w, w) for w in wires] + list(range(nsrc))
+        out = out.transpose([legs.index(w) for w in order]).reshape(nd, ns)
+        return GradedMor(self.src, self.cur, {(0, 0): out})
 
 
-# -- vector backend: the contraction plan ------------------------------------
+def _check_size(entries: int) -> None:
+    if entries > MAX_STATE_ENTRIES:
+        raise ChainOverflow(f"intermediate of {entries} entries; "
+                            "restructure the formula (nest sub-composites)")
 
 
-def _as_core(step: Step) -> tuple:
-    """A vector step as (core, consumed axes, produced axes); a MorStep is
-    a core on all of its source and target atoms."""
-    if isinstance(step, CoreStep):
-        return step.core, step.in_axes, step.out_axes
-    return (step.mor.block(0, 0), tuple(range(len(step.src.atoms))),
-            tuple(range(len(step.dst.atoms))))
-
-
-def _plan(src: GradedObj, steps: list, w: int) -> list:
-    """The groups of a vector chain of width w, as (at, step) pairs.
-
-    The steps are walked in order.  The next step joins the running group
-    when their fused core is strictly smaller than the state the group
-    leaves for the step: that state is then never made.  A group of one
-    step is the step itself; a longer one is a CoreStep on whole words
-    (see _fuse).
-    """
-    plan = []
-    atoms, dims = src.atoms, src.axis_dims()
-    for at, step in steps:
-        n = len(step.src.atoms)
-        nxt = atoms[:at] + step.dst.atoms + atoms[at + n:]
-        nxt_dims = dims[:at] + step.dst.axis_dims() + dims[at + n:]
-        if plan:
-            gat, group = plan[-1]
-            g_core, _, g_out = _as_core(group)
-            s_core, s_in, _ = _as_core(step)
-            outs = {gat + a for a in g_out}
-            ins = {at + a for a in s_in}
-            shared = outs & ins
-            rows = s_core.shape[0] * prod(dims[a] for a in outs - shared)
-            cols = g_core.shape[1] * prod(dims[a] for a in ins - shared)
-            if rows * cols < prod(dims) * w:
-                if rows * cols > MAX_STATE_ENTRIES:
-                    raise ChainOverflow(f"fused core of {rows} x {cols} entries")
-                plan[-1] = (0, _fuse(GradedObj(src.base, start), dims, plan[-1],
-                                     (at, step), GradedObj(src.base, nxt)))
-                atoms, dims = nxt, nxt_dims
+def _next_pair(legs: list, dims: list):
+    """(result entries, i, j) of the next pair of tensors to contract: of
+    the pairs whose legs share a wire, the one with the smallest result,
+    the first by position among equals; None when no two share a wire."""
+    best = None
+    for i, a in enumerate(legs):
+        for j in range(i + 1, len(legs)):
+            if set(a).isdisjoint(legs[j]):
                 continue
-        plan.append((at, step))
-        start, atoms, dims = atoms, nxt, nxt_dims
-    return plan
+            size = prod(dims[w] for w in set(a).symmetric_difference(legs[j]))
+            if best is None or size < best[0]:
+                best = (size, i, j)
+    return best
 
 
-def _whole_word(at: int, step: Step, natoms: int) -> tuple:
-    """id ⊗ step ⊗ id on a word of natoms atoms as a core on whole words:
-    (core, consumed axes, produced axes, {target axis: source axis} of the
-    axes passing through)."""
-    core, ins, outs = _as_core(step)
-    n, m = len(step.src.atoms), len(step.dst.atoms)
-    feed = {j: j for j in range(at)}
-    feed.update((j - n + m, j) for j in range(at + n, natoms))
-    if isinstance(step, CoreStep):
-        feed.update((at + d, at + step._pass_src[p])
-                    for d, p in zip(step._pass_dst, step.pass_perm))
-    return core, [at + a for a in ins], [at + a for a in outs], feed
-
-
-def _fuse(start: GradedObj, mid_dims: list, first: tuple, second: tuple,
-          end: GradedObj) -> CoreStep:
-    """The two (at, step) pairs, first then second, as one CoreStep from
-    start to end.
-
-    The fused core is the two cores contracted over the axes the first
-    produces and the second consumes.  An axis the second consumes and the
-    first passes through becomes an input of the fused core, and an axis
-    the first produces and the second passes through an output; no
-    identity is tensored in.
-    """
-    core1, in1, out1, feed1 = _whole_word(*first, len(start.atoms))
-    core2, in2, out2, feed2 = _whole_word(*second, len(mid_dims))
-    sd, ed = start.axis_dims(), end.axis_dims()
-    t1 = core1.reshape([mid_dims[a] for a in out1] + [sd[a] for a in in1])
-    t2 = core2.reshape([ed[a] for a in out2] + [mid_dims[a] for a in in2])
-    shared = [a for a in in2 if a in out1]
-    t = start.base.field.tensordot(
-        t2, t1, axes=([len(out2) + in2.index(a) for a in shared],
-                      [out1.index(a) for a in shared]))
-    # t's axes are out2, in2 less shared, out1 less shared, in1: swap the
-    # middle two so the outputs come first
-    in2_rest = [a for a in in2 if a not in shared]
-    out1_rest = [a for a in out1 if a not in shared]
-    i, j = len(out2), len(out2) + len(in2_rest)
-    k = j + len(out1_rest)
-    t = t.transpose([*range(i), *range(j, k), *range(i, j), *range(k, t.ndim)])
-    forward = {s: e for e, s in feed2.items()}
-    out_axes = out2 + [forward[a] for a in out1_rest]
-    in_axes = [feed1[a] for a in in2_rest] + in1
-    feed = {e: feed1[s] for e, s in feed2.items() if s in feed1}
-    pass_src = [a for a in range(len(sd)) if a not in in_axes]
-    pass_dst = [a for a in range(len(ed)) if a not in out_axes]
-    core = t.reshape(prod(ed[a] for a in out_axes), prod(sd[a] for a in in_axes))
-    return CoreStep(start, end, core, in_axes, out_axes,
-                    pass_perm=[pass_src.index(feed[a]) for a in pass_dst])
+def _contract(field, x: tuple, y: tuple) -> tuple:
+    """Two (tensor, legs) pairs contracted over their shared wires, by one
+    FieldSpec.tensordot; the result's legs are x's free legs, then y's."""
+    (a, la), (b, lb) = x, y
+    shared = [w for w in la if w in lb]
+    out = field.tensordot(a, b, axes=([la.index(w) for w in shared],
+                                      [lb.index(w) for w in shared]))
+    return out, tuple(w for w in la if w not in shared) + \
+        tuple(w for w in lb if w not in shared)
 
 
 @_owned_memo

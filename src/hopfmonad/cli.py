@@ -9,8 +9,8 @@
 
 Exit codes: 0 all requested checks pass, 1 axiom failure (report still
 emitted), 2 malformed input, 3 internal error (an exact-arithmetic
-failure during verification, such as a chain overflow or a fast route
-that disagrees with its cross-check; no report).
+failure during verification, such as a chain whose pairwise
+intermediate or result exceeds chain.MAX_STATE_ENTRIES; no report).
 """
 
 from __future__ import annotations

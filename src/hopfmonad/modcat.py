@@ -18,7 +18,7 @@ from .cat import (
 )
 from .chain import Chain
 from .exactla import ExactError, inverse, kernel, rank, solve_affine
-from .monad import StructureError, TensoringBimonad, TransTT
+from .monad import TensoringBimonad, TransTT
 from .report import Report
 
 
@@ -154,43 +154,14 @@ def module_section_space(m: TModule) -> list[GradedMor]:
             for vec in [x0] + [f.reduce(x0 + v) for v in null.T]]
 
 
-def _tensor_modules_chain(m: TModule, n: TModule) -> GradedMor:
-    t = m.t
-    src = t.on_obj(m.carrier.tensor(n.carrier))
-    ch = Chain(src).then(t.t2.at_step(m.carrier, n.carrier), at=0) \
-                   .then(m.action, at=0) \
-                   .then(n.action, at=len(m.carrier.atoms))
-    return ch.eval()
-
-
 def tensor_modules(m: TModule, n: TModule) -> TModule:
-    """Module structure on M ⊗ N through the coproduct.
-
-    On the one-label backend the two actions are contracted against the
-    coproduct core directly, avoiding the squared-carrier intermediate of
-    the step route.
-    """
+    """Module structure on M ⊗ N through the coproduct."""
     t = m.t
     carrier = m.carrier.tensor(n.carrier)
-    if not t.base.is_vector:
-        return TModule(t, carrier, _tensor_modules_chain(m, n), check=False)
-    f = t.base.field
-    ad = t.carrier_dim
-    dm, dn = m.carrier.total_dim(), n.carrier.total_dim()
-    src = t.on_obj(carrier)
-    if dm == 0 or dn == 0 or ad == 0:
-        action = GradedMor.zero(src, carrier)
-        return TModule(t, carrier, action, check=False)
-    d3 = t.t2[((0, 0), (0, 0))].block(0, 0).reshape(ad, ad, ad)   # [p, q, a]
-    r3 = m.action.block(0, 0).reshape(dm, ad, dm)
-    s3 = n.action.block(0, 0).reshape(dn, ad, dn)
-    b1 = f.tensordot(d3, r3, axes=([0], [1]))     # [q, a, m', m]
-    out = f.tensordot(b1, s3, axes=([0], [1]))    # [a, m', m, n', n]
-    blk = out.transpose(1, 3, 0, 2, 4).reshape(dm * dn, ad * dm * dn)
-    action = GradedMor(src, carrier, {(0, 0): blk})
-    if ad * max(dm, dn) <= 64 and action != _tensor_modules_chain(m, n):
-        raise StructureError("fast and generic tensor-module routes disagree")
-    return TModule(t, carrier, action, check=False)
+    ch = Chain(t.on_obj(carrier)).then(t.t2.at_step(m.carrier, n.carrier), at=0) \
+                                 .then(m.action, at=0) \
+                                 .then(n.action, at=len(m.carrier.atoms))
+    return TModule(t, carrier, ch.eval(), check=False)
 
 
 def dual_module_left(t: TensoringBimonad, a: AntipodeData, m: TModule) -> TModule:

@@ -28,12 +28,9 @@ from .cat import (
     identity,
     tensor_mor,
 )
-from .chain import Chain, CoreStep, Evaluated, MorStep, extend, layout_word, slot_word
+from .chain import Chain, CoreStep, MorStep, extend, layout_word, slot_word
 from .exactla import DimensionMismatch, ExactError
 from .report import CheckResult, Report
-
-# carriers at most this big get the redundant generic-route cross-check
-CROSSCHECK_DIM = 16
 
 
 class StructureError(ExactError):
@@ -319,60 +316,22 @@ def check_comonoidal(t: TensoringBimonad) -> Report:
     return rep
 
 
-def _mult_compat_fast(t: TensoringBimonad):
-    """Vector-backend route for the product/coproduct compatibility.
-
-    Contracts the structure tensors directly so the check stays feasible
-    for large carriers.  The chain route stays at carrier-dim^5 whatever
-    the contraction plan: its states have width carrier-dim^2, and the
-    first coproduct of the right side alone makes carrier-dim^3 rows.
-    """
-    f = t.base.field
-    n = t.carrier_dim
-    d3 = t.t2[((0, 0), (0, 0))].block(0, 0).reshape(n, n, n)   # [p, q, a]
-    m3 = t.m.block(0, 0).reshape(n, n, n)                      # [c, p, r]
-    lhs = f.matmul(t.t2[((0, 0), (0, 0))].block(0, 0), t.m.block(0, 0))
-    e = f.tensordot(d3, m3, axes=([0], [1]))      # [q, a, c, r]
-    g = f.tensordot(d3, m3, axes=([1], [2]))      # [r, b, d, q]
-    rhs4 = f.tensordot(e, g, axes=([0, 3], [3, 0]))  # [a, c, b, d]
-    rhs = rhs4.transpose(1, 3, 0, 2).reshape(n * n, n * n)
-    return lhs, rhs
-
-
 def check_bimonad(t: TensoringBimonad) -> Report:
     """All four product/coproduct compatibilities, plus the sub-reports."""
     rep = check_monad(t).merge(check_comonoidal(t))
     rep.name = f"{t.name}: bimonad axioms"
     unit = t.unit_obj()
 
-    def mult_compat_chains(s1, s2):
-        src = t.on_obj(t.on_obj(s1.tensor(s2)))
-        n1 = len(s1.atoms)
-        lhs = Chain(src).then(t.m, at=0) \
-                        .then(t.t2.at_step(s1, s2), at=0)
-        rhs = Chain(src).then(t.t2.at_step(s1, s2), at=1) \
-                        .then(t.t2.at_step(t.on_obj(s1), t.on_obj(s2)), at=0) \
-                        .then(t.m, at=0) \
-                        .then(t.m, at=1 + n1)
-        return lhs, rhs
-
     def mult_compat_items():
-        if t.base.is_vector:
-            s = t.simple((0, 0))
-            lhs, rhs = _mult_compat_fast(t)
-            if t.carrier_dim <= CROSSCHECK_DIM:
-                cl, cr = mult_compat_chains(s, s)
-                if cl.eval().block(0, 0).tolist() != lhs.tolist() or \
-                        cr.eval().block(0, 0).tolist() != rhs.tolist():
-                    raise StructureError("fast and generic compatibility routes disagree")
-            src = t.on_obj(t.on_obj(s.tensor(s)))
-            dst = t.on_obj(s).tensor(t.on_obj(s))
-            wl = GradedMor(src, dst, {(0, 0): lhs})
-            wr = GradedMor(src, dst, {(0, 0): rhs})
-            yield ((0, 0), (0, 0)), Evaluated(wl), Evaluated(wr)
-            return
         for g1, g2 in t.composable_pairs():
-            lhs, rhs = mult_compat_chains(t.simple(g1), t.simple(g2))
+            s1, s2 = t.simple(g1), t.simple(g2)
+            src = t.on_obj(t.on_obj(s1.tensor(s2)))
+            lhs = Chain(src).then(t.m, at=0) \
+                            .then(t.t2.at_step(s1, s2), at=0)
+            rhs = Chain(src).then(t.t2.at_step(s1, s2), at=1) \
+                            .then(t.t2.at_step(t.on_obj(s1), t.on_obj(s2)), at=0) \
+                            .then(t.m, at=0) \
+                            .then(t.m, at=1 + len(s1.atoms))
             yield (g1, g2), lhs, rhs
 
     def counit_mult_items():

@@ -1,12 +1,10 @@
 """Quasitriangular structure: R-matrices, braidings, Drinfeld element,
 twists and the sovereign element they induce.
 
-Long composites interleave the product contractions with the R-steps
-(whiskers on disjoint positions commute): each product follows the step
-that makes its factor, so the contraction plan of chain.py, which only
-fuses neighbouring steps, folds an inserted R into the products right
-after it.  With that, the R-matrix and Drinfeld-element chains stay at
-carrier-dim^4 (tests/test_chain.py records the peak on the doubles).
+Long composites are written in the order of the formulas they check.
+On one label chain.py contracts each as one tensor network, so the
+R-matrix and Drinfeld-element chains stay at carrier-dim^4
+(tests/test_chain.py records the peak on the doubles).
 """
 
 from __future__ import annotations
@@ -175,8 +173,7 @@ def _star_inverse_right_items(t, r, r_inv):
 
 
 def _yang_baxter_items(t, r):
-    # each product comes right after the R that makes its factor, so the
-    # plan fuses the two and no state exceeds carrier-dim^4
+    # R12 R13 R23 = R23 R13 R12: three exchanges, then the three products
     for g1, g2, g3 in t.composable_triples():
         s1, s2, s3 = t.simple(g1), t.simple(g2), t.simple(g3)
         ts1, ts2, ts3 = (t.on_obj(s) for s in (s1, s2, s3))
@@ -185,17 +182,13 @@ def _yang_baxter_items(t, r):
         lhs = Chain(src) \
             .then(r.at_step(s1, s2), at=0) \
             .then(r.at_step(ts1, s3), at=1 + n2) \
-            .then(t.m, at=2 + n2 + n3) \
-            .then(r.at_step(ts2, ts3), at=0) \
-            .then(t.m, at=0) \
-            .then(t.m, at=1 + n3)
+            .then(r.at_step(ts2, ts3), at=0)
         rhs = Chain(src) \
             .then(r.at_step(s2, s3), at=n1) \
             .then(r.at_step(s1, ts3), at=0) \
-            .then(t.m, at=0) \
-            .then(r.at_step(ts1, ts2), at=1 + n3) \
-            .then(t.m, at=1 + n3) \
-            .then(t.m, at=2 + n2 + n3)
+            .then(r.at_step(ts1, ts2), at=2 + n3)
+        for ch in (lhs, rhs):
+            ch.then(t.m, at=0).then(t.m, at=1 + n3).then(t.m, at=2 + n2 + n3)
         yield (g1, g2, g3), lhs, rhs
 
 
@@ -237,42 +230,13 @@ def check_r_dual_laws(t: TensoringBimonad, a: AntipodeData,
 # ---------------------------------------------------------------------------
 
 
-def _braiding_chain(t, r, m, n) -> GradedMor:
+def braiding_on_modules(t: TensoringBimonad, r: PairFamily,
+                        m: TModule, n: TModule) -> GradedMor:
+    """The exchange map of two modules induced by the R-matrix."""
     src = m.carrier.tensor(n.carrier)
     return Chain(src).then(r.at_step(m.carrier, n.carrier), at=0) \
                      .then(n.action, at=0) \
                      .then(m.action, at=len(n.carrier.atoms)).eval()
-
-
-def braiding_on_modules(t: TensoringBimonad, r: PairFamily,
-                        m: TModule, n: TModule) -> GradedMor:
-    """The exchange map of two modules induced by the R-matrix.
-
-    On the one-label backend the two actions are contracted against the
-    exchange core directly, which caps the work at carrier-dim times the
-    squared module dimensions; the step route would square the carrier
-    dimension as well.
-    """
-    if not t.base.is_vector:
-        return _braiding_chain(t, r, m, n)
-    f = t.base.field
-    ad = t.carrier_dim
-    dm = m.carrier.total_dim()
-    dn = n.carrier.total_dim()
-    src = m.carrier.tensor(n.carrier)
-    dst = n.carrier.tensor(m.carrier)
-    if dm == 0 or dn == 0:
-        return GradedMor.zero(src, dst)
-    rc = r.comps[((0, 0), (0, 0))].block(0, 0).reshape(ad, ad)
-    s3 = n.action.block(0, 0).reshape(dn, ad, dn)
-    r3 = m.action.block(0, 0).reshape(dm, ad, dm)
-    a1 = f.tensordot(rc, s3, axes=([0], [1]))      # [q, n', n]
-    out4 = f.tensordot(a1, r3, axes=([0], [1]))    # [n', n, m', m]
-    blk = out4.transpose(0, 2, 3, 1).reshape(dn * dm, dm * dn)
-    tau = GradedMor(src, dst, {(0, 0): blk})
-    if ad * max(dm, dn) <= 64 and tau != _braiding_chain(t, r, m, n):
-        raise StructureError("fast and generic braiding routes disagree")
-    return tau
 
 
 def check_braiding(t: TensoringBimonad, r: PairFamily, r_inv: PairFamily | None,
@@ -406,8 +370,8 @@ def check_drinfeld(t: TensoringBimonad, u: Element, r_inv: PairFamily,
                 .then(t.m, at=0) \
                 .then(t.m, at=1 + n1) \
                 .then(u.at_step(ts1), at=0) \
+                .then(u.at_step(ts2), at=2 + n1) \
                 .then(t.m, at=0) \
-                .then(u.at_step(ts2), at=1 + n1) \
                 .then(t.m, at=1 + n1)
             yield (g1, g2), lhs, rhs
 
@@ -490,10 +454,10 @@ def check_twist(t: TensoringBimonad, a: AntipodeData, r: PairFamily,
                 .then(r.at_step(s1, s2), at=0) \
                 .then(r.at_step(ts2, ts1), at=0) \
                 .then(t.m, at=0) \
-                .then(theta.at_step(ts1), at=0) \
-                .then(t.m, at=0) \
                 .then(t.m, at=1 + n1) \
-                .then(theta.at_step(ts2), at=1 + n1) \
+                .then(theta.at_step(ts1), at=0) \
+                .then(theta.at_step(ts2), at=2 + n1) \
+                .then(t.m, at=0) \
                 .then(t.m, at=1 + n1)
             yield (g1, g2), lhs, rhs
 

@@ -4,7 +4,6 @@ import random
 
 import pytest
 
-from hopfmonad import modcat
 from hopfmonad.antipode import square_of_antipode
 from hopfmonad.cat import GradedMor, GradedObj, identity
 from hopfmonad.exactla import FieldSpec
@@ -23,7 +22,7 @@ from hopfmonad.modcat import (
     tensor_modules,
     unit_module,
 )
-from hopfmonad.monad import StructureError, TransTT, identity_trans
+from hopfmonad.monad import TransTT, identity_trans
 from hopfmonad.report import Report
 
 Q = FieldSpec.rationals()
@@ -138,15 +137,6 @@ class TestTensor:
                       check=False)
         both = tensor_modules(eps, sgn)
         assert both.action.block(0, 0).tolist() == sgn.action.block(0, 0).tolist()
-
-    def test_disagreeing_routes_raise(self, sweedler, monkeypatch):
-        # the contracted action is cross-checked against the chain route
-        chain_route = modcat._tensor_modules_chain
-        monkeypatch.setattr(modcat, "_tensor_modules_chain",
-                            lambda m, n: chain_route(m, n).scale(2))
-        mod = random_module(sweedler.t, random.Random(9), 1)
-        with pytest.raises(StructureError):
-            tensor_modules(mod, mod)
 
 
 class TestDuals:

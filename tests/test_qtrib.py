@@ -5,12 +5,12 @@ from fractions import Fraction
 
 import pytest
 
-from hopfmonad import presentation, qtrib, zoo
+from hopfmonad import presentation, zoo
 from hopfmonad.antipode import is_involutory, square_of_antipode
 from hopfmonad.cat import GradedMor, GradedObj
 from hopfmonad.exactla import FieldSpec
 from hopfmonad.modcat import TModule, random_module
-from hopfmonad.monad import StructureError, adjoint_action, check_grouplike, eta_element
+from hopfmonad.monad import adjoint_action, check_grouplike, eta_element
 from hopfmonad.presentation import element_from_vector
 from hopfmonad.qtrib import (
     braiding_on_modules,
@@ -165,15 +165,6 @@ class TestBraiding:
         tau_nm = braiding_on_modules(kz2.t, kz2.rmatrix, n, m)
         from hopfmonad.cat import identity
         assert tau_nm @ tau_mn == identity(m.carrier.tensor(n.carrier))
-
-    def test_disagreeing_routes_raise(self, dz2, monkeypatch):
-        # the contracted braiding is cross-checked against the chain route
-        chain_route = qtrib._braiding_chain
-        monkeypatch.setattr(qtrib, "_braiding_chain",
-                            lambda t, r, m, n: chain_route(t, r, m, n).scale(2))
-        mod = random_module(dz2.t, random.Random(23), 1)
-        with pytest.raises(StructureError):
-            braiding_on_modules(dz2.t, dz2.rmatrix, mod, mod)
 
 
 class TestTwist:

@@ -3,14 +3,19 @@
 Each entry is the exit code and the sha256 of the stdout of
 `hopfmonad report <example> --json --seed 0`.  A refactor that changes
 one byte of a report fails here; a change that is meant to alter a
-report must say so and re-pin the hash.
+report must say so and re-pin the hash.  One 25-dimensional report on
+one label is pinned too: the quasitriangular suite of the Drinfeld
+double of Z5 over GF(11).
 """
 
 import hashlib
+import json
 
 import pytest
 
+from hopfmonad import zoo
 from hopfmonad.cli import main
+from hopfmonad.exactla import FieldSpec
 
 PINNED = {
     "trivial": (0, "c76b33786bc62e4192095e5c2bece29979c1d4064e4df838e38d5d5591d7f1ed"),
@@ -32,3 +37,15 @@ def test_report_is_pinned(example, capsys):
     code = main(["report", example, "--json", "--seed", "0"])
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert (code, digest) == PINNED[example]
+
+
+def test_double_z5_f11_quasitriangular_is_pinned(tmp_path, capsys):
+    pres = zoo.build_drinfeld_double_group(
+        zoo.cyclic_group_table(5), FieldSpec.prime(11), "double_z5_f11")
+    path = tmp_path / "double_z5_f11.json"
+    path.write_text(json.dumps(pres, indent=2, sort_keys=True))
+    code = main(["verify", str(path), "--checks", "quasitriangular", "--json",
+                 "--seed", "0"])
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert (code, digest) == (
+        0, "e9d1eae9e8948501699d423eae97b6a9c2fc56eb39e02bf86d981cf75f871550")
