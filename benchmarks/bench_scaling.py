@@ -1,0 +1,150 @@
+"""Time every suite of the Drinfeld doubles D(Z_n) and of double_s3_f7.
+
+The models are D(Z_n) for n = 2 ... 9 (carrier dimension n^2) over GF(29),
+GF(17) for n = 8 and GF(19) for n = 9, built in code by `zoo`, and the
+36-dimensional double of S3 over GF(7).  Each model runs in its own
+process, one after the other, so the peak resident set of one model is not
+inherited by the next.  In that process:
+
+- every suite runs once on a freshly loaded model (`all_s`), while each
+  pairwise contraction of the one-label chain evaluator is watched for the
+  largest intermediate it stores (`peak_entries`: the nonzeros of a sparse
+  intermediate, all entries of a dense one); a `ChainOverflow` is recorded
+  instead of a time;
+- then each suite runs alone on another freshly loaded model (`suites`,
+  seconds per suite);
+- `maxrss_mb` is the process's peak resident set (`ru_maxrss`).
+
+Rows are appended to the JSON file, never rewritten: each invocation adds
+one run with its commit, a label, the date, the machine (CPU count, the
+OpenBLAS/OpenMP thread settings and the calibration loop of
+bench_kernels.py, by which runs on differently loaded hosts can be
+compared) and the numpy version.  The commit is the checkout's HEAD that
+holds the imported `hopfmonad`, with a trailing `+` when its `src/` has
+uncommitted changes.
+
+Usage:  python benchmarks/bench_scaling.py [--label NAME]
+(from the root of a checkout, with its src/ on PYTHONPATH; the rows go to
+BENCH_scaling.json in the working directory)
+"""
+
+import argparse
+import datetime
+import json
+import os
+import resource
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+import numpy as np
+
+import hopfmonad
+from bench_kernels import _machine
+from hopfmonad import chain, presentation, zoo
+from hopfmonad.exactla import FieldSpec
+from hopfmonad.verify import SUITES, verify_model
+
+PRIMES = {8: 17, 9: 19}
+MODELS = [f"double_z{n}_f{PRIMES.get(n, 29)}" for n in range(2, 10)] + ["double_s3_f7"]
+TIMEOUT_S = 1800
+OUT = "BENCH_scaling.json"
+
+
+def _parse(name: str) -> tuple:
+    """(group table, prime) of a model name double_<group>_f<p>."""
+    group, p = name[len("double_"):].split("_f")
+    table = zoo.symmetric3_table() if group == "s3" else zoo.cyclic_group_table(int(group[1:]))
+    return table, int(p)
+
+
+def _timed(name: str, checks) -> float:
+    """Seconds of verify_model on a freshly loaded model."""
+    table, p = _parse(name)
+    model = presentation.load(zoo.build_drinfeld_double_group(table, FieldSpec.prime(p), name))
+    t0 = time.perf_counter()
+    verify_model(model, checks=checks, samples=1)
+    return round(time.perf_counter() - t0, 3)
+
+
+def _one(name: str) -> dict:
+    """Measure one model in this process; the row, without the commit."""
+    table, p = _parse(name)
+    row = {"model": name, "dim": len(table) ** 2, "field": f"GF({p})"}
+    peak = {"entries": 0}
+    plain = chain._contract
+
+    def watched(field, x, y):
+        out = plain(field, x, y)
+        # a SparseTensor stores its nonzeros
+        peak["entries"] = max(peak["entries"], getattr(out[0], "nnz", out[0].size))
+        return out
+
+    chain._contract = watched
+    try:
+        row["all_s"] = _timed(name, SUITES)
+    except chain.ChainOverflow as e:
+        row["all_s"] = f"ChainOverflow: {e}"
+    chain._contract = plain
+    row["peak_entries"] = peak["entries"]
+    row["suites"] = {}
+    for suite in SUITES:
+        try:
+            row["suites"][suite] = _timed(name, (suite,))
+        except chain.ChainOverflow as e:
+            row["suites"][suite] = f"ChainOverflow: {e}"
+    row["maxrss_mb"] = round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
+    return row
+
+
+def _commit() -> str:
+    root = Path(hopfmonad.__file__).resolve().parents[2]
+
+    def git(*args):
+        return subprocess.run(["git", "-C", str(root), *args], capture_output=True,
+                              text=True).stdout.strip()
+    head = git("rev-parse", "--short", "HEAD")
+    if not head:
+        return "unknown"
+    return head + ("+" if git("status", "--porcelain", "--", "src") else "")
+
+
+def main():
+    parser = argparse.ArgumentParser()
+    parser.add_argument("--label", default="")
+    parser.add_argument("--one", help=argparse.SUPPRESS)
+    args = parser.parse_args()
+    if args.one:
+        print(json.dumps(_one(args.one)))
+        return
+
+    commit = _commit()
+    rows = []
+    for name in MODELS:
+        try:
+            proc = subprocess.run([sys.executable, __file__, "--one", name],
+                                  capture_output=True, text=True, timeout=TIMEOUT_S)
+            row = json.loads(proc.stdout) if proc.returncode == 0 else \
+                {"model": name, "error": proc.stderr.strip().splitlines()[-1:]}
+        except subprocess.TimeoutExpired:
+            row = {"model": name, "error": f"timeout after {TIMEOUT_S} s"}
+        row["commit"] = commit
+        print(json.dumps(row), flush=True)
+        rows.append(row)
+
+    doc = {"runs": []}
+    if os.path.exists(OUT):
+        with open(OUT) as fh:
+            doc = json.load(fh)
+    doc["runs"].append({
+        "label": args.label, "commit": commit,
+        "date": datetime.datetime.now(datetime.timezone.utc).strftime("%Y-%m-%d %H:%M UTC"),
+        "machine": _machine(), "numpy": np.__version__, "rows": rows})
+    with open(OUT, "w") as fh:
+        json.dump(doc, fh, indent=2)
+        fh.write("\n")
+
+
+if __name__ == "__main__":
+    main()

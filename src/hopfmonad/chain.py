@@ -24,6 +24,30 @@ exceeds carrier-dim^4.
 Re-associating exact products cannot change a result; the tests compare
 the evaluator against dense whiskered matrices and another pair order.
 
+A tensor of the network is a dense array or an exactla.SparseTensor,
+its nonzeros by linear position.  On the builtin doubles the structure
+cores send basis vectors to a few basis vectors, and most pairwise
+products are almost empty (one nonzero in 10^3 to 10^4 entries).  So
+each pair is contracted on the route that a cost estimate says is
+cheaper (_sparse_product): dense, by one FieldSpec.tensordot on float64
+BLAS, or sparse, by joining the nonzeros on the shared wires and summing
+the products per output position (exactla.sparse_tensordot).  The
+estimate counts the operands' entries, their nonzeros and the pairs of
+nonzeros the join makes; small products stay dense without a count.
+The sparse sums run in int64, and the route is taken
+only where they are exact (exactla.sparse_exact): over GF(p) each
+product of residues is below 2**40, so fewer than 2**23 of them may meet
+at one entry; over Q the numerators must satisfy the bound of the dense
+integer product, inner * max|a| * max|b| < 2**63.  Both routes give the
+same exact tensor, so no report depends on the choice.  A step's core
+is read once and kept on the step (Step.tensor), as a SparseTensor when
+it has more than SPARSE_FIXED entries (_held); the result is made dense
+only at the end, so eval always returns dense blocks.
+MAX_STATE_ENTRIES bounds the stored entries of each intermediate (the
+nonzeros of a sparse one), the dense array of a sparse operand that
+takes the dense route, and the joined pairs of a sparse product times
+the arrays the join holds.
+
 On a multi-label base the running composite is one block per grade
 (i, l), its rows the current word's (i, l)-paths.  A step
 id_L ⊗ g ⊗ id_R is applied per grade and per block (j, k) of g: the
@@ -52,10 +76,21 @@ from math import prod
 import numpy as np
 
 from .cat import GradedMor, GradedObj, _owned_memo, _perm_to_dual, _tensor_positions
-from .exactla import DimensionMismatch, ExactError
+from .exactla import (INT64_BOUND, JOIN_ARRAYS, DimensionMismatch, ExactError,
+                      SparseTensor, sparse_exact, sparse_tensordot)
 
-# Cap on entries of any pairwise intermediate and of the result (per evaluation).
+# Cap on the stored entries of any pairwise intermediate (its nonzeros when
+# it is sparse) and on the entries of the result (per evaluation).
 MAX_STATE_ENTRIES = 3 * 10**8
+
+# The cost rule of _contract (see _sparse_product), in passes over one
+# stored entry, about a nanosecond each: the BLAS multiply-adds per pass,
+# the sparse product's cost per nonzero and per joined pair (a sort, a
+# binary search and several gathers), and its fixed cost beyond the dense
+# route's (a few dozen numpy calls).
+DENSE_FLOPS_PER_PASS = 8
+SPARSE_PASSES = 64
+SPARSE_FIXED = 20000
 
 
 class ChainOverflow(ExactError):
@@ -68,8 +103,17 @@ class Step:
     src: GradedObj
     dst: GradedObj
 
+    _tensor = None
+
     def to_mor(self) -> GradedMor:
         raise NotImplementedError
+
+    def tensor(self):
+        """Vector backend: the step's core on its legs, the atoms it
+        produces, then those it consumes; made once (_held)."""
+        if self._tensor is None:
+            self._tensor = _held(self.src.base.field, self._core())
+        return self._tensor
 
 
 class MorStep(Step):
@@ -82,6 +126,9 @@ class MorStep(Step):
 
     def to_mor(self) -> GradedMor:
         return self.mor
+
+    def _core(self):
+        return self.mor.block(0, 0).reshape(self.dst.axis_dims() + self.src.axis_dims())
 
 
 class CoreStep(Step):
@@ -121,6 +168,10 @@ class CoreStep(Step):
 
     def to_mor(self) -> GradedMor:
         return Chain(self.src).then(self).eval()
+
+    def _core(self):
+        sd, dd = self.src.axis_dims(), self.dst.axis_dims()
+        return self.core.reshape([dd[a] for a in self.out_axes] + [sd[a] for a in self.in_axes])
 
 
 class Chain:
@@ -191,16 +242,16 @@ class Chain:
             made = step.dst.axis_dims()
             mid = [None] * len(made)
             if isinstance(step, CoreStep):
-                core, ins, outs = step.core, step.in_axes, step.out_axes
+                ins, outs = step.in_axes, step.out_axes
                 for d, p in zip(step._pass_dst, step.pass_perm):
                     mid[d] = here[step._pass_src[p]]
             else:
-                core, ins, outs = step.mor.block(0, 0), range(len(here)), range(len(made))
+                ins, outs = range(len(here)), range(len(made))
             for a in outs:
                 mid[a] = len(dims)
                 dims.append(made[a])
-            legs = tuple(mid[a] for a in outs) + tuple(here[a] for a in ins)
-            tensors.append((core.reshape([dims[w] for w in legs]), legs))
+            tensors.append((step.tensor(), tuple(mid[a] for a in outs) +
+                            tuple(here[a] for a in ins)))
             wires[at:at + len(here)] = mid
         # a wire of dimension 0 makes the composite zero (and an empty
         # operand cannot be reshaped for tensordot)
@@ -208,27 +259,27 @@ class Chain:
             return GradedMor(self.src, self.cur, {(0, 0): field.zeros((nd, ns))})
         while len(tensors) > 1:
             pick = _next_pair([legs for _, legs in tensors], dims)
-            if pick is None:
-                pick = (tensors[0][0].size * tensors[1][0].size, 0, 1)
-            size, i, j = pick
-            _check_size(size)
+            _, i, j = (0, 0, 1) if pick is None else pick
             tensors[i] = _contract(field, tensors[i], tensors[j])
             del tensors[j]
         # the source wires still in the target passed untouched: the
-        # identity on them, its target legs under new labels
+        # identity on them, its target legs under new labels; held as
+        # _held holds a core
         ident = [w for w in wires if w < nsrc]
         relabel = {w: len(dims) + k for k, w in enumerate(ident)}
         if ident:
             shape = [dims[w] for w in ident]
-            eye = (field.eye(prod(shape)).reshape(shape * 2),
+            n = prod(shape)
+            eye = (SparseTensor.eye(shape) if n * n > SPARSE_FIXED
+                   else field.eye(n).reshape(shape * 2),
                    tuple(relabel[w] for w in ident) + tuple(ident))
             tensors = [_contract(field, tensors[0], eye)] if tensors else [eye]
         if not tensors:
             return GradedMor(self.src, self.cur, {(0, 0): field.eye(1)})
         out, legs = tensors[0]
         order = [relabel.get(w, w) for w in wires] + list(range(nsrc))
-        out = out.transpose([legs.index(w) for w in order]).reshape(nd, ns)
-        return GradedMor(self.src, self.cur, {(0, 0): out})
+        out = _dense(field, out.transpose([legs.index(w) for w in order]))
+        return GradedMor(self.src, self.cur, {(0, 0): out.reshape(nd, ns)})
 
 
 def _check_size(entries: int) -> None:
@@ -253,14 +304,71 @@ def _next_pair(legs: list, dims: list):
 
 
 def _contract(field, x: tuple, y: tuple) -> tuple:
-    """Two (tensor, legs) pairs contracted over their shared wires, by one
-    FieldSpec.tensordot; the result's legs are x's free legs, then y's."""
+    """Two (tensor, legs) pairs contracted over their shared wires; the
+    result's legs are x's free legs, then y's.  A tensor is a dense array
+    or a SparseTensor.  The product is sparse where _sparse_product finds
+    that cheaper and exact, and one dense FieldSpec.tensordot otherwise."""
     (a, la), (b, lb) = x, y
     shared = [w for w in la if w in lb]
-    out = field.tensordot(a, b, axes=([la.index(w) for w in shared],
-                                      [lb.index(w) for w in shared]))
-    return out, tuple(w for w in la if w not in shared) + \
-        tuple(w for w in lb if w not in shared)
+    ax_a = [la.index(w) for w in shared]
+    ax_b = [lb.index(w) for w in shared]
+    legs = tuple(w for w in la if w not in shared) + tuple(w for w in lb if w not in shared)
+    inner = prod(a.shape[i] for i in ax_a)
+    size = a.size // inner * (b.size // inner)
+    out = _sparse_product(field, a, b, ax_a, ax_b, inner, size)
+    if out is not None:
+        _check_size(out.nnz)
+        return out, legs
+    _check_size(size)
+    return field.tensordot(_dense(field, a), _dense(field, b), axes=(ax_a, ax_b)), legs
+
+
+def _sparse_product(field, a, b, ax_a: list, ax_b: list, inner: int, size: int):
+    """The product of a and b over the axes ax_a and ax_b, of `inner`
+    entries, to a result of `size` entries, by exactla.sparse_tensordot,
+    when that is exact and cheaper than the dense route; None otherwise.
+
+    The dense route passes over both operands and the result, and makes
+    size * inner multiply-adds on BLAS.  The sparse route costs
+    SPARSE_FIXED, plus SPARSE_PASSES passes over each nonzero and over
+    each pair of nonzeros its join makes.  So it may join at most as many
+    pairs as leave it cheaper; sparse_tensordot counts them before it
+    multiplies, and gives up when there are more.  The join holds JOIN_ARRAYS int64 arrays of one entry
+    per pair, so the budget is also at most MAX_STATE_ENTRIES / JOIN_ARRAYS
+    pairs.  Small products stay dense without a look at their nonzeros,
+    and so does a result whose positions would not fit int64.
+    """
+    dense = a.size + b.size + size + size * inner // DENSE_FLOPS_PER_PASS
+    if dense <= SPARSE_FIXED or size >= INT64_BOUND:
+        return None
+    sa, sb = (t if isinstance(t, SparseTensor) else SparseTensor.of(field, t) for t in (a, b))
+    if sa is None or sb is None or not sparse_exact(field, sa, sb, inner):
+        return None
+    pairs = (dense - SPARSE_FIXED) // SPARSE_PASSES - sa.nnz - sb.nnz
+    if pairs < 0:
+        return None
+    return sparse_tensordot(field, sa, sb, ax_a, ax_b,
+                            min(pairs, MAX_STATE_ENTRIES // JOIN_ARRAYS))
+
+
+def _held(field, t):
+    """How the network holds a step's core (and, by the same size rule,
+    the pass-through identity): a SparseTensor, which keeps the dense
+    array too, when it has more than SPARSE_FIXED entries, and the dense
+    array otherwise.  A smaller tensor is converted
+    only when it meets a product that _sparse_product sends to the sparse
+    route, for less than that product's fixed cost."""
+    sparse = SparseTensor.of(field, t) if t.size > SPARSE_FIXED else None
+    return t if sparse is None else sparse
+
+
+def _dense(field, t):
+    """The dense array of a tensor; a SparseTensor's is bounded by
+    MAX_STATE_ENTRIES like every intermediate."""
+    if not isinstance(t, SparseTensor):
+        return t
+    _check_size(t.size)
+    return t.dense(field)
 
 
 @_owned_memo

@@ -10,7 +10,9 @@
 Exit codes: 0 all requested checks pass, 1 axiom failure (report still
 emitted), 2 malformed input, 3 internal error (an exact-arithmetic
 failure during verification, such as a chain whose pairwise
-intermediate or result exceeds chain.MAX_STATE_ENTRIES; no report).
+intermediate or result stores more than chain.MAX_STATE_ENTRIES entries,
+the nonzeros of a sparse intermediate unless it must be made dense; no
+report).
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Exact scalars and dense linear algebra over Q and GF(p).
+"""Exact scalars, dense linear algebra and sparse tensors over Q and GF(p).
 
 Scalars are plain Python values: `fractions.Fraction` over the rationals,
 int residues in [0, p) over a prime field.  Every operation is exact and
@@ -33,6 +33,14 @@ arrays, the product's denominator is the product of the denominators,
 and the chunk sums accumulate in int64 when inner * top < 2**63 and in
 Python ints beyond.  When top >= 2**53 not one term fits a float64, and
 the product is taken over Python ints.
+
+A SparseTensor holds an exact tensor by its nonzeros: their row-major
+positions and their values (residues, or numerators over one
+denominator).  sparse_tensordot contracts two of them by index
+arithmetic on int64 (a join on the contracted coordinates, a product
+per joined pair, np.add.reduceat over the sorted output positions);
+sparse_exact says when those int64 sums cannot wrap.  The one-label
+chain evaluator picks it or tensordot per pair.
 
 The GF(p) row reduction runs on int64, where (p-1)**2 < 2**40.  The Q row
 reduction is fraction-free Gauss-Jordan elimination on the numerator
@@ -70,6 +78,14 @@ INT64_BOUND = 1 << 63
 # or of the product).  Bounds the memory a large product takes beyond its
 # factors and result.
 TILE_ENTRIES = 1 << 20
+
+# Products that may meet at one entry of a sparse GF(p) product: each is
+# below (p-1)**2 < 2**40, so the int64 sum of fewer than 2**23 is exact.
+SPARSE_TERMS = 1 << 23
+
+# The int64 arrays of one entry per joined pair that sparse_tensordot
+# holds at once, at most: a budget of pairs costs this many entries each.
+JOIN_ARRAYS = 5
 
 
 class ExactError(Exception):
@@ -200,10 +216,12 @@ class FieldSpec:
         return a if self.is_rationals else a % self.p
 
     def equal(self, a, b) -> bool:
-        """Whether two matrices hold the same field elements."""
+        """Whether two matrices hold the same field elements: equal
+        arrays, as both fields keep one canonical form (residues in
+        [0, p) over GF(p))."""
         if self.is_rationals:
             return a.den == b.den and np.array_equal(a.num, b.num)
-        return np.array_equal(a % self.p, b % self.p)
+        return np.array_equal(a, b)
 
     def concatenate(self, arrays, axis: int = 0):
         """np.concatenate of matrices over this field."""
@@ -573,6 +591,153 @@ def _rref_mod(m: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
         pivots.append(c)
         r += 1
     return m, pivots
+
+
+# ---------------------------------------------------------------------------
+# Sparse tensors
+# ---------------------------------------------------------------------------
+
+
+class SparseTensor:
+    """An exact tensor held by its nonzero entries.
+
+    `index` holds their row-major positions in `shape` (distinct, in any
+    order) and `vals` their values: int64 residues in [1, p) over GF(p),
+    int64 numerators over the positive denominator `den` over Q, in the
+    canonical form of a QArray.  `size` is the dense entry count.  A tensor
+    made from a dense array keeps it, and dense() hands it back.
+    """
+
+    __slots__ = ("shape", "index", "vals", "den", "_dense")
+
+    def __init__(self, shape: tuple, index: np.ndarray, vals: np.ndarray,
+                 den: int = 1, dense=None):
+        self.shape, self.index, self.vals = tuple(shape), index, vals
+        self.den, self._dense = den, dense
+
+    @staticmethod
+    def of(spec: FieldSpec, a) -> "SparseTensor | None":
+        """The nonzeros of a dense array; None for Python-int numerators,
+        which the sparse product does not take."""
+        num = a.num if spec.is_rationals else a
+        if num.dtype == object:
+            return None
+        flat = num.reshape(-1)
+        index = np.flatnonzero(flat)
+        return SparseTensor(a.shape, index, flat[index],
+                            a.den if spec.is_rationals else 1, a)
+
+    @staticmethod
+    def eye(shape: tuple) -> "SparseTensor":
+        """The identity on axes of dimensions `shape`, with shape * 2."""
+        n = math.prod(shape)
+        return SparseTensor(tuple(shape) * 2, np.arange(n, dtype=np.int64) * (n + 1),
+                            np.ones(n, dtype=np.int64))
+
+    @property
+    def ndim(self) -> int:
+        return len(self.shape)
+
+    @property
+    def size(self) -> int:
+        return math.prod(self.shape)
+
+    @property
+    def nnz(self) -> int:
+        return len(self.index)
+
+    def transpose(self, axes) -> "SparseTensor":
+        coords = _coords(self)
+        shape = tuple(self.shape[i] for i in axes)
+        return SparseTensor(shape, _ravel([coords[i] for i in axes], shape, self.nnz),
+                            self.vals, self.den)
+
+    def dense(self, spec: FieldSpec):
+        """The dense array: an int64 array over GF(p), a QArray over Q."""
+        if self._dense is not None:
+            return self._dense
+        out = np.zeros(self.size, dtype=np.int64)
+        out[self.index] = self.vals
+        out = out.reshape(self.shape)
+        return _raw(out, self.den) if spec.is_rationals else out
+
+
+def _coords(t: SparseTensor) -> tuple:
+    """The per-axis coordinates of t's nonzeros."""
+    if not t.shape:
+        return ()
+    return np.unravel_index(t.index, t.shape)
+
+
+def _ravel(coords: list, dims: tuple, n: int) -> np.ndarray:
+    """Row-major positions in `dims` of n entries' per-axis coordinates."""
+    if not dims:
+        return np.zeros(n, dtype=np.int64)
+    return np.ravel_multi_index(coords, dims).astype(np.int64, copy=False)
+
+
+def sparse_exact(spec: FieldSpec, a: SparseTensor, b: SparseTensor, inner: int) -> bool:
+    """Whether sparse_tensordot sums exactly in int64 when at most `inner`
+    products meet at one entry: over GF(p) each is below (p-1)**2 < 2**40,
+    so fewer than SPARSE_TERMS of them fit; over Q, inner * max|a| * max|b|
+    must stay below 2**63, the bound _int_matmul keeps for int64."""
+    if not spec.is_rationals:
+        return inner < SPARSE_TERMS
+    return inner * _bound(a.vals) * _bound(b.vals) < INT64_BOUND
+
+
+def sparse_tensordot(spec: FieldSpec, a: SparseTensor, b: SparseTensor,
+                     ax_a: list, ax_b: list, max_pairs: int) -> SparseTensor | None:
+    """a and b contracted over the axes ax_a of a and ax_b of b, with the
+    free axes of a, then those of b, as a SparseTensor; None when more than
+    max_pairs pairs of nonzeros meet.  Precondition: sparse_exact for inner
+    = the product of the contracted dimensions.
+
+    The nonzeros are joined on their contracted coordinates (b's sorted,
+    each of a's matched to its run by searchsorted), the joined pairs
+    multiplied, and the products summed per output position over the
+    sorted positions (np.add.reduceat); zero sums are dropped.
+    """
+    free_a = [i for i in range(a.ndim) if i not in ax_a]
+    free_b = [i for i in range(b.ndim) if i not in ax_b]
+    ca, cb = _coords(a), _coords(b)
+    dims = tuple(a.shape[i] for i in ax_a)
+    fdims_b = tuple(b.shape[i] for i in free_b)
+    shape = tuple(a.shape[i] for i in free_a) + fdims_b
+    key_a = _ravel([ca[i] for i in ax_a], dims, a.nnz)
+    key_b = _ravel([cb[i] for i in ax_b], dims, b.nnz)
+    order = np.argsort(key_b)
+    key_b = key_b[order]
+    lo = np.searchsorted(key_b, key_a, "left")
+    runs = np.searchsorted(key_b, key_a, "right") - lo
+    if runs.sum() > max_pairs:
+        return None
+    # the joined pairs (ia[k], ib[k]); the in-place steps keep at most
+    # JOIN_ARRAYS arrays of one entry per pair alive
+    ia = np.repeat(np.arange(len(key_a)), runs)
+    ib = np.repeat(lo - (np.cumsum(runs) - runs), runs)
+    ib += np.arange(len(ib))
+    ib = order[ib]
+    pos = _ravel([ca[i] for i in free_a], shape[:len(free_a)], a.nnz)[ia]
+    pos *= math.prod(fdims_b)
+    pos += _ravel([cb[i] for i in free_b], fdims_b, b.nnz)[ib]
+    vals = a.vals[ia]
+    vals *= b.vals[ib]
+    del ia, ib
+    den = a.den * b.den
+    if len(pos):
+        order = np.argsort(pos)
+        pos, vals = pos[order], vals[order]
+        first = np.flatnonzero(np.concatenate(([True], pos[1:] != pos[:-1])))
+        pos, vals = pos[first], np.add.reduceat(vals, first)
+        if not spec.is_rationals:
+            vals %= spec.p
+        keep = vals != 0
+        pos, vals = pos[keep], vals[keep]
+    if spec.is_rationals:
+        g = math.gcd(den, int(np.gcd.reduce(vals)) if len(vals) else 0)
+        vals, den = vals // g, den // g
+    return SparseTensor(shape, pos, vals, den)
 
 
 def kernel_backend() -> str:

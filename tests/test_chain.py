@@ -1,6 +1,7 @@
 """Chain evaluation and family extension against direct materialization."""
 
 import random
+from fractions import Fraction
 from itertools import product
 from math import prod
 
@@ -19,7 +20,7 @@ from hopfmonad.cat import (
     tensor_mor,
 )
 from hopfmonad import chain as chainmod
-from hopfmonad import presentation, zoo
+from hopfmonad import exactla, presentation, zoo
 from hopfmonad.chain import (
     Chain,
     ChainOverflow,
@@ -28,7 +29,7 @@ from hopfmonad.chain import (
     extend,
     layout_word,
 )
-from hopfmonad.exactla import FieldSpec
+from hopfmonad.exactla import FieldSpec, SparseTensor
 from hopfmonad.verify import verify_model
 
 Q = FieldSpec.rationals()
@@ -332,6 +333,196 @@ def test_double_z8_f17_passes_every_suite(monkeypatch):
     rep = verify_model(drinfeld_double(8, 17, "double_z8_f17"))
     assert rep.passed, [x.line() for x in rep.failures()]
     assert 0 < peak["entries"] <= 64 ** 4
+
+
+# ---------------------------------------------------------------------------
+# Vector backend: the sparse product against the dense one
+# ---------------------------------------------------------------------------
+
+# SPARSE_FIXED at these values makes _contract take the sparse route
+# wherever it is exact, or the dense route always
+ALWAYS_SPARSE, NEVER_SPARSE = -10**30, 10**30
+
+SPARSE_VALUES = {Q: [0] * 6 + [1, -1, 2, Fraction(1, 2), Fraction(-3, 4)],
+                 F7: [0] * 6 + [1, 2, 3, 5, 6]}
+
+
+@st.composite
+def sparse_operands(draw):
+    """(field, a, b, axes of a, axes of b): two mostly-zero tensors and the
+    axes they are contracted over.  None shared gives an outer product, all
+    shared a scalar, and a free axis of dimension zero an empty tensor (the
+    evaluator contracts no wire of dimension zero)."""
+    field = draw(st.sampled_from([Q, F7]))
+    shared = draw(st.lists(st.integers(1, 4), max_size=3))
+    free = st.integers(0, 4) if draw(st.integers(0, 9)) == 0 else st.integers(1, 4)
+    free_a, free_b = (draw(st.lists(free, max_size=2)) for _ in range(2))
+    pa = draw(st.permutations(range(len(free_a) + len(shared))))
+    pb = draw(st.permutations(range(len(free_b) + len(shared))))
+    axes_a, axes_b = free_a + shared, shared + free_b
+    shape_a = [axes_a[i] for i in pa]
+    shape_b = [axes_b[i] for i in pb]
+    # the k-th shared axis is at position pa.index(len(free_a) + k) of a
+    ax_a = [pa.index(len(free_a) + k) for k in range(len(shared))]
+    ax_b = [pb.index(k) for k in range(len(shared))]
+
+    def tensor(shape):
+        n = prod(shape)
+        vals = draw(st.lists(st.sampled_from(SPARSE_VALUES[field]), min_size=n, max_size=n))
+        return field.asarray([vals]).reshape(shape) if n else field.zeros(shape)
+    return field, tensor(shape_a), tensor(shape_b), ax_a, ax_b
+
+
+def contract_both_ways(field, a, b, ax_a, ax_b):
+    """chain._contract with the sparse route forced (where exact) and with
+    the dense route forced: both results, dense."""
+    la = tuple(range(a.ndim))
+    shared = [la[i] for i in ax_a]
+    fresh = iter(range(a.ndim, a.ndim + b.ndim))
+    lb = tuple(shared[ax_b.index(i)] if i in ax_b else next(fresh) for i in range(b.ndim))
+    out = []
+    for fixed in (ALWAYS_SPARSE, NEVER_SPARSE):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(chainmod, "SPARSE_FIXED", fixed)
+            got, _ = chainmod._contract(field, (a, la), (b, lb))
+        out.append(got)
+    return out
+
+
+def assert_routes_agree(field, a, b, ax_a, ax_b):
+    want = field.tensordot(a, b, (ax_a, ax_b))
+    sparse, dense = contract_both_ways(field, a, b, ax_a, ax_b)
+    assert isinstance(sparse, SparseTensor) and not isinstance(dense, SparseTensor)
+    assert sparse.shape == tuple(want.shape) and sparse.size == want.size
+    got = sparse.dense(field)
+    assert field.equal(got, want) and field.equal(dense, want)
+    assert got.dtype == want.dtype
+    # no stored zeros, no repeated position
+    assert (sparse.vals != 0).all()
+    assert len(set(sparse.index.tolist())) == sparse.nnz
+    return sparse
+
+
+class TestSparseRoute:
+    @settings(max_examples=300, deadline=None)
+    @given(sparse_operands())
+    def test_random_sparse_cores_match_dense(self, operands):
+        assert_routes_agree(*operands)
+
+    @pytest.mark.parametrize("field", [Q, F7])
+    def test_empty_tensor(self, field):
+        a = field.zeros((3, 4))
+        b = field.asarray([[1, 0], [0, 2], [0, 0], [3, 0]])
+        assert assert_routes_agree(field, a, b, [1], [0]).nnz == 0
+        assert assert_routes_agree(field, field.zeros((0, 2)), b.T, [1], [0]).size == 0
+
+    @pytest.mark.parametrize("field", [Q, F7])
+    def test_cancelling_pairs_leave_no_entry(self, field):
+        # both entries of row 0 sum two products that cancel; row 1 keeps its
+        a = field.asarray([[1, 1], [0, 1]])
+        b = field.asarray([[1, 2], [-1, -2]])
+        out = assert_routes_agree(field, a, b, [1], [0])
+        assert out.index.tolist() == [2, 3]
+
+    @pytest.mark.parametrize("field", [Q, F7])
+    def test_outer_product_and_scalar(self, field):
+        a = field.asarray([[0, 2, 0]])
+        b = field.asarray([[3, 0, 1]])
+        assert assert_routes_agree(field, a, b, [], []).shape == (1, 3, 1, 3)
+        assert assert_routes_agree(field, a, b, [0, 1], [0, 1]).shape == ()
+
+    @pytest.mark.parametrize("base", [VEC, VEC7])
+    def test_identity_pass_through(self, base, monkeypatch):
+        # the wire of y goes from source to target untouched: the evaluator
+        # tensors in its identity, 150 x 150 and so a SparseTensor, by the
+        # sparse route
+        rng = random.Random(3)
+        x, y, z = vspace(base, 5, "x"), vspace(base, 150, "y"), vspace(base, 4, "z")
+        ch = Chain(x.tensor(y)).then(rand_mor(x, z, rng), at=0)
+        calls = count_sparse_products(monkeypatch)
+        got = ch.eval()
+        assert calls["n"] == 1
+        assert got == reference_chain(ch)
+
+    def test_wide_rationals_take_the_dense_route(self):
+        # |numerators| near 2**63: the int64 sums of the sparse product could
+        # wrap, so _contract multiplies on the dense route
+        a = Q.asarray([[2**62 + 1, 0, 3]])
+        b = Q.asarray([[5], [0], [2**62 - 7]])
+        sparse, dense = contract_both_ways(Q, a, b, [1], [0])
+        want = Q.tensordot(a, b, ([1], [0]))
+        assert not isinstance(sparse, SparseTensor)
+        assert Q.equal(sparse, want) and Q.equal(dense, want)
+        assert want.dtype == object
+        # past 2**63 the numerators are Python ints, which stay dense
+        wide = Q.asarray([[2**64, 1]])
+        assert SparseTensor.of(Q, wide) is None
+        got, _ = contract_both_ways(Q, wide, Q.asarray([[1], [0]]), [1], [0])
+        assert Q.equal(got, Q.tensordot(wide, Q.asarray([[1], [0]]), ([1], [0])))
+
+    def test_term_limit(self, monkeypatch):
+        # with fewer than 3 products allowed to meet at one entry, an inner
+        # dimension of 3 goes dense and one of 2 stays sparse
+        monkeypatch.setattr(exactla, "SPARSE_TERMS", 3)
+        a = F7.asarray([[1, 2, 3], [0, 1, 0]])
+        b = F7.asarray([[1, 0], [1, 1], [2, 0]])
+        over, _ = contract_both_ways(F7, a, b, [1], [0])
+        assert not isinstance(over, SparseTensor)
+        assert F7.equal(over, F7.tensordot(a, b, ([1], [0])))
+        assert_routes_agree(F7, a[:, :2], b[:2], [1], [0])
+
+    def test_sparse_operand_past_the_cap_is_not_made_dense(self, monkeypatch):
+        # the identity stores 40 nonzeros of 1600 entries; its product with
+        # a 1 x 40 row is small, so it takes the dense route, which would
+        # build all 1600 entries, past a cap of 1000
+        monkeypatch.setattr(chainmod, "MAX_STATE_ENTRIES", 1000)
+        row = F7.asarray([[1] * 40])
+        with pytest.raises(ChainOverflow, match="1600 entries"):
+            chainmod._contract(F7, (SparseTensor.eye((40,)), (0, 1)), (row, (2, 1)))
+        monkeypatch.setattr(chainmod, "MAX_STATE_ENTRIES", 1600)
+        got, legs = chainmod._contract(F7, (SparseTensor.eye((40,)), (0, 1)), (row, (2, 1)))
+        assert legs == (0, 2) and F7.equal(got, row.T)
+
+    def test_join_budget_is_bounded_by_the_cap(self, monkeypatch):
+        # a (2 x 40) and a (40 x 2) of ones join in 160 pairs for a result
+        # of 4 entries; the join would hold JOIN_ARRAYS arrays of 160
+        # entries, more than a cap of 200 allows, so the product goes dense
+        a, b = F7.asarray([[1] * 40] * 2), F7.asarray([[1, 1]] * 40)
+        monkeypatch.setattr(chainmod, "SPARSE_FIXED", ALWAYS_SPARSE)
+        got, _ = chainmod._contract(F7, (a, (0, 1)), (b, (1, 2)))
+        assert isinstance(got, SparseTensor)
+        monkeypatch.setattr(chainmod, "MAX_STATE_ENTRIES", 200)
+        got, _ = chainmod._contract(F7, (a, (0, 1)), (b, (1, 2)))
+        assert not isinstance(got, SparseTensor)
+        assert F7.equal(got, F7.asarray([[40 % 7] * 2] * 2))
+
+    @settings(max_examples=100, deadline=None)
+    @given(vector_chains())
+    def test_forced_routes_agree(self, ch):
+        want = reference_chain(ch)
+        for fixed in (ALWAYS_SPARSE, NEVER_SPARSE):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(chainmod, "SPARSE_FIXED", fixed)
+                got = ch.eval()
+            assert got == want
+            assert got.block(0, 0).dtype == want.block(0, 0).dtype
+
+
+def count_sparse_products(mp) -> dict:
+    calls = {"n": 0}
+
+    def counted(*args, _product=chainmod.sparse_tensordot):
+        calls["n"] += 1
+        return _product(*args)
+    mp.setattr(chainmod, "sparse_tensordot", counted)
+    return calls
+
+
+def test_double_z5_quasitriangular_takes_the_sparse_route(monkeypatch):
+    calls = count_sparse_products(monkeypatch)
+    rep = verify_model(drinfeld_double(5, 11, "double_z5_f11"), checks=("quasitriangular",))
+    assert rep.passed
+    assert calls["n"] > 0
 
 
 class TestGradedChain:

@@ -1,8 +1,10 @@
 """Command line interface: exit codes, output formats, determinism."""
 
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -117,3 +119,25 @@ class TestDeterminism:
         main(["report", sweedler_file, "--json", "--seed", "7"])
         payload = json.loads(capsys.readouterr().out)
         assert payload["info"]["seed"] == 7
+
+
+class TestNumpyOnly:
+    def test_verify_imports_no_scipy(self, tmp_path):
+        # the sparse chain products are numpy index arithmetic: verifying the
+        # 25-dim double of Z5, whose quasitriangular suite takes them, loads
+        # no scipy module
+        path = tmp_path / "double_z5_f11.json"
+        path.write_text(json.dumps(zoo.build_drinfeld_double_group(
+            zoo.cyclic_group_table(5), FieldSpec.prime(11), "double_z5_f11")))
+        script = ("import sys\n"
+                  "from hopfmonad.cli import main\n"
+                  f"code = main(['verify', {str(path)!r}])\n"
+                  "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'),"
+                  " file=sys.stderr)\n")
+        result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert result.stderr.strip() == "0 []"
+
+    def test_numpy_is_the_only_dependency(self):
+        text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+        deps = text.split("\ndependencies = [", 1)[1].split("]", 1)[0]
+        assert re.findall(r'"([A-Za-z0-9_.-]+)', deps) == ["numpy"]
