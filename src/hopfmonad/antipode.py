@@ -65,11 +65,11 @@ def check_left_antipode(t: TensoringBimonad, a: AntipodeData) -> Report:
             s = t.simple(g)
             ts = t.on_obj(s)
             src = t.on_obj(ts.dual().tensor(s))
-            lhs = Chain(src).then(t.eta_mor(s).ldual(), at=1) \
+            lhs = Chain(src).then(t.u.ldual(), at=1 + len(s.atoms)) \
                             .then(ev_mor(s), at=1) \
                             .then(t.t0, at=0)
             rhs = Chain(src).then(t.t2.at_step(ts.dual(), s), at=0) \
-                            .then(t.mu_mor(s).ldual(), at=1) \
+                            .then(t.m.ldual(), at=1 + len(s.atoms)) \
                             .then(a.sl.at_step(ts), at=0) \
                             .then(ev_mor(ts), at=0)
             yield (g,), lhs, rhs
@@ -105,11 +105,11 @@ def check_right_antipode(t: TensoringBimonad, a: AntipodeData) -> Report:
             s = t.simple(g)
             ts = t.on_obj(s)
             src = t.on_obj(s.tensor(ts.dual()))
-            lhs = Chain(src).then(t.eta_mor(s).rdual(), at=2) \
+            lhs = Chain(src).then(t.u.rdual(), at=2 + len(s.atoms)) \
                             .then(ev_right_mor(s), at=1) \
                             .then(t.t0, at=0)
             rhs = Chain(src).then(t.t2.at_step(s, ts.dual()), at=0) \
-                            .then(t.mu_mor(s).rdual(), at=3) \
+                            .then(t.m.rdual(), at=3 + len(s.atoms)) \
                             .then(a.sr.at_step(ts), at=2) \
                             .then(ev_right_mor(ts), at=0)
             yield (g,), lhs, rhs
@@ -168,7 +168,7 @@ def derived_identity_suite(t: TensoringBimonad, a: AntipodeData) -> Report:
                 src = t.on_obj(t.on_obj(ts.dual()))
                 lhs = Chain(src).then(t.m, at=0) \
                                 .then(side.at_step(s), at=0)
-                rhs = Chain(src).then(t.mu_mor(s).ldual(), at=2) \
+                rhs = Chain(src).then(t.m.ldual(), at=2 + len(s.atoms)) \
                                 .then(side.at_step(ts), at=1) \
                                 .then(side.at_step(s), at=0)
                 yield (g,), lhs, rhs
@@ -179,7 +179,7 @@ def derived_identity_suite(t: TensoringBimonad, a: AntipodeData) -> Report:
                 ts = t.on_obj(s)
                 src = ts.dual()
                 lhs = Chain(src).then(t.u, at=0).then(side.at_step(s), at=0)
-                rhs = Chain(src).then(t.eta_mor(s).ldual(), at=0)
+                rhs = Chain(src).then(t.u.ldual(), at=len(s.atoms))
                 yield (g,), lhs, rhs
 
         def anti_comult_items(side=side):

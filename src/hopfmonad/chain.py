@@ -3,9 +3,13 @@
 Every axiom in this package is a composite of steps of the form
 id_L ⊗ g ⊗ id_R where g is either a small stored morphism or the
 extension of a stored transformation component.  A Chain records the
-steps; eval() turns the composite into an honest GradedMor.
+steps; eval() turns the composite into an honest GradedMor.  It is the
+one place the library whiskers: T(f) = id_A ⊗ f, eta_X = u ⊗ id_X and
+mu_X = m ⊗ id_X are one-step chains too (TensoringBimonad.on_mor and
+eta_mor, modcat.free_module), and cat.tensor_mor is only the dense
+reference the tests compare chains with.
 
-Neither backend materializes a whiskered Kronecker factor.  On a
+Neither backend materializes a whiskered factor id_L ⊗ g ⊗ id_R.  On a
 one-label base a chain is a tensor network applied to an identity.
 Each atom of the running word carries a wire, and each step is a core
 tensor whose legs are the wires it produces and the wires it consumes
@@ -137,13 +141,17 @@ class CoreStep(Step):
     in_axes lists the source atoms consumed by the core (row-major in the
     listed order); out_axes lists the positions in the target word of the
     atoms the core produces.  Remaining atoms pass through in order.
+    `held` is the core as tensor() gives it, when another step with the
+    same core and fixed legs has made it already.
     """
 
     def __init__(self, src: GradedObj, dst: GradedObj, core,
-                 in_axes: tuple, out_axes: tuple, pass_perm: tuple | None = None):
+                 in_axes: tuple, out_axes: tuple, pass_perm: tuple | None = None,
+                 held=None):
         if not src.base.is_vector:
             raise ExactError("CoreStep is vector-backend only")
         self.src, self.dst, self.core = src, dst, core
+        self._tensor = held
         self.in_axes = tuple(in_axes)
         self.out_axes = tuple(out_axes)
         sd = src.axis_dims()
@@ -411,18 +419,6 @@ def _apply_graded(mor: GradedMor, left: GradedObj, right: GradedObj,
         contracted = field.matmul(core, gathered.reshape(core.shape[1], -1))
         out[dst_pos[jk]] = contracted.reshape(-1, block.shape[1])
     return out
-
-
-class Evaluated:
-    """Pre-evaluated morphism with the Chain eval() interface."""
-
-    def __init__(self, mor: GradedMor):
-        self.mor = mor
-        self.src = mor.src
-        self.dst = mor.dst
-
-    def eval(self) -> GradedMor:
-        return self.mor
 
 
 # ---------------------------------------------------------------------------

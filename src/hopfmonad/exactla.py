@@ -32,7 +32,9 @@ a chunk has at least 8191 terms.  Over Q the factors are the numerator
 arrays, the product's denominator is the product of the denominators,
 and the chunk sums accumulate in int64 when inner * top < 2**63 and in
 Python ints beyond.  When top >= 2**53 not one term fits a float64, and
-the product is taken over Python ints.
+the product is taken over Python ints.  There is no second product
+kernel: an outer product of two matrices (a block of cat.tensor_mor) is
+FieldSpec.tensordot over no axes, one integer product of inner dimension 1.
 
 A SparseTensor holds an exact tensor by its nonzeros: their row-major
 positions and their values (residues, or numerators over one
@@ -53,8 +55,8 @@ of the pivot entries.  A step runs on int64 while 2 * max|entry|**2 <
 2**63 and on Python ints beyond.  Bareiss's variant (Math. Comp. 22,
 1968), which divides every row by the previous pivot instead, keeps each
 entry a minor of the input, so entries carry the determinant of the
-leading block: on the 1116 x 217 section-space system of a random
-six-dimensional kS3 module (tests/test_modcat.py) one Bareiss reduction
+leading block: on a 1116 x 217 section-space system of a random
+six-dimensional kS3 module one Bareiss reduction
 took 9 s against 0.25 s for this one, on a 2-core x86-64 host.
 """
 
@@ -237,14 +239,6 @@ class FieldSpec:
         if not self.is_rationals:
             return _int_matmul(a, b, self.p)
         return _qarray(_int_matmul(a.num, b.num), a.den * b.den)
-
-    def kron(self, a, b):
-        if a.size == 0 or b.size == 0:
-            return self.zeros((a.shape[0] * b.shape[0], a.shape[1] * b.shape[1]))
-        if not self.is_rationals:
-            return np.kron(a, b) % self.p
-        return _qarray(_exact(np.kron, a.num, b.num, _bound(a.num) * _bound(b.num)),
-                       a.den * b.den)
 
     def tensordot(self, a, b, axes):
         ax_a, ax_b = axes

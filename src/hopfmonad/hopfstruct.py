@@ -16,7 +16,6 @@ from .cat import (
     ev_right_mor,
     identity,
     summand_inclusions,
-    tensor_mor,
 )
 from .chain import Chain
 from .exactla import ExactError, kernel, rank, solve_affine
@@ -194,13 +193,13 @@ def induced_hopf_module(t: TensoringBimonad, carrier: GradedObj,
     coact = Chain(t.on_obj(carrier)).then(rho, at=1) \
         .then(t.t2.at_step(carrier, t.carrier), at=0) \
         .then(t.m, at=1 + n).eval()
-    return HopfModule(t, t.on_obj(carrier), t.mu_mor(carrier), coact)
+    return HopfModule(t, t.on_obj(carrier), free_module(t, carrier).action, coact)
 
 
 def canonical_hopf_module(t: TensoringBimonad, x: GradedObj) -> HopfModule:
     """(T(X), mu_X, coproduct against the unit)."""
     coact = Chain(t.on_obj(x)).then(t.t2.at_step(x, t.unit_obj()), at=0).eval()
-    return HopfModule(t, t.on_obj(x), t.mu_mor(x), coact)
+    return HopfModule(t, t.on_obj(x), free_module(t, x).action, coact)
 
 
 def trivial_coaction(t: TensoringBimonad, carrier: GradedObj) -> GradedMor:
@@ -231,10 +230,9 @@ def random_comodule(t: TensoringBimonad, grouplikes: list, rng,
             line = Chain(s).then(t.u, at=len(s.atoms)).eval()
         else:
             line = _grouplike_coaction_line(t, g, s)
-        rho = rho + tensor_mor(inc, identity(t.carrier)) @ line @ proj
+        rho = rho + Chain(carrier).then(proj).then(line).then(inc, at=0).eval()
     phi = _random_iso(carrier, rng)
-    phi_inv = _invert_mor(phi)
-    rho = tensor_mor(phi, identity(t.carrier)) @ rho @ phi_inv
+    rho = Chain(carrier).then(_invert_mor(phi)).then(rho).then(phi, at=0).eval()
     return carrier, rho
 
 
@@ -388,8 +386,8 @@ def _integral_system(t: TensoringBimonad, direction: str):
     n = t.carrier_dim
     d3 = _t2_tensor(t)                 # [p, q, a]
     order = (0, 2, 1) if direction == "left" else (1, 2, 0)
-    u = t.u.block(0, 0)                # [p, 0]
-    return f.reduce(d3.transpose(order).reshape(n * n, n) - f.kron(u, f.eye(n)))
+    eta = t.eta_mor(t.carrier).block(0, 0)  # [(p, a), k]: u[p] where k = a
+    return f.reduce(d3.transpose(order).reshape(n * n, n) - eta)
 
 
 def solve_integrals(t: TensoringBimonad, direction: str) -> IntegralSolution:

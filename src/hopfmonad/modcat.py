@@ -63,7 +63,9 @@ def check_module(t: TensoringBimonad, m: TModule) -> bool:
 
 
 def free_module(t: TensoringBimonad, x: GradedObj) -> TModule:
-    return TModule(t, t.on_obj(x), t.mu_mor(x), check=False)
+    """(T(X), mu_X), mu_X = m ⊗ id_X."""
+    mu = Chain(t.on_obj(t.on_obj(x))).then(t.m, at=0).eval()
+    return TModule(t, t.on_obj(x), mu, check=False)
 
 
 def unit_module(t: TensoringBimonad) -> TModule:
@@ -117,41 +119,37 @@ def module_hom_space(m: TModule, n: TModule) -> list[GradedMor]:
     basis = _hom_basis_c(t.base, m.carrier, n.carrier)
     if not basis:
         return []
-    grades = sorted(set(t.on_obj(m.carrier).grades()) & set(n.carrier.grades()))
+    src = t.on_obj(m.carrier)
+    grades = sorted(set(src.grades()) & set(n.carrier.grades()))
     cols = []
     for b in basis:
-        diff = (b @ m.action) - (n.action @ t.on_mor(b))
-        cols.append(_mor_coords(diff, grades))
+        tb = Chain(src).then(b, at=len(t.carrier.atoms)).then(n.action, at=0).eval()
+        cols.append(_mor_coords((b @ m.action) - tb, grades))
     return [_mor_from_coords(m.carrier, n.carrier, v)
             for v in kernel(f, f.concatenate(cols, axis=1)).T]
 
 
 def module_section_space(m: TModule) -> list[GradedMor]:
-    """Module maps sigma: (M,r) -> (T(M), mu) with r sigma = id."""
+    """Module maps sigma: (M,r) -> (T(M), mu) with r sigma = id: one
+    solution over the basis of module_hom_space, then that solution plus
+    each vector of the null space."""
     t = m.t
     f = t.base.field
     fm = free_module(t, m.carrier)
-    basis = _hom_basis_c(t.base, m.carrier, fm.carrier)
+    basis = module_hom_space(m, fm)
     if not basis:
         return []
-    grades_lin = sorted(set(t.on_obj(m.carrier).grades()) & set(fm.carrier.grades()))
-    grades_sec = sorted(m.carrier.grades())
-    cols = []
-    ident = identity(m.carrier)
-    for b in basis:
-        diff = (b @ m.action) - (fm.action @ t.on_mor(b))
-        cols.append(f.concatenate([_mor_coords(diff, grades_lin),
-                                   _mor_coords(m.action @ b, grades_sec)]))
-    ident_coords = _mor_coords(ident, grades_sec)
-    b_mat = f.concatenate([f.zeros((cols[0].shape[0] - ident_coords.shape[0], 1)),
-                           ident_coords])
-    sol = solve_affine(f, f.concatenate(cols, axis=1), b_mat)
+    grades = sorted(m.carrier.grades())
+    sol = solve_affine(f, f.concatenate([_mor_coords(m.action @ b, grades) for b in basis],
+                                        axis=1),
+                       _mor_coords(identity(m.carrier), grades))
     if sol is None:
         return []
     x0, null = sol
-    x0 = x0[:, 0]
-    return [_mor_from_coords(m.carrier, fm.carrier, vec)
-            for vec in [x0] + [f.reduce(x0 + v) for v in null.T]]
+    hom_grades = sorted(set(m.carrier.grades()) & set(fm.carrier.grades()))
+    coords = f.concatenate([_mor_coords(b, hom_grades) for b in basis], axis=1)
+    vecs = f.matmul(coords, f.concatenate([x0, f.reduce(x0 + null)], axis=1))
+    return [_mor_from_coords(m.carrier, fm.carrier, v) for v in vecs.T]
 
 
 def tensor_modules(m: TModule, n: TModule) -> TModule:
@@ -241,7 +239,6 @@ def _skip_dual_checks(rep: Report, label: str):
 
 def random_module(t: TensoringBimonad, rng, dim_factor: int = 1) -> TModule:
     """A valid module: a free module conjugated by a random isomorphism."""
-    f = t.base.field
     if t.base.is_vector:
         x = GradedObj.space(t.base, dim_factor, "X")
     else:
@@ -250,12 +247,15 @@ def random_module(t: TensoringBimonad, rng, dim_factor: int = 1) -> TModule:
         if all(all(v == 0 for v in row) for row in grid):
             grid[0][0] = 1
         x = GradedObj.from_grid(t.base, grid, "X")
-    fm = free_module(t, x)
-    phi = _random_iso(fm.carrier, rng)
-    phi_inv = _invert_mor(phi)
-    action = phi @ fm.action @ t.on_mor(phi_inv)
-    m_obj = fm.carrier
-    return TModule(t, m_obj, action, check=False)
+    return conjugated(free_module(t, x), _random_iso(t.on_obj(x), rng))
+
+
+def conjugated(m: TModule, phi: GradedMor) -> TModule:
+    """The module (M, phi ∘ r ∘ T(phi^-1)) for an automorphism phi of M."""
+    t = m.t
+    action = Chain(t.on_obj(m.carrier)).then(_invert_mor(phi), at=len(t.carrier.atoms)) \
+                                       .then(m.action, at=0).then(phi, at=0).eval()
+    return TModule(t, m.carrier, action, check=False)
 
 
 def _random_iso(x: GradedObj, rng) -> GradedMor:

@@ -12,7 +12,8 @@ source and target functors.  Family.at_step is the one place that gives
 a component anywhere else, the forced direct-sum extension: an axis step
 on one label, the summand formula of chain.extend on several.  The
 product, unit and counit are plain morphisms that Chain.then whiskers at
-an atom index.
+an atom index; so are T(f) = id_A ⊗ f and eta_X = u ⊗ id_X, each one
+chain step (on_mor, eta_mor).
 
 Every axiom is evaluated at all simple tuples, which is complete on
 these backends; reports carry the first failing tuple and the exact
@@ -21,13 +22,7 @@ difference matrix.
 
 from __future__ import annotations
 
-from .cat import (
-    BaseSpec,
-    GradedMor,
-    GradedObj,
-    identity,
-    tensor_mor,
-)
+from .cat import BaseSpec, GradedMor, GradedObj, identity
 from .chain import Chain, CoreStep, MorStep, extend, layout_word, slot_word
 from .exactla import DimensionMismatch, ExactError
 from .report import CheckResult, Report
@@ -93,7 +88,8 @@ class TensoringBimonad:
         return self.carrier.tensor(x)
 
     def on_mor(self, f: GradedMor) -> GradedMor:
-        return tensor_mor(identity(self.carrier), f)
+        """T(f) = id_A ⊗ f."""
+        return Chain(self.on_obj(f.src)).then(f, at=len(self.carrier.atoms)).eval()
 
     @property
     def carrier_dim(self) -> int:
@@ -102,12 +98,9 @@ class TensoringBimonad:
     def unit_obj(self) -> GradedObj:
         return GradedObj.unit(self.base)
 
-    # materialized variants, for solver-facing code on small objects
-    def mu_mor(self, x: GradedObj) -> GradedMor:
-        return tensor_mor(self.m, identity(x))
-
     def eta_mor(self, x: GradedObj) -> GradedMor:
-        return tensor_mor(self.u, identity(x))
+        """eta_X = u ⊗ id_X."""
+        return Chain(x).then(self.u, at=0).eval()
 
     def __repr__(self):
         return f"TensoringBimonad({self.name}, dim {self.carrier_dim}, " \
@@ -148,6 +141,7 @@ class Family:
                 raise StructureError(f"{label} component at {key} has wrong ends")
             self.comps[key] = comp
         self._steps: dict = {}  # argument words -> step (see at_step)
+        self._held = None  # the one-label core as the network holds it
 
     def __getitem__(self, key) -> GradedMor:
         return self.comps[key]
@@ -170,9 +164,12 @@ class Family:
             return MorStep(extend(self.src, self.dst, xs, self.comps))
         in_axes, src_pass = _slot_axes(self.src, xs)
         out_axes, dst_pass = _slot_axes(self.dst, xs)
-        return CoreStep(layout_word(self.src, xs), layout_word(self.dst, xs),
+        step = CoreStep(layout_word(self.src, xs), layout_word(self.dst, xs),
                         self.comps[self.keys[0]].block(0, 0), in_axes, out_axes,
-                        pass_perm=[src_pass.index(p) for p in dst_pass])
+                        pass_perm=[src_pass.index(p) for p in dst_pass], held=self._held)
+        # one core for every argument tuple: the network reads it once
+        self._held = step.tensor()
+        return step
 
     def at(self, *xs: GradedObj) -> GradedMor:
         return self.at_step(*xs).to_mor()

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from .antipode import AntipodeData, s_map
 from .cat import GradedMor, coev_mor, ev_mor
-from .chain import Chain, Evaluated
+from .chain import Chain
 from .exactla import ExactError
 from .modcat import (TModule, _invert_mor, dual_module_left, free_module,
                      invert_module_map, is_t_linear, tensor_modules)
@@ -205,7 +205,7 @@ def check_r_dual_laws(t: TensoringBimonad, a: AntipodeData,
             rhs = Chain(src).then(r.at_step(ts1.dual(), ts2.dual()), at=0) \
                             .then(a.sl.at_step(s2), at=0) \
                             .then(a.sl.at_step(s1), at=len(s2.atoms))
-            yield (g1, g2), Evaluated(r.at(s1, s2).ldual()), rhs
+            yield (g1, g2), Chain(src).then(r.at(s1, s2).ldual()), rhs
 
     def right_items():
         for g1, g2 in t.composable_pairs():
@@ -215,7 +215,7 @@ def check_r_dual_laws(t: TensoringBimonad, a: AntipodeData,
             rhs = Chain(src).then(r.at_step(ts1.dual(), ts2.dual()), at=0) \
                             .then(a.sr.at_step(s2), at=0) \
                             .then(a.sr.at_step(s1), at=len(s2.atoms))
-            yield (g1, g2), Evaluated(r.at(s1, s2).rdual()), rhs
+            yield (g1, g2), Chain(src).then(r.at(s1, s2).rdual()), rhs
 
     for side, label, items in ((a.sl, "left", left_items), (a.sr, "right", right_items)):
         if side is None:
@@ -249,9 +249,9 @@ def check_braiding(t: TensoringBimonad, r: PairFamily, r_inv: PairFamily | None,
     m1, m2, m3 = mods[:3]
 
     tau12 = braiding_on_modules(t, r, m1, m2)
-    rep.record("braiding.linear",
-               is_t_linear(tensor_modules(m1, m2), tensor_modules(m2, m1), tau12))
-    inv = invert_module_map(tensor_modules(m1, m2), tensor_modules(m2, m1), tau12)
+    m12, m21 = tensor_modules(m1, m2), tensor_modules(m2, m1)
+    rep.record("braiding.linear", is_t_linear(m12, m21, tau12))
+    inv = invert_module_map(m12, m21, tau12)
     rep.record("braiding.invertible", inv is not None)
 
     if r_inv is not None:
@@ -269,7 +269,7 @@ def check_braiding(t: TensoringBimonad, r: PairFamily, r_inv: PairFamily | None,
     lhs = braiding_on_modules(t, r, m1, tensor_modules(m2, m3))
     rhs = Chain(src).then(tau12, at=0).then(tau13, at=n2).eval()
     rep.record("braiding.hexagon_a", lhs == rhs)
-    lhs = braiding_on_modules(t, r, tensor_modules(m1, m2), m3)
+    lhs = braiding_on_modules(t, r, m12, m3)
     rhs = Chain(src).then(tau23, at=n1).then(tau13, at=0).eval()
     rep.record("braiding.hexagon_b", lhs == rhs)
 
@@ -280,8 +280,7 @@ def check_braiding(t: TensoringBimonad, r: PairFamily, r_inv: PairFamily | None,
     rep.record("braiding.braid_relation", lhs == rhs)
 
     # naturality against the action of the first module (a module map)
-    free1 = TModule(t, t.on_obj(m1.carrier), t.mu_mor(m1.carrier), check=False)
-    tau_free = braiding_on_modules(t, r, free1, m2)
+    tau_free = braiding_on_modules(t, r, free_module(t, m1.carrier), m2)
     src = t.on_obj(m1.carrier).tensor(m2.carrier)
     lhs = Chain(src).then(tau_free, at=0).then(m1.action, at=len(m2.carrier.atoms)).eval()
     rhs = Chain(src).then(m1.action, at=0).then(tau12, at=0).eval()

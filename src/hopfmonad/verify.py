@@ -40,10 +40,9 @@ from .hopfstruct import (
     integral_check,
 )
 from .modcat import (
-    TModule,
-    _invert_mor,
     _random_iso,
     check_dual_module_duality,
+    conjugated,
     conservativity_probe,
     free_module,
     is_t_linear,
@@ -95,13 +94,10 @@ def _probe_modules(model: Model, rng, count: int = 3) -> list:
         while len(out) < count:
             out.append(random_module(t, rng, 1))
     else:
-        conjugated = list(out)
+        stock = list(out)
         while out and len(out) < count:
-            base_mod = conjugated[len(out) % len(conjugated)]
-            phi = _random_iso(base_mod.carrier, rng)
-            out.append(TModule(t, base_mod.carrier,
-                               phi @ base_mod.action @ t.on_mor(_invert_mor(phi)),
-                               check=False))
+            base_mod = stock[len(out) % len(stock)]
+            out.append(conjugated(base_mod, _random_iso(base_mod.carrier, rng)))
         while len(out) < count:
             out.append(unit_module(t))
     return out[:count]

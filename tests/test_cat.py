@@ -39,6 +39,7 @@ VEC = BaseSpec.vector(Q)
 GR2 = BaseSpec(Q, ("a", "b"))
 GR2_F3 = BaseSpec(FieldSpec.prime(3), ("a", "b"))
 VEC_F3 = BaseSpec.vector(FieldSpec.prime(3))
+VEC_F7 = BaseSpec.vector(FieldSpec.prime(7))
 
 
 def rand_mor(src: GradedObj, dst: GradedObj, rng, span=4) -> GradedMor:
@@ -198,7 +199,46 @@ class TestMorphisms:
         x, y = rand_obj(GR2, rng, 1), rand_obj(GR2, rng, 1)
         assert tensor_mor(identity(x), identity(y)) == identity(x.tensor(y))
 
-    @pytest.mark.parametrize("base", [VEC, GR2, GR2_F3])
+    def test_identity_tensor_one_label(self):
+        # the 2 x 2 and 3 x 3 identities tensor to the 6 x 6 identity
+        x, y = GradedObj.space(VEC, 2, "x"), GradedObj.space(VEC, 3, "y")
+        k = tensor_mor(identity(x), identity(y))
+        assert k == identity(x.tensor(y))
+        assert Q.equal(k.block(0, 0), Q.eye(6))
+
+    @pytest.mark.parametrize("base", [VEC, GR2])
+    def test_tensor_with_scalar(self, base):
+        # a scalar on the unit object scales the other factor
+        rng = random.Random(8)
+        unit = GradedObj.unit(base)
+        two = GradedMor(unit, unit, {g: Q.asarray([[2]]) for g in unit.grades()})
+        g = rand_mor(rand_obj(base, rng, 1), rand_obj(base, rng, 1), rng)
+        assert tensor_mor(two, g) == g.scale(2)
+        assert tensor_mor(g, two) == g.scale(2)
+
+    def test_tensor_row_major_convention(self):
+        # rows and columns run over (first factor, second factor), row-major
+        f = GradedMor(GradedObj.space(VEC, 2, "x"), GradedObj.space(VEC, 1, "y"),
+                      {(0, 0): Q.asarray([[0, 1]])})
+        g = GradedMor(GradedObj.space(VEC, 1, "y"), GradedObj.space(VEC, 2, "x"),
+                      {(0, 0): Q.asarray([[2], [3]])})
+        k = tensor_mor(f, g).block(0, 0)
+        assert k.shape == (2, 2)
+        assert [[Q.show(v) for v in row] for row in k.tolist()] == [["0", "2"], ["0", "3"]]
+
+    @pytest.mark.parametrize("base", [VEC, GR2])
+    def test_tensor_past_int64(self, base):
+        # numerators near 2**40 multiply past int64 and stay exact
+        rng = random.Random(12)
+        x, y = rand_obj(base, rng, 1, maxdim=3), rand_obj(base, rng, 1, maxdim=3)
+        f, g = rand_mor(x, x, rng), rand_mor(y, y, rng)
+        c, d = Fraction(2 ** 40 + 3, 5), Fraction(2 ** 40 - 5, 7)
+        fg = tensor_mor(f.scale(c), g.scale(d))
+        assert fg == tensor_mor(f, g).scale(c * d)
+        assert any(abs(v.numerator) >= 2 ** 63
+                   for blk in fg.blocks.values() for row in blk.tolist() for v in row)
+
+    @pytest.mark.parametrize("base", [VEC, GR2, GR2_F3, VEC_F3, VEC_F7])
     def test_interchange(self, base):
         rng = random.Random(7)
         for _ in range(12):
@@ -211,6 +251,15 @@ class TestMorphisms:
             lhs = tensor_mor(f, g) @ tensor_mor(fp, gp)
             rhs = tensor_mor(f @ fp, g @ gp)
             assert lhs == rhs
+
+    def test_mixed_product_one_label(self):
+        # (a (x) b)(c (x) d) = ac (x) bd on rectangular blocks over Q
+        rng = random.Random(17)
+        u, v = GradedObj.space(VEC, 2, "u"), GradedObj.space(VEC, 3, "v")
+        for _ in range(100):
+            a, c = rand_mor(v, u, rng, span=3), rand_mor(u, v, rng, span=3)
+            b, d = rand_mor(u, u, rng, span=3), rand_mor(v, u, rng, span=3)
+            assert tensor_mor(a, b) @ tensor_mor(c, d) == tensor_mor(a @ c, b @ d)
 
     def test_tensor_with_zero(self):
         rng = random.Random(5)

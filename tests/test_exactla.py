@@ -482,34 +482,6 @@ class TestInverse:
         assert inverse(F7, F7.zeros((0, 0))).shape == (0, 0)
 
 
-class TestKron:
-    def test_identity(self):
-        assert same(Q.kron(Q.eye(2), Q.eye(3)), Q.eye(6))
-
-    def test_scalar_case(self):
-        b = Q.asarray([[1, 2], [3, 4]])
-        assert same(Q.kron(Q.asarray([[2]]), b), b * 2)
-
-    @pytest.mark.parametrize("spec", [Q, F3, F7])
-    def test_mixed_product(self, spec):
-        rng = random.Random(17)
-        for _ in range(100):
-            a = rand_mat(spec, 2, 3, rng, span=3)
-            c = rand_mat(spec, 3, 2, rng, span=3)
-            b = rand_mat(spec, 2, 2, rng, span=3)
-            d = rand_mat(spec, 2, 3, rng, span=3)
-            lhs = spec.matmul(spec.kron(a, b), spec.kron(c, d))
-            rhs = spec.kron(spec.matmul(a, c), spec.matmul(b, d))
-            assert same(lhs, rhs)
-
-    def test_row_major_convention(self):
-        a = Q.asarray([[0, 1]])
-        b = Q.asarray([[2], [3]])
-        k = Q.kron(a, b)
-        assert k.shape == (2, 2)
-        assert [[Q.show(v) for v in row] for row in k.tolist()] == [["0", "2"], ["0", "3"]]
-
-
 class TestDeterminism:
     def test_bit_identical_reruns(self):
         rng1, rng2 = random.Random(99), random.Random(99)

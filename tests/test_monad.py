@@ -34,7 +34,8 @@ from hopfmonad.monad import (
 from hopfmonad.presentation import element_from_vector
 from hopfmonad.report import Report
 from hopfmonad.verify import SUITES, verify_model
-from hopfmonad.cat import GradedMor, GradedObj, identity
+from hopfmonad.cat import GradedMor, GradedObj, identity, tensor_mor
+from hopfmonad.modcat import free_module
 
 Q = FieldSpec.rationals()
 
@@ -173,6 +174,29 @@ class TestEvalT:
         gm = GradedMor(y, z, {(0, 0): f.asarray(
             [[rng.randrange(-2, 3) for _ in range(3)] for _ in range(2)])})
         assert t.on_mor(gm @ fm) == t.on_mor(gm) @ t.on_mor(fm)
+
+    @pytest.mark.parametrize("build", [
+        lambda: zoo.build_sweedler(Q),
+        lambda: zoo.build_group_algebra(zoo.symmetric3_table(), FieldSpec.prime(3)),
+        lambda: zoo.build_pair_groupoid(Q),
+        lambda: zoo.build_pair_groupoid(FieldSpec.prime(5)),
+    ], ids=["vector-Q", "vector-F3", "graded-Q", "graded-F5"])
+    def test_whiskers_match_tensor_mor(self, build):
+        # T(f), eta_X and mu_X are chains; tensor_mor is their dense reference
+        t = presentation.load(build()).t
+        rng = random.Random(6)
+        grid = [[rng.randrange(0, 3) for _ in t.base.labels] for _ in t.base.labels]
+        grid[0][0] = 2
+        x = GradedObj.from_grid(t.base, grid, "X")
+        y = GradedObj.from_grid(t.base, [row[::-1] for row in grid], "Y")
+        f = t.base.field
+        fm = GradedMor(x, y, {g: f.asarray([[rng.randrange(-2, 3) for _ in range(x.count(*g))]
+                                             for _ in range(y.count(*g))])
+                              for g in set(x.grades()) & set(y.grades())})
+        assert t.on_mor(fm) == tensor_mor(identity(t.carrier), fm)
+        for obj in (x, t.unit_obj(), t.on_obj(x)):
+            assert t.eta_mor(obj) == tensor_mor(t.u, identity(obj))
+            assert free_module(t, obj).action == tensor_mor(t.m, identity(obj))
 
 
 class TestConvolution:
@@ -382,3 +406,12 @@ class TestStepMemo:
         monkeypatch.setattr(monad, "extend", counted)
         assert verify_model(model, checks=SUITES, samples=1).passed
         assert seen and max(seen.values()) == 1
+
+    def test_one_label_core_is_read_once_per_family(self, dz2):
+        # every argument tuple's step holds the one tensor made from the core
+        t = dz2.t
+        s = t.simple((0, 0))
+        ts = t.on_obj(s)
+        steps = [t.t2.at_step(s, s), t.t2.at_step(ts, s), t.t2.at_step(s, ts.dual())]
+        assert len({id(step) for step in steps}) == 3
+        assert all(step.tensor() is steps[0].tensor() for step in steps)
