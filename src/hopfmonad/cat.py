@@ -420,7 +420,10 @@ class GradedMor:
     # -- duality ---------------------------------------------------------------
 
     def ldual(self) -> "GradedMor":
-        """Transpose along the duality pairing: dual(dst) -> dual(src)."""
+        """Transpose along the duality pairing: dual(dst) -> dual(src).
+
+        With the fixed dual bases the left and right transposes coincide,
+        so this one map serves both sides."""
         f = self.field
         src_d, dst_d = self.dst.dual(), self.src.dual()
         blocks = {}
@@ -432,10 +435,6 @@ class GradedMor:
             out[np.ix_(rp, cp)] = m.T
             blocks[(l, i)] = out
         return GradedMor(src_d, dst_d, blocks)
-
-    def rdual(self) -> "GradedMor":
-        """With the fixed dual bases the right transpose equals the left one."""
-        return self.ldual()
 
 
 @_owned_memo
@@ -576,16 +575,6 @@ def ev_right_mor(x: GradedObj) -> GradedMor:
 def coev_right_mor(x: GradedObj) -> GradedMor:
     """Right coevaluation  1 -> dual(x) ⊗ x."""
     return _coev(x, True)
-
-
-def left_dual(x: GradedObj) -> dict:
-    """Left dual with its evaluation and coevaluation."""
-    return {"obj": x.dual(), "ev": ev_mor(x), "coev": coev_mor(x)}
-
-
-def right_dual(x: GradedObj) -> dict:
-    """Right dual with its evaluation and coevaluation."""
-    return {"obj": x.dual(), "ev": ev_right_mor(x), "coev": coev_right_mor(x)}
 
 
 def sovereign_phi(x: GradedObj) -> GradedMor:

@@ -367,9 +367,6 @@ class QArray:
     def transpose(self, *axes) -> "QArray":
         return _raw(self.num.transpose(*axes), self.den)
 
-    def swapaxes(self, a: int, b: int) -> "QArray":
-        return _raw(self.num.swapaxes(a, b), self.den)
-
     def reshape(self, *shape) -> "QArray":
         return _raw(self.num.reshape(*shape), self.den)
 

@@ -18,7 +18,7 @@ from .cat import (
 )
 from .chain import Chain
 from .exactla import ExactError, inverse, kernel, rank, solve_affine
-from .monad import TensoringBimonad, TransTT
+from .monad import Family, TensoringBimonad, TransTT
 from .report import Report
 
 
@@ -162,16 +162,11 @@ def tensor_modules(m: TModule, n: TModule) -> TModule:
     return TModule(t, carrier, ch.eval(), check=False)
 
 
-def dual_module_left(t: TensoringBimonad, a: AntipodeData, m: TModule) -> TModule:
-    """Left dual module (ℓM, s^l ∘ T(ℓr))."""
+def dual_module(t: TensoringBimonad, side: Family, m: TModule) -> TModule:
+    """The dual module (M∨, s ∘ T(r∨)) through one antipode side: the left
+    dual with `a.sl`, the right dual with `a.sr`."""
     src = t.on_obj(m.carrier.dual())
-    ch = Chain(src).then(m.action.ldual(), at=1).then(a.sl.at_step(m.carrier), at=0)
-    return TModule(t, m.carrier.dual(), ch.eval(), check=False)
-
-
-def dual_module_right(t: TensoringBimonad, a: AntipodeData, m: TModule) -> TModule:
-    src = t.on_obj(m.carrier.dual())
-    ch = Chain(src).then(m.action.rdual(), at=1).then(a.sr.at_step(m.carrier), at=0)
+    ch = Chain(src).then(m.action.ldual(), at=1).then(side.at_step(m.carrier), at=0)
     return TModule(t, m.carrier.dual(), ch.eval(), check=False)
 
 
@@ -204,37 +199,24 @@ def conservativity_probe(t: TensoringBimonad) -> dict:
 
 def check_dual_module_duality(t: TensoringBimonad, a: AntipodeData,
                               m: TModule, rep: Report) -> Report:
-    """Evaluation and coevaluation are module maps for the preferred duals.
+    """Evaluation and coevaluation are module maps for the preferred duals:
+    M∨ ⊗ M -> 1 and 1 -> M ⊗ M∨ on the left, the mirror images on the right.
 
     The three checks of a side with no antipode data are skipped."""
-    if a.has_left:
-        lm = dual_module_left(t, a, m)
-        rep.record("dual.left_valid", check_module(t, lm))
-        both = tensor_modules(lm, m)
-        rep.record("dual.left_ev_linear",
-                   is_t_linear(both, unit_module(t), ev_mor(m.carrier)))
-        both2 = tensor_modules(m, lm)
-        rep.record("dual.left_coev_linear",
-                   is_t_linear(unit_module(t), both2, coev_mor(m.carrier)))
-    else:
-        _skip_dual_checks(rep, "left")
-    if a.has_right:
-        rm = dual_module_right(t, a, m)
-        rep.record("dual.right_valid", check_module(t, rm))
-        rep.record("dual.right_ev_linear",
-                   is_t_linear(tensor_modules(m, rm), unit_module(t),
-                               ev_right_mor(m.carrier)))
-        rep.record("dual.right_coev_linear",
-                   is_t_linear(unit_module(t), tensor_modules(rm, m),
-                               coev_right_mor(m.carrier)))
-    else:
-        _skip_dual_checks(rep, "right")
+    for label, side, ev, coev in (("left", a.sl, ev_mor, coev_mor),
+                                  ("right", a.sr, ev_right_mor, coev_right_mor)):
+        if side is None:
+            for check in ("valid", "ev_linear", "coev_linear"):
+                rep.skip(f"dual.{label}_{check}", f"no {label} antipode data")
+            continue
+        d = dual_module(t, side, m)
+        pair = (d, m) if label == "left" else (m, d)  # the source of ev
+        rep.record(f"dual.{label}_valid", check_module(t, d))
+        rep.record(f"dual.{label}_ev_linear",
+                   is_t_linear(tensor_modules(*pair), unit_module(t), ev(m.carrier)))
+        rep.record(f"dual.{label}_coev_linear",
+                   is_t_linear(unit_module(t), tensor_modules(*pair[::-1]), coev(m.carrier)))
     return rep
-
-
-def _skip_dual_checks(rep: Report, label: str):
-    for check in ("valid", "ev_linear", "coev_linear"):
-        rep.skip(f"dual.{label}_{check}", f"no {label} antipode data")
 
 
 def random_module(t: TensoringBimonad, rng, dim_factor: int = 1) -> TModule:

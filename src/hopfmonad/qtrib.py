@@ -12,9 +12,9 @@ from __future__ import annotations
 from .antipode import AntipodeData, s_map
 from .cat import GradedMor, coev_mor, ev_mor
 from .chain import Chain
-from .exactla import ExactError
-from .modcat import (TModule, _invert_mor, dual_module_left, free_module,
-                     invert_module_map, is_t_linear, tensor_modules)
+from .exactla import ExactError, solve_affine
+from .modcat import (TModule, dual_module, free_module, invert_module_map,
+                     is_t_linear, tensor_modules)
 from .monad import (
     Element,
     StructureError,
@@ -130,10 +130,11 @@ def check_rmatrix(t: TensoringBimonad, r: PairFamily,
     compare_at(rep, "rmatrix.unit_right", unit_right_items())
 
     if r_inv is not None:
+        pairs = t.composable_pairs()
         compare_at(rep, "rmatrix.star_inverse_left",
-                   _star_inverse_left_items(t, r, r_inv))
+                   _star_inverse_items(t, r, r_inv, pairs))
         compare_at(rep, "rmatrix.star_inverse_right",
-                   _star_inverse_right_items(t, r, r_inv))
+                   _star_inverse_items(t, r_inv, r, [(g2, g1) for g1, g2 in pairs]))
     else:
         rep.skip("rmatrix.star_inverse_left", "needs a left antipode")
 
@@ -141,35 +142,18 @@ def check_rmatrix(t: TensoringBimonad, r: PairFamily,
     return rep
 
 
-def _star_inverse_left_items(t, r, r_inv):
-    # convolving the inverse against R gives the unit pair
-    for g1, g2 in t.composable_pairs():
+def _star_inverse_items(t, first, second, pairs):
+    # convolving R and its inverse, in either order, gives the unit pair
+    for g1, g2 in pairs:
         s1, s2 = t.simple(g1), t.simple(g2)
-        ts1, ts2 = t.on_obj(s1), t.on_obj(s2)
-        src = s1.tensor(s2)
-        n1, n2 = len(s1.atoms), len(s2.atoms)
-        lhs = Chain(src).then(r.at_step(s1, s2), at=0) \
-                        .then(r_inv.at_step(ts2, ts1), at=0) \
-                        .then(t.m, at=0) \
-                        .then(t.m, at=1 + n1)
-        rhs = Chain(src).then(t.u, at=0) \
-                        .then(t.u, at=1 + n1)
+        n1 = len(s1.atoms)
+        lhs = Chain(s1.tensor(s2)).then(first.at_step(s1, s2), at=0) \
+                                  .then(second.at_step(t.on_obj(s2), t.on_obj(s1)), at=0) \
+                                  .then(t.m, at=0) \
+                                  .then(t.m, at=1 + n1)
+        rhs = Chain(s1.tensor(s2)).then(t.u, at=0) \
+                                  .then(t.u, at=1 + n1)
         yield (g1, g2), lhs, rhs
-
-
-def _star_inverse_right_items(t, r, r_inv):
-    for g1, g2 in t.composable_pairs():
-        s1, s2 = t.simple(g1), t.simple(g2)
-        ts1, ts2 = t.on_obj(s1), t.on_obj(s2)
-        src = s2.tensor(s1)
-        n1, n2 = len(s1.atoms), len(s2.atoms)
-        lhs = Chain(src).then(r_inv.at_step(s2, s1), at=0) \
-                        .then(r.at_step(ts1, ts2), at=0) \
-                        .then(t.m, at=0) \
-                        .then(t.m, at=1 + n2)
-        rhs = Chain(src).then(t.u, at=0) \
-                        .then(t.u, at=1 + n2)
-        yield (g2, g1), lhs, rhs
 
 
 def _yang_baxter_items(t, r):
@@ -197,31 +181,21 @@ def check_r_dual_laws(t: TensoringBimonad, a: AntipodeData,
     """Transposes of the R-components through either antipode."""
     rep = Report(f"{t.name}: R-matrix dual laws")
 
-    def left_items():
+    def items(side):
         for g1, g2 in t.composable_pairs():
             s1, s2 = t.simple(g1), t.simple(g2)
             ts1, ts2 = t.on_obj(s1), t.on_obj(s2)
             src = ts1.dual().tensor(ts2.dual())
             rhs = Chain(src).then(r.at_step(ts1.dual(), ts2.dual()), at=0) \
-                            .then(a.sl.at_step(s2), at=0) \
-                            .then(a.sl.at_step(s1), at=len(s2.atoms))
+                            .then(side.at_step(s2), at=0) \
+                            .then(side.at_step(s1), at=len(s2.atoms))
             yield (g1, g2), Chain(src).then(r.at(s1, s2).ldual()), rhs
 
-    def right_items():
-        for g1, g2 in t.composable_pairs():
-            s1, s2 = t.simple(g1), t.simple(g2)
-            ts1, ts2 = t.on_obj(s1), t.on_obj(s2)
-            src = ts1.dual().tensor(ts2.dual())
-            rhs = Chain(src).then(r.at_step(ts1.dual(), ts2.dual()), at=0) \
-                            .then(a.sr.at_step(s2), at=0) \
-                            .then(a.sr.at_step(s1), at=len(s2.atoms))
-            yield (g1, g2), Chain(src).then(r.at(s1, s2).rdual()), rhs
-
-    for side, label, items in ((a.sl, "left", left_items), (a.sr, "right", right_items)):
+    for side, label in ((a.sl, "left"), (a.sr, "right")):
         if side is None:
             rep.skip(f"rmatrix.{label}_dual_law", f"needs the {label} antipode")
         else:
-            compare_at(rep, f"rmatrix.{label}_dual_law", items())
+            compare_at(rep, f"rmatrix.{label}_dual_law", items(side))
     return rep
 
 
@@ -314,27 +288,37 @@ def drinfeld_element(t: TensoringBimonad, a: AntipodeData,
 
 
 def drinfeld_inverse(t: TensoringBimonad, a: AntipodeData,
-                     r: PairFamily) -> Element:
-    """The explicit convolution inverse of the Drinfeld element.
+                     r: PairFamily) -> Element | None:
+    """The explicit convolution inverse of the Drinfeld element, or None
+    when the comparison map is not invertible.
 
     Built the way the invertibility proof defines it: the inverse of the
     canonical double-dual comparison at free modules, transported back
-    along the unit.  The comparison inverse pairs the free module against
-    its preferred dual through the inverse braiding.
+    along the unit.  The comparison inverse pairs the free module M
+    against its preferred dual through the inverse braiding; only its
+    value on the coevaluation is needed, so that value x is solved for,
+    tau x = coev, one grade at a time.  A grade with no coevaluation block
+    gets a zero-width right-hand side, so every block of tau is tested for
+    injectivity.
     """
+    f = t.base.field
     comps = {}
     for g in t.simples():
         s = t.simple(g)
         fm = free_module(t, s)
-        dm = dual_module_left(t, a, fm)
-        tau = braiding_on_modules(t, r, dm, fm)
-        tau_inv = _invert_mor(tau)
         m_word = fm.carrier
+        tau = braiding_on_modules(t, r, dual_module(t, a.sl, fm), fm)
+        coev = coev_mor(m_word)
+        blocks = {}
+        for grade, blk in tau.blocks.items():
+            sol = solve_affine(f, blk, coev.blocks.get(grade, f.zeros((blk.shape[0], 0))))
+            if sol is None or sol[1].shape[1]:
+                return None
+            blocks[grade] = sol[0]
         n = len(m_word.atoms)
         ch = Chain(s) \
             .then(t.u, at=0) \
-            .then(coev_mor(m_word), at=n) \
-            .then(tau_inv, at=n) \
+            .then(GradedMor(coev.src, tau.src, blocks), at=n) \
             .then(ev_mor(m_word.dual()), at=0)
         comps[g] = ch.eval()
     return Element(t, comps, "u^-1")
@@ -461,7 +445,7 @@ def check_twist(t: TensoringBimonad, a: AntipodeData, r: PairFamily,
             yield (g1, g2), lhs, rhs
 
     compare_at(rep, "twist.compatibility", compat_items())
-    rep.record("twist.self_dual", s_map(t, a, theta) == theta,
+    rep.record("twist.self_dual", s_map(t, a.sl, theta) == theta,
                note="informational for non-ribbon data")
     return rep
 
@@ -472,7 +456,7 @@ def sovereign_from_twist(t: TensoringBimonad, a: AntipodeData, u: Element,
     rep = Report(f"{t.name}: sovereign element from twist")
     g_elt = convolve(t, u, theta)
     rep.record("sovereign.grouplike", check_grouplike(t, g_elt))
-    g_inv = s_map(t, a, g_elt)
+    g_inv = s_map(t, a.sl, g_elt)
     if not star_inverse_check(t, g_elt, g_inv):
         rep.record("sovereign.conjugation", False,
                    note="candidate is not invertible")
@@ -480,8 +464,8 @@ def sovereign_from_twist(t: TensoringBimonad, a: AntipodeData, u: Element,
     ad = adjoint_action(t, g_elt, g_inv)
     rep.record("sovereign.conjugation", s2 == ad)
 
-    self_dual = s_map(t, a, theta) == theta
-    su = s_map(t, a, u)
+    self_dual = s_map(t, a.sl, theta) == theta
+    su = s_map(t, a.sl, u)
     rhs = convolve(t, convolve(t, g_inv, u), g_inv)
     rep.record("sovereign.self_duality_equiv", self_dual == (su == rhs))
 
@@ -513,7 +497,7 @@ def check_inverse_drinfeld_twist(t: TensoringBimonad, a: AntipodeData,
              if x.check != "twist.self_dual")
     rep.record("twist.from_inverse", ok)
     sd = sub.find("twist.self_dual")
-    su = s_map(t, a, u)
+    su = s_map(t, a.sl, u)
     rep.record("twist.from_inverse_self_dual_iff",
                (sd.status == "pass") == (su == u))
     return rep

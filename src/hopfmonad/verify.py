@@ -22,7 +22,6 @@ from .antipode import (
     square_of_antipode,
 )
 from .cat import GradedMor, identity
-from .exactla import ExactError
 from .hopfstruct import (
     SEPARABILITY_CHECKS,
     canonical_hopf_module,
@@ -139,7 +138,7 @@ def verify_model(model: Model, checks: tuple = SUITES, seed: int = 0,
             rep.merge(check_antipode_inverse(t, a))
             samples_elts = [_random_element(t, rng) for _ in range(3)]
             if a.has_left and a.has_right:
-                s2 = square_of_antipode(t, a)
+                s2 = square_of_antipode(t, a.sl)
                 rep.merge(check_square_automorphism(t, a, s2))
                 rep.merge(check_s_map_laws(t, a, s2, samples_elts))
                 rep.info["involutory"] = involutory = is_involutory(t, a, s2)
@@ -153,7 +152,7 @@ def verify_model(model: Model, checks: tuple = SUITES, seed: int = 0,
                     rep.skip(f"grouplike.inverse_{k}", NO_LEFT)
                 elif ok:
                     # the antipode image is the convolution inverse of a grouplike
-                    g_inv = s_map(t, a, g)
+                    g_inv = s_map(t, a.sl, g)
                     rep.record(f"grouplike.inverse_{k}",
                                convolve(t, g, g_inv) == eta
                                and convolve(t, g_inv, g) == eta)
@@ -202,10 +201,10 @@ def verify_model(model: Model, checks: tuple = SUITES, seed: int = 0,
             rep.skip("integrals.transport_roundtrip", NO_BOTH)
         elif a is not None and li.dimension:
             for chi in li.basis:
-                d = transport_integral(t, a, chi, "left")
+                d = transport_integral(t, a.sr, chi)
                 if not integral_check(t, "right", d):
                     ok = False
-                back = transport_integral(t, a, d, "right")
+                back = transport_integral(t, a.sl, d)
                 if list(back) != list(chi):
                     ok = False
             rep.record("integrals.transport_roundtrip", ok)
@@ -251,12 +250,9 @@ def verify_model(model: Model, checks: tuple = SUITES, seed: int = 0,
                 # part that cannot run is skipped under each of its checks
                 if a.has_left:
                     u = rep.built["u"] = drinfeld_element(t, a, r)
-                    try:
-                        u_inv = drinfeld_inverse(t, a, r)
-                    except ExactError:  # the comparison map is not invertible
-                        u_inv = None
+                    u_inv = drinfeld_inverse(t, a, r)
                     if s2 is None:
-                        s2 = square_of_antipode(t, a)
+                        s2 = square_of_antipode(t, a.sl)
                     rep.merge(check_drinfeld(t, u, r_inv, u_inv, s2, classical=classical))
                 else:
                     _skip_each(rep, DRINFELD_CHECKS

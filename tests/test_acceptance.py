@@ -197,10 +197,10 @@ class TestCriterion4Integrals:
             if li.dimension != 1 or ri.dimension != 1:
                 ok = False
             chi = li.basis[0]
-            d = transport_integral(model.t, model.antipode, chi, "left")
+            d = transport_integral(model.t, model.antipode.sr, chi)
             if not integral_check(model.t, "right", d):
                 ok = False
-            if transport_integral(model.t, model.antipode, d, "right") != list(chi):
+            if transport_integral(model.t, model.antipode.sl, d) != list(chi):
                 ok = False
         record(4, "integral spaces are lines; transport is an exact bijection", ok)
 
@@ -262,7 +262,7 @@ class TestCriterion6Quasitriangular:
         u = drinfeld_element(t, a, r)
         ui = drinfeld_inverse(t, a, r)
         r_inv = star_inverse_of_r(t, a, r)
-        s2 = square_of_antipode(t, a)
+        s2 = square_of_antipode(t, a.sl)
         rep = check_drinfeld(t, u, r_inv, ui, s2,
                              classical=model.meta["classical_drinfeld"])
         ok = rep.passed

@@ -23,10 +23,8 @@ from hopfmonad.cat import (
     ev_mor,
     ev_right_mor,
     identity,
-    left_dual,
     path_index,
     paths,
-    right_dual,
     sovereign_phi,
     summand_inclusions,
     tensor_mor,
@@ -396,8 +394,11 @@ class TestDuality:
     def test_left_right_dual_objects_agree(self):
         rng = random.Random(47)
         x = rand_obj(GR2, rng)
-        assert left_dual(x)["obj"] == right_dual(x)["obj"]
-        # canonical maps X -> ldual(rdual X) etc. are identities
+        # one dual word serves both sides: the left pairing is x∨ ⊗ x -> 1,
+        # the right one x ⊗ x∨ -> 1, and both have the same x∨
+        assert ev_mor(x).src == x.dual().tensor(x)
+        assert ev_right_mor(x).src == x.tensor(x.dual())
+        # the canonical maps to the double dual are identities
         assert x.dual().dual() == x
 
 

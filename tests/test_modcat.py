@@ -12,7 +12,7 @@ from hopfmonad.modcat import (
     check_dual_module_duality,
     check_module,
     conservativity_probe,
-    dual_module_left,
+    dual_module,
     free_module,
     is_t_linear,
     module_hom_space,
@@ -151,16 +151,16 @@ class TestDuals:
 
     def test_unit_self_dual(self, sweedler):
         t = sweedler.t
-        du = dual_module_left(t, sweedler.antipode, unit_module(t))
+        du = dual_module(t, sweedler.antipode.sl, unit_module(t))
         assert du.action == unit_module(t).action
 
     def test_double_dual_via_antipode_square(self, sweedler, taft3):
         rng = random.Random(15)
         for m in (sweedler, taft3):
             mod = random_module(m.t, rng, 2)
-            dd = dual_module_left(m.t, m.antipode,
-                                  dual_module_left(m.t, m.antipode, mod))
-            s2 = square_of_antipode(m.t, m.antipode)
+            dd = dual_module(m.t, m.antipode.sl,
+                             dual_module(m.t, m.antipode.sl, mod))
+            s2 = square_of_antipode(m.t, m.antipode.sl)
             comp = s2.at(mod.carrier)
             assert dd.action == mod.action @ comp
 

@@ -1,16 +1,17 @@
 """R-matrices, braidings, Drinfeld elements, twists."""
 
+import dataclasses
 import random
 from fractions import Fraction
 
 import pytest
 
-from hopfmonad import presentation, zoo
+from hopfmonad import presentation, qtrib, zoo
 from hopfmonad.antipode import is_involutory, square_of_antipode
-from hopfmonad.cat import GradedMor, GradedObj
-from hopfmonad.exactla import FieldSpec
+from hopfmonad.cat import GradedMor, GradedObj, coev_mor
+from hopfmonad.exactla import FieldSpec, solve_affine
 from hopfmonad.modcat import TModule, random_module
-from hopfmonad.monad import adjoint_action, check_grouplike, eta_element
+from hopfmonad.monad import PairFamily, adjoint_action, check_grouplike, eta_element
 from hopfmonad.presentation import element_from_vector
 from hopfmonad.qtrib import (
     braiding_on_modules,
@@ -27,6 +28,7 @@ from hopfmonad.qtrib import (
     star_inverse_of_r,
 )
 from hopfmonad.report import Report
+from hopfmonad.verify import verify_model
 
 Q = FieldSpec.rationals()
 
@@ -97,7 +99,7 @@ class TestDrinfeld:
         m = request.getfixturevalue(fixture)
         u, u_inv = drinfeld_pair(m)
         rep = check_drinfeld(m.t, u, r_inverse(m), u_inv,
-                             square_of_antipode(m.t, m.antipode),
+                             square_of_antipode(m.t, m.antipode.sl),
                              classical=m.meta.get("classical_drinfeld"))
         assert rep.passed, [x.line() for x in rep.failures()]
 
@@ -114,7 +116,7 @@ class TestDrinfeld:
     def test_square_is_conjugation_by_u(self, dz2):
         u = drinfeld_element(dz2.t, dz2.antipode, dz2.rmatrix)
         ui = drinfeld_inverse(dz2.t, dz2.antipode, dz2.rmatrix)
-        assert square_of_antipode(dz2.t, dz2.antipode) == \
+        assert square_of_antipode(dz2.t, dz2.antipode.sl) == \
             adjoint_action(dz2.t, u, ui)
 
 
@@ -192,7 +194,7 @@ class TestTwist:
         m = request.getfixturevalue(fixture)
         th, thi = m.twist
         u = drinfeld_element(m.t, m.antipode, m.rmatrix)
-        s2 = square_of_antipode(m.t, m.antipode)
+        s2 = square_of_antipode(m.t, m.antipode.sl)
         g, rep = sovereign_from_twist(m.t, m.antipode, u, s2, th, thi)
         assert rep.passed, [x.line() for x in rep.failures()]
         assert check_grouplike(m.t, g)
@@ -201,7 +203,7 @@ class TestTwist:
     def test_inverse_canonical_element_as_twist(self, fixture, request):
         m = request.getfixturevalue(fixture)
         involutory = is_involutory(m.t, m.antipode,
-                                   square_of_antipode(m.t, m.antipode))
+                                   square_of_antipode(m.t, m.antipode.sl))
         rep = check_inverse_drinfeld_twist(m.t, m.antipode, m.rmatrix, involutory,
                                            *drinfeld_pair(m))
         assert rep.passed
@@ -227,7 +229,7 @@ class TestMissingInverses:
     def test_drinfeld_without_inverse(self, dz2):
         t, a, r = dz2.t, dz2.antipode, dz2.rmatrix
         u = drinfeld_element(t, a, r)
-        rep = check_drinfeld(t, u, r_inverse(dz2), None, square_of_antipode(t, a))
+        rep = check_drinfeld(t, u, r_inverse(dz2), None, square_of_antipode(t, a.sl))
         res = rep.find("drinfeld.inverse")
         assert res.status == "fail" and res.note == "comparison map not invertible"
         assert rep.find("drinfeld.square_of_antipode") is None
@@ -235,6 +237,35 @@ class TestMissingInverses:
         assert rep.find("twist.from_inverse").status == "fail"
         rep = check_inverse_drinfeld_twist(t, a, r, False, u, None)
         assert rep.find("twist.from_inverse").status == "skip"
+
+    def test_zero_r_has_no_drinfeld_inverse(self, dz2):
+        # with R = 0 the braiding of the free module with its dual is zero,
+        # so the comparison map is not invertible and the report says so
+        zero = PairFamily(dz2.t, {}, "0")
+        assert drinfeld_inverse(dz2.t, dz2.antipode, zero) is None
+        rep = verify_model(dataclasses.replace(dz2, rmatrix=zero),
+                           checks=("quasitriangular",))
+        res = rep.find("drinfeld.inverse")
+        assert res.status == "fail" and res.note == "comparison map not invertible"
+
+    def test_singular_comparison_map_has_no_drinfeld_inverse(self, dz2, monkeypatch):
+        # zero one column of the braiding where its solution is zero: the
+        # solve stays consistent, and only its null basis shows that the
+        # comparison map is not invertible
+        braid = qtrib.braiding_on_modules
+
+        def singular(t, r, m, n):
+            tau = braid(t, r, m, n)
+            f = t.base.field
+            blk = tau.block(0, 0).copy()
+            x = solve_affine(f, blk, coev_mor(n.carrier).block(0, 0))[0]
+            j = next(j for j in range(blk.shape[1]) if x[j, 0] == f.zero)
+            blk[:, j:j + 1] = f.zeros((blk.shape[0], 1))
+            return GradedMor(tau.src, tau.dst, {(0, 0): blk})
+
+        assert drinfeld_inverse(dz2.t, dz2.antipode, dz2.rmatrix) is not None
+        monkeypatch.setattr(qtrib, "braiding_on_modules", singular)
+        assert drinfeld_inverse(dz2.t, dz2.antipode, dz2.rmatrix) is None
 
     def test_rmatrix_without_convolution_inverse(self, dz2):
         rep = check_rmatrix(dz2.t, dz2.rmatrix, None)

@@ -6,16 +6,27 @@ one byte of a report fails here; a change that is meant to alter a
 report must say so and re-pin the hash.  One 25-dimensional report on
 one label is pinned too: the quasitriangular suite of the Drinfeld
 double of Z5 over GF(11).
+
+The number of `compare_at` calls and of the simple tuples they evaluate
+is pinned as well, per operation of the benchmark in perfbench/, against
+the counts its digests file records (read here, never written).  Merging
+two item generators into one must keep both numbers.
 """
 
 import hashlib
 import json
+import sys
+from pathlib import Path
 
 import pytest
 
 from hopfmonad import zoo
 from hopfmonad.cli import main
 from hopfmonad.exactla import FieldSpec
+from hopfmonad.monad import compare_at
+
+DIGESTS = json.loads((Path(__file__).resolve().parents[1] / "perfbench" / "digests.json")
+                     .read_text())["ops"]
 
 PINNED = {
     "trivial": (0, "c76b33786bc62e4192095e5c2bece29979c1d4064e4df838e38d5d5591d7f1ed"),
@@ -39,13 +50,52 @@ def test_report_is_pinned(example, capsys):
     assert (code, digest) == PINNED[example]
 
 
-def test_double_z5_f11_quasitriangular_is_pinned(tmp_path, capsys):
+def double_z5_f11(tmp_path) -> str:
     pres = zoo.build_drinfeld_double_group(
         zoo.cyclic_group_table(5), FieldSpec.prime(11), "double_z5_f11")
     path = tmp_path / "double_z5_f11.json"
     path.write_text(json.dumps(pres, indent=2, sort_keys=True))
-    code = main(["verify", str(path), "--checks", "quasitriangular", "--json",
-                 "--seed", "0"])
+    return str(path)
+
+
+def test_double_z5_f11_quasitriangular_is_pinned(tmp_path, capsys):
+    code = main(["verify", double_z5_f11(tmp_path), "--checks", "quasitriangular",
+                 "--json", "--seed", "0"])
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert (code, digest) == (
         0, "e9d1eae9e8948501699d423eae97b6a9c2fc56eb39e02bf86d981cf75f871550")
+
+
+def count_compare_at(monkeypatch) -> dict:
+    """Count `compare_at` calls and the items they consume, through every
+    hopfmonad module that binds the name, as the traced benchmark does."""
+    counts = {"calls": 0, "items": 0}
+
+    def counted(report, check, items):
+        def each():
+            for item in items:
+                counts["items"] += 1
+                yield item
+        counts["calls"] += 1
+        return compare_at(report, check, each())
+
+    for name, mod in list(sys.modules.items()):
+        if name == "hopfmonad" or name.startswith("hopfmonad."):
+            for attr, value in list(vars(mod).items()):
+                if value is compare_at:
+                    monkeypatch.setattr(mod, attr, counted)
+    return counts
+
+
+@pytest.mark.parametrize("example", sorted(n for n in PINNED if "compare_at" in DIGESTS[n]))
+def test_report_compare_at_counts_are_pinned(example, monkeypatch, capsys):
+    counts = count_compare_at(monkeypatch)
+    assert main(["report", example, "--json", "--seed", "1"]) == DIGESTS[example]["exit"]
+    assert counts == DIGESTS[example]["compare_at"]
+
+
+def test_double_z5_f11_compare_at_counts_are_pinned(tmp_path, monkeypatch, capsys):
+    path = double_z5_f11(tmp_path)
+    counts = count_compare_at(monkeypatch)
+    assert main(["verify", path, "--checks", "quasitriangular", "--json", "--seed", "1"]) == 0
+    assert counts == DIGESTS["double_z5_f11"]["compare_at"]

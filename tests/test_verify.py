@@ -6,8 +6,9 @@ import sys
 
 import pytest
 
-from hopfmonad import antipode, hopfstruct, qtrib
+from hopfmonad import antipode, hopfstruct, qtrib, verify
 from hopfmonad.antipode import AntipodeData
+from hopfmonad.chain import ChainOverflow
 from hopfmonad.cli import main
 from hopfmonad.verify import SUITES, verify_model
 
@@ -23,9 +24,15 @@ BUILDERS = [
 
 
 def count_calls(monkeypatch, fn, counts):
-    """Wrap `fn` in every loaded hopfmonad module that bound it by name."""
+    """Wrap `fn` in every loaded hopfmonad module that bound it by name.
+
+    square_of_antipode builds S² from the left antipode and S⁻² from the
+    right one, so its calls are counted per structure: by the side's label."""
+    by_side = fn is antipode.square_of_antipode
+
     def counted(*args, **kwargs):
-        counts[fn.__name__] += 1
+        key = f"{fn.__name__}[{args[1].label}]" if by_side else fn.__name__
+        counts[key] = counts.get(key, 0) + 1
         return fn(*args, **kwargs)
 
     for name, mod in list(sys.modules.items()):
@@ -45,7 +52,8 @@ def test_each_structure_built_once(fixture, request, monkeypatch):
     assert rep.passed, [x.line() for x in rep.failures()]
     assert all(n <= 1 for n in counts.values()), counts
     # each structure was needed by some suite, so the counters did see calls
-    assert counts["square_of_antipode"] == counts["gamma_family"] == 1
+    assert counts["square_of_antipode[left antipode]"] == counts["gamma_family"] == 1
+    assert counts["square_of_antipode[right antipode]"] == 1
     assert counts["drinfeld_element"] == (m.rmatrix is not None)
 
 
@@ -56,6 +64,19 @@ def test_drinfeld_command_builds_u_once(monkeypatch, capsys):
     assert main(["drinfeld", "double_z2", "--json"]) == 0
     assert counts["drinfeld_element"] == 1
     assert len(json.loads(capsys.readouterr().out)["info"]["drinfeld_element"]) == 4
+
+
+def test_overflow_in_drinfeld_inverse_is_an_internal_error(dz2, monkeypatch, capsys):
+    # only a comparison map that is not invertible becomes a report line;
+    # a chain that overflows while u⁻¹ is built ends the run (exit 3)
+    def overflow(*args):
+        raise ChainOverflow("intermediate too large")
+
+    monkeypatch.setattr(verify, "drinfeld_inverse", overflow)
+    with pytest.raises(ChainOverflow):
+        verify_model(dz2, checks=("quasitriangular",))
+    assert main(["verify", "double_z2", "--checks", "quasitriangular"]) == 3
+    assert "intermediate too large" in capsys.readouterr().err
 
 
 # the checks a one-sided kz2 cannot run, by the side it keeps
