@@ -15,6 +15,10 @@ Prints one table:
   `decomp.kernel_match` probe (the 432x72 matrix whose kernel
   fundamental_iso compares with the unit's image, for a randomized
   induced Hopf module);
+- `presentation.load` of the 25-dim double of Z5 over GF(11) and over Q,
+  the 36-dim double of S3 over GF(7) and the 49-dim double of Z7 over
+  GF(29), each presentation read back from its JSON text, as the CLI
+  reads a file;
 - end-to-end verifications: ks3, the 4-dim double of Z2 and the 4-dim
   Sweedler algebra over Q against GF(3) and GF(1048573), the rational
   lane's ratios; then every suite of each of the ten small builtins of
@@ -151,6 +155,19 @@ def _verify(build, checks=SUITES) -> float:
     return best
 
 
+def _load(build) -> float:
+    """Best of REPEAT timings of presentation.load, each on a presentation
+    decoded afresh, outside the timer, from the JSON text of build()."""
+    text = json.dumps(build())
+    best = float("inf")
+    for _ in range(REPEAT):
+        pres = json.loads(text)
+        t0 = time.perf_counter()
+        presentation.load(pres)
+        best = min(best, time.perf_counter() - t0)
+    return best
+
+
 def _calibrate() -> None:
     """A fixed dict-and-tuple loop, the kind of work the plumbing does."""
     acc: dict = {}
@@ -217,6 +234,13 @@ def main():
     probe = _ks3_probe()
     row("Q rref (ks3 kernel_match probe)", "x".join(map(str, probe.shape)),
         _best(q.rref, probe))
+
+    for shown, name, field in (("double_z5", "double_z5_f11", f11),
+                               ("double_s3", "double_s3_f7", FieldSpec.prime(7)),
+                               ("double_z7", "double_z7_f29", FieldSpec.prime(29)),
+                               ("double_z5", "double_z5_f11", q)):
+        row(f"presentation.load {shown} ({field.describe()})", "",
+            _load(_builder(name, field)))
 
     f3 = FieldSpec.prime(3)
     big = FieldSpec.prime(1048573)

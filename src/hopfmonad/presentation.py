@@ -12,7 +12,7 @@ Schema (version 1):
   labels: [str, ...]                   (length 1 = plain vector spaces)
   vector backend:
     carrier: [[n]]
-    mul:  mul[a][b] = coefficient vector of e_a * e_b   (scalar strings)
+    mul:  mul[a][b] = coefficient vector of e_a * e_b
     unit: coefficient vector
     t2:   {"element_coproduct": [matrix per basis element]}
     t0:   coefficient vector (the counit functional)
@@ -23,11 +23,20 @@ Schema (version 1):
   graded backend:
     groupoid: {names, source, target, compose, inverse}
   meta: free-form strings (classical cross-check data)
+
+A scalar token is an integer or a string such as "3", "-7/2"; FieldSpec.coerce
+decides.  Each table becomes one field array: its distinct tokens are
+coerced once per load and the blocks are reshapes and transposes of that
+array.  A malformed token (a zero or p-divisible denominator included) is a
+SchemaError that names its table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+import itertools
+
+import numpy as np
 
 from .antipode import AntipodeData
 from .cat import BaseSpec, GradedMor, GradedObj
@@ -76,19 +85,67 @@ def _need(pres: dict, key: str):
     return pres[key]
 
 
-def _coerce_vec(f: FieldSpec, v, n: int, what: str):
-    if len(v) != n:
-        raise SchemaError(f"{what}: expected {n} entries, got {len(v)}")
+def _entries(table, shape: tuple, what: str) -> list:
+    """The entries of a nested list of the given shape, in row-major order."""
+    rows = [table]
+    for depth, size in enumerate(shape):
+        for r, row in enumerate(rows):
+            if not isinstance(row, (list, tuple)) or len(row) != size:
+                at = "".join(f"[{i}]" for i in np.unravel_index(r, shape[:depth]))
+                got = (f"{len(row)}" if isinstance(row, (list, tuple))
+                       else f"{type(row).__name__}")
+                raise SchemaError(f"{what}{at}: expected {size} entries, got {got}")
+        rows = list(itertools.chain.from_iterable(rows))
+    return rows
+
+
+def _hashable(x) -> bool:
     try:
-        return [f.coerce(x) for x in v]
-    except (ValueError, ExactError) as e:
-        raise SchemaError(f"{what}: {e}") from e
+        hash(x)
+    except TypeError:
+        return False
+    return True
 
 
-def _coerce_mat(f: FieldSpec, m, rows: int, cols: int, what: str):
-    if len(m) != rows or any(len(r) != cols for r in m):
-        raise SchemaError(f"{what}: expected {rows}x{cols}")
-    return [[f.coerce(x) for x in row] for row in m]
+def _field_array(f: FieldSpec, memo: dict, table, shape: tuple, what: str,
+                 named: int = 0):
+    """The field array of a nested list of scalar tokens with the given shape.
+
+    Each distinct token is coerced once per load: `memo` maps
+    (type(token), token) to its coerced value, so 1, "1", 1.0 and true keep
+    their own verdicts.  The array is the distinct values taken by each
+    entry's index among them.  An error names the table, followed by the
+    first `named` indices of the entry at fault.
+    """
+    flat = _entries(table, shape, what)
+
+    def name(k: int) -> str:
+        return what + "".join(f"[{i}]" for i in np.unravel_index(k, shape)[:named])
+
+    # tokens of one type are told apart by value alone
+    one_type = len(set(map(type, flat))) <= 1
+    keys = flat if one_type else list(zip(map(type, flat), flat))
+    try:
+        index = dict.fromkeys(keys)
+    except TypeError:
+        k = next(k for k, x in enumerate(flat) if not _hashable(x))
+        raise SchemaError(f"{name(k)}: not a scalar: {flat[k]!r}") from None
+    values = []
+    for code, key in enumerate(index):
+        index[key] = code
+        token = key if one_type else key[1]
+        typed = (type(token), token)
+        if typed not in memo:
+            try:
+                memo[typed] = f.coerce(token)
+            except ZeroDivisionError:
+                raise SchemaError(f"{name(keys.index(key))}: "
+                                  f"zero denominator in {token!r}") from None
+            except (ValueError, ExactError) as e:
+                raise SchemaError(f"{name(keys.index(key))}: {e}") from e
+        values.append(memo[typed])
+    codes = np.fromiter(map(index.__getitem__, keys), dtype=np.intp, count=len(keys))
+    return f.asarray([values])[0][codes].reshape(shape)
 
 
 def load(pres: dict) -> Model:
@@ -122,35 +179,27 @@ def _load_vector(pres: dict, name: str, base: BaseSpec) -> Model:
         raise SchemaError("carrier dimension must be positive")
     a_obj = GradedObj.space(base, n, name="A")
     s_obj = GradedObj.simple(base, 0, 0)
+    memo: dict = {}
 
-    mul = _need(pres, "mul")
-    if len(mul) != n or any(len(row) != n for row in mul):
-        raise SchemaError("mul must be an n x n table of coefficient vectors")
-    mul = [[_coerce_vec(f, mul[a][b], n, f"mul[{a}][{b}]") for b in range(n)]
-           for a in range(n)]
-    unit = _coerce_vec(f, _need(pres, "unit"), n, "unit")
-    alg = AlgebraTable(f, mul, unit)
+    def table(data, shape, what, named=0):
+        return _field_array(f, memo, data, shape, what, named)
 
-    m_block = f.asarray([[mul[a][b][c] for a in range(n) for b in range(n)]
-                         for c in range(n)])
-    m = GradedMor(a_obj.tensor(a_obj), a_obj, {(0, 0): m_block})
-    u_block = f.asarray([[x] for x in unit])
-    u = GradedMor(GradedObj.unit(base), a_obj, {(0, 0): u_block})
+    mul = table(_need(pres, "mul"), (n, n, n), "mul", named=2)
+    unit = table(_need(pres, "unit"), (n,), "unit")
+    alg = AlgebraTable(f, mul.tolist(), unit.tolist())
+    # m sends e_a ⊗ e_b (column a*n + b) to mul[a][b]
+    m = GradedMor(a_obj.tensor(a_obj), a_obj, {(0, 0): mul.reshape(n * n, n).T.copy()})
+    u = GradedMor(GradedObj.unit(base), a_obj, {(0, 0): unit.reshape(n, 1)})
 
     t2_spec = _need(pres, "t2")
     if "element_coproduct" not in t2_spec:
         raise SchemaError("vector-backend t2 needs element_coproduct")
-    deltas = t2_spec["element_coproduct"]
-    if len(deltas) != n:
-        raise SchemaError("element_coproduct needs one matrix per basis element")
-    ds = [_coerce_mat(f, deltas[a], n, n, f"coproduct[{a}]") for a in range(n)]
-    t2_block = f.asarray([[ds[a][p][q] for a in range(n)]
-                          for p in range(n) for q in range(n)])
+    ds = table(t2_spec["element_coproduct"], (n, n, n), "coproduct", named=1)
+    # column a holds the coproduct matrix of e_a, row p*n + q its (p, q) entry
     t2_comp = GradedMor(a_obj.tensor(s_obj).tensor(s_obj),
                         a_obj.tensor(s_obj).tensor(a_obj).tensor(s_obj),
-                        {(0, 0): t2_block})
-    t0_vec = _coerce_vec(f, _need(pres, "t0"), n, "t0")
-    t0_block = f.asarray([t0_vec])
+                        {(0, 0): ds.reshape(n, n * n).T.copy()})
+    t0_block = table(_need(pres, "t0"), (n,), "t0").reshape(1, n)
     t0 = GradedMor(a_obj, GradedObj.unit(base), {(0, 0): t0_block})
 
     t = TensoringBimonad(base, a_obj, m, u, {((0, 0), (0, 0)): t2_comp}, t0,
@@ -162,15 +211,14 @@ def _load_vector(pres: dict, name: str, base: BaseSpec) -> Model:
         spec = pres["antipode"]
         if "element" not in spec:
             raise SchemaError("vector-backend antipode needs an element matrix")
-        s = _coerce_mat(f, spec["element"], n, n, "antipode")
+        s = table(spec["element"], (n, n), "antipode")
         if "element_inverse" in spec:
-            s_inv = _coerce_mat(f, spec["element_inverse"], n, n, "antipode inverse")
+            s_inv = table(spec["element_inverse"], (n, n), "antipode inverse")
         else:
-            inv = inverse(f, f.asarray(s))
-            if inv is None:
+            s_inv = inverse(f, s)
+            if s_inv is None:
                 raise SchemaError("antipode matrix is singular")
-            s_inv = [list(row) for row in inv]
-        model.s_matrix, model.s_inv_matrix = s, s_inv
+        model.s_matrix, model.s_inv_matrix = s.tolist(), s_inv.tolist()
         model.antipode = AntipodeData(
             t,
             sl={(0, 0): _antipode_component(t, s)},
@@ -180,62 +228,62 @@ def _load_vector(pres: dict, name: str, base: BaseSpec) -> Model:
         spec = pres["rmatrix"]
         if "element" not in spec:
             raise SchemaError("vector-backend rmatrix needs an element matrix")
-        r = _coerce_mat(f, spec["element"], n, n, "rmatrix")
-        model.r_elem = r
-        block = f.asarray([[r[q][p]] for p in range(n) for q in range(n)])
+        r = table(spec["element"], (n, n), "rmatrix")
+        model.r_elem = r.tolist()
+        # row p*n + q holds r[q][p]
         comp = GradedMor(s_obj.tensor(s_obj),
                          t.on_obj(s_obj).tensor(t.on_obj(s_obj)),
-                         {(0, 0): block})
+                         {(0, 0): r.T.reshape(n * n, 1)})
         model.rmatrix = PairFamily(t, {((0, 0), (0, 0)): comp}, "R")
 
     if "twist" in pres:
         spec = pres["twist"]
-        v = _coerce_vec(f, _need(spec, "element"), n, "twist")
+        v = table(_need(spec, "element"), (n,), "twist")
         if "element_inverse" in spec:
-            w = _coerce_vec(f, spec["element_inverse"], n, "twist inverse")
+            w = table(spec["element_inverse"], (n,), "twist inverse")
         else:
-            w = alg.inverse(v)
+            w = alg.inverse(v.tolist())
             if w is None:
                 raise SchemaError("twist element is not invertible")
         model.twist = (element_from_vector(t, v, "theta"),
                        element_from_vector(t, w, "theta_inv"))
 
-    for k, gvec in enumerate(pres.get("grouplikes", [])):
-        g = _coerce_vec(f, gvec, n, f"grouplike[{k}]")
-        model.grouplikes.append(element_from_vector(t, g, f"g{k}"))
+    grouplikes = pres.get("grouplikes", [])
+    gs = table(grouplikes, (len(grouplikes), n), "grouplike", named=1)
+    model.grouplikes = [element_from_vector(t, g, f"g{k}") for k, g in enumerate(gs)]
 
     for k, spec in enumerate(pres.get("stock_modules", [])):
         d = int(spec["dim"])
-        act = _coerce_mat(f, spec["action"], d, n * d, f"stock_modules[{k}]")
+        act = table(spec["action"], (d, n * d), f"stock_modules[{k}]")
         carrier = GradedObj.space(base, d, f"V{k}")
-        blk = f.asarray(act)
         mod = TModule(t, carrier, GradedMor(t.on_obj(carrier), carrier,
-                                            {(0, 0): blk}), check=True)
+                                            {(0, 0): act}), check=True)
         model.stock_modules.append(mod)
     return model
 
 
 def element_from_vector(t: TensoringBimonad, v, label="f") -> Element:
-    """Element of the convolution monoid from a carrier coefficient vector."""
-    f = t.base.field
-    n = t.carrier_dim
+    """Element of the convolution monoid from a carrier coefficient vector:
+    a field array of n entries, or a list of n coercible scalars."""
+    if isinstance(v, list):
+        v = t.base.field.asarray([v])
     s = t.simple((0, 0))
-    block = f.asarray([[v[a]] for a in range(n)])
+    block = v.reshape(t.carrier_dim, 1)
     return Element(t, {(0, 0): GradedMor(s, t.on_obj(s), {(0, 0): block})}, label)
 
 
 def _antipode_component(t: TensoringBimonad, s_matrix) -> GradedMor:
-    """One-label antipode component from an element-level matrix.
+    """One-label antipode component from an element-level matrix (a field
+    array).
 
     The component sends h ⊗ ξ to ξ(S h); with the flip braiding of plain
     vector spaces this is the classical expansion.
     """
-    f = t.base.field
     n = t.carrier_dim
     s = t.simple((0, 0))
     src = t.on_obj(t.on_obj(s).dual())
-    block = f.asarray([[s_matrix[j][h] for h in range(n) for j in range(n)]])
-    return GradedMor(src, s.dual(), {(0, 0): block})
+    # entry h*n + j is s_matrix[j][h]
+    return GradedMor(src, s.dual(), {(0, 0): s_matrix.T.reshape(1, n * n)})
 
 
 # ---------------------------------------------------------------------------

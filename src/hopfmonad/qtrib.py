@@ -386,25 +386,6 @@ def check_drinfeld(t: TensoringBimonad, u: Element, r_inv: PairFamily,
     return rep
 
 
-def classical_drinfeld_vector(t: TensoringBimonad, alg, r_elem,
-                              s_matrix) -> list:
-    """Element-level sum S(second leg) * (first leg) of the R-element."""
-    f = t.base.field
-    n = t.carrier_dim
-    out = [f.zero] * n
-    for a_i in range(n):
-        for b_i in range(n):
-            coeff = f.coerce(r_elem[a_i][b_i])
-            if coeff == f.zero:
-                continue
-            sb = [f.coerce(s_matrix[k][b_i]) for k in range(n)]
-            ea = [f.one if j == a_i else f.zero for j in range(n)]
-            prod = alg.product(sb, ea)
-            for c in range(n):
-                out[c] = f.coerce(out[c] + coeff * prod[c])
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Twists and the sovereign element
 # ---------------------------------------------------------------------------

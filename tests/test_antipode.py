@@ -100,7 +100,8 @@ class TestClassicalEquivalence:
         verdicts = set()
         for s_rows in candidates:
             s_coerced = [[f.coerce(x) for x in row] for row in s_rows]
-            a_data = AntipodeData(t, sl={(0, 0): _antipode_component(t, s_coerced)})
+            a_data = AntipodeData(
+                t, sl={(0, 0): _antipode_component(t, f.asarray(s_coerced))})
             axiom = check_left_antipode(t, a_data).passed
             classical = self._classical_left(alg, delta_mat, counit, s_coerced)
             assert axiom == classical

@@ -50,6 +50,23 @@ class TestExitCodes:
     def test_unreadable_file_is_two(self):
         assert run_cli(["verify", "/nonexistent.json"]).returncode == 2
 
+    @pytest.mark.parametrize("field", [FieldSpec.rationals(), FieldSpec.prime(7)],
+                             ids=["Q", "GF7"])
+    @pytest.mark.parametrize("where", ["unit", "antipode"])
+    def test_zero_denominator_is_two(self, tmp_path, capsys, field, where):
+        pres = zoo.build_sweedler(field)
+        if where == "unit":
+            pres["unit"][0] = "1/0"
+        else:
+            pres["antipode"]["element"][1][2] = "1/0"
+        path = tmp_path / "zero.json"
+        path.write_text(json.dumps(pres))
+        with pytest.raises(SystemExit) as exited:
+            main(["verify", str(path)])
+        assert exited.value.code == 2
+        assert capsys.readouterr().err == \
+            f"input error: {where}: zero denominator in '1/0'\n"
+
     def test_internal_error_is_three(self, monkeypatch, capsys):
         # an exact-arithmetic failure (here ChainOverflow) ends in a message
         monkeypatch.setattr(chain, "MAX_STATE_ENTRIES", 10)

@@ -21,7 +21,6 @@ from hopfmonad.qtrib import (
     check_r_dual_laws,
     check_rmatrix,
     check_twist,
-    classical_drinfeld_vector,
     drinfeld_element,
     drinfeld_inverse,
     sovereign_from_twist,
@@ -31,6 +30,24 @@ from hopfmonad.report import Report
 from hopfmonad.verify import verify_model
 
 Q = FieldSpec.rationals()
+
+
+def classical_drinfeld_vector(t, alg, r_elem, s_matrix) -> list:
+    """Element-level sum S(second leg) * (first leg) of the R-element."""
+    f = t.base.field
+    n = t.carrier_dim
+    out = [f.zero] * n
+    for a_i in range(n):
+        for b_i in range(n):
+            coeff = f.coerce(r_elem[a_i][b_i])
+            if coeff == f.zero:
+                continue
+            sb = [f.coerce(s_matrix[k][b_i]) for k in range(n)]
+            ea = [f.one if j == a_i else f.zero for j in range(n)]
+            prod = alg.product(sb, ea)
+            for c in range(n):
+                out[c] = f.coerce(out[c] + coeff * prod[c])
+    return out
 
 
 @pytest.fixture(scope="module")

@@ -1,11 +1,14 @@
 """Builders and the presentation schema."""
 
+import itertools
 import json
+import re
 
 import pytest
 
 from hopfmonad import presentation, zoo
-from hopfmonad.exactla import ExactError, FieldSpec
+from hopfmonad.cli import EXAMPLES
+from hopfmonad.exactla import ExactError, FieldSpec, inverse
 from hopfmonad.monad import check_bimonad
 from hopfmonad.presentation import SchemaError, load
 
@@ -81,6 +84,23 @@ class TestBuilders:
             zoo.build_groupoid_algebra(["1"], [("g", 0, 0), ("h", 0, 0)], Q)
 
 
+# where a bad scalar goes in the tables of the double of Z2, by the name the
+# loader's error gives
+PUT = {
+    "mul[1][2]": lambda p, x: p["mul"][1][2].__setitem__(3, x),
+    "unit": lambda p, x: p["unit"].__setitem__(1, x),
+    "coproduct[3]": lambda p, x: p["t2"]["element_coproduct"][3][1].__setitem__(2, x),
+    "t0": lambda p, x: p["t0"].__setitem__(2, x),
+    "antipode": lambda p, x: p["antipode"]["element"][2].__setitem__(1, x),
+    "antipode inverse": lambda p, x: p["antipode"]["element_inverse"][0].__setitem__(3, x),
+    "rmatrix": lambda p, x: p["rmatrix"]["element"][1].__setitem__(1, x),
+    "twist": lambda p, x: p["twist"]["element"].__setitem__(0, x),
+    "twist inverse": lambda p, x: p["twist"]["element_inverse"].__setitem__(3, x),
+    "grouplike[0]": lambda p, x: p["grouplikes"][0].__setitem__(1, x),
+    "stock_modules[0]": lambda p, x: p["stock_modules"][0]["action"][1].__setitem__(5, x),
+}
+
+
 class TestSchema:
     def test_missing_keys(self):
         with pytest.raises(SchemaError):
@@ -112,6 +132,165 @@ class TestSchema:
     def test_multilabel_without_groupoid_rejected(self):
         with pytest.raises(SchemaError):
             load({"schema": 1, "name": "x", "field": "Q", "labels": ["a", "b"]})
+
+    @pytest.mark.parametrize("where", list(PUT))
+    @pytest.mark.parametrize("field,bad,why", [
+        (Q, "x", "Invalid literal"), (Q, "1/0", "zero denominator"),
+        (F3, "x", "Invalid literal"), (F3, "1/0", "zero denominator"),
+        (F3, "2/6", "vanishes mod 3"), (Q, 1.5, "cannot coerce"),
+        (F3, [1], "not a scalar"), (Q, {"a": 1}, "not a scalar")])
+    def test_bad_scalar_names_its_table(self, where, field, bad, why):
+        pres = zoo.build_drinfeld_double_group(zoo.cyclic_group_table(2), field)
+        PUT[where](pres, bad)
+        with pytest.raises(SchemaError) as err:
+            load(pres)
+        assert str(err.value).startswith(where), str(err.value)
+        assert why in str(err.value)
+
+
+def _map_tokens(table, fn):
+    if isinstance(table, list):
+        return [_map_tokens(x, fn) for x in table]
+    return fn(table)
+
+
+class TestScalarMemo:
+    def test_each_distinct_token_is_coerced_once_per_load(self, monkeypatch):
+        pres = zoo.build_drinfeld_double_group(zoo.cyclic_group_table(5),
+                                               FieldSpec.prime(11))
+        seen = []
+        coerce = FieldSpec.coerce
+
+        def counting(spec, x):
+            seen.append(x)
+            return coerce(spec, x)
+
+        monkeypatch.setattr(FieldSpec, "coerce", counting)
+        load(pres)
+        assert sorted(seen) == ["0", "1"]
+        seen.clear()
+        load(pres)  # the memo lives for one load
+        assert sorted(seen) == ["0", "1"]
+
+    @pytest.mark.parametrize("field", [Q, F3])
+    def test_token_types_keep_their_verdicts(self, field):
+        pres = zoo.build_drinfeld_double_group(zoo.cyclic_group_table(2), field)
+        ones = itertools.cycle([1, "1", True])
+        mixed = _map_tokens(pres["mul"], lambda x: next(ones) if x == "1" else x)
+        assert {type(x) for row in mixed for v in row for x in v} == {str, int, bool}
+        got = load(dict(pres, mul=mixed))
+        want = load(pres)
+        assert field.equal(got.t.m.block(0, 0), want.t.m.block(0, 0))
+        assert got.alg.mul == want.alg.mul
+        # 1.0 equals 1 and hashes like it, but a float is still no scalar
+        mixed[1][1][0] = 1.0
+        with pytest.raises(SchemaError, match=r"^mul\[1\]\[1\]: cannot coerce 1\.0"):
+            load(dict(pres, mul=mixed))
+
+    @pytest.mark.parametrize("where", list(PUT))
+    @pytest.mark.parametrize("bad", ["1/3", "2/6", "-5/3"])
+    def test_vanishing_denominator_is_rejected_at_every_occurrence(self, where, bad):
+        pres = zoo.build_drinfeld_double_group(zoo.cyclic_group_table(2), F3)
+        # tokens equal to 1 but spelled otherwise are coerced on their own
+        pres["mul"] = _map_tokens(pres["mul"], lambda x: "3/3" if x == "1" else x)
+        load(pres)
+        PUT[where](pres, bad)
+        with pytest.raises(SchemaError,
+                           match=rf"^{re.escape(where)}: denominator of .* vanishes mod 3"):
+            load(pres)
+
+    @pytest.mark.parametrize("name", [n for n in EXAMPLES if "groupoid" not in n]
+                             + ["double_z5_f11"])
+    def test_blocks_equal_the_entrywise_construction(self, name):
+        if name == "double_z5_f11":
+            pres = zoo.build_drinfeld_double_group(zoo.cyclic_group_table(5),
+                                                   FieldSpec.prime(11), name)
+        else:
+            pres = EXAMPLES[name]()
+        pres = json.loads(json.dumps(pres))
+        model = load(pres)
+        f = model.base.field
+        got, want = _loaded_blocks(model), _entrywise_blocks(pres)
+        assert got.keys() == want.keys()
+        for key in want:
+            assert got[key].shape == want[key].shape, key
+            assert got[key].dtype == want[key].dtype, key
+            assert f.equal(got[key], want[key]), key
+        want_lists = _entrywise_lists(pres)
+        assert model.alg.mul == want_lists["mul"] and model.alg.unit == want_lists["unit"]
+        assert model.s_matrix == want_lists["s"]
+        assert model.s_inv_matrix == want_lists["s_inv"]
+        assert model.r_elem == want_lists.get("r")
+
+
+def _entrywise_lists(pres: dict) -> dict:
+    f = presentation._parse_field(pres["field"])
+
+    def rows(m):
+        return [[f.coerce(x) for x in r] for r in m]
+
+    out = {"mul": [rows(r) for r in pres["mul"]],
+           "unit": [f.coerce(x) for x in pres["unit"]],
+           "s": rows(pres["antipode"]["element"])}
+    if "element_inverse" in pres["antipode"]:
+        out["s_inv"] = rows(pres["antipode"]["element_inverse"])
+    else:
+        out["s_inv"] = [list(r) for r in inverse(f, f.asarray(out["s"]))]
+    if "rmatrix" in pres:
+        out["r"] = rows(pres["rmatrix"]["element"])
+    return out
+
+
+def _entrywise_blocks(pres: dict) -> dict:
+    """The blocks of a vector-backend presentation, made entry by entry from
+    coerced nested lists, the way the loader made them before it worked
+    on arrays."""
+    f = presentation._parse_field(pres["field"])
+    n = pres["carrier"][0][0]
+    lists = _entrywise_lists(pres)
+    mul, s, s_inv = lists["mul"], lists["s"], lists["s_inv"]
+    ds = [[[f.coerce(x) for x in r] for r in m] for m in pres["t2"]["element_coproduct"]]
+
+    def antipode(s):
+        return f.asarray([[s[j][h] for h in range(n) for j in range(n)]])
+
+    def column(v):
+        return f.asarray([[f.coerce(x)] for x in v])
+
+    out = {"m": f.asarray([[mul[a][b][c] for a in range(n) for b in range(n)]
+                           for c in range(n)]),
+           "u": column(pres["unit"]),
+           "t2": f.asarray([[ds[a][p][q] for a in range(n)]
+                            for p in range(n) for q in range(n)]),
+           "t0": f.asarray([[f.coerce(x) for x in pres["t0"]]]),
+           "sl": antipode(s), "sr": antipode(s_inv)}
+    if "rmatrix" in pres:
+        r = lists["r"]
+        out["R"] = f.asarray([[r[q][p]] for p in range(n) for q in range(n)])
+    if "twist" in pres:
+        out["theta"] = column(pres["twist"]["element"])
+        out["theta_inv"] = column(pres["twist"]["element_inverse"])
+    for k, g in enumerate(pres.get("grouplikes", [])):
+        out[f"g{k}"] = column(g)
+    for k, spec in enumerate(pres.get("stock_modules", [])):
+        out[f"V{k}"] = f.asarray([[f.coerce(x) for x in r] for r in spec["action"]])
+    return out
+
+
+def _loaded_blocks(model) -> dict:
+    t, key = model.t, ((0, 0), (0, 0))
+    out = {"m": t.m.block(0, 0), "u": t.u.block(0, 0), "t2": t.t2[key].block(0, 0),
+           "t0": t.t0.block(0, 0), "sl": model.antipode.sl[(0, 0)].block(0, 0),
+           "sr": model.antipode.sr[(0, 0)].block(0, 0)}
+    if model.rmatrix is not None:
+        out["R"] = model.rmatrix.comps[key].block(0, 0)
+    if model.twist is not None:
+        out["theta"], out["theta_inv"] = (e.comps[(0, 0)].block(0, 0) for e in model.twist)
+    for k, g in enumerate(model.grouplikes):
+        out[f"g{k}"] = g.comps[(0, 0)].block(0, 0)
+    for k, mod in enumerate(model.stock_modules):
+        out[f"V{k}"] = mod.action.block(0, 0)
+    return out
 
 
 class TestRegression:
