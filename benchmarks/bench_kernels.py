@@ -6,9 +6,9 @@ Prints one table:
 - the sparse traffic of the quasitriangular suite on the 25-dim Drinfeld
   double of Z5 over GF(11): a (25x625)@(625x15625) product at the
   densities measured there (0.008 and 0.0003; the density column shows
-  the right factor's), and the 625x1250 [A | I] row reduction that
-  inverts a 625-dim braiding, with A a scaled permutation matrix plus a
-  few extra entries;
+  the right factor's);
+- `qtrib.drinfeld_inverse` on the 25-dim double of Z5 over GF(11) and the
+  36-dim double of S3 over GF(7), with R⁻¹ built outside the timer;
 - the three costliest rational product shapes of the ks3 report, at the
   densities measured there (left/right factor), with small rationals over
   the denominators seen there, and the rational row reduction of ks3's
@@ -48,6 +48,7 @@ Usage:  python benchmarks/bench_kernels.py [--sizes 128 256 512]
 
 import argparse
 import gc
+import inspect
 import json
 import os
 import platform
@@ -57,7 +58,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from hopfmonad import hopfstruct, presentation, zoo
+from hopfmonad import hopfstruct, presentation, qtrib, zoo
 from hopfmonad.cli import EXAMPLES
 from hopfmonad.exactla import FieldSpec
 from hopfmonad.verify import SUITES, verify_model
@@ -155,6 +156,21 @@ def _verify(build, checks=SUITES) -> float:
     return best
 
 
+def _drinfeld_inverse(build) -> float:
+    """Best of REPEAT timings of qtrib.drinfeld_inverse on one model loaded
+    from build(), with R⁻¹ built outside the timer (the model keeps the
+    words and steps the first call builds, so this is a repeated call).
+
+    Until u⁻¹ was built through R⁻¹ the function took R itself, as a
+    parameter named `r`; it is handed what its signature names, so one
+    script times the commits on either side of that change."""
+    model = presentation.load(build())
+    t, a, r = model.t, model.antipode, model.rmatrix
+    takes_r_inv = "r_inv" in inspect.signature(qtrib.drinfeld_inverse).parameters
+    return _best(qtrib.drinfeld_inverse, t, a,
+                 qtrib.star_inverse_of_r(t, a, r) if takes_r_inv else r)
+
+
 def _load(build) -> float:
     """Best of REPEAT timings of presentation.load, each on a presentation
     decoded afresh, outside the timer, from the JSON text of build()."""
@@ -216,14 +232,8 @@ def main():
     b = _sparse(rng, (625, 15625), 0.0003, f11.p)
     row("sparse mod-p matmul", "25x625x15625", _best(f11.matmul, a, b),
         np.count_nonzero(b) / b.size)
-    n = 625
-    a = np.zeros((n, n), dtype=np.int64)
-    a[np.arange(n), rng.permutation(n)] = rng.integers(1, f11.p, n)
-    extra = rng.integers(0, n, size=(2, n // 8))
-    a[extra[0], extra[1]] = rng.integers(1, f11.p, n // 8)
-    ai = np.hstack([a, f11.eye(n)])
-    row("sparse mod-p rref [A|I]", f"{n}x{2 * n}", _best(f11.rref, ai),
-        np.count_nonzero(ai) / ai.size)
+    for name, field in (("double_z5_f11", f11), ("double_s3_f7", FieldSpec.prime(7))):
+        row(f"drinfeld_inverse {name}", "", _drinfeld_inverse(_builder(name, field)))
 
     q = FieldSpec.rationals()
     for m, k, c, da, db in KS3_Q_SHAPES:

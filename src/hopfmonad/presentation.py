@@ -79,10 +79,25 @@ def _parse_field(tag) -> FieldSpec:
     raise SchemaError(f"unknown field tag {tag!r}")
 
 
-def _need(pres: dict, key: str):
+def _need(pres: dict, key: str, what: str = ""):
+    """pres[key]; `what` names `pres` in the error when it is not the root."""
+    at = f"{what}: " if what else ""
+    if not isinstance(pres, dict):
+        raise SchemaError(f"{at}expected an object, got {type(pres).__name__}")
     if key not in pres:
-        raise SchemaError(f"missing key {key!r}")
+        raise SchemaError(f"{at}missing key {key!r}")
     return pres[key]
+
+
+def _size(x, what: str, least: int) -> int:
+    """An integer size of at least `least` read from the presentation."""
+    try:
+        k = int(x)
+    except (TypeError, ValueError):
+        raise SchemaError(f"{what}: not an integer: {x!r}") from None
+    if k < least:
+        raise SchemaError(f"{what}: must be at least {least}, got {k}")
+    return k
 
 
 def _entries(table, shape: tuple, what: str) -> list:
@@ -171,12 +186,8 @@ def load(pres: dict) -> Model:
 
 def _load_vector(pres: dict, name: str, base: BaseSpec) -> Model:
     f = base.field
-    carrier_grid = _need(pres, "carrier")
-    if len(carrier_grid) != 1 or len(carrier_grid[0]) != 1:
-        raise SchemaError("vector-backend carrier must be a 1x1 grid")
-    n = int(carrier_grid[0][0])
-    if n < 1:
-        raise SchemaError("carrier dimension must be positive")
+    # one label: a 1x1 grid
+    n = _size(_entries(_need(pres, "carrier"), (1, 1), "carrier")[0], "carrier", 1)
     a_obj = GradedObj.space(base, n, name="A")
     s_obj = GradedObj.simple(base, 0, 0)
     memo: dict = {}
@@ -253,8 +264,9 @@ def _load_vector(pres: dict, name: str, base: BaseSpec) -> Model:
     model.grouplikes = [element_from_vector(t, g, f"g{k}") for k, g in enumerate(gs)]
 
     for k, spec in enumerate(pres.get("stock_modules", [])):
-        d = int(spec["dim"])
-        act = table(spec["action"], (d, n * d), f"stock_modules[{k}]")
+        what = f"stock_modules[{k}]"
+        d = _size(_need(spec, "dim", what), what + ".dim", 0)
+        act = table(_need(spec, "action", what), (d, n * d), what)
         carrier = GradedObj.space(base, d, f"V{k}")
         mod = TModule(t, carrier, GradedMor(t.on_obj(carrier), carrier,
                                             {(0, 0): act}), check=True)

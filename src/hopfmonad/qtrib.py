@@ -5,6 +5,10 @@ Long composites are written in the order of the formulas they check.
 On one label chain.py contracts each as one tensor network, so the
 R-matrix and Drinfeld-element chains stay at carrier-dim^4
 (tests/test_chain.py records the peak on the doubles).
+
+u⁻¹ is built as the invertibility proof builds it, from the inverse
+braiding given by R⁻¹ and with no linear solve, so only once R⁻¹ has
+passed as the two-sided convolution inverse of R (see drinfeld_inverse).
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ from __future__ import annotations
 from .antipode import AntipodeData, s_map
 from .cat import GradedMor, coev_mor, ev_mor
 from .chain import Chain
-from .exactla import ExactError, solve_affine
+from .exactla import ExactError
 from .modcat import (TModule, dual_module, free_module, invert_module_map,
                      is_t_linear, tensor_modules)
 from .monad import (
@@ -51,6 +55,12 @@ def star_inverse_of_r(t: TensoringBimonad, a: AntipodeData,
             .then(ev_mor(s1), at=4)
         comps[(g2, g1)] = ch.eval()
     return PairFamily(t, comps, r.label + "^-1")
+
+
+# the checks that R⁻¹ is the two-sided convolution inverse of R, and the
+# note of the checks that read u⁻¹ when they fail, so u⁻¹ was not built
+STAR_INVERSE_CHECKS = ("rmatrix.star_inverse_left", "rmatrix.star_inverse_right")
+NO_R_INVERSE = "needs the convolution inverse of R"
 
 
 def check_rmatrix(t: TensoringBimonad, r: PairFamily,
@@ -129,14 +139,14 @@ def check_rmatrix(t: TensoringBimonad, r: PairFamily,
     compare_at(rep, "rmatrix.unit_left", unit_left_items())
     compare_at(rep, "rmatrix.unit_right", unit_right_items())
 
+    left, right = STAR_INVERSE_CHECKS
     if r_inv is not None:
         pairs = t.composable_pairs()
-        compare_at(rep, "rmatrix.star_inverse_left",
-                   _star_inverse_items(t, r, r_inv, pairs))
-        compare_at(rep, "rmatrix.star_inverse_right",
+        compare_at(rep, left, _star_inverse_items(t, r, r_inv, pairs))
+        compare_at(rep, right,
                    _star_inverse_items(t, r_inv, r, [(g2, g1) for g1, g2 in pairs]))
     else:
-        rep.skip("rmatrix.star_inverse_left", "needs a left antipode")
+        rep.skip(left, "needs a left antipode")
 
     compare_at(rep, "rmatrix.yang_baxter", _yang_baxter_items(t, r))
     return rep
@@ -229,10 +239,8 @@ def check_braiding(t: TensoringBimonad, r: PairFamily, r_inv: PairFamily | None,
     rep.record("braiding.invertible", inv is not None)
 
     if r_inv is not None:
-        mirror = Chain(m2.carrier.tensor(m1.carrier)) \
-            .then(r_inv.at_step(m2.carrier, m1.carrier), at=0) \
-            .then(m1.action, at=0) \
-            .then(m2.action, at=len(m1.carrier.atoms)).eval()
+        # the mirror: the exchange by R⁻¹ of the modules in the other order
+        mirror = braiding_on_modules(t, r_inv, m2, m1)
         rep.record("braiding.mirror_is_inverse", inv is not None and mirror == inv)
 
     tau13 = braiding_on_modules(t, r, m1, m3)
@@ -288,37 +296,31 @@ def drinfeld_element(t: TensoringBimonad, a: AntipodeData,
 
 
 def drinfeld_inverse(t: TensoringBimonad, a: AntipodeData,
-                     r: PairFamily) -> Element | None:
-    """The explicit convolution inverse of the Drinfeld element, or None
-    when the comparison map is not invertible.
+                     r_inv: PairFamily) -> Element:
+    """The convolution inverse of the Drinfeld element, built from R⁻¹ the
+    way the invertibility proof defines it.
 
-    Built the way the invertibility proof defines it: the inverse of the
-    canonical double-dual comparison at free modules, transported back
-    along the unit.  The comparison inverse pairs the free module M
-    against its preferred dual through the inverse braiding; only its
-    value on the coevaluation is needed, so that value x is solved for,
-    tau x = coev, one grade at a time.  A grade with no coevaluation block
-    gets a zero-width right-hand side, so every block of tau is tested for
-    injectivity.
+    At the free module M = T(S) of each simple S, u⁻¹ is the unit of S, then
+    id_M ⊗ x with x = τ⁻¹(coev_M), then the evaluation of M∨; τ is the
+    braiding of the dual module M∨ with M.  τ⁻¹ is τ's mirror through R⁻¹
+    (exchange by R⁻¹, then act on each leg), so x is contracted within the
+    chain and neither τ nor a (dim M)² matrix is formed.  The mirror
+    inverts τ exactly when `r_inv` is the two-sided convolution inverse of
+    R, so callers build u⁻¹ only after STAR_INVERSE_CHECKS have passed.
     """
-    f = t.base.field
     comps = {}
     for g in t.simples():
         s = t.simple(g)
         fm = free_module(t, s)
+        dm = dual_module(t, a.sl, fm)
         m_word = fm.carrier
-        tau = braiding_on_modules(t, r, dual_module(t, a.sl, fm), fm)
-        coev = coev_mor(m_word)
-        blocks = {}
-        for grade, blk in tau.blocks.items():
-            sol = solve_affine(f, blk, coev.blocks.get(grade, f.zeros((blk.shape[0], 0))))
-            if sol is None or sol[1].shape[1]:
-                return None
-            blocks[grade] = sol[0]
         n = len(m_word.atoms)
         ch = Chain(s) \
             .then(t.u, at=0) \
-            .then(GradedMor(coev.src, tau.src, blocks), at=n) \
+            .then(coev_mor(m_word), at=n) \
+            .then(r_inv.at_step(m_word, dm.carrier), at=n) \
+            .then(dm.action, at=n) \
+            .then(fm.action, at=n + len(dm.carrier.atoms)) \
             .then(ev_mor(m_word.dual()), at=0)
         comps[g] = ch.eval()
     return Element(t, comps, "u^-1")
@@ -335,7 +337,7 @@ def check_drinfeld(t: TensoringBimonad, u: Element, r_inv: PairFamily,
                    classical: list | None = None) -> Report:
     """The four identities of the Drinfeld element (plus classical check).
 
-    `u_inv` is None when the comparison map is not invertible."""
+    `u_inv` is None when R⁻¹ failed its convolution-inverse checks."""
     rep = Report(f"{t.name}: Drinfeld element")
     unit = t.unit_obj()
 
@@ -366,7 +368,7 @@ def check_drinfeld(t: TensoringBimonad, u: Element, r_inv: PairFamily,
     compare_at(rep, "drinfeld.counit", counit_items())
 
     if u_inv is None:
-        rep.record("drinfeld.inverse", False, note="comparison map not invertible")
+        rep.record("drinfeld.inverse", False, note=NO_R_INVERSE)
         return rep
     eta = eta_element(t)
     two_sided = convolve(t, u, u_inv) == eta and convolve(t, u_inv, u) == eta
@@ -470,8 +472,7 @@ def check_inverse_drinfeld_twist(t: TensoringBimonad, a: AntipodeData,
         rep.skip("twist.from_inverse", "structure is not involutory")
         return rep
     if u_inv is None:
-        rep.record("twist.from_inverse", False,
-                   note="comparison map not invertible")
+        rep.record("twist.from_inverse", False, note=NO_R_INVERSE)
         return rep
     sub = check_twist(t, a, r, u_inv, u)
     ok = all(x.status != "fail" for x in sub.results

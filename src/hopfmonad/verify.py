@@ -53,6 +53,7 @@ from .presentation import Model
 from .qtrib import (
     DRINFELD_CHECKS,
     FROM_INVERSE_CHECKS,
+    STAR_INVERSE_CHECKS,
     TWIST_CHECKS,
     check_braiding,
     check_drinfeld,
@@ -108,7 +109,9 @@ def verify_model(model: Model, checks: tuple = SUITES, seed: int = 0,
 
     The canonical structures (S², the involutivity verdict, gamma, R⁻¹, u,
     u⁻¹ and the cointegrals) are each built at most once per call, only by
-    a suite that runs, and handed to the checks that read them.
+    a suite that runs, and handed to the checks that read them.  R⁻¹ feeds
+    the R-matrix and braiding checks and also u⁻¹, which is built only
+    when R⁻¹ has passed as the two-sided convolution inverse of R.
     """
     t = model.t
     a = model.antipode
@@ -242,7 +245,8 @@ def verify_model(model: Model, checks: tuple = SUITES, seed: int = 0,
         else:
             r = model.rmatrix
             r_inv = star_inverse_of_r(t, a, r) if a is not None and a.has_left else None
-            rep.merge(check_rmatrix(t, r, r_inv))
+            r_rep = check_rmatrix(t, r, r_inv)
+            rep.merge(r_rep)
             if a is not None:
                 rep.merge(check_r_dual_laws(t, a, r))
                 classical = model.meta.get("classical_drinfeld")
@@ -250,7 +254,9 @@ def verify_model(model: Model, checks: tuple = SUITES, seed: int = 0,
                 # part that cannot run is skipped under each of its checks
                 if a.has_left:
                     u = rep.built["u"] = drinfeld_element(t, a, r)
-                    u_inv = drinfeld_inverse(t, a, r)
+                    inverse_ok = all(r_rep.find(c).status == "pass"
+                                     for c in STAR_INVERSE_CHECKS)
+                    u_inv = drinfeld_inverse(t, a, r_inv) if inverse_ok else None
                     if s2 is None:
                         s2 = square_of_antipode(t, a.sl)
                     rep.merge(check_drinfeld(t, u, r_inv, u_inv, s2, classical=classical))

@@ -260,8 +260,8 @@ class TestCriterion6Quasitriangular:
     def _suite(self, model, mods):
         t, a, r = model.t, model.antipode, model.rmatrix
         u = drinfeld_element(t, a, r)
-        ui = drinfeld_inverse(t, a, r)
         r_inv = star_inverse_of_r(t, a, r)
+        ui = drinfeld_inverse(t, a, r_inv)
         s2 = square_of_antipode(t, a.sl)
         rep = check_drinfeld(t, u, r_inv, ui, s2,
                              classical=model.meta["classical_drinfeld"])

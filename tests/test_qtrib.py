@@ -6,12 +6,15 @@ from fractions import Fraction
 
 import pytest
 
-from hopfmonad import presentation, qtrib, zoo
+from hopfmonad import presentation, qtrib, verify, zoo
 from hopfmonad.antipode import is_involutory, square_of_antipode
-from hopfmonad.cat import GradedMor, GradedObj, coev_mor
+from hopfmonad.cat import GradedMor, GradedObj, coev_mor, ev_mor
+from hopfmonad.chain import Chain
+from hopfmonad.cli import main
 from hopfmonad.exactla import FieldSpec, solve_affine
-from hopfmonad.modcat import TModule, random_module
-from hopfmonad.monad import PairFamily, adjoint_action, check_grouplike, eta_element
+from hopfmonad.modcat import TModule, dual_module, free_module, random_module
+from hopfmonad.monad import (Element, PairFamily, adjoint_action, check_grouplike,
+                             eta_element)
 from hopfmonad.presentation import element_from_vector
 from hopfmonad.qtrib import (
     braiding_on_modules,
@@ -67,7 +70,35 @@ def r_inverse(m):
 
 def drinfeld_pair(m):
     return (drinfeld_element(m.t, m.antipode, m.rmatrix),
-            drinfeld_inverse(m.t, m.antipode, m.rmatrix))
+            drinfeld_inverse(m.t, m.antipode, r_inverse(m)))
+
+
+def solved_drinfeld_inverse(t, a, r):
+    """Reference u⁻¹ by linear algebra: form the braiding τ of the dual free
+    module with the free module M = T(S), solve τx = coev_M one grade at a
+    time, and close x with the unit and the evaluation of M∨.  None when a
+    block of τ is not invertible."""
+    f = t.base.field
+    comps = {}
+    for g in t.simples():
+        s = t.simple(g)
+        fm = free_module(t, s)
+        m_word = fm.carrier
+        tau = braiding_on_modules(t, r, dual_module(t, a.sl, fm), fm)
+        coev = coev_mor(m_word)
+        blocks = {}
+        for grade, blk in tau.blocks.items():
+            sol = solve_affine(f, blk, coev.blocks.get(grade, f.zeros((blk.shape[0], 0))))
+            if sol is None or sol[1].shape[1]:
+                return None
+            blocks[grade] = sol[0]
+        n = len(m_word.atoms)
+        ch = Chain(s) \
+            .then(t.u, at=0) \
+            .then(GradedMor(coev.src, tau.src, blocks), at=n) \
+            .then(ev_mor(m_word.dual()), at=0)
+        comps[g] = ch.eval()
+    return Element(t, comps, "u^-1")
 
 
 @pytest.mark.parametrize("fixture", QT_FIXTURES)
@@ -131,10 +162,45 @@ class TestDrinfeld:
         assert got == element_from_vector(dz2.t, want, "d")
 
     def test_square_is_conjugation_by_u(self, dz2):
-        u = drinfeld_element(dz2.t, dz2.antipode, dz2.rmatrix)
-        ui = drinfeld_inverse(dz2.t, dz2.antipode, dz2.rmatrix)
+        u, ui = drinfeld_pair(dz2)
         assert square_of_antipode(dz2.t, dz2.antipode.sl) == \
             adjoint_action(dz2.t, u, ui)
+
+
+@pytest.fixture(scope="module")
+def double_z5_f11():
+    return presentation.load(zoo.build_drinfeld_double_group(
+        zoo.cyclic_group_table(5), FieldSpec.prime(11), "double_z5_f11"))
+
+
+@pytest.fixture(scope="module")
+def double_s3_f7():
+    return presentation.load(zoo.build_drinfeld_double_group(
+        zoo.symmetric3_table(), FieldSpec.prime(7), "double_s3_f7"))
+
+
+class TestDrinfeldInverseReference:
+    """u⁻¹ through R⁻¹ equals u⁻¹ solved from the braiding it inverts."""
+
+    @pytest.mark.parametrize("fixture", QT_FIXTURES + [
+        "double_z5_f11", pytest.param("double_s3_f7", marks=pytest.mark.long)])
+    def test_equals_solved(self, fixture, request):
+        m = request.getfixturevalue(fixture)
+        want = solved_drinfeld_inverse(m.t, m.antipode, m.rmatrix)
+        assert want is not None and drinfeld_pair(m)[1] == want
+
+    def test_no_row_reduction(self, dz2, monkeypatch):
+        r_inv = r_inverse(dz2)
+        calls = []
+        rref = FieldSpec.rref
+
+        def counted(self, a):
+            calls.append(a.shape)
+            return rref(self, a)
+
+        monkeypatch.setattr(FieldSpec, "rref", counted)
+        drinfeld_inverse(dz2.t, dz2.antipode, r_inv)
+        assert calls == []
 
 
 class TestBraiding:
@@ -248,41 +314,48 @@ class TestMissingInverses:
         u = drinfeld_element(t, a, r)
         rep = check_drinfeld(t, u, r_inverse(dz2), None, square_of_antipode(t, a.sl))
         res = rep.find("drinfeld.inverse")
-        assert res.status == "fail" and res.note == "comparison map not invertible"
+        assert res.status == "fail" and res.note == qtrib.NO_R_INVERSE
         assert rep.find("drinfeld.square_of_antipode") is None
         rep = check_inverse_drinfeld_twist(t, a, r, True, u, None)
-        assert rep.find("twist.from_inverse").status == "fail"
+        res = rep.find("twist.from_inverse")
+        assert res.status == "fail" and res.note == qtrib.NO_R_INVERSE
         rep = check_inverse_drinfeld_twist(t, a, r, False, u, None)
         assert rep.find("twist.from_inverse").status == "skip"
 
     def test_zero_r_has_no_drinfeld_inverse(self, dz2):
-        # with R = 0 the braiding of the free module with its dual is zero,
-        # so the comparison map is not invertible and the report says so
+        # R = 0 has no convolution inverse, so u⁻¹ is not built and the
+        # report says why
         zero = PairFamily(dz2.t, {}, "0")
-        assert drinfeld_inverse(dz2.t, dz2.antipode, zero) is None
         rep = verify_model(dataclasses.replace(dz2, rmatrix=zero),
                            checks=("quasitriangular",))
+        assert rep.find("rmatrix.star_inverse_left").status == "fail"
         res = rep.find("drinfeld.inverse")
-        assert res.status == "fail" and res.note == "comparison map not invertible"
+        assert res.status == "fail" and res.note == qtrib.NO_R_INVERSE
 
-    def test_singular_comparison_map_has_no_drinfeld_inverse(self, dz2, monkeypatch):
-        # zero one column of the braiding where its solution is zero: the
-        # solve stays consistent, and only its null basis shows that the
-        # comparison map is not invertible
-        braid = qtrib.braiding_on_modules
+    def test_wrong_r_inverse_gates_drinfeld_inverse(self, dz2, monkeypatch, capsys):
+        # an R⁻¹ that fails its convolution-inverse checks is never used to
+        # build u⁻¹: both checks that read u⁻¹ fail with the gate's note
+        build = qtrib.star_inverse_of_r
 
-        def singular(t, r, m, n):
-            tau = braid(t, r, m, n)
-            f = t.base.field
-            blk = tau.block(0, 0).copy()
-            x = solve_affine(f, blk, coev_mor(n.carrier).block(0, 0))[0]
-            j = next(j for j in range(blk.shape[1]) if x[j, 0] == f.zero)
-            blk[:, j:j + 1] = f.zeros((blk.shape[0], 1))
-            return GradedMor(tau.src, tau.dst, {(0, 0): blk})
+        def doubled(t, a, r):
+            r_inv = build(t, a, r)
+            return PairFamily(t, {k: c.scale(2) for k, c in r_inv.comps.items()},
+                              r_inv.label)
 
-        assert drinfeld_inverse(dz2.t, dz2.antipode, dz2.rmatrix) is not None
-        monkeypatch.setattr(qtrib, "braiding_on_modules", singular)
-        assert drinfeld_inverse(dz2.t, dz2.antipode, dz2.rmatrix) is None
+        def unreachable(*args):
+            raise AssertionError("u⁻¹ built from an R⁻¹ that failed its checks")
+
+        monkeypatch.setattr(verify, "star_inverse_of_r", doubled)
+        monkeypatch.setattr(verify, "drinfeld_inverse", unreachable)
+        rep = verify_model(dz2, checks=("quasitriangular",))
+        assert rep.find("rmatrix.star_inverse_left").status == "fail"
+        for check in ("drinfeld.inverse", "twist.from_inverse"):
+            res = rep.find(check)
+            assert res.status == "fail" and res.note == qtrib.NO_R_INVERSE
+        assert main(["verify", "double_z2", "--checks", "quasitriangular"]) == 1
+        out = capsys.readouterr()
+        assert f"FAIL drinfeld.inverse [{qtrib.NO_R_INVERSE}]" in out.out
+        assert "Traceback" not in out.out + out.err
 
     def test_rmatrix_without_convolution_inverse(self, dz2):
         rep = check_rmatrix(dz2.t, dz2.rmatrix, None)

@@ -67,7 +67,7 @@ def test_drinfeld_command_builds_u_once(monkeypatch, capsys):
 
 
 def test_overflow_in_drinfeld_inverse_is_an_internal_error(dz2, monkeypatch, capsys):
-    # only a comparison map that is not invertible becomes a report line;
+    # only an R⁻¹ that fails its checks becomes a report line on u⁻¹;
     # a chain that overflows while u⁻¹ is built ends the run (exit 3)
     def overflow(*args):
         raise ChainOverflow("intermediate too large")

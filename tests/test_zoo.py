@@ -7,7 +7,7 @@ import re
 import pytest
 
 from hopfmonad import presentation, zoo
-from hopfmonad.cli import EXAMPLES
+from hopfmonad.cli import EXAMPLES, main
 from hopfmonad.exactla import ExactError, FieldSpec, inverse
 from hopfmonad.monad import check_bimonad
 from hopfmonad.presentation import SchemaError, load
@@ -146,6 +146,30 @@ class TestSchema:
             load(pres)
         assert str(err.value).startswith(where), str(err.value)
         assert why in str(err.value)
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda p: p["stock_modules"][0].__setitem__("dim", "x"),
+         "stock_modules[0].dim: not an integer: 'x'"),
+        (lambda p: p["stock_modules"][0].__setitem__("dim", -1),
+         "stock_modules[0].dim: must be at least 0, got -1"),
+        (lambda p: p["stock_modules"][0].pop("action"),
+         "stock_modules[0]: missing key 'action'"),
+        (lambda p: p.__setitem__("carrier", [["x"]]), "carrier: not an integer: 'x'"),
+        (lambda p: p.__setitem__("carrier", [4]),
+         "carrier[0]: expected 1 entries, got int"),
+    ], ids=["dim-token", "dim-negative", "no-action", "carrier-token", "carrier-shape"])
+    def test_bad_structural_field_names_it(self, tmp_path, capsys, edit, message):
+        pres = zoo.build_drinfeld_double_group(zoo.cyclic_group_table(2), Q)
+        edit(pres)
+        with pytest.raises(SchemaError) as err:
+            load(pres)
+        assert str(err.value) == message
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(pres))
+        with pytest.raises(SystemExit) as exited:
+            main(["verify", str(path)])
+        assert exited.value.code == 2
+        assert capsys.readouterr().err == f"input error: {message}\n"
 
 
 def _map_tokens(table, fn):
