@@ -16,16 +16,21 @@ Atoms and words are interned (hash-consed): building one looks it up in
 a weak table, so there is one live object per (name, grid) and per
 (base, atoms), and equality is identity.  A word computes its grade
 counts once, when it is first built, and keeps its dual; the path
-orders, path indices, dual permutations and tensor positions derived
-from it are kept in a memo the word owns (keyed by the further words
-for the tensor positions, on the first word).  Everything derived from
-a word is therefore dropped together with it, and the tables hold only
-live words.
+positions, dual permutations and tensor positions derived from it are
+kept in a memo the word owns (keyed by the further words for the tensor
+positions, on the first word).  Everything derived from a word is
+therefore dropped together with it, and the tables hold only live words.
 
 Concretely, the graded piece of a word at (i, l) has one basis vector
-per *path* i -> ... -> l through the atoms, ordered lexicographically by
-(label, position) read left to right.  For a one-label base a path is
-just a row-major multi-index.
+per *path* i -> ... -> l through the atoms.  Each atom is flattened over
+its grid cells in row-major order, a basis vector at its place in its
+cell, and a path is its row-major multi-index over the atoms, its *flat
+position*.  The (i, l)-paths are ordered by flat position, and a path's
+index is its rank among them (`positions`); on one label every flat
+position is a path, so the index is the position itself.  The dual of a
+basis vector sits at the same place of the transposed cell, in the dual
+atom: the dual of a path reverses its multi-index and moves each digit
+to the transposed cell (`_dual_positions`).
 
 Morphisms are grade-preserving linear maps, stored as one dense exact
 matrix per grade.
@@ -37,10 +42,11 @@ import operator
 import weakref
 from dataclasses import dataclass, field as dataclass_field
 from functools import wraps
+from math import prod
 
 import numpy as np
 
-from .exactla import DimensionMismatch, ExactError, FieldSpec
+from .exactla import INT64_BOUND, DimensionMismatch, ExactError, FieldSpec
 
 
 class BaseMismatch(ExactError):
@@ -249,51 +255,78 @@ def _owned_memo(fn):
 
 
 @_owned_memo
-def paths(obj: GradedObj, i: int, l: int) -> tuple:
-    """All basis paths of a word at grade (i, l), in canonical order.
+def _flat_size(word: GradedObj) -> int:
+    """The number of flat positions of a word: the product of its atoms'
+    sizes.  Flat positions are int64, so it must stay below 2**63."""
+    n = prod(sum(map(sum, a.dims)) for a in word.atoms)
+    if n >= INT64_BOUND:
+        raise ExactError(f"{word!r} has {n} flat positions, past int64")
+    return n
 
-    A path is a tuple of (label, position) steps, one per atom: the label
-    is the target label after the atom, the position picks a basis vector
-    of that atom's graded piece.
-    """
-    L = obj.base.nlabels
-    out: list[tuple] = []
-    # rest[at] = the word of the atoms after position at
-    rest = [GradedObj(obj.base, obj.atoms[at + 1:]) for at in range(len(obj.atoms))]
 
-    def rec(at: int, cur_label: int, acc: tuple):
-        if at == len(obj.atoms):
-            if cur_label == l:
-                out.append(acc)
-            return
-        a = obj.atoms[at]
-        for j in range(L):
-            d = a.dims[cur_label][j]
-            # prune: no continuation can reach l
-            if d == 0 or rest[at].count(j, l) == 0:
-                continue
-            for b in range(d):
-                rec(at + 1, j, acc + ((j, b),))
-
-    rec(0, i, ())
-    return tuple(out)
+def _cell_starts(dims: tuple) -> np.ndarray:
+    """Where each cell of an atom grid starts in the atom's flattening."""
+    sizes = np.ravel(dims)
+    return (np.cumsum(sizes) - sizes).reshape(len(dims), -1)
 
 
 @_owned_memo
-def path_index(obj: GradedObj, i: int, l: int) -> dict:
-    return {p: k for k, p in enumerate(paths(obj, i, l))}
+def _positions_from(word: GradedObj, i: int) -> dict:
+    """The sorted flat positions of a word's paths from label i, by the
+    label they end at (read-only).
 
-
-def _reversed_path(p: tuple, i: int) -> tuple:
-    """Path of the dual word corresponding to a path of the word.
-
-    For a path i ->(...) -> l with steps ((j1,b1),...,(jn,bn)) the dual
-    word path runs l -> ... -> i with the same positions in reverse and
-    target labels read off the original label sequence.
+    Built atom by atom from the paths of each prefix, so no array is longer
+    than a path count.
     """
-    labels = [i] + [j for (j, _) in p]
-    n = len(p)
-    return tuple((labels[n - 1 - t], p[n - 1 - t][1]) for t in range(n))
+    _flat_size(word)
+    front = {i: np.zeros(1, dtype=np.int64)}
+    for a in word.atoms:
+        size, starts = sum(map(sum, a.dims)), _cell_starts(a.dims)
+        front = {k: np.sort(np.concatenate([
+            (pos[:, None] * size + starts[j, k] + np.arange(a.dims[j][k])).ravel()
+            for j, pos in front.items()]))
+            for k in range(word.base.nlabels) if any(a.dims[j][k] for j in front)}
+    for pos in front.values():
+        pos.flags.writeable = False
+    return front
+
+
+def positions(word: GradedObj, i: int, l: int) -> np.ndarray:
+    """The sorted flat positions of a word's (i, l)-paths (read-only)."""
+    return _positions_from(word, i).get(l, np.zeros(0, dtype=np.int64))
+
+
+def _joined(word: GradedObj, i: int, l: int, parts: list) -> np.ndarray:
+    """The indices in a word's (i, l) path order of the paths cut into
+    pieces on consecutive sub-words: `parts` lists (sub-word, flat
+    positions of the pieces), the arrays broadcast against each other.
+
+    An index is the rank of the path's flat position among
+    positions(word, i, l), or the position itself when every flat
+    position is an (i, l)-path (always, on one label)."""
+    n = _flat_size(word)
+    flat = 0
+    for sub, pos in parts:
+        flat = flat * _flat_size(sub) + pos
+    if word.count(i, l) == n:
+        return flat
+    return np.searchsorted(positions(word, i, l), flat)
+
+
+@_owned_memo
+def _dual_positions(word: GradedObj, i: int, l: int) -> np.ndarray:
+    """The flat positions in dual(word) of the duals of the (i, l)-paths,
+    in path order: the atoms reversed, each digit at the same place of the
+    transposed cell (read-only)."""
+    flat = positions(word, i, l)
+    out = np.zeros_like(flat)
+    for a in reversed(word.atoms):
+        size = sum(map(sum, a.dims))
+        shift = (_cell_starts(a.dual().dims).T - _cell_starts(a.dims)).ravel()
+        flat, digit = np.divmod(flat, size)
+        out = out * size + digit + np.repeat(shift, np.ravel(a.dims))[digit]
+    out.flags.writeable = False
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -438,20 +471,13 @@ class GradedMor:
 
 
 @_owned_memo
-def _perm_to_dual(obj: GradedObj, i: int, l: int) -> tuple:
-    """perm[k] = index of the reversal of the k-th (i,l)-path in dual(obj)."""
-    if obj.base.is_vector:
-        dims = obj.axis_dims()
-        if not dims:
-            return (0,)
-        n = int(np.prod(dims))
-        # element at multi-index (b1..bn) maps to (bn..b1) in the reversed dims
-        idx = np.arange(n).reshape(list(reversed(dims)))
-        order = tuple(reversed(range(len(dims))))
-        return tuple(int(x) for x in idx.transpose(order).ravel())
+def _perm_to_dual(obj: GradedObj, i: int, l: int) -> np.ndarray:
+    """perm[k] = the index in dual(obj)'s (l, i) path order of the dual of
+    obj's k-th (i, l)-path (read-only)."""
     dual = obj.dual()
-    pidx = path_index(dual, l, i)
-    return tuple(pidx[_reversed_path(p, i)] for p in paths(obj, i, l))
+    out = _joined(dual, l, i, [(dual, _dual_positions(obj, i, l))])
+    out.flags.writeable = False
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -461,23 +487,19 @@ def _perm_to_dual(obj: GradedObj, i: int, l: int) -> tuple:
 
 @_owned_memo
 def _tensor_positions(x: GradedObj, y: GradedObj, i: int, l: int) -> dict:
-    """For each middle label j: (row positions of x-paths ⊗ y-paths) inside
-    the combined word's (i,l) path order, in row-major (p, q) order.
+    """For each middle label j: the positions of the paths x-path ⊗ y-path
+    i -> j -> l inside the (i, l) path order of x ⊗ y, row-major in
+    (x-path, y-path).
 
     The arrays are kept in x's memo and shared, so they are read-only."""
-    combined = x.tensor(y)
-    cidx = path_index(combined, i, l)
+    word = x.tensor(y)
     out = {}
-    L = x.base.nlabels
-    nx = len(x.atoms)
-    for j in range(L):
-        px = paths(x, i, j)
-        py = paths(y, j, l)
-        if not px or not py:
-            continue
-        pos = np.array([cidx[p + q] for p in px for q in py], dtype=np.int64)
-        pos.flags.writeable = False
-        out[j] = pos
+    for j in range(x.base.nlabels):
+        if x.count(i, j) and y.count(j, l):
+            pos = _joined(word, i, l, [(x, positions(x, i, j)[:, None]),
+                                       (y, positions(y, j, l))]).ravel()
+            pos.flags.writeable = False
+            out[j] = pos
     return out
 
 
@@ -516,32 +538,22 @@ def identity(obj: GradedObj) -> GradedMor:
 
 def _pairing(x: GradedObj, dual_first: bool) -> tuple:
     """The word dual(x) ⊗ x (dual_first) or x ⊗ dual(x), with its pairing
-    row of the standard dual bases at every diagonal grade (i, i)."""
+    row of the standard dual bases at every diagonal grade (i, i): each
+    path of x meets its dual in dual(x)."""
     f = x.base.field
-    word = x.dual().tensor(x) if dual_first else x.tensor(x.dual())
+    xd = x.dual()
+    word = xd.tensor(x) if dual_first else x.tensor(xd)
     rows = {}
-    if x.base.is_vector:
-        # the identity matrix read as a row: index k of x meets its reversal
-        # perm[k] in dual(x), row-major over the two factors of the word
-        n = x.count(0, 0)
-        if n:
-            k = np.arange(n)
-            perm = np.array(_perm_to_dual(x, 0, 0), dtype=np.int64)
-            m = f.zeros((1, n * n))
-            m[0, perm * n + k if dual_first else k * n + perm] = f.one
-            rows[(0, 0)] = m
-        return word, rows
     for (i, l) in word.grades():
         if i != l:
             continue
         m = f.zeros((1, word.count(i, i)))
-        idx = path_index(word, i, i)
         for j in range(x.base.nlabels):
-            # p runs through x, its reversal through dual(x), from label a
+            # p runs through x from label a to b, its dual through dual(x)
             a, b = (j, i) if dual_first else (i, j)
-            for p in paths(x, a, b):
-                dp = _reversed_path(p, a)
-                m[0, idx[dp + p if dual_first else p + dp]] = f.one
+            p, dp = positions(x, a, b), _dual_positions(x, a, b)
+            parts = [(xd, dp), (x, p)] if dual_first else [(x, p), (xd, dp)]
+            m[0, _joined(word, i, i, parts)] = f.one
         rows[(i, i)] = m
     return word, rows
 

@@ -57,29 +57,29 @@ On a multi-label base the running composite is one block per grade
 id_L ⊗ g ⊗ id_R is applied per grade and per block (j, k) of g: the
 rows at the paths i -> j -> k -> l through (L, source of g, R) are
 gathered, contracted with g's (j, k) block and scattered to the paths
-through (L, target of g, R).  The path positions come from
-cat._tensor_positions and, like them, are kept in the memo of the left
-word (_split_positions).
+through (L, target of g, R).  The path positions are the flat
+positions of the three pieces joined in one broadcast (cat._joined),
+kept in the memo of the left word (_split_positions).
 
 A natural family is stored by its components at simples; its source
 and target functors are slot layouts, each slot a fixed word (the
 carrier or its dual), an argument k, or the dual ~k of argument k.
 extend builds the forced direct-sum extension of such a family to
-arbitrary arguments, one choice of simple summands at a time: the
-inclusions and projections of the chosen summands are coordinate maps,
-so each component block is added straight into the rows and columns of
-the chosen paths.
+arbitrary arguments: the inclusions and projections of simple summands
+are coordinate maps, so each component block is placed straight at the
+rows and columns of the chosen paths, for every choice of summands at
+one tuple of grades at once.
 """
 
 from __future__ import annotations
 
-from functools import reduce
 from itertools import product
 from math import prod
 
 import numpy as np
 
-from .cat import GradedMor, GradedObj, _owned_memo, _perm_to_dual, _tensor_positions
+from .cat import (GradedMor, GradedObj, _dual_positions, _flat_size, _joined, _owned_memo,
+                  positions)
 from .exactla import (INT64_BOUND, JOIN_ARRAYS, DimensionMismatch, ExactError,
                       SparseTensor, sparse_exact, sparse_tensordot)
 
@@ -386,12 +386,14 @@ def _split_positions(left: GradedObj, mid: GradedObj, right: GradedObj,
     i -> j -> k -> l through left, mid and right inside the (i, l) path
     order of left ⊗ mid ⊗ right, mid-major: the flattened (nM, nL, nR)
     array.  Kept in left's memo and shared, so the arrays are read-only."""
+    word = GradedObj(left.base, left.atoms + mid.atoms + right.atoms)
+    labels = range(left.base.nlabels)
     out = {}
-    for k, outer in _tensor_positions(left.tensor(mid), right, i, l).items():
-        outer = outer.reshape(-1, right.count(k, l))
-        for j, inner in _tensor_positions(left, mid, i, k).items():
-            pos = outer[inner].reshape(left.count(i, j), mid.count(j, k), -1)
-            pos = pos.transpose(1, 0, 2).ravel()
+    for j, k in product(labels, labels):
+        if left.count(i, j) and mid.count(j, k) and right.count(k, l):
+            pos = _joined(word, i, l, [(left, positions(left, i, j)[:, None]),
+                                       (mid, positions(mid, j, k)[:, None, None]),
+                                       (right, positions(right, k, l))]).ravel()
             pos.flags.writeable = False
             out[j, k] = pos
     return out
@@ -439,49 +441,34 @@ def layout_word(layout: tuple, xs: tuple) -> GradedObj:
     return GradedObj(xs[0].base, atoms)
 
 
-def _slot_index(slot, xs: tuple, choice: tuple) -> tuple:
-    """One slot at the chosen simple summands: (its word at the simples,
-    its word at xs, per grade the position in the latter of each path of
-    the former).
-
-    A fixed word maps onto itself; argument k has the one path of the
-    chosen summand (g, p), the p-th g-path of xs[k]; its dual ~k has the
-    reversal of that path in the dual word.
-    """
-    if isinstance(slot, GradedObj):
-        return slot, slot, {g: np.arange(slot.count(*g)) for g in slot.grades()}
-    k = slot if slot >= 0 else ~slot
-    (i, l), p = choice[k]
-    simple = GradedObj.simple(xs[k].base, i, l)
-    if slot >= 0:
-        return simple, xs[k], {(i, l): np.array([p])}
-    return simple.dual(), xs[k].dual(), {(l, i): np.array([_perm_to_dual(xs[k], i, l)[p]])}
-
-
-def _tensor_index(a: tuple, b: tuple) -> tuple:
-    """The tensor product of two slot indices (see _slot_index)."""
-    (sa, wa, ia), (sb, wb, ib) = a, b
-    small = sa.tensor(sb)
-    idx = {}
-    for (i, l) in small.grades():
-        out = np.empty(small.count(i, l), dtype=np.int64)
-        big = _tensor_positions(wa, wb, i, l)
-        for j, pos in _tensor_positions(sa, sb, i, l).items():
-            grid = big[j].reshape(wa.count(i, j), wb.count(j, l))
-            out[pos] = grid[np.ix_(ia[i, j], ib[j, l])].ravel()
-        idx[i, l] = out
-    return small, wa.tensor(wb), idx
-
-
-def _layout_index(layout: tuple, xs: tuple, choice: tuple) -> dict:
+def _layout_positions(layout: tuple, xs: tuple, grades: tuple) -> dict:
     """Per grade, the positions in layout_word(layout, xs) of the paths of
-    the layout's word at the chosen simple summands."""
-    return reduce(_tensor_index, (_slot_index(s, xs, choice) for s in layout))[2]
+    the layout's word at the simples of `grades`, for every choice of one
+    path of grade grades[k] in each argument xs[k]: an array with one axis
+    per argument (of length 1 where no slot holds it), then one over the
+    paths.
 
-
-def _summands(x: GradedObj) -> list:
-    """(grade, path position) of each simple summand of x."""
-    return [(g, p) for g in x.grades() for p in range(x.count(*g))]
+    A path of the layout's word at the simples is cut at its slots: a
+    fixed word keeps its piece, argument k takes the chosen path of xs[k]
+    and its dual ~k that path's dual in dual(xs[k]).
+    """
+    simples = tuple(GradedObj.simple(xs[0].base, *g) for g in grades)
+    word, small = layout_word(layout, xs), layout_word(layout, simples)
+    axes = len(xs)
+    out = {}
+    for g in small.grades():
+        rest, parts = positions(small, *g), []
+        for slot in reversed(layout):
+            rest, pos = np.divmod(rest, _flat_size(slot_word(slot, simples)))
+            if isinstance(slot, GradedObj):
+                pos = pos.reshape((1,) * axes + (-1,))
+            else:
+                k = slot if slot >= 0 else ~slot
+                pos = (positions if slot >= 0 else _dual_positions)(xs[k], *grades[k])
+                pos = pos.reshape(tuple(-1 if a == k else 1 for a in range(axes)) + (1,))
+            parts.append((slot_word(slot, xs), pos))
+        out[g] = _joined(word, *g, parts[::-1])
+    return out
 
 
 def extend(src: tuple, dst: tuple, xs: tuple, comps: dict) -> GradedMor:
@@ -492,20 +479,22 @@ def extend(src: tuple, dst: tuple, xs: tuple, comps: dict) -> GradedMor:
     argument) or a pair of grades (two).  Each choice of one simple
     summand per argument adds dst(inclusions) ∘ component ∘
     src(projections).  Those two maps are coordinate maps, so the
-    component's blocks are added straight into the positions of the
-    chosen paths (the reversed path on a dual slot).
+    component's blocks go straight to the positions of the chosen paths
+    (the dual path on a dual slot), for every choice at one tuple of
+    grades in one fancy-index assignment.  Each argument has a slot in
+    src or dst, so two choices never meet at one entry: the sum is a
+    placement.
     """
     field = xs[0].base.field
     sw, dw = layout_word(src, xs), layout_word(dst, xs)
     blocks = {g: field.zeros((dw.count(*g), sw.count(*g)))
               for g in set(sw.grades()) & set(dw.grades())}
-    for choice in product(*(_summands(x) for x in xs)):
-        grades = tuple(g for g, _ in choice)
+    for grades in product(*(x.grades() for x in xs)):
         comp = comps.get(grades if len(xs) > 1 else grades[0])
         if comp is None:
             continue
-        rows = _layout_index(dst, xs, choice)
-        cols = _layout_index(src, xs, choice)
+        rows = _layout_positions(dst, xs, grades)
+        cols = _layout_positions(src, xs, grades)
         for g, b in comp.blocks.items():
-            blocks[g][np.ix_(rows[g], cols[g])] += b
-    return GradedMor(sw, dw, {g: field.reduce(b) for g, b in blocks.items()})
+            blocks[g][rows[g][..., :, None], cols[g][..., None, :]] = b
+    return GradedMor(sw, dw, blocks)

@@ -41,8 +41,8 @@ import numpy as np
 from .antipode import AntipodeData
 from .cat import BaseSpec, GradedMor, GradedObj
 from .exactla import ExactError, FieldSpec, inverse
-from .modcat import TModule
-from .monad import Element, PairFamily, TensoringBimonad
+from .modcat import TModule, check_module
+from .monad import Element, PairFamily, TensoringBimonad, check_monad
 from .zoo import AlgebraTable
 
 
@@ -269,7 +269,11 @@ def _load_vector(pres: dict, name: str, base: BaseSpec) -> Model:
         act = table(_need(spec, "action", what), (d, n * d), what)
         carrier = GradedObj.space(base, d, f"V{k}")
         mod = TModule(t, carrier, GradedMor(t.on_obj(carrier), carrier,
-                                            {(0, 0): act}), check=True)
+                                            {(0, 0): act}), check=False)
+        # a module that fails its laws over a lawful monad is an input
+        # error; over a failing monad the report names the failing axioms
+        if not check_module(t, mod) and check_monad(t).passed:
+            raise ExactError("action fails the module laws")
         model.stock_modules.append(mod)
     return model
 

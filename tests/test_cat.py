@@ -9,6 +9,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hopfmonad import cat, presentation, zoo
 from hopfmonad.cat import (
@@ -16,15 +18,14 @@ from hopfmonad.cat import (
     BaseSpec,
     GradedMor,
     GradedObj,
-    _reversed_path,
+    _perm_to_dual,
     _tensor_positions,
     coev_mor,
     coev_right_mor,
     ev_mor,
     ev_right_mor,
     identity,
-    path_index,
-    paths,
+    positions,
     sovereign_phi,
     summand_inclusions,
     tensor_mor,
@@ -402,15 +403,72 @@ class TestDuality:
         assert x.dual().dual() == x
 
 
-def enumerated_pairing_row(x: GradedObj, dual_first: bool) -> list:
-    """Pairing row of the standard dual bases of a one-label word, built by
+# Reference: the basis paths of a word enumerated as tuples.  A path is a
+# tuple of (label, position) steps, one per atom: the label is the target
+# label after the atom, the position picks a basis vector of that atom's
+# graded piece, and paths are ordered lexicographically.
+
+
+def paths(obj: GradedObj, i: int, l: int) -> tuple:
+    """All basis paths of a word at grade (i, l), in canonical order."""
+    out: list[tuple] = []
+    # rest[at] = the word of the atoms after position at
+    rest = [GradedObj(obj.base, obj.atoms[at + 1:]) for at in range(len(obj.atoms))]
+
+    def rec(at: int, cur_label: int, acc: tuple):
+        if at == len(obj.atoms):
+            if cur_label == l:
+                out.append(acc)
+            return
+        a = obj.atoms[at]
+        for j in range(obj.base.nlabels):
+            d = a.dims[cur_label][j]
+            # prune: no continuation can reach l
+            if d == 0 or rest[at].count(j, l) == 0:
+                continue
+            for b in range(d):
+                rec(at + 1, j, acc + ((j, b),))
+
+    rec(0, i, ())
+    return tuple(out)
+
+
+def path_index(obj: GradedObj, i: int, l: int) -> dict:
+    return {p: k for k, p in enumerate(paths(obj, i, l))}
+
+
+def _reversed_path(p: tuple, i: int) -> tuple:
+    """The path of the dual word corresponding to a path i -> ... -> l of
+    the word: l -> ... -> i with the same positions in reverse, the target
+    labels read off the original label sequence."""
+    labels = [i] + [j for (j, _) in p]
+    n = len(p)
+    return tuple((labels[n - 1 - t], p[n - 1 - t][1]) for t in range(n))
+
+
+def flat_position(obj: GradedObj, i: int, p: tuple) -> int:
+    """The row-major multi-index of a path: each atom flattened over its
+    grid cells in row-major order, a basis vector at its place in its cell."""
+    flat, label = 0, i
+    for a, (j, b) in zip(obj.atoms, p):
+        cells = [d for row in a.dims for d in row]
+        start = sum(cells[:label * obj.base.nlabels + j])
+        flat = flat * sum(cells) + start + b
+        label = j
+    return flat
+
+
+def enumerated_pairing_row(x: GradedObj, dual_first: bool, i: int = 0) -> list:
+    """Pairing row of the standard dual bases at grade (i, i), built by
     enumerating the paths of x and their reversals in dual(x)."""
     word = x.dual().tensor(x) if dual_first else x.tensor(x.dual())
-    row = [0] * word.count(0, 0)
-    idx = path_index(word, 0, 0)
-    for p in paths(x, 0, 0):
-        dp = _reversed_path(p, 0)
-        row[idx[dp + p if dual_first else p + dp]] = 1
+    row = [0] * word.count(i, i)
+    idx = path_index(word, i, i)
+    for j in range(x.base.nlabels):
+        a, b = (j, i) if dual_first else (i, j)
+        for p in paths(x, a, b):
+            dp = _reversed_path(p, a)
+            row[idx[dp + p if dual_first else p + dp]] = 1
     return row
 
 
@@ -427,6 +485,61 @@ class TestOneLabelPairing:
             assert e.src == c.dst
             assert e.block(0, 0).tolist() == [row]
             assert c.block(0, 0).tolist() == [[v] for v in row]
+
+
+@st.composite
+def labelled_words(draw, base):
+    """A word of up to three atoms on `base`, small enough to enumerate."""
+    n = base.nlabels
+    top = {1: 3, 2: 2, 3: 1}[n]
+    grids = draw(st.lists(st.lists(st.integers(0, top), min_size=n * n, max_size=n * n),
+                          max_size=3))
+    return GradedObj(base, tuple(Atom(f"X{k}", tuple(tuple(g[r * n:(r + 1) * n])
+                                                     for r in range(n)))
+                                 for k, g in enumerate(grids)))
+
+
+class TestFlatIndex:
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_matches_path_enumeration(self, data):
+        # a path's index is its rank among the flat positions: the same
+        # order, dual permutation, tensor positions and pairing rows as
+        # the enumerated paths
+        base = BaseSpec(Q, tuple("abc"[:data.draw(st.integers(1, 3))]))
+        x, y = data.draw(labelled_words(base)), data.draw(labelled_words(base))
+        labels = range(base.nlabels)
+        for i in labels:
+            for l in labels:
+                ps = paths(x, i, l)
+                assert len(ps) == x.count(i, l)
+                assert positions(x, i, l).tolist() == [flat_position(x, i, p) for p in ps]
+                didx = path_index(x.dual(), l, i)
+                assert _perm_to_dual(x, i, l).tolist() == \
+                    [didx[_reversed_path(p, i)] for p in ps]
+                cidx = path_index(x.tensor(y), i, l)
+                want = {j: [cidx[p + q] for p in paths(x, i, j) for q in paths(y, j, l)]
+                        for j in labels if x.count(i, j) and y.count(j, l)}
+                got = {j: pos.tolist() for j, pos in _tensor_positions(x, y, i, l).items()}
+                assert got == want
+            for dual_first, ev, coev in ((True, ev_mor, coev_right_mor),
+                                         (False, ev_right_mor, coev_mor)):
+                row = enumerated_pairing_row(x, dual_first, i)
+                assert ev(x).block(i, i).tolist() == [row]
+                assert coev(x).block(i, i).tolist() == [[v] for v in row]
+
+    def test_flat_size_past_int64_is_an_error(self):
+        # 3**39 flat positions fit int64 and 3**40 do not; neither word has
+        # more than 39 paths at a grade, so nothing of flat size is formed
+        a = Atom("X", ((1, 1), (0, 1)))
+        fits = GradedObj(GR2, (a,) * 39)
+        assert positions(fits, 0, 0).tolist() == [0]
+        assert len(positions(fits, 0, 1)) == fits.count(0, 1) == 39
+        past = GradedObj(GR2, (a,) * 40)
+        with pytest.raises(ExactError, match="past int64"):
+            positions(past, 0, 0)
+        with pytest.raises(ExactError, match="past int64"):
+            ev_mor(past)
 
 
 class TestCompleteness:

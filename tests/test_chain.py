@@ -714,7 +714,7 @@ class TestExtend:
         carrier = GradedObj.from_grid(base, [[1, 1], [0, 1]], "A")
         x = GradedObj.from_grid(base, [[2, 1], [1, 2]], "x")
         xx = x.tensor(x)
-        assert _perm_to_dual(xx, 0, 0) != tuple(range(xx.count(0, 0)))
+        assert _perm_to_dual(xx, 0, 0).tolist() != list(range(xx.count(0, 0)))
         src, dst = LAYOUTS[kind](carrier)
         rng = random.Random(10)
         simples = [(i, j) for i in range(2) for j in range(2)]

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from hopfmonad import chain, zoo
+from hopfmonad import chain, presentation, zoo
 from hopfmonad.cli import main
 from hopfmonad.exactla import FieldSpec
 
@@ -66,6 +66,51 @@ class TestExitCodes:
         assert exited.value.code == 2
         assert capsys.readouterr().err == \
             f"input error: {where}: zero denominator in '1/0'\n"
+
+    @staticmethod
+    def _double_z2_file(tmp_path, edit):
+        pres = zoo.build_drinfeld_double_group(zoo.cyclic_group_table(2),
+                                               FieldSpec.rationals(), "double_z2")
+        edit(pres)
+        path = tmp_path / "double_z2.json"
+        path.write_text(json.dumps(pres))
+        return str(path)
+
+    def test_wrong_classical_drinfeld_fails_its_check(self, tmp_path, capsys):
+        path = self._double_z2_file(
+            tmp_path, lambda p: p["meta"].update(classical_drinfeld=["5"] * 4))
+        assert main(["verify", path, "--checks", "quasitriangular"]) == 1
+        out = capsys.readouterr().out
+        assert "FAIL drinfeld.classical_match" in out
+        assert "PASS drinfeld.square_of_antipode" in out
+
+    def test_no_inverse_of_u_skips_the_square_of_antipode(self, tmp_path, capsys):
+        path = self._double_z2_file(
+            tmp_path, lambda p: p["rmatrix"]["element"][0].__setitem__(0, "2"))
+        assert main(["verify", path, "--checks", "quasitriangular"]) == 1
+        out = capsys.readouterr().out
+        assert "FAIL drinfeld.inverse [needs the convolution inverse of R]" in out
+        assert "SKIP drinfeld.square_of_antipode [needs the two-sided inverse of u]" in out
+        assert "FAIL drinfeld.classical_match" in out
+
+    def test_stock_module_over_failing_monad_gives_a_report(self, tmp_path, capsys):
+        path = self._double_z2_file(tmp_path, lambda p: p["unit"].__setitem__(1, "1"))
+        assert main(["verify", path]) == 1
+        out = capsys.readouterr().out
+        assert "FAIL monad.unit_left" in out and "FAIL monad.unit_right" in out
+
+    def test_stock_module_failing_its_laws_is_two(self, tmp_path, monkeypatch, capsys):
+        path = self._double_z2_file(
+            tmp_path, lambda p: p["stock_modules"][0]["action"][0].__setitem__(0, "5"))
+        with pytest.raises(SystemExit) as exited:
+            main(["verify", path])
+        assert exited.value.code == 2
+        assert capsys.readouterr().err == "input error: action fails the module laws\n"
+        # a lawful stock module is loaded without a look at the monad axioms
+        monkeypatch.setattr(presentation, "check_monad", None)
+        valid = zoo.build_drinfeld_double_group(zoo.cyclic_group_table(2),
+                                                FieldSpec.rationals(), "double_z2")
+        assert presentation.load(valid).stock_modules
 
     def test_internal_error_is_three(self, monkeypatch, capsys):
         # an exact-arithmetic failure (here ChainOverflow) ends in a message
