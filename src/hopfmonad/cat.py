@@ -566,7 +566,7 @@ def _ev(x: GradedObj, dual_first: bool) -> GradedMor:
 def _coev(x: GradedObj, dual_first: bool) -> GradedMor:
     word, rows = _pairing(x, dual_first)
     return GradedMor(GradedObj.unit(x.base), word,
-                     {g: m.T.copy() for g, m in rows.items()})
+                     {g: m.reshape(-1, 1) for g, m in rows.items()})
 
 
 def ev_mor(x: GradedObj) -> GradedMor:
@@ -598,28 +598,3 @@ def sovereign_phi(x: GradedObj) -> GradedMor:
     if x.dual().dual() is not x:
         raise ExactError(f"the double dual of {x!r} is not the word itself")
     return GradedMor.identity(x)
-
-
-# ---------------------------------------------------------------------------
-# Summand decomposition (used by the extension machinery)
-# ---------------------------------------------------------------------------
-
-
-def summand_inclusions(x: GradedObj):
-    """Yield (grade, inclusion, projection) for each simple summand of x.
-
-    The k-th path at grade (i, l) spans a summand isomorphic to the
-    simple S(i, l); the inclusion and projection are the corresponding
-    coordinate morphisms.  Ordering is deterministic: grades in
-    lexicographic order, paths in path order.
-    """
-    f = x.base.field
-    for (i, l) in x.grades():
-        n = x.count(i, l)
-        s = GradedObj.simple(x.base, i, l)
-        for k in range(n):
-            col = f.zeros((n, 1))
-            col[k, 0] = f.one
-            inc = GradedMor(s, x, {(i, l): col})
-            proj = GradedMor(x, s, {(i, l): col.T.copy()})
-            yield (i, l), inc, proj

@@ -15,13 +15,14 @@ from .cat import (
     coev_right_mor,
     ev_right_mor,
     identity,
-    summand_inclusions,
 )
 from .chain import Chain
 from .exactla import ExactError, kernel, rank, solve_affine
 from .modcat import (
     TModule,
     _invert_mor,
+    _mor_coords,
+    _mor_from_coords,
     _random_iso,
     check_module,
     free_module,
@@ -30,7 +31,7 @@ from .modcat import (
     tensor_modules,
     unit_module,
 )
-from .monad import Element, Family, TensoringBimonad, compare_at
+from .monad import Family, TensoringBimonad, compare_at
 from .report import Report
 
 
@@ -209,7 +210,8 @@ def trivial_coaction(t: TensoringBimonad, carrier: GradedObj) -> GradedMor:
 
 def random_comodule(t: TensoringBimonad, grouplikes: list, rng,
                     dim_factor: int = 2) -> tuple:
-    """A valid comodule: grouplike coaction lines mixed by an isomorphism."""
+    """A valid comodule: grouplike coaction lines mixed by an isomorphism,
+    or the trivial coaction when there are no grouplikes."""
     f = t.base.field
     if t.base.is_vector:
         d = max(1, dim_factor)
@@ -221,33 +223,20 @@ def random_comodule(t: TensoringBimonad, grouplikes: list, rng,
         if all(v == 0 for row in grid for v in row):
             grid[0][0] = 1
         carrier = GradedObj.from_grid(t.base, grid, "N")
-    choices = list(grouplikes) if t.base.is_vector else []
-    rho = GradedMor.zero(carrier, carrier.tensor(t.carrier))
-    for grade, inc, proj in summand_inclusions(carrier):
-        g = choices[rng.randrange(len(choices))] if choices else None
-        s = t.simple(grade)
-        if g is None:
-            line = Chain(s).then(t.u, at=len(s.atoms)).eval()
-        else:
-            line = _grouplike_coaction_line(t, g, s)
-        rho = rho + Chain(carrier).then(proj).then(line).then(inc, at=0).eval()
+    if not (t.base.is_vector and grouplikes):
+        # every isomorphism fixes the trivial coaction; draw one all the same
+        _random_iso(carrier, rng)
+        return carrier, trivial_coaction(t, carrier)
+    # basis vector k goes to e_k ⊗ g_k: row k*n + a of column k holds g_k[a]
+    n = t.carrier_dim
+    block = f.zeros((d * n, d))
+    for k in range(d):
+        g = grouplikes[rng.randrange(len(grouplikes))]
+        block[k * n:(k + 1) * n, k] = g.comps[(0, 0)].block(0, 0)[:, 0]
+    rho = GradedMor(carrier, carrier.tensor(t.carrier), {(0, 0): block})
     phi = _random_iso(carrier, rng)
     rho = Chain(carrier).then(_invert_mor(phi)).then(rho).then(phi, at=0).eval()
     return carrier, rho
-
-
-def _grouplike_coaction_line(t: TensoringBimonad, g: Element,
-                             s: GradedObj) -> GradedMor:
-    """Coaction of a one-dimensional comodule along a grouplike element."""
-    # s -> s ⊗ T(1): pair the grouplike's carrier leg to the right
-    comp = g.at(s)  # s -> T(s) = [A] + s
-    # reorder [A] + s to s + [A]: on 1-dim simples this is a data move
-    src = s
-    dst = s.tensor(t.carrier)
-    blocks = {}
-    for grade in set(comp.blocks) & set(dst.grades()):
-        blocks[grade] = comp.blocks[grade].copy()
-    return GradedMor(src, dst, blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -439,29 +428,22 @@ def maschke_verdict(t: TensoringBimonad) -> dict:
     """Search for a normalized cointegral; build the splitting data if any."""
     f = t.base.field
     basis = solve_cointegrals(t)
-    target = identity(t.unit_obj())
-    grades = sorted(t.unit_obj().grades())
-    cols = []
-    for lam in basis:
-        comp = t.t0 @ lam
-        cols.append([x for g in grades for x in comp.block(*g).ravel().tolist()])
-    rhs = [x for g in grades for x in target.block(*g).ravel().tolist()]
+    unit = t.unit_obj()
     out = {"semisimple": False, "cointegral_dim": len(basis), "witness": None,
-           "counit_values": [c for c in cols], "cointegral_basis": basis}
+           "cointegral_basis": basis}
     if not basis:
         return out
-    a_mat = f.asarray([list(row) for row in zip(*cols)])
-    b_mat = f.asarray([[v] for v in rhs])
-    sol = solve_affine(f, a_mat, b_mat)
+    # the combination of the basis on which the counit is the identity of 1
+    grades = sorted(unit.grades())
+    sol = solve_affine(f, f.concatenate([_mor_coords(t.t0 @ lam, grades) for lam in basis],
+                                        axis=1),
+                       _mor_coords(identity(unit), grades))
     if sol is None:
         return out
-    lam = GradedMor.zero(t.unit_obj(), t.carrier)
-    for j, b in enumerate(basis):
-        c = sol[0][j, 0]
-        if c != f.zero:
-            lam = lam + b.scale(c)
+    hom_grades = sorted(set(unit.grades()) & set(t.carrier.grades()))
+    coords = f.concatenate([_mor_coords(lam, hom_grades) for lam in basis], axis=1)
     out["semisimple"] = True
-    out["witness"] = lam
+    out["witness"] = _mor_from_coords(unit, t.carrier, f.matmul(coords, sol[0])[:, 0])
     return out
 
 

@@ -22,7 +22,8 @@ Schema (version 1):
     grouplikes: [vector, ...]
   graded backend:
     groupoid: {names, source, target, compose, inverse}
-  meta: free-form strings (classical cross-check data)
+  meta: free-form strings (classical cross-check data); on the vector
+        backend meta.classical_drinfeld is a coefficient vector of any length
 
 A scalar token is an integer or a string such as "3", "-7/2"; FieldSpec.coerce
 decides.  Each table becomes one field array: its distinct tokens are
@@ -43,7 +44,6 @@ from .cat import BaseSpec, GradedMor, GradedObj
 from .exactla import ExactError, FieldSpec, inverse
 from .modcat import TModule, check_module
 from .monad import Element, PairFamily, TensoringBimonad, check_monad
-from .zoo import AlgebraTable
 
 
 class SchemaError(ExactError):
@@ -60,11 +60,6 @@ class Model:
     twist: tuple | None = None            # (theta, theta_inverse) Elements
     grouplikes: list = dc_field(default_factory=list)
     meta: dict = dc_field(default_factory=dict)
-    alg: AlgebraTable | None = None       # vector backend structure constants
-    s_matrix: list | None = None
-    s_inv_matrix: list | None = None
-    r_elem: list | None = None
-    kind: str = "vector"
     stock_modules: list = dc_field(default_factory=list)
 
 
@@ -197,7 +192,6 @@ def _load_vector(pres: dict, name: str, base: BaseSpec) -> Model:
 
     mul = table(_need(pres, "mul"), (n, n, n), "mul", named=2)
     unit = table(_need(pres, "unit"), (n,), "unit")
-    alg = AlgebraTable(f, mul.tolist(), unit.tolist())
     # m sends e_a ⊗ e_b (column a*n + b) to mul[a][b]
     m = GradedMor(a_obj.tensor(a_obj), a_obj, {(0, 0): mul.reshape(n * n, n).T.copy()})
     u = GradedMor(GradedObj.unit(base), a_obj, {(0, 0): unit.reshape(n, 1)})
@@ -215,8 +209,14 @@ def _load_vector(pres: dict, name: str, base: BaseSpec) -> Model:
 
     t = TensoringBimonad(base, a_obj, m, u, {((0, 0), (0, 0)): t2_comp}, t0,
                          name=name)
-    model = Model(name=name, base=base, t=t, alg=alg, kind="vector",
-                  meta=dict(pres.get("meta", {})))
+    model = Model(name=name, base=base, t=t, meta=dict(pres.get("meta", {})))
+    if "classical_drinfeld" in model.meta:
+        c = model.meta["classical_drinfeld"]
+        if not isinstance(c, list):
+            raise SchemaError("meta.classical_drinfeld: expected a list, "
+                              f"got {type(c).__name__}")
+        model.meta["classical_drinfeld"] = table(c, (len(c),), "meta.classical_drinfeld",
+                                                 named=1)
 
     if "antipode" in pres:
         spec = pres["antipode"]
@@ -229,7 +229,6 @@ def _load_vector(pres: dict, name: str, base: BaseSpec) -> Model:
             s_inv = inverse(f, s)
             if s_inv is None:
                 raise SchemaError("antipode matrix is singular")
-        model.s_matrix, model.s_inv_matrix = s.tolist(), s_inv.tolist()
         model.antipode = AntipodeData(
             t,
             sl={(0, 0): _antipode_component(t, s)},
@@ -240,7 +239,6 @@ def _load_vector(pres: dict, name: str, base: BaseSpec) -> Model:
         if "element" not in spec:
             raise SchemaError("vector-backend rmatrix needs an element matrix")
         r = table(spec["element"], (n, n), "rmatrix")
-        model.r_elem = r.tolist()
         # row p*n + q holds r[q][p]
         comp = GradedMor(s_obj.tensor(s_obj),
                          t.on_obj(s_obj).tensor(t.on_obj(s_obj)),
@@ -253,9 +251,12 @@ def _load_vector(pres: dict, name: str, base: BaseSpec) -> Model:
         if "element_inverse" in spec:
             w = table(spec["element_inverse"], (n,), "twist inverse")
         else:
-            w = alg.inverse(v.tolist())
-            if w is None:
+            # θ⁻¹ = L⁻¹(1) for the left multiplication L: column b is θ e_b
+            left = f.matmul(v.reshape(1, n), mul.reshape(n, n * n)).reshape(n, n).T
+            left_inv = inverse(f, left)
+            if left_inv is None:
                 raise SchemaError("twist element is not invertible")
+            w = f.matmul(left_inv, unit.reshape(n, 1))
         model.twist = (element_from_vector(t, v, "theta"),
                        element_from_vector(t, w, "theta_inv"))
 
@@ -413,8 +414,7 @@ def _load_groupoid(pres: dict, name: str, base: BaseSpec) -> Model:
             t2[(g1, g2)] = GradedMor(src, dst, blocks)
 
     t = TensoringBimonad(base, a_obj, m, u, t2, t0, name=name)
-    model = Model(name=name, base=base, t=t, kind="groupoid",
-                  meta=dict(pres.get("meta", {})))
+    model = Model(name=name, base=base, t=t, meta=dict(pres.get("meta", {})))
 
     # antipode from inversion, expanded grade-diagonally
     sl = {}

@@ -355,11 +355,13 @@ def _comul_items(t: TensoringBimonad, x: Element, r: PairFamily):
 
 def check_drinfeld(t: TensoringBimonad, u: Element, r_inv: PairFamily,
                    u_inv: Element | None, s2: TransTT,
-                   classical: list | None = None) -> Report:
+                   classical=None) -> Report:
     """The four identities of the Drinfeld element (plus classical check).
 
     `u_inv` is None when R⁻¹ failed its convolution-inverse checks; then,
-    as when it is not two-sided, the square of the antipode is skipped."""
+    as when it is not two-sided, the square of the antipode is skipped.
+    `classical` is a sequence of coercible scalars, matched against the
+    coefficients of u."""
     rep = Report(f"{t.name}: Drinfeld element")
     unit = t.unit_obj()
 

@@ -8,7 +8,7 @@ describes a groupoid algebra.
 
 from __future__ import annotations
 
-from .exactla import ExactError, FieldSpec, inverse, solve_affine
+from .exactla import ExactError, FieldSpec, inverse
 
 
 def _field_tag(field: FieldSpec):
@@ -21,84 +21,6 @@ def _show_vec(field, v):
 
 def _show_mat(field, m):
     return [[field.show(x) for x in row] for row in m]
-
-
-class AlgebraTable:
-    """Structure-constant helper for a finite-dimensional algebra."""
-
-    def __init__(self, field: FieldSpec, mul, unit):
-        self.field = field
-        self.n = len(unit)
-        self.mul = mul    # mul[a][b] = coefficient vector of e_a * e_b
-        self.unit = unit
-
-    def product(self, x, y):
-        f = self.field
-        out = [f.zero] * self.n
-        for a, xa in enumerate(x):
-            if xa == f.zero:
-                continue
-            for b, yb in enumerate(y):
-                if yb == f.zero:
-                    continue
-                coeff = f.coerce(xa * yb)
-                for c, m in enumerate(self.mul[a][b]):
-                    out[c] = f.coerce(out[c] + coeff * m)
-        return out
-
-    def product2(self, x, y):
-        """Product in the tensor-square algebra; vectors indexed a*n+b."""
-        f = self.field
-        n = self.n
-        out = [f.zero] * (n * n)
-        for i, xi in enumerate(x):
-            if xi == f.zero:
-                continue
-            a1, b1 = divmod(i, n)
-            for j, yj in enumerate(y):
-                if yj == f.zero:
-                    continue
-                a2, b2 = divmod(j, n)
-                coeff = f.coerce(xi * yj)
-                for c1, m1 in enumerate(self.mul[a1][a2]):
-                    if m1 == f.zero:
-                        continue
-                    for c2, m2 in enumerate(self.mul[b1][b2]):
-                        if m2 == f.zero:
-                            continue
-                        out[c1 * n + c2] = f.coerce(out[c1 * n + c2] + coeff * m1 * m2)
-        return out
-
-    def power2(self, x, k):
-        unit2 = [self.field.zero] * (self.n * self.n)
-        for a, ua in enumerate(self.unit):
-            for b, ub in enumerate(self.unit):
-                unit2[a * self.n + b] = self.field.coerce(ua * ub)
-        out = unit2
-        for _ in range(k):
-            out = self.product2(out, x)
-        return out
-
-    def inverse(self, x):
-        """Two-sided inverse of an algebra element, or None."""
-        f = self.field
-        # left-multiplication matrix of x: column b holds x * e_b
-        rows = []
-        for c in range(self.n):
-            row = []
-            for b in range(self.n):
-                acc = f.zero
-                for a in range(self.n):
-                    acc = f.coerce(acc + x[a] * self.mul[a][b][c])
-                row.append(acc)
-            rows.append(row)
-        sol = solve_affine(f, f.asarray(rows), f.asarray([[u] for u in self.unit]))
-        if sol is None:
-            return None
-        inv = list(sol[0][:, 0])
-        if self.product(inv, x) != [f.coerce(u) for u in self.unit]:
-            return None
-        return inv
 
 
 def _basis_vec(field, n, i, coeff=1):
@@ -249,33 +171,29 @@ def build_taft(n: int, p: int, name: str | None = None) -> dict:
                         v[bidx((a1 + a2) % n, b1 + b2)] = f.coerce(coeff)
                     mul[bidx(a1, b1)][bidx(a2, b2)] = v
     unit = _basis_vec(f, dim, 0)
-    alg = AlgebraTable(f, mul, unit)
-    # coproduct from the generators: Δ(g)=g⊗g, Δ(x)=x⊗1+g⊗x
-    dg = [f.zero] * (dim * dim)
-    dg[bidx(1, 0) * dim + bidx(1, 0)] = f.one
-    dx = [f.zero] * (dim * dim)
-    dx[bidx(0, 1) * dim + bidx(0, 0)] = f.one
-    dx[bidx(1, 0) * dim + bidx(0, 1)] = f.one
+    # [b, k]_q for 0 <= k <= b < n, by the q-Pascal rule
+    qbin = [[1]]
+    for b in range(1, n):
+        prev = qbin[-1] + [0]
+        qbin.append([1] + [(prev[k - 1] + pow(q, k, p) * prev[k]) % p
+                           for k in range(1, b + 1)])
+    # x⊗1 and g⊗x q-commute, so by the q-binomial theorem
+    # Δ(g^a x^b) = Σ_k [b, k]_q g^(a+k) x^(b-k) ⊗ g^a x^k
     delta = []
     for a in range(n):
         for b in range(n):
-            v = alg.product2(alg.power2(dg, a), alg.power2(dx, b))
-            delta.append([[v[p1 * dim + q1] for q1 in range(dim)] for p1 in range(dim)])
+            d = [[f.zero] * dim for _ in range(dim)]
+            for k in range(b + 1):
+                d[bidx((a + k) % n, b - k)][bidx(a, k)] = qbin[b][k]
+            delta.append(d)
     counit = [f.one if b == 0 else f.zero for a in range(n) for b in range(n)]
-    # antipode: S(g) = g^{-1}, S(x) = -g^{-1} x, extended anti-multiplicatively
-    sg = _basis_vec(f, dim, bidx(n - 1, 0))
-    sx = [f.zero] * dim
-    sx[bidx(n - 1, 1)] = f.coerce(-1)
-    s_cols = []
+    # S(g^a x^b) = S(x)^b S(g)^a with S(g) = g^-1, S(x) = -g^-1 x:
+    # (-1)^b q^((n-1) b(b-1)/2 + b((n-a) mod n)) g^(-a-b) x^b
+    s = [[f.zero] * dim for _ in range(dim)]
     for a in range(n):
         for b in range(n):
-            v = unit
-            for _ in range(b):
-                v = alg.product(v, sx)
-            for _ in range(a):
-                v = alg.product(v, sg)
-            s_cols.append(v)
-    s = [[s_cols[col][row] for col in range(dim)] for row in range(dim)]
+            e = (n - 1) * b * (b - 1) // 2 + b * ((n - a) % n)
+            s[bidx((-a - b) % n, b)][bidx(a, b)] = (-1) ** b * pow(q, e, p) % p
     s_inv = _matrix_inverse(f, s)
     return _hopf_presentation(
         name or f"taft{n}_p{p}", f, names, mul, unit, delta, counit,

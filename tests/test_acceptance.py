@@ -20,9 +20,11 @@ from fractions import Fraction
 
 import pytest
 
+from classical import Classical
 from hopfmonad import presentation, zoo
 from hopfmonad.antipode import AntipodeData, square_of_antipode
 from hopfmonad.cat import GradedMor, GradedObj, identity
+from hopfmonad.cli import EXAMPLES
 from hopfmonad.exactla import FieldSpec, kernel
 from hopfmonad.hopfstruct import (
     fundamental_iso,
@@ -451,6 +453,28 @@ class TestCriterion7Mutations:
                 ok = False
         record(7, f"{len(MUTATIONS)} single-perturbation fixtures rejected "
                "with the correct axiom named", ok)
+
+
+class TestClassicalOracle:
+    """The axioms suite against the bialgebra and antipode laws stated on
+    the structure constants (classical.py), which share no evaluator with
+    it: on every one-label builtin and one-label axioms fixture above."""
+
+    def test_axioms_verdict_is_the_classical_one(self):
+        cases = [(name, build()) for name, build in EXAMPLES.items()]
+        cases = [(name, pres) for name, pres in cases if "groupoid" not in pres]
+        for _, _, build in MUTATIONS:
+            pres, checks = build()
+            if isinstance(pres, dict) and checks == ("axioms",):
+                cases.append((pres["name"], pres))
+        assert [name for name, _ in cases if name.startswith("m")] == \
+            [f"m{k}" for k in (1, 2, 3, 4, 5, 6, 7, 8, 12, 13, 14)]
+        verdicts = {}
+        for name, pres in cases:
+            rep = verify_model(presentation.load(pres), checks=("axioms",), samples=1)
+            verdicts[name] = (rep.passed, Classical(pres).passes())
+        assert all(ours == classical for ours, classical in verdicts.values()), verdicts
+        assert {ours for ours, _ in verdicts.values()} == {True, False}
 
 
 class TestCriterion8Determinism:

@@ -27,11 +27,11 @@ from hopfmonad.cat import (
     identity,
     positions,
     sovereign_phi,
-    summand_inclusions,
     tensor_mor,
 )
 from hopfmonad.exactla import ExactError, FieldSpec
 from hopfmonad.verify import verify_model
+from test_chain import summand_inclusions
 
 Q = FieldSpec.rationals()
 VEC = BaseSpec.vector(Q)

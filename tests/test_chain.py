@@ -16,7 +16,6 @@ from hopfmonad.cat import (
     GradedMor,
     GradedObj,
     identity,
-    summand_inclusions,
     tensor_mor,
 )
 from hopfmonad import chain as chainmod
@@ -650,6 +649,26 @@ class TestGradedPlacement:
         for at, mor in steps:
             ch.then(mor, at=at)
         assert ch.eval() == brute_chain(x.tensor(x), steps)
+
+
+def summand_inclusions(x: GradedObj):
+    """Yield (grade, inclusion, projection) for each simple summand of x.
+
+    The k-th path at grade (i, l) spans a summand isomorphic to the
+    simple S(i, l); the inclusion and projection are the corresponding
+    coordinate morphisms.  Ordering is deterministic: grades in
+    lexicographic order, paths in path order.
+    """
+    f = x.base.field
+    for (i, l) in x.grades():
+        n = x.count(i, l)
+        s = GradedObj.simple(x.base, i, l)
+        for k in range(n):
+            col = f.zeros((n, 1))
+            col[k, 0] = f.one
+            inc = GradedMor(s, x, {(i, l): col})
+            proj = GradedMor(x, s, {(i, l): col.T.copy()})
+            yield (i, l), inc, proj
 
 
 def reference_extend(src, dst, xs, comps):

@@ -84,6 +84,27 @@ class TestExitCodes:
         assert "FAIL drinfeld.classical_match" in out
         assert "PASS drinfeld.square_of_antipode" in out
 
+    @pytest.mark.parametrize("length", [1, 5])
+    def test_classical_drinfeld_of_another_length_fails_its_check(self, tmp_path,
+                                                                  capsys, length):
+        path = self._double_z2_file(
+            tmp_path, lambda p: p["meta"].update(classical_drinfeld=["1"] * length))
+        assert main(["verify", path, "--checks", "quasitriangular"]) == 1
+        assert "FAIL drinfeld.classical_match" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda p: p["meta"].update(classical_drinfeld=["x", "0", "0", "1"]),
+         "meta.classical_drinfeld[0]: Invalid literal for Fraction: 'x'"),
+        (lambda p: p.__setitem__("twist", {"element": ["1", "0", "0", "0"]}),
+         "twist element is not invertible"),
+    ], ids=["classical-drinfeld-token", "twist-not-invertible"])
+    def test_bad_quasitriangular_data_is_two(self, tmp_path, capsys, edit, message):
+        path = self._double_z2_file(tmp_path, edit)
+        with pytest.raises(SystemExit) as exited:
+            main(["verify", path, "--checks", "quasitriangular"])
+        assert exited.value.code == 2
+        assert capsys.readouterr().err == f"input error: {message}\n"
+
     def test_no_inverse_of_u_skips_the_square_of_antipode(self, tmp_path, capsys):
         path = self._double_z2_file(
             tmp_path, lambda p: p["rmatrix"]["element"][0].__setitem__(0, "2"))

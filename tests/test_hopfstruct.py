@@ -1,10 +1,13 @@
 """Hopf modules, coinvariants, integrals, cointegrals, semisimplicity."""
 
+import hashlib
 import random
 from fractions import Fraction
 
 import pytest
 
+from classical import Classical
+from hopfmonad import zoo
 from hopfmonad.cat import GradedMor, GradedObj, identity
 from hopfmonad.exactla import FieldSpec
 from hopfmonad.hopfstruct import (
@@ -67,7 +70,7 @@ class TestGamma:
         fam = gamma_family(t, m.antipode)
         got = fam.comps[(0, 0)].block(0, 0)
         d3 = t.t2[((0, 0), (0, 0))].block(0, 0).reshape(n, n, n)
-        s_inv = f.asarray(m.s_inv_matrix)
+        s_inv = Classical(zoo.build_sweedler(Q)).s_inv
         expect = f.zeros((n * n, n))
         for z in range(n):
             for p in range(n):
@@ -103,6 +106,25 @@ class TestHopfModules:
             car, rho = random_comodule(sweedler.t, sweedler.grouplikes, rng, 2)
             h = induced_hopf_module(sweedler.t, car, rho)
             assert check_hopf_module(sweedler.t, h).passed
+
+    # (sha256 prefix of the coaction's blocks, the next draw of the rng),
+    # taken when the coaction was summed one chain per basis path
+    PINNED_COMODULES = {
+        "sweedler": ("cec56538c67c35f9", 0.18466034385487662),
+        "no_grouplikes": ("860f4843616f6718", 0.5078412730622711),
+        "taft3": ("f3fa5c57a161cd54", 0.6298827202168019),
+        "disconnected_groupoid": ("d96a14bec309a4b0", 0.7929768725199526),
+    }
+
+    @pytest.mark.parametrize("case", list(PINNED_COMODULES))
+    def test_random_comodule_is_pinned(self, case, request):
+        m = request.getfixturevalue("sweedler" if case == "no_grouplikes" else case)
+        rng = random.Random(11)
+        grouplikes = [] if case == "no_grouplikes" else m.grouplikes
+        _, rho = random_comodule(m.t, grouplikes, rng, 2)
+        text = repr(sorted((g, b.tolist()) for g, b in rho.blocks.items()))
+        digest = hashlib.sha256(text.encode()).hexdigest()[:16]
+        assert (digest, rng.random()) == self.PINNED_COMODULES[case]
 
     def test_trivial_coaction_on_free_fails_compat(self, sweedler):
         t = sweedler.t
@@ -292,7 +314,8 @@ class TestMaschke:
         v3 = maschke_verdict(sweedler.t)
         assert not v3["semisimple"] and v3["cointegral_dim"] == 1
         # counit vanishes on the whole cointegral line in both failures
-        assert all(all(x == 0 for x in col) for col in v2["counit_values"])
+        for t, v in ((ks3_f3.t, v2), (sweedler.t, v3)):
+            assert all((t.t0 @ lam).is_zero() for lam in v["cointegral_basis"])
 
     def test_separability_and_sections(self, ks3):
         t = ks3.t

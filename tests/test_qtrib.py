@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from classical import Classical
 from hopfmonad import presentation, qtrib, verify, zoo
 from hopfmonad.antipode import is_involutory, square_of_antipode
 from hopfmonad.cat import GradedMor, GradedObj, coev_mor, ev_mor
@@ -33,24 +34,6 @@ from hopfmonad.report import Report
 from hopfmonad.verify import verify_model
 
 Q = FieldSpec.rationals()
-
-
-def classical_drinfeld_vector(t, alg, r_elem, s_matrix) -> list:
-    """Element-level sum S(second leg) * (first leg) of the R-element."""
-    f = t.base.field
-    n = t.carrier_dim
-    out = [f.zero] * n
-    for a_i in range(n):
-        for b_i in range(n):
-            coeff = f.coerce(r_elem[a_i][b_i])
-            if coeff == f.zero:
-                continue
-            sb = [f.coerce(s_matrix[k][b_i]) for k in range(n)]
-            ea = [f.one if j == a_i else f.zero for j in range(n)]
-            prod = alg.product(sb, ea)
-            for c in range(n):
-                out[c] = f.coerce(out[c] + coeff * prod[c])
-    return out
 
 
 @pytest.fixture(scope="module")
@@ -157,9 +140,10 @@ class TestDrinfeld:
 
     def test_classical_formula_against_structure_constants(self, dz2):
         got = drinfeld_element(dz2.t, dz2.antipode, dz2.rmatrix)
-        want = classical_drinfeld_vector(dz2.t, dz2.alg, dz2.r_elem,
-                                         dz2.s_matrix)
-        assert got == element_from_vector(dz2.t, want, "d")
+        # u = Σ S(r₂) r₁ from the structure constants
+        want = Classical(zoo.build_drinfeld_double_group(
+            zoo.cyclic_group_table(2), Q, "DZ2")).drinfeld_element()
+        assert got == element_from_vector(dz2.t, want.tolist(), "d")
 
     def test_square_is_conjugation_by_u(self, dz2):
         u, ui = drinfeld_pair(dz2)

@@ -1,16 +1,21 @@
 """Builders and the presentation schema."""
 
+import copy
+import hashlib
 import itertools
 import json
 import re
 
+import numpy as np
 import pytest
 
+from classical import Classical
 from hopfmonad import presentation, zoo
 from hopfmonad.cli import EXAMPLES, main
 from hopfmonad.exactla import ExactError, FieldSpec, inverse
 from hopfmonad.monad import check_bimonad
 from hopfmonad.presentation import SchemaError, load
+from hopfmonad.verify import verify_model
 
 Q = FieldSpec.rationals()
 F3 = FieldSpec.prime(3)
@@ -45,13 +50,10 @@ class TestBuilders:
         # builder as a+2b; both give the same structure constants over GF(3)
         taft = presentation.load(zoo.build_taft(2, 3))
         sw = presentation.load(zoo.build_sweedler(F3))
+        taft_c = Classical(zoo.build_taft(2, 3))
+        sw_c = Classical(zoo.build_sweedler(F3))
         perm = [0, 2, 1, 3]  # taft index of the sweedler basis element
-        f = F3
-        for a in range(4):
-            for b in range(4):
-                got = [taft.alg.mul[perm[a]][perm[b]][perm[c]] for c in range(4)]
-                want = sw.alg.mul[a][b]
-                assert got == want
+        assert np.array_equal(taft_c.mul[np.ix_(perm, perm, perm)], sw_c.mul)
         t2_t = taft.t.t2[((0, 0), (0, 0))].block(0, 0)
         t2_s = sw.t.t2[((0, 0), (0, 0))].block(0, 0)
         for a in range(4):
@@ -60,8 +62,7 @@ class TestBuilders:
                     assert t2_t[perm[p] * 4 + perm[q], perm[a]] == t2_s[p * 4 + q, a]
         for a in range(4):
             assert taft.t.t0.block(0, 0)[0, perm[a]] == sw.t.t0.block(0, 0)[0, a]
-            for b in range(4):
-                assert taft.s_matrix[perm[a]][perm[b]] == sw.s_matrix[a][b]
+        assert np.array_equal(taft_c.s[np.ix_(perm, perm)], sw_c.s)
 
     def test_one_object_groupoid_matches_group_algebra(self, one_object_z2, kz2):
         a, b = one_object_z2.t, kz2.t
@@ -84,6 +85,47 @@ class TestBuilders:
             zoo.build_groupoid_algebra(["1"], [("g", 0, 0), ("h", 0, 0)], Q)
 
 
+# sha256 of json.dumps(build_taft(n, p), sort_keys=True), taken when the
+# tables were still multiplied out from Δ(g), Δ(x), S(g) and S(x)
+TAFT_DIGESTS = {
+    (2, 3): "8ee8311f90d7862266aa3470ff51764dbb678226aeb90c6b60d40b8ddf34da67",
+    (2, 5): "929a4e5d25f2c887d34089b172e39ae51f9eac8c1370b441c50876d367df0395",
+    (2, 7): "17ef759014bc6e84a524a3bec73f8b19db867ceb91addac3aa62314f96d6c267",
+    (3, 7): "b6ab217a55ca493d62b26c7ab30bdd01ae9f3435012787c48bdc3a15d633d0b8",
+    (3, 13): "9dbafce01a393d65ba0b7cc48388acdc5ce465e0581ddae49b8b052e443ea461",
+    (4, 5): "d0800d69c913a19ee9a3eb480bb105d04c97df84b61440f60ba7ef5a2b8af8b9",
+    (4, 13): "4c0483ac5ce15a4b8afc5c9e51cba3f63c04aa8052597c39a361f1b4952c56bb",
+    (5, 11): "5e287fd4e95b102fcb237311bf9a67d3dbf4da4abb9de5053fa8271803a460ae",
+    (6, 7): "0cd075b3c7901cee4cc0390e3fa09692d6bf2398c7a492d97e52e2543bc59d6b",
+}
+
+
+class TestTaft:
+    @pytest.mark.parametrize("n,p", list(TAFT_DIGESTS))
+    def test_presentation_is_pinned(self, n, p):
+        text = json.dumps(zoo.build_taft(n, p), sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == TAFT_DIGESTS[n, p]
+
+    @pytest.mark.parametrize("n,p", [(4, 5), (5, 11)])
+    def test_axioms_and_derived_pass_past_the_gallery(self, n, p):
+        pres = zoo.build_taft(n, p)
+        assert Classical(pres).passes()
+        rep = verify_model(load(pres), checks=("axioms", "derived"), samples=1)
+        assert rep.passed, [r.line() for r in rep.failures()]
+        assert rep.find(f"grouplike.inverse_{n - 1}").status == "pass"
+
+
+class TestTwistInverse:
+    @pytest.mark.parametrize("name", [n for n in EXAMPLES if "twist" in EXAMPLES[n]()])
+    def test_loader_inverts_the_twist_element(self, name):
+        pres = EXAMPLES[name]()
+        bare = copy.deepcopy(pres)
+        del bare["twist"]["element_inverse"]
+        got, want = (load(p) for p in (bare, pres))
+        assert got.base.field.equal(*(m.twist[1].comps[(0, 0)].block(0, 0)
+                                      for m in (got, want)))
+
+
 # where a bad scalar goes in the tables of the double of Z2, by the name the
 # loader's error gives
 PUT = {
@@ -98,6 +140,8 @@ PUT = {
     "twist inverse": lambda p, x: p["twist"]["element_inverse"].__setitem__(3, x),
     "grouplike[0]": lambda p, x: p["grouplikes"][0].__setitem__(1, x),
     "stock_modules[0]": lambda p, x: p["stock_modules"][0]["action"][1].__setitem__(5, x),
+    "meta.classical_drinfeld[2]":
+        lambda p, x: p["meta"]["classical_drinfeld"].__setitem__(2, x),
 }
 
 
@@ -157,7 +201,10 @@ class TestSchema:
         (lambda p: p.__setitem__("carrier", [["x"]]), "carrier: not an integer: 'x'"),
         (lambda p: p.__setitem__("carrier", [4]),
          "carrier[0]: expected 1 entries, got int"),
-    ], ids=["dim-token", "dim-negative", "no-action", "carrier-token", "carrier-shape"])
+        (lambda p: p["meta"].__setitem__("classical_drinfeld", "1001"),
+         "meta.classical_drinfeld: expected a list, got str"),
+    ], ids=["dim-token", "dim-negative", "no-action", "carrier-token", "carrier-shape",
+            "classical-drinfeld-shape"])
     def test_bad_structural_field_names_it(self, tmp_path, capsys, edit, message):
         pres = zoo.build_drinfeld_double_group(zoo.cyclic_group_table(2), Q)
         edit(pres)
@@ -205,7 +252,6 @@ class TestScalarMemo:
         got = load(dict(pres, mul=mixed))
         want = load(pres)
         assert field.equal(got.t.m.block(0, 0), want.t.m.block(0, 0))
-        assert got.alg.mul == want.alg.mul
         # 1.0 equals 1 and hashes like it, but a float is still no scalar
         mixed[1][1][0] = 1.0
         with pytest.raises(SchemaError, match=r"^mul\[1\]\[1\]: cannot coerce 1\.0"):
@@ -240,11 +286,6 @@ class TestScalarMemo:
             assert got[key].shape == want[key].shape, key
             assert got[key].dtype == want[key].dtype, key
             assert f.equal(got[key], want[key]), key
-        want_lists = _entrywise_lists(pres)
-        assert model.alg.mul == want_lists["mul"] and model.alg.unit == want_lists["unit"]
-        assert model.s_matrix == want_lists["s"]
-        assert model.s_inv_matrix == want_lists["s_inv"]
-        assert model.r_elem == want_lists.get("r")
 
 
 def _entrywise_lists(pres: dict) -> dict:
