@@ -32,8 +32,16 @@ basis vector sits at the same place of the transposed cell, in the dual
 atom: the dual of a path reverses its multi-index and moves each digit
 to the transposed cell (`_dual_positions`).
 
-Morphisms are grade-preserving linear maps, stored as one dense exact
-matrix per grade.
+Morphisms are grade-preserving linear maps, one exact matrix per grade.
+On a multi-label base every block is a dense array.  On one label the
+single block may be held as chain.py holds a tensor, as an
+exactla.SparseTensor when it has more than chain.SPARSE_FIXED entries:
+a chain result whose last contraction was sparse, a pairing row (one
+nonzero per path), or a dense block that a chain step has read for its
+nonzeros (it keeps the dense array too).  Equality and is_zero read
+either form as it is; block() gives the dense array, for the consumers
+that need one (products, row reduction, the transpose, the report),
+bounded by chain.MAX_STATE_ENTRIES.
 """
 
 from __future__ import annotations
@@ -46,7 +54,7 @@ from math import prod
 
 import numpy as np
 
-from .exactla import INT64_BOUND, DimensionMismatch, ExactError, FieldSpec
+from .exactla import INT64_BOUND, DimensionMismatch, ExactError, FieldSpec, SparseTensor
 
 
 class BaseMismatch(ExactError):
@@ -337,9 +345,10 @@ def _dual_positions(word: GradedObj, i: int, l: int) -> np.ndarray:
 class GradedMor:
     """Grade-preserving linear map between two words.
 
-    `blocks` maps a grade (i, l) to a dense matrix of shape
-    (dst.count(i,l), src.count(i,l)); grades where either count is zero
-    are omitted.
+    `blocks` maps a grade (i, l) to a matrix of shape
+    (dst.count(i,l), src.count(i,l)), dense or, on one label, a
+    SparseTensor (see the module docstring); grades where either count
+    is zero are omitted.
     """
 
     __slots__ = ("src", "dst", "blocks")
@@ -378,12 +387,21 @@ class GradedMor:
     def zero(src: GradedObj, dst: GradedObj) -> "GradedMor":
         return GradedMor(src, dst, {})
 
-    def block(self, i: int, l: int):
-        """Dense block at a grade (zeros when absent)."""
+    def held(self, i: int, l: int):
+        """The block at a grade as it is held, dense or a SparseTensor
+        (zeros when absent)."""
         g = (i, l)
         if g in self.blocks:
             return self.blocks[g]
         return self.field.zeros((self.dst.count(i, l), self.src.count(i, l)))
+
+    def block(self, i: int, l: int):
+        """Dense block at a grade (zeros when absent)."""
+        m = self.held(i, l)
+        if not isinstance(m, SparseTensor):
+            return m
+        from .chain import _dense  # chain builds on this module
+        return _dense(self.field, m)
 
     # -- algebra ------------------------------------------------------------
 
@@ -395,7 +413,7 @@ class GradedMor:
         blocks = {}
         for g in self.blocks:
             if g in other.blocks:
-                blocks[g] = f.matmul(self.blocks[g], other.blocks[g])
+                blocks[g] = f.matmul(self.block(*g), other.block(*g))
         return GradedMor(other.src, self.dst, blocks)
 
     def __matmul__(self, other: "GradedMor") -> "GradedMor":
@@ -420,17 +438,18 @@ class GradedMor:
     def __neg__(self) -> "GradedMor":
         f = self.field
         return GradedMor(self.src, self.dst,
-                         {g: f.reduce(-m) for g, m in self.blocks.items()})
+                         {g: f.reduce(-self.block(*g)) for g in self.blocks})
 
     def scale(self, c) -> "GradedMor":
         f = self.field
         c = f.coerce(c)
         return GradedMor(self.src, self.dst,
-                         {g: f.reduce(m * c) for g, m in self.blocks.items()})
+                         {g: f.reduce(self.block(*g) * c) for g in self.blocks})
 
     def is_zero(self) -> bool:
         zero = self.field.zero
-        return all(bool(np.all(m == zero)) for m in self.blocks.values())
+        return all(not m.vals.any() if isinstance(m, SparseTensor) else bool(np.all(m == zero))
+                   for m in self.blocks.values())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, GradedMor):
@@ -438,7 +457,7 @@ class GradedMor:
         if self.src != other.src or self.dst != other.dst:
             return False
         f = self.field
-        return all(f.equal(self.block(*g), other.block(*g))
+        return all(f.equal(self.held(*g), other.held(*g))
                    for g in set(self.blocks) | set(other.blocks))
 
     def __hash__(self):
@@ -446,9 +465,6 @@ class GradedMor:
 
     def __repr__(self):
         return f"Mor({self.src!r} -> {self.dst!r})"
-
-    def tensor(self, other: "GradedMor") -> "GradedMor":
-        return tensor_mor(self, other)
 
     # -- duality ---------------------------------------------------------------
 
@@ -460,12 +476,12 @@ class GradedMor:
         f = self.field
         src_d, dst_d = self.dst.dual(), self.src.dual()
         blocks = {}
-        for (i, l), m in self.blocks.items():
+        for (i, l) in self.blocks:
             # block of the dual morphism at grade (l, i)
             rp = _perm_to_dual(self.src, i, l)
             cp = _perm_to_dual(self.dst, i, l)
             out = f.zeros((self.src.count(i, l), self.dst.count(i, l)))
-            out[np.ix_(rp, cp)] = m.T
+            out[np.ix_(rp, cp)] = self.block(i, l).T
             blocks[(l, i)] = out
         return GradedMor(src_d, dst_d, blocks)
 
@@ -480,53 +496,6 @@ def _perm_to_dual(obj: GradedObj, i: int, l: int) -> np.ndarray:
     return out
 
 
-# ---------------------------------------------------------------------------
-# Monoidal structure on morphisms
-# ---------------------------------------------------------------------------
-
-
-@_owned_memo
-def _tensor_positions(x: GradedObj, y: GradedObj, i: int, l: int) -> dict:
-    """For each middle label j: the positions of the paths x-path ⊗ y-path
-    i -> j -> l inside the (i, l) path order of x ⊗ y, row-major in
-    (x-path, y-path).
-
-    The arrays are kept in x's memo and shared, so they are read-only."""
-    word = x.tensor(y)
-    out = {}
-    for j in range(x.base.nlabels):
-        if x.count(i, j) and y.count(j, l):
-            pos = _joined(word, i, l, [(x, positions(x, i, j)[:, None]),
-                                       (y, positions(y, j, l))]).ravel()
-            pos.flags.writeable = False
-            out[j] = pos
-    return out
-
-
-def tensor_mor(f: GradedMor, g: GradedMor) -> GradedMor:
-    """Tensor product of morphisms, built block by block: each pair of
-    blocks (i, j) and (j, l) gives their outer product, with rows and
-    columns in the row-major (f, g) order, placed at the tensor positions
-    of the paths.  The library whiskers through chain.Chain; this dense
-    form is the reference the tests compare chains with."""
-    if f.base != g.base:
-        raise BaseMismatch("tensor across different bases")
-    fld = f.field
-    src = f.src.tensor(g.src)
-    dst = f.dst.tensor(g.dst)
-    blocks = {}
-    for (i, l) in set(src.grades()) & set(dst.grades()):
-        out = fld.zeros((dst.count(i, l), src.count(i, l)))
-        col_pos = _tensor_positions(f.src, g.src, i, l)
-        row_pos = _tensor_positions(f.dst, g.dst, i, l)
-        for j in set(col_pos) & set(row_pos):
-            a, b = f.block(i, j), g.block(j, l)
-            k = fld.tensordot(a, b, ([], [])).transpose(0, 2, 1, 3)
-            out[np.ix_(row_pos[j], col_pos[j])] = k.reshape(len(row_pos[j]), len(col_pos[j]))
-        blocks[(i, l)] = out
-    return GradedMor(src, dst, blocks)
-
-
 def identity(obj: GradedObj) -> GradedMor:
     return GradedMor.identity(obj)
 
@@ -539,7 +508,10 @@ def identity(obj: GradedObj) -> GradedMor:
 def _pairing(x: GradedObj, dual_first: bool) -> tuple:
     """The word dual(x) ⊗ x (dual_first) or x ⊗ dual(x), with its pairing
     row of the standard dual bases at every diagonal grade (i, i): each
-    path of x meets its dual in dual(x)."""
+    path of x meets its dual in dual(x).  On one label a row of more than
+    chain.SPARSE_FIXED entries is built as a SparseTensor, its one
+    nonzero per path."""
+    from .chain import SPARSE_FIXED  # chain builds on this module
     f = x.base.field
     xd = x.dual()
     word = xd.tensor(x) if dual_first else x.tensor(xd)
@@ -547,14 +519,21 @@ def _pairing(x: GradedObj, dual_first: bool) -> tuple:
     for (i, l) in word.grades():
         if i != l:
             continue
-        m = f.zeros((1, word.count(i, i)))
+        hits = []
         for j in range(x.base.nlabels):
             # p runs through x from label a to b, its dual through dual(x)
             a, b = (j, i) if dual_first else (i, j)
             p, dp = positions(x, a, b), _dual_positions(x, a, b)
             parts = [(xd, dp), (x, p)] if dual_first else [(x, p), (xd, dp)]
-            m[0, _joined(word, i, i, parts)] = f.one
-        rows[(i, i)] = m
+            hits.append(_joined(word, i, i, parts))
+        n = word.count(i, i)
+        if x.base.is_vector and n > SPARSE_FIXED:
+            index = np.sort(hits[0])
+            rows[(i, i)] = SparseTensor((1, n), index, np.ones(len(index), dtype=np.int64))
+            continue
+        m = rows[(i, i)] = f.zeros((1, n))
+        for pos in hits:
+            m[0, pos] = f.one
     return word, rows
 
 
@@ -566,7 +545,7 @@ def _ev(x: GradedObj, dual_first: bool) -> GradedMor:
 def _coev(x: GradedObj, dual_first: bool) -> GradedMor:
     word, rows = _pairing(x, dual_first)
     return GradedMor(GradedObj.unit(x.base), word,
-                     {g: m.reshape(-1, 1) for g, m in rows.items()})
+                     {g: m.reshape((m.shape[1], 1)) for g, m in rows.items()})
 
 
 def ev_mor(x: GradedObj) -> GradedMor:

@@ -6,8 +6,8 @@ extension of a stored transformation component.  A Chain records the
 steps; eval() turns the composite into an honest GradedMor.  It is the
 one place the library whiskers: T(f) = id_A ⊗ f, eta_X = u ⊗ id_X and
 mu_X = m ⊗ id_X are one-step chains too (TensoringBimonad.on_mor and
-eta_mor, modcat.free_module), and cat.tensor_mor is only the dense
-reference the tests compare chains with.
+eta_mor, modcat.free_module); the tests compare chains with dense
+Kronecker products of whiskers.
 
 Neither backend materializes a whiskered factor id_L ⊗ g ⊗ id_R.  On a
 one-label base a chain is a tensor network applied to an identity.
@@ -43,14 +43,19 @@ only where they are exact (exactla.sparse_exact): over GF(p) each
 product of residues is below 2**40, so fewer than 2**23 of them may meet
 at one entry; over Q the numerators must satisfy the bound of the dense
 integer product, inner * max|a| * max|b| < 2**63.  Both routes give the
-same exact tensor, so no report depends on the choice.  A step's core
-is read once and kept on the step (Step.tensor), as a SparseTensor when
-it has more than SPARSE_FIXED entries (_held); the result is made dense
-only at the end, so eval always returns dense blocks.
+same exact tensor, so no report depends on the choice.  A tensor of
+more than SPARSE_FIXED entries is held as a SparseTensor (_held), one of
+at most that many as a dense array.  A step's core is read once and kept
+on the step (Step.tensor); a MorStep keeps it on its morphism too, so
+every chain through one GradedMor reads that block once.  The result
+keeps the form its last contraction gave it, held by the same rule: a
+sparse result of more than SPARSE_FIXED entries is the GradedMor's
+block as it is, never made dense here (cat.py says which consumers ask
+for the dense array).
 MAX_STATE_ENTRIES bounds the stored entries of each intermediate (the
-nonzeros of a sparse one), the dense array of a sparse operand that
-takes the dense route, and the joined pairs of a sparse product times
-the arrays the join holds.
+nonzeros of a sparse one), the dense array of a sparse tensor made dense
+(an operand that takes the dense route, or a block asked for dense), and
+the joined pairs of a sparse product times the arrays the join holds.
 
 On a multi-label base the running composite is one block per grade
 (i, l), its rows the current word's (i, l)-paths.  A step
@@ -131,8 +136,17 @@ class MorStep(Step):
     def to_mor(self) -> GradedMor:
         return self.mor
 
-    def _core(self):
-        return self.mor.block(0, 0).reshape(self.dst.axis_dims() + self.src.axis_dims())
+    def tensor(self):
+        """The morphism's block on its legs, held once for every step that
+        wraps the morphism: a dense block that _held converts replaces the
+        morphism's own."""
+        if self._tensor is None:
+            mor = self.mor
+            held = _held(self.src.base.field, mor.held(0, 0))
+            if (0, 0) in mor.blocks:
+                mor.blocks[(0, 0)] = held
+            self._tensor = held.reshape(self.dst.axis_dims() + self.src.axis_dims())
+        return self._tensor
 
 
 class CoreStep(Step):
@@ -286,8 +300,10 @@ class Chain:
             return GradedMor(self.src, self.cur, {(0, 0): field.eye(1)})
         out, legs = tensors[0]
         order = [relabel.get(w, w) for w in wires] + list(range(nsrc))
-        out = _dense(field, out.transpose([legs.index(w) for w in order]))
-        return GradedMor(self.src, self.cur, {(0, 0): out.reshape(nd, ns)})
+        out = out.transpose([legs.index(w) for w in order]).reshape((nd, ns))
+        if isinstance(out, SparseTensor) and out.size <= SPARSE_FIXED:
+            out = out.dense(field)
+        return GradedMor(self.src, self.cur, {(0, 0): out})
 
 
 def _check_size(entries: int) -> None:
@@ -361,11 +377,14 @@ def _sparse_product(field, a, b, ax_a: list, ax_b: list, inner: int, size: int):
 
 def _held(field, t):
     """How the network holds a step's core (and, by the same size rule,
-    the pass-through identity): a SparseTensor, which keeps the dense
-    array too, when it has more than SPARSE_FIXED entries, and the dense
-    array otherwise.  A smaller tensor is converted
-    only when it meets a product that _sparse_product sends to the sparse
-    route, for less than that product's fixed cost."""
+    the pass-through identity and a GradedMor's one-label block): a
+    SparseTensor when it has more than SPARSE_FIXED entries, and the dense
+    array otherwise.  A tensor already sparse is taken as it is; one read
+    from a dense array keeps that array too.  A smaller tensor is
+    converted only when it meets a product that _sparse_product sends to
+    the sparse route, for less than that product's fixed cost."""
+    if isinstance(t, SparseTensor):
+        return t
     sparse = SparseTensor.of(field, t) if t.size > SPARSE_FIXED else None
     return t if sparse is None else sparse
 

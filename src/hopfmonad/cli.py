@@ -11,8 +11,9 @@ Exit codes: 0 all requested checks pass, 1 axiom failure (report still
 emitted), 2 malformed input, 3 internal error (an exact-arithmetic
 failure during verification, such as a chain whose pairwise
 intermediate or result stores more than chain.MAX_STATE_ENTRIES entries,
-the nonzeros of a sparse intermediate unless it must be made dense; no
-report).
+the nonzeros of a sparse intermediate unless it must be made dense, or an
+allocation the host cannot make; no report).  Running out of memory is
+never a verdict, so it never ends in exit 1.
 """
 
 from __future__ import annotations
@@ -130,6 +131,10 @@ def main(argv=None) -> int:
             rep = verify_model(model, checks=("quasitriangular",), seed=args.seed)
     except ExactError as e:
         print(f"internal error: {e}", file=sys.stderr)
+        return 3
+    except MemoryError as e:
+        detail = " ".join(str(e).split())
+        print(f"internal error: out of memory{': ' + detail if detail else ''}", file=sys.stderr)
         return 3
     if args.command == "drinfeld" and "u" in rep.built:
         f = model.t.base.field

@@ -33,8 +33,9 @@ arrays, the product's denominator is the product of the denominators,
 and the chunk sums accumulate in int64 when inner * top < 2**63 and in
 Python ints beyond.  When top >= 2**53 not one term fits a float64, and
 the product is taken over Python ints.  There is no second product
-kernel: an outer product of two matrices (a block of cat.tensor_mor) is
-FieldSpec.tensordot over no axes, one integer product of inner dimension 1.
+kernel: an outer product of two tensors (two pieces of a chain that share
+no wire) is FieldSpec.tensordot over no axes, one integer product of
+inner dimension 1.
 
 A SparseTensor holds an exact tensor by its nonzeros: their row-major
 positions and their values (residues, or numerators over one
@@ -42,7 +43,9 @@ denominator).  sparse_tensordot contracts two of them by index
 arithmetic on int64 (a join on the contracted coordinates, a product
 per joined pair, np.add.reduceat over the sorted output positions);
 sparse_exact says when those int64 sums cannot wrap.  The one-label
-chain evaluator picks it or tensordot per pair.
+chain evaluator picks it or tensordot per pair, and a one-label
+morphism may keep its block as a SparseTensor; FieldSpec.equal compares
+either form with the other by sorted nonzeros.
 
 The GF(p) row reduction runs on int64, where (p-1)**2 < 2**40.  The Q row
 reduction is fraction-free Gauss-Jordan elimination on the numerator
@@ -218,9 +221,13 @@ class FieldSpec:
         return a if self.is_rationals else a % self.p
 
     def equal(self, a, b) -> bool:
-        """Whether two matrices hold the same field elements: equal
-        arrays, as both fields keep one canonical form (residues in
-        [0, p) over GF(p))."""
+        """Whether two tensors, dense or SparseTensor, hold the same field
+        elements: equal arrays, as both fields keep one canonical form
+        (residues in [0, p) over GF(p)).  With a SparseTensor on either
+        side the two are compared by their sorted nonzeros, and nothing
+        is made dense."""
+        if isinstance(a, SparseTensor) or isinstance(b, SparseTensor):
+            return _sparse_equal(self, a, b)
         if self.is_rationals:
             return a.den == b.den and np.array_equal(a.num, b.num)
         return np.array_equal(a, b)
@@ -638,10 +645,29 @@ class SparseTensor:
         return len(self.index)
 
     def transpose(self, axes) -> "SparseTensor":
+        if list(axes) == list(range(self.ndim)):
+            return self
         coords = _coords(self)
         shape = tuple(self.shape[i] for i in axes)
         return SparseTensor(shape, _ravel([coords[i] for i in axes], shape, self.nnz),
                             self.vals, self.den)
+
+    def reshape(self, shape) -> "SparseTensor":
+        """The same entries in another shape (no -1): row-major positions
+        do not change."""
+        shape = tuple(shape)
+        if math.prod(shape) != self.size:
+            raise DimensionMismatch(f"cannot reshape {self.shape} into {shape}")
+        dense = None if self._dense is None else self._dense.reshape(shape)
+        return SparseTensor(shape, self.index, self.vals, self.den, dense)
+
+    def canonical(self) -> tuple:
+        """(index, vals) with the positions sorted."""
+        index, vals = self.index, self.vals
+        if len(index) > 1 and not (index[1:] > index[:-1]).all():
+            order = np.argsort(index)
+            index, vals = index[order], vals[order]
+        return index, vals
 
     def dense(self, spec: FieldSpec):
         """The dense array: an int64 array over GF(p), a QArray over Q."""
@@ -651,6 +677,21 @@ class SparseTensor:
         out[self.index] = self.vals
         out = out.reshape(self.shape)
         return _raw(out, self.den) if spec.is_rationals else out
+
+
+def _sparse_equal(spec: FieldSpec, a, b) -> bool:
+    """FieldSpec.equal with a SparseTensor on at least one side: equal
+    shapes, denominators and sorted nonzeros.  A dense side is read for
+    its nonzeros; Python-int numerators there are past int64, so equal
+    to no SparseTensor, whose values are int64 in the same canonical
+    form."""
+    if tuple(a.shape) != tuple(b.shape):
+        return False
+    a, b = (t if isinstance(t, SparseTensor) else SparseTensor.of(spec, t) for t in (a, b))
+    if a is None or b is None or a.den != b.den or a.nnz != b.nnz:
+        return False
+    (ia, va), (ib, vb) = a.canonical(), b.canonical()
+    return np.array_equal(ia, ib) and np.array_equal(va, vb)
 
 
 def _coords(t: SparseTensor) -> tuple:

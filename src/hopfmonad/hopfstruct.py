@@ -181,9 +181,8 @@ def check_hopf_module(t: TensoringBimonad, h: HopfModule) -> Report:
                     .then(t.t2.at_step(h.carrier, t.carrier), at=0) \
                     .then(h.action, at=0) \
                     .then(t.m, at=n).eval()
-    diff = lhs - rhs
-    rep.record("hopf_module.compatibility", diff.is_zero(),
-               witness=None if diff.is_zero() else diff)
+    same = lhs == rhs
+    rep.record("hopf_module.compatibility", same, witness=None if same else lhs - rhs)
     return rep
 
 

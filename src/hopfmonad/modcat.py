@@ -257,8 +257,8 @@ def _random_iso(x: GradedObj, rng) -> GradedMor:
 def _invert_mor(f_mor: GradedMor) -> GradedMor:
     f = f_mor.field
     blocks = {}
-    for g, blk in f_mor.blocks.items():
-        inv = inverse(f, blk)
+    for g in f_mor.blocks:
+        inv = inverse(f, f_mor.block(*g))
         if inv is None:
             raise ExactError("morphism is not invertible")
         blocks[g] = inv

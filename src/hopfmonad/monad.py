@@ -165,7 +165,7 @@ class Family:
         in_axes, src_pass = _slot_axes(self.src, xs)
         out_axes, dst_pass = _slot_axes(self.dst, xs)
         step = CoreStep(layout_word(self.src, xs), layout_word(self.dst, xs),
-                        self.comps[self.keys[0]].block(0, 0), in_axes, out_axes,
+                        self.comps[self.keys[0]].held(0, 0), in_axes, out_axes,
                         pass_perm=[src_pass.index(p) for p in dst_pass], held=self._held)
         # one core for every argument tuple: the network reads it once
         self._held = step.tensor()
@@ -441,7 +441,7 @@ def check_grouplike(t: TensoringBimonad, g: Element) -> bool:
         lhs = Chain(src).then(g.at_step(src), at=0).then(t.t2.at_step(s1, s2), at=0)
         rhs = Chain(src).then(g.at_step(s1), at=0) \
                         .then(g.at_step(s2), at=1 + len(s1.atoms))
-        if not (lhs.eval() - rhs.eval()).is_zero():
+        if lhs.eval() != rhs.eval():
             return False
     unit = t.unit_obj()
     lhs = Chain(unit).then(g.at_step(unit), at=0).then(t.t0, at=0)

@@ -16,8 +16,7 @@ def _mor_payload(m: GradedMor) -> dict:
     f = m.field
     blocks = {}
     for (i, l) in sorted(m.blocks):
-        b = m.blocks[(i, l)]
-        blocks[f"{i},{l}"] = [[f.show(v) for v in row] for row in b.tolist()]
+        blocks[f"{i},{l}"] = [[f.show(v) for v in row] for row in m.block(i, l).tolist()]
     return {
         "source_dims": m.src.dims_grid(),
         "target_dims": m.dst.dims_grid(),

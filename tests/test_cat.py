@@ -19,7 +19,6 @@ from hopfmonad.cat import (
     GradedMor,
     GradedObj,
     _perm_to_dual,
-    _tensor_positions,
     coev_mor,
     coev_right_mor,
     ev_mor,
@@ -27,11 +26,11 @@ from hopfmonad.cat import (
     identity,
     positions,
     sovereign_phi,
-    tensor_mor,
 )
-from hopfmonad.exactla import ExactError, FieldSpec
+from hopfmonad import chain
+from hopfmonad.exactla import ExactError, FieldSpec, SparseTensor
 from hopfmonad.verify import verify_model
-from test_chain import summand_inclusions
+from test_chain import _tensor_positions, summand_inclusions, tensor_mor
 
 Q = FieldSpec.rationals()
 VEC = BaseSpec.vector(Q)
@@ -486,6 +485,21 @@ class TestOneLabelPairing:
             assert e.block(0, 0).tolist() == [row]
             assert c.block(0, 0).tolist() == [[v] for v in row]
 
+    @pytest.mark.parametrize("dims", [(2, 3), (1, 4, 2), (3,)])
+    def test_sparse_rows_match_path_enumeration(self, dims, monkeypatch):
+        # with SPARSE_FIXED at 0 every row is built sparse: one nonzero
+        # per path, its positions sorted
+        monkeypatch.setattr(chain, "SPARSE_FIXED", 0)
+        x = GradedObj(VEC_F3, tuple(Atom(f"X{k}", ((d,),)) for k, d in enumerate(dims)))
+        for dual_first, ev, coev in ((True, ev_mor, coev_right_mor),
+                                     (False, ev_right_mor, coev_mor)):
+            row = enumerated_pairing_row(x, dual_first)
+            for mor, want in ((ev(x), [row]), (coev(x), [[v] for v in row])):
+                held = mor.held(0, 0)
+                assert isinstance(held, SparseTensor) and held.nnz == x.total_dim()
+                assert held.index.tolist() == sorted(held.index.tolist())
+                assert mor.block(0, 0).tolist() == want
+
 
 @st.composite
 def labelled_words(draw, base):
@@ -617,3 +631,70 @@ class TestEquality:
         del zero.blocks[g]
         assert zero == explicit and explicit == zero
         assert (explicit - zero).is_zero() and (zero - explicit).is_zero()
+
+
+def reversed_sparse(field, dense, den=None) -> SparseTensor:
+    """dense as a SparseTensor of its own, its nonzeros in reverse order,
+    over `den` in place of its denominator when given."""
+    t = SparseTensor.of(field, dense)
+    return SparseTensor(t.shape, t.index[::-1], t.vals[::-1], t.den if den is None else den)
+
+
+class TestHeldBlocks:
+    """One-label blocks held as SparseTensors compare with dense ones by
+    their sorted nonzeros."""
+
+    @pytest.mark.parametrize("field", [Q, FieldSpec.prime(5)])
+    def test_equality_across_forms(self, field):
+        rng = random.Random(8)
+        x = GradedObj.space(BaseSpec.vector(field), 6, "x")
+        # over Q every numerator is odd, so the denominator is 2
+        scale = Fraction(1, 2) if field.is_rationals else 1
+        dense = field.asarray([[rng.choice([0, 0, 0, 1, 3]) * scale for _ in range(6)]
+                               for _ in range(6)])
+        if field.is_rationals:
+            assert dense.den == 2
+        a = GradedMor(x, x, {(0, 0): dense})
+        b = GradedMor(x, x, {(0, 0): reversed_sparse(field, dense)})
+        assert b.held(0, 0).nnz > 1
+        assert a == b and b == a and b == GradedMor(x, x, {(0, 0): reversed_sparse(field, dense)})
+        assert field.equal(b.block(0, 0), dense)
+        flat = [v for row in dense.tolist() for v in row]
+        # one entry off by one: a zero made nonzero, and a nonzero changed
+        for k in (flat.index(0), next(k for k, v in enumerate(flat) if v)):
+            off = dense.copy()
+            i, j = divmod(k, 6)
+            off[i, j] = field.reduce(off[i, j] + field.one)
+            c = GradedMor(x, x, {(0, 0): off})
+            assert a != c and b != c and c != b
+            assert b != GradedMor(x, x, {(0, 0): reversed_sparse(field, off)})
+        if field.is_rationals:
+            # the same numerators over another denominator
+            over_one = GradedMor(x, x, {(0, 0): reversed_sparse(field, dense, den=1)})
+            assert over_one != a and a != over_one and over_one != b
+
+    @pytest.mark.parametrize("field", [Q, FieldSpec.prime(5)])
+    def test_empty_sparse_block_is_zero(self, field):
+        x = GradedObj.space(BaseSpec.vector(field), 6, "x")
+        empty = np.zeros(0, dtype=np.int64)
+        zero = GradedMor(x, x, {(0, 0): SparseTensor((6, 6), empty, empty)})
+        assert zero.is_zero()
+        assert zero == GradedMor.zero(x, x) and GradedMor.zero(x, x) == zero
+        assert zero != identity(x) and identity(x) != zero
+        one = GradedMor(x, x, {(0, 0): SparseTensor((6, 6), np.array([7]), np.array([1]))})
+        assert not one.is_zero()
+
+    def test_pairing_of_a_625_dimensional_word_is_held_sparse(self, monkeypatch):
+        # the shape of T(T(S))∨ for a 25-dimensional carrier: 625 paths
+        base = BaseSpec.vector(FieldSpec.prime(3))
+        x = GradedObj(base, (Atom("A", ((25,),)), Atom("S", ((1,),)), Atom("B", ((25,),))))
+        maps = (ev_mor, coev_mor, ev_right_mor, coev_right_mor)
+        held = [f(x) for f in maps]
+        monkeypatch.setattr(chain, "SPARSE_FIXED", 10**30)
+        dense = [f(x) for f in maps]
+        for h, d in zip(held, dense):
+            block = h.held(0, 0)
+            assert isinstance(block, SparseTensor) and block.size == 625 ** 2
+            assert block.nnz == 625 and block.vals.tolist() == [1] * 625
+            assert not isinstance(d.held(0, 0), SparseTensor)
+            assert h == d and d == h

@@ -5,18 +5,22 @@ from fractions import Fraction
 from itertools import product
 from math import prod
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hopfmonad.cat import (
+    _joined,
+    _owned_memo,
     _perm_to_dual,
     Atom,
+    BaseMismatch,
     BaseSpec,
     GradedMor,
     GradedObj,
     identity,
-    tensor_mor,
+    positions,
 )
 from hopfmonad import chain as chainmod
 from hopfmonad import exactla, presentation, zoo
@@ -49,6 +53,48 @@ def rand_mor(src, dst, rng, span=3):
         rows, cols = dst.count(*g), src.count(*g)
         blocks[g] = f.asarray(
             [[rng.randrange(-span, span + 1) for _ in range(cols)] for _ in range(rows)])
+    return GradedMor(src, dst, blocks)
+
+
+@_owned_memo
+def _tensor_positions(x: GradedObj, y: GradedObj, i: int, l: int) -> dict:
+    """For each middle label j: the positions of the paths x-path ⊗ y-path
+    i -> j -> l inside the (i, l) path order of x ⊗ y, row-major in
+    (x-path, y-path).
+
+    The arrays are kept in x's memo and shared, so they are read-only."""
+    word = x.tensor(y)
+    out = {}
+    for j in range(x.base.nlabels):
+        if x.count(i, j) and y.count(j, l):
+            pos = _joined(word, i, l, [(x, positions(x, i, j)[:, None]),
+                                       (y, positions(y, j, l))]).ravel()
+            pos.flags.writeable = False
+            out[j] = pos
+    return out
+
+
+def tensor_mor(f: GradedMor, g: GradedMor) -> GradedMor:
+    """Tensor product of morphisms, built block by block: each pair of
+    blocks (i, j) and (j, l) gives their outer product, with rows and
+    columns in the row-major (f, g) order, placed at the tensor positions
+    of the paths.  The library whiskers through chain.Chain; this dense
+    form is the reference the tests compare chains with."""
+    if f.base != g.base:
+        raise BaseMismatch("tensor across different bases")
+    fld = f.field
+    src = f.src.tensor(g.src)
+    dst = f.dst.tensor(g.dst)
+    blocks = {}
+    for (i, l) in set(src.grades()) & set(dst.grades()):
+        out = fld.zeros((dst.count(i, l), src.count(i, l)))
+        col_pos = _tensor_positions(f.src, g.src, i, l)
+        row_pos = _tensor_positions(f.dst, g.dst, i, l)
+        for j in set(col_pos) & set(row_pos):
+            a, b = f.block(i, j), g.block(j, l)
+            k = fld.tensordot(a, b, ([], [])).transpose(0, 2, 1, 3)
+            out[np.ix_(row_pos[j], col_pos[j])] = k.reshape(len(row_pos[j]), len(col_pos[j]))
+        blocks[(i, l)] = out
     return GradedMor(src, dst, blocks)
 
 
@@ -522,6 +568,68 @@ def test_double_z5_quasitriangular_takes_the_sparse_route(monkeypatch):
     rep = verify_model(drinfeld_double(5, 11, "double_z5_f11"), checks=("quasitriangular",))
     assert rep.passed
     assert calls["n"] > 0
+
+
+# ---------------------------------------------------------------------------
+# Vector backend: results and morphism blocks held sparse
+# ---------------------------------------------------------------------------
+
+
+class TestHeldForm:
+    @settings(max_examples=150, deadline=None)
+    @given(vector_chains(), st.integers(0, 40))
+    def test_held_results_match_dense(self, ch, fixed):
+        # with SPARSE_FIXED lowered, the steps, the pass-through identities
+        # and the results exceed it, and a held result is used again as a
+        # whiskered step
+        want = reference_chain(ch)
+        wide = GradedObj(ch.src.base, (VECTOR_ATOMS[1],))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(chainmod, "SPARSE_FIXED", fixed)
+            got = ch.eval()
+            held = got.held(0, 0) if got.blocks else None
+            if isinstance(held, SparseTensor):
+                assert held.size > fixed and held.shape == (want.dst.total_dim(),
+                                                            want.src.total_dim())
+            again = Chain(wide.tensor(got.src)).then(got, at=1).eval()
+        assert got == want and want == got
+        assert got.is_zero() == want.is_zero()
+        assert got.field.equal(got.block(0, 0), want.block(0, 0))
+        assert got.block(0, 0).dtype == want.block(0, 0).dtype
+        assert again == tensor_mor(identity(wide), want)
+
+    def test_held_result_is_not_made_dense(self):
+        # a permutation of a 150-dimensional space, whiskered by a
+        # 2-dimensional one: 90000 entries, 300 nonzeros
+        rng = random.Random(4)
+        x, y = vspace(VEC7, 150, "x"), vspace(VEC7, 2, "y")
+        perm = list(range(150))
+        rng.shuffle(perm)
+        blk = F7.zeros((150, 150))
+        blk[perm, range(150)] = 3
+        got = Chain(y.tensor(x)).then(GradedMor(x, x, {(0, 0): blk}), at=1).eval()
+        held = got.held(0, 0)
+        assert isinstance(held, SparseTensor) and held.nnz == 300 and held._dense is None
+        assert got == brute_whisker(y, GradedMor(x, x, {(0, 0): blk}), GradedObj.unit(VEC7))
+
+    def test_block_read_once_per_morphism(self, monkeypatch):
+        # every chain through one GradedMor wraps it in a new MorStep; its
+        # block is read for its nonzeros by the first only
+        calls = {"n": 0}
+
+        def counted(spec, a, _of=SparseTensor.of):
+            calls["n"] += 1
+            return _of(spec, a)
+        monkeypatch.setattr(SparseTensor, "of", staticmethod(counted))
+        x = vspace(VEC7, 150, "x")
+        blk = F7.zeros((150, 150))
+        blk[range(150), range(150)] = 2
+        mor = GradedMor(x, x, {(0, 0): blk})
+        first = Chain(x).then(mor).eval()
+        second = Chain(x).then(mor).eval()
+        assert calls["n"] == 1
+        assert first == second == identity(x).scale(2)
+        assert F7.equal(mor.block(0, 0), blk)
 
 
 class TestGradedChain:

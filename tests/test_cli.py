@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from hopfmonad import chain, presentation, zoo
+from hopfmonad import chain, cli, presentation, zoo
 from hopfmonad.cli import main
 from hopfmonad.exactla import FieldSpec
 
@@ -140,6 +140,21 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.err.startswith("internal error: ")
         assert captured.out == ""
+
+    @pytest.mark.parametrize("error", [
+        MemoryError(),
+        MemoryError("Unable to allocate 1.28 GiB for an array with shape (13122, 13122)\n"
+                    "and data type int64")])
+    def test_out_of_memory_is_three(self, monkeypatch, capsys, error):
+        # exhausting the host is an internal error on one line, not a verdict
+        def exhausted(*args, **kwargs):
+            raise error
+        monkeypatch.setattr(cli, "verify_model", exhausted)
+        assert main(["verify", "sweedler", "--checks", "axioms"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("internal error: out of memory")
+        assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
 
 
 class TestOutputs:

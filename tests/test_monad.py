@@ -35,8 +35,9 @@ from hopfmonad.monad import (
 from hopfmonad.presentation import element_from_vector
 from hopfmonad.report import Report
 from hopfmonad.verify import SUITES, verify_model
-from hopfmonad.cat import GradedMor, GradedObj, identity, tensor_mor
+from hopfmonad.cat import GradedMor, GradedObj, identity
 from hopfmonad.modcat import free_module
+from test_chain import tensor_mor
 
 Q = FieldSpec.rationals()
 

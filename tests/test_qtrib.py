@@ -70,8 +70,8 @@ def solved_drinfeld_inverse(t, a, r):
         tau = braiding_on_modules(t, r, dual_module(t, a.sl, fm), fm)
         coev = coev_mor(m_word)
         blocks = {}
-        for grade, blk in tau.blocks.items():
-            sol = solve_affine(f, blk, coev.blocks.get(grade, f.zeros((blk.shape[0], 0))))
+        for grade in tau.blocks:
+            sol = solve_affine(f, tau.block(*grade), coev.block(*grade))
             if sol is None or sol[1].shape[1]:
                 return None
             blocks[grade] = sol[0]
