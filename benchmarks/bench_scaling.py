@@ -1,10 +1,13 @@
 """Time every suite of the Drinfeld doubles D(Z_n) and of double_s3_f7.
 
-The models are D(Z_n) for n = 2 ... 9 (carrier dimension n^2) over GF(29),
-GF(17) for n = 8 and GF(19) for n = 9, built in code by `zoo`, and the
-36-dimensional double of S3 over GF(7).  Each model runs in its own
-process, one after the other, so the peak resident set of one model is not
-inherited by the next.  In that process:
+The models are D(Z_n) for n = 2 ... 12 (carrier dimension n^2) over GF(29),
+GF(17) for n = 8, GF(19) for n = 9 and GF(23) for n = 10 and 11, built in
+code by `zoo`, and the 36-dimensional double of S3 over GF(7).  Each model
+runs in its own process, one after the other, so the peak resident set of
+one model is not inherited by the next.  That process may map at most 4 GiB
+(RLIMIT_AS), so a model that outgrows it ends in a recorded row, a
+`ChainOverflow` or the error line of a `MemoryError`, and the host keeps
+its memory.  In that process:
 
 - every suite runs once on a freshly loaded model (`all_s`), while each
   pairwise contraction of the one-label chain evaluator is watched for the
@@ -46,8 +49,8 @@ from hopfmonad import chain, presentation, zoo
 from hopfmonad.exactla import FieldSpec
 from hopfmonad.verify import SUITES, verify_model
 
-PRIMES = {8: 17, 9: 19}
-MODELS = [f"double_z{n}_f{PRIMES.get(n, 29)}" for n in range(2, 10)] + ["double_s3_f7"]
+PRIMES = {8: 17, 9: 19, 10: 23, 11: 23}
+MODELS = [f"double_z{n}_f{PRIMES.get(n, 29)}" for n in range(2, 13)] + ["double_s3_f7"]
 TIMEOUT_S = 1800
 OUT = "BENCH_scaling.json"
 
@@ -116,6 +119,7 @@ def main():
     parser.add_argument("--one", help=argparse.SUPPRESS)
     args = parser.parse_args()
     if args.one:
+        resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))
         print(json.dumps(_one(args.one)))
         return
 

@@ -34,11 +34,14 @@ to the transposed cell (`_dual_positions`).
 
 Morphisms are grade-preserving linear maps, one exact matrix per grade.
 On a multi-label base every block is a dense array.  On one label the
-single block may be held as chain.py holds a tensor, as an
-exactla.SparseTensor when it has more than chain.SPARSE_FIXED entries:
-a chain result whose last contraction was sparse, a pairing row (one
-nonzero per path), or a dense block that a chain step has read for its
-nonzeros (it keeps the dense array too).  Equality and is_zero read
+single block is held as chain.py holds a tensor: an exactla.SparseTensor
+when it has more than chain.SPARSE_FIXED entries, a dense array
+otherwise.  A block is held sparse as a chain result whose last
+contraction was sparse, as a pairing row (one nonzero per path, built
+sparse on both backends and made dense where the rule says so), or once
+a chain step has read it for its nonzeros: every step over a morphism,
+a natural family's component included, keeps that form on the morphism
+(with the dense array it was read from).  Equality and is_zero read
 either form as it is; block() gives the dense array, for the consumers
 that need one (products, row reduction, the transpose, the report),
 bounded by chain.MAX_STATE_ENTRIES.
@@ -508,11 +511,10 @@ def identity(obj: GradedObj) -> GradedMor:
 def _pairing(x: GradedObj, dual_first: bool) -> tuple:
     """The word dual(x) ⊗ x (dual_first) or x ⊗ dual(x), with its pairing
     row of the standard dual bases at every diagonal grade (i, i): each
-    path of x meets its dual in dual(x).  On one label a row of more than
-    chain.SPARSE_FIXED entries is built as a SparseTensor, its one
-    nonzero per path."""
+    path of x meets its dual in dual(x).  A row is built as a SparseTensor,
+    its one nonzero per path at sorted positions, and held so on one label
+    when it has more than chain.SPARSE_FIXED entries, dense otherwise."""
     from .chain import SPARSE_FIXED  # chain builds on this module
-    f = x.base.field
     xd = x.dual()
     word = xd.tensor(x) if dual_first else x.tensor(xd)
     rows = {}
@@ -527,13 +529,9 @@ def _pairing(x: GradedObj, dual_first: bool) -> tuple:
             parts = [(xd, dp), (x, p)] if dual_first else [(x, p), (xd, dp)]
             hits.append(_joined(word, i, i, parts))
         n = word.count(i, i)
-        if x.base.is_vector and n > SPARSE_FIXED:
-            index = np.sort(hits[0])
-            rows[(i, i)] = SparseTensor((1, n), index, np.ones(len(index), dtype=np.int64))
-            continue
-        m = rows[(i, i)] = f.zeros((1, n))
-        for pos in hits:
-            m[0, pos] = f.one
+        index = np.sort(np.concatenate(hits))
+        row = SparseTensor((1, n), index, np.ones(len(index), dtype=np.int64))
+        rows[(i, i)] = row if x.base.is_vector and n > SPARSE_FIXED else row.dense(x.base.field)
     return word, rows
 
 
@@ -566,14 +564,3 @@ def ev_right_mor(x: GradedObj) -> GradedMor:
 def coev_right_mor(x: GradedObj) -> GradedMor:
     """Right coevaluation  1 -> dual(x) ⊗ x."""
     return _coev(x, True)
-
-
-def sovereign_phi(x: GradedObj) -> GradedMor:
-    """The canonical identification of x with its double left dual.
-
-    Words dualize by reversing and dualizing atoms, and atom duals are
-    involutive, so the double dual is literally x and phi is the identity.
-    """
-    if x.dual().dual() is not x:
-        raise ExactError(f"the double dual of {x!r} is not the word itself")
-    return GradedMor.identity(x)

@@ -13,8 +13,8 @@ Neither backend materializes a whiskered factor id_L ⊗ g ⊗ id_R.  On a
 one-label base a chain is a tensor network applied to an identity.
 Each atom of the running word carries a wire, and each step is a core
 tensor whose legs are the wires it produces and the wires it consumes
-(a CoreStep through its in_axes, out_axes and pass_perm, a MorStep on
-all of its atoms); the wires a step passes through keep their labels.
+(its out_axes and in_axes: all of its atoms when the step is a whole
+morphism); the wires a step passes through keep their labels.
 The network is contracted one pair at a time: of the pairs of tensors
 that share a wire, the one whose result is smallest, the first by
 position among equals (_next_pair).  A disconnected remainder is joined
@@ -45,17 +45,20 @@ at one entry; over Q the numerators must satisfy the bound of the dense
 integer product, inner * max|a| * max|b| < 2**63.  Both routes give the
 same exact tensor, so no report depends on the choice.  A tensor of
 more than SPARSE_FIXED entries is held as a SparseTensor (_held), one of
-at most that many as a dense array.  A step's core is read once and kept
-on the step (Step.tensor); a MorStep keeps it on its morphism too, so
-every chain through one GradedMor reads that block once.  The result
-keeps the form its last contraction gave it, held by the same rule: a
-sparse result of more than SPARSE_FIXED entries is the GradedMor's
-block as it is, never made dense here (cat.py says which consumers ask
-for the dense array).
+at most that many as a dense array.  A step's core is a GradedMor whose
+block is held once and kept so on the morphism (Step.tensor): every step
+over it, a chain's whisker or a natural family's step at any arguments,
+reads that block once.  The result keeps the form its last contraction
+gave it, held by the same rule: a sparse result of more than
+SPARSE_FIXED entries is the GradedMor's block as it is, never made
+dense here (cat.py says which consumers ask for the dense array).
 MAX_STATE_ENTRIES bounds the stored entries of each intermediate (the
 nonzeros of a sparse one), the dense array of a sparse tensor made dense
 (an operand that takes the dense route, or a block asked for dense), and
 the joined pairs of a sparse product times the arrays the join holds.
+So a result is bounded by what it stores; the one result no contraction
+makes, the zero array of a composite through a zero-dimensional wire, is
+checked where it is allocated.
 
 On a multi-label base the running composite is one block per grade
 (i, l), its rows the current word's (i, l)-paths.  A step
@@ -89,7 +92,7 @@ from .exactla import (INT64_BOUND, JOIN_ARRAYS, DimensionMismatch, ExactError,
                       SparseTensor, sparse_exact, sparse_tensordot)
 
 # Cap on the stored entries of any pairwise intermediate (its nonzeros when
-# it is sparse) and on the entries of the result (per evaluation).
+# it is sparse), and so of the result, per evaluation.
 MAX_STATE_ENTRIES = 3 * 10**8
 
 # The cost rule of _contract (see _sparse_product), in passes over one
@@ -107,93 +110,62 @@ class ChainOverflow(ExactError):
 
 
 class Step:
-    """One rewriting step src -> dst."""
-
-    src: GradedObj
-    dst: GradedObj
+    """One rewriting step src -> dst: the morphism `mor`, its core, on
+    some of the atoms of src.  Without src and dst, as on the graded
+    backend, the step is the whole morphism.  Otherwise the core consumes
+    the source atoms in_axes (row-major in the listed order) and produces
+    the target atoms out_axes; the k-th passing target atom is fed by the
+    pass_perm[k]-th passing source atom (in order when omitted), and
+    feeds pairs each passing target atom with its source atom."""
 
     _tensor = None
+    feeds = ()
 
-    def to_mor(self) -> GradedMor:
-        raise NotImplementedError
-
-    def tensor(self):
-        """Vector backend: the step's core on its legs, the atoms it
-        produces, then those it consumes; made once (_held)."""
-        if self._tensor is None:
-            self._tensor = _held(self.src.base.field, self._core())
-        return self._tensor
-
-
-class MorStep(Step):
-    """A step backed by a materialized morphism."""
-
-    def __init__(self, mor: GradedMor):
+    def __init__(self, mor: GradedMor, src: GradedObj | None = None,
+                 dst: GradedObj | None = None, in_axes: tuple = (), out_axes: tuple = (),
+                 pass_perm: tuple | None = None):
         self.mor = mor
-        self.src = mor.src
-        self.dst = mor.dst
-
-    def to_mor(self) -> GradedMor:
-        return self.mor
-
-    def tensor(self):
-        """The morphism's block on its legs, held once for every step that
-        wraps the morphism: a dense block that _held converts replaces the
-        morphism's own."""
-        if self._tensor is None:
-            mor = self.mor
-            held = _held(self.src.base.field, mor.held(0, 0))
-            if (0, 0) in mor.blocks:
-                mor.blocks[(0, 0)] = held
-            self._tensor = held.reshape(self.dst.axis_dims() + self.src.axis_dims())
-        return self._tensor
-
-
-class CoreStep(Step):
-    """Vector-backend step: a core matrix applied to selected atom axes.
-
-    in_axes lists the source atoms consumed by the core (row-major in the
-    listed order); out_axes lists the positions in the target word of the
-    atoms the core produces.  Remaining atoms pass through in order.
-    `held` is the core as tensor() gives it, when another step with the
-    same core and fixed legs has made it already.
-    """
-
-    def __init__(self, src: GradedObj, dst: GradedObj, core,
-                 in_axes: tuple, out_axes: tuple, pass_perm: tuple | None = None,
-                 held=None):
+        if src is None:
+            self.src, self.dst = mor.src, mor.dst
+            self.in_axes, self.out_axes = range(len(mor.src.atoms)), range(len(mor.dst.atoms))
+            return
         if not src.base.is_vector:
-            raise ExactError("CoreStep is vector-backend only")
-        self.src, self.dst, self.core = src, dst, core
-        self._tensor = held
-        self.in_axes = tuple(in_axes)
-        self.out_axes = tuple(out_axes)
-        sd = src.axis_dims()
-        dd = dst.axis_dims()
-        cin = prod(sd[a] for a in self.in_axes)
-        cout = prod(dd[a] for a in self.out_axes)
-        if core.shape != (cout, cin):
-            raise DimensionMismatch(f"core shape {core.shape}, expected {(cout, cin)}")
+            raise ExactError("a step on some atoms is one-label only")
+        self.src, self.dst = src, dst
+        self.in_axes, self.out_axes = tuple(in_axes), tuple(out_axes)
+        sd, dd = src.axis_dims(), dst.axis_dims()
+        core = (mor.dst.total_dim(), mor.src.total_dim())
+        shape = (prod(dd[a] for a in self.out_axes), prod(sd[a] for a in self.in_axes))
+        if core != shape:
+            raise DimensionMismatch(f"core shape {core}, expected {shape}")
         pass_src = [a for a in range(len(sd)) if a not in self.in_axes]
         pass_dst = [a for a in range(len(dd)) if a not in self.out_axes]
-        # pass_perm[k] = which pass-through source axis feeds the k-th
-        # pass-through target axis (identity when omitted)
-        self.pass_perm = tuple(pass_perm) if pass_perm is not None \
-            else tuple(range(len(pass_src)))
-        if sorted(self.pass_perm) != list(range(len(pass_src))):
+        perm = range(len(pass_src)) if pass_perm is None else pass_perm
+        if sorted(perm) != list(range(len(pass_src))):
             raise DimensionMismatch("pass_perm is not a permutation")
-        if [sd[pass_src[self.pass_perm[k]]] for k in range(len(pass_dst))] != \
-                [dd[a] for a in pass_dst]:
+        self.feeds = tuple(zip(pass_dst, (pass_src[p] for p in perm)))
+        if len(pass_dst) != len(pass_src) or any(dd[d] != sd[s] for d, s in self.feeds):
             raise DimensionMismatch("pass-through axes do not line up")
-        self._pass_src = pass_src
-        self._pass_dst = pass_dst
 
     def to_mor(self) -> GradedMor:
-        return Chain(self.src).then(self).eval()
+        """The step as one morphism src -> dst: on one label the chain of
+        this step alone, on the graded backend its own morphism."""
+        return Chain(self.src).then(self).eval() if self.src.base.is_vector else self.mor
 
-    def _core(self):
-        sd, dd = self.src.axis_dims(), self.dst.axis_dims()
-        return self.core.reshape([dd[a] for a in self.out_axes] + [sd[a] for a in self.in_axes])
+    def tensor(self):
+        """Vector backend: the core on the step's legs, the atoms it
+        produces, then those it consumes.  The morphism's block is held once
+        (_held) and kept on the morphism in that form, so every step over
+        one morphism reads it once and shares it."""
+        if self._tensor is None:
+            mor = self.mor
+            held = _held(mor.field, mor.held(0, 0))
+            if (0, 0) in mor.blocks:
+                mor.blocks[(0, 0)] = held
+            sd, dd = self.src.axis_dims(), self.dst.axis_dims()
+            self._tensor = held.reshape([dd[a] for a in self.out_axes] +
+                                        [sd[a] for a in self.in_axes])
+        return self._tensor
 
 
 class Chain:
@@ -207,7 +179,7 @@ class Chain:
     def then(self, step, at: int = 0) -> "Chain":
         """Append id ⊗ step ⊗ id with step.src starting at atom index `at`."""
         if isinstance(step, GradedMor):
-            step = MorStep(step)
+            step = Step(step)
         n = len(step.src.atoms)
         if self.cur.atoms[at:at + n] != step.src.atoms:
             raise DimensionMismatch(
@@ -239,8 +211,7 @@ class Chain:
             left = GradedObj(cur.base, cur.atoms[:at])
             right = GradedObj(cur.base, cur.atoms[at + n:])
             nxt = GradedObj(cur.base, left.atoms + step.dst.atoms + right.atoms)
-            mor = step.to_mor()
-            state = {g: _apply_graded(mor, left, right, *g, block, nxt.count(*g), field)
+            state = {g: _apply_graded(step.mor, left, right, *g, block, nxt.count(*g), field)
                      for g, block in state.items()}
             cur = nxt
         return GradedMor(self.src, cur, state)
@@ -250,7 +221,6 @@ class Chain:
     def _eval_vector(self) -> GradedMor:
         field = self.src.base.field
         ns, nd = self.src.total_dim(), self.cur.total_dim()
-        _check_size(nd * ns)
         # wires[k] is the wire on atom k of the running word; the source's
         # wires are 0 .. len(src) - 1, and each produced wire gets the next
         # label.  A step's tensor has the wires it produces, then the wires
@@ -263,21 +233,19 @@ class Chain:
             here = wires[at:at + len(step.src.atoms)]
             made = step.dst.axis_dims()
             mid = [None] * len(made)
-            if isinstance(step, CoreStep):
-                ins, outs = step.in_axes, step.out_axes
-                for d, p in zip(step._pass_dst, step.pass_perm):
-                    mid[d] = here[step._pass_src[p]]
-            else:
-                ins, outs = range(len(here)), range(len(made))
-            for a in outs:
+            for d, s in step.feeds:
+                mid[d] = here[s]
+            for a in step.out_axes:
                 mid[a] = len(dims)
                 dims.append(made[a])
-            tensors.append((step.tensor(), tuple(mid[a] for a in outs) +
-                            tuple(here[a] for a in ins)))
+            tensors.append((step.tensor(), tuple(mid[a] for a in step.out_axes) +
+                            tuple(here[a] for a in step.in_axes)))
             wires[at:at + len(here)] = mid
         # a wire of dimension 0 makes the composite zero (and an empty
-        # operand cannot be reshaped for tensordot)
+        # operand cannot be reshaped for tensordot); the one result that
+        # no contraction bounds
         if 0 in dims:
+            _check_size(nd * ns)
             return GradedMor(self.src, self.cur, {(0, 0): field.zeros((nd, ns))})
         while len(tensors) > 1:
             pick = _next_pair([legs for _, legs in tensors], dims)

@@ -17,7 +17,7 @@ from .cat import (
     identity,
 )
 from .chain import Chain
-from .exactla import ExactError, inverse, kernel, rank, solve_affine
+from .exactla import ExactError, inverse, kernel, rank
 from .monad import Family, TensoringBimonad, TransTT
 from .report import Report
 
@@ -127,29 +127,6 @@ def module_hom_space(m: TModule, n: TModule) -> list[GradedMor]:
         cols.append(_mor_coords((b @ m.action) - tb, grades))
     return [_mor_from_coords(m.carrier, n.carrier, v)
             for v in kernel(f, f.concatenate(cols, axis=1)).T]
-
-
-def module_section_space(m: TModule) -> list[GradedMor]:
-    """Module maps sigma: (M,r) -> (T(M), mu) with r sigma = id: one
-    solution over the basis of module_hom_space, then that solution plus
-    each vector of the null space."""
-    t = m.t
-    f = t.base.field
-    fm = free_module(t, m.carrier)
-    basis = module_hom_space(m, fm)
-    if not basis:
-        return []
-    grades = sorted(m.carrier.grades())
-    sol = solve_affine(f, f.concatenate([_mor_coords(m.action @ b, grades) for b in basis],
-                                        axis=1),
-                       _mor_coords(identity(m.carrier), grades))
-    if sol is None:
-        return []
-    x0, null = sol
-    hom_grades = sorted(set(m.carrier.grades()) & set(fm.carrier.grades()))
-    coords = f.concatenate([_mor_coords(b, hom_grades) for b in basis], axis=1)
-    vecs = f.matmul(coords, f.concatenate([x0, f.reduce(x0 + null)], axis=1))
-    return [_mor_from_coords(m.carrier, fm.carrier, v) for v in vecs.T]
 
 
 def tensor_modules(m: TModule, n: TModule) -> TModule:

@@ -23,7 +23,7 @@ difference matrix.
 from __future__ import annotations
 
 from .cat import BaseSpec, GradedMor, GradedObj, identity
-from .chain import Chain, CoreStep, MorStep, extend, layout_word, slot_word
+from .chain import Chain, Step, extend, layout_word, slot_word
 from .exactla import DimensionMismatch, ExactError
 from .report import CheckResult, Report
 
@@ -141,7 +141,6 @@ class Family:
                 raise StructureError(f"{label} component at {key} has wrong ends")
             self.comps[key] = comp
         self._steps: dict = {}  # argument words -> step (see at_step)
-        self._held = None  # the one-label core as the network holds it
 
     def __getitem__(self, key) -> GradedMor:
         return self.comps[key]
@@ -161,15 +160,14 @@ class Family:
 
     def _step(self, xs: tuple):
         if not self.t.base.is_vector:
-            return MorStep(extend(self.src, self.dst, xs, self.comps))
+            return Step(extend(self.src, self.dst, xs, self.comps))
+        # one core for every argument tuple: its component at the simple,
+        # whose block the network reads once (Step.tensor)
         in_axes, src_pass = _slot_axes(self.src, xs)
         out_axes, dst_pass = _slot_axes(self.dst, xs)
-        step = CoreStep(layout_word(self.src, xs), layout_word(self.dst, xs),
-                        self.comps[self.keys[0]].held(0, 0), in_axes, out_axes,
-                        pass_perm=[src_pass.index(p) for p in dst_pass], held=self._held)
-        # one core for every argument tuple: the network reads it once
-        self._held = step.tensor()
-        return step
+        return Step(self.comps[self.keys[0]], layout_word(self.src, xs),
+                    layout_word(self.dst, xs), in_axes, out_axes,
+                    [src_pass.index(p) for p in dst_pass])
 
     def at(self, *xs: GradedObj) -> GradedMor:
         return self.at_step(*xs).to_mor()
@@ -373,18 +371,6 @@ def convolve(t: TensoringBimonad, f: Element, g: Element) -> Element:
         s = t.simple(gr)
         ch = Chain(s).then(g.at_step(s), at=0) \
                      .then(f.at_step(t.on_obj(s)), at=0) \
-                     .then(t.m, at=0)
-        comps[gr] = ch.eval()
-    return Element(t, comps, f"{f.label}*{g.label}")
-
-
-def convolve_alt(t: TensoringBimonad, f: Element, g: Element) -> Element:
-    """The other associativity route: mu ∘ T(g) ∘ f (must agree)."""
-    comps = {}
-    for gr in t.simples():
-        s = t.simple(gr)
-        ch = Chain(s).then(f.at_step(s), at=0) \
-                     .then(g.at_step(s), at=1) \
                      .then(t.m, at=0)
         comps[gr] = ch.eval()
     return Element(t, comps, f"{f.label}*{g.label}")

@@ -280,10 +280,8 @@ def _load_vector(pres: dict, name: str, base: BaseSpec) -> Model:
 
 
 def element_from_vector(t: TensoringBimonad, v, label="f") -> Element:
-    """Element of the convolution monoid from a carrier coefficient vector:
-    a field array of n entries, or a list of n coercible scalars."""
-    if isinstance(v, list):
-        v = t.base.field.asarray([v])
+    """Element of the convolution monoid from a carrier coefficient vector,
+    a field array of n entries."""
     s = t.simple((0, 0))
     block = v.reshape(t.carrier_dim, 1)
     return Element(t, {(0, 0): GradedMor(s, t.on_obj(s), {(0, 0): block})}, label)

@@ -43,7 +43,6 @@ from hopfmonad.modcat import (
     TModule,
     free_module,
     is_t_linear,
-    module_section_space,
     random_module,
 )
 from hopfmonad.monad import TensoringBimonad, adjoint_action
@@ -55,6 +54,7 @@ from hopfmonad.qtrib import (
     star_inverse_of_r,
 )
 from hopfmonad.verify import verify_model
+from test_modcat import module_section_space
 
 Q = FieldSpec.rationals()
 F3 = FieldSpec.prime(3)

@@ -20,7 +20,7 @@ from hopfmonad.antipode import (
 )
 from hopfmonad.exactla import FieldSpec
 from hopfmonad.monad import adjoint_action, check_grouplike, convolve, eta_element
-from hopfmonad.presentation import element_from_vector
+from test_monad import element_of
 
 Q = FieldSpec.rationals()
 
@@ -29,7 +29,7 @@ HOPF_FIXTURES = ["trivial", "kz2", "sweedler", "ks3", "ks3_f3", "taft3",
 
 
 def rand_element(t, rng, label="f"):
-    return element_from_vector(
+    return element_of(
         t, [rng.randrange(-3, 4) for _ in range(t.carrier_dim)], label)
 
 
@@ -109,10 +109,10 @@ class TestMutations:
 class TestElementLevel:
     def test_sweedler_classical_antipode(self, sweedler):
         t, a = sweedler.t, sweedler.antipode
-        g = element_from_vector(t, [0, 1, 0, 0], "g")
-        x = element_from_vector(t, [0, 0, 1, 0], "x")
+        g = element_of(t, [0, 1, 0, 0], "g")
+        x = element_of(t, [0, 0, 1, 0], "x")
         assert s_map(t, a.sl, g) == g
-        assert s_map(t, a.sl, x) == element_from_vector(t, [0, 0, 0, -1], "-gx")
+        assert s_map(t, a.sl, x) == element_of(t, [0, 0, 0, -1], "-gx")
 
     def test_antipode_of_unit(self, sweedler):
         t, a = sweedler.t, sweedler.antipode
@@ -146,7 +146,7 @@ class TestSquare:
     def test_sweedler_square_is_conjugation(self, sweedler):
         t, a = sweedler.t, sweedler.antipode
         s2 = square_of_antipode(t, a.sl)
-        g = element_from_vector(t, [0, 1, 0, 0], "g")
+        g = element_of(t, [0, 1, 0, 0], "g")
         assert s2 == adjoint_action(t, g, g)
         assert not s2.is_identity()
         assert s2.compose(s2).is_identity()
@@ -180,11 +180,11 @@ class TestSovereign:
 
     def test_sweedler_sovereign(self, sweedler):
         t, a = sweedler.t, sweedler.antipode
-        g = element_from_vector(t, [0, 1, 0, 0], "g")
+        g = element_of(t, [0, 1, 0, 0], "g")
         assert check_sovereign_element(t, a, g)
         assert not check_sovereign_element(t, a, eta_element(t))
 
     def test_non_grouplike_rejected(self, sweedler):
         t, a = sweedler.t, sweedler.antipode
-        x = element_from_vector(t, [0, 0, 1, 0], "x")
+        x = element_of(t, [0, 0, 1, 0], "x")
         assert not check_sovereign_element(t, a, x)

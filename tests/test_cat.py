@@ -25,7 +25,6 @@ from hopfmonad.cat import (
     ev_right_mor,
     identity,
     positions,
-    sovereign_phi,
 )
 from hopfmonad import chain
 from hopfmonad.exactla import ExactError, FieldSpec, SparseTensor
@@ -38,6 +37,17 @@ GR2 = BaseSpec(Q, ("a", "b"))
 GR2_F3 = BaseSpec(FieldSpec.prime(3), ("a", "b"))
 VEC_F3 = BaseSpec.vector(FieldSpec.prime(3))
 VEC_F7 = BaseSpec.vector(FieldSpec.prime(7))
+
+
+def sovereign_phi(x: GradedObj) -> GradedMor:
+    """The canonical identification of x with its double left dual.
+
+    Words dualize by reversing and dualizing atoms, and atom duals are
+    involutive, so the double dual is literally x and phi is the identity.
+    """
+    if x.dual().dual() is not x:
+        raise ExactError(f"the double dual of {x!r} is not the word itself")
+    return GradedMor.identity(x)
 
 
 def rand_mor(src: GradedObj, dst: GradedObj, rng, span=4) -> GradedMor:

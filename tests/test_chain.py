@@ -27,12 +27,11 @@ from hopfmonad import exactla, presentation, zoo
 from hopfmonad.chain import (
     Chain,
     ChainOverflow,
-    CoreStep,
-    MorStep,
+    Step,
     extend,
     layout_word,
 )
-from hopfmonad.exactla import FieldSpec, SparseTensor
+from hopfmonad.exactla import DimensionMismatch, ExactError, FieldSpec, SparseTensor
 from hopfmonad.verify import verify_model
 
 Q = FieldSpec.rationals()
@@ -98,6 +97,12 @@ def tensor_mor(f: GradedMor, g: GradedMor) -> GradedMor:
     return GradedMor(src, dst, blocks)
 
 
+def core_mor(base, core) -> GradedMor:
+    """A core matrix as the morphism between one-atom words of its widths."""
+    rows, cols = core.shape
+    return GradedMor(vspace(base, cols, "in"), vspace(base, rows, "out"), {(0, 0): core})
+
+
 def tensor_many(*ms):
     out = ms[0]
     for m in ms[1:]:
@@ -153,7 +158,7 @@ class TestVectorChain:
         w = vspace(base, 3, "w")
         dst = a.tensor(w).tensor(a)
         core = fld.asarray([[rng.randrange(-2, 3) for _ in range(2)] for _ in range(4)])
-        step = CoreStep(a.tensor(w), dst, core, in_axes=(0,), out_axes=(0, 2))
+        step = Step(core_mor(base, core), a.tensor(w), dst, in_axes=(0,), out_axes=(0, 2))
         assert step.to_mor().src == a.tensor(w)
         ch = Chain(a.tensor(w)).then(step, at=0)
         got = ch.eval()
@@ -173,7 +178,7 @@ class TestVectorChain:
         w = vspace(base, 3, "w")
         vobj = vspace(base, 2, "v")
         core = fld.asarray([[1], [2]])
-        step = CoreStep(w, vobj.tensor(w), core, in_axes=(), out_axes=(0,))
+        step = Step(core_mor(base, core), w, vobj.tensor(w), in_axes=(), out_axes=(0,))
         m = step.to_mor().block(0, 0)
         for v in range(2):
             for x in range(3):
@@ -200,12 +205,10 @@ class TestVectorChain:
 
 
 def dense_step(step) -> GradedMor:
-    """A step's matrix, by an index loop over its core, axes and pass_perm."""
-    if isinstance(step, MorStep):
-        return step.mor
+    """A step's matrix, by an index loop over its core, axes and feeds."""
     f = step.src.base.field
     sd, dd = step.src.axis_dims(), step.dst.axis_dims()
-    feeds = list(zip(step._pass_dst, (step._pass_src[p] for p in step.pass_perm)))
+    core = step.mor.block(0, 0)
     rows = []
     for o in product(*map(range, dd)):
         row = []
@@ -216,7 +219,7 @@ def dense_step(step) -> GradedMor:
             c = 0
             for a in step.in_axes:
                 c = c * sd[a] + i[a]
-            row.append(step.core[r, c] if all(o[d] == i[s] for d, s in feeds) else f.zero)
+            row.append(core[r, c] if all(o[d] == i[s] for d, s in step.feeds) else f.zero)
         rows.append(row)
     nd, ns = prod(dd), prod(sd)
     mat = f.asarray(rows) if nd and ns else f.zeros((nd, ns))
@@ -247,7 +250,7 @@ MAX_VECTOR_DIM = 60
 
 @st.composite
 def core_steps(draw, src):
-    """A CoreStep from src: a random subset of its atoms consumed in random
+    """A step on some atoms of src: a random subset of its atoms consumed in random
     order, the rest permuted, new atoms produced at random target positions."""
     n = len(src.atoms)
     order = draw(st.permutations(range(n)))
@@ -267,20 +270,20 @@ def core_steps(draw, src):
     vals = draw(st.lists(st.integers(-3, 3), min_size=rows * cols, max_size=rows * cols))
     f = src.base.field
     core = f.asarray([vals]).reshape(rows, cols)
-    return CoreStep(src, GradedObj(src.base, tuple(dst)), core, in_axes, out_axes,
-                    pass_perm=pass_perm)
+    return Step(core_mor(src.base, core), src, GradedObj(src.base, tuple(dst)), in_axes,
+                out_axes, pass_perm=pass_perm)
 
 
 @st.composite
 def mor_steps(draw, src):
     dst = GradedObj(src.base, tuple(draw(st.lists(st.sampled_from(VECTOR_ATOMS), max_size=2))))
-    return MorStep(draw(graded_mors(src, dst)))
+    return Step(draw(graded_mors(src, dst)))
 
 
 @st.composite
 def vector_chains(draw):
     """Inserting and consuming cores, permuted pass-through axes and
-    MorSteps; the unit word, zero-width states, disconnected networks and
+    whole morphisms; the unit word, zero-width states, disconnected networks and
     chains narrower at the target all come up."""
     base = draw(st.sampled_from([VEC, VEC7]))
     src = GradedObj(base, tuple(draw(st.lists(
@@ -613,7 +616,7 @@ class TestHeldForm:
         assert got == brute_whisker(y, GradedMor(x, x, {(0, 0): blk}), GradedObj.unit(VEC7))
 
     def test_block_read_once_per_morphism(self, monkeypatch):
-        # every chain through one GradedMor wraps it in a new MorStep; its
+        # every chain through one GradedMor wraps it in a new Step; its
         # block is read for its nonzeros by the first only
         calls = {"n": 0}
 
@@ -630,6 +633,54 @@ class TestHeldForm:
         assert calls["n"] == 1
         assert first == second == identity(x).scale(2)
         assert F7.equal(mor.block(0, 0), blk)
+
+
+class TestStepChecks:
+    def test_step_on_some_atoms_is_one_label_only(self):
+        a = GradedObj.from_grid(GR2, [[1, 1], [0, 1]], "a")
+        assert Step(identity(a)).to_mor() == identity(a)
+        with pytest.raises(ExactError, match="one-label"):
+            Step(identity(a), a, a, in_axes=(0,), out_axes=(0,))
+
+    @pytest.mark.parametrize("base", [VEC, VEC7])
+    def test_core_of_the_wrong_shape_is_refused(self, base):
+        # a core from the first atom of a ⊗ w to two new atoms a, a: 4 x 2
+        a, w = vspace(base, 2, "a"), vspace(base, 3, "w")
+        src, dst = a.tensor(w), a.tensor(w).tensor(a)
+        Step(core_mor(base, base.field.zeros((4, 2))), src, dst, in_axes=(0,), out_axes=(0, 2))
+        for shape in [(2, 4), (4, 3), (3, 2)]:
+            with pytest.raises(DimensionMismatch, match="core shape"):
+                Step(core_mor(base, base.field.zeros(shape)), src, dst,
+                     in_axes=(0,), out_axes=(0, 2))
+
+
+class TestResultBound:
+    def test_sparse_result_is_bounded_by_its_nonzeros(self, monkeypatch):
+        # a permutation of a 150-dimensional space, whiskered by a
+        # 2-dimensional one: 90000 entries, 300 nonzeros, within a bound of
+        # 2000 entries (the sparse product's join holds JOIN_ARRAYS * 300)
+        x, y = vspace(VEC7, 150, "x"), vspace(VEC7, 2, "y")
+        perm = list(range(150))
+        random.Random(5).shuffle(perm)
+        blk = F7.zeros((150, 150))
+        blk[perm, range(150)] = 2
+        mor = GradedMor(x, x, {(0, 0): blk})
+        want = brute_whisker(y, mor, GradedObj.unit(VEC7))
+        monkeypatch.setattr(chainmod, "MAX_STATE_ENTRIES", 2000)
+        got = Chain(y.tensor(x)).then(mor, at=1).eval()
+        held = got.held(0, 0)
+        assert isinstance(held, SparseTensor) and held.nnz == 300 and held.size == 90000
+        assert got == want
+
+    def test_zero_width_result_is_bounded(self, monkeypatch):
+        # through a zero-dimensional wire: no contraction, a 150 x 150 zero
+        x, z = vspace(VEC7, 150, "x"), GradedObj(VEC7, (ZERO_ATOM,))
+        ch = Chain(x).then(GradedMor.zero(x, z)).then(GradedMor.zero(z, x))
+        monkeypatch.setattr(chainmod, "MAX_STATE_ENTRIES", 150 * 150 - 1)
+        with pytest.raises(ChainOverflow):
+            ch.eval()
+        monkeypatch.setattr(chainmod, "MAX_STATE_ENTRIES", 150 * 150)
+        assert ch.eval().is_zero()
 
 
 class TestGradedChain:

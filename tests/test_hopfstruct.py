@@ -36,9 +36,9 @@ from hopfmonad.modcat import (
     TModule,
     free_module,
     is_t_linear,
-    module_section_space,
     random_module,
 )
+from test_modcat import module_section_space
 
 Q = FieldSpec.rationals()
 

@@ -19,13 +19,13 @@ from hopfmonad.monad import (
     left_mult,
     right_mult,
 )
-from hopfmonad.presentation import element_from_vector
+from test_monad import element_of
 
 Q = FieldSpec.rationals()
 
 
 def rand_element(t, rng, label="f"):
-    return element_from_vector(
+    return element_of(
         t, [rng.randrange(-3, 4) for _ in range(t.carrier_dim)], label)
 
 
@@ -42,8 +42,8 @@ class TestCentralElementLemma:
         t = ks3.t
         rng = random.Random(41)
         mods = [random_module(t, rng, 1) for _ in range(3)]
-        central = element_from_vector(t, [0, 0, 0, 1, 1, 1], "classsum")
-        noncentral = element_from_vector(t, [0, 0, 0, 1, 0, 0], "transp")
+        central = element_of(t, [0, 0, 0, 1, 1, 1], "classsum")
+        noncentral = element_of(t, [0, 0, 0, 1, 0, 0], "transp")
         assert is_central(t, central)
         for mod in mods:
             assert is_t_linear(mod, mod, sharp(t, central, mod))
@@ -105,7 +105,7 @@ class TestDoubleAntipodeLifting:
                  free_module(t, GradedObj.space(t.base, 2, "X")),
                  random_module(t, rng, 2)]
         # the distinguished grouplike is twisted-central, the unit is not
-        samples = [element_from_vector(t, [0, 1, 0, 0], "g"), eta_element(t)]
+        samples = [element_of(t, [0, 1, 0, 0], "g"), eta_element(t)]
         samples += [rand_element(t, rng) for _ in range(10)]
         seen = set()
         for a in samples:

@@ -6,7 +6,7 @@ import pytest
 
 from hopfmonad.antipode import square_of_antipode
 from hopfmonad.cat import GradedMor, GradedObj, identity
-from hopfmonad.exactla import FieldSpec
+from hopfmonad.exactla import FieldSpec, solve_affine
 from hopfmonad.modcat import (
     TModule,
     check_dual_module_duality,
@@ -15,8 +15,9 @@ from hopfmonad.modcat import (
     dual_module,
     free_module,
     is_t_linear,
+    _mor_coords,
+    _mor_from_coords,
     module_hom_space,
-    module_section_space,
     pullback_module,
     random_module,
     tensor_modules,
@@ -26,6 +27,29 @@ from hopfmonad.monad import TransTT, identity_trans
 from hopfmonad.report import Report
 
 Q = FieldSpec.rationals()
+
+
+def module_section_space(m: TModule) -> list[GradedMor]:
+    """Module maps sigma: (M,r) -> (T(M), mu) with r sigma = id: one
+    solution over the basis of module_hom_space, then that solution plus
+    each vector of the null space."""
+    t = m.t
+    f = t.base.field
+    fm = free_module(t, m.carrier)
+    basis = module_hom_space(m, fm)
+    if not basis:
+        return []
+    grades = sorted(m.carrier.grades())
+    sol = solve_affine(f, f.concatenate([_mor_coords(m.action @ b, grades) for b in basis],
+                                        axis=1),
+                       _mor_coords(identity(m.carrier), grades))
+    if sol is None:
+        return []
+    x0, null = sol
+    hom_grades = sorted(set(m.carrier.grades()) & set(fm.carrier.grades()))
+    coords = f.concatenate([_mor_coords(b, hom_grades) for b in basis], axis=1)
+    vecs = f.matmul(coords, f.concatenate([x0, f.reduce(x0 + null)], axis=1))
+    return [_mor_from_coords(m.carrier, fm.carrier, v) for v in vecs.T]
 
 
 class TestValidity:

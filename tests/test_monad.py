@@ -5,12 +5,14 @@ import random
 import weakref
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from classical import Classical
+from hopfmonad import chain as chainmod
 from hopfmonad import monad, presentation, zoo
 from hopfmonad.chain import Chain
-from hopfmonad.exactla import FieldSpec
+from hopfmonad.exactla import FieldSpec, SparseTensor
 from hopfmonad.monad import (
     Element,
     PairFamily,
@@ -24,7 +26,6 @@ from hopfmonad.monad import (
     check_monad_morphism,
     compare_at,
     convolve,
-    convolve_alt,
     eta_element,
     identity_trans,
     is_central,
@@ -42,9 +43,26 @@ from test_chain import tensor_mor
 Q = FieldSpec.rationals()
 
 
+def convolve_alt(t, f: Element, g: Element) -> Element:
+    """The other associativity route: mu ∘ T(g) ∘ f (must agree)."""
+    comps = {}
+    for gr in t.simples():
+        s = t.simple(gr)
+        ch = Chain(s).then(f.at_step(s), at=0) \
+                     .then(g.at_step(s), at=1) \
+                     .then(t.m, at=0)
+        comps[gr] = ch.eval()
+    return Element(t, comps, f"{f.label}*{g.label}")
+
+
+def element_of(t, values, label="f"):
+    """The element of the carrier coefficients `values`, a list of scalars."""
+    return element_from_vector(t, t.base.field.asarray([values]), label)
+
+
 def rand_element(t, rng, label="f"):
     n = t.carrier_dim
-    return element_from_vector(t, [rng.randrange(-3, 4) for _ in range(n)], label)
+    return element_of(t, [rng.randrange(-3, 4) for _ in range(n)], label)
 
 
 class TestAxioms:
@@ -229,13 +247,13 @@ class TestConvolution:
 
     def test_group_convolution_is_group_law(self, kz2):
         t = kz2.t
-        g = element_from_vector(t, [0, 1], "g")
+        g = element_of(t, [0, 1], "g")
         assert convolve(t, g, g) == eta_element(t)
 
     def test_gf3_group_elements(self, kz2_f3):
         t = kz2_f3.t
-        g = element_from_vector(t, [0, 1], "g")
-        h = element_from_vector(t, [0, 1], "h")
+        g = element_of(t, [0, 1], "g")
+        h = element_of(t, [0, 1], "h")
         assert check_grouplike(t, g)
         assert convolve(t, g, h) == eta_element(t)
 
@@ -258,12 +276,12 @@ class TestCentralAndAdjoint:
 
     def test_class_sum_central(self, ks3):
         t = ks3.t
-        assert is_central(t, element_from_vector(t, [0, 0, 0, 1, 1, 1], "cs"))
-        assert not is_central(t, element_from_vector(t, [0, 0, 0, 1, 0, 0], "tr"))
+        assert is_central(t, element_of(t, [0, 0, 0, 1, 1, 1], "cs"))
+        assert not is_central(t, element_of(t, [0, 0, 0, 1, 0, 0], "tr"))
 
     def test_trivial_everything_central(self, trivial):
         t = trivial.t
-        assert is_central(t, element_from_vector(t, [7], "a"))
+        assert is_central(t, element_of(t, [7], "a"))
 
     def test_adjoint_by_unit(self, sweedler):
         t = sweedler.t
@@ -272,7 +290,7 @@ class TestCentralAndAdjoint:
 
     def test_adjoint_conjugation(self, sweedler):
         t = sweedler.t
-        g = element_from_vector(t, [0, 1, 0, 0], "g")
+        g = element_of(t, [0, 1, 0, 0], "g")
         ad = adjoint_action(t, g, g)  # g is an involution
         assert not ad.is_identity()
         assert ad.compose(ad).is_identity()
@@ -290,7 +308,7 @@ class TestCentralAndAdjoint:
             v = oracle.array(a.comps[(0, 0)].block(0, 0)[:, 0].tolist())
             w = oracle.element_inverse(v)
             if w is not None:
-                found.append((a, element_from_vector(t, w.tolist(), "inv")))
+                found.append((a, element_of(t, w.tolist(), "inv")))
         (a, ai), (b, bi) = found
         assert star_inverse_check(t, a, ai) and star_inverse_check(t, b, bi)
         ab = convolve(t, a, b)
@@ -302,13 +320,13 @@ class TestCentralAndAdjoint:
     def test_central_invertible_gives_trivial_adjoint(self, ks3):
         t = ks3.t
         # a central invertible element: unit scaled
-        a = element_from_vector(t, [2, 0, 0, 0, 0, 0], "2e")
-        ai = element_from_vector(t, [Fraction(1, 2), 0, 0, 0, 0, 0], "einv")
+        a = element_of(t, [2, 0, 0, 0, 0, 0], "2e")
+        ai = element_of(t, [Fraction(1, 2), 0, 0, 0, 0, 0], "einv")
         assert adjoint_action(t, a, ai).is_identity()
 
     def test_adjoint_rejects_non_inverse(self, sweedler):
         t = sweedler.t
-        g = element_from_vector(t, [0, 1, 0, 0], "g")
+        g = element_of(t, [0, 1, 0, 0], "g")
         with pytest.raises(Exception):
             adjoint_action(t, g, eta_element(t))
 
@@ -319,8 +337,8 @@ class TestGrouplike:
 
     def test_sweedler_grouplikes(self, sweedler):
         t = sweedler.t
-        g = element_from_vector(t, [0, 1, 0, 0], "g")
-        x = element_from_vector(t, [0, 0, 1, 0], "x")
+        g = element_of(t, [0, 1, 0, 0], "g")
+        x = element_of(t, [0, 0, 1, 0], "x")
         assert check_grouplike(t, g)
         assert not check_grouplike(t, x)
 
@@ -409,11 +427,30 @@ class TestStepMemo:
         assert verify_model(model, checks=SUITES, samples=1).passed
         assert seen and max(seen.values()) == 1
 
-    def test_one_label_core_is_read_once_per_family(self, dz2):
-        # every argument tuple's step holds the one tensor made from the core
+    def test_one_label_core_is_read_once_per_family(self, dz2, monkeypatch):
+        # every argument tuple's step views the one block held on the
+        # family's component
         t = dz2.t
         s = t.simple((0, 0))
         ts = t.on_obj(s)
-        steps = [t.t2.at_step(s, s), t.t2.at_step(ts, s), t.t2.at_step(s, ts.dual())]
+        args = [(s, s), (ts, s), (s, ts.dual())]
+        steps = [t.t2.at_step(*xs) for xs in args]
         assert len({id(step) for step in steps}) == 3
-        assert all(step.tensor() is steps[0].tensor() for step in steps)
+        held = t.t2[t.t2.keys[0]].held(0, 0)
+        assert all(np.shares_memory(step.tensor().num, held.num) for step in steps)
+        # held sparse, the block is read for its nonzeros once, and the three
+        # steps share its positions
+        model = presentation.load(
+            zoo.build_drinfeld_double_group(zoo.cyclic_group_table(2), Q, "DZ2"))
+        t = model.t
+        calls = {"n": 0}
+
+        def counted(spec, a, _of=SparseTensor.of):
+            calls["n"] += 1
+            return _of(spec, a)
+        monkeypatch.setattr(chainmod, "SPARSE_FIXED", 0)
+        monkeypatch.setattr(SparseTensor, "of", staticmethod(counted))
+        tensors = [t.t2.at_step(*xs).tensor() for xs in args]
+        held = t.t2[t.t2.keys[0]].held(0, 0)
+        assert calls["n"] == 1 and isinstance(held, SparseTensor)
+        assert all(np.shares_memory(x.index, held.index) for x in tensors)

@@ -16,7 +16,7 @@ from hopfmonad.exactla import FieldSpec, solve_affine
 from hopfmonad.modcat import TModule, dual_module, free_module, random_module
 from hopfmonad.monad import (Element, PairFamily, adjoint_action, check_grouplike,
                              eta_element)
-from hopfmonad.presentation import element_from_vector
+from test_monad import element_of
 from hopfmonad.qtrib import (
     braiding_on_modules,
     check_braiding,
@@ -143,7 +143,7 @@ class TestDrinfeld:
         # u = Σ S(r₂) r₁ from the structure constants
         want = Classical(zoo.build_drinfeld_double_group(
             zoo.cyclic_group_table(2), Q, "DZ2")).drinfeld_element()
-        assert got == element_from_vector(dz2.t, want.tolist(), "d")
+        assert got == element_of(dz2.t, want.tolist(), "d")
 
     def test_square_is_conjugation_by_u(self, dz2):
         u, ui = drinfeld_pair(dz2)
@@ -252,7 +252,7 @@ class TestTwist:
 
     def test_noncentral_candidate_fails(self, ks3_r):
         t = ks3_r.t
-        g = element_from_vector(t, [0, 0, 0, 1, 0, 0], "transposition")
+        g = element_of(t, [0, 0, 0, 1, 0, 0], "transposition")
         rep = check_twist(t, ks3_r.antipode, ks3_r.rmatrix, g, g)
         assert rep.find("twist.central").status == "fail"
 
