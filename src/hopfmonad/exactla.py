@@ -171,15 +171,6 @@ class FieldSpec:
     def show(self, x) -> str:
         return str(x)
 
-    def inv(self, x):
-        if self.is_rationals:
-            if x == 0:
-                raise ZeroDivisionError("inverse of zero")
-            return Fraction(1) / x
-        if x % self.p == 0:
-            raise ZeroDivisionError("inverse of zero")
-        return pow(int(x), self.p - 2, self.p)
-
     @property
     def zero(self):
         return Fraction(0) if self.is_rationals else 0

@@ -28,6 +28,7 @@ from .modcat import (
     free_module,
     is_t_linear,
     module_hom_space,
+    random_carrier,
     tensor_modules,
     unit_module,
 )
@@ -56,7 +57,7 @@ def gamma_defining_chain(t: TensoringBimonad, a: AntipodeData,
 
 def gamma_family(t: TensoringBimonad, a: AntipodeData) -> Family:
     """gamma as the family X ⊗ T(1) -> T²(X), stored at simples."""
-    comps = {g: gamma_defining_chain(t, a, t.simple(g)).eval() for g in t.simples()}
+    comps = t.components(lambda s: gamma_defining_chain(t, a, s).eval())
     return Family(t, comps, (0, t.carrier), (t.carrier, t.carrier, 0), "gamma")
 
 
@@ -66,54 +67,45 @@ def check_gamma_suite(t: TensoringBimonad, a: AntipodeData, fam: Family,
     rep = Report(f"{t.name}: gamma identities")
     unit = t.unit_obj()
 
-    def absorb_items():  # mu ∘ gamma = eta ⊗ counit
-        for g in t.simples():
-            s = t.simple(g)
-            src = s.tensor(t.carrier)
-            lhs = Chain(src).then(fam.at_step(s), at=0).then(t.m, at=0)
-            rhs = Chain(src).then(t.t0, at=1).then(t.u, at=0)
-            yield (g,), lhs, rhs
+    def absorb(s):  # mu ∘ gamma = eta ⊗ counit
+        src = s.tensor(t.carrier)
+        lhs = Chain(src).then(fam.at_step(s), at=0).then(t.m, at=0)
+        rhs = Chain(src).then(t.t0, at=1).then(t.u, at=0)
+        return lhs, rhs
 
-    def free_items():  # T(mu) ∘ gamma_{T} ∘ coproduct-with-unit = T(eta)
-        for g in t.simples():
-            s = t.simple(g)
-            ts = t.on_obj(s)
-            src = ts
-            lhs = Chain(src).then(t.t2.at_step(s, unit), at=0) \
-                            .then(fam.at_step(ts), at=0) \
-                            .then(t.m, at=1)
-            rhs = Chain(src).then(t.u, at=1)
-            yield (g,), lhs, rhs
+    def free(s):  # T(mu) ∘ gamma_{T} ∘ coproduct-with-unit = T(eta)
+        ts = t.on_obj(s)
+        src = ts
+        lhs = Chain(src).then(t.t2.at_step(s, unit), at=0) \
+                        .then(fam.at_step(ts), at=0) \
+                        .then(t.m, at=1)
+        rhs = Chain(src).then(t.u, at=1)
+        return lhs, rhs
 
-    def coaction_items():
-        for g in t.simples():
-            s = t.simple(g)
-            ts = t.on_obj(s)
-            src = s.tensor(t.carrier)
-            inner = Chain(t.on_obj(s.tensor(t.carrier))) \
-                .then(t.t2.at_step(s, t.carrier), at=0) \
-                .then(t.m, at=1 + len(s.atoms)).eval()
-            lhs = Chain(src).then(t.t2.at_step(unit, unit), at=len(s.atoms)) \
-                            .then(fam.at_step(s.tensor(t.carrier)), at=0) \
-                            .then(inner, at=1)
-            rhs = Chain(src).then(fam.at_step(s), at=0) \
-                            .then(t.u, at=2 + len(s.atoms))
-            yield (g,), lhs, rhs
+    def coaction(s):
+        src = s.tensor(t.carrier)
+        inner = Chain(t.on_obj(s.tensor(t.carrier))) \
+            .then(t.t2.at_step(s, t.carrier), at=0) \
+            .then(t.m, at=1 + len(s.atoms)).eval()
+        lhs = Chain(src).then(t.t2.at_step(unit, unit), at=len(s.atoms)) \
+                        .then(fam.at_step(s.tensor(t.carrier)), at=0) \
+                        .then(inner, at=1)
+        rhs = Chain(src).then(fam.at_step(s), at=0) \
+                        .then(t.u, at=2 + len(s.atoms))
+        return lhs, rhs
 
-    def unit_items():
-        for g in t.simples():
-            s = t.simple(g)
-            src = s
-            lhs = Chain(src).then(t.u, at=len(s.atoms)) \
-                            .then(fam.at_step(s), at=0)
-            rhs = Chain(src).then(t.u, at=0) \
-                            .then(t.u, at=0)
-            yield (g,), lhs, rhs
+    def unit_law(s):
+        src = s
+        lhs = Chain(src).then(t.u, at=len(s.atoms)) \
+                        .then(fam.at_step(s), at=0)
+        rhs = Chain(src).then(t.u, at=0) \
+                        .then(t.u, at=0)
+        return lhs, rhs
 
-    compare_at(rep, "gamma.absorb", absorb_items())
-    compare_at(rep, "gamma.free", free_items())
-    compare_at(rep, "gamma.coaction", coaction_items())
-    compare_at(rep, "gamma.unit", unit_items())
+    compare_at(rep, "gamma.absorb", t.at_simples(1, absorb))
+    compare_at(rep, "gamma.free", t.at_simples(1, free))
+    compare_at(rep, "gamma.coaction", t.at_simples(1, coaction))
+    compare_at(rep, "gamma.unit", t.at_simples(1, unit_law))
 
     # the defining formula and the linearity extension agree off simples
     if t.base.is_vector:
@@ -212,22 +204,13 @@ def random_comodule(t: TensoringBimonad, grouplikes: list, rng,
     """A valid comodule: grouplike coaction lines mixed by an isomorphism,
     or the trivial coaction when there are no grouplikes."""
     f = t.base.field
-    if t.base.is_vector:
-        d = max(1, dim_factor)
-        carrier = GradedObj.space(t.base, d, "N")
-    else:
-        L = t.base.nlabels
-        grid = [[rng.randrange(0, dim_factor + 1) for _ in range(L)]
-                for _ in range(L)]
-        if all(v == 0 for row in grid for v in row):
-            grid[0][0] = 1
-        carrier = GradedObj.from_grid(t.base, grid, "N")
+    carrier = random_carrier(t, rng, dim_factor, "N")
     if not (t.base.is_vector and grouplikes):
         # every isomorphism fixes the trivial coaction; draw one all the same
         _random_iso(carrier, rng)
         return carrier, trivial_coaction(t, carrier)
     # basis vector k goes to e_k ⊗ g_k: row k*n + a of column k holds g_k[a]
-    n = t.carrier_dim
+    n, d = t.carrier_dim, carrier.total_dim()
     block = f.zeros((d * n, d))
     for k in range(d):
         g = grouplikes[rng.randrange(len(grouplikes))]
@@ -449,10 +432,8 @@ def maschke_verdict(t: TensoringBimonad) -> dict:
 def separability_element(t: TensoringBimonad, fam: Family,
                          lam: GradedMor) -> Family:
     """gamma-with-cointegral: the natural splitting 1 -> T² of the product."""
-    comps = {}
-    for g in t.simples():
-        s = t.simple(g)
-        comps[g] = Chain(s).then(lam, at=len(s.atoms)).then(fam.at_step(s), at=0).eval()
+    comps = t.components(
+        lambda s: Chain(s).then(lam, at=len(s.atoms)).then(fam.at_step(s), at=0).eval())
     return Family(t, comps, (0,), (t.carrier, t.carrier, 0), "separability")
 
 
@@ -464,23 +445,19 @@ def check_separability(t: TensoringBimonad, gam: Family) -> Report:
     """The two equations making the splitting natural and unital."""
     rep = Report(f"{t.name}: separability")
 
-    def bimodule_items():
-        for g in t.simples():
-            s = t.simple(g)
-            ts = t.on_obj(s)
-            lhs = Chain(ts).then(gam.at_step(ts), at=0).then(t.m, at=1)
-            rhs = Chain(ts).then(gam.at_step(s), at=1).then(t.m, at=0)
-            yield (g,), lhs, rhs
+    def bimodule(s):
+        ts = t.on_obj(s)
+        lhs = Chain(ts).then(gam.at_step(ts), at=0).then(t.m, at=1)
+        rhs = Chain(ts).then(gam.at_step(s), at=1).then(t.m, at=0)
+        return lhs, rhs
 
-    def splitting_items():
-        for g in t.simples():
-            s = t.simple(g)
-            lhs = Chain(s).then(gam.at_step(s), at=0).then(t.m, at=0)
-            rhs = Chain(s).then(t.u, at=0)
-            yield (g,), lhs, rhs
+    def splitting(s):
+        lhs = Chain(s).then(gam.at_step(s), at=0).then(t.m, at=0)
+        rhs = Chain(s).then(t.u, at=0)
+        return lhs, rhs
 
-    for check, items in zip(SEPARABILITY_CHECKS, (bimodule_items, splitting_items)):
-        compare_at(rep, check, items())
+    for check, law in zip(SEPARABILITY_CHECKS, (bimodule, splitting)):
+        compare_at(rep, check, t.at_simples(1, law))
     return rep
 
 

@@ -196,16 +196,21 @@ def check_dual_module_duality(t: TensoringBimonad, a: AntipodeData,
     return rep
 
 
+def random_carrier(t: TensoringBimonad, rng, dim_factor: int, name: str) -> GradedObj:
+    """A nonzero object: dim_factor copies of the simple on one label, else
+    a random grid of 0 to dim_factor copies of each simple."""
+    if t.base.is_vector:
+        return GradedObj.space(t.base, max(1, dim_factor), name)
+    L = t.base.nlabels
+    grid = [[rng.randrange(0, dim_factor + 1) for _ in range(L)] for _ in range(L)]
+    if all(v == 0 for row in grid for v in row):
+        grid[0][0] = 1
+    return GradedObj.from_grid(t.base, grid, name)
+
+
 def random_module(t: TensoringBimonad, rng, dim_factor: int = 1) -> TModule:
     """A valid module: a free module conjugated by a random isomorphism."""
-    if t.base.is_vector:
-        x = GradedObj.space(t.base, dim_factor, "X")
-    else:
-        L = t.base.nlabels
-        grid = [[rng.randrange(0, dim_factor + 1) for _ in range(L)] for _ in range(L)]
-        if all(all(v == 0 for v in row) for row in grid):
-            grid[0][0] = 1
-        x = GradedObj.from_grid(t.base, grid, "X")
+    x = random_carrier(t, rng, dim_factor, "X")
     return conjugated(free_module(t, x), _random_iso(t.on_obj(x), rng))
 
 

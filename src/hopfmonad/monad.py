@@ -17,10 +17,16 @@ chain step (on_mor, eta_mor).
 
 Every axiom is evaluated at all simple tuples, which is complete on
 these backends; reports carry the first failing tuple and the exact
-difference matrix.
+difference matrix.  TensoringBimonad.composable is the one enumeration of
+those tuples, and at_simples evaluates a law at each: every law is a
+function of its simples that returns its two chains.  A family computed
+at simples is likewise one function of the simple, through
+TensoringBimonad.components.
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 from .cat import BaseSpec, GradedMor, GradedObj, identity
 from .chain import Chain, Step, extend, layout_word, slot_word
@@ -52,7 +58,7 @@ class TensoringBimonad:
         if t0.src != carrier or t0.dst != GradedObj.unit(base):
             raise StructureError("counit must map T(1) -> 1")
         self._simples = {g: GradedObj.simple(base, *g) for g in self.simples()}
-        missing = set(self.composable_pairs()) - set(t2)
+        missing = set(self.composable(2)) - set(t2)
         if missing:
             raise StructureError(f"missing coproduct component at {min(missing)}")
         # the coproduct T(X⊗Y) -> T(X)⊗T(Y)
@@ -68,21 +74,25 @@ class TensoringBimonad:
         L = self.base.nlabels
         return [(i, j) for i in range(L) for j in range(L)]
 
-    def composable_pairs(self) -> list:
-        out = []
-        for g1 in self.simples():
-            for g2 in self.simples():
-                if g1[1] == g2[0]:
-                    out.append((g1, g2))
-        return out
+    def composable(self, arity: int) -> list:
+        """The tuples of `arity` simples whose grades compose, in
+        lexicographic order: [()], each simple, the pairs, the triples."""
+        simples, keys = self.simples(), [()]
+        for _ in range(arity):
+            keys = [key + (g,) for key in keys for g in simples
+                    if not key or key[-1][1] == g[0]]
+        return keys
 
-    def composable_triples(self) -> list:
-        out = []
-        for g1, g2 in self.composable_pairs():
-            for g3 in self.simples():
-                if g2[1] == g3[0]:
-                    out.append((g1, g2, g3))
-        return out
+    def at_simples(self, arity: int, law, keys=None):
+        """The (key, lhs, rhs) items of compare_at, with (lhs, rhs) =
+        law(*simples), at every composable tuple of `arity` simples, or at
+        the given keys."""
+        for key in self.composable(arity) if keys is None else keys:
+            yield (key, *law(*(self._simples[g] for g in key)))
+
+    def components(self, fn) -> dict:
+        """{g: fn(simple)} at every simple g: the components of a family."""
+        return {g: fn(s) for g, s in self._simples.items()}
 
     def on_obj(self, x: GradedObj) -> GradedObj:
         return self.carrier.tensor(x)
@@ -129,7 +139,7 @@ class Family:
         self.dst = dst
         self.label = label
         pairs = any(isinstance(s, int) and s in (1, ~1) for s in src + dst)
-        self.keys = t.composable_pairs() if pairs else t.simples()
+        self.keys = t.composable(2) if pairs else t.simples()
         self.comps = {}
         for key in self.keys:
             xs = tuple(t.simple(g) for g in key) if pairs else (t.simple(key),)
@@ -253,61 +263,53 @@ def check_monad(t: TensoringBimonad) -> Report:
     """Product associativity and unit laws, at every simple."""
     rep = Report(f"{t.name}: monad axioms")
 
-    def assoc_items():
-        for g in t.simples():
-            s = t.simple(g)
-            t2s = t.on_obj(t.on_obj(t.on_obj(s)))
-            lhs = Chain(t2s).then(t.m, at=1).then(t.m, at=0)
-            rhs = Chain(t2s).then(t.m, at=0).then(t.m, at=0)
-            yield (g,), lhs, rhs
+    def assoc(s):
+        t2s = t.on_obj(t.on_obj(t.on_obj(s)))
+        lhs = Chain(t2s).then(t.m, at=1).then(t.m, at=0)
+        rhs = Chain(t2s).then(t.m, at=0).then(t.m, at=0)
+        return lhs, rhs
 
-    def unit_items(side):
-        for g in t.simples():
-            s = t.simple(g)
-            ts = t.on_obj(s)
-            if side == "left":
-                lhs = Chain(ts).then(t.u, at=0).then(t.m, at=0)
-            else:
-                lhs = Chain(ts).then(t.u, at=1).then(t.m, at=0)
-            yield (g,), lhs, Chain(ts)
+    def unit(side, s):
+        ts = t.on_obj(s)
+        if side == "left":
+            lhs = Chain(ts).then(t.u, at=0).then(t.m, at=0)
+        else:
+            lhs = Chain(ts).then(t.u, at=1).then(t.m, at=0)
+        return lhs, Chain(ts)
 
-    compare_at(rep, "monad.assoc", assoc_items())
-    compare_at(rep, "monad.unit_left", unit_items("left"))
-    compare_at(rep, "monad.unit_right", unit_items("right"))
+    compare_at(rep, "monad.assoc", t.at_simples(1, assoc))
+    compare_at(rep, "monad.unit_left", t.at_simples(1, partial(unit, "left")))
+    compare_at(rep, "monad.unit_right", t.at_simples(1, partial(unit, "right")))
     return rep
 
 
 def check_comonoidal(t: TensoringBimonad) -> Report:
     """Coassociativity and counit laws for the coproduct components."""
     rep = Report(f"{t.name}: comonoidal axioms")
+    unit = t.unit_obj()
 
-    def coassoc_items():
-        for g1, g2, g3 in t.composable_triples():
-            s1, s2, s3 = t.simple(g1), t.simple(g2), t.simple(g3)
-            src = t.on_obj(s1.tensor(s2).tensor(s3))
-            n1 = len(s1.atoms)
-            lhs = Chain(src).then(t.t2.at_step(s1, s2.tensor(s3)), at=0) \
-                            .then(t.t2.at_step(s2, s3), at=1 + n1)
-            rhs = Chain(src).then(t.t2.at_step(s1.tensor(s2), s3), at=0) \
-                            .then(t.t2.at_step(s1, s2), at=0)
-            yield (g1, g2, g3), lhs, rhs
+    def coassoc(s1, s2, s3):
+        src = t.on_obj(s1.tensor(s2).tensor(s3))
+        n1 = len(s1.atoms)
+        lhs = Chain(src).then(t.t2.at_step(s1, s2.tensor(s3)), at=0) \
+                        .then(t.t2.at_step(s2, s3), at=1 + n1)
+        rhs = Chain(src).then(t.t2.at_step(s1.tensor(s2), s3), at=0) \
+                        .then(t.t2.at_step(s1, s2), at=0)
+        return lhs, rhs
 
-    def counit_items(side):
-        unit = t.unit_obj()
-        for g in t.simples():
-            s = t.simple(g)
-            ts = t.on_obj(s)
-            if side == "right":
-                lhs = Chain(ts).then(t.t2.at_step(s, unit), at=0) \
-                               .then(t.t0, at=1 + len(s.atoms))
-            else:
-                lhs = Chain(ts).then(t.t2.at_step(unit, s), at=0) \
-                               .then(t.t0, at=0)
-            yield (g,), lhs, Chain(ts)
+    def counit(side, s):
+        ts = t.on_obj(s)
+        if side == "right":
+            lhs = Chain(ts).then(t.t2.at_step(s, unit), at=0) \
+                           .then(t.t0, at=1 + len(s.atoms))
+        else:
+            lhs = Chain(ts).then(t.t2.at_step(unit, s), at=0) \
+                           .then(t.t0, at=0)
+        return lhs, Chain(ts)
 
-    compare_at(rep, "comonoidal.coassoc", coassoc_items())
-    compare_at(rep, "comonoidal.counit_right", counit_items("right"))
-    compare_at(rep, "comonoidal.counit_left", counit_items("left"))
+    compare_at(rep, "comonoidal.coassoc", t.at_simples(3, coassoc))
+    compare_at(rep, "comonoidal.counit_right", t.at_simples(1, partial(counit, "right")))
+    compare_at(rep, "comonoidal.counit_left", t.at_simples(1, partial(counit, "left")))
     return rep
 
 
@@ -317,41 +319,37 @@ def check_bimonad(t: TensoringBimonad) -> Report:
     rep.name = f"{t.name}: bimonad axioms"
     unit = t.unit_obj()
 
-    def mult_compat_items():
-        for g1, g2 in t.composable_pairs():
-            s1, s2 = t.simple(g1), t.simple(g2)
-            src = t.on_obj(t.on_obj(s1.tensor(s2)))
-            lhs = Chain(src).then(t.m, at=0) \
-                            .then(t.t2.at_step(s1, s2), at=0)
-            rhs = Chain(src).then(t.t2.at_step(s1, s2), at=1) \
-                            .then(t.t2.at_step(t.on_obj(s1), t.on_obj(s2)), at=0) \
-                            .then(t.m, at=0) \
-                            .then(t.m, at=1 + len(s1.atoms))
-            yield (g1, g2), lhs, rhs
+    def mult_compat(s1, s2):
+        src = t.on_obj(t.on_obj(s1.tensor(s2)))
+        lhs = Chain(src).then(t.m, at=0) \
+                        .then(t.t2.at_step(s1, s2), at=0)
+        rhs = Chain(src).then(t.t2.at_step(s1, s2), at=1) \
+                        .then(t.t2.at_step(t.on_obj(s1), t.on_obj(s2)), at=0) \
+                        .then(t.m, at=0) \
+                        .then(t.m, at=1 + len(s1.atoms))
+        return lhs, rhs
 
-    def counit_mult_items():
+    def counit_mult():
         src = t.carrier.tensor(t.carrier)
         lhs = Chain(src).then(t.m, at=0).then(t.t0, at=0)
         rhs = Chain(src).then(t.t0, at=1).then(t.t0, at=0)
-        yield (), lhs, rhs
+        return lhs, rhs
 
-    def coprod_unit_items():
-        for g1, g2 in t.composable_pairs():
-            s1, s2 = t.simple(g1), t.simple(g2)
-            src = s1.tensor(s2)
-            lhs = Chain(src).then(t.u, at=0).then(t.t2.at_step(s1, s2), at=0)
-            rhs = Chain(src).then(t.u, at=0) \
-                            .then(t.u, at=1 + len(s1.atoms))
-            yield (g1, g2), lhs, rhs
+    def coprod_unit(s1, s2):
+        src = s1.tensor(s2)
+        lhs = Chain(src).then(t.u, at=0).then(t.t2.at_step(s1, s2), at=0)
+        rhs = Chain(src).then(t.u, at=0) \
+                        .then(t.u, at=1 + len(s1.atoms))
+        return lhs, rhs
 
-    def counit_unit_items():
+    def counit_unit():
         lhs = Chain(unit).then(t.u, at=0).then(t.t0, at=0)
-        yield (), lhs, Chain(unit)
+        return lhs, Chain(unit)
 
-    compare_at(rep, "bimonad.mult_compat", mult_compat_items())
-    compare_at(rep, "bimonad.counit_mult", counit_mult_items())
-    compare_at(rep, "bimonad.coprod_unit", coprod_unit_items())
-    compare_at(rep, "bimonad.counit_unit", counit_unit_items())
+    compare_at(rep, "bimonad.mult_compat", t.at_simples(2, mult_compat))
+    compare_at(rep, "bimonad.counit_mult", t.at_simples(0, counit_mult))
+    compare_at(rep, "bimonad.coprod_unit", t.at_simples(2, coprod_unit))
+    compare_at(rep, "bimonad.counit_unit", t.at_simples(0, counit_unit))
     return rep
 
 
@@ -361,39 +359,33 @@ def check_bimonad(t: TensoringBimonad) -> Report:
 
 
 def eta_element(t: TensoringBimonad) -> Element:
-    return Element(t, {g: t.eta_mor(t.simple(g)) for g in t.simples()}, "eta")
+    return Element(t, t.components(t.eta_mor), "eta")
 
 
 def convolve(t: TensoringBimonad, f: Element, g: Element) -> Element:
     """Convolution product: mu ∘ f-at-T ∘ g, componentwise at simples."""
-    comps = {}
-    for gr in t.simples():
-        s = t.simple(gr)
+    def comp(s):
         ch = Chain(s).then(g.at_step(s), at=0) \
                      .then(f.at_step(t.on_obj(s)), at=0) \
                      .then(t.m, at=0)
-        comps[gr] = ch.eval()
-    return Element(t, comps, f"{f.label}*{g.label}")
+        return ch.eval()
+    return Element(t, t.components(comp), f"{f.label}*{g.label}")
 
 
 def left_mult(t: TensoringBimonad, a: Element) -> TransTT:
     """L_a: act by a on the left of T."""
-    comps = {}
-    for gr in t.simples():
-        s = t.simple(gr)
+    def comp(s):
         ts = t.on_obj(s)
-        comps[gr] = Chain(ts).then(a.at_step(ts), at=0).then(t.m, at=0).eval()
-    return TransTT(t, t, comps, f"L[{a.label}]")
+        return Chain(ts).then(a.at_step(ts), at=0).then(t.m, at=0).eval()
+    return TransTT(t, t, t.components(comp), f"L[{a.label}]")
 
 
 def right_mult(t: TensoringBimonad, a: Element) -> TransTT:
     """R_a: act by a on the right of T."""
-    comps = {}
-    for gr in t.simples():
-        s = t.simple(gr)
+    def comp(s):
         ts = t.on_obj(s)
-        comps[gr] = Chain(ts).then(a.at_step(s), at=1).then(t.m, at=0).eval()
-    return TransTT(t, t, comps, f"R[{a.label}]")
+        return Chain(ts).then(a.at_step(s), at=1).then(t.m, at=0).eval()
+    return TransTT(t, t, t.components(comp), f"R[{a.label}]")
 
 
 def is_central(t: TensoringBimonad, a: Element) -> bool:
@@ -414,21 +406,17 @@ def adjoint_action(t: TensoringBimonad, a: Element, a_inv: Element) -> TransTT:
     return ad
 
 
-def identity_trans(t: TensoringBimonad) -> TransTT:
-    return TransTT(t, t, {g: identity(t.on_obj(t.simple(g))) for g in t.simples()},
-                   "id")
-
-
 def check_grouplike(t: TensoringBimonad, g: Element) -> bool:
     """Coproduct takes g to g ⊗ g and the counit takes it to the identity."""
-    for g1, g2 in t.composable_pairs():
-        s1, s2 = t.simple(g1), t.simple(g2)
+    def coproduct(s1, s2):
         src = s1.tensor(s2)
         lhs = Chain(src).then(g.at_step(src), at=0).then(t.t2.at_step(s1, s2), at=0)
         rhs = Chain(src).then(g.at_step(s1), at=0) \
                         .then(g.at_step(s2), at=1 + len(s1.atoms))
-        if lhs.eval() != rhs.eval():
-            return False
+        return lhs, rhs
+
+    if not all(lhs.eval() == rhs.eval() for _, lhs, rhs in t.at_simples(2, coproduct)):
+        return False
     unit = t.unit_obj()
     lhs = Chain(unit).then(g.at_step(unit), at=0).then(t.t0, at=0)
     return lhs.eval() == identity(unit)
@@ -444,42 +432,36 @@ def check_monad_morphism(f: TransTT) -> Report:
     t, tp = f.t, f.t_dst
     rep = Report(f"{t.name} -> {tp.name}: bimonad morphism")
 
-    def product_items():
-        for g in t.simples():
-            s = t.simple(g)
-            src = t.on_obj(t.on_obj(s))
-            lhs = Chain(src).then(t.m, at=0).then(f.at_step(s), at=0)
-            rhs = Chain(src).then(f.at_step(s), at=1) \
-                            .then(f.at_step(tp.on_obj(s)), at=0) \
-                            .then(tp.m, at=0)
-            yield (g,), lhs, rhs
+    def product(s):
+        src = t.on_obj(t.on_obj(s))
+        lhs = Chain(src).then(t.m, at=0).then(f.at_step(s), at=0)
+        rhs = Chain(src).then(f.at_step(s), at=1) \
+                        .then(f.at_step(tp.on_obj(s)), at=0) \
+                        .then(tp.m, at=0)
+        return lhs, rhs
 
-    def unit_items():
-        for g in t.simples():
-            s = t.simple(g)
-            lhs = Chain(s).then(t.u, at=0).then(f.at_step(s), at=0)
-            rhs = Chain(s).then(tp.u, at=0)
-            yield (g,), lhs, rhs
+    def unit(s):
+        lhs = Chain(s).then(t.u, at=0).then(f.at_step(s), at=0)
+        rhs = Chain(s).then(tp.u, at=0)
+        return lhs, rhs
 
-    def coproduct_items():
-        for g1, g2 in t.composable_pairs():
-            s1, s2 = t.simple(g1), t.simple(g2)
-            src = t.on_obj(s1.tensor(s2))
-            lhs = Chain(src).then(f.at_step(s1.tensor(s2)), at=0) \
-                            .then(tp.t2.at_step(s1, s2), at=0)
-            rhs = Chain(src).then(t.t2.at_step(s1, s2), at=0) \
-                            .then(f.at_step(s1), at=0) \
-                            .then(f.at_step(s2), at=1 + len(s1.atoms))
-            yield (g1, g2), lhs, rhs
+    def coproduct(s1, s2):
+        src = t.on_obj(s1.tensor(s2))
+        lhs = Chain(src).then(f.at_step(s1.tensor(s2)), at=0) \
+                        .then(tp.t2.at_step(s1, s2), at=0)
+        rhs = Chain(src).then(t.t2.at_step(s1, s2), at=0) \
+                        .then(f.at_step(s1), at=0) \
+                        .then(f.at_step(s2), at=1 + len(s1.atoms))
+        return lhs, rhs
 
-    def counit_items():
+    def counit():
         src = t.carrier
         lhs = Chain(src).then(f.at_step(t.unit_obj()), at=0).then(tp.t0, at=0)
         rhs = Chain(src).then(t.t0, at=0)
-        yield (), lhs, rhs
+        return lhs, rhs
 
-    compare_at(rep, "morphism.product", product_items())
-    compare_at(rep, "morphism.unit", unit_items())
-    compare_at(rep, "morphism.coproduct", coproduct_items())
-    compare_at(rep, "morphism.counit", counit_items())
+    compare_at(rep, "morphism.product", t.at_simples(1, product))
+    compare_at(rep, "morphism.unit", t.at_simples(1, unit))
+    compare_at(rep, "morphism.coproduct", t.at_simples(2, coproduct))
+    compare_at(rep, "morphism.counit", t.at_simples(0, counit))
     return rep

@@ -13,6 +13,8 @@ passed as the two-sided convolution inverse of R (see drinfeld_inverse).
 
 from __future__ import annotations
 
+from functools import partial
+
 from .antipode import AntipodeData, s_map
 from .cat import GradedMor, coev_mor, ev_mor
 from .chain import Chain
@@ -42,7 +44,7 @@ def star_inverse_of_r(t: TensoringBimonad, a: AntipodeData,
                       r: PairFamily) -> PairFamily:
     """The convolution inverse of an R-matrix via the left antipode."""
     comps = {}
-    for g1, g2 in t.composable_pairs():
+    for g1, g2 in t.composable(2):
         s1, s2 = t.simple(g1), t.simple(g2)
         ts1 = t.on_obj(s1)
         src = s2.tensor(s1)
@@ -69,119 +71,99 @@ def check_rmatrix(t: TensoringBimonad, r: PairFamily,
     rep = Report(f"{t.name}: R-matrix axioms")
     unit = t.unit_obj()
 
-    def linearity_items():
-        for g1, g2 in t.composable_pairs():
-            s1, s2 = t.simple(g1), t.simple(g2)
-            ts1, ts2 = t.on_obj(s1), t.on_obj(s2)
-            src = t.on_obj(s1.tensor(s2))
-            n1, n2 = len(s1.atoms), len(s2.atoms)
-            lhs = Chain(src).then(t.t2.at_step(s1, s2), at=0) \
-                            .then(r.at_step(ts1, ts2), at=0) \
-                            .then(t.m, at=0) \
-                            .then(t.m, at=1 + n2)
-            rhs = Chain(src).then(r.at_step(s1, s2), at=1) \
-                            .then(t.t2.at_step(ts2, ts1), at=0) \
-                            .then(t.m, at=0) \
-                            .then(t.m, at=1 + n2)
-            yield (g1, g2), lhs, rhs
+    def linearity(s1, s2):
+        ts1, ts2 = t.on_obj(s1), t.on_obj(s2)
+        src = t.on_obj(s1.tensor(s2))
+        n1, n2 = len(s1.atoms), len(s2.atoms)
+        lhs = Chain(src).then(t.t2.at_step(s1, s2), at=0) \
+                        .then(r.at_step(ts1, ts2), at=0) \
+                        .then(t.m, at=0) \
+                        .then(t.m, at=1 + n2)
+        rhs = Chain(src).then(r.at_step(s1, s2), at=1) \
+                        .then(t.t2.at_step(ts2, ts1), at=0) \
+                        .then(t.m, at=0) \
+                        .then(t.m, at=1 + n2)
+        return lhs, rhs
 
-    def left_product_items():
-        for g1, g2 in t.composable_pairs():
-            for g3 in t.simples():
-                if g2[1] != g3[0]:
-                    continue
-                s1, s2, s3 = t.simple(g1), t.simple(g2), t.simple(g3)
-                src = s1.tensor(s2).tensor(s3)
-                n1, n2, n3 = (len(s.atoms) for s in (s1, s2, s3))
-                lhs = Chain(src).then(r.at_step(s1.tensor(s2), s3), at=0) \
-                                .then(t.t2.at_step(s1, s2), at=1 + n3)
-                rhs = Chain(src).then(r.at_step(s2, s3), at=n1) \
-                                .then(r.at_step(s1, t.on_obj(s3)), at=0) \
-                                .then(t.m, at=0)
-                yield (g1, g2, g3), lhs, rhs
+    def left_product(s1, s2, s3):
+        src = s1.tensor(s2).tensor(s3)
+        n1, n2, n3 = (len(s.atoms) for s in (s1, s2, s3))
+        lhs = Chain(src).then(r.at_step(s1.tensor(s2), s3), at=0) \
+                        .then(t.t2.at_step(s1, s2), at=1 + n3)
+        rhs = Chain(src).then(r.at_step(s2, s3), at=n1) \
+                        .then(r.at_step(s1, t.on_obj(s3)), at=0) \
+                        .then(t.m, at=0)
+        return lhs, rhs
 
-    def right_product_items():
-        for g1 in t.simples():
-            for g2, g3 in t.composable_pairs():
-                if g1[1] != g2[0]:
-                    continue
-                s1, s2, s3 = t.simple(g1), t.simple(g2), t.simple(g3)
-                src = s1.tensor(s2).tensor(s3)
-                n1, n2, n3 = (len(s.atoms) for s in (s1, s2, s3))
-                lhs = Chain(src).then(r.at_step(s1, s2.tensor(s3)), at=0) \
-                                .then(t.t2.at_step(s2, s3), at=0)
-                rhs = Chain(src).then(r.at_step(s1, s2), at=0) \
-                                .then(r.at_step(t.on_obj(s1), s3), at=1 + n2) \
-                                .then(t.m, at=2 + n2 + n3)
-                yield (g1, g2, g3), lhs, rhs
+    def right_product(s1, s2, s3):
+        src = s1.tensor(s2).tensor(s3)
+        n1, n2, n3 = (len(s.atoms) for s in (s1, s2, s3))
+        lhs = Chain(src).then(r.at_step(s1, s2.tensor(s3)), at=0) \
+                        .then(t.t2.at_step(s2, s3), at=0)
+        rhs = Chain(src).then(r.at_step(s1, s2), at=0) \
+                        .then(r.at_step(t.on_obj(s1), s3), at=1 + n2) \
+                        .then(t.m, at=2 + n2 + n3)
+        return lhs, rhs
 
-    def unit_left_items():
-        for g in t.simples():
-            s = t.simple(g)
-            lhs = Chain(s).then(r.at_step(unit, s), at=0) \
-                          .then(t.t0, at=1 + len(s.atoms))
-            rhs = Chain(s).then(t.u, at=0)
-            yield (g,), lhs, rhs
+    def unit_left(s):
+        lhs = Chain(s).then(r.at_step(unit, s), at=0) \
+                      .then(t.t0, at=1 + len(s.atoms))
+        rhs = Chain(s).then(t.u, at=0)
+        return lhs, rhs
 
-    def unit_right_items():
-        for g in t.simples():
-            s = t.simple(g)
-            lhs = Chain(s).then(r.at_step(s, unit), at=0) \
-                          .then(t.t0, at=0)
-            rhs = Chain(s).then(t.u, at=0)
-            yield (g,), lhs, rhs
+    def unit_right(s):
+        lhs = Chain(s).then(r.at_step(s, unit), at=0) \
+                      .then(t.t0, at=0)
+        rhs = Chain(s).then(t.u, at=0)
+        return lhs, rhs
 
-    compare_at(rep, "rmatrix.linearity", linearity_items())
-    compare_at(rep, "rmatrix.left_product", left_product_items())
-    compare_at(rep, "rmatrix.right_product", right_product_items())
-    compare_at(rep, "rmatrix.unit_left", unit_left_items())
-    compare_at(rep, "rmatrix.unit_right", unit_right_items())
+    compare_at(rep, "rmatrix.linearity", t.at_simples(2, linearity))
+    compare_at(rep, "rmatrix.left_product", t.at_simples(3, left_product))
+    compare_at(rep, "rmatrix.right_product", t.at_simples(3, right_product))
+    compare_at(rep, "rmatrix.unit_left", t.at_simples(1, unit_left))
+    compare_at(rep, "rmatrix.unit_right", t.at_simples(1, unit_right))
 
     left, right = STAR_INVERSE_CHECKS
     if r_inv is not None:
-        pairs = t.composable_pairs()
-        compare_at(rep, left, _star_inverse_items(t, r, r_inv, pairs))
+        compare_at(rep, left, t.at_simples(2, partial(_star_inverse, t, r, r_inv)))
+        reversed_pairs = [(g2, g1) for g1, g2 in t.composable(2)]
         compare_at(rep, right,
-                   _star_inverse_items(t, r_inv, r, [(g2, g1) for g1, g2 in pairs]))
+                   t.at_simples(2, partial(_star_inverse, t, r_inv, r), reversed_pairs))
     else:
         rep.skip(left, "needs a left antipode")
 
-    compare_at(rep, "rmatrix.yang_baxter", _yang_baxter_items(t, r))
+    compare_at(rep, "rmatrix.yang_baxter", t.at_simples(3, partial(_yang_baxter, t, r)))
     return rep
 
 
-def _star_inverse_items(t, first, second, pairs):
+def _star_inverse(t, first, second, s1, s2):
     # convolving R and its inverse, in either order, gives the unit pair
-    for g1, g2 in pairs:
-        s1, s2 = t.simple(g1), t.simple(g2)
-        n1 = len(s1.atoms)
-        lhs = Chain(s1.tensor(s2)).then(first.at_step(s1, s2), at=0) \
-                                  .then(second.at_step(t.on_obj(s2), t.on_obj(s1)), at=0) \
-                                  .then(t.m, at=0) \
-                                  .then(t.m, at=1 + n1)
-        rhs = Chain(s1.tensor(s2)).then(t.u, at=0) \
-                                  .then(t.u, at=1 + n1)
-        yield (g1, g2), lhs, rhs
+    n1 = len(s1.atoms)
+    lhs = Chain(s1.tensor(s2)).then(first.at_step(s1, s2), at=0) \
+                              .then(second.at_step(t.on_obj(s2), t.on_obj(s1)), at=0) \
+                              .then(t.m, at=0) \
+                              .then(t.m, at=1 + n1)
+    rhs = Chain(s1.tensor(s2)).then(t.u, at=0) \
+                              .then(t.u, at=1 + n1)
+    return lhs, rhs
 
 
-def _yang_baxter_items(t, r):
+def _yang_baxter(t, r, s1, s2, s3):
     # R12 R13 R23 = R23 R13 R12: three exchanges, then the three products
-    for g1, g2, g3 in t.composable_triples():
-        s1, s2, s3 = t.simple(g1), t.simple(g2), t.simple(g3)
-        ts1, ts2, ts3 = (t.on_obj(s) for s in (s1, s2, s3))
-        src = s1.tensor(s2).tensor(s3)
-        n1, n2, n3 = (len(s.atoms) for s in (s1, s2, s3))
-        lhs = Chain(src) \
-            .then(r.at_step(s1, s2), at=0) \
-            .then(r.at_step(ts1, s3), at=1 + n2) \
-            .then(r.at_step(ts2, ts3), at=0)
-        rhs = Chain(src) \
-            .then(r.at_step(s2, s3), at=n1) \
-            .then(r.at_step(s1, ts3), at=0) \
-            .then(r.at_step(ts1, ts2), at=2 + n3)
-        for ch in (lhs, rhs):
-            ch.then(t.m, at=0).then(t.m, at=1 + n3).then(t.m, at=2 + n2 + n3)
-        yield (g1, g2, g3), lhs, rhs
+    ts1, ts2, ts3 = (t.on_obj(s) for s in (s1, s2, s3))
+    src = s1.tensor(s2).tensor(s3)
+    n1, n2, n3 = (len(s.atoms) for s in (s1, s2, s3))
+    lhs = Chain(src) \
+        .then(r.at_step(s1, s2), at=0) \
+        .then(r.at_step(ts1, s3), at=1 + n2) \
+        .then(r.at_step(ts2, ts3), at=0)
+    rhs = Chain(src) \
+        .then(r.at_step(s2, s3), at=n1) \
+        .then(r.at_step(s1, ts3), at=0) \
+        .then(r.at_step(ts1, ts2), at=2 + n3)
+    for ch in (lhs, rhs):
+        ch.then(t.m, at=0).then(t.m, at=1 + n3).then(t.m, at=2 + n2 + n3)
+    return lhs, rhs
 
 
 def check_r_dual_laws(t: TensoringBimonad, a: AntipodeData,
@@ -189,21 +171,19 @@ def check_r_dual_laws(t: TensoringBimonad, a: AntipodeData,
     """Transposes of the R-components through either antipode."""
     rep = Report(f"{t.name}: R-matrix dual laws")
 
-    def items(side):
-        for g1, g2 in t.composable_pairs():
-            s1, s2 = t.simple(g1), t.simple(g2)
-            ts1, ts2 = t.on_obj(s1), t.on_obj(s2)
-            src = ts1.dual().tensor(ts2.dual())
-            rhs = Chain(src).then(r.at_step(ts1.dual(), ts2.dual()), at=0) \
-                            .then(side.at_step(s2), at=0) \
-                            .then(side.at_step(s1), at=len(s2.atoms))
-            yield (g1, g2), Chain(src).then(r.at(s1, s2).ldual()), rhs
+    def dual_law(side, s1, s2):
+        ts1, ts2 = t.on_obj(s1), t.on_obj(s2)
+        src = ts1.dual().tensor(ts2.dual())
+        rhs = Chain(src).then(r.at_step(ts1.dual(), ts2.dual()), at=0) \
+                        .then(side.at_step(s2), at=0) \
+                        .then(side.at_step(s1), at=len(s2.atoms))
+        return Chain(src).then(r.at(s1, s2).ldual()), rhs
 
     for side, label in ((a.sl, "left"), (a.sr, "right")):
         if side is None:
             rep.skip(f"rmatrix.{label}_dual_law", f"needs the {label} antipode")
         else:
-            compare_at(rep, f"rmatrix.{label}_dual_law", items(side))
+            compare_at(rep, f"rmatrix.{label}_dual_law", t.at_simples(2, partial(dual_law, side)))
     return rep
 
 
@@ -276,9 +256,7 @@ def check_braiding(t: TensoringBimonad, r: PairFamily, r_inv: PairFamily | None,
 def drinfeld_element(t: TensoringBimonad, a: AntipodeData,
                      r: PairFamily) -> Element:
     """The canonical convolution element induced by the R-matrix."""
-    comps = {}
-    for g in t.simples():
-        s = t.simple(g)
+    def comp(s):
         ts = t.on_obj(s)
         w_dual = t.on_obj(ts).dual()
         n = len(s.atoms)
@@ -289,8 +267,8 @@ def drinfeld_element(t: TensoringBimonad, a: AntipodeData,
             .then(r.at_step(s, w_dual), at=0) \
             .then(a.sl.at_step(ts), at=0) \
             .then(ev_mor(ts), at=0)
-        comps[g] = ch.eval()
-    return Element(t, comps, "u")
+        return ch.eval()
+    return Element(t, t.components(comp), "u")
 
 
 def drinfeld_inverse(t: TensoringBimonad, a: AntipodeData,
@@ -306,9 +284,7 @@ def drinfeld_inverse(t: TensoringBimonad, a: AntipodeData,
     inverts τ exactly when `r_inv` is the two-sided convolution inverse of
     R, so callers build u⁻¹ only after STAR_INVERSE_CHECKS have passed.
     """
-    comps = {}
-    for g in t.simples():
-        s = t.simple(g)
+    def comp(s):
         fm = free_module(t, s)
         dm = dual_module(t, a.sl, fm)
         m_word = fm.carrier
@@ -320,8 +296,8 @@ def drinfeld_inverse(t: TensoringBimonad, a: AntipodeData,
             .then(dm.action, at=n) \
             .then(fm.action, at=n + len(dm.carrier.atoms)) \
             .then(ev_mor(m_word.dual()), at=0)
-        comps[g] = ch.eval()
-    return Element(t, comps, "u^-1")
+        return ch.eval()
+    return Element(t, t.components(comp), "u^-1")
 
 
 # the checks check_drinfeld records on a structure that passes them, less
@@ -330,27 +306,25 @@ DRINFELD_CHECKS = ("drinfeld.comultiplicativity", "drinfeld.counit",
                    "drinfeld.inverse", "drinfeld.square_of_antipode")
 
 
-def _comul_items(t: TensoringBimonad, x: Element, r: PairFamily):
+def _comul(t: TensoringBimonad, x: Element, r: PairFamily, s1, s2):
     """The comultiplicativity law of x up to R: Δ(x) against the product
-    of r, r₂₁ and x ⊗ x, at each composable pair of simples; with (u, R⁻¹)
+    of r, r₂₁ and x ⊗ x, at a composable pair of simples; with (u, R⁻¹)
     for the Drinfeld element and (θ, R) for a twist."""
-    for g1, g2 in t.composable_pairs():
-        s1, s2 = t.simple(g1), t.simple(g2)
-        ts1, ts2 = t.on_obj(s1), t.on_obj(s2)
-        n1 = len(s1.atoms)
-        src = s1.tensor(s2)
-        lhs = Chain(src).then(x.at_step(src), at=0) \
-                        .then(t.t2.at_step(s1, s2), at=0)
-        rhs = Chain(src) \
-            .then(r.at_step(s1, s2), at=0) \
-            .then(r.at_step(ts2, ts1), at=0) \
-            .then(t.m, at=0) \
-            .then(t.m, at=1 + n1) \
-            .then(x.at_step(ts1), at=0) \
-            .then(x.at_step(ts2), at=2 + n1) \
-            .then(t.m, at=0) \
-            .then(t.m, at=1 + n1)
-        yield (g1, g2), lhs, rhs
+    ts1, ts2 = t.on_obj(s1), t.on_obj(s2)
+    n1 = len(s1.atoms)
+    src = s1.tensor(s2)
+    lhs = Chain(src).then(x.at_step(src), at=0) \
+                    .then(t.t2.at_step(s1, s2), at=0)
+    rhs = Chain(src) \
+        .then(r.at_step(s1, s2), at=0) \
+        .then(r.at_step(ts2, ts1), at=0) \
+        .then(t.m, at=0) \
+        .then(t.m, at=1 + n1) \
+        .then(x.at_step(ts1), at=0) \
+        .then(x.at_step(ts2), at=2 + n1) \
+        .then(t.m, at=0) \
+        .then(t.m, at=1 + n1)
+    return lhs, rhs
 
 
 def check_drinfeld(t: TensoringBimonad, u: Element, r_inv: PairFamily,
@@ -365,12 +339,12 @@ def check_drinfeld(t: TensoringBimonad, u: Element, r_inv: PairFamily,
     rep = Report(f"{t.name}: Drinfeld element")
     unit = t.unit_obj()
 
-    def counit_items():
+    def counit():
         lhs = Chain(unit).then(u.at_step(unit), at=0).then(t.t0, at=0)
-        yield (), lhs, Chain(unit)
+        return lhs, Chain(unit)
 
-    compare_at(rep, "drinfeld.comultiplicativity", _comul_items(t, u, r_inv))
-    compare_at(rep, "drinfeld.counit", counit_items())
+    compare_at(rep, "drinfeld.comultiplicativity", t.at_simples(2, partial(_comul, t, u, r_inv)))
+    compare_at(rep, "drinfeld.counit", t.at_simples(0, counit))
 
     if u_inv is None:
         two_sided = rep.record("drinfeld.inverse", False, note=NO_R_INVERSE)
@@ -404,7 +378,7 @@ def check_twist(t: TensoringBimonad, a: AntipodeData, r: PairFamily,
     rep = Report(f"{t.name}: twist")
     rep.record("twist.central", is_central(t, theta))
     rep.record("twist.inverse", star_inverse_check(t, theta, theta_inv))
-    compare_at(rep, "twist.compatibility", _comul_items(t, theta, r))
+    compare_at(rep, "twist.compatibility", t.at_simples(2, partial(_comul, t, theta, r)))
     rep.record("twist.self_dual", s_map(t, a.sl, theta) == theta,
                note="informational for non-ribbon data")
     return rep

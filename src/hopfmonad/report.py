@@ -44,7 +44,7 @@ class CheckResult:
 
     def line(self) -> str:
         where = ""
-        if self.simple is not None:
+        if self.simple:
             where = " at simple " + "".join(f"({i},{j})" for i, j in self.simple)
         tail = f" [{self.note}]" if self.note else ""
         return f"{self.status.upper():4s} {self.check}{where}{tail}"

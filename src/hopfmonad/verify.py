@@ -71,8 +71,9 @@ from .report import CheckResult, Report
 SUITES = ("axioms", "derived", "modules", "hopfmodules", "integrals",
           "maschke", "quasitriangular")
 
-# the note of the one skip that replaces a suite assuming the axioms when
-# the axioms suite ran in the same call and failed
+# the note of the one skip that replaces a suite assuming the axioms, or
+# the dual-module checks of the modules suite, when the axioms suite ran in
+# the same call and failed
 AXIOMS_FAILED = "the axioms failed; this suite assumes them"
 
 # the notes of the checks skipped for a one-sided antipode
@@ -163,9 +164,10 @@ def verify_model(model: Model, checks: tuple = SUITES, seed: int = 0,
         rep.add(CheckResult("modules.conservativity",
                             "pass" if probe["verdict"] == "yes" else "skip",
                             note=probe["evidence"]))
-        if a is not None:
-            mods = _probe_modules(model, rng, 1)
-            for mod in mods:
+        if a is not None and axioms_failed:
+            rep.skip("dual", AXIOMS_FAILED)
+        elif a is not None:
+            for mod in _probe_modules(model, rng, 1):
                 check_dual_module_duality(t, a, mod, rep)
 
     if "hopfmodules" in checks and a is not None:
@@ -286,14 +288,13 @@ def _skip_each(rep: Report, checks, note: str):
 
 def _random_element(t, rng):
     f = t.base.field
-    comps = {}
-    for g in t.simples():
-        s = t.simple(g)
+
+    def comp(s):
         ts = t.on_obj(s)
         blocks = {}
         for grade in set(s.grades()) & set(ts.grades()):
             rows, cols = ts.count(*grade), s.count(*grade)
             blocks[grade] = f.asarray(
                 [[rng.randrange(-3, 4) for _ in range(cols)] for _ in range(rows)])
-        comps[g] = GradedMor(s, ts, blocks)
-    return Element(t, comps, "rand")
+        return GradedMor(s, ts, blocks)
+    return Element(t, t.components(comp), "rand")

@@ -199,6 +199,17 @@ class TestOutputs:
         assert not any(c.startswith(("gamma.", "hopf_module.", "separable.", "maschke."))
                        for c in status)
 
+    def test_nullary_failure_names_no_simple(self, capsys):
+        # a law at no simple tuple has the empty key: the text line gives no
+        # location, the JSON form keeps the empty list
+        assert main(["report", "pair_groupoid"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert "  FAIL bimonad.counit_mult" in lines
+        assert "  FAIL comonoidal.counit_left at simple (0,0)" in lines
+        assert main(["report", "pair_groupoid", "--json"]) == 1
+        checks = json.loads(capsys.readouterr().out)["checks"]
+        assert next(c for c in checks if c["check"] == "bimonad.counit_mult")["simple"] == []
+
     def test_drinfeld_reports_element(self, capsys):
         assert main(["drinfeld", "double_z2", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)

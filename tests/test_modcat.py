@@ -23,8 +23,9 @@ from hopfmonad.modcat import (
     tensor_modules,
     unit_module,
 )
-from hopfmonad.monad import TransTT, identity_trans
+from hopfmonad.monad import TransTT
 from hopfmonad.report import Report
+from test_monad import identity_trans
 
 Q = FieldSpec.rationals()
 

@@ -1,6 +1,7 @@
 """Bimonad axioms, convolution algebra, grouplikes, morphisms."""
 
 import gc
+import itertools
 import random
 import weakref
 from fractions import Fraction
@@ -13,8 +14,10 @@ from hopfmonad import chain as chainmod
 from hopfmonad import monad, presentation, zoo
 from hopfmonad.chain import Chain
 from hopfmonad.exactla import FieldSpec, SparseTensor
+from hopfmonad.hopfstruct import gamma_family, maschke_verdict, separability_element
 from hopfmonad.monad import (
     Element,
+    Family,
     PairFamily,
     StructureError,
     TransTT,
@@ -27,16 +30,16 @@ from hopfmonad.monad import (
     compare_at,
     convolve,
     eta_element,
-    identity_trans,
     is_central,
     left_mult,
     right_mult,
     star_inverse_check,
 )
 from hopfmonad.presentation import element_from_vector
+from hopfmonad.qtrib import drinfeld_element
 from hopfmonad.report import Report
 from hopfmonad.verify import SUITES, verify_model
-from hopfmonad.cat import GradedMor, GradedObj, identity
+from hopfmonad.cat import GradedMor, GradedObj, coev_mor, ev_mor, identity
 from hopfmonad.modcat import free_module
 from test_chain import tensor_mor
 
@@ -53,6 +56,11 @@ def convolve_alt(t, f: Element, g: Element) -> Element:
                      .then(t.m, at=0)
         comps[gr] = ch.eval()
     return Element(t, comps, f"{f.label}*{g.label}")
+
+
+def identity_trans(t) -> TransTT:
+    """The identity family T -> T."""
+    return TransTT(t, t, t.components(lambda s: identity(t.on_obj(s))), "id")
 
 
 def element_of(t, values, label="f"):
@@ -167,6 +175,86 @@ class TestMalformedStructures:
         bad = {((0, 0), (0, 0)): t.m}
         with pytest.raises(StructureError):
             TensoringBimonad(t.base, t.carrier, t.m, t.u, bad, t.t0)
+
+
+class TestAtSimples:
+    """One enumeration of simple tuples for every law, one of simples for
+    every computed family."""
+
+    @staticmethod
+    def composable(t, arity):
+        # every tuple of simples, kept when consecutive grades compose
+        return [key for key in itertools.product(t.simples(), repeat=arity)
+                if all(a[1] == b[0] for a, b in zip(key, key[1:]))]
+
+    def test_keys_in_order_and_simples_of_each_key(self, disconnected_groupoid):
+        t = disconnected_groupoid.t
+        for arity, count in zip(range(4), (1, 4, 8, 16)):
+            seen = []
+
+            def law(*xs):
+                seen.append(xs)
+                return "lhs", "rhs"
+
+            items = t.at_simples(arity, law)
+            next(items)
+            assert len(seen) == 1  # a law is evaluated only when its item is read
+            keys = [key for key, lhs, rhs in items]
+            want = self.composable(t, arity)
+            assert len(want) == count
+            assert keys == want[1:]
+            assert seen == [tuple(GradedObj.simple(t.base, *g) for g in key) for key in want]
+
+    def test_own_keys(self, disconnected_groupoid):
+        t = disconnected_groupoid.t
+        keys = [((1, 0), (0, 0)), ((0, 1), (1, 1))]
+        items = list(t.at_simples(2, lambda x, y: (x, y), keys))
+        assert items == [(key, t.simple(key[0]), t.simple(key[1])) for key in keys]
+
+    @pytest.mark.parametrize("arity", [1, 2, 3])
+    def test_failure_is_recorded_at_its_key(self, disconnected_groupoid, arity):
+        t = disconnected_groupoid.t
+        bad = self.composable(t, arity)[-2]
+        bad_simples = tuple(t.simple(g) for g in bad)
+
+        def law(*xs):
+            src = xs[0]
+            for x in xs[1:]:
+                src = src.tensor(x)
+            rhs = GradedMor.zero(src, src) if xs == bad_simples else identity(src)
+            return Chain(src), Chain(src).then(rhs)
+
+        rep = Report("one failing key")
+        assert not compare_at(rep, "law", t.at_simples(arity, law))
+        assert rep.results[0].simple == bad
+        assert rep.results[0].to_json()["simple"] == [list(g) for g in bad]
+
+    def test_drinfeld_element_by_components(self, dz2):
+        t, a, r = dz2.t, dz2.antipode, dz2.rmatrix
+        comps = {}
+        for g in t.simples():
+            s = t.simple(g)
+            ts = t.on_obj(s)
+            w_dual = t.on_obj(ts).dual()
+            n, nd = len(s.atoms), len(w_dual.atoms)
+            comps[g] = Chain(s).then(coev_mor(w_dual), at=n).then(t.m, at=n + nd) \
+                               .then(r.at_step(s, w_dual), at=0) \
+                               .then(a.sl.at_step(ts), at=0).then(ev_mor(ts), at=0).eval()
+        assert drinfeld_element(t, a, r) == Element(t, comps, "u")
+
+    @pytest.mark.parametrize("fixture", ["kz2", "disconnected_groupoid"])
+    def test_separability_element_by_components(self, fixture, request):
+        m = request.getfixturevalue(fixture)
+        t = m.t
+        fam = gamma_family(t, m.antipode)
+        lam = maschke_verdict(t)["witness"]
+        comps = {}
+        for g in t.simples():
+            s = t.simple(g)
+            comps[g] = Chain(s).then(lam, at=len(s.atoms)).then(fam.at_step(s), at=0).eval()
+        gam = separability_element(t, fam, lam)
+        assert gam == Family(t, comps, (0,), (t.carrier, t.carrier, 0))
+        assert not any(gam[g].is_zero() for g in t.simples() if g[0] == g[1])
 
 
 class TestEvalT:

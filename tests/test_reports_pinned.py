@@ -39,7 +39,7 @@ PINNED = {
     "double_z2_f3": (0, "129338f3b1aeb52472fbdd7501070a87835a01da8dda8058fe86296addda39f6"),
     "disconnected_groupoid":
         (0, "a56bfcc49dfee71e68ed89674ac2bb5f7a45229a31570a4c123edd3984e78fca"),
-    "pair_groupoid": (1, "608b3e11489ee33bbd1bd807ed9ebec249c025351a3de9c28063438e4fb15fdc"),
+    "pair_groupoid": (1, "5e8f1cafc0d3608ab65320dd09eacdf19072a44951ba7d313005e7e617404cfb"),
 }
 
 

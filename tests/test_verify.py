@@ -6,10 +6,11 @@ import sys
 
 import pytest
 
-from hopfmonad import antipode, hopfstruct, qtrib, verify
+from hopfmonad import antipode, hopfstruct, presentation, qtrib, verify, zoo
 from hopfmonad.antipode import AntipodeData
 from hopfmonad.chain import ChainOverflow
 from hopfmonad.cli import main
+from hopfmonad.exactla import FieldSpec
 from hopfmonad.verify import SUITES, verify_model
 
 BUILDERS = [
@@ -162,3 +163,21 @@ def test_one_sided_antipode_hopfmodules_and_maschke(kz2, side):
     assert [(x.check, x.status, x.note) for x in rep.results] == \
         [(check, "skip", "needs the right antipode") for check in ["hopfmodules", *sections]]
     assert rep.info["semisimple"] == full.info["semisimple"]
+
+
+def test_failed_axioms_skip_the_dual_module_checks(pair_groupoid):
+    # the dual modules of a structure that fails the axioms fail only as a
+    # consequence: one skip stands for their checks; the conservativity
+    # probe reads no axiom and stays
+    pres = zoo.build_group_algebra(zoo.symmetric3_table(), FieldSpec.rationals(), "kS3_bad")
+    pres["mul"][1][1][0] = "1"
+    for m in (pair_groupoid, presentation.load(pres)):
+        rep = verify_model(m, checks=("axioms", "modules"))
+        assert not rep.passed
+        assert not any(x.check.startswith("dual.") for x in rep.results)
+        assert [(x.check, x.status, x.note) for x in rep.results][-1] == \
+            ("dual", "skip", verify.AXIOMS_FAILED)
+        assert rep.results[-2].check == "modules.conservativity"
+        # run without the axioms, the modules suite still checks the duals
+        alone = verify_model(m, checks=("modules",))
+        assert [x.check for x in alone.results if x.check.startswith("dual.")]
