@@ -19,6 +19,11 @@ Prints one table:
   the 36-dim double of S3 over GF(7) and the 49-dim double of Z7 over
   GF(29), each presentation read back from its JSON text, as the CLI
   reads a file;
+- the one-label chain evaluator's fixed cost, per call: a one-step
+  chain (the unit inserted beside T(S), S the last simple) and a two-step
+  one (the unit, then the product) on kz2 and ks3_f3, each chain built
+  once and evaluated many times, and one 4 x 4 contraction over Q and over
+  GF(7919) (`FieldSpec.tensordot`);
 - end-to-end verifications: ks3, the 4-dim double of Z2 and the 4-dim
   Sweedler algebra over Q against GF(3) and GF(1048573), the rational
   lane's ratios; then every suite of each of the ten small builtins of
@@ -59,6 +64,7 @@ from fractions import Fraction
 import numpy as np
 
 from hopfmonad import hopfstruct, presentation, qtrib, zoo
+from hopfmonad.chain import Chain
 from hopfmonad.cli import EXAMPLES
 from hopfmonad.exactla import FieldSpec
 from hopfmonad.verify import SUITES, verify_model
@@ -184,6 +190,36 @@ def _load(build) -> float:
     return best
 
 
+def _per_call(fn, calls: int = 2000) -> float:
+    """Best of REPEAT mean times of `calls` calls of fn()."""
+    best = float("inf")
+    for _ in range(REPEAT):
+        t0 = time.perf_counter()
+        for _ in range(calls):
+            fn()
+        best = min(best, (time.perf_counter() - t0) / calls)
+    return best
+
+
+def _chain_rows(row) -> None:
+    """The per-call rows of the one-label chain evaluator."""
+    for name in ("kz2", "ks3_f3"):
+        t = presentation.load(EXAMPLES[name]()).t
+        ts = t.on_obj(t.simple(t.simples()[-1]))
+        one = Chain(ts).then(t.u, at=0)
+        two = Chain(ts).then(t.u, at=0).then(t.m, at=0)
+        row(f"chain eval one step {name}", "per call", _per_call(one.eval))
+        row(f"chain eval two steps {name}", "per call", _per_call(two.eval))
+    rng = np.random.default_rng(SEED)
+    for field in (FieldSpec.rationals(), FieldSpec.prime(7919)):
+        top = 5 if field.is_rationals else field.p
+        a, b = (field.asarray(rng.integers(0, top, size=(4, 4)).tolist()) for _ in range(2))
+        if field.is_rationals:
+            a = a * Fraction(1, 3)
+        row(f"tensordot 4x4 ({field.describe()})", "per call",
+            _per_call(lambda: field.tensordot(a, b, ([1], [0]))))
+
+
 def _calibrate() -> None:
     """A fixed dict-and-tuple loop, the kind of work the plumbing does."""
     acc: dict = {}
@@ -211,16 +247,16 @@ def main():
 
     def row(kernel, shape, seconds, density=""):
         shown = density if isinstance(density, str) else f"{density:.4f}"
-        print(f"{kernel:<40}{shape:>18}{shown:>14}{seconds:>11.4f}s")
+        print(f"{kernel:<40}{shape:>18}{shown:>14}{seconds:>13.7f}s")
         rows.append({"kernel": kernel, "shape": shape, "density": shown,
-                     args.column: round(seconds, 6)})
+                     args.column: round(seconds, 9)})
 
     f = FieldSpec.prime(7919)
     rng = np.random.default_rng(SEED)
     machine = _machine()
     print(", ".join(f"{k}={v}" for k, v in machine.items()
                     if k in ("cpus", "calibration_s") or k.endswith("threads")))
-    print(f"{'kernel':<40}{'shape':>18}{'density':>14}{'time':>12}")
+    print(f"{'kernel':<40}{'shape':>18}{'density':>14}{'time':>14}")
     for n in args.sizes:
         a = rng.integers(0, f.p, size=(n, n), dtype=np.int64)
         b = rng.integers(0, f.p, size=(n, n), dtype=np.int64)
@@ -251,6 +287,8 @@ def main():
                                ("double_z5", "double_z5_f11", q)):
         row(f"presentation.load {shown} ({field.describe()})", "",
             _load(_builder(name, field)))
+
+    _chain_rows(row)
 
     f3 = FieldSpec.prime(3)
     big = FieldSpec.prime(1048573)

@@ -11,13 +11,16 @@ its memory.  In that process the presentation is built once and loaded
 afresh for each timing:
 
 - `load_s` is the seconds of the first load;
-- every suite runs once on that freshly loaded model (`all_s`), while each
+- every suite runs on a freshly loaded model (`all_s`), while each
   pairwise contraction of the one-label chain evaluator is watched for the
   largest intermediate it stores (`peak_entries`: the nonzeros of a sparse
   intermediate, all entries of a dense one); a `ChainOverflow` is recorded
   instead of a time;
-- then each suite runs alone on another freshly loaded model (`suites`,
-  seconds per suite);
+- then each suite runs alone on a freshly loaded model (`suites`, seconds
+  per suite);
+- each of those times is the median of REPEAT timings, each on a model
+  loaded afresh (the run records the count as `repeat`), since one timing
+  of a fraction of a second moves by a fifth between runs of one commit;
 - `maxrss_mb` is the process's peak resident set (`ru_maxrss`).
 
 Rows are appended to the JSON file, never rewritten: each invocation adds
@@ -38,6 +41,7 @@ import datetime
 import json
 import os
 import resource
+import statistics
 import subprocess
 import sys
 import time
@@ -55,6 +59,7 @@ PRIMES = {8: 17, 9: 19, 10: 23, 11: 23}
 MODELS = [f"double_z{n}_f{PRIMES.get(n, 29)}" for n in range(2, 13)] + ["double_s3_f7"]
 TIMEOUT_S = 1800
 OUT = "BENCH_scaling.json"
+REPEAT = 3
 
 
 def _parse(name: str) -> tuple:
@@ -64,11 +69,17 @@ def _parse(name: str) -> tuple:
     return table, int(p)
 
 
-def _timed(model, checks) -> float:
-    """Seconds of verify_model on a freshly loaded model."""
-    t0 = time.perf_counter()
-    verify_model(model, checks=checks, samples=1)
-    return round(time.perf_counter() - t0, 3)
+def _timed(pres, checks) -> float:
+    """The median seconds of REPEAT runs of verify_model, each on a model
+    freshly loaded from pres outside the timer."""
+    times = []
+    for _ in range(REPEAT):
+        model = presentation.load(pres)
+        t0 = time.perf_counter()
+        verify_model(model, checks=checks, samples=1)
+        times.append(time.perf_counter() - t0)
+        del model
+    return round(statistics.median(times), 3)
 
 
 def _one(name: str) -> dict:
@@ -77,7 +88,7 @@ def _one(name: str) -> dict:
     row = {"model": name, "dim": len(table) ** 2, "field": f"GF({p})"}
     pres = zoo.build_drinfeld_double_group(table, FieldSpec.prime(p), name)
     t0 = time.perf_counter()
-    model = presentation.load(pres)
+    presentation.load(pres)
     row["load_s"] = round(time.perf_counter() - t0, 3)
     peak = {"entries": 0}
     plain = chain._contract
@@ -90,7 +101,7 @@ def _one(name: str) -> dict:
 
     chain._contract = watched
     try:
-        row["all_s"] = _timed(model, SUITES)
+        row["all_s"] = _timed(pres, SUITES)
     except chain.ChainOverflow as e:
         row["all_s"] = f"ChainOverflow: {e}"
     chain._contract = plain
@@ -98,7 +109,7 @@ def _one(name: str) -> dict:
     row["suites"] = {}
     for suite in SUITES:
         try:
-            row["suites"][suite] = _timed(presentation.load(pres), (suite,))
+            row["suites"][suite] = _timed(pres, (suite,))
         except chain.ChainOverflow as e:
             row["suites"][suite] = f"ChainOverflow: {e}"
     row["maxrss_mb"] = round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
@@ -148,7 +159,8 @@ def main():
     doc["runs"].append({
         "label": args.label, "commit": commit,
         "date": datetime.datetime.now(datetime.timezone.utc).strftime("%Y-%m-%d %H:%M UTC"),
-        "machine": _machine(), "numpy": np.__version__, "rows": rows})
+        "machine": _machine(), "numpy": np.__version__, "repeat": f"median of {REPEAT}",
+        "rows": rows})
     with open(OUT, "w") as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")

@@ -41,8 +41,9 @@ contraction was sparse, as a pairing row (one nonzero per path, built
 sparse on both backends and made dense where the rule says so), or once
 a chain step has read it for its nonzeros: every step over a morphism,
 a natural family's component included, keeps that form on the morphism
-(with the dense array it was read from).  Equality and is_zero read
-either form as it is; block() gives the dense array, for the consumers
+(with the dense array it was read from).  Equality, is_zero, + and -
+read either form as it is (a sum with a sparse block merges the
+nonzeros); block() gives the dense array, for the consumers
 that need one (products, row reduction, the transpose, the report),
 bounded by chain.MAX_STATE_ENTRIES.
 """
@@ -57,7 +58,8 @@ from math import prod
 
 import numpy as np
 
-from .exactla import INT64_BOUND, DimensionMismatch, ExactError, FieldSpec, SparseTensor
+from .exactla import (INT64_BOUND, DimensionMismatch, ExactError, FieldSpec, SparseTensor,
+                      sparse_sum)
 
 
 class BaseMismatch(ExactError):
@@ -354,13 +356,16 @@ class GradedMor:
     is zero are omitted.
     """
 
-    __slots__ = ("src", "dst", "blocks")
+    # step: the morphism as a whole chain step, made by chain.Step.whole
+    # on first use and kept here
+    __slots__ = ("src", "dst", "blocks", "step")
 
     def __init__(self, src: GradedObj, dst: GradedObj, blocks: dict):
         if src.base != dst.base:
             raise BaseMismatch("morphism across different bases")
         self.src = src
         self.dst = dst
+        self.step = None
         self.blocks = {}
         for g in set(src.grades()) & set(dst.grades()):
             m = blocks.get(g)
@@ -385,6 +390,14 @@ class GradedMor:
     def identity(obj: GradedObj) -> "GradedMor":
         f = obj.base.field
         return GradedMor(obj, obj, {g: f.eye(obj.count(*g)) for g in obj.grades()})
+
+    @staticmethod
+    def of_blocks(src: GradedObj, dst: GradedObj, blocks: dict) -> "GradedMor":
+        """The morphism with these blocks, already one of the right shape
+        at each grade of both words: taken as they are, unchecked."""
+        mor = object.__new__(GradedMor)
+        mor.src, mor.dst, mor.blocks, mor.step = src, dst, blocks, None
+        return mor
 
     @staticmethod
     def zero(src: GradedObj, dst: GradedObj) -> "GradedMor":
@@ -424,13 +437,25 @@ class GradedMor:
 
     def _blockwise(self, op, other: "GradedMor") -> "GradedMor":
         """`op` (operator.add or operator.sub) of the blocks, absent ones read
-        as zero."""
+        as zero.  Where either block is held sparse the nonzeros are merged
+        (exactla.sparse_sum) and the sum held as chain holds a tensor; the
+        dense arrays are added only when the int64 sums could wrap."""
         if self.src != other.src or self.dst != other.dst:
             raise DimensionMismatch(f"{op.__name__} of morphisms with different ends")
         f = self.field
-        return GradedMor(self.src, self.dst,
-                         {g: f.reduce(op(self.block(*g), other.block(*g)))
-                          for g in set(self.blocks) | set(other.blocks)})
+        blocks = {}
+        for g in set(self.blocks) | set(other.blocks):
+            a, b = self.held(*g), other.held(*g)
+            out = None
+            if isinstance(a, SparseTensor) or isinstance(b, SparseTensor):
+                out = sparse_sum(f, a, b, negate=op is operator.sub)
+            if out is None:
+                out = f.reduce(op(self.block(*g), other.block(*g)))
+            else:
+                from .chain import _held  # chain builds on this module
+                out = _held(f, out)
+            blocks[g] = out
+        return GradedMor(self.src, self.dst, blocks)
 
     def __add__(self, other: "GradedMor") -> "GradedMor":
         return self._blockwise(operator.add, other)

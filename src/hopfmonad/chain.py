@@ -18,13 +18,16 @@ morphism); the wires a step passes through keep their labels.
 The network is contracted one pair at a time: of the pairs of tensors
 that share a wire, the one whose result is smallest, the first by
 position among equals (_next_pair).  A disconnected remainder is joined
-by outer products, the wires that go from source to target untouched
-are tensored in once at the end as an identity, and the result's axes
-are put in the order (target wires, source wires).  So steps on
-disjoint wires commute, and an inserted element (an R-matrix, a
-coevaluation) meets the products on its legs before any identity
-width: on the 25-, 36- and 64-dimensional doubles no intermediate
-exceeds carrier-dim^4.
+by outer products.  The wires that go from source to target untouched
+are not contracted: the network's result is placed beside the identity
+on them once at the end (_place: each of its entries written on the
+diagonal of its own block, by a strided write into zeros or by index
+arithmetic on its nonzeros, nothing multiplied), and a chain of no steps
+is the scalar 1 so placed.  The result's axes are then put in the order
+(target wires, source wires).  So steps on disjoint wires commute, and
+an inserted element (an R-matrix, a coevaluation) meets the products on
+its legs before any identity width: on the 25-, 36- and 64-dimensional
+doubles no intermediate exceeds carrier-dim^4.
 Re-associating exact products cannot change a result; the tests compare
 the evaluator against dense whiskered matrices and another pair order.
 
@@ -33,9 +36,10 @@ its nonzeros by linear position.  On the builtin doubles the structure
 cores send basis vectors to a few basis vectors, and most pairwise
 products are almost empty (one nonzero in 10^3 to 10^4 entries).  So
 each pair is contracted on the route that a cost estimate says is
-cheaper (_sparse_product): dense, by one FieldSpec.tensordot on float64
-BLAS, or sparse, by joining the nonzeros on the shared wires and summing
-the products per output position (exactla.sparse_tensordot).  The
+cheaper (_sparse_product): dense, by one FieldSpec.tensordot (a single
+integer product on float64 BLAS), or sparse, by joining the nonzeros on
+the shared wires and summing the products per output position
+(exactla.sparse_tensordot).  The
 estimate counts the operands' entries, their nonzeros and the pairs of
 nonzeros the join makes; small products stay dense without a count.
 The sparse sums run in int64, and the route is taken
@@ -53,8 +57,9 @@ gave it, held by the same rule: a sparse result of more than
 SPARSE_FIXED entries is the GradedMor's block as it is, never made
 dense here (cat.py says which consumers ask for the dense array).
 MAX_STATE_ENTRIES bounds the stored entries of each intermediate (the
-nonzeros of a sparse one), the dense array of a sparse tensor made dense
-(an operand that takes the dense route, or a block asked for dense), and
+nonzeros of a sparse one, the placed result too), the dense array of a
+sparse tensor made dense (an operand that takes the dense route, or a
+block asked for dense), and
 the joined pairs of a sparse product times the arrays the join holds.
 So a result is bounded by what it stores; the one result no contraction
 makes, the zero array of a composite through a zero-dimensional wire, is
@@ -147,6 +152,14 @@ class Step:
         if len(pass_dst) != len(pass_src) or any(dd[d] != sd[s] for d, s in self.feeds):
             raise DimensionMismatch("pass-through axes do not line up")
 
+    @staticmethod
+    def whole(mor: GradedMor) -> "Step":
+        """The whole morphism as a step, made once and kept on it, so every
+        chain over mor shares one step and reads its tensor once."""
+        if mor.step is None:
+            mor.step = Step(mor)
+        return mor.step
+
     def to_mor(self) -> GradedMor:
         """The step as one morphism src -> dst: on one label the chain of
         this step alone, on the graded backend its own morphism."""
@@ -179,7 +192,7 @@ class Chain:
     def then(self, step, at: int = 0) -> "Chain":
         """Append id ⊗ step ⊗ id with step.src starting at atom index `at`."""
         if isinstance(step, GradedMor):
-            step = Step(step)
+            step = Step.whole(step)
         n = len(step.src.atoms)
         if self.cur.atoms[at:at + n] != step.src.atoms:
             raise DimensionMismatch(
@@ -230,16 +243,17 @@ class Chain:
         wires = list(range(nsrc))
         tensors = []
         for at, step in self.steps:
+            t = step.tensor()
             here = wires[at:at + len(step.src.atoms)]
-            made = step.dst.axis_dims()
-            mid = [None] * len(made)
+            # the produced wires' dimensions lead the tensor's shape
+            made = range(len(dims), len(dims) + len(step.out_axes))
+            dims += t.shape[:len(made)]
+            mid = [None] * len(step.dst.atoms)
             for d, s in step.feeds:
                 mid[d] = here[s]
-            for a in step.out_axes:
-                mid[a] = len(dims)
-                dims.append(made[a])
-            tensors.append((step.tensor(), tuple(mid[a] for a in step.out_axes) +
-                            tuple(here[a] for a in step.in_axes)))
+            for a, w in zip(step.out_axes, made):
+                mid[a] = w
+            tensors.append((t, (*made, *(here[a] for a in step.in_axes))))
             wires[at:at + len(here)] = mid
         # a wire of dimension 0 makes the composite zero (and an empty
         # operand cannot be reshaped for tensordot); the one result that
@@ -247,31 +261,41 @@ class Chain:
         if 0 in dims:
             _check_size(nd * ns)
             return GradedMor(self.src, self.cur, {(0, 0): field.zeros((nd, ns))})
+        if not tensors:
+            # no step: the identity is the scalar 1 tensored with it
+            tensors = [(field.eye(1).reshape(()), ())]
         while len(tensors) > 1:
-            pick = _next_pair([legs for _, legs in tensors], dims)
+            # two tensors make the only pair, connected or not
+            pick = _next_pair([legs for _, legs in tensors], dims) if len(tensors) > 2 else None
             _, i, j = (0, 0, 1) if pick is None else pick
             tensors[i] = _contract(field, tensors[i], tensors[j])
             del tensors[j]
         # the source wires still in the target passed untouched: the
-        # identity on them, its target legs under new labels; held as
-        # _held holds a core
+        # network's result is placed beside the identity on them, its
+        # target legs under new labels
         ident = [w for w in wires if w < nsrc]
         relabel = {w: len(dims) + k for k, w in enumerate(ident)}
-        if ident:
-            shape = [dims[w] for w in ident]
-            n = prod(shape)
-            eye = (SparseTensor.eye(shape) if n * n > SPARSE_FIXED
-                   else field.eye(n).reshape(shape * 2),
-                   tuple(relabel[w] for w in ident) + tuple(ident))
-            tensors = [_contract(field, tensors[0], eye)] if tensors else [eye]
-        if not tensors:
-            return GradedMor(self.src, self.cur, {(0, 0): field.eye(1)})
         out, legs = tensors[0]
+        if ident:
+            out, legs = _contract(field, tensors[0], (
+                _Identity([dims[w] for w in ident]),
+                tuple(relabel[w] for w in ident) + tuple(ident)))
         order = [relabel.get(w, w) for w in wires] + list(range(nsrc))
         out = out.transpose([legs.index(w) for w in order]).reshape((nd, ns))
         if isinstance(out, SparseTensor) and out.size <= SPARSE_FIXED:
             out = out.dense(field)
-        return GradedMor(self.src, self.cur, {(0, 0): out})
+        return GradedMor.of_blocks(self.src, self.cur, {(0, 0): out})
+
+
+class _Identity:
+    """The identity on wires of dimensions `shape` as an operand of
+    _contract, which places its product with a tensor (_place) instead of
+    multiplying by it."""
+
+    __slots__ = ("shape",)
+
+    def __init__(self, shape: list):
+        self.shape = tuple(shape)
 
 
 def _check_size(entries: int) -> None:
@@ -285,11 +309,12 @@ def _next_pair(legs: list, dims: list):
     the pairs whose legs share a wire, the one with the smallest result,
     the first by position among equals; None when no two share a wire."""
     best = None
+    legs = [set(a) for a in legs]
     for i, a in enumerate(legs):
         for j in range(i + 1, len(legs)):
-            if set(a).isdisjoint(legs[j]):
+            if a.isdisjoint(legs[j]):
                 continue
-            size = prod(dims[w] for w in set(a).symmetric_difference(legs[j]))
+            size = prod(dims[w] for w in a ^ legs[j])
             if best is None or size < best[0]:
                 best = (size, i, j)
     return best
@@ -301,6 +326,8 @@ def _contract(field, x: tuple, y: tuple) -> tuple:
     or a SparseTensor.  The product is sparse where _sparse_product finds
     that cheaper and exact, and one dense FieldSpec.tensordot otherwise."""
     (a, la), (b, lb) = x, y
+    if isinstance(b, _Identity):
+        return _place(field, a, b.shape), la + lb
     shared = [w for w in la if w in lb]
     ax_a = [la.index(w) for w in shared]
     ax_b = [lb.index(w) for w in shared]
@@ -343,16 +370,35 @@ def _sparse_product(field, a, b, ax_a: list, ax_b: list, inner: int, size: int):
                             min(pairs, MAX_STATE_ENTRIES // JOIN_ARRAYS))
 
 
+def _place(field, a, shape: tuple):
+    """a ⊗ id on wires of dimensions `shape`, placed, not multiplied, in
+    the form _held gives a tensor of its size: past SPARSE_FIXED entries
+    the sparse outer product of a's nonzeros with the identity's, which
+    sparse_tensordot makes by index arithmetic alone; otherwise
+    FieldSpec.with_identity's strided write into zeros.  Bounded like
+    every intermediate."""
+    n = prod(shape)
+    size = a.size * n * n
+    if SPARSE_FIXED < size < INT64_BOUND:
+        sa = a if isinstance(a, SparseTensor) else SparseTensor.of(field, a)
+        if sa is not None:
+            _check_size(sa.nnz * n)
+            return sparse_tensordot(field, sa, SparseTensor.eye(shape), [], [], sa.nnz * n)
+    _check_size(size)
+    return field.with_identity(_dense(field, a), shape)
+
+
 def _held(field, t):
     """How the network holds a step's core (and, by the same size rule,
-    the pass-through identity and a GradedMor's one-label block): a
-    SparseTensor when it has more than SPARSE_FIXED entries, and the dense
-    array otherwise.  A tensor already sparse is taken as it is; one read
-    from a dense array keeps that array too.  A smaller tensor is
-    converted only when it meets a product that _sparse_product sends to
-    the sparse route, for less than that product's fixed cost."""
+    a placed pass-through identity, a GradedMor's one-label block and a
+    sum of blocks): a SparseTensor when it has more than SPARSE_FIXED
+    entries, and the dense array otherwise.  A larger tensor already
+    sparse is taken as it is, a smaller one made dense; one read from a
+    dense array keeps that array too.  A smaller tensor is converted
+    only when it meets a product that _sparse_product sends to the
+    sparse route, for less than that product's fixed cost."""
     if isinstance(t, SparseTensor):
-        return t
+        return t if t.size > SPARSE_FIXED else t.dense(field)
     sparse = SparseTensor.of(field, t) if t.size > SPARSE_FIXED else None
     return t if sparse is None else sparse
 

@@ -41,8 +41,10 @@ A SparseTensor holds an exact tensor by its nonzeros: their row-major
 positions and their values (residues, or numerators over one
 denominator).  sparse_tensordot contracts two of them by index
 arithmetic on int64 (a join on the contracted coordinates, a product
-per joined pair, np.add.reduceat over the sorted output positions);
-sparse_exact says when those int64 sums cannot wrap.  The one-label
+per joined pair, np.add.reduceat over the sorted output positions; over
+no axes, the outer product, the positions alone); sparse_sum adds two
+by merging their nonzeros, and sparse_exact says when the int64 sums of
+a product cannot wrap.  The one-label
 chain evaluator picks it or tensordot per pair, and a one-label
 morphism may keep its block as a SparseTensor; FieldSpec.equal compares
 either form with the other by sorted nonzeros.
@@ -223,6 +225,21 @@ class FieldSpec:
             return a.den == b.den and np.array_equal(a.num, b.num)
         return np.array_equal(a, b)
 
+    def with_identity(self, a, shape: tuple):
+        """a ⊗ id on axes of dimensions `shape` for a dense array a: a's
+        axes, then the identity's (shape, then shape again).  Nothing is
+        multiplied: entry x of a is written on the diagonal of its own
+        n x n block (n the product of shape) in one strided assignment."""
+        n = math.prod(shape)
+        if n == 1:
+            return a.reshape(tuple(a.shape) + tuple(shape) * 2)
+        num = a.num if self.is_rationals else a
+        out = np.zeros((num.size, n * n), dtype=num.dtype)
+        out[:, ::n + 1] = num.reshape(-1, 1)
+        out = out.reshape(tuple(a.shape) + tuple(shape) * 2)
+        # a's nonzeros, so a's denominator, unless there are no entries
+        return _raw(out, a.den if n else 1) if self.is_rationals else out
+
     def concatenate(self, arrays, axis: int = 0):
         """np.concatenate of matrices over this field."""
         if not self.is_rationals:
@@ -239,18 +256,22 @@ class FieldSpec:
         return _qarray(_int_matmul(a.num, b.num), a.den * b.den)
 
     def tensordot(self, a, b, axes):
+        """a and b contracted over the axes lists (ax_a, ax_b), the free
+        axes of a then those of b: one matmul of the transposed and
+        reshaped integer arrays (over Q the numerators, over their
+        denominators, with the product canonical once)."""
         ax_a, ax_b = axes
-        ax_a = [ax_a] if isinstance(ax_a, int) else list(ax_a)
-        ax_b = [ax_b] if isinstance(ax_b, int) else list(ax_b)
-        ax_a = [x % a.ndim for x in ax_a]
-        ax_b = [x % b.ndim for x in ax_b]
-        free_a = [i for i in range(a.ndim) if i not in ax_a]
-        free_b = [i for i in range(b.ndim) if i not in ax_b]
-        con = int(np.prod([a.shape[i] for i in ax_a])) if ax_a else 1
-        at = a.transpose(free_a + ax_a).reshape(-1, con)
-        bt = b.transpose(ax_b + free_b).reshape(con, -1)
-        out = self.matmul(at, bt)
-        return out.reshape([a.shape[i] for i in free_a] + [b.shape[i] for i in free_b])
+        na, nb = (a.num, b.num) if self.is_rationals else (a, b)
+        free_a = [i for i in range(na.ndim) if i not in ax_a]
+        free_b = [i for i in range(nb.ndim) if i not in ax_b]
+        shape = [na.shape[i] for i in free_a] + [nb.shape[i] for i in free_b]
+        con = math.prod(na.shape[i] for i in ax_a)
+        at = na.transpose(free_a + list(ax_a)).reshape(-1, con)
+        bt = nb.transpose(list(ax_b) + free_b).reshape(con, -1)
+        if not self.is_rationals:
+            return self.matmul(at, bt).reshape(shape)
+        out = self.matmul(_raw(at, a.den), _raw(bt, b.den))
+        return _raw(out.num.reshape(shape), out.den)
 
     def rref(self, a) -> tuple:
         """Reduced row echelon form; deterministic first-nonzero pivoting."""
@@ -513,7 +534,10 @@ def _int_matmul(a: np.ndarray, b: np.ndarray, p: int | None = None) -> np.ndarra
     Precondition for p: every entry of `a` and `b` lies in [0, p); the
     result is then int64 with entries in [0, p).  Without p the result is
     int64 when every partial sum stays below 2**63, and Python ints in an
-    object array otherwise.
+    object array otherwise.  When one tile covers the product (a single
+    chunk, and every tile within TILE_ENTRIES), as for the small
+    contractions of the chain evaluator, that tile's product is the result
+    and the tiling loop is never entered.
     """
     rows, inner = a.shape
     cols = b.shape[1]
@@ -522,15 +546,19 @@ def _int_matmul(a: np.ndarray, b: np.ndarray, p: int | None = None) -> np.ndarra
         if top >= EXACT_FLOAT or a.dtype == object or b.dtype == object:
             return a.astype(object) @ b.astype(object)
         carry = 0
-        out = np.zeros((rows, cols), dtype=np.int64 if inner * top < INT64_BOUND else object)
+        dtype = np.int64 if inner * top < INT64_BOUND else object
     else:
-        top, carry = (p - 1) ** 2, p - 1
-        out = np.zeros((rows, cols), dtype=np.int64)
-    if out.size == 0 or inner == 0 or top == 0:
-        return out
+        top, carry, dtype = (p - 1) ** 2, p - 1, np.int64
+    if rows == 0 or cols == 0 or inner == 0 or top == 0:
+        return np.zeros((rows, cols), dtype=dtype)
     chunk = min(inner, TILE_ENTRIES, (EXACT_FLOAT - 1 - carry) // top)
     row_tile = min(rows, TILE_ENTRIES // chunk)
     col_tile = min(cols, TILE_ENTRIES // max(chunk, row_tile))
+    if chunk == inner and row_tile == rows and col_tile == cols:
+        # one tile: its sums are exact below 2**53, so int64 holds them
+        part = (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64)
+        return part if p is None else np.remainder(part, p, out=part)
+    out = np.zeros((rows, cols), dtype=dtype)
     for j in range(0, cols, col_tile):
         for i in range(0, rows, row_tile):
             tile = out[i:i + row_tile, j:j + col_tile]
@@ -721,6 +749,8 @@ def sparse_tensordot(spec: FieldSpec, a: SparseTensor, b: SparseTensor,
     multiplied, and the products summed per output position over the
     sorted positions (np.add.reduceat); zero sums are dropped.
     """
+    if not ax_a:
+        return _sparse_outer(spec, a, b, max_pairs)
     free_a = [i for i in range(a.ndim) if i not in ax_a]
     free_b = [i for i in range(b.ndim) if i not in ax_b]
     ca, cb = _coords(a), _coords(b)
@@ -747,7 +777,33 @@ def sparse_tensordot(spec: FieldSpec, a: SparseTensor, b: SparseTensor,
     vals = a.vals[ia]
     vals *= b.vals[ib]
     del ia, ib
-    den = a.den * b.den
+    return _summed(spec, shape, pos, vals, a.den * b.den)
+
+
+def sparse_sum(spec: FieldSpec, a, b, negate: bool = False) -> SparseTensor | None:
+    """a + b, or a - b when negate, for two tensors of one shape (dense or
+    SparseTensor), as a SparseTensor: the nonzeros of both merged by
+    position and summed, zero sums dropped, nothing made dense.  Over Q
+    both are put over the lcm of the denominators; None when a numerator
+    there, or a sum of two, could leave int64 (or a dense side holds
+    Python-int numerators)."""
+    a, b = (t if isinstance(t, SparseTensor) else SparseTensor.of(spec, t) for t in (a, b))
+    if a is None or b is None:
+        return None
+    den = math.lcm(a.den, b.den)
+    fa, fb = den // a.den, den // b.den
+    if spec.is_rationals and _bound(a.vals) * fa + _bound(b.vals) * fb >= INT64_BOUND:
+        return None
+    vb = b.vals * fb
+    return _summed(spec, a.shape, np.concatenate([a.index, b.index]),
+                   np.concatenate([a.vals * fa, -vb if negate else vb]), den)
+
+
+def _summed(spec: FieldSpec, shape: tuple, pos: np.ndarray, vals: np.ndarray,
+            den: int) -> SparseTensor:
+    """The SparseTensor of the terms (pos, vals) over den: the terms at one
+    position summed over the sorted positions (np.add.reduceat), reduced
+    mod p, zero sums dropped."""
     if len(pos):
         order = np.argsort(pos)
         pos, vals = pos[order], vals[order]
@@ -757,6 +813,26 @@ def sparse_tensordot(spec: FieldSpec, a: SparseTensor, b: SparseTensor,
             vals %= spec.p
         keep = vals != 0
         pos, vals = pos[keep], vals[keep]
+    return _sparse_result(spec, shape, pos, vals, den)
+
+
+def _sparse_outer(spec: FieldSpec, a: SparseTensor, b: SparseTensor,
+                  max_pairs: int) -> SparseTensor | None:
+    """sparse_tensordot over no axes: every pair of nonzeros lands at its
+    own position, so the product is index arithmetic alone, with no join,
+    no sort and no sum (a product of two nonzeros is nonzero)."""
+    if a.nnz * b.nnz > max_pairs:
+        return None
+    pos = (a.index[:, None] * b.size + b.index).ravel()
+    vals = (a.vals[:, None] * b.vals).ravel()
+    if not spec.is_rationals:
+        vals %= spec.p
+    return _sparse_result(spec, a.shape + b.shape, pos, vals, a.den * b.den)
+
+
+def _sparse_result(spec: FieldSpec, shape: tuple, pos: np.ndarray, vals: np.ndarray,
+                   den: int) -> SparseTensor:
+    """The SparseTensor of nonzeros, over Q put in canonical form."""
     if spec.is_rationals:
         g = math.gcd(den, int(np.gcd.reduce(vals)) if len(vals) else 0)
         vals, den = vals // g, den // g

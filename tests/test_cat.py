@@ -2,6 +2,7 @@
 
 import copy
 import gc
+import operator
 import pickle
 import random
 import weakref
@@ -708,3 +709,67 @@ class TestHeldBlocks:
             assert block.nnz == 625 and block.vals.tolist() == [1] * 625
             assert not isinstance(d.held(0, 0), SparseTensor)
             assert h == d and d == h
+
+
+def sparse_mor(x: GradedObj, block) -> GradedMor:
+    return GradedMor(x, x, {(0, 0): SparseTensor.of(x.base.field, block)})
+
+
+class TestSparseSums:
+    """A sum or difference with a block held sparse merges the nonzeros and
+    stays sparse; it equals the sum of the dense blocks."""
+
+    @staticmethod
+    def blocks(field, n, rng, dens):
+        # two n x n blocks of about 3n nonzeros each, over 1/dens[k] on Q,
+        # whose supports overlap
+        out = []
+        for den in dens:
+            flat = [0] * (n * n)
+            for k in rng.sample(range(4 * n), 3 * n):
+                flat[k] = Fraction(rng.choice([-4, -1, 1, 2, 3]), den)
+            out.append(field.asarray([flat[r * n:(r + 1) * n] for r in range(n)]))
+        return out
+
+    @pytest.mark.parametrize("field", [Q, FieldSpec.prime(5)])
+    @pytest.mark.parametrize("op", [operator.add, operator.sub])
+    def test_matches_the_dense_sum(self, field, op):
+        # 150 x 150 blocks: 22500 entries, past chain.SPARSE_FIXED
+        x = GradedObj.space(BaseSpec.vector(field), 150, "x")
+        a, b = self.blocks(field, 150, random.Random(3), (3, 4))
+        dense_a, dense_b = GradedMor(x, x, {(0, 0): a}), GradedMor(x, x, {(0, 0): b})
+        want = op(dense_a, dense_b)
+        assert not want.is_zero()
+        for f, g in ((sparse_mor(x, a), sparse_mor(x, b)), (sparse_mor(x, a), dense_b),
+                     (dense_a, sparse_mor(x, b))):
+            got = op(f, g)
+            held = got.held(0, 0)
+            assert isinstance(held, SparseTensor) and held.size == 150 * 150
+            assert (held.vals != 0).all()
+            assert got == want and want == got
+
+    @pytest.mark.parametrize("field", [Q, FieldSpec.prime(5)])
+    def test_cancelling_sums(self, field):
+        x = GradedObj.space(BaseSpec.vector(field), 150, "x")
+        a, b = self.blocks(field, 150, random.Random(4), (7, 7))
+        s, t = sparse_mor(x, a), sparse_mor(x, b)
+        zero = s - s
+        assert zero.is_zero() and zero == GradedMor.zero(x, x)
+        assert zero.held(0, 0).nnz == 0
+        # (a + b) - b cancels b's entries, and a's where they met
+        back = (s + t) - t
+        assert back == s and back.held(0, 0).nnz == s.held(0, 0).nnz
+        negated = GradedMor.zero(x, x) - s
+        assert (negated + s).is_zero() and negated == -GradedMor(x, x, {(0, 0): a})
+
+    def test_small_and_wide_sums(self):
+        # a small sparse block gives a dense sum; numerators whose sum could
+        # pass int64 are added as dense arrays
+        x = GradedObj.space(VEC, 3, "x")
+        a = Q.asarray([[1, 0, 0], [0, Fraction(1, 2), 0], [0, 0, 0]])
+        got = sparse_mor(x, a) + GradedMor(x, x, {(0, 0): a})
+        assert not isinstance(got.held(0, 0), SparseTensor)
+        assert got == GradedMor(x, x, {(0, 0): a}).scale(2)
+        big = Q.asarray([[2**62, 0, 0], [0, 0, 0], [0, 0, 0]])
+        wide = sparse_mor(x, big) + sparse_mor(x, big)
+        assert wide.block(0, 0).tolist()[0][0] == 2**63

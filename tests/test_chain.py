@@ -683,6 +683,122 @@ class TestResultBound:
         assert ch.eval().is_zero()
 
 
+def kron_reference(field, a, shape):
+    """a ⊗ id on axes of dimensions shape, by the multiply route: the outer
+    product of the dense a with a dense identity."""
+    n = prod(shape)
+    return field.tensordot(chainmod._dense(field, a), field.eye(n).reshape(tuple(shape) * 2),
+                           ([], []))
+
+
+def random_block(field, rows, cols, rng, nonzeros, den=1):
+    """A rows x cols block with about `nonzeros` nonzero entries, each k/den
+    for a small k (a residue over GF(p))."""
+    flat = [0] * (rows * cols)
+    for k in rng.sample(range(rows * cols), nonzeros):
+        flat[k] = Fraction(rng.choice([-3, -2, -1, 1, 2, 5]), den)
+    return field.asarray([flat[r * cols:(r + 1) * cols] for r in range(rows)])
+
+
+class TestPlacement:
+    """The pass-through identity is placed beside the network's result,
+    never multiplied: chain._place against the outer product with a dense
+    identity."""
+
+    @pytest.mark.parametrize("field", [Q, F7])
+    @pytest.mark.parametrize("core, shape, sparse", [
+        ((2, 3), (2,), False),      # 24 entries: dense
+        ((5, 4), (40,), True),      # 32000 entries from a dense core: sparse
+        ((150, 150), (2,), True),   # a held sparse core
+        ((4, 4), (3, 2), False),    # two pass-through wires
+        ((3, 2), (1, 1), False),    # one-dimensional wires: a reshape
+        ((3, 2), (3, 0), False),    # a zero-dimensional wire: no entries
+    ])
+    def test_matches_the_outer_product(self, field, core, shape, sparse):
+        rng = random.Random(sum(core) + sum(shape))
+        a = random_block(field, *core, rng, nonzeros=min(12, prod(core)), den=3)
+        if field.is_rationals:
+            assert a.den == 3
+        if prod(core) > chainmod.SPARSE_FIXED:
+            a = SparseTensor.of(field, a)
+        got = chainmod._place(field, a, shape)
+        want = kron_reference(field, a, shape)
+        assert isinstance(got, SparseTensor) == sparse
+        assert tuple(got.shape) == tuple(want.shape) == tuple(core) + tuple(shape) * 2
+        assert field.equal(got, want)
+        if sparse:
+            nonzeros = a.nnz if isinstance(a, SparseTensor) else SparseTensor.of(field, a).nnz
+            assert got.nnz == nonzeros * prod(shape)
+        else:
+            assert got.dtype == want.dtype
+
+    @pytest.mark.parametrize("field", [Q, F7])
+    def test_small_sparse_core_is_placed_dense(self, field):
+        a = SparseTensor.of(field, random_block(field, 3, 3, random.Random(1), 4, den=2))
+        got = chainmod._place(field, a, (2,))
+        assert not isinstance(got, SparseTensor)
+        assert field.equal(got, kron_reference(field, a, (2,)))
+
+    @pytest.mark.parametrize("base", [VEC, VEC7])
+    @pytest.mark.parametrize("dims", [(), (3,), (2, 3), (150,), (2, 0)])
+    def test_chain_without_steps_is_the_identity(self, base, dims):
+        # the scalar 1 placed beside the identity; 150**2 entries are held
+        # sparse
+        x = GradedObj(base, tuple(Atom(f"w{k}", ((d,),)) for k, d in enumerate(dims)))
+        got = Chain(x).eval()
+        assert got == identity(x) and identity(x) == got
+        n = x.total_dim()
+        if n:
+            assert isinstance(got.held(0, 0), SparseTensor) == (n * n > chainmod.SPARSE_FIXED)
+            assert base.field.equal(got.block(0, 0), base.field.eye(n))
+
+    @pytest.mark.parametrize("base", [VEC, VEC7])
+    def test_rationals_over_a_denominator(self, base):
+        # a core over 1/3 beside two pass-through wires, in the middle of
+        # the word
+        rng = random.Random(9)
+        a, x, b, y = (vspace(base, n, nm) for n, nm in [(2, "a"), (3, "x"), (3, "b"), (2, "y")])
+        core = random_block(base.field, 2, 3, rng, 5, den=3)
+        f = GradedMor(x, y, {(0, 0): core})
+        ch = Chain(a.tensor(x).tensor(b)).then(f, at=1)
+        assert ch.eval() == brute_whisker(a, f, b)
+
+    def test_placement_is_bounded(self, monkeypatch):
+        # a 2 x 3 core of six nonzeros beside a 4-dimensional wire (96
+        # entries, dense) and beside a 150-dimensional one (135000 entries,
+        # 900 stored)
+        core = F7.asarray([[1, 2, 3], [4, 5, 6]])
+        x, z = vspace(VEC7, 3, "x"), vspace(VEC7, 2, "z")
+        f = GradedMor(x, z, {(0, 0): core})
+        for n, stored in ((4, 96), (150, 900)):
+            y = vspace(VEC7, n, f"y{n}")
+            ch = Chain(x.tensor(y)).then(f, at=0)
+            monkeypatch.setattr(chainmod, "MAX_STATE_ENTRIES", stored - 1)
+            with pytest.raises(ChainOverflow, match=f"intermediate of {stored} entries"):
+                ch.eval()
+            monkeypatch.setattr(chainmod, "MAX_STATE_ENTRIES", stored)
+            assert ch.eval() == brute_whisker(GradedObj.unit(VEC7), f, y)
+
+    def test_sparse_outer_product_keeps_its_budget(self):
+        # the sparse placement is the general outer product, which makes
+        # one pair per two nonzeros: 3 * 3 here
+        a = SparseTensor.of(F7, F7.asarray([[1, 2], [3, 0]]))
+        b = SparseTensor.of(F7, F7.asarray([[4, 5, 6]]))
+        assert exactla.sparse_tensordot(F7, a, b, [], [], 8) is None
+        got = exactla.sparse_tensordot(F7, a, b, [], [], 9)
+        assert got.nnz == 9
+        assert F7.equal(got, F7.tensordot(a.dense(F7), b.dense(F7), ([], [])))
+
+    def test_peak_sees_the_placed_result(self, monkeypatch):
+        # the placement goes through _contract, so the bound on the
+        # intermediates covers the result beside the identity
+        peak = record_peaks(monkeypatch)
+        x, y, z = vspace(VEC7, 3, "x"), vspace(VEC7, 4, "y"), vspace(VEC7, 2, "z")
+        f = GradedMor(x, z, {(0, 0): F7.asarray([[1, 2, 3], [4, 5, 6]])})
+        Chain(x.tensor(y)).then(f, at=0).eval()
+        assert peak["entries"] == 6 * 4 * 4
+
+
 class TestGradedChain:
     def test_matches_vector_semantics_on_one_label(self):
         # same chain evaluated via the graded path by faking a 1-label grid

@@ -383,6 +383,68 @@ class TestRationalProduct:
         assert got.tolist() == [[Fraction(int(x), 3) for x in row] for row in want]
 
 
+class TestSingleTile:
+    """A product one tile covers returns that tile's product at once; it
+    equals the tiled loop, forced with tiles of four entries."""
+
+    @staticmethod
+    def both_ways(a, b, p=None):
+        one = exactla._int_matmul(a, b, p)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(exactla, "TILE_ENTRIES", 4)
+            tiled = exactla._int_matmul(a, b, p)
+        assert one.dtype == tiled.dtype
+        assert one.tolist() == tiled.tolist()
+        return one
+
+    def test_rational_numerators_in_int64(self):
+        rng = np.random.default_rng(5)
+        a = rng.integers(-50, 51, size=(5, 7))
+        b = rng.integers(-50, 51, size=(7, 4))
+        got = self.both_ways(a, b)
+        assert got.dtype == np.int64
+        assert got.tolist() == (a.astype(object) @ b.astype(object)).tolist()
+
+    def test_rational_numerators_past_int64(self):
+        # Python-int numerators take the object product; int64 numerators
+        # whose sums pass 2**63 accumulate chunk by chunk in Python ints
+        rng = random.Random(6)
+        wide = np.array([[(1 << 70) + rng.randrange(99) for _ in range(3)] for _ in range(2)],
+                        dtype=object)
+        narrow = np.array([[rng.randrange(-9, 10) for _ in range(2)] for _ in range(3)],
+                          dtype=object)
+        got = self.both_ways(wide, narrow)
+        assert got.dtype == object and got.tolist() == (wide @ narrow).tolist()
+        a = np.array([[(1 << 40) - rng.randrange(64) for _ in range(1 << 13)]], dtype=np.int64)
+        b = np.array([[(1 << 12) - rng.randrange(8)] for _ in range(1 << 13)], dtype=np.int64)
+        got = self.both_ways(a, b)
+        assert got.dtype == object
+        assert got.tolist() == (a.astype(object) @ b.astype(object)).tolist()
+
+    def test_largest_prime(self):
+        rng = np.random.default_rng(7)
+        a = rng.integers(P_MAX - 64, P_MAX, size=(3, 5), dtype=np.int64)
+        b = rng.integers(P_MAX - 64, P_MAX, size=(5, 2), dtype=np.int64)
+        got = self.both_ways(a, b, P_MAX)
+        assert got.dtype == np.int64 and got.tolist() == python_matmul_mod(a, b, P_MAX)
+
+    @pytest.mark.parametrize("spec", [Q, F7])
+    def test_tensordot_over_the_raw_arrays(self, spec):
+        # a 2 x 3 x 4 tensor against a 4 x 3 x 2 one over two axes, the
+        # rationals over 1/6 and 1/5: against a loop over Fractions
+        rng = random.Random(8)
+        a = spec.asarray([[Fraction(rng.randrange(-5, 6), 6) for _ in range(12)]
+                          for _ in range(2)]).reshape((2, 3, 4))
+        b = spec.asarray([[Fraction(rng.randrange(-5, 6), 5) for _ in range(6)]
+                          for _ in range(4)]).reshape((4, 3, 2))
+        got = spec.tensordot(a, b, ([1, 2], [1, 0]))
+        want = [[sum((Fraction(a[i, j, k]) * Fraction(b[k, j, m])
+                      for j in range(3) for k in range(4)), Fraction(0))
+                 for m in range(2)] for i in range(2)]
+        assert got.shape == (2, 2)
+        assert got.tolist() == [[spec.coerce(x) for x in row] for row in want]
+
+
 class TestKernel:
     def test_identity_injective(self):
         assert kernel(Q, Q.eye(2)).shape == (2, 0)
