@@ -24,6 +24,11 @@ Prints one table:
   one (the unit, then the product) on kz2 and ks3_f3, each chain built
   once and evaluated many times, and one 4 x 4 contraction over Q and over
   GF(7919) (`FieldSpec.tensordot`);
+- the graded layer's fixed cost, per call on fresh words (every word's
+  memo and every atom's flattening tables emptied before each call,
+  outside the timer): the split positions
+  of one whiskered step and the extension of the comonoidal family t2 to
+  the pair (A, A), both on the two-label disconnected_groupoid;
 - end-to-end verifications: ks3, the 4-dim double of Z2 and the 4-dim
   Sweedler algebra over Q against GF(3) and GF(1048573), the rational
   lane's ratios; then every suite of each of the ten small builtins of
@@ -63,7 +68,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from hopfmonad import hopfstruct, presentation, qtrib, zoo
+from hopfmonad import cat, chain, hopfstruct, presentation, qtrib, zoo
 from hopfmonad.chain import Chain
 from hopfmonad.cli import EXAMPLES
 from hopfmonad.exactla import FieldSpec
@@ -220,6 +225,44 @@ def _chain_rows(row) -> None:
             _per_call(lambda: field.tensordot(a, b, ([1], [0]))))
 
 
+def _per_fresh_call(fn, calls: int = 300) -> float:
+    """Best of REPEAT mean times of fn(), each call on fresh words: before
+    it, outside the timer, the memo of every live word and the flattening
+    tables of every live atom are emptied, so nothing derived from a word
+    (paths, offsets, positions) or an atom is kept, as for words a process
+    meets for the first time."""
+    best = float("inf")
+    for _ in range(REPEAT):
+        spent = 0.0
+        for _ in range(calls):
+            for word in list(cat._WORDS.values()):
+                word._memo.clear()
+            for atom in list(cat._ATOMS.values()):
+                object.__setattr__(atom, "_cells", None)
+            t0 = time.perf_counter()
+            fn()
+            spent += time.perf_counter() - t0
+        best = min(best, spent / calls)
+    return best
+
+
+def _graded_rows(row) -> None:
+    """The per-call rows of the graded layer on disconnected_groupoid, on
+    fresh words: the split positions of id_A ⊗ (A ⊗ A) ⊗ id_S at the first
+    grade of A ⊗ A ⊗ A ⊗ S (S the first simple), and the extension of the
+    comonoidal family t2 to the arguments (A, A)."""
+    t = presentation.load(EXAMPLES["disconnected_groupoid"]()).t
+    a, s = t.carrier, t.simple(t.simples()[0])
+    aa = a.tensor(a)
+    i, l = a.tensor(aa).tensor(s).grades()[0]
+    split = chain._split_positions.__wrapped__
+    after = tuple(s.count(k, l) for k in range(t.base.nlabels))
+    row("graded split positions disconnected_groupoid", "per call",
+        _per_fresh_call(lambda: split(a, aa, i, after)))
+    row("graded extend t2 at (A, A) disconnected_groupoid", "per call",
+        _per_fresh_call(lambda: chain.extend(t.t2.src, t.t2.dst, (a, a), t.t2.comps)))
+
+
 def _calibrate() -> None:
     """A fixed dict-and-tuple loop, the kind of work the plumbing does."""
     acc: dict = {}
@@ -289,6 +332,7 @@ def main():
             _load(_builder(name, field)))
 
     _chain_rows(row)
+    _graded_rows(row)
 
     f3 = FieldSpec.prime(3)
     big = FieldSpec.prime(1048573)

@@ -15,22 +15,29 @@ isomorphisms ever appear in formulas.
 Atoms and words are interned (hash-consed): building one looks it up in
 a weak table, so there is one live object per (name, grid) and per
 (base, atoms), and equality is identity.  A word computes its grade
-counts once, when it is first built, and keeps its dual; the path
-positions, dual permutations and tensor positions derived from it are
-kept in a memo the word owns (keyed by the further words for the tensor
-positions, on the first word).  Everything derived from a word is
+counts once, when it is first built, and keeps its dual; its path data,
+dual permutations and offsets, and the split and layout positions derived
+from it, are kept in a memo the word owns (keyed by the further words for
+the positions, on the first word).  Everything derived from a word is
 therefore dropped together with it, and the tables hold only live words.
 
 Concretely, the graded piece of a word at (i, l) has one basis vector
 per *path* i -> ... -> l through the atoms.  Each atom is flattened over
 its grid cells in row-major order, a basis vector at its place in its
 cell, and a path is its row-major multi-index over the atoms, its *flat
-position*.  The (i, l)-paths are ordered by flat position, and a path's
-index is its rank among them (`positions`); on one label every flat
-position is a path, so the index is the position itself.  The dual of a
-basis vector sits at the same place of the transposed cell, in the dual
-atom: the dual of a path reverses its multi-index and moves each digit
-to the transposed cell (`_dual_positions`).
+position*.  The (i, l)-paths are ordered by flat position (`positions`),
+and a path's index is its rank among them.  A word's paths from i are
+built once, from its prefix's in one step over the last atom, with the
+label each ends at (`_paths_from`).  The index of a path cut into pieces
+on consecutive sub-words is the sum of per-piece offsets: a piece's
+offset counts, over the paths of its sub-word from the same label before
+it, the paths through the sub-words after it to l (`_offsets`).  So the
+pieces' indices in a longer word never need the longer word; on one label
+every flat position is a path, the offsets are the flat positions, and
+one rule serves both backends.  The dual of a basis vector sits at the
+same place of the transposed cell, in the dual atom: the dual of a path
+reverses its multi-index and moves each digit to the transposed cell,
+and its index in the dual word is built with the path (`_perm_to_dual`).
 
 Morphisms are grade-preserving linear maps, one exact matrix per grade.
 On a multi-label base every block is a dense array.  On one label the
@@ -54,7 +61,7 @@ import operator
 import weakref
 from dataclasses import dataclass, field as dataclass_field
 from functools import wraps
-from math import prod
+from typing import NamedTuple
 
 import numpy as np
 
@@ -137,14 +144,15 @@ _WORDS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 class Atom(_Interned):
     """Generating graded object: a name plus an L x L dimension grid."""
 
-    __slots__ = ("name", "dims")
+    # _cells: the flattening tables of cells(), made on first use
+    __slots__ = ("name", "dims", "_cells")
 
     def __new__(cls, name: str, dims: tuple):
         atom = _ATOMS.get((name, dims))
         if atom is None:
             if any(d < 0 for row in dims for d in row):
                 raise ExactError("negative dimension")
-            atom = cls._make(_ATOMS, (name, dims), name=name, dims=dims)
+            atom = cls._make(_ATOMS, (name, dims), name=name, dims=dims, _cells=None)
         return atom
 
     def _key(self) -> tuple:
@@ -166,6 +174,31 @@ class Atom(_Interned):
     def dim(self, i: int, j: int) -> int:
         return self.dims[i][j]
 
+    def cells(self) -> tuple:
+        """The atom's flattening as read-only arrays, made once: per row j
+        of the grid, its basis vectors' places in the flattening (padded
+        with -1 to the widest row) and their number; the column of each
+        vector; and per vector, in cell (j, k) at place b, the weights of
+        its dual's offset in the dual atom from k: by label x, the vectors
+        of cell (x, k) for x < j, and b for x = j."""
+        if self._cells is None:
+            L = self.nlabels
+            dims = np.array(self.dims, dtype=np.int64).reshape(L, L)
+            sizes = dims.ravel()
+            row, col = np.divmod(np.repeat(np.arange(L * L), sizes), L)
+            place = np.arange(len(row)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+            x = np.arange(L)
+            dual = (np.where(x < row[:, None], dims[x, col[:, None]], 0)
+                    + np.where(x == row[:, None], place[:, None], 0))
+            width = dims.sum(axis=1)
+            t = np.arange(width.max())
+            rows = np.where(t < width[:, None], np.cumsum(width)[:, None] - width[:, None] + t, -1)
+            cells = (rows, width, col, dual)
+            for arr in cells:
+                arr.flags.writeable = False
+            object.__setattr__(self, "_cells", cells)
+        return self._cells
+
 
 class GradedObj(_Interned):
     """A word of atoms over a base; the empty word is the unit object."""
@@ -179,11 +212,12 @@ class GradedObj(_Interned):
             # counts[i][l] = number of paths i -> l; product of the atom grids
             counts = tuple(tuple(int(i == l) for l in range(L)) for i in range(L))
             for a in atoms:
-                if a.nlabels != L:
+                if len(a.dims) != L:
                     raise BaseMismatch("atom grid does not match the label set")
-                counts = tuple(tuple(sum(row[j] * a.dims[j][l] for j in range(L))
-                                     for l in range(L)) for row in counts)
-            grades = tuple((i, l) for i in range(L) for l in range(L) if counts[i][l])
+                cols = tuple(zip(*a.dims))
+                counts = tuple([tuple([sum(map(operator.mul, row, col)) for col in cols])
+                                for row in counts])
+            grades = tuple([(i, l) for i in range(L) for l in range(L) if counts[i][l]])
             word = cls._make(_WORDS, (base, atoms), base=base, atoms=atoms,
                              _counts=counts, _grades=grades, _memo={})
         return word
@@ -221,7 +255,7 @@ class GradedObj(_Interned):
     def tensor(self, other: "GradedObj") -> "GradedObj":
         if self.base != other.base:
             raise BaseMismatch("tensor across different bases")
-        return GradedObj(self.base, self.atoms + other.atoms)
+        return _tensor(self, other)
 
     def dual(self) -> "GradedObj":
         if self._dual is None:
@@ -268,78 +302,102 @@ def _owned_memo(fn):
 
 
 @_owned_memo
-def _flat_size(word: GradedObj) -> int:
-    """The number of flat positions of a word: the product of its atoms'
-    sizes.  Flat positions are int64, so it must stay below 2**63."""
-    n = prod(sum(map(sum, a.dims)) for a in word.atoms)
-    if n >= INT64_BOUND:
-        raise ExactError(f"{word!r} has {n} flat positions, past int64")
-    return n
+def _tensor(x: GradedObj, y: GradedObj) -> GradedObj:
+    """x ⊗ y, kept in x's memo: the words a word is tensored with are few
+    and met again and again (the carrier with every argument)."""
+    return GradedObj(x.base, x.atoms + y.atoms)
 
 
-def _cell_starts(dims: tuple) -> np.ndarray:
-    """Where each cell of an atom grid starts in the atom's flattening."""
-    sizes = np.ravel(dims)
-    return (np.cumsum(sizes) - sizes).reshape(len(dims), -1)
+class _Paths(NamedTuple):
+    """A word's paths from one label, in path order (see _paths_from)."""
+
+    prefix: "GradedObj | None"  # the word without its last atom, kept alive
+    size: int  # the word's number of flat positions
+    continuations: "np.ndarray | None"  # per path of the prefix
+    vectors: "np.ndarray | None"  # per path, its vector of the last atom
+    ends: np.ndarray  # per path, the label it ends at
+    order: np.ndarray  # the paths, stably sorted by end label
+    bounds: dict  # per end label l, the slice of order of the (i, l)-paths
 
 
 @_owned_memo
-def _positions_from(word: GradedObj, i: int) -> dict:
-    """The sorted flat positions of a word's paths from label i, by the
-    label they end at (read-only).
+def _paths_from(word: GradedObj, i: int) -> _Paths:
+    """A word's paths from label i, in path order, built from its prefix's
+    paths in one step over the last atom: each path is followed by the
+    basis vectors of its end label's row of the atom grid, in flattening
+    order (Atom.cells), so nothing is sorted.  The arrays are read-only.
 
-    Built atom by atom from the paths of each prefix, so no array is longer
-    than a path count.
-    """
-    _flat_size(word)
-    front = {i: np.zeros(1, dtype=np.int64)}
-    for a in word.atoms:
-        size, starts = sum(map(sum, a.dims)), _cell_starts(a.dims)
-        front = {k: np.sort(np.concatenate([
-            (pos[:, None] * size + starts[j, k] + np.arange(a.dims[j][k])).ravel()
-            for j, pos in front.items()]))
-            for k in range(word.base.nlabels) if any(a.dims[j][k] for j in front)}
-    for pos in front.values():
-        pos.flags.writeable = False
-    return front
+    Flat positions are int64, so the word's flat size, the product of its
+    atoms' sizes, must stay below 2**63."""
+    if not word.atoms:
+        prefix, size, n, digit, ends = None, 1, None, None, np.full(1, i)
+    else:
+        prefix = GradedObj(word.base, word.atoms[:-1])
+        rows, width, col, _ = word.atoms[-1].cells()
+        before = _paths_from(prefix, i)
+        size = before.size * len(col)
+        if size >= INT64_BOUND:
+            raise ExactError(f"{word!r} has {size} flat positions, past int64")
+        n, grid = width[before.ends], rows[before.ends]
+        digit = grid[grid >= 0]
+        ends = col[digit]
+    order, bounds, start = np.argsort(ends, kind="stable"), {}, 0
+    for l, count in enumerate(word._counts[i]):
+        if count:
+            bounds[l] = slice(start, start + count)
+            start += count
+    for arr in (n, digit, ends, order):
+        if arr is not None:
+            arr.flags.writeable = False
+    return _Paths(prefix, size, n, digit, ends, order, bounds)
+
+
+@_owned_memo
+def _flat_and_duals(word: GradedObj, i: int) -> tuple:
+    """For a word's paths from label i, in path order, the flat position of
+    each and the index of its dual among the paths of dual(word) from its
+    end label back to i (read-only).  The dual of a path extended by a
+    vector starts with the vector's dual, so its index is the prefix path's
+    dual index plus the vector's dual offset, weighted by the prefix's
+    paths from i to each label (Atom.cells)."""
+    paths = _paths_from(word, i)
+    if paths.prefix is None:
+        flat = duals = np.zeros(1, dtype=np.int64)
+    else:
+        flat, duals = _flat_and_duals(paths.prefix, i)
+        _, _, col, dual = word.atoms[-1].cells()
+        shift = dual @ np.array(paths.prefix._counts[i], dtype=np.int64)
+        flat = np.repeat(flat, paths.continuations) * len(col) + paths.vectors
+        duals = np.repeat(duals, paths.continuations) + shift[paths.vectors]
+    flat.flags.writeable = duals.flags.writeable = False
+    return flat, duals
 
 
 def positions(word: GradedObj, i: int, l: int) -> np.ndarray:
     """The sorted flat positions of a word's (i, l)-paths (read-only)."""
-    return _positions_from(word, i).get(l, np.zeros(0, dtype=np.int64))
-
-
-def _joined(word: GradedObj, i: int, l: int, parts: list) -> np.ndarray:
-    """The indices in a word's (i, l) path order of the paths cut into
-    pieces on consecutive sub-words: `parts` lists (sub-word, flat
-    positions of the pieces), the arrays broadcast against each other.
-
-    An index is the rank of the path's flat position among
-    positions(word, i, l), or the position itself when every flat
-    position is an (i, l)-path (always, on one label)."""
-    n = _flat_size(word)
-    flat = 0
-    for sub, pos in parts:
-        flat = flat * _flat_size(sub) + pos
-    if word.count(i, l) == n:
-        return flat
-    return np.searchsorted(positions(word, i, l), flat)
+    paths = _paths_from(word, i)
+    out = (_flat_and_duals(word, i)[0][paths.order[paths.bounds[l]]] if l in paths.bounds
+           else np.zeros(0, dtype=np.int64))
+    out.flags.writeable = False
+    return out
 
 
 @_owned_memo
-def _dual_positions(word: GradedObj, i: int, l: int) -> np.ndarray:
-    """The flat positions in dual(word) of the duals of the (i, l)-paths,
-    in path order: the atoms reversed, each digit at the same place of the
-    transposed cell (read-only)."""
-    flat = positions(word, i, l)
-    out = np.zeros_like(flat)
-    for a in reversed(word.atoms):
-        size = sum(map(sum, a.dims))
-        shift = (_cell_starts(a.dual().dims).T - _cell_starts(a.dims)).ravel()
-        flat, digit = np.divmod(flat, size)
-        out = out * size + digit + np.repeat(shift, np.ravel(a.dims))[digit]
-    out.flags.writeable = False
-    return out
+def _offsets(word: GradedObj, i: int, weights: tuple) -> dict:
+    """off(p; w) for a word's paths p from label i, by the label they end
+    at (read-only): the sum of w[end(p')] over the paths p' from i before p.
+
+    With w[j] the number of paths from j to a label l through the words
+    that follow, off(p; w) is the index of p's first continuation among the
+    (i, l)-paths of the longer word.  So the index of a path cut into
+    pieces is the sum of its pieces' offsets, each weighted by the paths
+    through the pieces after it: a ranking by counting completions, for
+    which the joined word is never built."""
+    paths = _paths_from(word, i)
+    w = np.array(weights, dtype=np.int64)[paths.ends]
+    off = (np.cumsum(w) - w)[paths.order]
+    off.flags.writeable = False
+    return {l: off[b] for l, b in paths.bounds.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -356,16 +414,13 @@ class GradedMor:
     is zero are omitted.
     """
 
-    # step: the morphism as a whole chain step, made by chain.Step.whole
-    # on first use and kept here
-    __slots__ = ("src", "dst", "blocks", "step")
+    __slots__ = ("src", "dst", "blocks")
 
     def __init__(self, src: GradedObj, dst: GradedObj, blocks: dict):
         if src.base != dst.base:
             raise BaseMismatch("morphism across different bases")
         self.src = src
         self.dst = dst
-        self.step = None
         self.blocks = {}
         for g in set(src.grades()) & set(dst.grades()):
             m = blocks.get(g)
@@ -396,7 +451,7 @@ class GradedMor:
         """The morphism with these blocks, already one of the right shape
         at each grade of both words: taken as they are, unchecked."""
         mor = object.__new__(GradedMor)
-        mor.src, mor.dst, mor.blocks, mor.step = src, dst, blocks, None
+        mor.src, mor.dst, mor.blocks = src, dst, blocks
         return mor
 
     @staticmethod
@@ -518,8 +573,9 @@ class GradedMor:
 def _perm_to_dual(obj: GradedObj, i: int, l: int) -> np.ndarray:
     """perm[k] = the index in dual(obj)'s (l, i) path order of the dual of
     obj's k-th (i, l)-path (read-only)."""
-    dual = obj.dual()
-    out = _joined(dual, l, i, [(dual, _dual_positions(obj, i, l))])
+    paths = _paths_from(obj, i)
+    out = (_flat_and_duals(obj, i)[1][paths.order[paths.bounds[l]]] if l in paths.bounds
+           else np.zeros(0, dtype=np.int64))
     out.flags.writeable = False
     return out
 
@@ -542,17 +598,22 @@ def _pairing(x: GradedObj, dual_first: bool) -> tuple:
     from .chain import SPARSE_FIXED  # chain builds on this module
     xd = x.dual()
     word = xd.tensor(x) if dual_first else x.tensor(xd)
+    labels = range(x.base.nlabels)
     rows = {}
     for (i, l) in word.grades():
         if i != l:
             continue
-        hits = []
-        for j in range(x.base.nlabels):
-            # p runs through x from label a to b, its dual through dual(x)
-            a, b = (j, i) if dual_first else (i, j)
-            p, dp = positions(x, a, b), _dual_positions(x, a, b)
-            parts = [(xd, dp), (x, p)] if dual_first else [(x, p), (xd, dp)]
-            hits.append(_joined(word, i, i, parts))
+        if dual_first:
+            # (dual of p, p) for the paths p of x from j to i: the dual's
+            # offset in dual(x), weighted by x's paths from j to i, plus
+            # the index of p
+            off = _offsets(xd, i, tuple(x.count(j, i) for j in labels))
+            hits = [o[_perm_to_dual(x, j, i)] + np.arange(len(o)) for j, o in off.items()]
+        else:
+            # (p, dual of p) for the paths p of x from i to j: p's offset,
+            # weighted by dual(x)'s paths from j to i, plus the dual's index
+            off = _offsets(x, i, tuple(x.count(i, j) for j in labels))
+            hits = [o + _perm_to_dual(x, i, j) for j, o in off.items()]
         n = word.count(i, i)
         index = np.sort(np.concatenate(hits))
         row = SparseTensor((1, n), index, np.ones(len(index), dtype=np.int64))

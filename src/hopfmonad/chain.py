@@ -70,9 +70,16 @@ On a multi-label base the running composite is one block per grade
 id_L ⊗ g ⊗ id_R is applied per grade and per block (j, k) of g: the
 rows at the paths i -> j -> k -> l through (L, source of g, R) are
 gathered, contracted with g's (j, k) block and scattered to the paths
-through (L, target of g, R).  The path positions are the flat
-positions of the three pieces joined in one broadcast (cat._joined),
-kept in the memo of the left word (_split_positions).
+through (L, target of g, R).  A path's index is the sum of its pieces'
+offsets (cat._offsets): L's, weighted by the paths through g's side and
+R to l, plus g's side's, weighted by R's, plus the index in R, one
+broadcast sum of three vectors that reads R only through its path counts
+and never builds L ⊗ g ⊗ R (_split_positions, kept in L's memo).  The
+chain's source word keeps, per (place, step), the word after the step
+and its positions (_step_positions), so only the words a chain passes
+through are built, each once.  The chain starts from the identity,
+which is never formed: its first step is the whisker itself, each entry
+of g's blocks placed at its pairs of paths.
 
 A natural family is stored by its components at simples; its source
 and target functors are slot layouts, each slot a fixed word (the
@@ -86,13 +93,13 @@ one tuple of grades at once.
 
 from __future__ import annotations
 
+import operator
 from itertools import product
 from math import prod
 
 import numpy as np
 
-from .cat import (GradedMor, GradedObj, _dual_positions, _flat_size, _joined, _owned_memo,
-                  positions)
+from .cat import GradedMor, GradedObj, _offsets, _owned_memo, _perm_to_dual
 from .exactla import (INT64_BOUND, JOIN_ARRAYS, DimensionMismatch, ExactError,
                       SparseTensor, sparse_exact, sparse_tensordot)
 
@@ -152,14 +159,6 @@ class Step:
         if len(pass_dst) != len(pass_src) or any(dd[d] != sd[s] for d, s in self.feeds):
             raise DimensionMismatch("pass-through axes do not line up")
 
-    @staticmethod
-    def whole(mor: GradedMor) -> "Step":
-        """The whole morphism as a step, made once and kept on it, so every
-        chain over mor shares one step and reads its tensor once."""
-        if mor.step is None:
-            mor.step = Step(mor)
-        return mor.step
-
     def to_mor(self) -> GradedMor:
         """The step as one morphism src -> dst: on one label the chain of
         this step alone, on the graded backend its own morphism."""
@@ -169,7 +168,8 @@ class Step:
         """Vector backend: the core on the step's legs, the atoms it
         produces, then those it consumes.  The morphism's block is held once
         (_held) and kept on the morphism in that form, so every step over
-        one morphism reads it once and shares it."""
+        one morphism reads it once and shares it.  Nothing refers back to
+        the step, so a morphism and its steps make no reference cycle."""
         if self._tensor is None:
             mor = self.mor
             held = _held(mor.field, mor.held(0, 0))
@@ -186,25 +186,28 @@ class Chain:
 
     def __init__(self, src: GradedObj):
         self.src = src
-        self.cur = src
+        # the atoms of the running word; its word is built only when asked
+        # for (dst), then kept until the next step
+        self.atoms, self._dst = src.atoms, src
         self.steps: list[tuple[int, Step]] = []
 
     def then(self, step, at: int = 0) -> "Chain":
         """Append id ⊗ step ⊗ id with step.src starting at atom index `at`."""
         if isinstance(step, GradedMor):
-            step = Step.whole(step)
+            step = Step(step)
         n = len(step.src.atoms)
-        if self.cur.atoms[at:at + n] != step.src.atoms:
+        if self.atoms[at:at + n] != step.src.atoms:
             raise DimensionMismatch(
-                f"step source {step.src!r} does not match {self.cur!r} at {at}")
+                f"step source {step.src!r} does not match {self.dst!r} at {at}")
         self.steps.append((at, step))
-        self.cur = GradedObj(self.cur.base,
-                             self.cur.atoms[:at] + step.dst.atoms + self.cur.atoms[at + n:])
+        self.atoms, self._dst = self.atoms[:at] + step.dst.atoms + self.atoms[at + n:], None
         return self
 
     @property
     def dst(self) -> GradedObj:
-        return self.cur
+        if self._dst is None:
+            self._dst = GradedObj(self.src.base, self.atoms)
+        return self._dst
 
     def eval(self) -> GradedMor:
         if self.src.base.is_vector:
@@ -214,26 +217,30 @@ class Chain:
     # -- graded backend: gather, contract, scatter ----------------------------
 
     def _eval_graded(self) -> GradedMor:
+        if not self.steps:
+            return GradedMor.identity(self.src)
         field = self.src.base.field
         # one block per grade (i, l) of the source: rows are the current
-        # word's (i, l)-paths, columns the source's
-        state = {g: field.eye(self.src.count(*g)) for g in self.src.grades()}
+        # word's (i, l)-paths, columns the source's; None is the identity
+        # the chain starts from, which is never formed
+        state = dict.fromkeys(self.src.grades())
         cur = self.src
         for at, step in self.steps:
-            n = len(step.src.atoms)
-            left = GradedObj(cur.base, cur.atoms[:at])
-            right = GradedObj(cur.base, cur.atoms[at + n:])
-            nxt = GradedObj(cur.base, left.atoms + step.dst.atoms + right.atoms)
-            state = {g: _apply_graded(step.mor, left, right, *g, block, nxt.count(*g), field)
+            cur, split = _step_positions(cur, at, step.src, step.dst)
+            state = {g: _apply_graded(step.mor, split.get(g), block, cur.count(*g),
+                                      self.src.count(*g), field)
                      for g, block in state.items()}
-            cur = nxt
-        return GradedMor(self.src, cur, state)
+        # the blocks are of the right shapes by construction; a grade with
+        # no paths in the final word has none
+        return GradedMor.of_blocks(self.src, cur,
+                                   {g: b for g, b in state.items() if cur.count(*g)})
 
     # -- vector backend: one tensor network ----------------------------------
 
     def _eval_vector(self) -> GradedMor:
         field = self.src.base.field
-        ns, nd = self.src.total_dim(), self.cur.total_dim()
+        dst = self.dst
+        ns, nd = self.src.total_dim(), dst.total_dim()
         # wires[k] is the wire on atom k of the running word; the source's
         # wires are 0 .. len(src) - 1, and each produced wire gets the next
         # label.  A step's tensor has the wires it produces, then the wires
@@ -260,7 +267,7 @@ class Chain:
         # no contraction bounds
         if 0 in dims:
             _check_size(nd * ns)
-            return GradedMor(self.src, self.cur, {(0, 0): field.zeros((nd, ns))})
+            return GradedMor(self.src, dst, {(0, 0): field.zeros((nd, ns))})
         if not tensors:
             # no step: the identity is the scalar 1 tensored with it
             tensors = [(field.eye(1).reshape(()), ())]
@@ -284,7 +291,7 @@ class Chain:
         out = out.transpose([legs.index(w) for w in order]).reshape((nd, ns))
         if isinstance(out, SparseTensor) and out.size <= SPARSE_FIXED:
             out = out.dense(field)
-        return GradedMor.of_blocks(self.src, self.cur, {(0, 0): out})
+        return GradedMor.of_blocks(self.src, dst, {(0, 0): out})
 
 
 class _Identity:
@@ -413,46 +420,76 @@ def _dense(field, t):
 
 
 @_owned_memo
-def _split_positions(left: GradedObj, mid: GradedObj, right: GradedObj,
-                     i: int, l: int) -> dict:
-    """For each pair of labels (j, k): the positions of the paths
-    i -> j -> k -> l through left, mid and right inside the (i, l) path
-    order of left ⊗ mid ⊗ right, mid-major: the flattened (nM, nL, nR)
-    array.  Kept in left's memo and shared, so the arrays are read-only."""
-    word = GradedObj(left.base, left.atoms + mid.atoms + right.atoms)
-    labels = range(left.base.nlabels)
+def _step_positions(word: GradedObj, at: int, src: GradedObj, dst: GradedObj) -> tuple:
+    """A step src -> dst at atom `at` of a word, id_left ⊗ step ⊗ id_right:
+    the word after it, and per grade (i, l) with paths on both sides the
+    split positions of the paths through (left, src, right) and through
+    (left, dst, right).  Kept in the word's memo, so a chain applies a step
+    it has met before by one lookup, without building left or right."""
+    base = word.base
+    left = GradedObj(base, word.atoms[:at])
+    right = GradedObj(base, word.atoms[at + len(src.atoms):])
+    nxt = GradedObj(base, left.atoms + dst.atoms + right.atoms)
     out = {}
-    for j, k in product(labels, labels):
-        if left.count(i, j) and mid.count(j, k) and right.count(k, l):
-            pos = _joined(word, i, l, [(left, positions(left, i, j)[:, None]),
-                                       (mid, positions(mid, j, k)[:, None, None]),
-                                       (right, positions(right, k, l))]).ravel()
-            pos.flags.writeable = False
-            out[j, k] = pos
+    for i, l in word.grades():
+        if nxt.count(i, l):
+            after = tuple(row[l] for row in right._counts)
+            out[i, l] = (_split_positions(left, src, i, after),
+                         _split_positions(left, dst, i, after))
+    return nxt, out
+
+
+@_owned_memo
+def _split_positions(left: GradedObj, mid: GradedObj, i: int, after: tuple) -> dict:
+    """For each pair of labels (j, k): the positions of the paths
+    i -> j -> k -> l through left, mid and a right word inside the (i, l)
+    path order of left ⊗ mid ⊗ right, mid-major: the flattened (nM, nL, nR)
+    array, where after[k] = nR is the number of right's paths from k to l.
+
+    A position is left's offset, weighted by the paths through mid and
+    right to l, plus mid's, weighted by right's, plus the index in right
+    (cat._offsets); so right is read only through `after`.  Kept in left's
+    memo and shared, so the arrays are read-only."""
+    through = tuple(sum(map(operator.mul, row, after)) for row in mid._counts)
+    out = {}
+    for j, p in _offsets(left, i, through).items():
+        p = p[:, None]
+        for k, q in _offsets(mid, j, after).items():
+            if after[k]:
+                pos = (q[:, None, None] + p + np.arange(after[k])).ravel()
+                pos.flags.writeable = False
+                out[j, k] = pos
     return out
 
 
-def _apply_graded(mor: GradedMor, left: GradedObj, right: GradedObj,
-                  i: int, l: int, block, rows: int, field):
-    """Grade (i, l) of (id_left ⊗ mor ⊗ id_right) @ block, without the whisker.
+def _apply_graded(mor: GradedMor, split, block, rows: int, cols: int, field):
+    """One grade of (id_left ⊗ mor ⊗ id_right) @ block, without the whisker,
+    from the grade's (source, target) split positions (_step_positions;
+    None when either side has no paths).
 
     Per block (j, k) of mor: gather the rows of block at the (left, source,
     right) paths, contract mor's block against the source axis and scatter
     the result to the (left, target, right) paths.  A target path whose
-    (j, k) has no source paths stays zero.
+    (j, k) has no source paths stays zero.  When block is None, the
+    identity, the product is the whisker itself: each entry of mor's block
+    is placed at its (target, source) pair of paths for every (left, right)
+    pair, nothing multiplied.
     """
-    out = field.zeros((rows, block.shape[1]))
-    if not rows or not block.shape[0]:
+    out = field.zeros((rows, cols))
+    if split is None:
         return out
-    dst_pos = _split_positions(left, mor.dst, right, i, l)
-    for jk, src_pos in _split_positions(left, mor.src, right, i, l).items():
+    src_split, dst_split = split
+    for jk, src_pos in src_split.items():
         core = mor.blocks.get(jk)
         if core is None:
             continue
+        t, s = core.shape
+        if block is None:
+            out[dst_split[jk].reshape(t, 1, -1), src_pos.reshape(1, s, -1)] = core.reshape(t, s, 1)
+            continue
         # source axis first: (nS, nL * nR * width)
-        gathered = block[src_pos]
-        contracted = field.matmul(core, gathered.reshape(core.shape[1], -1))
-        out[dst_pos[jk]] = contracted.reshape(-1, block.shape[1])
+        contracted = field.matmul(core, block[src_pos].reshape(s, -1))
+        out[dst_split[jk]] = contracted.reshape(-1, cols)
     return out
 
 
@@ -474,33 +511,68 @@ def layout_word(layout: tuple, xs: tuple) -> GradedObj:
     return GradedObj(xs[0].base, atoms)
 
 
-def _layout_positions(layout: tuple, xs: tuple, grades: tuple) -> dict:
-    """Per grade, the positions in layout_word(layout, xs) of the paths of
-    the layout's word at the simples of `grades`, for every choice of one
-    path of grade grades[k] in each argument xs[k]: an array with one axis
-    per argument (of length 1 where no slot holds it), then one over the
-    paths.
+@_owned_memo
+def _layout_positions(word: GradedObj, layout: tuple, xs: tuple) -> dict:
+    """Per tuple of grades, one of each argument: per grade, the positions
+    in word = layout_word(layout, xs) of the paths of the layout's word at
+    the simples of those grades, for every choice of one path of grade
+    grades[k] in each argument xs[k]: an array with one axis per argument
+    (of length 1 where no slot holds it), then one over the paths
+    (read-only, kept in word's memo).
 
-    A path of the layout's word at the simples is cut at its slots: a
-    fixed word keeps its piece, argument k takes the chosen path of xs[k]
-    and its dual ~k that path's dual in dual(xs[k]).
+    A path of the layout's word at the simples is cut at its slots: argument
+    k takes the chosen path of xs[k], its dual ~k that path's dual in
+    dual(xs[k]), and the fixed words between them (adjacent ones taken as
+    one piece) their paths between the labels the arguments fix, row-major
+    in slot order as in the layout's word at the simples.  A position is the
+    sum of the pieces' offsets (cat._offsets).
     """
-    simples = tuple(GradedObj.simple(xs[0].base, *g) for g in grades)
-    word, small = layout_word(layout, xs), layout_word(layout, simples)
-    axes = len(xs)
+    pieces = []  # (word, argument or None, dual?)
+    for slot in layout:
+        if not isinstance(slot, GradedObj):
+            pieces.append((slot_word(slot, xs), slot if slot >= 0 else ~slot, slot < 0))
+        elif pieces and pieces[-1][1] is None:
+            pieces[-1] = (pieces[-1][0].tensor(slot), None, False)
+        else:
+            pieces.append((slot, None, False))
+    labels, axes = range(word.base.nlabels), len(xs)
+    # an argument's offsets lie along its own axis
+    shapes = [None if k is None else tuple(-1 if a == k else 1 for a in range(axes)) + (1,)
+              for _, k, _ in pieces]
+    after = {}  # per label l, the paths to l through the pieces after each one
     out = {}
-    for g in small.grades():
-        rest, parts = positions(small, *g), []
-        for slot in reversed(layout):
-            rest, pos = np.divmod(rest, _flat_size(slot_word(slot, simples)))
-            if isinstance(slot, GradedObj):
-                pos = pos.reshape((1,) * axes + (-1,))
+    for grades in product(*(x.grades() for x in xs)):
+        out[grades] = {}
+        # the labels at the cuts between pieces that the arguments fix
+        cuts = [None] * (len(pieces) + 1)
+        for t, (_, k, dual) in enumerate(pieces):
+            if k is not None:
+                for c, label in zip((t, t + 1), grades[k][::-1] if dual else grades[k]):
+                    cuts[c] = label if cuts[c] in (None, label) else -1
+        for i, l in product(*(labels if c is None else (c,) for c in (cuts[0], cuts[-1]))):
+            at = [i, *cuts[1:-1], l]
+            if -1 in at:
+                continue
+            if l not in after:
+                w, after[l] = tuple(int(k == l) for k in labels), []
+                for piece, _, _ in reversed(pieces):
+                    after[l].insert(0, w)
+                    w = tuple(sum(map(operator.mul, row, w)) for row in piece._counts)
+            fixed, args = None, 0
+            for t, (piece, k, dual) in enumerate(pieces):
+                off = _offsets(piece, at[t], after[l][t]).get(at[t + 1])
+                if off is None:  # no path of the layout's word at this grade
+                    break
+                if k is None:
+                    fixed = off if fixed is None else (fixed[:, None] + off).ravel()
+                    continue
+                if dual:
+                    off = off[_perm_to_dual(xs[k], *grades[k])]
+                args = args + off.reshape(shapes[t])
             else:
-                k = slot if slot >= 0 else ~slot
-                pos = (positions if slot >= 0 else _dual_positions)(xs[k], *grades[k])
-                pos = pos.reshape(tuple(-1 if a == k else 1 for a in range(axes)) + (1,))
-            parts.append((slot_word(slot, xs), pos))
-        out[g] = _joined(word, *g, parts[::-1])
+                fixed = np.zeros(1, dtype=np.int64) if fixed is None else fixed
+                pos = out[grades][i, l] = args + fixed.reshape((1,) * axes + (-1,))
+                pos.flags.writeable = False
     return out
 
 
@@ -522,12 +594,11 @@ def extend(src: tuple, dst: tuple, xs: tuple, comps: dict) -> GradedMor:
     sw, dw = layout_word(src, xs), layout_word(dst, xs)
     blocks = {g: field.zeros((dw.count(*g), sw.count(*g)))
               for g in set(sw.grades()) & set(dw.grades())}
+    rows, cols = _layout_positions(dw, dst, xs), _layout_positions(sw, src, xs)
     for grades in product(*(x.grades() for x in xs)):
         comp = comps.get(grades if len(xs) > 1 else grades[0])
         if comp is None:
             continue
-        rows = _layout_positions(dst, xs, grades)
-        cols = _layout_positions(src, xs, grades)
         for g, b in comp.blocks.items():
-            blocks[g][rows[g][..., :, None], cols[g][..., None, :]] = b
-    return GradedMor(sw, dw, blocks)
+            blocks[g][rows[grades][g][..., :, None], cols[grades][g][..., None, :]] = b
+    return GradedMor.of_blocks(sw, dw, blocks)

@@ -7,6 +7,7 @@ import pickle
 import random
 import weakref
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
@@ -30,7 +31,8 @@ from hopfmonad.cat import (
 from hopfmonad import chain
 from hopfmonad.exactla import ExactError, FieldSpec, SparseTensor
 from hopfmonad.verify import verify_model
-from test_chain import _tensor_positions, summand_inclusions, tensor_mor
+from pathref import _reversed_path, enumerated_pairing_row, flat_position, path_index, paths
+from test_chain import LAYOUTS, _tensor_positions, summand_inclusions, tensor_mor
 
 Q = FieldSpec.rationals()
 VEC = BaseSpec.vector(Q)
@@ -413,75 +415,6 @@ class TestDuality:
         assert x.dual().dual() == x
 
 
-# Reference: the basis paths of a word enumerated as tuples.  A path is a
-# tuple of (label, position) steps, one per atom: the label is the target
-# label after the atom, the position picks a basis vector of that atom's
-# graded piece, and paths are ordered lexicographically.
-
-
-def paths(obj: GradedObj, i: int, l: int) -> tuple:
-    """All basis paths of a word at grade (i, l), in canonical order."""
-    out: list[tuple] = []
-    # rest[at] = the word of the atoms after position at
-    rest = [GradedObj(obj.base, obj.atoms[at + 1:]) for at in range(len(obj.atoms))]
-
-    def rec(at: int, cur_label: int, acc: tuple):
-        if at == len(obj.atoms):
-            if cur_label == l:
-                out.append(acc)
-            return
-        a = obj.atoms[at]
-        for j in range(obj.base.nlabels):
-            d = a.dims[cur_label][j]
-            # prune: no continuation can reach l
-            if d == 0 or rest[at].count(j, l) == 0:
-                continue
-            for b in range(d):
-                rec(at + 1, j, acc + ((j, b),))
-
-    rec(0, i, ())
-    return tuple(out)
-
-
-def path_index(obj: GradedObj, i: int, l: int) -> dict:
-    return {p: k for k, p in enumerate(paths(obj, i, l))}
-
-
-def _reversed_path(p: tuple, i: int) -> tuple:
-    """The path of the dual word corresponding to a path i -> ... -> l of
-    the word: l -> ... -> i with the same positions in reverse, the target
-    labels read off the original label sequence."""
-    labels = [i] + [j for (j, _) in p]
-    n = len(p)
-    return tuple((labels[n - 1 - t], p[n - 1 - t][1]) for t in range(n))
-
-
-def flat_position(obj: GradedObj, i: int, p: tuple) -> int:
-    """The row-major multi-index of a path: each atom flattened over its
-    grid cells in row-major order, a basis vector at its place in its cell."""
-    flat, label = 0, i
-    for a, (j, b) in zip(obj.atoms, p):
-        cells = [d for row in a.dims for d in row]
-        start = sum(cells[:label * obj.base.nlabels + j])
-        flat = flat * sum(cells) + start + b
-        label = j
-    return flat
-
-
-def enumerated_pairing_row(x: GradedObj, dual_first: bool, i: int = 0) -> list:
-    """Pairing row of the standard dual bases at grade (i, i), built by
-    enumerating the paths of x and their reversals in dual(x)."""
-    word = x.dual().tensor(x) if dual_first else x.tensor(x.dual())
-    row = [0] * word.count(i, i)
-    idx = path_index(word, i, i)
-    for j in range(x.base.nlabels):
-        a, b = (j, i) if dual_first else (i, j)
-        for p in paths(x, a, b):
-            dp = _reversed_path(p, a)
-            row[idx[dp + p if dual_first else p + dp]] = 1
-    return row
-
-
 class TestOneLabelPairing:
     @pytest.mark.parametrize("base", [VEC, BaseSpec.vector(FieldSpec.prime(3))])
     @pytest.mark.parametrize("dims", [(2, 3), (1, 4, 2), (1,), ()])
@@ -545,7 +478,10 @@ class TestFlatIndex:
                 cidx = path_index(x.tensor(y), i, l)
                 want = {j: [cidx[p + q] for p in paths(x, i, j) for q in paths(y, j, l)]
                         for j in labels if x.count(i, j) and y.count(j, l)}
-                got = {j: pos.tolist() for j, pos in _tensor_positions(x, y, i, l).items()}
+                # x ⊗ y split with an empty right word, y-major: made row-major
+                split = chain._split_positions(x, y, i, tuple(int(k == l) for k in labels))
+                got = {j: pos.reshape(y.count(j, l), -1).T.ravel().tolist()
+                       for (j, _), pos in split.items()}
                 assert got == want
             for dual_first, ev, coev in ((True, ev_mor, coev_right_mor),
                                          (False, ev_right_mor, coev_mor)):
@@ -565,6 +501,116 @@ class TestFlatIndex:
             positions(past, 0, 0)
         with pytest.raises(ExactError, match="past int64"):
             ev_mor(past)
+
+
+@st.composite
+def pooled_words(draw, base, count: int, max_atoms: int = 2):
+    """`count` words of up to `max_atoms` atoms each, drawn with repeats
+    from a pool of two atoms whose grids may have zero cells; a word may
+    be empty."""
+    n = base.nlabels
+    top = {1: 2, 2: 2, 3: 1}[n]
+    pool = [Atom(name, tuple(tuple(draw(st.integers(0, top)) for _ in range(n))
+                             for _ in range(n))) for name in ("P", "Q")]
+    return [GradedObj(base, tuple(draw(st.lists(st.sampled_from(pool), max_size=max_atoms))))
+            for _ in range(count)]
+
+
+def enumerated_layout(layout: tuple, xs: tuple, grades: tuple) -> dict:
+    """The positions of _layout_positions read off the enumerated paths:
+    each path of the layout's word at the simples, its argument pieces
+    replaced by the chosen paths of the arguments (reversed on a dual
+    slot), looked up among the paths of the layout's word at xs."""
+    simples = tuple(GradedObj.simple(xs[0].base, *g) for g in grades)
+    small, big = chain.layout_word(layout, simples), chain.layout_word(layout, xs)
+    choices = [paths(x, *g) for x, g in zip(xs, grades)]
+    held = {s if s >= 0 else ~s for s in layout if not isinstance(s, GradedObj)}
+    axes = [range(len(c)) if k in held else range(1) for k, c in enumerate(choices)]
+    out = {}
+    for i, l in small.grades():
+        index = path_index(big, i, l)
+        rows = []
+        for pick in product(*axes):
+            for p in paths(small, i, l):
+                joined, at = (), 0
+                for slot in layout:
+                    n = len(chain.slot_word(slot, simples).atoms)
+                    piece, at = p[at:at + n], at + n
+                    if not isinstance(slot, GradedObj):
+                        k = slot if slot >= 0 else ~slot
+                        q = choices[k][pick[k]]
+                        piece = q if slot >= 0 else _reversed_path(q, grades[k][0])
+                    joined += piece
+                rows.append(index[joined])
+        out[i, l] = np.array(rows).reshape([len(a) for a in axes] + [-1]).tolist()
+    return out
+
+
+class TestOffsets:
+    """A path cut into pieces is indexed by the sum of the pieces' offsets;
+    every index so made equals the enumerated path's rank."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_split_positions_match_path_enumeration(self, data):
+        base = BaseSpec(Q, tuple("abc"[:data.draw(st.integers(1, 3))]))
+        left, mid, right = data.draw(pooled_words(base, 3))
+        word = GradedObj(base, left.atoms + mid.atoms + right.atoms)
+        if word.total_dim() > 300:
+            return
+        labels = range(base.nlabels)
+        for i, l in product(labels, labels):
+            after = tuple(right.count(k, l) for k in labels)
+            index = path_index(word, i, l)
+            want = {(j, k): [index[p + q + r] for q in paths(mid, j, k)
+                             for p in paths(left, i, j) for r in paths(right, k, l)]
+                    for j in labels for k in labels
+                    if left.count(i, j) and mid.count(j, k) and right.count(k, l)}
+            got = chain._split_positions(left, mid, i, after)
+            assert {jk: pos.tolist() for jk, pos in got.items()} == want
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_dual_permutation_and_pairing_match_path_enumeration(self, data):
+        base = BaseSpec(Q, tuple("abc"[:data.draw(st.integers(1, 3))]))
+        x, = data.draw(pooled_words(base, 1, 3))
+        labels = range(base.nlabels)
+        for i in labels:
+            for l in labels:
+                didx = path_index(x.dual(), l, i)
+                assert _perm_to_dual(x, i, l).tolist() == \
+                    [didx[_reversed_path(p, i)] for p in paths(x, i, l)]
+            for dual_first, ev, coev in ((True, ev_mor, coev_right_mor),
+                                         (False, ev_right_mor, coev_mor)):
+                row = enumerated_pairing_row(x, dual_first, i)
+                assert ev(x).block(i, i).tolist() == [row]
+                assert coev(x).block(i, i).tolist() == [[v] for v in row]
+
+    @pytest.mark.parametrize("kind", sorted(LAYOUTS) + ["fixed_pair"])
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_layout_positions_match_path_enumeration(self, kind, data):
+        # through extend, which asks for them; "fixed_pair" has two fixed
+        # slots side by side, taken as one piece
+        base = BaseSpec(Q, tuple("abc"[:data.draw(st.integers(1, 3))]))
+        carrier, x, y = data.draw(pooled_words(base, 3))
+        src, dst = LAYOUTS[kind](carrier) if kind in LAYOUTS else ((0,), (carrier, carrier, 0))
+        xs = (x, y) if kind == "rmatrix" else (x,)
+        if not all(w.atoms for w in xs):
+            return
+        words = [chain.layout_word(layout, xs) for layout in (src, dst)]
+        if max(w.total_dim() for w in words) > 200:
+            return
+        zero = {key: GradedMor.zero(chain.layout_word(src, ss), chain.layout_word(dst, ss))
+                for key, ss in ((grades if len(xs) > 1 else grades[0],
+                                 tuple(GradedObj.simple(base, *g) for g in grades))
+                                for grades in product(*(w.grades() for w in xs)))}
+        chain.extend(src, dst, xs, zero)
+        for word, layout in zip(words, (src, dst)):
+            got = chain._layout_positions(word, layout, xs)
+            for grades in product(*(w.grades() for w in xs)):
+                want = enumerated_layout(layout, xs, grades)
+                assert {g: pos.tolist() for g, pos in got[grades].items()} == want
 
 
 class TestCompleteness:

@@ -11,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hopfmonad.cat import (
-    _joined,
     _owned_memo,
     _perm_to_dual,
     Atom,
@@ -20,8 +19,8 @@ from hopfmonad.cat import (
     GradedMor,
     GradedObj,
     identity,
-    positions,
 )
+from hopfmonad import cat as catmod
 from hopfmonad import chain as chainmod
 from hopfmonad import exactla, presentation, zoo
 from hopfmonad.chain import (
@@ -33,6 +32,7 @@ from hopfmonad.chain import (
 )
 from hopfmonad.exactla import DimensionMismatch, ExactError, FieldSpec, SparseTensor
 from hopfmonad.verify import verify_model
+from pathref import path_index, paths
 
 Q = FieldSpec.rationals()
 F7 = FieldSpec.prime(7)
@@ -59,15 +59,15 @@ def rand_mor(src, dst, rng, span=3):
 def _tensor_positions(x: GradedObj, y: GradedObj, i: int, l: int) -> dict:
     """For each middle label j: the positions of the paths x-path ⊗ y-path
     i -> j -> l inside the (i, l) path order of x ⊗ y, row-major in
-    (x-path, y-path).
+    (x-path, y-path), read off the enumerated paths (pathref).
 
     The arrays are kept in x's memo and shared, so they are read-only."""
-    word = x.tensor(y)
+    index = path_index(x.tensor(y), i, l)
     out = {}
     for j in range(x.base.nlabels):
         if x.count(i, j) and y.count(j, l):
-            pos = _joined(word, i, l, [(x, positions(x, i, j)[:, None]),
-                                       (y, positions(y, j, l))]).ravel()
+            pos = np.array([index[p + q] for p in paths(x, i, j) for q in paths(y, j, l)],
+                           dtype=np.int64)
             pos.flags.writeable = False
             out[j] = pos
     return out
@@ -616,8 +616,9 @@ class TestHeldForm:
         assert got == brute_whisker(y, GradedMor(x, x, {(0, 0): blk}), GradedObj.unit(VEC7))
 
     def test_block_read_once_per_morphism(self, monkeypatch):
-        # every chain through one GradedMor wraps it in a new Step; its
-        # block is read for its nonzeros by the first only
+        # every chain through one GradedMor wraps it in a new Step; the
+        # first holds its block (_held) and stores it back on the morphism,
+        # so the block is read for its nonzeros once
         calls = {"n": 0}
 
         def counted(spec, a, _of=SparseTensor.of):
@@ -633,6 +634,32 @@ class TestHeldForm:
         assert calls["n"] == 1
         assert first == second == identity(x).scale(2)
         assert F7.equal(mor.block(0, 0), blk)
+
+
+class TestWorkCounts:
+    def test_paths_and_layouts_built_once_per_verification(self, monkeypatch):
+        # one verification builds each word's paths from a label, and each
+        # layout's positions at one tuple of arguments (all their grades
+        # at once), once: every later call hands back the same object.  A
+        # rebuild on every call would show here as a new one.  The tables
+        # hold the words, so none is collected and built again.
+        seen, rebuilt = {}, []
+        paths_from, layout_positions = catmod._paths_from, chainmod._layout_positions
+
+        def watched(fn):
+            def call(*args):
+                out = fn(*args)
+                if seen.setdefault((fn, *args), out) is not out:
+                    rebuilt.append(args)
+                return out
+            return call
+
+        monkeypatch.setattr(catmod, "_paths_from", watched(paths_from))
+        monkeypatch.setattr(chainmod, "_layout_positions", watched(layout_positions))
+        verify_model(presentation.load(zoo.build_disconnected_groupoid(Q)))
+        assert not rebuilt
+        assert sum(key[0] is paths_from for key in seen) > 100
+        assert sum(key[0] is layout_positions for key in seen) > 100
 
 
 class TestStepChecks:
