@@ -42,14 +42,16 @@ Each time is the best of three runs.  A verification loads a fresh model
 for each run, outside the timer, and collects the previous one first: the
 words and the family steps a model builds are kept while it lives, so a
 second run on the same model would time less work than any CLI call
-does.  The header line gives the CPU count,
-the OpenBLAS/OpenMP thread settings, which move the GF(p) rows, and the
-best of three timings of a fixed pure-Python loop (`calibration_s`), by
-which runs on differently loaded hosts can be compared.  With --json PATH
-the rows are also written to PATH, with the machine (those settings
-included, and the calibration per column), the numpy version and the
-seed, under the column --column; a column already in PATH is replaced and
-the other columns are kept, so two runs (say, of two commits, by pointing
+does.  The header line gives the CPU count, the BLAS thread settings
+and the process's thread count, which move the GF(p) rows.  Right after
+each row is timed, the best of three timings of a fixed pure-Python loop
+is taken and printed beside it (`calibration_s`): the host's load drifts
+during a run, so two runs' rows compare by their ratio to their own
+calibrations.  With --json PATH the rows are also written to PATH, with
+the machine (those settings included), the numpy version and the seed,
+under the column --column, each row's calibration under
+<column>_calibration_s; a column already in PATH is replaced and the
+other columns are kept, so two runs (say, of two commits, by pointing
 PYTHONPATH at each one's src/) fill one file side by side.
 
 Usage:  python benchmarks/bench_kernels.py [--sizes 128 256 512]
@@ -66,13 +68,15 @@ import random
 import time
 from fractions import Fraction
 
-import numpy as np
-
+from bench_gallery import BLAS_THREAD_VARIABLES
+# hopfmonad before numpy: the package picks the BLAS thread count as numpy loads
 from hopfmonad import cat, chain, hopfstruct, presentation, qtrib, zoo
 from hopfmonad.chain import Chain
 from hopfmonad.cli import EXAMPLES
 from hopfmonad.exactla import FieldSpec
 from hopfmonad.verify import SUITES, verify_model
+
+import numpy as np
 
 # (rows, inner, cols, density of a, density of b) of the ks3 report
 KS3_Q_SHAPES = [(36, 6, 1296, 0.84, 0.14), (216, 36, 36, 0.14, 0.14),
@@ -83,7 +87,6 @@ GALLERY = ("trivial", "kz2", "ks3", "ks3_f3", "sweedler", "taft3", "double_z2",
            "double_z2_f3", "disconnected_groupoid", "pair_groupoid")
 REPEAT = 3
 SEED = 0
-THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
 
 
 def _best(fn, *args) -> float:
@@ -274,7 +277,9 @@ def _calibrate() -> None:
 def _machine() -> dict:
     machine = {"platform": platform.platform(), "processor": platform.machine(),
                "cpus": os.cpu_count(), "python": platform.python_version()}
-    machine.update({var.lower(): os.environ.get(var) for var in THREAD_VARIABLES})
+    machine.update({var.lower(): os.environ.get(var) for var in BLAS_THREAD_VARIABLES})
+    if os.path.isdir("/proc/self/task"):
+        machine["process_threads"] = len(os.listdir("/proc/self/task"))
     machine["calibration_s"] = round(_best(_calibrate), 6)
     return machine
 
@@ -290,16 +295,18 @@ def main():
 
     def row(kernel, shape, seconds, density=""):
         shown = density if isinstance(density, str) else f"{density:.4f}"
-        print(f"{kernel:<40}{shape:>18}{shown:>14}{seconds:>13.7f}s")
+        calibration = _best(_calibrate)
+        print(f"{kernel:<40}{shape:>18}{shown:>14}{seconds:>13.7f}s{calibration:>13.6f}s")
         rows.append({"kernel": kernel, "shape": shape, "density": shown,
-                     args.column: round(seconds, 9)})
+                     args.column: round(seconds, 9),
+                     f"{args.column}_calibration_s": round(calibration, 6)})
 
     f = FieldSpec.prime(7919)
     rng = np.random.default_rng(SEED)
     machine = _machine()
     print(", ".join(f"{k}={v}" for k, v in machine.items()
-                    if k in ("cpus", "calibration_s") or k.endswith("threads")))
-    print(f"{'kernel':<40}{'shape':>18}{'density':>14}{'time':>14}")
+                    if k == "cpus" or k.endswith("threads")))
+    print(f"{'kernel':<40}{'shape':>18}{'density':>14}{'time':>14}{'calibration':>14}")
     for n in args.sizes:
         a = rng.integers(0, f.p, size=(n, n), dtype=np.int64)
         b = rng.integers(0, f.p, size=(n, n), dtype=np.int64)
@@ -356,10 +363,11 @@ def _write_json(path, rows, args, machine):
     if os.path.exists(path):
         with open(path) as fh:
             doc = json.load(fh)
-    # the calibration is kept per column, beside the rows it scales
-    calibration = doc.get("machine", {}).get("calibration_s", {})
-    doc["machine"] = dict(machine, calibration_s=dict(
-        calibration, **{args.column: machine["calibration_s"]}))
+    # what moves between runs is kept per column, beside the rows it scales
+    before = doc.get("machine", {})
+    doc["machine"] = dict(machine, **{
+        key: dict(before.get(key, {}), **{args.column: machine.get(key)})
+        for key in ("calibration_s", "process_threads")})
     doc["numpy"] = np.__version__
     doc["seed"] = SEED
     doc["repeat"] = f"best of {REPEAT}"

@@ -25,9 +25,9 @@ afresh for each timing:
 
 Rows are appended to the JSON file, never rewritten: each invocation adds
 one run with its commit, a label, the date, the machine (CPU count, the
-OpenBLAS/OpenMP thread settings and the calibration loop of
-bench_kernels.py, by which runs on differently loaded hosts can be
-compared) and the numpy version.  The commit is the checkout's HEAD that
+BLAS thread settings, the process's thread count and the calibration
+loop of bench_kernels.py, by which runs on differently loaded hosts can
+be compared) and the numpy version.  The commit is the checkout's HEAD that
 holds the imported `hopfmonad`, with a trailing `+` when its `src/` has
 uncommitted changes.
 
@@ -39,7 +39,6 @@ BENCH_scaling.json in the working directory)
 import argparse
 import datetime
 import json
-import os
 import resource
 import statistics
 import subprocess
@@ -47,13 +46,15 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
+# hopfmonad before numpy: the package picks the BLAS thread count as numpy loads
 import hopfmonad
+from bench_gallery import append_run, checkout_commit
 from bench_kernels import _machine
 from hopfmonad import chain, presentation, zoo
 from hopfmonad.exactla import FieldSpec
 from hopfmonad.verify import SUITES, verify_model
+
+import numpy as np
 
 PRIMES = {8: 17, 9: 19, 10: 23, 11: 23}
 MODELS = [f"double_z{n}_f{PRIMES.get(n, 29)}" for n in range(2, 13)] + ["double_s3_f7"]
@@ -116,18 +117,6 @@ def _one(name: str) -> dict:
     return row
 
 
-def _commit() -> str:
-    root = Path(hopfmonad.__file__).resolve().parents[2]
-
-    def git(*args):
-        return subprocess.run(["git", "-C", str(root), *args], capture_output=True,
-                              text=True).stdout.strip()
-    head = git("rev-parse", "--short", "HEAD")
-    if not head:
-        return "unknown"
-    return head + ("+" if git("status", "--porcelain", "--", "src") else "")
-
-
 def main():
     parser = argparse.ArgumentParser()
     parser.add_argument("--label", default="")
@@ -138,7 +127,7 @@ def main():
         print(json.dumps(_one(args.one)))
         return
 
-    commit = _commit()
+    commit = checkout_commit(Path(hopfmonad.__file__).resolve().parents[2])
     rows = []
     for name in MODELS:
         try:
@@ -152,18 +141,11 @@ def main():
         print(json.dumps(row), flush=True)
         rows.append(row)
 
-    doc = {"runs": []}
-    if os.path.exists(OUT):
-        with open(OUT) as fh:
-            doc = json.load(fh)
-    doc["runs"].append({
+    append_run(OUT, {
         "label": args.label, "commit": commit,
         "date": datetime.datetime.now(datetime.timezone.utc).strftime("%Y-%m-%d %H:%M UTC"),
         "machine": _machine(), "numpy": np.__version__, "repeat": f"median of {REPEAT}",
         "rows": rows})
-    with open(OUT, "w") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
 
 
 if __name__ == "__main__":

@@ -109,8 +109,12 @@ def main(argv=None) -> int:
     if args.command == "example":
         payload = json.dumps(EXAMPLES[args.name](), indent=2, sort_keys=True)
         if args.output:
-            with open(args.output, "w") as fh:
-                fh.write(payload + "\n")
+            try:
+                with open(args.output, "w") as fh:
+                    fh.write(payload + "\n")
+            except OSError as e:
+                print(f"output error: {e}", file=sys.stderr)
+                return 2
         else:
             print(payload)
         return 0

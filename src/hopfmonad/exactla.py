@@ -36,6 +36,9 @@ the product is taken over Python ints.  There is no second product
 kernel: an outer product of two tensors (two pieces of a chain that share
 no wire) is FieldSpec.tensordot over no axes, one integer product of
 inner dimension 1.
+The tiles are small, and a second BLAS thread does not make them faster,
+so the package loads numpy with one OpenBLAS thread unless the caller set
+a thread count (see the package docstring).
 
 A SparseTensor holds an exact tensor by its nonzeros: their row-major
 positions and their values (residues, or numerators over one

@@ -20,7 +20,6 @@ from .chain import Chain
 from .exactla import ExactError, kernel, rank, solve_affine
 from .modcat import (
     TModule,
-    _invert_mor,
     _mor_coords,
     _mor_from_coords,
     _random_iso,
@@ -216,8 +215,8 @@ def random_comodule(t: TensoringBimonad, grouplikes: list, rng,
         g = grouplikes[rng.randrange(len(grouplikes))]
         block[k * n:(k + 1) * n, k] = g.comps[(0, 0)].block(0, 0)[:, 0]
     rho = GradedMor(carrier, carrier.tensor(t.carrier), {(0, 0): block})
-    phi = _random_iso(carrier, rng)
-    rho = Chain(carrier).then(_invert_mor(phi)).then(rho).then(phi, at=0).eval()
+    phi, phi_inv = _random_iso(carrier, rng)
+    rho = Chain(carrier).then(phi_inv).then(rho).then(phi, at=0).eval()
     return carrier, rho
 
 

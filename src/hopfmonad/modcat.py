@@ -211,29 +211,33 @@ def random_carrier(t: TensoringBimonad, rng, dim_factor: int, name: str) -> Grad
 def random_module(t: TensoringBimonad, rng, dim_factor: int = 1) -> TModule:
     """A valid module: a free module conjugated by a random isomorphism."""
     x = random_carrier(t, rng, dim_factor, "X")
-    return conjugated(free_module(t, x), _random_iso(t.on_obj(x), rng))
+    return conjugated(free_module(t, x), *_random_iso(t.on_obj(x), rng))
 
 
-def conjugated(m: TModule, phi: GradedMor) -> TModule:
-    """The module (M, phi ∘ r ∘ T(phi^-1)) for an automorphism phi of M."""
+def conjugated(m: TModule, phi: GradedMor, phi_inv: GradedMor) -> TModule:
+    """The module (M, phi ∘ r ∘ T(phi^-1)) for an automorphism phi of M
+    with inverse phi_inv."""
     t = m.t
-    action = Chain(t.on_obj(m.carrier)).then(_invert_mor(phi), at=len(t.carrier.atoms)) \
+    action = Chain(t.on_obj(m.carrier)).then(phi_inv, at=len(t.carrier.atoms)) \
                                        .then(m.action, at=0).then(phi, at=0).eval()
     return TModule(t, m.carrier, action, check=False)
 
 
-def _random_iso(x: GradedObj, rng) -> GradedMor:
+def _random_iso(x: GradedObj, rng) -> tuple:
+    """(phi, phi^-1) for a random automorphism phi of x: each block is
+    drawn with entries in [-2, 2] until one row reduction inverts it."""
     f = x.base.field
-    blocks = {}
+    blocks, inverses = {}, {}
     for g in x.grades():
         n = x.count(*g)
         while True:
             blk = f.asarray([[rng.randrange(-2, 3) for _ in range(n)]
                              for _ in range(n)])
-            if rank(f, blk) == n:
-                blocks[g] = blk
+            inv = inverse(f, blk)
+            if inv is not None:
+                blocks[g], inverses[g] = blk, inv
                 break
-    return GradedMor(x, x, blocks)
+    return GradedMor(x, x, blocks), GradedMor(x, x, inverses)
 
 
 def _invert_mor(f_mor: GradedMor) -> GradedMor:

@@ -98,7 +98,7 @@ def _probe_modules(model: Model, rng, count: int = 3) -> list:
         stock = list(out)
         while out and len(out) < count:
             base_mod = stock[len(out) % len(stock)]
-            out.append(conjugated(base_mod, _random_iso(base_mod.carrier, rng)))
+            out.append(conjugated(base_mod, *_random_iso(base_mod.carrier, rng)))
         while len(out) < count:
             out.append(unit_module(t))
     return out[:count]

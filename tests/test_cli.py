@@ -50,6 +50,10 @@ class TestExitCodes:
     def test_unreadable_file_is_two(self):
         assert run_cli(["verify", "/nonexistent.json"]).returncode == 2
 
+    def test_unwritable_output_is_two(self, tmp_path, capsys):
+        assert main(["example", "kz2", "-o", str(tmp_path / "missing" / "x.json")]) == 2
+        assert capsys.readouterr().err.startswith("output error: ")
+
     @pytest.mark.parametrize("field", [FieldSpec.rationals(), FieldSpec.prime(7)],
                              ids=["Q", "GF7"])
     @pytest.mark.parametrize("where", ["unit", "antipode"])

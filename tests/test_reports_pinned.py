@@ -15,12 +15,14 @@ two item generators into one must keep both numbers.
 
 import hashlib
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from hopfmonad import zoo
+from hopfmonad import BLAS_THREAD_VARIABLES, zoo
 from hopfmonad.cli import main
 from hopfmonad.exactla import FieldSpec
 from hopfmonad.monad import compare_at
@@ -48,6 +50,18 @@ def test_report_is_pinned(example, capsys):
     code = main(["report", example, "--json", "--seed", "0"])
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert (code, digest) == PINNED[example]
+
+
+@pytest.mark.parametrize("example", ["kz2", "taft3", "disconnected_groupoid"])
+def test_report_does_not_depend_on_blas_threads(example):
+    # over Q, over GF(7) and on the graded backend, in fresh interpreters
+    # with OPENBLAS_NUM_THREADS unset, 1 and 2
+    plain = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARIABLES}
+    for threads in (None, "1", "2"):
+        env = plain if threads is None else dict(plain, OPENBLAS_NUM_THREADS=threads)
+        out = subprocess.run([sys.executable, "-m", "hopfmonad.cli", "report", example,
+                              "--json", "--seed", "0"], env=env, capture_output=True)
+        assert (out.returncode, hashlib.sha256(out.stdout).hexdigest()) == PINNED[example]
 
 
 def double_z5_f11(tmp_path) -> str:
