@@ -15,6 +15,11 @@ Prints one table:
   `decomp.kernel_match` probe (the 432x72 matrix whose kernel
   fundamental_iso compares with the unit's image, for a randomized
   induced Hopf module);
+- `kernel` on the kernel_match systems of taft3 (1458x162) and of the
+  16-dim double of Z4 over GF(29) (8192x512, the largest system of its
+  decomposition), each as fundamental_iso holds it (a SparseTensor) and
+  made dense, and on that of the 36-dim double of S3 over GF(7)
+  (46656x1296) held only;
 - `presentation.load` of the 25-dim double of Z5 over GF(11) and over Q,
   the 36-dim double of S3 over GF(7) and the 49-dim double of Z7 over
   GF(29), each presentation read back from its JSON text, as the CLI
@@ -70,10 +75,10 @@ from fractions import Fraction
 
 from bench_gallery import BLAS_THREAD_VARIABLES
 # hopfmonad before numpy: the package picks the BLAS thread count as numpy loads
-from hopfmonad import cat, chain, hopfstruct, presentation, qtrib, zoo
+from hopfmonad import cat, chain, exactla, hopfstruct, presentation, qtrib, zoo
 from hopfmonad.chain import Chain
 from hopfmonad.cli import EXAMPLES
-from hopfmonad.exactla import FieldSpec
+from hopfmonad.exactla import FieldSpec, SparseTensor
 from hopfmonad.verify import SUITES, verify_model
 
 import numpy as np
@@ -117,28 +122,52 @@ def _sparse_q(rng, shape, density):
         [flat[i * shape[1]:(i + 1) * shape[1]] for i in range(shape[0])])
 
 
-def _ks3_probe():
-    """The matrix of ks3's decomp.kernel_match probe: the largest one
-    fundamental_iso hands to `kernel`, for an induced Hopf module built from
-    a randomized comodule (seed SEED)."""
-    model = presentation.load(zoo.build_group_algebra(
-        zoo.symmetric3_table(), FieldSpec.rationals(), "ks3"))
+def _kernel_match(build, induced: bool = True):
+    """The system decomp.kernel_match hands to `kernel`, T(rho) - T(u) on
+    T(M), held as fundamental_iso holds it (a SparseTensor past
+    chain.SPARSE_FIXED entries, dense otherwise).  M is an induced Hopf
+    module built from a randomized two-dimensional comodule (seed SEED),
+    whose system is the largest of a decomposition, or with induced=False
+    the free Hopf module on the first simple; verify_model checks both."""
+    model = presentation.load(build())
     t = model.t
-    car, rho = hopfstruct.random_comodule(t, model.grouplikes, random.Random(SEED), 2)
-    h = hopfstruct.induced_hopf_module(t, car, rho)
-    seen = []
-    kernel = hopfstruct.kernel
+    if induced:
+        car, rho = hopfstruct.random_comodule(t, model.grouplikes, random.Random(SEED), 2)
+        h = hopfstruct.induced_hopf_module(t, car, rho)
+    else:
+        h = hopfstruct.canonical_hopf_module(t, t.simple(t.simples()[0]))
+    tm = t.on_obj(h.carrier)
+    diff = Chain(tm).then(h.coaction, at=1).eval() - \
+        Chain(tm).then(t.u, at=1 + len(h.carrier.atoms)).eval()
+    return diff.held(0, 0)
 
-    def recording(spec, a):
-        seen.append(a)
-        return kernel(spec, a)
 
-    hopfstruct.kernel = recording
-    try:
-        hopfstruct.fundamental_iso(t, hopfstruct.gamma_family(t, model.antipode), h)
-    finally:
-        hopfstruct.kernel = kernel
-    return max(seen, key=lambda a: a.size)
+def _dense(field, a):
+    return a.dense(field) if isinstance(a, SparseTensor) else a
+
+
+def _elimination_rows(row) -> None:
+    """kernel on the kernel_match systems of taft3 and D(Z4)/GF(29), held
+    and made dense, and of double_s3_f7 held only: its dense 46656 x 1296
+    array and the copy the GF(p) reduction takes need about 1 GB.  A
+    checkout whose solvers do not take a SparseTensor gets the dense rows
+    only."""
+    held_route = hasattr(exactla, "sparse_rref")
+    f7 = FieldSpec.prime(7)
+    for name, build, field, induced in (
+            ("taft3", EXAMPLES["taft3"], f7, True),
+            ("double_z4_f29", _builder("double_z4_f29", FieldSpec.prime(29)),
+             FieldSpec.prime(29), True),
+            ("double_s3_f7", _builder("double_s3_f7", f7), f7, False)):
+        a = _kernel_match(build, induced)
+        shape = "x".join(map(str, a.shape))
+        density = (a if isinstance(a, SparseTensor) else SparseTensor.of(field, a)).nnz / a.size
+        if held_route and isinstance(a, SparseTensor):
+            row(f"kernel {name} kernel_match (held)", shape,
+                _best(exactla.kernel, field, a), density)
+        if name != "double_s3_f7":
+            row(f"kernel {name} kernel_match (dense)", shape,
+                _best(exactla.kernel, field, _dense(field, a)), density)
 
 
 def _builder(name, field):
@@ -153,6 +182,8 @@ def _builder(name, field):
         "ks3": lambda: zoo.build_group_algebra(zoo.symmetric3_table(), field, name),
         "double_z2": lambda: zoo.build_drinfeld_double_group(
             zoo.cyclic_group_table(2), field, name),
+        "double_z4_f29": lambda: zoo.build_drinfeld_double_group(
+            zoo.cyclic_group_table(4), field, name),
     }[name]
 
 
@@ -327,9 +358,10 @@ def main():
         b = _sparse_q(rng, (k, c), db)
         row("sparse Q matmul", f"{m}x{k}x{c}", _best(q.matmul, a, b),
             f"{da}/{db}")
-    probe = _ks3_probe()
+    probe = _dense(q, _kernel_match(_builder("ks3", q)))
     row("Q rref (ks3 kernel_match probe)", "x".join(map(str, probe.shape)),
         _best(q.rref, probe))
+    _elimination_rows(row)
 
     for shown, name, field in (("double_z5", "double_z5_f11", f11),
                                ("double_s3", "double_s3_f7", FieldSpec.prime(7)),

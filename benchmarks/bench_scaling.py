@@ -21,15 +21,18 @@ afresh for each timing:
 - each of those times is the median of REPEAT timings, each on a model
   loaded afresh (the run records the count as `repeat`), since one timing
   of a fraction of a second moves by a fifth between runs of one commit;
+- `calibration_s` is the best of three timings of the calibration loop of
+  bench_kernels.py, taken in that process right after its timings: the
+  host's load drifts during a run of several minutes, so two runs' rows
+  compare by their ratio to their own calibrations;
 - `maxrss_mb` is the process's peak resident set (`ru_maxrss`).
 
 Rows are appended to the JSON file, never rewritten: each invocation adds
 one run with its commit, a label, the date, the machine (CPU count, the
-BLAS thread settings, the process's thread count and the calibration
-loop of bench_kernels.py, by which runs on differently loaded hosts can
-be compared) and the numpy version.  The commit is the checkout's HEAD that
-holds the imported `hopfmonad`, with a trailing `+` when its `src/` has
-uncommitted changes.
+BLAS thread settings, the process's thread count and one calibration
+taken before the first model) and the numpy version.  The commit is the
+checkout's HEAD that holds the imported `hopfmonad`, with a trailing `+`
+when its `src/` has uncommitted changes.
 
 Usage:  python benchmarks/bench_scaling.py [--label NAME]
 (from the root of a checkout, with its src/ on PYTHONPATH; the rows go to
@@ -49,7 +52,7 @@ from pathlib import Path
 # hopfmonad before numpy: the package picks the BLAS thread count as numpy loads
 import hopfmonad
 from bench_gallery import append_run, checkout_commit
-from bench_kernels import _machine
+from bench_kernels import _best, _calibrate, _machine
 from hopfmonad import chain, presentation, zoo
 from hopfmonad.exactla import FieldSpec
 from hopfmonad.verify import SUITES, verify_model
@@ -113,6 +116,7 @@ def _one(name: str) -> dict:
             row["suites"][suite] = _timed(pres, (suite,))
         except chain.ChainOverflow as e:
             row["suites"][suite] = f"ChainOverflow: {e}"
+    row["calibration_s"] = round(_best(_calibrate), 6)
     row["maxrss_mb"] = round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
     return row
 

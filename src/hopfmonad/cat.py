@@ -50,8 +50,9 @@ a chain step has read it for its nonzeros: every step over a morphism,
 a natural family's component included, keeps that form on the morphism
 (with the dense array it was read from).  Equality, is_zero, + and -
 read either form as it is (a sum with a sparse block merges the
-nonzeros); block() gives the dense array, for the consumers
-that need one (products, row reduction, the transpose, the report),
+nonzeros), and so do the solvers of exactla and the dual (ldual, which
+reindexes the nonzeros and is kept on the morphism); block() gives the
+dense array, for the consumers that need one (products, the report),
 bounded by chain.MAX_STATE_ENTRIES.
 """
 
@@ -414,13 +415,14 @@ class GradedMor:
     is zero are omitted.
     """
 
-    __slots__ = ("src", "dst", "blocks")
+    __slots__ = ("src", "dst", "blocks", "_ldual")
 
     def __init__(self, src: GradedObj, dst: GradedObj, blocks: dict):
         if src.base != dst.base:
             raise BaseMismatch("morphism across different bases")
         self.src = src
         self.dst = dst
+        self._ldual = None
         self.blocks = {}
         for g in set(src.grades()) & set(dst.grades()):
             m = blocks.get(g)
@@ -451,7 +453,7 @@ class GradedMor:
         """The morphism with these blocks, already one of the right shape
         at each grade of both words: taken as they are, unchecked."""
         mor = object.__new__(GradedMor)
-        mor.src, mor.dst, mor.blocks = src, dst, blocks
+        mor.src, mor.dst, mor.blocks, mor._ldual = src, dst, blocks, None
         return mor
 
     @staticmethod
@@ -555,18 +557,33 @@ class GradedMor:
         """Transpose along the duality pairing: dual(dst) -> dual(src).
 
         With the fixed dual bases the left and right transposes coincide,
-        so this one map serves both sides."""
-        f = self.field
-        src_d, dst_d = self.dst.dual(), self.src.dual()
-        blocks = {}
-        for (i, l) in self.blocks:
-            # block of the dual morphism at grade (l, i)
-            rp = _perm_to_dual(self.src, i, l)
-            cp = _perm_to_dual(self.dst, i, l)
-            out = f.zeros((self.src.count(i, l), self.dst.count(i, l)))
-            out[np.ix_(rp, cp)] = self.block(i, l).T
-            blocks[(l, i)] = out
-        return GradedMor(src_d, dst_d, blocks)
+        so this one map serves both sides.  Built on the first call and
+        kept on the morphism; the dual refers to nothing of this morphism
+        but its words, so the two make no reference cycle.  A block held
+        sparse on one label (by chain._held's size rule) gives a dual block
+        held sparse, its nonzeros reindexed, so no dense copy is kept."""
+        if self._ldual is None:
+            from .chain import _held  # chain builds on this module
+            f = self.field
+            blocks = {}
+            for (i, l), m in self.blocks.items():
+                # block of the dual morphism at grade (l, i): entry (r, c)
+                # goes to (rp[c], cp[r])
+                rp = _perm_to_dual(self.src, i, l)
+                cp = _perm_to_dual(self.dst, i, l)
+                rows, cols = m.shape
+                if self.base.is_vector:
+                    m = _held(f, m)
+                if isinstance(m, SparseTensor):
+                    r, c = np.divmod(m.index, cols)
+                    blocks[(l, i)] = SparseTensor((cols, rows), rp[c] * rows + cp[r],
+                                                  m.vals, m.den)
+                    continue
+                out = f.zeros((cols, rows))
+                out[np.ix_(rp, cp)] = m.T
+                blocks[(l, i)] = out
+            self._ldual = GradedMor(self.dst.dual(), self.src.dual(), blocks)
+        return self._ldual
 
 
 @_owned_memo

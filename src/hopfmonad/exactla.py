@@ -18,7 +18,8 @@ transposes share numerators, like numpy views; a write through one is seen
 by the other only when it keeps the denominator and dtype, so the package
 never writes through a view.  The solvers `rank`, `kernel`, `solve_affine`
 and `inverse` take `(spec, array)` and all go through one deterministic
-reduced row echelon form, `FieldSpec.rref`.
+reduced row echelon form, `FieldSpec.rref`; `rank`, `kernel` and
+`solve_affine` also take a matrix held as a SparseTensor (below).
 
 Both fields share one exact integer product on float64 BLAS
 (_int_matmul).  With integer factors bounded by |a| * |b| <= top, the
@@ -51,6 +52,27 @@ a product cannot wrap.  The one-label
 chain evaluator picks it or tensordot per pair, and a one-label
 morphism may keep its block as a SparseTensor; FieldSpec.equal compares
 either form with the other by sorted nonzeros.
+
+A matrix held as a SparseTensor is row reduced without being made dense
+(sparse_rref), in the manner of structured Gaussian elimination
+(LaMacchia and Odlyzko, CRYPTO '90).  On the nonzeros' (row, column)
+pairs, each row with exactly one nonzero makes its column c a unit
+column, every entry in a unit column is dropped, and this repeats until
+no row has one nonzero left.  A row with one nonzero is a multiple of
+e_c, so e_c is in the row space and is the reduced form's row with pivot
+c; clearing column c in the other rows is a row operation.  The reduced
+form is unique, so the rows e_c and the reduced rows of what is left
+(its live rows and columns scattered into a dense core, reduced by
+FieldSpec.rref) are the reduced form of the whole, and over Q the same
+canonical QArray.  The core is checked against chain.MAX_STATE_ENTRIES
+before it is allocated.  The systems of the Hopf-module decomposition
+are almost monomial: taft3's largest, 1458 x 162, leaves no core when
+it has 378 nonzeros and an 18 x 18 one when it has 702.  A block of at
+most chain.SPARSE_FIXED entries is never held sparse, so small systems
+take FieldSpec.rref as they are.  The solvers read a reduced form by its
+pivots and its rows at the other columns (at the pivots the rows are the
+identity, and a unit row is zero elsewhere), so neither route writes the
+unit rows out.
 
 The GF(p) row reduction runs on int64, where (p-1)**2 < 2**40.  The Q row
 reduction is fraction-free Gauss-Jordan elimination on the numerator
@@ -852,49 +874,157 @@ def kernel_backend() -> str:
 # ---------------------------------------------------------------------------
 
 
-def rank(spec: FieldSpec, a) -> int:
-    return len(spec.rref(a)[1])
+def _check_dense(site: str, shape: tuple) -> None:
+    """Raise before a dense array of `shape` is allocated at `site` when it
+    would hold more than chain.MAX_STATE_ENTRIES entries."""
+    from . import chain  # the one bound on stored entries; chain builds on this module
+    if math.prod(shape) > chain.MAX_STATE_ENTRIES:
+        raise ExactError(f"{site}: a dense {' x '.join(map(str, shape))} array exceeds "
+                         f"MAX_STATE_ENTRIES = {chain.MAX_STATE_ENTRIES}")
 
 
-def _null_basis(spec: FieldSpec, r, pivots: list[int], cols: int):
-    """Null-space basis read off a reduced echelon form with `cols` columns:
-    one column per free column, ordered by free-column index."""
+def _free(pivots: list[int], cols: int) -> list[int]:
+    """The columns of `cols` that are not pivots, in order."""
     pivset = set(pivots)
-    free = [c for c in range(cols) if c not in pivset]
+    return [c for c in range(cols) if c not in pivset]
+
+
+def sparse_rref(spec: FieldSpec, a: SparseTensor) -> tuple:
+    """The reduced row echelon form of a matrix held as a SparseTensor:
+    its pivot columns, its other (free) columns, and its nonzero rows (one
+    per pivot, in pivot order) at the free columns, an int64 array over
+    GF(p), a QArray over Q.  At the pivot columns those rows are the
+    identity, so this is all of the form, and it is what FieldSpec.rref of
+    the dense array gives.
+
+    The unit rows are peeled on the nonzeros, then the dense core of what
+    is left is reduced by FieldSpec.rref (see the module docstring); a
+    unit row e_c is zero off its pivot.  Raises ExactError when the core
+    or the result would exceed chain.MAX_STATE_ENTRIES."""
+    rows, cols = a.shape
+    r, c = np.divmod(a.index, max(cols, 1))
+    v = a.vals
+    unit = np.zeros(cols, dtype=bool)
+    while True:
+        hit = (np.bincount(r, minlength=rows) == 1)[r]
+        if not hit.any():
+            break
+        # a row with one nonzero spans e_c: clear column c in every row
+        unit[c[hit]] = True
+        keep = ~unit[c]
+        r, c, v = r[keep], c[keep], v[keep]
+    live_rows = np.bincount(r, minlength=rows) > 0
+    live_cols = np.bincount(c, minlength=cols) > 0
+    shape = (int(live_rows.sum()), int(live_cols.sum()))
+    _check_dense("sparse_rref core", shape)
+    core = np.zeros(shape, dtype=np.int64)
+    core[(np.cumsum(live_rows) - 1)[r], (np.cumsum(live_cols) - 1)[c]] = v
+    reduced, core_pivots = spec.rref(_raw(core, 1) if spec.is_rationals else core)
+    num, den = (reduced.num, reduced.den) if spec.is_rationals else (reduced, 1)
+    num = num[:len(core_pivots)]
+    live = np.flatnonzero(live_cols)
+    core_free = _free(core_pivots, len(live))
+    pivots = np.sort(np.concatenate([np.flatnonzero(unit), live[core_pivots]]))
+    free = _free(pivots.tolist(), cols)
+    _check_dense("sparse_rref rows", (len(pivots), len(free)))
+    out = np.zeros((len(pivots), len(free)), dtype=num.dtype)
+    # the core's rows at its free columns, placed among the pivots
+    out[np.ix_(np.searchsorted(pivots, live[core_pivots]),
+               np.searchsorted(free, live[core_free]))] = num[:, core_free]
+    return pivots.tolist(), free, (_qarray(out, den) if spec.is_rationals else out)
+
+
+def _echelon(spec: FieldSpec, a) -> tuple:
+    """(pivots, free columns, rows at the free columns) of the reduced
+    echelon form of a held matrix, as sparse_rref gives them: by
+    sparse_rref for a SparseTensor, FieldSpec.rref for a dense array."""
+    if isinstance(a, SparseTensor):
+        return sparse_rref(spec, a)
+    r, pivots = spec.rref(a)
+    free = _free(pivots, a.shape[1])
+    return pivots, free, r[:len(pivots), free]
+
+
+def _joined(spec: FieldSpec, a, b):
+    """[a | b] for two held matrices with as many rows, by index arithmetic
+    on their nonzeros, as a SparseTensor; None over Q when a numerator over
+    the common denominator would leave int64 (or one side holds Python-int
+    numerators), like sparse_sum."""
+    a, b = (t if isinstance(t, SparseTensor) else SparseTensor.of(spec, t) for t in (a, b))
+    if a is None or b is None:
+        return None
+    den = math.lcm(a.den, b.den)
+    fa, fb = den // a.den, den // b.den
+    if spec.is_rationals and max(_bound(a.vals) * fa, _bound(b.vals) * fb) >= INT64_BOUND:
+        return None
+    (rows, n), m = a.shape, b.shape[1]
+    # row i of a moves by i * m, row i of b by (i + 1) * n
+    index = np.concatenate([a.index + a.index // max(n, 1) * m,
+                            b.index + (b.index // max(m, 1) + 1) * n])
+    return _sparse_result(spec, (rows, n + m), index,
+                          np.concatenate([a.vals * fa, b.vals * fb]), den)
+
+
+def _dense_of(spec: FieldSpec, a, site: str):
+    """The dense array of a held matrix, bounded as _check_dense says."""
+    if not isinstance(a, SparseTensor):
+        return a
+    _check_dense(site, a.shape)
+    return a.dense(spec)
+
+
+def rank(spec: FieldSpec, a) -> int:
+    """The rank of a held matrix."""
+    return len(_echelon(spec, a)[0])
+
+
+def _null_basis(spec: FieldSpec, pivots: list[int], free: list[int], rows, cols: int):
+    """Null-space basis read off a reduced echelon form with `cols` columns,
+    given as _echelon gives it: one column per free column, ordered by
+    free-column index."""
     basis = spec.zeros((cols, len(free)))
     basis[free, range(len(free))] = spec.one
-    basis[pivots, :] = spec.reduce(-r[:len(pivots), free])
+    basis[pivots, :] = spec.reduce(-rows)
     return basis
 
 
 def kernel(spec: FieldSpec, a):
-    """Exact null-space basis of `a`, as the columns of an n x k matrix.
+    """Exact null-space basis of the held matrix `a`, as the columns of an
+    n x k matrix.
 
     Deterministic: one column per free column of the reduced echelon form,
     ordered by free-column index.
     """
-    r, pivots = spec.rref(a)
-    return _null_basis(spec, r, pivots, a.shape[1])
+    return _null_basis(spec, *_echelon(spec, a), a.shape[1])
 
 
 def solve_affine(spec: FieldSpec, a, b) -> tuple | None:
-    """Solve a @ x = b exactly.
+    """Solve a @ x = b exactly, for held matrices a and b.
 
     Returns (particular solution, null-space basis of `a` as columns) or
     None when the system is inconsistent.  b may have several columns; the
     particular solution then has the same number of columns.  One row
     reduction of [a | b] serves both: when the system is consistent its
-    left block is the reduced echelon form of `a`.
+    left block is the reduced echelon form of `a`, and b's columns are
+    free.  With either side a SparseTensor, [a | b] is joined on the
+    nonzeros.
     """
     if a.shape[0] != b.shape[0]:
         raise DimensionMismatch(f"lhs has {a.shape[0]} rows, rhs has {b.shape[0]}")
-    n = a.shape[1]
-    r, pivots = spec.rref(spec.concatenate([a, b], axis=1))
+    n, m = a.shape[1], b.shape[1]
+    ab = None
+    if isinstance(a, SparseTensor) or isinstance(b, SparseTensor):
+        ab = _joined(spec, a, b)
+    if ab is None:
+        ab = spec.concatenate([_dense_of(spec, a, "solve_affine lhs"),
+                               _dense_of(spec, b, "solve_affine rhs")], axis=1)
+    pivots, free, rows = _echelon(spec, ab)
     if any(p >= n for p in pivots):
         return None
-    x = spec.zeros((n, b.shape[1]))
-    x[pivots, :] = r[:len(pivots), n:]
-    return x, _null_basis(spec, r, pivots, n)
+    nf = len(free) - m
+    x = spec.zeros((n, m))
+    x[pivots, :] = rows[:, nf:]
+    return x, _null_basis(spec, pivots, free[:nf], rows[:, :nf], n)
 
 
 def inverse(spec: FieldSpec, a):

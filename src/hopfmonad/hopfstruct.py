@@ -233,10 +233,7 @@ def coinvariants(t: TensoringBimonad, carrier: GradedObj,
     grid = [[0] * t.base.nlabels for _ in range(t.base.nlabels)]
     basis_by_grade = {}
     for grade in sorted(carrier.grades()):
-        cols = carrier.count(*grade)
-        rows = diff.dst.count(*grade)
-        blk = diff.block(*grade) if rows else f.zeros((0, cols))
-        ker = kernel(f, blk)
+        ker = kernel(f, diff.held(*grade))
         grid[grade[0]][grade[1]] = ker.shape[1]
         if ker.shape[1]:
             basis_by_grade[grade] = ker
@@ -278,12 +275,7 @@ def fundamental_iso(t: TensoringBimonad, fam: Family,
     phi_blocks = {}
     ok = True
     for grade in sorted(t.on_obj(m_obj).grades()):
-        a_blk = ti.block(*grade)
-        b_blk = psi.block(*grade) if grade in psi.dst.grades() else None
-        rows = a_blk.shape[0]
-        if b_blk is None:
-            b_blk = t.base.field.zeros((rows, m_obj.count(*grade)))
-        sol = solve_affine(t.base.field, a_blk, b_blk)
+        sol = solve_affine(t.base.field, ti.held(*grade), psi.held(*grade))
         if sol is None:
             ok = False
             break
@@ -310,7 +302,7 @@ def fundamental_iso(t: TensoringBimonad, fam: Family,
     if t.base.is_vector:
         diff = Chain(t.on_obj(m_obj)).then(rho, at=1).eval() - \
             Chain(t.on_obj(m_obj)).then(t.u, at=1 + n).eval()
-        ker = kernel(t.base.field, diff.block(0, 0))
+        ker = kernel(t.base.field, diff.held(0, 0))
         span = ti.block(0, 0)
         okk = ker.shape[1] == span.shape[1]
         if okk and ker.shape[1]:

@@ -5,6 +5,7 @@ import gc
 import operator
 import pickle
 import random
+import sys
 import weakref
 from fractions import Fraction
 from itertools import product
@@ -349,6 +350,39 @@ class TestDuality:
         rng = random.Random(23)
         x, y = rand_obj(GR2, rng, 1), rand_obj(GR2, rng, 1)
         assert x.tensor(y).dual() == y.dual().tensor(x.dual())
+
+    @pytest.mark.parametrize("base", [VEC, GR2])
+    def test_ldual_is_kept_without_a_cycle(self, base):
+        rng = random.Random(67)
+        for _ in range(4):
+            f = rand_mor(rand_obj(base, rng, 1), rand_obj(base, rng, 1), rng)
+            refs = sys.getrefcount(f)
+            lf = f.ldual()
+            assert f.ldual() is lf
+            # the dual holds nothing of f: dropping f frees it at once
+            assert sys.getrefcount(f) == refs
+            assert lf.ldual() == f and lf.ldual() is not f
+
+    @pytest.mark.parametrize("base", [VEC, VEC_F7])
+    def test_ldual_of_a_held_block_is_reindexed(self, base):
+        # a one-label block past SPARSE_FIXED: its dual is held sparse, read
+        # off the nonzeros, with no dense array behind it
+        f = base.field
+        x = GradedObj(base, (Atom("a", ((30,),)), Atom("b", ((7,),))))
+        y = GradedObj(base, (Atom("c", ((12,),)), Atom("d", ((11,),))))
+        assert x.count(0, 0) * y.count(0, 0) > chain.SPARSE_FIXED
+        rng = np.random.default_rng(5)
+        vals = (rng.random((132, 210)) < 0.01) * rng.integers(1, 7, (132, 210))
+        dense = f.asarray(vals.tolist())
+        want = f.zeros((210, 132))
+        want[np.ix_(_perm_to_dual(x, 0, 0), _perm_to_dual(y, 0, 0))] = dense.T
+        t = SparseTensor.of(f, dense)
+        for block in (dense, t, SparseTensor(t.shape, t.index, t.vals, t.den)):
+            mor = GradedMor(x, y, {(0, 0): block})
+            dual = mor.ldual().held(0, 0)
+            assert isinstance(dual, SparseTensor) and dual._dense is None
+            assert f.equal(dual, want)
+            assert mor.ldual().ldual() == mor
 
     def test_ldual_unequal_atom_dims(self):
         # regression: the reversal permutation is not an involution here

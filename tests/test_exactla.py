@@ -731,3 +731,187 @@ class TestCanonicalForm:
         assert a.den == 3 and a.tolist() == [[0, Fraction(1, 3)], [0, 0]]
         a[0, 1] = 0
         assert a.den == 1 and not a.num.any()
+
+
+# ---------------------------------------------------------------------------
+# The sparse route: unit rows peeled on the nonzeros, the core reduced dense
+# ---------------------------------------------------------------------------
+
+F7919 = FieldSpec.prime(7919)
+HELD_FIELDS = [F2, F7, F7919, Q]
+
+
+def nonzero_entry(spec):
+    if spec.is_rationals:
+        return st.builds(Fraction, st.integers(1, 9) | st.integers(-9, -1),
+                         st.sampled_from([1, 2, 3, 7]))
+    return st.integers(1, spec.p - 1)
+
+
+@st.composite
+def held_matrices(draw, spec, rows=None):
+    """A matrix as dense rows of the kinds the peel meets: random sparse
+    rows with unit rows planted, every row a unit row, no unit row at all,
+    with zero and duplicate rows mixed in; tall or wide."""
+    tall = draw(st.booleans())
+    long_side, short_side = draw(st.integers(1, 30)), draw(st.integers(1, 7))
+    if rows is None:
+        rows = long_side if tall else short_side
+    cols = short_side if tall else long_side
+    kind = draw(st.sampled_from(["planted", "units", "no_units"]))
+    entry = nonzero_entry(spec)
+    out = [[spec.zero] * cols for _ in range(rows)]
+    for row in out:
+        if kind == "units":
+            row[draw(st.integers(0, cols - 1))] = draw(entry)
+            continue
+        for c in draw(st.lists(st.integers(0, cols - 1), max_size=4, unique=True)):
+            row[c] = draw(entry)
+        if kind == "no_units" and sum(x != 0 for x in row) == 1 and cols > 1:
+            c = next(c for c, x in enumerate(row) if x == 0)
+            row[c] = draw(entry)
+    if kind == "planted":
+        for _ in range(draw(st.integers(0, 3))):
+            row = out[draw(st.integers(0, rows - 1))]
+            row[:] = [spec.zero] * cols
+            row[draw(st.integers(0, cols - 1))] = draw(entry)
+    for _ in range(draw(st.integers(0, 2))):
+        out[draw(st.integers(0, rows - 1))][:] = [spec.zero] * cols
+    for _ in range(draw(st.integers(0, 2))):
+        out[draw(st.integers(0, rows - 1))][:] = out[draw(st.integers(0, rows - 1))]
+    return spec.asarray(out)
+
+
+def held(spec, a):
+    t = exactla.SparseTensor.of(spec, a)
+    assert t is not None
+    return t
+
+
+def assert_same_held(spec, x, y):
+    assert x.shape == y.shape and spec.equal(x, y)
+
+
+def reduced_rows(spec, a):
+    """sparse_rref's pivots and its nonzero rows of the reduced form, put
+    back at every column: the identity at the pivots."""
+    pivots, free, rows = exactla.sparse_rref(spec, held(spec, a))
+    assert free == [c for c in range(a.shape[1]) if c not in pivots]
+    assert rows.shape == (len(pivots), len(free))
+    out = spec.zeros((len(pivots), a.shape[1]))
+    if pivots:
+        out[:, free] = rows
+        out[range(len(pivots)), pivots] = spec.one
+    return pivots, out
+
+
+class TestSparseRref:
+    """sparse_rref, and kernel, rank and solve_affine on a SparseTensor,
+    against the dense RREF of the same matrix."""
+
+    @pytest.mark.parametrize("spec", HELD_FIELDS, ids=lambda s: s.describe())
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_rows_pivots_and_kernel(self, spec, data):
+        a = data.draw(held_matrices(spec))
+        dense_rows, dense_pivots = spec.rref(a)
+        pivots, rows = reduced_rows(spec, a)
+        assert pivots == dense_pivots
+        assert_same_held(spec, rows, dense_rows[:len(pivots)])
+        assert_same_held(spec, kernel(spec, held(spec, a)), kernel(spec, a))
+        assert rank(spec, held(spec, a)) == rank(spec, a)
+
+    @pytest.mark.parametrize("spec", HELD_FIELDS, ids=lambda s: s.describe())
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_solve_affine(self, spec, data):
+        a = data.draw(held_matrices(spec))
+        if data.draw(st.booleans()):
+            # consistent: b in the column space of a
+            b = spec.matmul(a, data.draw(held_matrices(spec, rows=a.shape[1])))
+        else:
+            b = data.draw(held_matrices(spec, rows=a.shape[0]))
+        want = solve_affine(spec, a, b)
+        for lhs, rhs in ((held(spec, a), b), (a, held(spec, b)),
+                         (held(spec, a), held(spec, b))):
+            got = solve_affine(spec, lhs, rhs)
+            assert (got is None) == (want is None)
+            if want is not None:
+                assert_same_held(spec, got[0], want[0])
+                assert_same_held(spec, got[1], want[1])
+
+    @pytest.mark.parametrize("spec", HELD_FIELDS, ids=lambda s: s.describe())
+    def test_empty_and_zero(self, spec):
+        for shape in ((0, 4), (3, 0), (3, 4)):
+            z = spec.zeros(shape)
+            pivots, free, rows = exactla.sparse_rref(spec, held(spec, z))
+            assert pivots == [] and free == list(range(shape[1]))
+            assert rows.shape == (0, shape[1])
+            assert_same_held(spec, kernel(spec, held(spec, z)), kernel(spec, z))
+
+    def test_wide_rational_join_falls_back_to_dense(self):
+        # over the common denominator 15 the numerators would leave int64
+        a = Q.asarray([[Fraction((1 << 62) + 1, 3), 1], [0, Fraction(1, 3)]])
+        b = Q.asarray([[Fraction((1 << 62) + 3, 5)], [Fraction(2, 5)]])
+        assert exactla._joined(Q, held(Q, a), b) is None
+        got, want = solve_affine(Q, held(Q, a), b), solve_affine(Q, a, b)
+        assert_same_held(Q, got[0], want[0]) and got[1].shape == (2, 0)
+
+    def test_peel_clears_the_unit_columns(self):
+        # rows 0 and 2 are units; clearing their columns makes row 1 one
+        a = F7.asarray([[0, 3, 0, 0], [1, 5, 0, 0], [0, 0, 0, 2], [4, 0, 6, 1]])
+        pivots, rows = reduced_rows(F7, a)
+        assert pivots == [0, 1, 2, 3] and same(rows, F7.eye(4))
+
+    def test_oversized_core_names_the_site(self, monkeypatch):
+        from hopfmonad import chain
+        # no unit row: the whole 6 x 6 matrix is the core
+        a = F7.asarray([[1 if c in (r, (r + 1) % 6) else 0 for c in range(6)]
+                        for r in range(6)])
+        monkeypatch.setattr(chain, "MAX_STATE_ENTRIES", 35)
+        with pytest.raises(exactla.ExactError, match="sparse_rref core: a dense 6 x 6"):
+            kernel(F7, held(F7, a))
+        # unit rows peel to an empty core, and they are zero off their
+        # pivots: the result rows hold only the free column
+        monkeypatch.setattr(chain, "MAX_STATE_ENTRIES", 6)
+        wide = F7.concatenate([F7.eye(6), F7.zeros((6, 1))], axis=1)
+        assert kernel(F7, held(F7, wide)).shape == (7, 1)
+        monkeypatch.setattr(chain, "MAX_STATE_ENTRIES", 5)
+        with pytest.raises(exactla.ExactError, match="sparse_rref rows: a dense 6 x 1"):
+            kernel(F7, held(F7, wide))
+
+
+@pytest.fixture(scope="module")
+def taft3_kernel_match():
+    """The system taft3's decomp.kernel_match hands to `kernel`, held as
+    fundamental_iso holds it, for an induced Hopf module built from a
+    randomized two-dimensional comodule."""
+    from hopfmonad import hopfstruct, presentation, zoo
+    model = presentation.load(zoo.build_taft(3, 7))
+    t = model.t
+    car, rho = hopfstruct.random_comodule(t, model.grouplikes, random.Random(0), 2)
+    h = hopfstruct.induced_hopf_module(t, car, rho)
+    seen = []
+    plain = hopfstruct.kernel
+
+    def recording(spec, a):
+        seen.append(a)
+        return plain(spec, a)
+
+    hopfstruct.kernel = recording
+    try:
+        hopfstruct.fundamental_iso(t, hopfstruct.gamma_family(t, model.antipode), h)
+    finally:
+        hopfstruct.kernel = plain
+    return max(seen, key=lambda a: a.size)
+
+
+def test_taft3_kernel_match_system(taft3_kernel_match):
+    a = taft3_kernel_match
+    assert isinstance(a, exactla.SparseTensor) and a.shape == (1458, 162)
+    dense = a.dense(F7)
+    dense_rows, dense_pivots = F7.rref(dense)
+    pivots, rows = reduced_rows(F7, dense)
+    assert pivots == dense_pivots
+    assert same(rows, dense_rows[:len(pivots)])
+    assert same(kernel(F7, a), kernel(F7, dense))

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import subprocess
 import sys
 
 import pytest
@@ -181,3 +182,36 @@ def test_failed_axioms_skip_the_dual_module_checks(pair_groupoid):
         # run without the axioms, the modules suite still checks the duals
         alone = verify_model(m, checks=("modules",))
         assert [x.check for x in alone.results if x.check.startswith("dual.")]
+
+
+# the builtins of the perfbench gallery workload
+GALLERY = ("trivial", "kz2", "ks3", "ks3_f3", "sweedler", "taft3", "double_z2",
+           "double_z2_f3", "disconnected_groupoid", "pair_groupoid")
+
+IMPORTS_CHILD = """\
+import json, sys
+from hopfmonad import presentation, zoo
+from hopfmonad.cli import EXAMPLES
+from hopfmonad.exactla import FieldSpec
+from hopfmonad.verify import verify_model
+name = {name!r}
+if name == "double_z5_f11":
+    pres = zoo.build_drinfeld_double_group(zoo.cyclic_group_table(5), FieldSpec.prime(11), name)
+    checks = ("quasitriangular",)
+else:
+    pres, checks = EXAMPLES[name](), None
+model = presentation.load(pres)
+before = set(sys.modules)
+verify_model(model) if checks is None else verify_model(model, checks=checks)
+print(json.dumps(sorted(set(sys.modules) - before)))
+"""
+
+
+@pytest.mark.parametrize("name", GALLERY + ("double_z5_f11",))
+def test_verification_imports_nothing(name):
+    # a module imported on first use (numpy.ma by np.unique, for one) costs
+    # every CLI call its import; in a fresh interpreter, verify_model on a
+    # loaded model leaves sys.modules as it found it
+    out = subprocess.run([sys.executable, "-c", IMPORTS_CHILD.format(name=name)],
+                         capture_output=True, text=True, check=True)
+    assert json.loads(out.stdout) == []
