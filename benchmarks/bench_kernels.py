@@ -20,6 +20,9 @@ Prints one table:
   decomposition), each as fundamental_iso holds it (a SparseTensor) and
   made dense, and on that of the 36-dim double of S3 over GF(7)
   (46656x1296) held only;
+- `@` of taft3's kernel_match difference (held, 1458x162) with the
+  inclusion of its coinvariants under T, as the checkout's
+  GradedMor.compose multiplies them;
 - `presentation.load` of the 25-dim double of Z5 over GF(11) and over Q,
   the 36-dim double of S3 over GF(7) and the 49-dim double of Z7 over
   GF(29), each presentation read back from its JSON text, as the CLI
@@ -122,13 +125,15 @@ def _sparse_q(rng, shape, density):
         [flat[i * shape[1]:(i + 1) * shape[1]] for i in range(shape[0])])
 
 
-def _kernel_match(build, induced: bool = True):
-    """The system decomp.kernel_match hands to `kernel`, T(rho) - T(u) on
-    T(M), held as fundamental_iso holds it (a SparseTensor past
-    chain.SPARSE_FIXED entries, dense otherwise).  M is an induced Hopf
-    module built from a randomized two-dimensional comodule (seed SEED),
-    whose system is the largest of a decomposition, or with induced=False
-    the free Hopf module on the first simple; verify_model checks both."""
+def _kernel_match_pair(build, induced: bool = True) -> tuple:
+    """(T(rho) - T(u), T(inc)) on T(M): the difference decomp.kernel_match
+    asks about, held as fundamental_iso holds it (a SparseTensor past
+    SPARSE_FIXED entries, dense otherwise), and the inclusion of the
+    coinvariants under T, whose image it compares with the kernel.  M is
+    an induced Hopf module built from a randomized two-dimensional
+    comodule (seed SEED), whose system is the largest of a decomposition,
+    or with induced=False the free Hopf module on the first simple;
+    verify_model checks both."""
     model = presentation.load(build())
     t = model.t
     if induced:
@@ -139,7 +144,25 @@ def _kernel_match(build, induced: bool = True):
     tm = t.on_obj(h.carrier)
     diff = Chain(tm).then(h.coaction, at=1).eval() - \
         Chain(tm).then(t.u, at=1 + len(h.carrier.atoms)).eval()
-    return diff.held(0, 0)
+    _, inc = hopfstruct.coinvariants(t, h.carrier, h.coaction)
+    return diff, t.on_mor(inc)
+
+
+def _kernel_match(build, induced: bool = True):
+    """The system of _kernel_match_pair's difference."""
+    return _kernel_match_pair(build, induced)[0].held(0, 0)
+
+
+def _compose_row(row) -> None:
+    """`@` of taft3's kernel_match difference, held as a 1458 x 162
+    SparseTensor, with T(inc): by the checkout's GradedMor.compose, which
+    multiplies the blocks as they are held where it takes the held product,
+    and makes both dense and multiplies them where it does not."""
+    diff, ti = _kernel_match_pair(EXAMPLES["taft3"])
+    a = diff.held(0, 0)
+    density = (a if isinstance(a, SparseTensor) else SparseTensor.of(ti.field, a)).nnz / a.size
+    row("@ taft3 kernel_match difference, T(inc)",
+        f"{a.shape[0]}x{a.shape[1]}x{ti.src.total_dim()}", _best(diff.compose, ti), density)
 
 
 def _dense(field, a):
@@ -362,6 +385,7 @@ def main():
     row("Q rref (ks3 kernel_match probe)", "x".join(map(str, probe.shape)),
         _best(q.rref, probe))
     _elimination_rows(row)
+    _compose_row(row)
 
     for shown, name, field in (("double_z5", "double_z5_f11", f11),
                                ("double_s3", "double_s3_f7", FieldSpec.prime(7)),

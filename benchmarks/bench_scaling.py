@@ -54,7 +54,7 @@ import hopfmonad
 from bench_gallery import append_run, checkout_commit
 from bench_kernels import _best, _calibrate, _machine
 from hopfmonad import chain, presentation, zoo
-from hopfmonad.exactla import FieldSpec
+from hopfmonad.exactla import ChainOverflow, FieldSpec
 from hopfmonad.verify import SUITES, verify_model
 
 import numpy as np
@@ -106,7 +106,7 @@ def _one(name: str) -> dict:
     chain._contract = watched
     try:
         row["all_s"] = _timed(pres, SUITES)
-    except chain.ChainOverflow as e:
+    except ChainOverflow as e:
         row["all_s"] = f"ChainOverflow: {e}"
     chain._contract = plain
     row["peak_entries"] = peak["entries"]
@@ -114,7 +114,7 @@ def _one(name: str) -> dict:
     for suite in SUITES:
         try:
             row["suites"][suite] = _timed(pres, (suite,))
-        except chain.ChainOverflow as e:
+        except ChainOverflow as e:
             row["suites"][suite] = f"ChainOverflow: {e}"
     row["calibration_s"] = round(_best(_calibrate), 6)
     row["maxrss_mb"] = round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)

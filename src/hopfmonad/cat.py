@@ -41,19 +41,16 @@ and its index in the dual word is built with the path (`_perm_to_dual`).
 
 Morphisms are grade-preserving linear maps, one exact matrix per grade.
 On a multi-label base every block is a dense array.  On one label the
-single block is held as chain.py holds a tensor: an exactla.SparseTensor
-when it has more than chain.SPARSE_FIXED entries, a dense array
-otherwise.  A block is held sparse as a chain result whose last
-contraction was sparse, as a pairing row (one nonzero per path, built
-sparse on both backends and made dense where the rule says so), or once
-a chain step has read it for its nonzeros: every step over a morphism,
-a natural family's component included, keeps that form on the morphism
-(with the dense array it was read from).  Equality, is_zero, + and -
-read either form as it is (a sum with a sparse block merges the
-nonzeros), and so do the solvers of exactla and the dual (ldual, which
-reindexes the nonzeros and is kept on the morphism); block() gives the
-dense array, for the consumers that need one (products, the report),
-bounded by chain.MAX_STATE_ENTRIES.
+single block is held by exactla's size rule (_held): an
+exactla.SparseTensor past SPARSE_FIXED entries, a dense array otherwise.
+It is held sparse as a chain result or a product `@` (per grade the held
+product exactla.held_tensordot, held by the rule), as a pairing row (one
+nonzero per path), or once a chain step has read it for its nonzeros:
+every step over a morphism keeps that form on it (with the dense array
+it was read from).  Equality, is_zero, +, -, @, the solvers of exactla
+and the dual (ldual, which reindexes the nonzeros and is kept on the
+morphism) read either form as it is; block() gives the dense array, for
+the report, negation and scaling, bounded by exactla.MAX_STATE_ENTRIES.
 """
 
 from __future__ import annotations
@@ -67,7 +64,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .exactla import (INT64_BOUND, DimensionMismatch, ExactError, FieldSpec, SparseTensor,
-                      sparse_sum)
+                      _dense, _held, held_tensordot, sparse_sum)
 
 
 class BaseMismatch(ExactError):
@@ -470,24 +467,20 @@ class GradedMor:
 
     def block(self, i: int, l: int):
         """Dense block at a grade (zeros when absent)."""
-        m = self.held(i, l)
-        if not isinstance(m, SparseTensor):
-            return m
-        from .chain import _dense  # chain builds on this module
-        return _dense(self.field, m)
+        return _dense(self.field, self.held(i, l))
 
     # -- algebra ------------------------------------------------------------
 
     def compose(self, other: "GradedMor") -> "GradedMor":
-        """self after other."""
+        """self after other: per grade the held product of the blocks, held
+        by _held's size rule on one label and dense on several."""
         if other.dst != self.src:
             raise DimensionMismatch("composition mismatch")
         f = self.field
-        blocks = {}
-        for g in self.blocks:
-            if g in other.blocks:
-                blocks[g] = f.matmul(self.block(*g), other.block(*g))
-        return GradedMor(other.src, self.dst, blocks)
+        hold = _held if self.base.is_vector else _dense
+        return GradedMor(other.src, self.dst, {
+            g: hold(f, held_tensordot(f, m, other.blocks[g], [1], [0]))
+            for g, m in self.blocks.items() if g in other.blocks})
 
     def __matmul__(self, other: "GradedMor") -> "GradedMor":
         return self.compose(other)
@@ -495,8 +488,8 @@ class GradedMor:
     def _blockwise(self, op, other: "GradedMor") -> "GradedMor":
         """`op` (operator.add or operator.sub) of the blocks, absent ones read
         as zero.  Where either block is held sparse the nonzeros are merged
-        (exactla.sparse_sum) and the sum held as chain holds a tensor; the
-        dense arrays are added only when the int64 sums could wrap."""
+        (exactla.sparse_sum) and the sum held (_held); the dense arrays are
+        added only when the int64 sums could wrap."""
         if self.src != other.src or self.dst != other.dst:
             raise DimensionMismatch(f"{op.__name__} of morphisms with different ends")
         f = self.field
@@ -506,12 +499,8 @@ class GradedMor:
             out = None
             if isinstance(a, SparseTensor) or isinstance(b, SparseTensor):
                 out = sparse_sum(f, a, b, negate=op is operator.sub)
-            if out is None:
-                out = f.reduce(op(self.block(*g), other.block(*g)))
-            else:
-                from .chain import _held  # chain builds on this module
-                out = _held(f, out)
-            blocks[g] = out
+            blocks[g] = (f.reduce(op(self.block(*g), other.block(*g))) if out is None
+                         else _held(f, out))
         return GradedMor(self.src, self.dst, blocks)
 
     def __add__(self, other: "GradedMor") -> "GradedMor":
@@ -560,10 +549,9 @@ class GradedMor:
         so this one map serves both sides.  Built on the first call and
         kept on the morphism; the dual refers to nothing of this morphism
         but its words, so the two make no reference cycle.  A block held
-        sparse on one label (by chain._held's size rule) gives a dual block
-        held sparse, its nonzeros reindexed, so no dense copy is kept."""
+        sparse on one label (by _held's size rule) gives a dual block held
+        sparse, its nonzeros reindexed, so no dense copy is kept."""
         if self._ldual is None:
-            from .chain import _held  # chain builds on this module
             f = self.field
             blocks = {}
             for (i, l), m in self.blocks.items():
@@ -610,9 +598,8 @@ def _pairing(x: GradedObj, dual_first: bool) -> tuple:
     """The word dual(x) ⊗ x (dual_first) or x ⊗ dual(x), with its pairing
     row of the standard dual bases at every diagonal grade (i, i): each
     path of x meets its dual in dual(x).  A row is built as a SparseTensor,
-    its one nonzero per path at sorted positions, and held so on one label
-    when it has more than chain.SPARSE_FIXED entries, dense otherwise."""
-    from .chain import SPARSE_FIXED  # chain builds on this module
+    its one nonzero per path at sorted positions, and held by _held's size
+    rule on one label, dense otherwise."""
     xd = x.dual()
     word = xd.tensor(x) if dual_first else x.tensor(xd)
     labels = range(x.base.nlabels)
@@ -634,7 +621,7 @@ def _pairing(x: GradedObj, dual_first: bool) -> tuple:
         n = word.count(i, i)
         index = np.sort(np.concatenate(hits))
         row = SparseTensor((1, n), index, np.ones(len(index), dtype=np.int64))
-        rows[(i, i)] = row if x.base.is_vector and n > SPARSE_FIXED else row.dense(x.base.field)
+        rows[(i, i)] = (_held if x.base.is_vector else _dense)(x.base.field, row)
     return word, rows
 
 

@@ -20,50 +20,27 @@ that share a wire, the one whose result is smallest, the first by
 position among equals (_next_pair).  A disconnected remainder is joined
 by outer products.  The wires that go from source to target untouched
 are not contracted: the network's result is placed beside the identity
-on them once at the end (_place: each of its entries written on the
-diagonal of its own block, by a strided write into zeros or by index
-arithmetic on its nonzeros, nothing multiplied), and a chain of no steps
-is the scalar 1 so placed.  The result's axes are then put in the order
-(target wires, source wires).  So steps on disjoint wires commute, and
+on them once at the end (exactla.held_place: each of its entries written
+on the diagonal of its own block, by a strided write into zeros or by
+index arithmetic on its nonzeros, nothing multiplied), and a chain of no
+steps is the scalar 1 so placed.  The result's axes are then put in the
+order (target wires, source wires).  So steps on disjoint wires commute, and
 an inserted element (an R-matrix, a coevaluation) meets the products on
 its legs before any identity width: on the 25-, 36- and 64-dimensional
 doubles no intermediate exceeds carrier-dim^4.
 Re-associating exact products cannot change a result; the tests compare
 the evaluator against dense whiskered matrices and another pair order.
 
-A tensor of the network is a dense array or an exactla.SparseTensor,
-its nonzeros by linear position.  On the builtin doubles the structure
-cores send basis vectors to a few basis vectors, and most pairwise
-products are almost empty (one nonzero in 10^3 to 10^4 entries).  So
-each pair is contracted on the route that a cost estimate says is
-cheaper (_sparse_product): dense, by one FieldSpec.tensordot (a single
-integer product on float64 BLAS), or sparse, by joining the nonzeros on
-the shared wires and summing the products per output position
-(exactla.sparse_tensordot).  The
-estimate counts the operands' entries, their nonzeros and the pairs of
-nonzeros the join makes; small products stay dense without a count.
-The sparse sums run in int64, and the route is taken
-only where they are exact (exactla.sparse_exact): over GF(p) each
-product of residues is below 2**40, so fewer than 2**23 of them may meet
-at one entry; over Q the numerators must satisfy the bound of the dense
-integer product, inner * max|a| * max|b| < 2**63.  Both routes give the
-same exact tensor, so no report depends on the choice.  A tensor of
-more than SPARSE_FIXED entries is held as a SparseTensor (_held), one of
-at most that many as a dense array.  A step's core is a GradedMor whose
-block is held once and kept so on the morphism (Step.tensor): every step
-over it, a chain's whisker or a natural family's step at any arguments,
-reads that block once.  The result keeps the form its last contraction
-gave it, held by the same rule: a sparse result of more than
-SPARSE_FIXED entries is the GradedMor's block as it is, never made
-dense here (cat.py says which consumers ask for the dense array).
-MAX_STATE_ENTRIES bounds the stored entries of each intermediate (the
-nonzeros of a sparse one, the placed result too), the dense array of a
-sparse tensor made dense (an operand that takes the dense route, or a
-block asked for dense), and
-the joined pairs of a sparse product times the arrays the join holds.
-So a result is bounded by what it stores; the one result no contraction
-makes, the zero array of a composite through a zero-dimensional wire, is
-checked where it is allocated.
+A tensor of the network is held as exactla holds one (_held), and each
+pair is contracted by exactla.held_tensordot, which picks the dense or
+the sparse route and bounds every intermediate by MAX_STATE_ENTRIES;
+_contract keeps only the legs.  A step's core is a GradedMor whose block
+is held once and kept so on the morphism (Step.tensor), so every step
+over it reads that block once.  The result keeps the form its last
+contraction gave it, a sparse one of at most SPARSE_FIXED entries made
+dense (cat.py says which consumers ask for the dense array); the zero
+array of a composite through a zero-dimensional wire, which no
+contraction makes, is checked where it is allocated.
 
 On a multi-label base the running composite is one block per grade
 (i, l), its rows the current word's (i, l)-paths.  A step
@@ -100,25 +77,8 @@ from math import prod
 import numpy as np
 
 from .cat import GradedMor, GradedObj, _offsets, _owned_memo, _perm_to_dual
-from .exactla import (INT64_BOUND, JOIN_ARRAYS, DimensionMismatch, ExactError,
-                      SparseTensor, sparse_exact, sparse_tensordot)
-
-# Cap on the stored entries of any pairwise intermediate (its nonzeros when
-# it is sparse), and so of the result, per evaluation.
-MAX_STATE_ENTRIES = 3 * 10**8
-
-# The cost rule of _contract (see _sparse_product), in passes over one
-# stored entry, about a nanosecond each: the BLAS multiply-adds per pass,
-# the sparse product's cost per nonzero and per joined pair (a sort, a
-# binary search and several gathers), and its fixed cost beyond the dense
-# route's (a few dozen numpy calls).
-DENSE_FLOPS_PER_PASS = 8
-SPARSE_PASSES = 64
-SPARSE_FIXED = 20000
-
-
-class ChainOverflow(ExactError):
-    pass
+from .exactla import (DimensionMismatch, ExactError, SparseTensor, _check_size, _held,
+                      held_place, held_tensordot)
 
 
 class Step:
@@ -289,26 +249,20 @@ class Chain:
                 tuple(relabel[w] for w in ident) + tuple(ident)))
         order = [relabel.get(w, w) for w in wires] + list(range(nsrc))
         out = out.transpose([legs.index(w) for w in order]).reshape((nd, ns))
-        if isinstance(out, SparseTensor) and out.size <= SPARSE_FIXED:
-            out = out.dense(field)
+        if isinstance(out, SparseTensor):
+            out = _held(field, out)
         return GradedMor.of_blocks(self.src, dst, {(0, 0): out})
 
 
 class _Identity:
     """The identity on wires of dimensions `shape` as an operand of
-    _contract, which places its product with a tensor (_place) instead of
-    multiplying by it."""
+    _contract, which places its product with a tensor (held_place) instead
+    of multiplying by it."""
 
     __slots__ = ("shape",)
 
     def __init__(self, shape: list):
         self.shape = tuple(shape)
-
-
-def _check_size(entries: int) -> None:
-    if entries > MAX_STATE_ENTRIES:
-        raise ChainOverflow(f"intermediate of {entries} entries; "
-                            "restructure the formula (nest sub-composites)")
 
 
 def _next_pair(legs: list, dims: list):
@@ -328,95 +282,16 @@ def _next_pair(legs: list, dims: list):
 
 
 def _contract(field, x: tuple, y: tuple) -> tuple:
-    """Two (tensor, legs) pairs contracted over their shared wires; the
-    result's legs are x's free legs, then y's.  A tensor is a dense array
-    or a SparseTensor.  The product is sparse where _sparse_product finds
-    that cheaper and exact, and one dense FieldSpec.tensordot otherwise."""
+    """Two (tensor, legs) pairs contracted over their shared wires by
+    exactla.held_tensordot, or placed beside an _Identity; the result's
+    legs are x's free legs, then y's."""
     (a, la), (b, lb) = x, y
     if isinstance(b, _Identity):
-        return _place(field, a, b.shape), la + lb
+        return held_place(field, a, b.shape), la + lb
     shared = [w for w in la if w in lb]
-    ax_a = [la.index(w) for w in shared]
-    ax_b = [lb.index(w) for w in shared]
     legs = tuple(w for w in la if w not in shared) + tuple(w for w in lb if w not in shared)
-    inner = prod(a.shape[i] for i in ax_a)
-    size = a.size // inner * (b.size // inner)
-    out = _sparse_product(field, a, b, ax_a, ax_b, inner, size)
-    if out is not None:
-        _check_size(out.nnz)
-        return out, legs
-    _check_size(size)
-    return field.tensordot(_dense(field, a), _dense(field, b), axes=(ax_a, ax_b)), legs
-
-
-def _sparse_product(field, a, b, ax_a: list, ax_b: list, inner: int, size: int):
-    """The product of a and b over the axes ax_a and ax_b, of `inner`
-    entries, to a result of `size` entries, by exactla.sparse_tensordot,
-    when that is exact and cheaper than the dense route; None otherwise.
-
-    The dense route passes over both operands and the result, and makes
-    size * inner multiply-adds on BLAS.  The sparse route costs
-    SPARSE_FIXED, plus SPARSE_PASSES passes over each nonzero and over
-    each pair of nonzeros its join makes.  So it may join at most as many
-    pairs as leave it cheaper; sparse_tensordot counts them before it
-    multiplies, and gives up when there are more.  The join holds JOIN_ARRAYS int64 arrays of one entry
-    per pair, so the budget is also at most MAX_STATE_ENTRIES / JOIN_ARRAYS
-    pairs.  Small products stay dense without a look at their nonzeros,
-    and so does a result whose positions would not fit int64.
-    """
-    dense = a.size + b.size + size + size * inner // DENSE_FLOPS_PER_PASS
-    if dense <= SPARSE_FIXED or size >= INT64_BOUND:
-        return None
-    sa, sb = (t if isinstance(t, SparseTensor) else SparseTensor.of(field, t) for t in (a, b))
-    if sa is None or sb is None or not sparse_exact(field, sa, sb, inner):
-        return None
-    pairs = (dense - SPARSE_FIXED) // SPARSE_PASSES - sa.nnz - sb.nnz
-    if pairs < 0:
-        return None
-    return sparse_tensordot(field, sa, sb, ax_a, ax_b,
-                            min(pairs, MAX_STATE_ENTRIES // JOIN_ARRAYS))
-
-
-def _place(field, a, shape: tuple):
-    """a ⊗ id on wires of dimensions `shape`, placed, not multiplied, in
-    the form _held gives a tensor of its size: past SPARSE_FIXED entries
-    the sparse outer product of a's nonzeros with the identity's, which
-    sparse_tensordot makes by index arithmetic alone; otherwise
-    FieldSpec.with_identity's strided write into zeros.  Bounded like
-    every intermediate."""
-    n = prod(shape)
-    size = a.size * n * n
-    if SPARSE_FIXED < size < INT64_BOUND:
-        sa = a if isinstance(a, SparseTensor) else SparseTensor.of(field, a)
-        if sa is not None:
-            _check_size(sa.nnz * n)
-            return sparse_tensordot(field, sa, SparseTensor.eye(shape), [], [], sa.nnz * n)
-    _check_size(size)
-    return field.with_identity(_dense(field, a), shape)
-
-
-def _held(field, t):
-    """How the network holds a step's core (and, by the same size rule,
-    a placed pass-through identity, a GradedMor's one-label block and a
-    sum of blocks): a SparseTensor when it has more than SPARSE_FIXED
-    entries, and the dense array otherwise.  A larger tensor already
-    sparse is taken as it is, a smaller one made dense; one read from a
-    dense array keeps that array too.  A smaller tensor is converted
-    only when it meets a product that _sparse_product sends to the
-    sparse route, for less than that product's fixed cost."""
-    if isinstance(t, SparseTensor):
-        return t if t.size > SPARSE_FIXED else t.dense(field)
-    sparse = SparseTensor.of(field, t) if t.size > SPARSE_FIXED else None
-    return t if sparse is None else sparse
-
-
-def _dense(field, t):
-    """The dense array of a tensor; a SparseTensor's is bounded by
-    MAX_STATE_ENTRIES like every intermediate."""
-    if not isinstance(t, SparseTensor):
-        return t
-    _check_size(t.size)
-    return t.dense(field)
+    return held_tensordot(field, a, b, [la.index(w) for w in shared],
+                          [lb.index(w) for w in shared]), legs
 
 
 @_owned_memo

@@ -9,10 +9,10 @@
 
 Exit codes: 0 all requested checks pass, 1 axiom failure (report still
 emitted), 2 malformed input, 3 internal error (an exact-arithmetic
-failure during verification, such as a chain whose pairwise
-intermediate or result stores more than chain.MAX_STATE_ENTRIES entries,
-the nonzeros of a sparse intermediate unless it must be made dense, or an
-allocation the host cannot make; no report).  Running out of memory is
+failure during verification, such as a product (a chain's pairwise
+intermediate or result, or a block of `@`) that stores more than
+exactla.MAX_STATE_ENTRIES entries, the nonzeros of a sparse one unless it
+must be made dense, or an allocation the host cannot make; no report).  Running out of memory is
 never a verdict, so it never ends in exit 1.
 """
 

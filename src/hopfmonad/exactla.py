@@ -16,10 +16,10 @@ transpose, indexing (a scalar index gives a Fraction), index assignment,
 +, -, scaling by a scalar, and tolist() (Fractions).  Reshapes and
 transposes share numerators, like numpy views; a write through one is seen
 by the other only when it keeps the denominator and dtype, so the package
-never writes through a view.  The solvers `rank`, `kernel`, `solve_affine`
-and `inverse` take `(spec, array)` and all go through one deterministic
-reduced row echelon form, `FieldSpec.rref`; `rank`, `kernel` and
-`solve_affine` also take a matrix held as a SparseTensor (below).
+never writes through a view.  The solvers `rank`, `kernel` and
+`solve_affine` take `(spec, matrix)`, the matrix held as below, and all
+go through one deterministic reduced row echelon form (_echelon);
+`inverse` is solve_affine(a, I).
 
 Both fields share one exact integer product on float64 BLAS
 (_int_matmul).  With integer factors bounded by |a| * |b| <= top, the
@@ -48,10 +48,23 @@ arithmetic on int64 (a join on the contracted coordinates, a product
 per joined pair, np.add.reduceat over the sorted output positions; over
 no axes, the outer product, the positions alone); sparse_sum adds two
 by merging their nonzeros, and sparse_exact says when the int64 sums of
-a product cannot wrap.  The one-label
-chain evaluator picks it or tensordot per pair, and a one-label
-morphism may keep its block as a SparseTensor; FieldSpec.equal compares
-either form with the other by sorted nonzeros.
+a product cannot wrap.  FieldSpec.equal compares either form with the
+other by sorted nonzeros.
+
+A tensor of more than SPARSE_FIXED entries is held as a SparseTensor,
+one of at most that many as a dense array (_held): so are the chain
+evaluator's cores and results and a one-label morphism's blocks.
+MAX_STATE_ENTRIES bounds the stored entries of a held intermediate (the
+nonzeros of a sparse one) and the dense array of a SparseTensor made
+dense (_dense); ChainOverflow names the entries, a solver's ExactError
+the site and the shape.  One held product, held_tensordot, serves each
+pair of a chain and each grade of `@`.  On the doubles most products are
+almost empty (one nonzero in 10^3 to 10^4 entries), so it takes one dense
+FieldSpec.tensordot or sparse_tensordot, whichever a cost estimate on
+the entries, the nonzeros and the joined pairs finds cheaper
+(_sparse_product), the sparse one only where its int64 sums are exact.
+Both give the same exact tensor, in the form of their route; held_place
+puts a tensor beside an identity without a product.
 
 A matrix held as a SparseTensor is row reduced without being made dense
 (sparse_rref), in the manner of structured Gaussian elimination
@@ -64,11 +77,11 @@ c; clearing column c in the other rows is a row operation.  The reduced
 form is unique, so the rows e_c and the reduced rows of what is left
 (its live rows and columns scattered into a dense core, reduced by
 FieldSpec.rref) are the reduced form of the whole, and over Q the same
-canonical QArray.  The core is checked against chain.MAX_STATE_ENTRIES
+canonical QArray.  The core is checked against MAX_STATE_ENTRIES
 before it is allocated.  The systems of the Hopf-module decomposition
 are almost monomial: taft3's largest, 1458 x 162, leaves no core when
 it has 378 nonzeros and an 18 x 18 one when it has 702.  A block of at
-most chain.SPARSE_FIXED entries is never held sparse, so small systems
+most SPARSE_FIXED entries is never held sparse, so small systems
 take FieldSpec.rref as they are.  The solvers read a reduced form by its
 pivots and its rows at the other columns (at the pivots the rows are the
 identity, and a unit row is zero elsewhere), so neither route writes the
@@ -119,12 +132,30 @@ SPARSE_TERMS = 1 << 23
 # holds at once, at most: a budget of pairs costs this many entries each.
 JOIN_ARRAYS = 5
 
+# Cap on the stored entries of any held intermediate (its nonzeros when it
+# is sparse), and so of a chain's result, per product.
+MAX_STATE_ENTRIES = 3 * 10**8
+
+# The cost rule of held_tensordot (see _sparse_product), in passes over one
+# stored entry, about a nanosecond each: the BLAS multiply-adds per pass,
+# the sparse product's cost per nonzero and per joined pair (a sort, a
+# binary search and several gathers), and its fixed cost beyond the dense
+# route's (a few dozen numpy calls).  SPARSE_FIXED is also the size rule
+# of the held form (_held).
+DENSE_FLOPS_PER_PASS = 8
+SPARSE_PASSES = 64
+SPARSE_FIXED = 20000
+
 
 class ExactError(Exception):
     """Base error for the exact-linalg layer."""
 
 
 class DimensionMismatch(ExactError):
+    pass
+
+
+class ChainOverflow(ExactError):
     pass
 
 
@@ -864,6 +895,112 @@ def _sparse_result(spec: FieldSpec, shape: tuple, pos: np.ndarray, vals: np.ndar
     return SparseTensor(shape, pos, vals, den)
 
 
+# ---------------------------------------------------------------------------
+# The held form, its bound and the held product
+# ---------------------------------------------------------------------------
+
+
+def _check_size(entries: int) -> None:
+    if entries > MAX_STATE_ENTRIES:
+        raise ChainOverflow(f"intermediate of {entries} entries; "
+                            "restructure the formula (nest sub-composites)")
+
+
+def _check_dense(site: str, shape: tuple) -> None:
+    """Raise before a dense array of `shape` is allocated at `site` when it
+    would hold more than MAX_STATE_ENTRIES entries."""
+    if math.prod(shape) > MAX_STATE_ENTRIES:
+        raise ExactError(f"{site}: a dense {' x '.join(map(str, shape))} array exceeds "
+                         f"MAX_STATE_ENTRIES = {MAX_STATE_ENTRIES}")
+
+
+def _held(spec: FieldSpec, t):
+    """The held form of a tensor: a SparseTensor past SPARSE_FIXED entries
+    (one read from a dense array keeps it), the dense array otherwise.  A
+    smaller tensor is read for its nonzeros only by a product that
+    _sparse_product sends to the sparse route, for less than its fixed cost."""
+    if isinstance(t, SparseTensor):
+        return t if t.size > SPARSE_FIXED else t.dense(spec)
+    sparse = SparseTensor.of(spec, t) if t.size > SPARSE_FIXED else None
+    return t if sparse is None else sparse
+
+
+def _dense(spec: FieldSpec, t, site: str | None = None):
+    """The dense array of a held tensor.  A SparseTensor's is bounded by
+    MAX_STATE_ENTRIES like every intermediate (ChainOverflow), or, for a
+    solver that names its `site`, by _check_dense."""
+    if not isinstance(t, SparseTensor):
+        return t
+    if site is None:
+        _check_size(t.size)
+    else:
+        _check_dense(site, t.shape)
+    return t.dense(spec)
+
+
+def held_tensordot(spec: FieldSpec, a, b, ax_a: list, ax_b: list):
+    """Two held tensors contracted over the axes ax_a of a and ax_b of b,
+    the free axes of a then those of b: sparse where _sparse_product finds
+    that cheaper and exact, one dense FieldSpec.tensordot otherwise.  The
+    result is in the form its route gave it, its stored entries bounded
+    by MAX_STATE_ENTRIES."""
+    inner = math.prod(a.shape[i] for i in ax_a)
+    size = a.size // inner * (b.size // inner)
+    out = _sparse_product(spec, a, b, ax_a, ax_b, inner, size)
+    if out is not None:
+        _check_size(out.nnz)
+        return out
+    _check_size(size)
+    return spec.tensordot(_dense(spec, a), _dense(spec, b), axes=(ax_a, ax_b))
+
+
+def _sparse_product(spec: FieldSpec, a, b, ax_a: list, ax_b: list, inner: int, size: int):
+    """The product of a and b over the axes ax_a and ax_b, of `inner`
+    entries, to a result of `size` entries, by sparse_tensordot, when that
+    is exact and cheaper than the dense route; None otherwise.
+
+    The dense route passes over both operands and the result, and makes
+    size * inner multiply-adds on BLAS.  The sparse route costs
+    SPARSE_FIXED, plus SPARSE_PASSES passes over each nonzero and over
+    each pair of nonzeros its join makes.  So it may join at most as many
+    pairs as leave it cheaper; sparse_tensordot counts them before it
+    multiplies, and gives up when there are more.  The join holds
+    JOIN_ARRAYS int64 arrays of one entry per pair, so the budget is also
+    at most MAX_STATE_ENTRIES / JOIN_ARRAYS pairs.  Small products stay
+    dense without a look at their nonzeros, and so does a result whose
+    positions would not fit int64.
+    """
+    dense = a.size + b.size + size + size * inner // DENSE_FLOPS_PER_PASS
+    if dense <= SPARSE_FIXED or size >= INT64_BOUND:
+        return None
+    sa, sb = (t if isinstance(t, SparseTensor) else SparseTensor.of(spec, t) for t in (a, b))
+    if sa is None or sb is None or not sparse_exact(spec, sa, sb, inner):
+        return None
+    pairs = (dense - SPARSE_FIXED) // SPARSE_PASSES - sa.nnz - sb.nnz
+    if pairs < 0:
+        return None
+    return sparse_tensordot(spec, sa, sb, ax_a, ax_b,
+                            min(pairs, MAX_STATE_ENTRIES // JOIN_ARRAYS))
+
+
+def held_place(spec: FieldSpec, a, shape: tuple):
+    """a ⊗ id on axes of dimensions `shape` for a held tensor a, placed,
+    not multiplied, in the form _held gives a tensor of its size: past
+    SPARSE_FIXED entries the sparse outer product of a's nonzeros with the
+    identity's, which sparse_tensordot makes by index arithmetic alone;
+    otherwise FieldSpec.with_identity's strided write into zeros.  Bounded
+    like every intermediate."""
+    n = math.prod(shape)
+    size = a.size * n * n
+    if SPARSE_FIXED < size < INT64_BOUND:
+        sa = a if isinstance(a, SparseTensor) else SparseTensor.of(spec, a)
+        if sa is not None:
+            _check_size(sa.nnz * n)
+            return sparse_tensordot(spec, sa, SparseTensor.eye(shape), [], [], sa.nnz * n)
+    _check_size(size)
+    return spec.with_identity(_dense(spec, a), shape)
+
+
 def kernel_backend() -> str:
     """The kernel backend: numpy, with the product on float64 BLAS."""
     return "numpy"
@@ -872,15 +1009,6 @@ def kernel_backend() -> str:
 # ---------------------------------------------------------------------------
 # Solvers
 # ---------------------------------------------------------------------------
-
-
-def _check_dense(site: str, shape: tuple) -> None:
-    """Raise before a dense array of `shape` is allocated at `site` when it
-    would hold more than chain.MAX_STATE_ENTRIES entries."""
-    from . import chain  # the one bound on stored entries; chain builds on this module
-    if math.prod(shape) > chain.MAX_STATE_ENTRIES:
-        raise ExactError(f"{site}: a dense {' x '.join(map(str, shape))} array exceeds "
-                         f"MAX_STATE_ENTRIES = {chain.MAX_STATE_ENTRIES}")
 
 
 def _free(pivots: list[int], cols: int) -> list[int]:
@@ -900,7 +1028,7 @@ def sparse_rref(spec: FieldSpec, a: SparseTensor) -> tuple:
     The unit rows are peeled on the nonzeros, then the dense core of what
     is left is reduced by FieldSpec.rref (see the module docstring); a
     unit row e_c is zero off its pivot.  Raises ExactError when the core
-    or the result would exceed chain.MAX_STATE_ENTRIES."""
+    or the result would exceed MAX_STATE_ENTRIES."""
     rows, cols = a.shape
     r, c = np.divmod(a.index, max(cols, 1))
     v = a.vals
@@ -965,14 +1093,6 @@ def _joined(spec: FieldSpec, a, b):
                           np.concatenate([a.vals * fa, b.vals * fb]), den)
 
 
-def _dense_of(spec: FieldSpec, a, site: str):
-    """The dense array of a held matrix, bounded as _check_dense says."""
-    if not isinstance(a, SparseTensor):
-        return a
-    _check_dense(site, a.shape)
-    return a.dense(spec)
-
-
 def rank(spec: FieldSpec, a) -> int:
     """The rank of a held matrix."""
     return len(_echelon(spec, a)[0])
@@ -1016,8 +1136,8 @@ def solve_affine(spec: FieldSpec, a, b) -> tuple | None:
     if isinstance(a, SparseTensor) or isinstance(b, SparseTensor):
         ab = _joined(spec, a, b)
     if ab is None:
-        ab = spec.concatenate([_dense_of(spec, a, "solve_affine lhs"),
-                               _dense_of(spec, b, "solve_affine rhs")], axis=1)
+        ab = spec.concatenate([_dense(spec, a, "solve_affine lhs"),
+                               _dense(spec, b, "solve_affine rhs")], axis=1)
     pivots, free, rows = _echelon(spec, ab)
     if any(p >= n for p in pivots):
         return None
@@ -1028,12 +1148,11 @@ def solve_affine(spec: FieldSpec, a, b) -> tuple | None:
 
 
 def inverse(spec: FieldSpec, a):
-    """Two-sided inverse of a square matrix, or None when it is singular
-    or not square; one row reduction of [a | I]."""
+    """Two-sided inverse of a square held matrix, or None when it is
+    singular or not square: the solution of a @ x = I, which is consistent
+    exactly when a has full rank."""
     n = a.shape[0]
     if a.shape[1] != n:
         return None
-    r, pivots = spec.rref(spec.concatenate([a, spec.eye(n)], axis=1))
-    if pivots != list(range(n)):
-        return None
-    return r[:, n:].copy()
+    solved = solve_affine(spec, a, spec.eye(n))
+    return None if solved is None else solved[0]

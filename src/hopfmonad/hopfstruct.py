@@ -302,14 +302,16 @@ def fundamental_iso(t: TensoringBimonad, fam: Family,
     if t.base.is_vector:
         diff = Chain(t.on_obj(m_obj)).then(rho, at=1).eval() - \
             Chain(t.on_obj(m_obj)).then(t.u, at=1 + n).eval()
-        ker = kernel(t.base.field, diff.held(0, 0))
-        span = ti.block(0, 0)
-        okk = ker.shape[1] == span.shape[1]
-        if okk and ker.shape[1]:
-            okk = rank(t.base.field, t.base.field.concatenate([ker, span], axis=1)) \
-                == span.shape[1]
-        rep.record("decomp.kernel_match", okk)
+        rep.record("decomp.kernel_match", kernel_is_image(diff, ti))
     return rep
+
+
+def kernel_is_image(diff: GradedMor, inc: GradedMor) -> bool:
+    """Whether ker(diff) is the image of inc, on one label: it has the
+    dimension k of inc's source, and diff ∘ inc = 0 (for a kernel of
+    dimension k, rank([kernel basis | inc]) = k exactly when diff ∘ inc = 0)."""
+    nullity = diff.src.total_dim() - rank(diff.field, diff.held(0, 0))
+    return nullity == inc.src.total_dim() and (diff @ inc).is_zero()
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,7 @@ TensoringBimonad.components.
 
 from __future__ import annotations
 
+import weakref
 from functools import partial
 
 from .cat import BaseSpec, GradedMor, GradedObj, identity
@@ -61,9 +62,9 @@ class TensoringBimonad:
         missing = set(self.composable(2)) - set(t2)
         if missing:
             raise StructureError(f"missing coproduct component at {min(missing)}")
-        # the coproduct T(X⊗Y) -> T(X)⊗T(Y)
-        self.t2 = Family(self, t2, (carrier, 0, 1), (carrier, 0, carrier, 1),
-                         "coproduct")
+        # the coproduct T(X⊗Y) -> T(X)⊗T(Y), on a weak proxy: no reference cycle
+        self.t2 = Family(weakref.proxy(self), t2, (carrier, 0, 1),
+                         (carrier, 0, carrier, 1), "coproduct")
 
     # -- objects and simples ---------------------------------------------
 

@@ -1,21 +1,24 @@
 """Backend categories: strictness, duality and grading tests."""
 
+import ast
 import copy
 import gc
 import operator
 import pickle
 import random
+import subprocess
 import sys
 import weakref
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hopfmonad import cat, presentation, zoo
+from hopfmonad import cat, exactla, presentation, zoo
 from hopfmonad.cat import (
     Atom,
     BaseSpec,
@@ -370,7 +373,7 @@ class TestDuality:
         f = base.field
         x = GradedObj(base, (Atom("a", ((30,),)), Atom("b", ((7,),))))
         y = GradedObj(base, (Atom("c", ((12,),)), Atom("d", ((11,),))))
-        assert x.count(0, 0) * y.count(0, 0) > chain.SPARSE_FIXED
+        assert x.count(0, 0) * y.count(0, 0) > exactla.SPARSE_FIXED
         rng = np.random.default_rng(5)
         vals = (rng.random((132, 210)) < 0.01) * rng.integers(1, 7, (132, 210))
         dense = f.asarray(vals.tolist())
@@ -467,7 +470,7 @@ class TestOneLabelPairing:
     def test_sparse_rows_match_path_enumeration(self, dims, monkeypatch):
         # with SPARSE_FIXED at 0 every row is built sparse: one nonzero
         # per path, its positions sorted
-        monkeypatch.setattr(chain, "SPARSE_FIXED", 0)
+        monkeypatch.setattr(exactla, "SPARSE_FIXED", 0)
         x = GradedObj(VEC_F3, tuple(Atom(f"X{k}", ((d,),)) for k, d in enumerate(dims)))
         for dual_first, ev, coev in ((True, ev_mor, coev_right_mor),
                                      (False, ev_right_mor, coev_mor)):
@@ -781,7 +784,7 @@ class TestHeldBlocks:
         x = GradedObj(base, (Atom("A", ((25,),)), Atom("S", ((1,),)), Atom("B", ((25,),))))
         maps = (ev_mor, coev_mor, ev_right_mor, coev_right_mor)
         held = [f(x) for f in maps]
-        monkeypatch.setattr(chain, "SPARSE_FIXED", 10**30)
+        monkeypatch.setattr(exactla, "SPARSE_FIXED", 10**30)
         dense = [f(x) for f in maps]
         for h, d in zip(held, dense):
             block = h.held(0, 0)
@@ -814,7 +817,7 @@ class TestSparseSums:
     @pytest.mark.parametrize("field", [Q, FieldSpec.prime(5)])
     @pytest.mark.parametrize("op", [operator.add, operator.sub])
     def test_matches_the_dense_sum(self, field, op):
-        # 150 x 150 blocks: 22500 entries, past chain.SPARSE_FIXED
+        # 150 x 150 blocks: 22500 entries, past exactla.SPARSE_FIXED
         x = GradedObj.space(BaseSpec.vector(field), 150, "x")
         a, b = self.blocks(field, 150, random.Random(3), (3, 4))
         dense_a, dense_b = GradedMor(x, x, {(0, 0): a}), GradedMor(x, x, {(0, 0): b})
@@ -853,3 +856,121 @@ class TestSparseSums:
         big = Q.asarray([[2**62, 0, 0], [0, 0, 0], [0, 0, 0]])
         wide = sparse_mor(x, big) + sparse_mor(x, big)
         assert wide.block(0, 0).tolist()[0][0] == 2**63
+
+
+# ---------------------------------------------------------------------------
+# `@` on held blocks: one held product per grade
+# ---------------------------------------------------------------------------
+
+HELD_FIELDS = [FieldSpec.prime(2), FieldSpec.prime(7), FieldSpec.prime(7919), Q]
+# SPARSE_FIXED at these values makes the held product take the sparse
+# route wherever it is exact, or the dense route always
+ALWAYS_SPARSE, NEVER_SPARSE = -10**30, 10**30
+
+
+def mostly_zero(draw, field, rows, cols):
+    """A rows x cols block with about a quarter of its entries nonzero."""
+    nonzero = (st.builds(Fraction, st.integers(-5, 5), st.sampled_from([1, 2, 3]))
+               if field.is_rationals else st.integers(1, field.p - 1))
+    entry = st.one_of(st.just(0), st.just(0), st.just(0), nonzero)
+    return field.asarray([[draw(entry) for _ in range(cols)] for _ in range(rows)])
+
+
+@st.composite
+def held_composables(draw):
+    """(field, SPARSE_FIXED, dense blocks of f and g, whether each is held):
+    f: y -> z after g: x -> y on one label.  A low SPARSE_FIXED holds the
+    operands and the result sparse."""
+    field = draw(st.sampled_from(HELD_FIELDS))
+    nx, ny, nz = (draw(st.integers(1, 14)) for _ in range(3))
+    fixed = draw(st.sampled_from([ALWAYS_SPARSE, 0, 10, 60, 200, NEVER_SPARSE]))
+    fb, gb = mostly_zero(draw, field, nz, ny), mostly_zero(draw, field, ny, nx)
+    return field, fixed, fb, gb, draw(st.booleans()), draw(st.booleans())
+
+
+class TestHeldCompose:
+    """f @ g on one label is the held product of the blocks as they are
+    held, held by _held's size rule and bounded by MAX_STATE_ENTRIES; on the
+    graded backend its blocks stay the dense blockwise products."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(held_composables())
+    def test_matches_the_dense_product(self, case):
+        field, fixed, fb, gb, hold_f, hold_g = case
+        base = BaseSpec.vector(field)
+        (nz, ny), nx = fb.shape, gb.shape[1]
+        x, y, z = (GradedObj.space(base, n, name) for n, name in ((nx, "x"), (ny, "y"), (nz, "z")))
+        want = field.matmul(fb, gb)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(exactla, "SPARSE_FIXED", fixed)
+            fh, gh = (exactla._held(field, b) if hold else b
+                      for b, hold in ((fb, hold_f), (gb, hold_g)))
+            f, g = GradedMor(y, z, {(0, 0): fh}), GradedMor(x, y, {(0, 0): gh})
+            got = f @ g
+            out = got.held(0, 0)
+            assert isinstance(out, SparseTensor) == (out.size > fixed)
+            assert out.shape == (nz, nx) and field.equal(out, want)
+            assert got == GradedMor(x, z, {(0, 0): want})
+            # the entries the product stores: one fewer is past the bound
+            product = exactla.held_tensordot(field, fh, gh, [1], [0])
+            stored = product.nnz if isinstance(product, SparseTensor) else product.size
+            if stored:
+                mp.setattr(exactla, "MAX_STATE_ENTRIES", stored - 1)
+                with pytest.raises(exactla.ChainOverflow, match="intermediate of"):
+                    f @ g
+
+    def test_a_held_sparse_product_is_not_made_dense(self, monkeypatch):
+        # two scaled permutations of a 200-dimensional space: 40000
+        # entries each, 200 stored, and so the product
+        field = FieldSpec.prime(7)
+        x = GradedObj.space(BaseSpec.vector(field), 200, "x")
+        rng = np.random.default_rng(3)
+        blocks = []
+        for _ in range(2):
+            b = field.zeros((200, 200))
+            b[rng.permutation(200), np.arange(200)] = rng.integers(1, 7, 200)
+            blocks.append(b)
+        f, g = (GradedMor(x, x, {(0, 0): SparseTensor.of(field, b)}) for b in blocks)
+        f.held(0, 0)._dense = g.held(0, 0)._dense = None
+        monkeypatch.setattr(exactla, "MAX_STATE_ENTRIES", 1000)
+        out = (f @ g).held(0, 0)
+        assert isinstance(out, SparseTensor) and out.nnz == 200 and out._dense is None
+        assert field.equal(out, field.matmul(*blocks))
+
+    @pytest.mark.parametrize("base", [GR2, GR2_F3, BaseSpec(FieldSpec.prime(7919), ("a", "b"))])
+    @pytest.mark.parametrize("fixed", [ALWAYS_SPARSE, 0, NEVER_SPARSE])
+    def test_graded_blocks_stay_the_dense_products(self, base, fixed, monkeypatch):
+        rng = random.Random(71)
+        monkeypatch.setattr(exactla, "SPARSE_FIXED", fixed)
+        for _ in range(12):
+            x, y, z = (rand_obj(base, rng, rng.randrange(1, 3), maxdim=3) for _ in range(3))
+            f, g = rand_mor(y, z, rng), rand_mor(x, y, rng)
+            got = f @ g
+            for grade in set(x.grades()) & set(z.grades()):
+                block = got.block(*grade)
+                assert not isinstance(got.held(*grade), SparseTensor)
+                want = (base.field.matmul(f.block(*grade), g.block(*grade))
+                        if grade in f.blocks and grade in g.blocks
+                        else base.field.zeros(block.shape))
+                assert block.shape == want.shape and base.field.equal(block, want)
+
+
+class TestLayering:
+    """exactla holds the held-matrix rules and cat builds on it alone: the
+    chain evaluator sits above both."""
+
+    def test_importing_cat_leaves_chain_unloaded(self):
+        script = "import sys\nimport hopfmonad.cat\nprint('hopfmonad.chain' in sys.modules)"
+        result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert result.returncode == 0 and result.stdout.strip() == "False"
+
+    @pytest.mark.parametrize("module", [cat, exactla], ids=["cat", "exactla"])
+    def test_no_import_of_chain(self, module):
+        for node in ast.walk(ast.parse(Path(module.__file__).read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name.split(".") for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [(node.module or "").split(".")] + [[a.name] for a in node.names]
+            else:
+                continue
+            assert not any("chain" in parts for parts in names), ast.unparse(node)

@@ -25,12 +25,11 @@ from hopfmonad import chain as chainmod
 from hopfmonad import exactla, presentation, zoo
 from hopfmonad.chain import (
     Chain,
-    ChainOverflow,
     Step,
     extend,
     layout_word,
 )
-from hopfmonad.exactla import DimensionMismatch, ExactError, FieldSpec, SparseTensor
+from hopfmonad.exactla import ChainOverflow, DimensionMismatch, ExactError, FieldSpec, SparseTensor
 from hopfmonad.verify import verify_model
 from pathref import path_index, paths
 
@@ -187,16 +186,15 @@ class TestVectorChain:
                     assert m[v * 3 + x, x2] == want
 
     def test_overflow_guard(self, base):
-        import hopfmonad.chain as chainmod
-        old = chainmod.MAX_STATE_ENTRIES
-        chainmod.MAX_STATE_ENTRIES = 10
+        old = exactla.MAX_STATE_ENTRIES
+        exactla.MAX_STATE_ENTRIES = 10
         try:
             a = vspace(base, 4, "a")
             f = rand_mor(a, a.tensor(a), random.Random(6))
             with pytest.raises(ChainOverflow):
                 Chain(a.tensor(a)).then(f, at=0).eval()
         finally:
-            chainmod.MAX_STATE_ENTRIES = old
+            exactla.MAX_STATE_ENTRIES = old
 
 
 # ---------------------------------------------------------------------------
@@ -332,10 +330,10 @@ class TestPlan:
                      .then(rand_mor(GradedObj.unit(base), b, rng), at=0) \
                      .then(rand_mor(b.tensor(x), c, rng), at=0)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(chainmod, "MAX_STATE_ENTRIES", 40)
+            mp.setattr(exactla, "MAX_STATE_ENTRIES", 40)
             with pytest.raises(ChainOverflow, match="intermediate of 48 entries"):
                 ch.eval()
-            mp.setattr(chainmod, "MAX_STATE_ENTRIES", 48)
+            mp.setattr(exactla, "MAX_STATE_ENTRIES", 48)
             got = ch.eval()
         assert got == reference_chain(ch)
 
@@ -431,7 +429,7 @@ def contract_both_ways(field, a, b, ax_a, ax_b):
     out = []
     for fixed in (ALWAYS_SPARSE, NEVER_SPARSE):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(chainmod, "SPARSE_FIXED", fixed)
+            mp.setattr(exactla, "SPARSE_FIXED", fixed)
             got, _ = chainmod._contract(field, (a, la), (b, lb))
         out.append(got)
     return out
@@ -523,11 +521,11 @@ class TestSparseRoute:
         # the identity stores 40 nonzeros of 1600 entries; its product with
         # a 1 x 40 row is small, so it takes the dense route, which would
         # build all 1600 entries, past a cap of 1000
-        monkeypatch.setattr(chainmod, "MAX_STATE_ENTRIES", 1000)
+        monkeypatch.setattr(exactla, "MAX_STATE_ENTRIES", 1000)
         row = F7.asarray([[1] * 40])
         with pytest.raises(ChainOverflow, match="1600 entries"):
             chainmod._contract(F7, (SparseTensor.eye((40,)), (0, 1)), (row, (2, 1)))
-        monkeypatch.setattr(chainmod, "MAX_STATE_ENTRIES", 1600)
+        monkeypatch.setattr(exactla, "MAX_STATE_ENTRIES", 1600)
         got, legs = chainmod._contract(F7, (SparseTensor.eye((40,)), (0, 1)), (row, (2, 1)))
         assert legs == (0, 2) and F7.equal(got, row.T)
 
@@ -536,10 +534,10 @@ class TestSparseRoute:
         # of 4 entries; the join would hold JOIN_ARRAYS arrays of 160
         # entries, more than a cap of 200 allows, so the product goes dense
         a, b = F7.asarray([[1] * 40] * 2), F7.asarray([[1, 1]] * 40)
-        monkeypatch.setattr(chainmod, "SPARSE_FIXED", ALWAYS_SPARSE)
+        monkeypatch.setattr(exactla, "SPARSE_FIXED", ALWAYS_SPARSE)
         got, _ = chainmod._contract(F7, (a, (0, 1)), (b, (1, 2)))
         assert isinstance(got, SparseTensor)
-        monkeypatch.setattr(chainmod, "MAX_STATE_ENTRIES", 200)
+        monkeypatch.setattr(exactla, "MAX_STATE_ENTRIES", 200)
         got, _ = chainmod._contract(F7, (a, (0, 1)), (b, (1, 2)))
         assert not isinstance(got, SparseTensor)
         assert F7.equal(got, F7.asarray([[40 % 7] * 2] * 2))
@@ -550,7 +548,7 @@ class TestSparseRoute:
         want = reference_chain(ch)
         for fixed in (ALWAYS_SPARSE, NEVER_SPARSE):
             with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(chainmod, "SPARSE_FIXED", fixed)
+                mp.setattr(exactla, "SPARSE_FIXED", fixed)
                 got = ch.eval()
             assert got == want
             assert got.block(0, 0).dtype == want.block(0, 0).dtype
@@ -559,10 +557,10 @@ class TestSparseRoute:
 def count_sparse_products(mp) -> dict:
     calls = {"n": 0}
 
-    def counted(*args, _product=chainmod.sparse_tensordot):
+    def counted(*args, _product=exactla.sparse_tensordot):
         calls["n"] += 1
         return _product(*args)
-    mp.setattr(chainmod, "sparse_tensordot", counted)
+    mp.setattr(exactla, "sparse_tensordot", counted)
     return calls
 
 
@@ -588,7 +586,7 @@ class TestHeldForm:
         want = reference_chain(ch)
         wide = GradedObj(ch.src.base, (VECTOR_ATOMS[1],))
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(chainmod, "SPARSE_FIXED", fixed)
+            mp.setattr(exactla, "SPARSE_FIXED", fixed)
             got = ch.eval()
             held = got.held(0, 0) if got.blocks else None
             if isinstance(held, SparseTensor):
@@ -693,7 +691,7 @@ class TestResultBound:
         blk[perm, range(150)] = 2
         mor = GradedMor(x, x, {(0, 0): blk})
         want = brute_whisker(y, mor, GradedObj.unit(VEC7))
-        monkeypatch.setattr(chainmod, "MAX_STATE_ENTRIES", 2000)
+        monkeypatch.setattr(exactla, "MAX_STATE_ENTRIES", 2000)
         got = Chain(y.tensor(x)).then(mor, at=1).eval()
         held = got.held(0, 0)
         assert isinstance(held, SparseTensor) and held.nnz == 300 and held.size == 90000
@@ -703,10 +701,10 @@ class TestResultBound:
         # through a zero-dimensional wire: no contraction, a 150 x 150 zero
         x, z = vspace(VEC7, 150, "x"), GradedObj(VEC7, (ZERO_ATOM,))
         ch = Chain(x).then(GradedMor.zero(x, z)).then(GradedMor.zero(z, x))
-        monkeypatch.setattr(chainmod, "MAX_STATE_ENTRIES", 150 * 150 - 1)
+        monkeypatch.setattr(exactla, "MAX_STATE_ENTRIES", 150 * 150 - 1)
         with pytest.raises(ChainOverflow):
             ch.eval()
-        monkeypatch.setattr(chainmod, "MAX_STATE_ENTRIES", 150 * 150)
+        monkeypatch.setattr(exactla, "MAX_STATE_ENTRIES", 150 * 150)
         assert ch.eval().is_zero()
 
 
@@ -714,7 +712,7 @@ def kron_reference(field, a, shape):
     """a ⊗ id on axes of dimensions shape, by the multiply route: the outer
     product of the dense a with a dense identity."""
     n = prod(shape)
-    return field.tensordot(chainmod._dense(field, a), field.eye(n).reshape(tuple(shape) * 2),
+    return field.tensordot(exactla._dense(field, a), field.eye(n).reshape(tuple(shape) * 2),
                            ([], []))
 
 
@@ -729,8 +727,8 @@ def random_block(field, rows, cols, rng, nonzeros, den=1):
 
 class TestPlacement:
     """The pass-through identity is placed beside the network's result,
-    never multiplied: chain._place against the outer product with a dense
-    identity."""
+    never multiplied: exactla.held_place against the outer product with a
+    dense identity."""
 
     @pytest.mark.parametrize("field", [Q, F7])
     @pytest.mark.parametrize("core, shape, sparse", [
@@ -746,9 +744,9 @@ class TestPlacement:
         a = random_block(field, *core, rng, nonzeros=min(12, prod(core)), den=3)
         if field.is_rationals:
             assert a.den == 3
-        if prod(core) > chainmod.SPARSE_FIXED:
+        if prod(core) > exactla.SPARSE_FIXED:
             a = SparseTensor.of(field, a)
-        got = chainmod._place(field, a, shape)
+        got = exactla.held_place(field, a, shape)
         want = kron_reference(field, a, shape)
         assert isinstance(got, SparseTensor) == sparse
         assert tuple(got.shape) == tuple(want.shape) == tuple(core) + tuple(shape) * 2
@@ -762,7 +760,7 @@ class TestPlacement:
     @pytest.mark.parametrize("field", [Q, F7])
     def test_small_sparse_core_is_placed_dense(self, field):
         a = SparseTensor.of(field, random_block(field, 3, 3, random.Random(1), 4, den=2))
-        got = chainmod._place(field, a, (2,))
+        got = exactla.held_place(field, a, (2,))
         assert not isinstance(got, SparseTensor)
         assert field.equal(got, kron_reference(field, a, (2,)))
 
@@ -776,7 +774,7 @@ class TestPlacement:
         assert got == identity(x) and identity(x) == got
         n = x.total_dim()
         if n:
-            assert isinstance(got.held(0, 0), SparseTensor) == (n * n > chainmod.SPARSE_FIXED)
+            assert isinstance(got.held(0, 0), SparseTensor) == (n * n > exactla.SPARSE_FIXED)
             assert base.field.equal(got.block(0, 0), base.field.eye(n))
 
     @pytest.mark.parametrize("base", [VEC, VEC7])
@@ -800,10 +798,10 @@ class TestPlacement:
         for n, stored in ((4, 96), (150, 900)):
             y = vspace(VEC7, n, f"y{n}")
             ch = Chain(x.tensor(y)).then(f, at=0)
-            monkeypatch.setattr(chainmod, "MAX_STATE_ENTRIES", stored - 1)
+            monkeypatch.setattr(exactla, "MAX_STATE_ENTRIES", stored - 1)
             with pytest.raises(ChainOverflow, match=f"intermediate of {stored} entries"):
                 ch.eval()
-            monkeypatch.setattr(chainmod, "MAX_STATE_ENTRIES", stored)
+            monkeypatch.setattr(exactla, "MAX_STATE_ENTRIES", stored)
             assert ch.eval() == brute_whisker(GradedObj.unit(VEC7), f, y)
 
     def test_sparse_outer_product_keeps_its_budget(self):

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from hopfmonad import chain, cli, presentation, zoo
+from hopfmonad import cli, exactla, presentation, zoo
 from hopfmonad.cli import main
 from hopfmonad.exactla import FieldSpec
 
@@ -139,7 +139,7 @@ class TestExitCodes:
 
     def test_internal_error_is_three(self, monkeypatch, capsys):
         # an exact-arithmetic failure (here ChainOverflow) ends in a message
-        monkeypatch.setattr(chain, "MAX_STATE_ENTRIES", 10)
+        monkeypatch.setattr(exactla, "MAX_STATE_ENTRIES", 10)
         assert main(["verify", "sweedler", "--checks", "axioms"]) == 3
         captured = capsys.readouterr()
         assert captured.err.startswith("internal error: ")

@@ -21,7 +21,8 @@ from hypothesis import strategies as st
 from sympy import QQ
 from sympy.polys.matrices import DomainMatrix
 
-from hopfmonad import exactla
+from hopfmonad import exactla, hopfstruct
+from hopfmonad.cat import BaseSpec, GradedMor, GradedObj
 from hopfmonad.exactla import (
     MAX_PRIME,
     TILE_ENTRIES,
@@ -864,46 +865,59 @@ class TestSparseRref:
         assert pivots == [0, 1, 2, 3] and same(rows, F7.eye(4))
 
     def test_oversized_core_names_the_site(self, monkeypatch):
-        from hopfmonad import chain
         # no unit row: the whole 6 x 6 matrix is the core
         a = F7.asarray([[1 if c in (r, (r + 1) % 6) else 0 for c in range(6)]
                         for r in range(6)])
-        monkeypatch.setattr(chain, "MAX_STATE_ENTRIES", 35)
+        monkeypatch.setattr(exactla, "MAX_STATE_ENTRIES", 35)
         with pytest.raises(exactla.ExactError, match="sparse_rref core: a dense 6 x 6"):
             kernel(F7, held(F7, a))
         # unit rows peel to an empty core, and they are zero off their
         # pivots: the result rows hold only the free column
-        monkeypatch.setattr(chain, "MAX_STATE_ENTRIES", 6)
+        monkeypatch.setattr(exactla, "MAX_STATE_ENTRIES", 6)
         wide = F7.concatenate([F7.eye(6), F7.zeros((6, 1))], axis=1)
         assert kernel(F7, held(F7, wide)).shape == (7, 1)
-        monkeypatch.setattr(chain, "MAX_STATE_ENTRIES", 5)
+        monkeypatch.setattr(exactla, "MAX_STATE_ENTRIES", 5)
         with pytest.raises(exactla.ExactError, match="sparse_rref rows: a dense 6 x 1"):
             kernel(F7, held(F7, wide))
 
 
-@pytest.fixture(scope="module")
-def taft3_kernel_match():
-    """The system taft3's decomp.kernel_match hands to `kernel`, held as
-    fundamental_iso holds it, for an induced Hopf module built from a
-    randomized two-dimensional comodule."""
+def taft3_decomposition_calls(name: str) -> list:
+    """The arguments of every call to hopfstruct.<name> while taft3's
+    fundamental_iso runs on an induced Hopf module built from a randomized
+    two-dimensional comodule."""
     from hopfmonad import hopfstruct, presentation, zoo
     model = presentation.load(zoo.build_taft(3, 7))
     t = model.t
     car, rho = hopfstruct.random_comodule(t, model.grouplikes, random.Random(0), 2)
     h = hopfstruct.induced_hopf_module(t, car, rho)
     seen = []
-    plain = hopfstruct.kernel
+    plain = getattr(hopfstruct, name)
 
-    def recording(spec, a):
-        seen.append(a)
-        return plain(spec, a)
+    def recording(*args):
+        seen.append(args)
+        return plain(*args)
 
-    hopfstruct.kernel = recording
+    setattr(hopfstruct, name, recording)
     try:
         hopfstruct.fundamental_iso(t, hopfstruct.gamma_family(t, model.antipode), h)
     finally:
-        hopfstruct.kernel = plain
-    return max(seen, key=lambda a: a.size)
+        setattr(hopfstruct, name, plain)
+    return seen
+
+
+@pytest.fixture(scope="module")
+def taft3_kernel_match():
+    """The system whose rank taft3's decomp.kernel_match asks, held as
+    fundamental_iso holds it."""
+    return max((a for _, a in taft3_decomposition_calls("rank")), key=lambda a: a.size)
+
+
+@pytest.fixture(scope="module")
+def taft3_kernel_pair():
+    """(the difference T(rho) - T(u), T(inc)) that taft3's
+    decomp.kernel_match compares."""
+    (pair,) = taft3_decomposition_calls("kernel_is_image")
+    return pair
 
 
 def test_taft3_kernel_match_system(taft3_kernel_match):
@@ -915,3 +929,127 @@ def test_taft3_kernel_match_system(taft3_kernel_match):
     assert pivots == dense_pivots
     assert same(rows, dense_rows[:len(pivots)])
     assert same(kernel(F7, a), kernel(F7, dense))
+
+
+def test_taft3_rank_system_is_the_compared_difference(taft3_kernel_match, taft3_kernel_pair):
+    diff, _ = taft3_kernel_pair
+    assert F7.equal(taft3_kernel_match, diff.held(0, 0))
+
+
+# ---------------------------------------------------------------------------
+# Each elimination question asked once: inverse as solve_affine(a, I), and
+# kernel_match as one rank and one product
+# ---------------------------------------------------------------------------
+
+
+def inverse_by_rref(spec, a):
+    """The inverse read off the reduced form of [a | I], or None."""
+    n = a.shape[0]
+    if a.shape[1] != n:
+        return None
+    r, pivots = spec.rref(spec.concatenate([a, spec.eye(n)], axis=1))
+    return r[:, n:] if pivots == list(range(n)) else None
+
+
+@st.composite
+def square_matrices(draw, spec):
+    """A square matrix over spec, at times with a row a multiple of
+    another so that it is singular; over Q at times with numerators and
+    denominators past int64."""
+    n = draw(st.integers(0, 6))
+    if spec.is_rationals and draw(st.booleans()):
+        return spec.asarray(draw(big_q_matrices(n, n))) if n else spec.zeros((0, 0))
+    entry = st.just(spec.zero) | nonzero_entry(spec)
+    rows = [[draw(entry) for _ in range(n)] for _ in range(n)]
+    if n > 1 and draw(st.booleans()):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        k = draw(nonzero_entry(spec))
+        rows[i] = [spec.coerce(Fraction(k) * x) for x in rows[j]]
+    return spec.asarray(rows) if n else spec.zeros((0, 0))
+
+
+class TestInverseBySolve:
+    @pytest.mark.parametrize("spec", HELD_FIELDS, ids=lambda s: s.describe())
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_matches_the_reduced_form_of_a_beside_i(self, spec, data):
+        a = data.draw(square_matrices(spec))
+        got, want = inverse(spec, a), inverse_by_rref(spec, a)
+        assert (got is None) == (want is None)
+        if want is not None:
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert spec.equal(got, want)
+
+    def test_invertible_and_singular_past_int64(self):
+        big = Fraction(2**70 + 1, 3)
+        for rows, invertible in (([[big, 1], [0, Fraction(1, 2**65)]], True),
+                                 ([[big, 1], [2 * big, 2]], False)):
+            a = Q.asarray(rows)
+            got, want = inverse(Q, a), inverse_by_rref(Q, a)
+            assert (got is not None) == (want is not None) == invertible
+            if invertible:
+                assert got.dtype == want.dtype == object and Q.equal(got, want)
+                assert Q.equal(Q.matmul(a, got), Q.eye(2))
+
+
+def kernel_match_by_basis(spec, diff, span) -> bool:
+    """The verdict read off a kernel basis: as many columns as span, and
+    rank([ker | span]) = cols(span)."""
+    ker = kernel(spec, diff)
+    ok = ker.shape[1] == span.shape[1]
+    if ok and ker.shape[1]:
+        ok = rank(spec, spec.concatenate([ker, span], axis=1)) == span.shape[1]
+    return ok
+
+
+class TestKernelMatchVerdict:
+    """hopfstruct.kernel_is_image against a kernel basis and the rank of
+    [ker | span]."""
+
+    def test_taft3_system(self, taft3_kernel_pair):
+        diff, ti = taft3_kernel_pair
+        assert isinstance(diff.held(0, 0), exactla.SparseTensor)
+        assert hopfstruct.kernel_is_image(diff, ti)
+        assert kernel_match_by_basis(F7, diff.held(0, 0), ti.block(0, 0))
+
+    def test_a_column_outside_the_kernel(self, taft3_kernel_pair):
+        diff, ti = taft3_kernel_pair
+        span = ti.block(0, 0).copy()
+        # a basis vector that diff does not send to zero
+        j = int(np.flatnonzero(diff.block(0, 0).any(axis=0))[0])
+        span[:, -1] = 0
+        span[j, -1] = 1
+        inc = GradedMor(ti.src, ti.dst, {(0, 0): span})
+        assert not hopfstruct.kernel_is_image(diff, inc)
+        assert not kernel_match_by_basis(F7, diff.held(0, 0), span)
+
+    def test_a_kernel_one_dimension_too_large(self, taft3_kernel_pair):
+        diff, ti = taft3_kernel_pair
+        span = ti.block(0, 0)[:, :-1]
+        inc = GradedMor(GradedObj.space(ti.base, span.shape[1], "n"), ti.dst, {(0, 0): span})
+        assert not hopfstruct.kernel_is_image(diff, inc)
+        assert not kernel_match_by_basis(F7, diff.held(0, 0), span)
+
+    @pytest.mark.parametrize("spec", HELD_FIELDS, ids=lambda s: s.describe())
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_random_systems(self, spec, data):
+        a = data.draw(held_matrices(spec))
+        ker = kernel(spec, a)
+        # a span of the kernel's columns mixed, at times a column dropped,
+        # duplicated or moved off the kernel
+        k = ker.shape[1]
+        mix = spec.asarray([[data.draw(st.integers(0, 2)) for _ in range(k)]
+                            for _ in range(k)]) if k else spec.zeros((0, 0))
+        span = spec.matmul(ker, mix)
+        change = data.draw(st.sampled_from(["none", "drop", "off"]))
+        if change == "drop" and k:
+            span = span[:, :-1]
+        elif change == "off" and k:
+            span[:, -1] = spec.asarray([[data.draw(st.integers(0, 2))
+                                         for _ in range(a.shape[1])]]).reshape(-1)
+        base = BaseSpec.vector(spec)
+        src, dst = GradedObj.space(base, a.shape[1], "s"), GradedObj.space(base, a.shape[0], "d")
+        diff = GradedMor(src, dst, {(0, 0): a})
+        inc = GradedMor(GradedObj.space(base, span.shape[1], "n"), src, {(0, 0): span})
+        assert hopfstruct.kernel_is_image(diff, inc) == kernel_match_by_basis(spec, a, span)

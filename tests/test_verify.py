@@ -9,9 +9,8 @@ import pytest
 
 from hopfmonad import antipode, hopfstruct, presentation, qtrib, verify, zoo
 from hopfmonad.antipode import AntipodeData
-from hopfmonad.chain import ChainOverflow
 from hopfmonad.cli import main
-from hopfmonad.exactla import FieldSpec
+from hopfmonad.exactla import ChainOverflow, FieldSpec
 from hopfmonad.verify import SUITES, verify_model
 
 BUILDERS = [
